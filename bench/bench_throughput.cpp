@@ -602,9 +602,9 @@ int main(int argc, char** argv) {
         }
         entries.push_back(e);
       }
-      // Sharded replay rows: same site stream, same checkpoint schedule
-      // as skip_batched, through sim::ParallelCluster. The plan pass is
-      // included in the timing (it is part of the replay).
+      // Parallel replay rows: same site stream, same checkpoint schedule
+      // as skip_batched, through sim::ParallelCluster — an online session
+      // fed the stream in 64Ki pushes cut at every checkpoint.
       for (int threads : {1, 4}) {
         sim::ParallelCluster cluster(threads);
         BenchEntry e = TimeConfig(
@@ -627,9 +627,9 @@ int main(int argc, char** argv) {
         entries.push_back(e);
       }
       // Online ingest rows: the SAME stream pushed live through
-      // sim::OnlineCountSession — no plan pass, broadcast schedule
-      // discovered by speculation + rollback — sampled at the same
-      // checkpoint boundaries as the replay rows.
+      // sim::OnlineCountSession — broadcast schedule discovered by
+      // speculation + rollback — one push per checkpoint segment,
+      // sampled at the same checkpoint boundaries as the replay rows.
       for (int threads : {1, 4}) {
         sim::ParallelCluster cluster(threads);
         std::vector<uint64_t> bounds = sim::CheckpointCounts(n_count, 1.5);
@@ -705,7 +705,7 @@ int main(int argc, char** argv) {
         entries.push_back(e);
       }
       simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
-      // Sharded replay rows. The serial frequency rows above deliver in
+      // Parallel replay rows. The serial frequency rows above deliver in
       // 64K chunks without checkpoint sampling, so the cluster rows use a
       // huge checkpoint factor (start + end samples only) to compare
       // delivery engines rather than estimate-query cost.
@@ -829,7 +829,9 @@ int main(int argc, char** argv) {
         entries.push_back(e);
       }
       simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
-      // Sharded replay rows (same sparse-sample rationale as frequency).
+      // Parallel replay rows (same sparse-sample rationale as frequency):
+      // the rank replay pushes the whole stream after the first arrival
+      // as one push, splitting it at every broadcast.
       for (int threads : {1, 4}) {
         sim::ParallelCluster cluster(threads);
         BenchEntry e = TimeConfig(

@@ -28,6 +28,99 @@ namespace count {
 
 class EpochCertifier;
 
+/// max(1, 2 n̄): the reported sum n' at which the coordinator broadcasts.
+/// The one encoding of the §2.1 broadcast limit; every broadcast test in
+/// the tree goes through it.
+inline uint64_t BroadcastLimit(uint64_t n_bar) {
+  return 2 * n_bar > 1 ? 2 * n_bar : 1;
+}
+
+/// Site half of the coarse tracker: the exact local count and its report
+/// thresholds. Reports fire on the 1st, 2nd, 4th, ... arrival, so
+/// `next_report` is always a power of two and `last_reported` the one
+/// before it (0 before the first report).
+struct CoarseSite {
+  uint64_t count = 0;          // exact local count n_i
+  uint64_t next_report = 1;    // report when count reaches this (doubles)
+  uint64_t last_reported = 0;  // n'_i at the coordinator
+
+  /// The site-report step: one arrival; returns the n' delta of the
+  /// report it fires (0 = no report due).
+  uint64_t Arrive() {
+    ++count;
+    if (count < next_report) return 0;
+    uint64_t delta = count - last_reported;
+    last_reported = count;
+    next_report = count * 2;
+    return delta;
+  }
+
+  /// Summed n' delta of every report `h` further arrivals would fire,
+  /// without advancing. Reports telescope, so it is the last threshold
+  /// reached (the floor power of two of the final count) minus the value
+  /// reported so far.
+  uint64_t ReportDeltaAfter(uint64_t h) const {
+    uint64_t final_count = count + h;
+    if (final_count < next_report) return 0;
+    return (uint64_t{1} << (63 - __builtin_clzll(final_count))) -
+           last_reported;
+  }
+
+  /// Advances by `h` arrivals, committing every report they fire.
+  void Advance(uint64_t h) {
+    count += h;
+    if (count >= next_report) {
+      last_reported = uint64_t{1} << (63 - __builtin_clzll(count));
+      next_report = last_reported * 2;
+    }
+  }
+};
+
+/// Coordinator half of the coarse tracker: the running sum n' of reports
+/// and the last broadcast n̄. CoarseTracker owns one; the wire replicas
+/// (sim/replica.h) and the service coordinator rebuild one from delivered
+/// kCoarseReport frames alone.
+struct CoarseMirror {
+  uint64_t n_prime = 0;
+  uint64_t n_bar = 0;
+  uint64_t round = 0;
+
+  /// True iff a report adding `delta` to n' would broadcast.
+  bool WouldBroadcast(uint64_t delta) const {
+    return n_prime + delta >= BroadcastLimit(n_bar);
+  }
+
+  /// Applies one coarse report delta; true iff it triggers a broadcast.
+  bool ApplyReport(uint64_t delta) {
+    n_prime += delta;
+    if (n_prime < BroadcastLimit(n_bar)) return false;
+    n_bar = n_prime;
+    ++round;
+    return true;
+  }
+};
+
+/// True iff delivering histogram[i] (+ carry[i], see
+/// CoarseTracker::BatchCannotBroadcast) further arrivals to each site i
+/// of `sites` cannot make `coordinator` broadcast, under any
+/// interleaving; `*pending` receives the summed n' delta. Shared by
+/// BatchCannotBroadcast and EpochCertifier::ExtendByHistogram.
+inline bool ProjectBroadcastFree(const std::vector<CoarseSite>& sites,
+                                 const CoarseMirror& coordinator,
+                                 const uint32_t* histogram,
+                                 const uint64_t* carry, uint64_t* pending) {
+  uint64_t delta = 0;
+  for (size_t i = 0; i < sites.size(); ++i) {
+    uint64_t h = histogram[i];
+    if (h == 0) continue;
+    if (carry != nullptr) h += carry[i];
+    delta += sites[i].ReportDeltaAfter(h);
+    if (coordinator.WouldBroadcast(delta)) return false;
+  }
+  *pending = delta;
+  return !coordinator.WouldBroadcast(delta);
+}
+
 /// Maintains n̄, a factor-4 approximation of n, with O(k logN) traffic.
 class CoarseTracker {
  public:
@@ -56,7 +149,7 @@ class CoarseTracker {
   /// engines use this to bound how far they may advance without observing
   /// an event.
   uint64_t arrivals_until_report(int site) const {
-    const SiteState& s = local_[static_cast<size_t>(site)];
+    const CoarseSite& s = local_[static_cast<size_t>(site)];
     return s.next_report - s.count;
   }
 
@@ -84,27 +177,12 @@ class CoarseTracker {
   /// feeding everything), which can only cause a harmless fallback.
   bool BatchCannotBroadcast(const uint32_t* histogram,
                             const uint64_t* carry = nullptr) const {
-    uint64_t projected = n_prime_;
-    uint64_t limit = 2 * n_bar_ > 1 ? 2 * n_bar_ : 1;
-    for (size_t i = 0; i < local_.size(); ++i) {
-      uint64_t h = histogram[i];
-      if (h == 0) continue;
-      if (carry != nullptr) h += carry[i];
-      const SiteState& s = local_[i];
-      uint64_t final_count = s.count + h;
-      if (final_count >= s.next_report) {
-        // Largest doubling threshold reached: floor-power-of-two of the
-        // final count (thresholds are 1, 2, 4, ...; counts move by 1).
-        uint64_t last_report =
-            uint64_t{1} << (63 - __builtin_clzll(final_count));
-        projected += last_report - s.last_reported;
-        if (projected >= limit) return false;
-      }
-    }
-    return projected < limit;
+    uint64_t pending = 0;
+    return ProjectBroadcastFree(local_, coordinator_, histogram, carry,
+                                &pending);
   }
 
-  // --- Sharded-replay (epoch) support ------------------------------------
+  // --- Shard-epoch support (sim/shard.h) ---------------------------------
   // During shard ingest a worker thread owns a site and may advance only
   // its site-local half (count / report thresholds); the coordinator half
   // (n', n̄, broadcasts, the meter) is updated at the epoch barrier by the
@@ -124,10 +202,10 @@ class CoarseTracker {
 
   /// Applies one deferred report at an epoch barrier (driver thread
   /// only): charges the upload and folds the delta into n'. Aborts if the
-  /// broadcast condition fires — the parallel driver places every
-  /// broadcast-triggering arrival on an epoch boundary, where it is
-  /// delivered through the serial Arrive() path instead, so a deferred
-  /// report can never legitimately trip it.
+  /// broadcast condition fires — the online sessions certify every epoch
+  /// broadcast-free and deliver each broadcast-triggering arrival through
+  /// the serial Arrive() path instead, so a deferred report can never
+  /// legitimately trip it.
   void ApplyDeferredReport(int site, uint64_t delta);
 
   // --- Wire layer / crash recovery ---------------------------------------
@@ -146,14 +224,17 @@ class CoarseTracker {
   size_t RestoreSite(int site, const uint64_t* data);
 
   /// Last broadcast value (0 before the first element arrives).
-  uint64_t n_bar() const { return n_bar_; }
+  uint64_t n_bar() const { return coordinator_.n_bar; }
 
   /// Number of broadcasts so far == current round index.
-  uint64_t round() const { return round_; }
+  uint64_t round() const { return coordinator_.round; }
 
   /// The coordinator's running sum of last-reported site counts; satisfies
   /// n' <= n < 2n'.
-  uint64_t n_prime() const { return n_prime_; }
+  uint64_t n_prime() const { return coordinator_.n_prime; }
+
+  /// The coordinator half (n', n̄, round).
+  const CoarseMirror& coordinator() const { return coordinator_; }
 
   /// Exact local count of one site (site-side state).
   uint64_t local_count(int site) const;
@@ -163,23 +244,16 @@ class CoarseTracker {
  private:
   friend class EpochCertifier;
 
-  struct SiteState {
-    uint64_t count = 0;          // exact local count n_i
-    uint64_t next_report = 1;    // report when count reaches this (doubles)
-    uint64_t last_reported = 0;  // n'_i at the coordinator
-  };
-
-  // Slow path of Arrive(): charge the upload, refresh n', and broadcast if
-  // n' has at least doubled since the last broadcast.
-  void ReportAndMaybeBroadcast(int site);
+  // Slow path of Arrive(): charge the upload of a report carrying
+  // `delta`, refresh n', and broadcast if n' has at least doubled since
+  // the last broadcast.
+  void ReportAndMaybeBroadcast(int site, uint64_t delta);
 
   sim::CommMeter* meter_;
   sim::wire::WireTap* tap_ = nullptr;
-  std::vector<SiteState> local_;
+  std::vector<CoarseSite> local_;
   std::vector<BroadcastObserver> observers_;
-  uint64_t n_prime_ = 0;
-  uint64_t n_bar_ = 0;
-  uint64_t round_ = 0;
+  CoarseMirror coordinator_;
 };
 
 /// Rolling broadcast-safety certifier: the online generalization of
@@ -216,23 +290,19 @@ class EpochCertifier {
   /// arrival whose report trips the broadcast condition. That arrival is
   /// NOT committed — the caller delivers it through the serial Arrive()
   /// path (where the broadcast actually fires) and then Resets. Returns
-  /// `count` if no broadcast fires (cannot happen right after a refusal).
+  /// `count` when no broadcast fires: the whole chunk is then certified
+  /// (never right after a refusal; after a Reset it certifies the tail of
+  /// a refused push).
   size_t CommitUntilBroadcast(const sim::Arrival* arrivals, size_t count);
 
   int num_sites() const { return static_cast<int>(sites_.size()); }
 
   /// Projected n' over everything certified so far (diagnostics/tests).
-  uint64_t projected_n_prime() const { return n_prime_; }
+  uint64_t projected_n_prime() const { return coordinator_.n_prime; }
 
  private:
-  struct Projection {
-    uint64_t count = 0;
-    uint64_t next_report = 1;
-    uint64_t last_reported = 0;
-  };
-  std::vector<Projection> sites_;
-  uint64_t n_prime_ = 0;
-  uint64_t limit_ = 1;  // max(1, 2 n̄) at the last Reset
+  std::vector<CoarseSite> sites_;
+  CoarseMirror coordinator_;  // n̄ frozen at the last Reset
 };
 
 }  // namespace count

@@ -30,45 +30,12 @@ void DeterministicCountTracker::Arrive(int site) {
   ++n_;
   SiteState& s = sites_[static_cast<size_t>(site)];
   ++s.count;
-  if (ReportDue(s)) {
+  double threshold =
+      static_cast<double>(s.last_reported) * (1.0 + options_.epsilon / 2.0);
+  if (s.last_reported == 0 || static_cast<double>(s.count) >= threshold) {
     meter_.RecordUpload(site, 1);
     reported_sum_ += s.count - s.last_reported;
     s.last_reported = s.count;
-  }
-}
-
-void DeterministicCountTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
-  if (shard_sinks_.empty()) {
-    shard_sinks_.resize(static_cast<size_t>(options_.num_sites));
-  }
-  n_ += arrivals_in_epoch;
-}
-
-// disttrack-lint: allow(site-check) -- shard-internal: every id was
-// validated by SiteGrouper (CheckSiteInRange aborts) before the epoch
-// was partitioned onto workers; the worker replays a pre-checked span.
-void DeterministicCountTracker::ShardArriveRun(int site, uint64_t count) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  ShardSink& sink = shard_sinks_[static_cast<size_t>(site)];
-  for (uint64_t j = 0; j < count; ++j) {
-    ++s.count;
-    if (ReportDue(s)) {
-      ++sink.report_messages;
-      sink.reported_delta += s.count - s.last_reported;
-      s.last_reported = s.count;
-    }
-  }
-}
-
-void DeterministicCountTracker::ShardEpochEnd() {
-  for (int i = 0; i < options_.num_sites; ++i) {
-    ShardSink& sink = shard_sinks_[static_cast<size_t>(i)];
-    if (sink.report_messages > 0) {
-      meter_.RecordUploadBulk(i, sink.report_messages, sink.report_messages);
-      reported_sum_ += sink.reported_delta;
-      sink.report_messages = 0;
-      sink.reported_delta = 0;
-    }
   }
 }
 

@@ -28,8 +28,7 @@ struct DeterministicCountOptions {
 
 /// Deterministic ε-approximate count tracking; error is guaranteed (no
 /// failure probability), using one-way site->coordinator traffic only.
-class DeterministicCountTracker : public sim::CountTrackerInterface,
-                                  private sim::CountShardIngest {
+class DeterministicCountTracker : public sim::CountTrackerInterface {
  public:
   explicit DeterministicCountTracker(const DeterministicCountOptions& options);
 
@@ -39,38 +38,16 @@ class DeterministicCountTracker : public sim::CountTrackerInterface,
   const sim::CommMeter& meter() const override { return meter_; }
   const sim::SpaceGauge& space() const override { return space_; }
 
-  /// Sharded replay (sim/shard.h). The protocol is one-way — there is no
-  /// coordinator -> site traffic at all — so any epoch partition is
-  /// exact: per-site report decisions depend only on the site's own
-  /// counter, and the coordinator's sum is order-insensitive.
-  sim::CountShardIngest* shard_ingest() override { return this; }
-
  private:
-  void ShardEpochBegin(uint64_t arrivals_in_epoch) override;
-  void ShardArriveRun(int site, uint64_t count) override;
-  void ShardEpochEnd() override;
-
   struct SiteState {
     uint64_t count = 0;
     uint64_t last_reported = 0;
-  };
-  // The (1 + eps/2)-growth report rule, shared by Arrive and the shard
-  // run loop so the two delivery paths cannot drift apart.
-  bool ReportDue(const SiteState& s) const {
-    double threshold =
-        static_cast<double>(s.last_reported) * (1.0 + options_.epsilon / 2.0);
-    return s.last_reported == 0 || static_cast<double>(s.count) >= threshold;
-  }
-  struct ShardSink {
-    uint64_t reported_delta = 0;
-    uint64_t report_messages = 0;
   };
 
   DeterministicCountOptions options_;
   sim::CommMeter meter_;
   sim::SpaceGauge space_;
   std::vector<SiteState> sites_;
-  std::vector<ShardSink> shard_sinks_;
   uint64_t n_ = 0;
   uint64_t reported_sum_ = 0;
 };

@@ -459,14 +459,14 @@ void RandomizedCountTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
   n_ += arrivals_in_epoch;
 }
 
-// One site's whole epoch slice, on a worker thread. The structure is the
+// One site's whole push slice, on a worker thread. The structure is the
 // per-site projection of the serial event-countdown engine: eventless
 // arrivals retire as bulk count advances + consumed coin failures, and
 // each event arrival replays the exact scalar order (coarse first, then
-// the coin) with coordinator effects deferred to the sink. The epoch
-// schedule guarantees no broadcast can fall inside the run, so the coin
-// probability is frozen and the site's RNG stream is consumed at exactly
-// the serial per-site offsets.
+// the coin) with coordinator effects deferred to the sink. A push that
+// would broadcast is refused by the trial fold and unwound, so in every
+// kept run the coin probability is frozen and the site's RNG stream is
+// consumed at exactly the serial per-site offsets.
 // disttrack-lint: allow(site-check) -- shard-internal: every id was
 // validated by SiteGrouper (CheckSiteInRange aborts) before the epoch
 // was partitioned onto workers; the worker replays a pre-checked span.
@@ -506,7 +506,26 @@ void RandomizedCountTracker::ShardArriveRun(int site, uint64_t count) {
   }
 }
 
-void RandomizedCountTracker::ShardEpochEnd() {
+void RandomizedCountTracker::ShardSnapshotSite(int site,
+                                               std::vector<uint64_t>* out) {
+  out->clear();
+  SerializeSiteState(site, out);
+}
+
+void RandomizedCountTracker::ShardRestoreSite(
+    int site, const std::vector<uint64_t>& blob) {
+  // The blob also reinstalls the round globals (1/p); no broadcast can
+  // have fired between snapshot and restore (the trial fold refused), so
+  // they are unchanged and the reinstall is a no-op.
+  RestoreSiteState(site, blob);
+}
+
+bool RandomizedCountTracker::ShardTryEpochEnd() {
+  uint64_t pending = 0;
+  for (const ShardSink& sink : shard_sinks_) {
+    for (uint64_t delta : sink.coarse_deltas) pending += delta;
+  }
+  if (coarse_->coordinator().WouldBroadcast(pending)) return false;
   for (int i = 0; i < options_.num_sites; ++i) {
     ShardSink& sink = shard_sinks_[static_cast<size_t>(i)];
     for (uint64_t delta : sink.coarse_deltas) {
@@ -528,31 +547,6 @@ void RandomizedCountTracker::ShardEpochEnd() {
     sink.reported_sum_delta = 0;
     sink.reported_count_delta = 0;
   }
-}
-
-bool RandomizedCountTracker::ShardSnapshotSite(int site,
-                                               std::vector<uint64_t>* out) {
-  out->clear();
-  SerializeSiteState(site, out);
-  return true;
-}
-
-void RandomizedCountTracker::ShardRestoreSite(
-    int site, const std::vector<uint64_t>& blob) {
-  // The blob also reinstalls the round globals (1/p); no broadcast can
-  // have fired between snapshot and restore (the trial fold refused), so
-  // they are unchanged and the reinstall is a no-op.
-  RestoreSiteState(site, blob);
-}
-
-bool RandomizedCountTracker::ShardTryEpochEnd() {
-  uint64_t projected = coarse_->n_prime();
-  for (const ShardSink& sink : shard_sinks_) {
-    for (uint64_t delta : sink.coarse_deltas) projected += delta;
-  }
-  uint64_t limit = std::max<uint64_t>(1, 2 * coarse_->n_bar());
-  if (projected >= limit) return false;
-  ShardEpochEnd();
   return true;
 }
 

@@ -97,7 +97,7 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   const sim::CommMeter& meter() const override { return meter_; }
   const sim::SpaceGauge& space() const override { return space_; }
 
-  /// Sharded replay (sim/shard.h): site workers advance count, coarse
+  /// Shard ingest (sim/shard.h): site workers advance count, coarse
   /// count, and the coin process site-locally, deferring reports and
   /// their traffic to per-site sinks folded at the epoch barrier. Only
   /// the skip-sampling path has the bulk coin primitives the per-site
@@ -159,26 +159,20 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   void Report(int site);
   void EmitTap(sim::wire::MsgType type, int site, uint64_t a);
 
-  // --- Sharded replay (sim::CountShardIngest) ----------------------------
+  // --- Online shard ingest (sim::CountShardIngest) -----------------------
+  // Snapshots reuse the crash-recovery site serialization — a count
+  // site's full private state is always capturable; the trial fold
+  // pre-checks the summed deferred coarse deltas against the broadcast
+  // limit (exact, see shard.h) before folding the sinks.
   void ShardEpochBegin(uint64_t arrivals_in_epoch) override;
   void ShardArriveRun(int site, uint64_t count) override;
-  void ShardEpochEnd() override;
-
-  // Speculative online surface (sim::OnlineCountSession). Snapshots reuse
-  // the crash-recovery site serialization — a count site's full private
-  // state is always capturable; the trial fold pre-checks the summed
-  // deferred coarse deltas against the broadcast limit (exact, see
-  // shard.h) before running the normal fold.
-  bool ShardOnlineReady() const override {
-    return options_.use_skip_sampling;
-  }
-  bool ShardSnapshotSite(int site, std::vector<uint64_t>* out) override;
+  void ShardSnapshotSite(int site, std::vector<uint64_t>* out) override;
   void ShardRestoreSite(int site, const std::vector<uint64_t>& blob) override;
   bool ShardTryEpochEnd() override;
   void ShardAbortEpoch(uint64_t arrivals) override;
 
   // Coordinator messages a site worker buffered during the current shard
-  // epoch; folded (and cleared) by ShardEpochEnd.
+  // epoch; folded (and cleared) by ShardTryEpochEnd.
   struct ShardSink {
     std::vector<uint64_t> coarse_deltas;  // deferred coarse-report deltas
     int64_t reported_sum_delta = 0;       // Σ n̄_i change from coin reports

@@ -421,7 +421,6 @@ void RandomizedFrequencyTracker::RunSiteSpan(int site, const uint64_t* keys,
 // was partitioned onto workers; the worker replays a pre-checked span.
 void RandomizedFrequencyTracker::ShardArriveRun(int site,
                                                 const uint64_t* keys,
-                                                const uint32_t* /*global_index*/,
                                                 size_t count) {
   ShardPort port{this, &shard_sinks_[static_cast<size_t>(site)]};
   RunSiteSpan(site, keys, count, port);

@@ -138,7 +138,7 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   const sim::CommMeter& meter() const override { return meter_; }
   const sim::SpaceGauge& space() const override { return space_; }
 
-  /// Sharded replay (sim/shard.h): site workers run counters, splits, and
+  /// Shard ingest (sim/shard.h): site workers run counters, splits, and
   /// both coin channels site-locally; every coordinator effect (coarse
   /// reports, split notices, counter re-reports, sampled copies) is
   /// buffered per site and folded at the epoch barrier. Per-site message
@@ -267,11 +267,11 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   // The shared protocol logic of ProcessArrival, parameterized over how
   // coordinator effects are delivered: DirectPort applies them in place
   // (the serial path), ShardPort defers them to the site's message sink
-  // (sharded replay). Site-local state is mutated identically either way.
+  // (shard ingest). Site-local state is mutated identically either way.
   template <typename Port>
   void ProcessArrivalImpl(int site, uint64_t item, Port& port);
   // Mints the next virtual-site instance id for `site` (site-unique ids
-  // keep id assignment schedule-independent under sharded replay).
+  // keep id assignment schedule-independent under shard ingest).
   uint64_t NewInstanceId(int site, SiteState* s) {
     return (static_cast<uint64_t>(site) << 32) |
            static_cast<uint64_t>(s->instance_seq++);
@@ -279,17 +279,12 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   size_t CounterCount(const SiteState& s) const;
   void ClearCounters(SiteState* s);
 
-  // --- Sharded replay (sim::KeyedShardIngest) ----------------------------
+  // --- Shard ingest (sim::KeyedShardIngest) ------------------------------
   void ShardEpochBegin(uint64_t arrivals_in_epoch) override;
-  void ShardArriveRun(int site, const uint64_t* keys,
-                      const uint32_t* global_index, size_t count) override;
+  void ShardArriveRun(int site, const uint64_t* keys, size_t count) override;
   void ShardEpochEnd() override;
-  // Cross-site application order is immaterial (canonical instance
-  // order; commutative sums elsewhere), so the driver need not
-  // materialize per-site global-index arrays.
-  bool wants_global_indices() const override { return false; }
-  // Online ingest support (sim::OnlineKeyedSession certifies rolling
-  // epochs against this tracker's broadcast state).
+  // sim::OnlineKeyedSession certifies rolling epochs against this
+  // tracker's broadcast state.
   count::CoarseTracker* shard_coarse() override { return coarse_.get(); }
 
   // One deferred coordinator message (shard ingest only; grouped chunks

@@ -649,7 +649,6 @@ void RandomizedRankTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
 // validated by SiteGrouper (CheckSiteInRange aborts) before the epoch
 // was partitioned onto workers; the worker replays a pre-checked span.
 void RandomizedRankTracker::ShardArriveRun(int site, const uint64_t* keys,
-                                           const uint32_t* /*global_index*/,
                                            size_t count) {
   SiteState& s = sites_[static_cast<size_t>(site)];
   size_t pos = 0;

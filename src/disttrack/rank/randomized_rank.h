@@ -124,7 +124,7 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   const sim::CommMeter& meter() const override { return meter_; }
   const sim::SpaceGauge& space() const override { return space_; }
 
-  /// Sharded replay (sim/shard.h). Rank coordinator state is naturally
+  /// Shard ingest (sim/shard.h). Rank coordinator state is naturally
   /// site-partitioned — every instance of algorithm C belongs to exactly
   /// one site, and shipped summaries / residual samples only ever join
   /// the shipping site's own instances — so site workers write their
@@ -132,7 +132,7 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   /// traffic charges (order-insensitive sums) to the epoch barrier.
   /// Supported on the batched skip-sampling feed, whose run-at-a-time
   /// processing the per-site driver reuses; the per-element historical
-  /// paths fall back to serial replay.
+  /// paths fall back to serial delivery.
   sim::KeyedShardIngest* shard_ingest() override {
     return options_.use_skip_sampling && options_.use_batch_compaction
                ? this
@@ -360,16 +360,12 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // RecordUploadBulk per site (see pending_uploads_).
   void FlushDeferredUploads();
 
-  // --- Sharded replay (sim::KeyedShardIngest) ----------------------------
+  // --- Shard ingest (sim::KeyedShardIngest) ------------------------------
   void ShardEpochBegin(uint64_t arrivals_in_epoch) override;
-  void ShardArriveRun(int site, const uint64_t* keys,
-                      const uint32_t* global_index, size_t count) override;
+  void ShardArriveRun(int site, const uint64_t* keys, size_t count) override;
   void ShardEpochEnd() override;
-  // All deferred coordinator effects are order-insensitive sums; the
-  // driver need not materialize global indices.
-  bool wants_global_indices() const override { return false; }
-  // Online ingest support (sim::OnlineKeyedSession certifies rolling
-  // epochs against this tracker's broadcast state).
+  // sim::OnlineKeyedSession certifies rolling epochs against this
+  // tracker's broadcast state.
   count::CoarseTracker* shard_coarse() override { return coarse_.get(); }
   // Site->coordinator upload: charged to the meter directly on the serial
   // paths, accumulated in the site's sink during shard ingest.

@@ -322,6 +322,13 @@ void Coordinator::HandleSiteFrame(Conn* conn, Message msg, uint64_t seq) {
     return;
   }
   if (msg.type == MsgType::kJoin || msg.type == MsgType::kHello) return;
+  // The replicas index per-site state by msg.site: a peer speaking for
+  // any site but the one it joined as is refused before anything
+  // applies its frame.
+  if (msg.site != conn->site) {
+    CloseConn(conn);
+    return;
+  }
   uint64_t before = s.up.watermark();
   std::vector<Message> delivered;
   s.up.Accept(seq, std::move(msg), &delivered);

@@ -19,28 +19,6 @@ void CheckCheckpointFactor(double checkpoint_factor) {
   }
 }
 
-// Shared geometric-checkpoint replay skeleton. `deliver_batch` pushes a
-// contiguous run of arrivals (element indices [begin, end)) in order;
-// `sample` returns the (estimate, truth) pair at the current time.
-// Batching just delivers the arrivals between consecutive checkpoints of
-// the shared CheckpointCounts schedule in one call.
-template <typename DeliverBatchFn, typename SampleFn>
-std::vector<Checkpoint> ReplayImpl(uint64_t total, double checkpoint_factor,
-                                   DeliverBatchFn deliver_batch,
-                                   SampleFn sample) {
-  std::vector<uint64_t> schedule = CheckpointCounts(total, checkpoint_factor);
-  std::vector<Checkpoint> out;
-  out.reserve(schedule.size());
-  uint64_t delivered = 0;
-  for (uint64_t target : schedule) {
-    if (target > delivered) deliver_batch(delivered, target);
-    delivered = target;
-    auto [est, truth] = sample();
-    out.push_back(Checkpoint{delivered, est, truth});
-  }
-  return out;
-}
-
 }  // namespace
 
 std::vector<uint64_t> CheckpointCounts(uint64_t total,

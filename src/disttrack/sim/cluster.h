@@ -1,7 +1,8 @@
 // Replay driver: feeds a recorded workload into a tracker and samples the
 // estimate at checkpoints. This is the "cluster" of the simulation — all k
 // sites plus the coordinator advance in arrival order, exactly as in the
-// instant-communication model of §1.1.
+// instant-communication model of §1.1. sim::ParallelCluster runs the same
+// checkpoint loop (ReplayImpl) with an online session as the delivery.
 
 #ifndef DISTTRACK_SIM_CLUSTER_H_
 #define DISTTRACK_SIM_CLUSTER_H_
@@ -35,10 +36,33 @@ struct Checkpoint {
 /// lands on the first n with n >= next, where next starts at 1 and
 /// becomes n * checkpoint_factor after each checkpoint; the final element
 /// is always `total` (a single n = 0 entry when the workload is empty).
-/// Shared by the serial Replay* drivers and sim::ParallelCluster so both
-/// sample at identical points. Aborts if checkpoint_factor <= 1.
+/// Shared by the serial Replay* drivers and sim::ParallelCluster (via
+/// ReplayImpl) so both sample at identical points. Aborts if
+/// checkpoint_factor <= 1.
 std::vector<uint64_t> CheckpointCounts(uint64_t total,
                                        double checkpoint_factor);
+
+/// The checkpoint loop every replay driver shares (the serial Replay*
+/// below and sim::ParallelCluster's): delivers the arrivals between
+/// consecutive CheckpointCounts(total, checkpoint_factor) entries through
+/// `deliver_batch(begin, end)` (element indices [begin, end), in order),
+/// then records `sample()`'s (estimate, truth) pair at each checkpoint.
+template <typename DeliverBatchFn, typename SampleFn>
+std::vector<Checkpoint> ReplayImpl(uint64_t total, double checkpoint_factor,
+                                   DeliverBatchFn deliver_batch,
+                                   SampleFn sample) {
+  std::vector<uint64_t> schedule = CheckpointCounts(total, checkpoint_factor);
+  std::vector<Checkpoint> out;
+  out.reserve(schedule.size());
+  uint64_t delivered = 0;
+  for (uint64_t target : schedule) {
+    if (target > delivered) deliver_batch(delivered, target);
+    delivered = target;
+    auto [est, truth] = sample();
+    out.push_back(Checkpoint{delivered, est, truth});
+  }
+  return out;
+}
 
 /// Push schedule for the online sessions (sim/online.h): the ascending
 /// cut positions splitting [0, total) into pushes of at most `max_push`

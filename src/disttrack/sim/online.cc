@@ -27,7 +27,6 @@ OnlineCountSession::OnlineCountSession(ParallelCluster* cluster,
       tracker_(tracker),
       ingest_(tracker->shard_ingest()),
       num_sites_(tracker->meter().num_sites()) {
-  if (ingest_ != nullptr && !ingest_->ShardOnlineReady()) ingest_ = nullptr;
   if (ingest_ != nullptr) {
     snapshots_.resize(static_cast<size_t>(num_sites_));
   }
@@ -88,9 +87,10 @@ OnlineKeyedSession::OnlineKeyedSession(ParallelCluster* cluster,
       frequency_(tracker),
       ingest_(tracker->shard_ingest()),
       num_sites_(tracker->meter().num_sites()) {
-  coarse_ = ingest_ != nullptr ? ingest_->shard_coarse() : nullptr;
-  if (coarse_ == nullptr) ingest_ = nullptr;
-  if (ingest_ != nullptr) certifier_.Reset(*coarse_);
+  if (ingest_ != nullptr) {
+    coarse_ = ingest_->shard_coarse();
+    certifier_.Reset(*coarse_);
+  }
 }
 
 OnlineKeyedSession::OnlineKeyedSession(ParallelCluster* cluster,
@@ -99,9 +99,10 @@ OnlineKeyedSession::OnlineKeyedSession(ParallelCluster* cluster,
       rank_(tracker),
       ingest_(tracker->shard_ingest()),
       num_sites_(tracker->meter().num_sites()) {
-  coarse_ = ingest_ != nullptr ? ingest_->shard_coarse() : nullptr;
-  if (coarse_ == nullptr) ingest_ = nullptr;
-  if (ingest_ != nullptr) certifier_.Reset(*coarse_);
+  if (ingest_ != nullptr) {
+    coarse_ = ingest_->shard_coarse();
+    certifier_.Reset(*coarse_);
+  }
 }
 
 void OnlineKeyedSession::SerialArrive(int site, uint64_t key) {
@@ -141,59 +142,57 @@ void OnlineKeyedSession::Push(const Arrival* arrivals, size_t count) {
 }
 
 void OnlineKeyedSession::PushImpl(const Arrival* arrivals, size_t count) {
-  while (count > 0) {
-    // ScatterBySite also validates site ids (abort on out-of-range),
-    // upholding the shared delivery-path contract.
-    grouper_.ScatterBySite(arrivals, count, num_sites_);
-    if (certifier_.ExtendByHistogram(grouper_.histogram())) {
-      // Certified broadcast-free: the whole remainder extends the open
-      // epoch. Sinks keep accumulating — no barrier until a broadcast or
-      // a Sync(), so consecutive certified pushes never stall the pool.
-      ingest_->ShardEpochBegin(count);
-      epoch_open_ = true;
-      const std::vector<SiteGrouper::Span>& spans = grouper_.spans();
-      cluster_->RunEpochTasks(
-          static_cast<int>(spans.size()), count, [&](int task) {
-            const SiteGrouper::Span& span = spans[static_cast<size_t>(task)];
-            ingest_->ShardArriveRun(span.site, span.data, nullptr,
-                                    span.length);
-          });
-      return;
-    }
-    // The chunk broadcasts somewhere. Locate the exact arrival by
-    // replaying the coordinator law on the projected state, ingest the
-    // certified prefix as the epoch's final extension, fold, deliver the
-    // broadcast arrival serially (ritual/round logic unchanged), and
-    // start a fresh epoch on the remainder.
-    size_t boundary = certifier_.CommitUntilBroadcast(arrivals, count);
-    if (boundary >= count) {
-      std::fprintf(stderr,
-                   "OnlineKeyedSession: refused chunk has no broadcast "
-                   "arrival — the certifier is inconsistent\n");
-      std::abort();
-    }
+  // ScatterBySite also validates site ids (abort on out-of-range),
+  // upholding the shared delivery-path contract.
+  grouper_.ScatterBySite(arrivals, count, num_sites_);
+  if (certifier_.ExtendByHistogram(grouper_.histogram())) {
+    // Certified broadcast-free: the whole push extends the open epoch.
+    // Sinks keep accumulating — no barrier until a broadcast or a
+    // Sync(), so consecutive certified pushes never stall the pool.
+    RunEpoch(count);
+    return;
+  }
+  // The push broadcasts somewhere. Walk it once in stream order on the
+  // projected state: each CommitUntilBroadcast certifies the segment up
+  // to the next broadcast arrival, which becomes the epoch's final
+  // extension; then fold, deliver the broadcast arrival serially
+  // (ritual/round logic unchanged), re-seed, and go on from the arrival
+  // after it. A segment reaching the end of the push is the certified
+  // tail, which leaves the epoch open.
+  size_t boundary = certifier_.CommitUntilBroadcast(arrivals, count);
+  if (boundary >= count) {
+    std::fprintf(stderr,
+                 "OnlineKeyedSession: refused chunk has no broadcast "
+                 "arrival — the certifier is inconsistent\n");
+    std::abort();
+  }
+  for (;;) {
     if (boundary > 0) {
       grouper_.ScatterBySite(arrivals, boundary, num_sites_);
-      ingest_->ShardEpochBegin(boundary);
-      epoch_open_ = true;
-      const std::vector<SiteGrouper::Span>& spans = grouper_.spans();
-      cluster_->RunEpochTasks(
-          static_cast<int>(spans.size()), boundary, [&](int task) {
-            const SiteGrouper::Span& span = spans[static_cast<size_t>(task)];
-            ingest_->ShardArriveRun(span.site, span.data, nullptr,
-                                    span.length);
-          });
+      RunEpoch(boundary);
     }
-    if (epoch_open_) {
-      ingest_->ShardEpochEnd();
-      epoch_open_ = false;
-    }
+    if (boundary == count) return;
+    Sync();
     SerialArrive(arrivals[boundary].site, arrivals[boundary].key);
     ++epoch_splits_;
     certifier_.Reset(*coarse_);
     arrivals += boundary + 1;
     count -= boundary + 1;
+    boundary = certifier_.CommitUntilBroadcast(arrivals, count);
   }
+}
+
+void OnlineKeyedSession::RunEpoch(size_t count) {
+  ingest_->ShardEpochBegin(count);
+  epoch_open_ = true;
+  const std::vector<SiteGrouper::Span>& spans = grouper_.spans();
+  cluster_->RunEpochTasks(static_cast<int>(spans.size()), count,
+                          [&](int task) {
+                            const SiteGrouper::Span& span =
+                                spans[static_cast<size_t>(task)];
+                            ingest_->ShardArriveRun(span.site, span.data,
+                                                    span.length);
+                          });
 }
 
 void OnlineKeyedSession::Sync() {

@@ -1,11 +1,11 @@
-// Online parallel ingest: live streaming without the replay plan pass.
+// Online parallel ingest: streaming pushes on ParallelCluster's worker
+// pool.
 //
-// sim::ParallelCluster is a *replay* engine — its coordinator pre-pass
-// needs the entire workload up front to place every broadcast on an
-// epoch boundary. The paper's model (§1.1) has no such luxury: sites
-// observe arrivals as they happen. The sessions below serve that case.
-// Arrivals are pushed in chunks of any size, with NO workload
-// pre-knowledge, and the broadcast schedule is discovered on the fly:
+// The paper's model (§1.1) has sites observe arrivals as they happen, so
+// the sessions below take pushes of any size with NO workload
+// pre-knowledge and discover the broadcast schedule on the fly.
+// sim::ParallelCluster's Replay* drivers are these same sessions fed a
+// recorded workload:
 //
 //   OnlineCountSession   speculate-and-certify-after. Every push runs as
 //     its own shard epoch on the worker pool; the trial fold
@@ -28,18 +28,18 @@
 //     the exact broadcast arrival — found by replaying the coordinator
 //     law on the certifier's projected state — into a final certified
 //     extension, a fold, the serial delivery of the broadcast arrival,
-//     and a fresh epoch. Estimates require a Sync() (epoch barrier)
-//     first.
+//     and a fresh epoch; the rest of a refused push is walked once, split
+//     at each further broadcast the same way. Estimates require a Sync()
+//     (epoch barrier) first.
 //
 // Determinism: both sessions are bit-identical to delivering the same
 // pushes through the serial ArriveBatch/ArriveSites drivers, at every
-// thread count — the same invariants the replay engine is pinned by
-// (per-site RNG streams consumed at per-site offsets, broadcasts on
-// boundaries, order-insensitive sink folds). For the rank tracker the
-// usual caveat applies: batched compaction is distribution-equivalent
-// (not bit-equal) across different PUSH BOUNDARIES, because push
-// boundaries cut per-site runs; identical push boundaries give identical
-// bits (pinned by tests/parallel_cluster_test.cc, with the KS tier
+// thread count (per-site RNG streams consumed at per-site offsets,
+// broadcasts on epoch boundaries, order-insensitive sink folds). For the
+// rank tracker the usual caveat applies: batched compaction is
+// distribution-equivalent (not bit-equal) across different PUSH
+// BOUNDARIES, because push boundaries cut per-site runs; identical push
+// boundaries give identical bits (pinned by tests/parallel_cluster_test.cc, with the KS tier
 // covering boundary-insensitive equivalence).
 //
 // Trackers without shard support (per-arrival coin paths, deterministic
@@ -122,9 +122,11 @@ class OnlineKeyedSession {
   uint64_t epoch_splits() const { return epoch_splits_; }
 
  private:
-  // The tracker-agnostic core; `serial_arrive` / `serial_batch` bind the
+  // The tracker-agnostic core; SerialArrive / SerialBatch bind the
   // concrete interface's delivery entry points.
   void PushImpl(const Arrival* arrivals, size_t count);
+  // Extends the open epoch by the `count` arrivals grouper_ holds.
+  void RunEpoch(size_t count);
   void SerialArrive(int site, uint64_t key);
   void SerialBatch(const Arrival* arrivals, size_t count);
 

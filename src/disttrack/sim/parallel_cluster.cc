@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
 #include <mutex>
 #include <thread>
+#include <utility>
+
+#include "disttrack/sim/online.h"
 
 namespace disttrack {
 namespace sim {
@@ -96,510 +96,6 @@ class ParallelCluster::Pool {
   bool shutdown_ = false;
 };
 
-// ------------------------------------------------------------------- plan
-
-// The coordinator-only pre-pass product: every epoch boundary, the
-// per-site slice offsets at each boundary, the per-site key shards, and
-// the ground-truth curve. Owned as reusable scratch by the cluster so
-// steady-state replays plan without allocating.
-struct ParallelCluster::Plan {
-  // One epoch barrier. `pos` is a global arrival index for broadcast
-  // stops (the arrival at `pos` is delivered serially after the barrier)
-  // and an arrival count for checkpoint stops (sample once `pos` arrivals
-  // are in). boundary_site >= 0 identifies a broadcast stop.
-  struct Stop {
-    uint64_t pos = 0;
-    int boundary_site = -1;
-  };
-  int num_sites = 0;
-  uint64_t total = 0;
-  std::vector<Stop> stops;
-  // Row b: for each site, its arrival count among global indices
-  // [0, stops[b].pos) — the slice end of the epoch closing at stop b.
-  std::vector<uint64_t> snapshots;
-  std::vector<uint64_t> site_total;
-  // Ground truth at each checkpoint stop, in stop order (count replays
-  // use the arrival count itself and leave this empty).
-  std::vector<double> checkpoint_truth;
-  // Per-site shards (keyed replays only): the site's arrivals in stream
-  // order, plus their global indices when the ingest asks for them.
-  std::vector<std::vector<uint64_t>> site_keys;
-  std::vector<std::vector<uint32_t>> site_indices;
-
-  // Sliced-count-planner scratch, pooled with the plan so steady-state
-  // multi-threaded count replays do not allocate either.
-  struct ReportEvent {
-    uint64_t pos;
-    uint64_t ordinal;
-    int site;
-  };
-  std::vector<uint64_t> slice_hist;
-  std::vector<uint64_t> slice_start;
-  std::vector<std::vector<ReportEvent>> slice_events;
-  std::vector<std::pair<size_t, size_t>> stop_runs;
-  // Sliced-keyed-planner scratch (per-slice truth tallies and their
-  // prefix, plus each stop's checkpoint ordinal).
-  std::vector<uint64_t> slice_truth;
-  std::vector<uint64_t> slice_truth_start;
-  std::vector<int> stop_ckpt;
-
-  void Reset(int k) {
-    num_sites = k;
-    total = 0;
-    stops.clear();
-    snapshots.clear();
-    site_total.assign(static_cast<size_t>(k), 0);
-    checkpoint_truth.clear();
-    if (site_keys.size() != static_cast<size_t>(k)) {
-      site_keys.resize(static_cast<size_t>(k));
-      site_indices.resize(static_cast<size_t>(k));
-    }
-    for (auto& v : site_keys) v.clear();
-    for (auto& v : site_indices) v.clear();
-  }
-};
-
-namespace {
-
-void CheckShardableSize(uint64_t total) {
-  if (total > std::numeric_limits<uint32_t>::max()) {
-    std::fprintf(stderr,
-                 "ParallelCluster: workload of %llu elements exceeds the "
-                 "32-bit global-index limit of the shard planner\n",
-                 static_cast<unsigned long long>(total));
-    std::abort();
-  }
-}
-
-// The CoarseTracker coordinator evolution every randomized tracker
-// drives, reduced to its deterministic skeleton: a site's report fires
-// on its 2^j-th arrival and carries n' delta 2^(j-1) (1 for the first),
-// and a report whose delta tips n' past max(1, 2 n̄) broadcasts.
-uint64_t CoarseReportDelta(uint64_t ordinal) {
-  return ordinal == 1 ? 1 : ordinal / 2;
-}
-
-// Smallest power-of-two report ordinal strictly greater than `count`.
-uint64_t NextReportOrdinal(uint64_t count) {
-  if (count == 0) return 1;
-  return uint64_t{1} << (64 - __builtin_clzll(count));
-}
-
-}  // namespace
-
-ParallelCluster::Plan* ParallelCluster::PreparePlan(int num_sites) {
-  if (plan_scratch_ == nullptr) plan_scratch_ = std::make_unique<Plan>();
-  plan_scratch_->Reset(num_sites);
-  return plan_scratch_.get();
-}
-
-// The shared serial coordinator walk: replicates the CoarseTracker
-// evolution exactly (no randomness is involved, so the broadcast arrival
-// indices — the points where coordinator state feeds back into every
-// site — are known before replay starts) and snapshots per-site counts
-// at every stop. `at_checkpoint` fires right after a checkpoint stop is
-// recorded; `per_arrival(i, site)` fires for every arrival in order.
-template <typename SiteAt, typename AtCheckpoint, typename PerArrival>
-void ParallelCluster::CoordinatorWalk(SiteAt site_at, uint64_t total,
-                                      int num_sites,
-                                      double checkpoint_factor, Plan* plan,
-                                      AtCheckpoint at_checkpoint,
-                                      PerArrival per_arrival) {
-  std::vector<uint64_t> checkpoints =
-      CheckpointCounts(total, checkpoint_factor);
-  size_t next_checkpoint = 0;
-  plan->total = total;
-  size_t k = static_cast<size_t>(num_sites);
-  std::vector<uint64_t> count(k, 0);
-  std::vector<uint64_t> next_report(k, 1);
-  std::vector<uint64_t> last_reported(k, 0);
-  uint64_t n_prime = 0;
-  uint64_t n_bar = 0;
-
-  auto snapshot = [&] {
-    plan->snapshots.insert(plan->snapshots.end(), count.begin(), count.end());
-  };
-
-  for (uint64_t i = 0; i <= total; ++i) {
-    if (next_checkpoint < checkpoints.size() &&
-        checkpoints[next_checkpoint] == i) {
-      plan->stops.push_back(Plan::Stop{i, -1});
-      snapshot();
-      at_checkpoint();
-      ++next_checkpoint;
-    }
-    if (i == total) break;
-    int site = site_at(i);
-    CheckSiteInRange(site, num_sites);
-    size_t s = static_cast<size_t>(site);
-    if (count[s] + 1 >= next_report[s]) {
-      // This arrival makes the site report; does the report broadcast?
-      uint64_t reported = count[s] + 1;
-      uint64_t delta = reported - last_reported[s];
-      if (n_prime + delta >= std::max<uint64_t>(1, 2 * n_bar)) {
-        // Broadcast: the epoch ends here, before this arrival.
-        plan->stops.push_back(Plan::Stop{i, site});
-        snapshot();
-        n_bar = n_prime + delta;
-      }
-      n_prime += delta;
-      last_reported[s] = reported;
-      next_report[s] = reported * 2;
-    }
-    ++count[s];
-    per_arrival(i, site);
-  }
-  plan->site_total = std::move(count);
-}
-
-// Fused single-pass count planner: the coordinator walk with no
-// per-arrival payload.
-template <typename SiteAt>
-void ParallelCluster::BuildCountPlanSerial(SiteAt site_at, uint64_t total,
-                                           int num_sites,
-                                           double checkpoint_factor,
-                                           Plan* plan) {
-  CoordinatorWalk(site_at, total, num_sites, checkpoint_factor, plan,
-                  [] {}, [](uint64_t, int) {});
-}
-
-// Sliced parallel count planner: the identical plan from two short
-// parallel passes (per-slice site histograms, then exact report
-// positions given each slice's start counts), a tiny serial walk over
-// the ~k log(n/k) report events, and one parallel partial scan per
-// stop-bearing slice for the snapshots. Without this, the serial
-// coordinator pre-pass is the Amdahl bottleneck of the count replay
-// (whose epoch work is event-driven and near-free).
-template <typename SiteAt>
-void ParallelCluster::BuildCountPlanSliced(SiteAt site_at, uint64_t total,
-                                           int num_sites,
-                                           double checkpoint_factor,
-                                           Plan* plan) {
-  std::vector<uint64_t> checkpoints =
-      CheckpointCounts(total, checkpoint_factor);
-  plan->total = total;
-  size_t k = static_cast<size_t>(num_sites);
-  int num_slices = std::max(1, replay_threads_ * 8);
-  uint64_t slice_len =
-      std::max<uint64_t>(1, (total + num_slices - 1) / num_slices);
-  num_slices = static_cast<int>((total + slice_len - 1) / slice_len);
-  if (num_slices == 0) num_slices = 1;
-  auto slice_begin = [&](int j) {
-    return std::min(total, static_cast<uint64_t>(j) * slice_len);
-  };
-
-  // Pass A (parallel): per-slice site histograms, with validation.
-  std::vector<uint64_t>& hist = plan->slice_hist;
-  hist.assign(static_cast<size_t>(num_slices) * k, 0);
-  RunTasks(num_slices, [&](int j) {
-    uint64_t* h = hist.data() + static_cast<size_t>(j) * k;
-    uint64_t end = slice_begin(j + 1);
-    for (uint64_t i = slice_begin(j); i < end; ++i) {
-      int site = site_at(i);
-      CheckSiteInRange(site, num_sites);
-      ++h[static_cast<size_t>(site)];
-    }
-  });
-  // Exclusive prefix over slices: start[j*k + s] = site s's count before
-  // slice j.
-  std::vector<uint64_t>& start = plan->slice_start;
-  start.assign(static_cast<size_t>(num_slices) * k, 0);
-  for (int j = 1; j < num_slices; ++j) {
-    const uint64_t* prev_start = start.data() + static_cast<size_t>(j - 1) * k;
-    const uint64_t* prev_hist = hist.data() + static_cast<size_t>(j - 1) * k;
-    uint64_t* cur = start.data() + static_cast<size_t>(j) * k;
-    for (size_t s = 0; s < k; ++s) cur[s] = prev_start[s] + prev_hist[s];
-  }
-  for (size_t s = 0; s < k; ++s) {
-    size_t last = static_cast<size_t>(num_slices - 1) * k + s;
-    plan->site_total[s] = start[last] + hist[last];
-  }
-
-  // Pass B (parallel): exact global positions of every coarse report
-  // (each site's 2^j-th arrival). Slice-local event lists concatenate
-  // into a globally index-sorted sequence.
-  using ReportEvent = Plan::ReportEvent;
-  std::vector<std::vector<ReportEvent>>& slice_events = plan->slice_events;
-  if (slice_events.size() < static_cast<size_t>(num_slices)) {
-    slice_events.resize(static_cast<size_t>(num_slices));
-  }
-  for (auto& v : slice_events) v.clear();
-  RunTasks(num_slices, [&](int j) {
-    std::vector<uint64_t> cnt(start.begin() + static_cast<size_t>(j) * k,
-                              start.begin() + static_cast<size_t>(j) * k + k);
-    std::vector<uint64_t> target(k);
-    for (size_t s = 0; s < k; ++s) target[s] = NextReportOrdinal(cnt[s]);
-    auto& events = slice_events[static_cast<size_t>(j)];
-    uint64_t end = slice_begin(j + 1);
-    for (uint64_t i = slice_begin(j); i < end; ++i) {
-      size_t s = static_cast<size_t>(site_at(i));
-      if (++cnt[s] == target[s]) {
-        events.push_back(ReportEvent{i, cnt[s], static_cast<int>(s)});
-        target[s] *= 2;
-      }
-    }
-  });
-
-  // Serial walk of the event sequence: replicate the broadcast condition
-  // and merge in the checkpoint schedule (a checkpoint at count c
-  // samples before arrival c is delivered, so it precedes a broadcast
-  // whose arrival index equals c).
-  size_t next_checkpoint = 0;
-  uint64_t n_prime = 0;
-  uint64_t n_bar = 0;
-  auto flush_checkpoints_through = [&](uint64_t pos) {
-    while (next_checkpoint < checkpoints.size() &&
-           checkpoints[next_checkpoint] <= pos) {
-      plan->stops.push_back(Plan::Stop{checkpoints[next_checkpoint], -1});
-      ++next_checkpoint;
-    }
-  };
-  for (int j = 0; j < num_slices; ++j) {
-    for (const ReportEvent& ev : slice_events[static_cast<size_t>(j)]) {
-      uint64_t delta = CoarseReportDelta(ev.ordinal);
-      if (n_prime + delta >= std::max<uint64_t>(1, 2 * n_bar)) {
-        flush_checkpoints_through(ev.pos);
-        plan->stops.push_back(Plan::Stop{ev.pos, ev.site});
-        n_bar = n_prime + delta;
-      }
-      n_prime += delta;
-    }
-  }
-  flush_checkpoints_through(total);
-
-  // Snapshots (parallel): group stops by the slice containing their
-  // position; each stop-bearing slice is scanned once, resolving all its
-  // stops in order. Rows are preallocated, so workers write disjoint
-  // ranges.
-  plan->snapshots.assign(plan->stops.size() * k, 0);
-  std::vector<std::pair<size_t, size_t>>& runs = plan->stop_runs;
-  runs.clear();  // stop-index ranges
-  auto slice_of = [&](uint64_t pos) {
-    return pos >= total ? num_slices - 1 : static_cast<int>(pos / slice_len);
-  };
-  for (size_t b = 0; b < plan->stops.size();) {
-    size_t e = b + 1;
-    while (e < plan->stops.size() &&
-           slice_of(plan->stops[e].pos) == slice_of(plan->stops[b].pos)) {
-      ++e;
-    }
-    runs.emplace_back(b, e);
-    b = e;
-  }
-  RunTasks(static_cast<int>(runs.size()), [&](int r) {
-    auto [b_begin, b_end] = runs[static_cast<size_t>(r)];
-    int j = slice_of(plan->stops[b_begin].pos);
-    std::vector<uint64_t> cnt(start.begin() + static_cast<size_t>(j) * k,
-                              start.begin() + static_cast<size_t>(j) * k + k);
-    uint64_t i = slice_begin(j);
-    for (size_t b = b_begin; b < b_end; ++b) {
-      uint64_t pos = plan->stops[b].pos;
-      for (; i < pos; ++i) {
-        ++cnt[static_cast<size_t>(site_at(i))];
-      }
-      std::copy(cnt.begin(), cnt.end(), plan->snapshots.begin() + b * k);
-    }
-  });
-}
-
-// Fused single-pass keyed planner: the coordinator walk, with each
-// arrival also scattered into its site's key shard (plus its global
-// index when the ingest wants it) and folded into the truth curve.
-template <bool kWantIndices, typename TruthTerm>
-void ParallelCluster::BuildKeyedPlan(const Workload& workload, int num_sites,
-                                     double checkpoint_factor,
-                                     TruthTerm truth_term, Plan* plan) {
-  uint64_t truth = 0;
-  CoordinatorWalk(
-      [&](uint64_t i) { return workload[i].site; }, workload.size(),
-      num_sites, checkpoint_factor, plan,
-      [&] { plan->checkpoint_truth.push_back(static_cast<double>(truth)); },
-      [&](uint64_t i, int site) {
-        const Arrival& a = workload[i];
-        size_t s = static_cast<size_t>(site);
-        plan->site_keys[s].push_back(a.key);
-        if (kWantIndices) {
-          plan->site_indices[s].push_back(static_cast<uint32_t>(i));
-        }
-        truth += truth_term(a.key);
-      });
-}
-
-// Sliced parallel keyed planner: the identical plan from parallel
-// passes — per-slice site histograms fused with the truth tally, a
-// parallel scatter into exactly-sized per-site shards, the same tiny
-// serial report-event walk as the count planner, and one partial scan
-// per stop-bearing slice resolving snapshots and checkpoint truth.
-// Removes the serial plan pass as the Amdahl bottleneck of keyed
-// replays, exactly as the sliced count planner did for count.
-template <bool kWantIndices, typename TruthTerm>
-void ParallelCluster::BuildKeyedPlanSliced(const Workload& workload,
-                                           int num_sites,
-                                           double checkpoint_factor,
-                                           TruthTerm truth_term, Plan* plan) {
-  uint64_t total = workload.size();
-  std::vector<uint64_t> checkpoints =
-      CheckpointCounts(total, checkpoint_factor);
-  plan->total = total;
-  size_t k = static_cast<size_t>(num_sites);
-  int num_slices = std::max(1, replay_threads_ * 8);
-  uint64_t slice_len =
-      std::max<uint64_t>(1, (total + num_slices - 1) / num_slices);
-  num_slices = static_cast<int>((total + slice_len - 1) / slice_len);
-  if (num_slices == 0) num_slices = 1;
-  auto slice_begin = [&](int j) {
-    return std::min(total, static_cast<uint64_t>(j) * slice_len);
-  };
-
-  // Pass A (parallel): per-slice site histograms + truth tallies, with
-  // validation.
-  std::vector<uint64_t>& hist = plan->slice_hist;
-  hist.assign(static_cast<size_t>(num_slices) * k, 0);
-  std::vector<uint64_t>& slice_truth = plan->slice_truth;
-  slice_truth.assign(static_cast<size_t>(num_slices), 0);
-  RunTasks(num_slices, [&](int j) {
-    uint64_t* h = hist.data() + static_cast<size_t>(j) * k;
-    uint64_t truth = 0;
-    uint64_t end = slice_begin(j + 1);
-    for (uint64_t i = slice_begin(j); i < end; ++i) {
-      const Arrival& a = workload[i];
-      CheckSiteInRange(a.site, num_sites);
-      ++h[static_cast<size_t>(a.site)];
-      truth += truth_term(a.key);
-    }
-    slice_truth[static_cast<size_t>(j)] = truth;
-  });
-  // Exclusive prefixes over slices: per-site starts, totals, truth.
-  std::vector<uint64_t>& start = plan->slice_start;
-  start.assign(static_cast<size_t>(num_slices) * k, 0);
-  for (int j = 1; j < num_slices; ++j) {
-    const uint64_t* prev_start = start.data() + static_cast<size_t>(j - 1) * k;
-    const uint64_t* prev_hist = hist.data() + static_cast<size_t>(j - 1) * k;
-    uint64_t* cur = start.data() + static_cast<size_t>(j) * k;
-    for (size_t s = 0; s < k; ++s) cur[s] = prev_start[s] + prev_hist[s];
-  }
-  for (size_t s = 0; s < k; ++s) {
-    size_t last = static_cast<size_t>(num_slices - 1) * k + s;
-    plan->site_total[s] = start[last] + hist[last];
-  }
-  std::vector<uint64_t>& truth_start = plan->slice_truth_start;
-  truth_start.assign(static_cast<size_t>(num_slices), 0);
-  for (int j = 1; j < num_slices; ++j) {
-    truth_start[static_cast<size_t>(j)] =
-        truth_start[static_cast<size_t>(j - 1)] +
-        slice_truth[static_cast<size_t>(j - 1)];
-  }
-  // Exactly-sized shards, so slice workers write disjoint ranges.
-  for (size_t s = 0; s < k; ++s) {
-    plan->site_keys[s].resize(plan->site_total[s]);
-    if (kWantIndices) plan->site_indices[s].resize(plan->site_total[s]);
-  }
-
-  // Pass B (parallel): scatter each slice into the shards at its running
-  // per-site offsets, and record the exact global position of every
-  // coarse report (each site's 2^j-th arrival).
-  using ReportEvent = Plan::ReportEvent;
-  std::vector<std::vector<ReportEvent>>& slice_events = plan->slice_events;
-  if (slice_events.size() < static_cast<size_t>(num_slices)) {
-    slice_events.resize(static_cast<size_t>(num_slices));
-  }
-  for (auto& v : slice_events) v.clear();
-  RunTasks(num_slices, [&](int j) {
-    std::vector<uint64_t> cnt(start.begin() + static_cast<size_t>(j) * k,
-                              start.begin() + static_cast<size_t>(j) * k + k);
-    std::vector<uint64_t> target(k);
-    for (size_t s = 0; s < k; ++s) target[s] = NextReportOrdinal(cnt[s]);
-    auto& events = slice_events[static_cast<size_t>(j)];
-    uint64_t end = slice_begin(j + 1);
-    for (uint64_t i = slice_begin(j); i < end; ++i) {
-      const Arrival& a = workload[i];
-      size_t s = static_cast<size_t>(a.site);
-      plan->site_keys[s][cnt[s]] = a.key;
-      if (kWantIndices) {
-        plan->site_indices[s][cnt[s]] = static_cast<uint32_t>(i);
-      }
-      if (++cnt[s] == target[s]) {
-        events.push_back(ReportEvent{i, cnt[s], static_cast<int>(s)});
-        target[s] *= 2;
-      }
-    }
-  });
-
-  // Serial walk of the report events: replicate the broadcast condition
-  // and merge in the checkpoint schedule (a checkpoint at count c samples
-  // before arrival c is delivered, so it precedes a broadcast whose
-  // arrival index equals c).
-  size_t next_checkpoint = 0;
-  uint64_t n_prime = 0;
-  uint64_t n_bar = 0;
-  auto flush_checkpoints_through = [&](uint64_t pos) {
-    while (next_checkpoint < checkpoints.size() &&
-           checkpoints[next_checkpoint] <= pos) {
-      plan->stops.push_back(Plan::Stop{checkpoints[next_checkpoint], -1});
-      ++next_checkpoint;
-    }
-  };
-  for (int j = 0; j < num_slices; ++j) {
-    for (const ReportEvent& ev : slice_events[static_cast<size_t>(j)]) {
-      uint64_t delta = CoarseReportDelta(ev.ordinal);
-      if (n_prime + delta >= std::max<uint64_t>(1, 2 * n_bar)) {
-        flush_checkpoints_through(ev.pos);
-        plan->stops.push_back(Plan::Stop{ev.pos, ev.site});
-        n_bar = n_prime + delta;
-      }
-      n_prime += delta;
-    }
-  }
-  flush_checkpoints_through(total);
-
-  // Pass C (parallel): group stops by containing slice; each stop-bearing
-  // slice is scanned once, resolving its stops' per-site snapshots and —
-  // for checkpoint stops — the truth prefix, in order.
-  std::vector<int>& stop_ckpt = plan->stop_ckpt;
-  stop_ckpt.assign(plan->stops.size(), -1);
-  int num_ckpt = 0;
-  for (size_t b = 0; b < plan->stops.size(); ++b) {
-    if (plan->stops[b].boundary_site < 0) stop_ckpt[b] = num_ckpt++;
-  }
-  plan->checkpoint_truth.assign(static_cast<size_t>(num_ckpt), 0.0);
-  plan->snapshots.assign(plan->stops.size() * k, 0);
-  std::vector<std::pair<size_t, size_t>>& runs = plan->stop_runs;
-  runs.clear();
-  auto slice_of = [&](uint64_t pos) {
-    return pos >= total ? num_slices - 1 : static_cast<int>(pos / slice_len);
-  };
-  for (size_t b = 0; b < plan->stops.size();) {
-    size_t e = b + 1;
-    while (e < plan->stops.size() &&
-           slice_of(plan->stops[e].pos) == slice_of(plan->stops[b].pos)) {
-      ++e;
-    }
-    runs.emplace_back(b, e);
-    b = e;
-  }
-  RunTasks(static_cast<int>(runs.size()), [&](int r) {
-    auto [b_begin, b_end] = runs[static_cast<size_t>(r)];
-    int j = slice_of(plan->stops[b_begin].pos);
-    std::vector<uint64_t> cnt(start.begin() + static_cast<size_t>(j) * k,
-                              start.begin() + static_cast<size_t>(j) * k + k);
-    uint64_t truth = truth_start[static_cast<size_t>(j)];
-    uint64_t i = slice_begin(j);
-    for (size_t b = b_begin; b < b_end; ++b) {
-      uint64_t pos = plan->stops[b].pos;
-      for (; i < pos; ++i) {
-        const Arrival& a = workload[i];
-        ++cnt[static_cast<size_t>(a.site)];
-        truth += truth_term(a.key);
-      }
-      std::copy(cnt.begin(), cnt.end(), plan->snapshots.begin() + b * k);
-      if (stop_ckpt[b] >= 0) {
-        plan->checkpoint_truth[static_cast<size_t>(stop_ckpt[b])] =
-            static_cast<double>(truth);
-      }
-    }
-  });
-}
-
 // ---------------------------------------------------------------- driver
 
 ParallelCluster::ParallelCluster(int threads)
@@ -611,9 +107,10 @@ ParallelCluster::ParallelCluster(int threads)
 
 ParallelCluster::~ParallelCluster() = default;
 
-void ParallelCluster::RunTasks(int num_tasks,
-                               const std::function<void(int)>& fn) {
-  if (replay_threads_ == 1 || num_tasks <= 1) {
+void ParallelCluster::RunEpochTasks(int num_tasks, uint64_t epoch_len,
+                                    const std::function<void(int)>& fn) {
+  if (replay_threads_ == 1 || num_tasks <= 1 ||
+      epoch_len < 2048 * static_cast<uint64_t>(replay_threads_)) {
     for (int i = 0; i < num_tasks; ++i) fn(i);
     return;
   }
@@ -621,231 +118,110 @@ void ParallelCluster::RunTasks(int num_tasks,
   pool_->Run(num_tasks, fn);
 }
 
-void ParallelCluster::RunEpochTasks(int num_tasks, uint64_t epoch_len,
-                                    const std::function<void(int)>& fn) {
-  if (epoch_len < 2048 * static_cast<uint64_t>(replay_threads_)) {
-    for (int i = 0; i < num_tasks; ++i) fn(i);
-    return;
-  }
-  RunTasks(num_tasks, fn);
-}
-
 namespace {
 
-// Shared epoch loop. `run_epoch(begin_row, end_row, epoch_len)` delivers
-// one epoch's per-site slices through the shard handle (begin/end are
-// per-site offset rows); `boundary(stop)` delivers a broadcast arrival
-// serially; `sample(stop, checkpoint_index)` reads the estimate.
-template <typename EpochBody, typename BoundaryFn, typename SampleFn>
-std::vector<Checkpoint> RunPlanLoop(const ParallelCluster::Plan* plan_ptr,
-                                    EpochBody run_epoch, BoundaryFn boundary,
-                                    SampleFn sample) {
-  const auto& plan = *plan_ptr;
-  size_t k = static_cast<size_t>(plan.num_sites);
-  std::vector<uint64_t> cur(k, 0);
-  std::vector<Checkpoint> out;
-  uint64_t delivered = 0;
-  size_t checkpoint_index = 0;
-  for (size_t b = 0; b < plan.stops.size(); ++b) {
-    const auto& stop = plan.stops[b];
-    const uint64_t* snap = plan.snapshots.data() + b * k;
-    uint64_t epoch_len = stop.pos - delivered;
-    if (epoch_len > 0) run_epoch(cur.data(), snap, epoch_len);
-    std::copy(snap, snap + k, cur.begin());
-    if (stop.boundary_site >= 0) {
-      boundary(stop);
-      ++cur[static_cast<size_t>(stop.boundary_site)];
-      delivered = stop.pos + 1;
-    } else {
-      out.push_back(sample(stop, checkpoint_index));
-      ++checkpoint_index;
-      delivered = stop.pos;
-    }
-  }
-  return out;
-}
+// Push length of count and frequency replays. Both sessions are
+// bit-identical to serial delivery for any push partition; slicing keeps
+// a count push that broadcasts (unwound and re-delivered serially) short.
+// Slicing each checkpoint segment from its start yields exactly the cuts
+// of PushBoundaries(total, kReplayPush, checkpoints).
+constexpr uint64_t kReplayPush = uint64_t{1} << 16;
 
 }  // namespace
-
-std::vector<Checkpoint> ParallelCluster::DriveCountPlan(
-    CountTrackerInterface* tracker, CountShardIngest* ingest, Plan* plan) {
-  int num_sites = plan->num_sites;
-  std::vector<int> task_sites(static_cast<size_t>(num_sites));
-  auto run_epoch = [&](const uint64_t* begin, const uint64_t* end,
-                       uint64_t epoch_len) {
-    int tasks = 0;
-    for (int s = 0; s < num_sites; ++s) {
-      if (end[s] > begin[s]) task_sites[static_cast<size_t>(tasks++)] = s;
-    }
-    ingest->ShardEpochBegin(epoch_len);
-    RunEpochTasks(tasks, epoch_len, [&](int t) {
-      int s = task_sites[static_cast<size_t>(t)];
-      ingest->ShardArriveRun(s, end[s] - begin[s]);
-    });
-    ingest->ShardEpochEnd();
-  };
-  auto boundary = [&](const Plan::Stop& stop) {
-    tracker->Arrive(stop.boundary_site);
-  };
-  auto sample = [&](const Plan::Stop& stop, size_t) {
-    return Checkpoint{stop.pos, tracker->EstimateCount(),
-                      static_cast<double>(stop.pos)};
-  };
-  return RunPlanLoop(plan, run_epoch, boundary, sample);
-}
-
-template <typename Tracker, typename EstimateFn>
-std::vector<Checkpoint> ParallelCluster::DriveKeyedPlan(
-    Tracker* tracker, KeyedShardIngest* ingest, bool want_indices,
-    const Workload& workload, EstimateFn estimate, Plan* plan) {
-  int num_sites = plan->num_sites;
-  std::vector<int> task_sites(static_cast<size_t>(num_sites));
-  auto run_epoch = [&](const uint64_t* begin, const uint64_t* end,
-                       uint64_t epoch_len) {
-    int tasks = 0;
-    for (int s = 0; s < num_sites; ++s) {
-      if (end[s] > begin[s]) task_sites[static_cast<size_t>(tasks++)] = s;
-    }
-    ingest->ShardEpochBegin(epoch_len);
-    RunEpochTasks(tasks, epoch_len, [&](int t) {
-      size_t s = static_cast<size_t>(task_sites[static_cast<size_t>(t)]);
-      const uint32_t* idx =
-          want_indices ? plan->site_indices[s].data() + begin[s] : nullptr;
-      ingest->ShardArriveRun(static_cast<int>(s),
-                             plan->site_keys[s].data() + begin[s], idx,
-                             end[s] - begin[s]);
-    });
-    ingest->ShardEpochEnd();
-  };
-  auto boundary = [&](const Plan::Stop& stop) {
-    tracker->Arrive(stop.boundary_site, workload[stop.pos].key);
-  };
-  auto sample = [&](const Plan::Stop& stop, size_t checkpoint_index) {
-    return Checkpoint{stop.pos, estimate(),
-                      plan->checkpoint_truth[checkpoint_index]};
-  };
-  return RunPlanLoop(plan, run_epoch, boundary, sample);
-}
 
 std::vector<Checkpoint> ParallelCluster::ReplayCountSites(
     CountTrackerInterface* tracker, const SiteStream& sites,
     double checkpoint_factor) {
-  CountShardIngest* ingest = tracker->shard_ingest();
-  if (ingest == nullptr) {
-    last_replay_sharded_ = false;
+  OnlineCountSession session(this, tracker);
+  last_replay_sharded_ = session.sharded();
+  if (!last_replay_sharded_) {
     return sim::ReplayCountSites(tracker, sites, checkpoint_factor);
   }
-  last_replay_sharded_ = true;
-  int num_sites = tracker->meter().num_sites();
-  replay_threads_ = auto_threads_ ? std::min(threads_, num_sites) : threads_;
-  Plan* plan = PreparePlan(num_sites);
-  auto site_at = [&](uint64_t i) { return static_cast<int>(sites[i]); };
-  if (replay_threads_ > 1) {
-    BuildCountPlanSliced(site_at, sites.size(), num_sites, checkpoint_factor,
-                         plan);
-  } else {
-    BuildCountPlanSerial(site_at, sites.size(), num_sites, checkpoint_factor,
-                         plan);
-  }
-  return DriveCountPlan(tracker, ingest, plan);
+  uint64_t n = 0;
+  return ReplayImpl(
+      sites.size(), checkpoint_factor,
+      [&](uint64_t begin, uint64_t end) {
+        for (uint64_t pos = begin; pos < end; pos += kReplayPush) {
+          session.PushSites(sites.data() + pos,
+                            std::min(kReplayPush, end - pos));
+        }
+        n = end;
+      },
+      [&]() {
+        return std::pair<double, double>(tracker->EstimateCount(),
+                                         static_cast<double>(n));
+      });
 }
 
 std::vector<Checkpoint> ParallelCluster::ReplayCount(
     CountTrackerInterface* tracker, const Workload& workload,
     double checkpoint_factor) {
-  CountShardIngest* ingest = tracker->shard_ingest();
-  if (ingest == nullptr) {
+  // The count session ingests compact 16-bit site ids.
+  int num_sites = tracker->meter().num_sites();
+  if (tracker->shard_ingest() == nullptr || num_sites > (1 << 16)) {
     last_replay_sharded_ = false;
     return sim::ReplayCount(tracker, workload, checkpoint_factor);
   }
-  last_replay_sharded_ = true;
-  int num_sites = tracker->meter().num_sites();
-  replay_threads_ = auto_threads_ ? std::min(threads_, num_sites) : threads_;
-  Plan* plan = PreparePlan(num_sites);
-  auto site_at = [&](uint64_t i) { return workload[i].site; };
-  if (replay_threads_ > 1) {
-    BuildCountPlanSliced(site_at, workload.size(), num_sites,
-                         checkpoint_factor, plan);
-  } else {
-    BuildCountPlanSerial(site_at, workload.size(), num_sites,
-                         checkpoint_factor, plan);
+  SiteStream sites(workload.size());
+  for (size_t i = 0; i < workload.size(); ++i) {
+    CheckSiteInRange(workload[i].site, num_sites);
+    sites[i] = static_cast<uint16_t>(workload[i].site);
   }
-  return DriveCountPlan(tracker, ingest, plan);
+  return ReplayCountSites(tracker, sites, checkpoint_factor);
 }
 
 std::vector<Checkpoint> ParallelCluster::ReplayFrequency(
     FrequencyTrackerInterface* tracker, const Workload& workload,
     uint64_t query_item, double checkpoint_factor) {
-  KeyedShardIngest* ingest = tracker->shard_ingest();
-  if (ingest == nullptr) {
-    last_replay_sharded_ = false;
+  OnlineKeyedSession session(this, tracker);
+  last_replay_sharded_ = session.sharded();
+  if (!last_replay_sharded_) {
     return sim::ReplayFrequency(tracker, workload, query_item,
                                 checkpoint_factor);
   }
-  last_replay_sharded_ = true;
-  CheckShardableSize(workload.size());
-  int num_sites = tracker->meter().num_sites();
-  replay_threads_ = auto_threads_ ? std::min(threads_, num_sites) : threads_;
-  Plan* plan = PreparePlan(num_sites);
-  bool want_indices = ingest->wants_global_indices();
-  auto truth_term = [&](uint64_t key) {
-    return key == query_item ? uint64_t{1} : uint64_t{0};
-  };
-  if (replay_threads_ > 1) {
-    if (want_indices) {
-      BuildKeyedPlanSliced<true>(workload, num_sites, checkpoint_factor,
-                                 truth_term, plan);
-    } else {
-      BuildKeyedPlanSliced<false>(workload, num_sites, checkpoint_factor,
-                                  truth_term, plan);
-    }
-  } else if (want_indices) {
-    BuildKeyedPlan<true>(workload, num_sites, checkpoint_factor, truth_term,
-                         plan);
-  } else {
-    BuildKeyedPlan<false>(workload, num_sites, checkpoint_factor, truth_term,
-                          plan);
-  }
-  return DriveKeyedPlan(
-      tracker, ingest, want_indices, workload,
-      [&] { return tracker->EstimateFrequency(query_item); }, plan);
+  uint64_t freq = 0;
+  return ReplayImpl(
+      workload.size(), checkpoint_factor,
+      [&](uint64_t begin, uint64_t end) {
+        for (uint64_t pos = begin; pos < end; pos += kReplayPush) {
+          session.Push(workload.data() + pos,
+                       std::min(kReplayPush, end - pos));
+        }
+        session.Sync();
+        for (uint64_t i = begin; i < end; ++i) {
+          if (workload[i].key == query_item) ++freq;
+        }
+      },
+      [&]() {
+        return std::pair<double, double>(tracker->EstimateFrequency(query_item),
+                                         static_cast<double>(freq));
+      });
 }
 
 std::vector<Checkpoint> ParallelCluster::ReplayRank(
     RankTrackerInterface* tracker, const Workload& workload,
     uint64_t query_value, double checkpoint_factor) {
-  KeyedShardIngest* ingest = tracker->shard_ingest();
-  if (ingest == nullptr) {
-    last_replay_sharded_ = false;
+  OnlineKeyedSession session(this, tracker);
+  last_replay_sharded_ = session.sharded();
+  if (!last_replay_sharded_) {
     return sim::ReplayRank(tracker, workload, query_value, checkpoint_factor);
   }
-  last_replay_sharded_ = true;
-  CheckShardableSize(workload.size());
-  int num_sites = tracker->meter().num_sites();
-  replay_threads_ = auto_threads_ ? std::min(threads_, num_sites) : threads_;
-  Plan* plan = PreparePlan(num_sites);
-  bool want_indices = ingest->wants_global_indices();
-  auto truth_term = [&](uint64_t key) {
-    return key < query_value ? uint64_t{1} : uint64_t{0};
-  };
-  if (replay_threads_ > 1) {
-    if (want_indices) {
-      BuildKeyedPlanSliced<true>(workload, num_sites, checkpoint_factor,
-                                 truth_term, plan);
-    } else {
-      BuildKeyedPlanSliced<false>(workload, num_sites, checkpoint_factor,
-                                  truth_term, plan);
-    }
-  } else if (want_indices) {
-    BuildKeyedPlan<true>(workload, num_sites, checkpoint_factor, truth_term,
-                         plan);
-  } else {
-    BuildKeyedPlan<false>(workload, num_sites, checkpoint_factor, truth_term,
-                          plan);
-  }
-  return DriveKeyedPlan(tracker, ingest, want_indices, workload,
-                        [&] { return tracker->EstimateRank(query_value); },
-                        plan);
+  uint64_t rank = 0;
+  return ReplayImpl(
+      workload.size(), checkpoint_factor,
+      [&](uint64_t begin, uint64_t end) {
+        // One push per segment: rank's per-site run cuts must match the
+        // serial driver's ArriveBatch calls.
+        session.Push(workload.data() + begin, end - begin);
+        session.Sync();
+        for (uint64_t i = begin; i < end; ++i) {
+          if (workload[i].key < query_value) ++rank;
+        }
+      },
+      [&]() {
+        return std::pair<double, double>(tracker->EstimateRank(query_value),
+                                         static_cast<double>(rank));
+      });
 }
 
 }  // namespace sim

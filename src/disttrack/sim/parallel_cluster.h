@@ -1,39 +1,29 @@
-// Sharded multi-threaded replay: the parallel counterpart of the serial
-// Replay* drivers in cluster.h.
+// Multi-threaded replay: the parallel counterpart of the serial Replay*
+// drivers in cluster.h.
 //
 // The paper's model (§1.1) is k independent sites talking to one
-// coordinator, which makes a recorded workload embarrassingly parallel
-// *between* coordinator interactions: sites only couple through the
-// CoarseTracker broadcasts (p-halvings / round advances) every randomized
-// protocol hangs off. Those broadcasts are a deterministic function of the
-// site schedule alone — a site reports when its local count doubles, the
-// coordinator re-broadcasts when the reported sum doubles, no randomness
-// involved — so a cheap coordinator-only pre-pass over the site ids finds
-// the exact global arrival index of every broadcast before replay starts.
+// coordinator, so a stream is embarrassingly parallel *between*
+// coordinator interactions: sites only couple through the CoarseTracker
+// broadcasts (p-halvings / round advances) every randomized protocol
+// hangs off. The online sessions of sim/online.h exploit exactly that —
+// they run each push as per-site shard epochs on this class's worker
+// pool and discover the broadcast schedule on the fly, with no workload
+// pre-knowledge.
 //
-// ParallelCluster turns each such index, plus every checkpoint of the
-// shared CheckpointCounts schedule, into an *epoch barrier*:
+// A replay is therefore just an online session fed the recorded
+// workload: the serial drivers' checkpoint loop (ReplayImpl in cluster.h)
+// with the session as the delivery path, sampling estimates at the same
+// CheckpointCounts schedule. Count and frequency push each checkpoint
+// segment in 64Ki slices (both sessions are bit-identical to serial
+// delivery for any push partition); rank pushes each segment whole,
+// because rank is bit-identical only when push boundaries match the
+// serial driver's ArriveBatch calls.
 //
-//   plan      one pass over the workload: per-site shards (keys + global
-//             indices), the coarse broadcast schedule, per-site slice
-//             offsets at every boundary, and the ground-truth curve;
-//   epoch     worker threads advance each site's slice through the
-//             tracker's shard-ingest handle (sim/shard.h) — site-local
-//             state only, coordinator messages buffered per site;
-//   barrier   the driver thread folds the buffered messages in global
-//             arrival order, then delivers the broadcast-triggering
-//             arrival itself through the plain serial Arrive() path (so
-//             the ritual/round logic runs unchanged), or samples a
-//             checkpoint.
-//
-// Within an epoch every quantity a site reads (p, thresholds, round
-// geometry) is frozen, and each site consumes its private RNG stream at
-// exactly the per-site offsets of the serial execution. The replay is
-// therefore deterministic given the seed, independent of the thread
+// The replay is deterministic given the seed, independent of the thread
 // count, and bit-identical to the serial drivers for the randomized
-// count, frequency, and rank trackers as well as the deterministic count
-// tracker (pinned by tests/parallel_cluster_test.cc). Trackers without a
-// shard-ingest handle (per-arrival coin paths, median boosters, the
+// count, frequency, and rank trackers (pinned by
+// tests/parallel_cluster_test.cc). Trackers without a shard-ingest handle
+// (per-arrival coin paths, deterministic baselines, median boosters, the
 // sampling baseline) transparently fall back to the serial driver.
 
 #ifndef DISTTRACK_SIM_PARALLEL_CLUSTER_H_
@@ -58,21 +48,19 @@ class OnlineKeyedSession;
 /// replay any number of workloads sequentially. Not itself thread-safe:
 /// drive it from one thread.
 ///
-/// Replay is not the only mode: the online sessions of sim/online.h
-/// borrow this pool to ingest live pushes with no workload pre-knowledge
-/// (no plan pass) — see OnlineCountSession / OnlineKeyedSession.
+/// The online sessions of sim/online.h borrow this pool to ingest live
+/// pushes — see OnlineCountSession / OnlineKeyedSession.
 class ParallelCluster {
  public:
   /// Pass as `threads` to size the pool from the hardware. The heuristic:
   /// threads = max(1, std::thread::hardware_concurrency()), further
-  /// clamped per replay to the tracker's site count — a site is the unit
+  /// clamped per push to the tracker's site count — a site is the unit
   /// of epoch parallelism (at most one thread may touch it), so workers
-  /// beyond k can never be scheduled, and the clamp also keeps the
-  /// sliced planners from over-slicing small-k replays.
+  /// beyond k can never be scheduled.
   static constexpr int kAutoThreads = 0;
 
   /// `threads` <= 0 selects kAutoThreads; otherwise the exact worker
-  /// count. Workers are lazily started on the first sharded replay.
+  /// count. Workers are lazily started on the first parallel epoch.
   explicit ParallelCluster(int threads);
   ~ParallelCluster();
 
@@ -104,94 +92,31 @@ class ParallelCluster {
   /// (false = serial fallback). Diagnostics/tests.
   bool last_replay_sharded() const { return last_replay_sharded_; }
 
-  /// The pre-pass product (epoch barriers, per-site slices, truth curve);
-  /// public only so the implementation's free helpers can name it.
-  struct Plan;
-
  private:
   class Pool;
 
-  // The online sessions drive epochs through RunEpochTasks without a
-  // plan; they are part of this engine's surface, just stateful.
+  // The online sessions drive epochs through RunEpochTasks; they are
+  // part of this engine's surface, just stateful.
   friend class OnlineCountSession;
   friend class OnlineKeyedSession;
 
-  // Runs `fn(task)` for task in [0, num_tasks) across the workers (inline
-  // when threads_ == 1); returns after all tasks completed.
-  void RunTasks(int num_tasks, const std::function<void(int)>& fn);
-
-  // RunTasks for one epoch's site slices: epochs shorter than ~2K
-  // arrivals per thread (the broadcast-dense stream prefix) run inline —
-  // the pool hand-off would cost more than the work.
+  // Runs `fn(task)` for task in [0, num_tasks) — one epoch's site slices
+  // — across the workers; returns after all tasks completed. Runs inline
+  // when replay_threads_ == 1 and for epochs shorter than ~2K arrivals
+  // per thread (the broadcast-dense stream prefix), where the pool
+  // hand-off would cost more than the work.
   void RunEpochTasks(int num_tasks, uint64_t epoch_len,
                      const std::function<void(int)>& fn);
 
-  // Returns the reusable plan scratch, cleared for a fresh replay of
-  // `num_sites` sites (buffers keep their capacity, so steady-state
-  // replays plan without allocating).
-  Plan* PreparePlan(int num_sites);
-
-  // The shared serial coordinator walk: replicates the CoarseTracker
-  // report/broadcast evolution over the site schedule in one pass,
-  // pushing stops + snapshots into the plan, and invoking the hooks at
-  // each checkpoint stop / recorded arrival (the keyed planner scatters
-  // keys and accumulates truth there; the count planner passes no-ops).
-  // The only other encodings of the report/broadcast law are the sliced
-  // planner's constant-folded form and CoarseTracker itself.
-  template <typename SiteAt, typename AtCheckpoint, typename PerArrival>
-  void CoordinatorWalk(SiteAt site_at, uint64_t total, int num_sites,
-                       double checkpoint_factor, Plan* plan,
-                       AtCheckpoint at_checkpoint, PerArrival per_arrival);
-
-  // Count planners: the single fused coordinator walk (threads == 1) and
-  // the sliced parallel variant (two short parallel passes + a tiny
-  // serial event walk). Both produce the identical plan.
-  template <typename SiteAt>
-  void BuildCountPlanSerial(SiteAt site_at, uint64_t total, int num_sites,
-                            double checkpoint_factor, Plan* plan);
-  template <typename SiteAt>
-  void BuildCountPlanSliced(SiteAt site_at, uint64_t total, int num_sites,
-                            double checkpoint_factor, Plan* plan);
-
-  // Keyed planners: the single fused coordinator walk (one thread) and
-  // the sliced parallel variant — per-slice site/truth histograms, a
-  // parallel scatter into preallocated per-site shards, a tiny serial
-  // report-event walk, and one partial scan per stop-bearing slice for
-  // snapshots + checkpoint truth. Both produce the identical plan; the
-  // sliced one removes the serial plan pass as the Amdahl bottleneck of
-  // keyed replays, the same way the sliced count planner did for count.
-  template <bool kWantIndices, typename TruthTerm>
-  void BuildKeyedPlan(const Workload& workload, int num_sites,
-                      double checkpoint_factor, TruthTerm truth_term,
-                      Plan* plan);
-  template <bool kWantIndices, typename TruthTerm>
-  void BuildKeyedPlanSliced(const Workload& workload, int num_sites,
-                            double checkpoint_factor, TruthTerm truth_term,
-                            Plan* plan);
-
-  // Plan executors, shared by the Replay* entry points: walk the stops,
-  // dispatch each epoch's per-site slices to the shard handle, deliver
-  // broadcast arrivals serially, sample checkpoints.
-  std::vector<Checkpoint> DriveCountPlan(CountTrackerInterface* tracker,
-                                         CountShardIngest* ingest,
-                                         Plan* plan);
-  template <typename Tracker, typename EstimateFn>
-  std::vector<Checkpoint> DriveKeyedPlan(Tracker* tracker,
-                                         KeyedShardIngest* ingest,
-                                         bool want_indices,
-                                         const Workload& workload,
-                                         EstimateFn estimate, Plan* plan);
-
   int threads_;
   bool auto_threads_ = false;
-  // threads_ clamped to the current replay's site count under
-  // kAutoThreads (set at each Replay* entry); drives planner selection,
-  // slicing, and the inline-epoch threshold. The pool itself is sized
-  // once from threads_ — surplus workers simply find no tasks.
+  // threads_ clamped to the current session's site count under
+  // kAutoThreads (set at each push); drives the inline-epoch threshold.
+  // The pool itself is sized once from threads_ — surplus workers simply
+  // find no tasks.
   int replay_threads_ = 1;
   bool last_replay_sharded_ = false;
   std::unique_ptr<Pool> pool_;
-  std::unique_ptr<Plan> plan_scratch_;
 };
 
 }  // namespace sim

@@ -78,8 +78,9 @@ class CountTrackerInterface {
   }
 
   /// Per-site parallel ingest handle (see sim/shard.h), or nullptr when
-  /// the tracker (or its current option set) does not support sharded
-  /// replay — sim::ParallelCluster then falls back to the serial driver.
+  /// the tracker (or its current option set) does not support shard
+  /// ingest — the online sessions (sim/online.h), and with them
+  /// sim::ParallelCluster's replays, then fall back to serial delivery.
   virtual CountShardIngest* shard_ingest() { return nullptr; }
 
   /// The coordinator's current estimate n̂ of the global count.

@@ -31,28 +31,13 @@
 namespace disttrack {
 namespace sim {
 
-/// Coordinator half of CoarseTracker, rebuilt from delivered coarse
-/// reports alone. The kBroadcast frames the coordinator fans out are
-/// *not* applied — deriving the broadcast from the report that triggered
-/// it keeps the replica independent of cross-link delivery order (the
-/// downlink copy races the uplink report under faults).
-struct CoarseMirror {
-  uint64_t n_prime = 0;
-  uint64_t n_bar = 0;
-  uint64_t round = 0;
-
-  /// Applies one coarse report delta; true iff it triggers a broadcast
-  /// (same condition as CoarseTracker::ReportAndMaybeBroadcast).
-  bool ApplyReport(uint64_t delta) {
-    n_prime += delta;
-    if (n_prime >= std::max<uint64_t>(1, 2 * n_bar)) {
-      n_bar = n_prime;
-      ++round;
-      return true;
-    }
-    return false;
-  }
-};
+/// Coordinator half of CoarseTracker (count/coarse_tracker.h), rebuilt
+/// from delivered coarse reports alone. The kBroadcast frames the
+/// coordinator fans out are *not* applied — deriving the broadcast from
+/// the report that triggered it keeps the replica independent of
+/// cross-link delivery order (the downlink copy races the uplink report
+/// under faults).
+using CoarseMirror = count::CoarseMirror;
 
 // --- Count replica --------------------------------------------------------
 // Mirrors the coordinator state of RandomizedCountTracker: 1/p and the

@@ -1,8 +1,8 @@
 // sim::ParallelCluster: determinism and serial-equivalence pins.
 //
 // The contract under test is strong: for the randomized count, frequency,
-// and rank trackers (default fast-path options) and the deterministic
-// count tracker, the sharded replay is BIT-IDENTICAL to the serial
+// and rank trackers (default fast-path options), the sharded replay — an
+// online session fed the workload — is BIT-IDENTICAL to the serial
 // Replay* drivers — same checkpoint ns, same estimates to the last ulp,
 // same communication totals — at every thread count, because epoch
 // barriers sit exactly on the (deterministic) broadcast schedule and each
@@ -128,7 +128,9 @@ TEST(ParallelClusterCount, DeterministicTrackerShardsExactly) {
   ParallelCluster cluster(4);
   auto tracker = MakeCount(Options(k), core::Algorithm::kDeterministic);
   auto parallel = cluster.ReplayCountSites(tracker.get(), sites, 1.5);
-  EXPECT_TRUE(cluster.last_replay_sharded());
+  // The deterministic tracker has no online shard ingest: the replay runs
+  // the serial driver, which is trivially exact.
+  EXPECT_FALSE(cluster.last_replay_sharded());
   ExpectIdentical(serial, parallel);
   EXPECT_EQ(serial_tracker->meter().TotalMessages(),
             tracker->meter().TotalMessages());
@@ -315,6 +317,41 @@ TEST(ParallelClusterRank, PerElementFeedFallsBack) {
 }
 
 // ------------------------------------------------------------ edge shapes
+
+TEST(ParallelClusterEdge, OneSegmentReplaySplitsEveryBroadcast) {
+  // checkpoint_factor = 1e9 leaves two segments: the first arrival and
+  // then everything else in ONE push, which carries ~20 broadcasts the
+  // keyed session must split in a single walk.
+  int k = 5;
+  Workload w = stream::MakeFrequencyWorkload(
+      k, 100000, stream::SiteSchedule::kUniformRandom, 2000, 1.1, 53);
+  uint64_t query = 700;
+  auto serial_freq_tracker = MakeFrequency(Options(k));
+  auto serial_freq = sim::ReplayFrequency(serial_freq_tracker.get(), w, 0, 1e9);
+  auto serial_rank_tracker = MakeRank(Options(k));
+  auto serial_rank = sim::ReplayRank(serial_rank_tracker.get(), w, query, 1e9);
+  ASSERT_EQ(serial_rank.size(), 2u);
+  EXPECT_GE(serial_rank_tracker->meter().broadcast_count(), 15u);
+  for (int threads : {1, 4}) {
+    ParallelCluster cluster(threads);
+    auto freq_tracker = MakeFrequency(Options(k));
+    ExpectIdentical(serial_freq,
+                    cluster.ReplayFrequency(freq_tracker.get(), w, 0, 1e9));
+    EXPECT_TRUE(cluster.last_replay_sharded());
+    EXPECT_EQ(serial_freq_tracker->meter().TotalMessages(),
+              freq_tracker->meter().TotalMessages());
+    EXPECT_EQ(serial_freq_tracker->meter().TotalWords(),
+              freq_tracker->meter().TotalWords());
+    auto rank_tracker = MakeRank(Options(k));
+    ExpectIdentical(serial_rank,
+                    cluster.ReplayRank(rank_tracker.get(), w, query, 1e9));
+    EXPECT_TRUE(cluster.last_replay_sharded());
+    EXPECT_EQ(serial_rank_tracker->meter().TotalMessages(),
+              rank_tracker->meter().TotalMessages());
+    EXPECT_EQ(serial_rank_tracker->meter().TotalWords(),
+              rank_tracker->meter().TotalWords());
+  }
+}
 
 TEST(ParallelClusterEdge, EmptyAndTinyWorkloads) {
   int k = 3;

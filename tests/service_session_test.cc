@@ -6,8 +6,9 @@
 // §1.1 paper ledger reconciling with a serial CommMeter to the message,
 // and the wire-byte ledger (socket bytes == encoded frame bytes).
 //
-// Fork-without-exec is deliberate (no binary paths to plumb); the whole
-// file is skipped under TSan, which cannot follow multiprocess tests.
+// Fork-without-exec is deliberate (no binary paths to plumb); the forking
+// tests are skipped under TSan, which cannot follow multiprocess tests.
+// The hostile-peer test at the end needs no fork and runs everywhere.
 
 #include <signal.h>
 #include <sys/socket.h>
@@ -296,6 +297,61 @@ TEST(ServiceSession, MismatchedOptionsHashIsRejected) {
   }
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2);
+}
+
+TEST(ServiceSession, FrameForAnotherSiteClosesTheConnection) {
+  // No fork: this test speaks the wire protocol itself. It joins as site
+  // 0, then sends a valid-CRC coin report claiming site 4096 — an index
+  // far past the replicas' per-site state. The coordinator must drop the
+  // connection before any replica applies the frame, and keep serving.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 4;
+  options.total_arrivals = 100;
+  Coordinator coordinator(options);
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  coordinator.AdoptConnection(fds[0]);
+
+  std::vector<uint8_t> frames;
+  Message join;
+  join.type = MsgType::kJoin;
+  join.site = 0;
+  join.b = options.Hash();
+  sim::wire::EncodeFrame(join, 0, &frames);
+  Message hello;
+  hello.type = MsgType::kHello;
+  hello.site = 0;
+  hello.a = 1;
+  sim::wire::EncodeFrame(hello, 0, &frames);
+  Message report;
+  report.type = MsgType::kCoinReport;
+  report.site = 4096;
+  report.a = 7;
+  report.paper_words = 1;
+  sim::wire::EncodeFrame(report, 1, &frames);
+  ASSERT_TRUE(WriteAll(fds[1], frames.data(), frames.size()));
+  ASSERT_TRUE(SetNonBlocking(fds[1], true));
+
+  bool eof = false;
+  for (int i = 0; i < 2000 && !eof; ++i) {
+    ASSERT_GE(coordinator.PollOnce(5), 0);
+    uint8_t buf[4096];
+    for (;;) {
+      long n = ReadSome(fds[1], buf, sizeof(buf));
+      if (n == -2) break;  // drained, connection still open
+      if (n <= 0) {
+        eof = true;
+        break;
+      }
+    }
+  }
+  EXPECT_TRUE(eof) << "coordinator kept a connection that spoke for "
+                      "another site";
+  close(fds[1]);
+  std::vector<uint64_t> stats = StatsVector(coordinator);
+  EXPECT_FALSE(stats.empty());
+  EXPECT_EQ(Ask(coordinator, kQueryCount).values.size(), 3u);
 }
 
 }  // namespace
