@@ -121,9 +121,10 @@ class CounterTable {
     }
   }
 
-  /// Starts tracking `key` at `value`. `key` must not be live (callers
-  /// only insert after a Find() miss).
-  void Insert(uint64_t key, uint64_t value) {
+  /// Starts tracking `key` at `value` and returns its counter (valid like
+  /// Find()'s). `key` must not be live (callers only insert after a
+  /// Find() miss).
+  uint64_t* Insert(uint64_t key, uint64_t value) {
     if (size_ + 1 > slots_.size() / 2) Grow();
     uint64_t h = Mix(key);
     size_t idx = h >> shift_;
@@ -131,6 +132,15 @@ class CounterTable {
     SetCtrl(idx, Fingerprint(h));
     slots_[idx] = Slot{key, value};
     ++size_;
+    return &slots_[idx].value;
+  }
+
+  /// Starts loading the control byte and slot a probe for `key` reads
+  /// first, so a later Find()/Insert() of a cold key does not stall.
+  void Prefetch(uint64_t key) const {
+    size_t idx = Mix(key) >> shift_;
+    __builtin_prefetch(ctrl_.data() + idx);
+    __builtin_prefetch(slots_.data() + idx, 1);
   }
 
   /// Drops every counter (round boundary / virtual-site split): the

@@ -25,12 +25,21 @@ Status RandomizedFrequencyOptions::Validate() const {
   return Status::OK();
 }
 
+uint64_t RandomizedFrequencyOptions::InvP(uint64_t n_bar) const {
+  double scaled =
+      epsilon * static_cast<double>(n_bar) /
+      (confidence_factor * std::sqrt(static_cast<double>(num_sites)));
+  if (scaled <= 1.0) return 1;
+  return FloorPow2(scaled);
+}
+
 RandomizedFrequencyTracker::RandomizedFrequencyTracker(
     const RandomizedFrequencyOptions& options)
     : options_(options),
       meter_(options.num_sites),
       space_(options.num_sites),
-      sites_(static_cast<size_t>(options.num_sites)) {
+      sites_(static_cast<size_t>(options.num_sites)),
+      agg_(options.naive_boundary_estimator) {
   for (int i = 0; i < options_.num_sites; ++i) {
     SiteState& s = sites_[static_cast<size_t>(i)];
     s.instance = NewInstanceId(i, &s);
@@ -65,68 +74,6 @@ RandomizedFrequencyTracker::RandomizedFrequencyTracker(
   }
 }
 
-uint64_t RandomizedFrequencyTracker::InvPFor(uint64_t n_bar) const {
-  double scaled = options_.epsilon * static_cast<double>(n_bar) /
-                  (options_.confidence_factor *
-                   std::sqrt(static_cast<double>(options_.num_sites)));
-  if (scaled <= 1.0) return 1;
-  return FloorPow2(scaled);
-}
-
-double RandomizedFrequencyTracker::LiveEstimate(const ItemAgg& agg) const {
-  double inv_p = static_cast<double>(inv_p_);
-  double est = 0;
-  for (const InstanceAgg& inst : agg.instances) {
-    if (inst.cbar > 0) {
-      est += static_cast<double>(inst.cbar) - 2.0 + 2.0 * inv_p;
-    } else if (!options_.naive_boundary_estimator) {
-      est -= static_cast<double>(inst.d) * inv_p;
-    }
-  }
-  return est;
-}
-
-RandomizedFrequencyTracker::ItemAgg& RandomizedFrequencyTracker::LiveAgg(
-    uint64_t item) {
-  if (uint64_t* slot = live_index_.Find(item)) {
-    return live_arena_[static_cast<size_t>(*slot - 1)];
-  }
-  if (live_used_ == live_arena_.size()) live_arena_.emplace_back();
-  ItemAgg& agg = live_arena_[live_used_];
-  agg.item = item;
-  live_index_.Insert(item, static_cast<uint64_t>(++live_used_));
-  return agg;
-}
-
-const RandomizedFrequencyTracker::ItemAgg*
-RandomizedFrequencyTracker::FindLiveAgg(uint64_t item) const {
-  const uint64_t* slot = live_index_.Find(item);
-  if (slot == nullptr) return nullptr;
-  return &live_arena_[static_cast<size_t>(*slot - 1)];
-}
-
-void RandomizedFrequencyTracker::FoldRound() {
-  for (size_t i = 0; i < live_used_; ++i) {
-    ItemAgg& agg = live_arena_[i];
-    double est = LiveEstimate(agg);
-    if (est != 0.0) {
-      if (uint64_t* slot = frozen_.Find(agg.item)) {
-        double acc;
-        std::memcpy(&acc, slot, sizeof(acc));
-        acc += est;
-        std::memcpy(slot, &acc, sizeof(acc));
-      } else {
-        uint64_t bits;
-        std::memcpy(&bits, &est, sizeof(bits));
-        frozen_.Insert(agg.item, bits);
-      }
-    }
-    agg.instances.clear();  // recycle the arena entry's allocation
-  }
-  live_used_ = 0;
-  live_index_.Clear();
-}
-
 size_t RandomizedFrequencyTracker::CounterCount(const SiteState& s) const {
   return options_.use_flat_counters ? s.counters.size()
                                     : s.legacy_counters.size();
@@ -156,10 +103,10 @@ void RandomizedFrequencyTracker::OnBroadcast(uint64_t /*round*/,
   // round: flush them into the authoritative per-site state before the
   // round ritual discards it.
   if (in_batch_) ResyncAllMidBatch();
-  // Freeze the completed round with its own p, then restart from scratch
-  // with the new parameters (§3.1 "Dealing with a decreasing p").
-  FoldRound();
-  inv_p_ = InvPFor(n_bar);
+  // Restart from scratch with the new parameters (§3.1 "Dealing with a
+  // decreasing p"); the closing round's terms are already in the totals.
+  inv_p_ = options_.InvP(n_bar);
+  FrequencyAggregate::RequireExact(agg_.BeginRound(inv_p_), "1/p");
   log2_inv_p_ = FloorLog2(inv_p_);
   split_threshold_ = std::max<uint64_t>(
       1, n_bar / static_cast<uint64_t>(options_.num_sites));
@@ -188,12 +135,12 @@ void RandomizedFrequencyTracker::UpdateSpace(int site) {
   space_.Set(site, 2 * CounterCount(s) + 6);
 }
 
-// Serial coordinator port: effects apply in place, exactly the historical
-// inline behavior (including a coarse broadcast firing mid-arrival). Also
-// the grouped-chunk port: inside a certified broadcast-free chunk every
-// direct effect is order-insensitive across sites — coarse reports and
-// traffic fold into commutative sums, and the ItemAgg instance lists are
-// canonically ordered (see ForInstance), so site-grouped application
+// Serial and grouped-chunk coordinator port: every effect applies in
+// place (including a broadcast firing mid-arrival) except counter reports
+// and samples, which queue for FlushPending. Inside a certified
+// broadcast-free chunk no effect depends on cross-site order — coarse
+// reports and traffic are commutative sums, and estimator terms are
+// exact integers (frequency_aggregate.h) — so site-grouped application
 // reproduces the serial coordinator state bit for bit.
 struct RandomizedFrequencyTracker::DirectPort {
   RandomizedFrequencyTracker* t;
@@ -206,14 +153,13 @@ struct RandomizedFrequencyTracker::DirectPort {
   void CounterReport(int site, uint64_t item, uint64_t instance,
                      uint64_t value) {
     t->meter_.RecordUpload(site, 2);
-    t->LiveAgg(item).ForInstance(instance).cbar = value;
+    t->pending_.push_back({item, instance, value});
     t->EmitTap(sim::wire::MsgType::kCounterReport, site, item, instance,
                value, 2);
   }
   void SampleForward(int site, uint64_t item, uint64_t instance) {
     t->meter_.RecordUpload(site, 1);
-    InstanceAgg& agg = t->LiveAgg(item).ForInstance(instance);
-    if (agg.cbar == 0) agg.d += 1;
+    t->pending_.push_back({item, instance, 0});
     t->EmitTap(sim::wire::MsgType::kSampleForward, site, item, instance, 0,
                1);
   }
@@ -278,10 +224,10 @@ struct RandomizedFrequencyTracker::ShardPort {
   void CounterReport(int site, uint64_t item, uint64_t instance,
                      uint64_t value) {
     sink->push_back(
-        ShardMsg{ShardMsg::kCounterReport, site, item, instance, value});
+        ShardMsg{ShardMsg::kAggregate, site, item, instance, value});
   }
   void SampleForward(int site, uint64_t item, uint64_t instance) {
-    sink->push_back(ShardMsg{ShardMsg::kSample, site, item, instance, 0});
+    sink->push_back(ShardMsg{ShardMsg::kAggregate, site, item, instance, 0});
   }
 };
 
@@ -362,6 +308,7 @@ inline void RandomizedFrequencyTracker::ProcessArrival(int site,
                                                        uint64_t item) {
   DirectPort port{this};
   ProcessArrivalImpl(site, item, port);
+  FlushPending();
 }
 
 inline void RandomizedFrequencyTracker::ArriveOne(int site, uint64_t item) {
@@ -431,8 +378,8 @@ void RandomizedFrequencyTracker::ShardEpochEnd() { FoldSinkMessages(); }
 void RandomizedFrequencyTracker::FoldSinkMessages() {
   // Apply each site's sink in site order, preserving per-site message
   // order. Cross-site order is immaterial: coarse deltas, split counts,
-  // and traffic fold into commutative sums, and the per-item instance
-  // lists are canonically ordered (ForInstance), so no global-index
+  // and traffic fold into commutative sums, and each item's estimate is
+  // an exact integer sum (frequency_aggregate.h), so no global-index
   // merge is needed to reproduce the serial coordinator state bit for
   // bit.
   for (auto& sink : shard_sinks_) {
@@ -449,22 +396,21 @@ void RandomizedFrequencyTracker::FoldSinkMessages() {
           meter_.RecordUpload(site, 1);
           ++splits_;
           break;
-        case ShardMsg::kCounterReport:
+        case ShardMsg::kAggregate:
           // disttrack-lint: allow(meter-tap) -- shard-fold: see kSplit.
-          meter_.RecordUpload(site, 2);
-          LiveAgg(m.item).ForInstance(m.instance).cbar = m.value;
+          meter_.RecordUpload(site, m.value == 0 ? 1 : 2);
+          pending_.push_back({m.item, m.instance, m.value});
           break;
-        case ShardMsg::kSample: {
-          InstanceAgg& agg = LiveAgg(m.item).ForInstance(m.instance);
-          // disttrack-lint: allow(meter-tap) -- shard-fold: see kSplit.
-          meter_.RecordUpload(site, 1);
-          if (agg.cbar == 0) agg.d += 1;
-          break;
-        }
       }
     }
     sink.clear();
   }
+  FlushPending();
+}
+
+void RandomizedFrequencyTracker::FlushPending() {
+  agg_.ApplyBatch(pending_.data(), pending_.size());
+  pending_.clear();
 }
 
 uint64_t RandomizedFrequencyTracker::NextEventGap(int site) const {
@@ -580,10 +526,8 @@ void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
   }
   // Site-grouped delivery: a chunk certified broadcast-free is permuted
   // into site-contiguous spans, each walked against its site's counter
-  // table in one cache-resident pass, with coordinator effects applied
-  // directly — order-insensitive across sites inside such a chunk thanks
-  // to the canonical ItemAgg instance order (see DirectPort), so the
-  // grouped path stays bit-identical without buffering a single message.
+  // table in one cache-resident pass; counter reports and samples apply
+  // after the spans in one prefetched batch (see DirectPort).
   // Chunks that may broadcast run through the countdown engine unchanged.
   size_t pos = 0;
   while (pos < count) {
@@ -597,6 +541,7 @@ void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
         RunSiteSpan(span.site, span.data, span.length, port);
       }
       grouped_chunk_active_ = false;
+      FlushPending();
     } else {
       RunBatch<true>(arrivals + pos, len);
     }
@@ -605,14 +550,7 @@ void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
 }
 
 double RandomizedFrequencyTracker::EstimateFrequency(uint64_t item) const {
-  double est = 0;
-  if (const uint64_t* slot = frozen_.Find(item)) {
-    double acc;
-    std::memcpy(&acc, slot, sizeof(acc));
-    est += acc;
-  }
-  if (const ItemAgg* agg = FindLiveAgg(item)) est += LiveEstimate(*agg);
-  return est;
+  return agg_.Estimate(item);
 }
 
 void RandomizedFrequencyTracker::EmitTap(sim::wire::MsgType type, int site,
@@ -736,9 +674,9 @@ void RandomizedFrequencyTracker::ReplayCrashArrive(
 
 void RandomizedFrequencyTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
   // Per-site half of OnBroadcast, with the identical draw order. The
-  // coordinator half (FoldRound) already ran in the original execution
-  // and its result is intact.
-  inv_p_ = InvPFor(n_bar);
+  // coordinator half (the aggregate's BeginRound) already ran in the
+  // original execution and its state is intact.
+  inv_p_ = options_.InvP(n_bar);
   log2_inv_p_ = FloorLog2(inv_p_);
   split_threshold_ = std::max<uint64_t>(
       1, n_bar / static_cast<uint64_t>(options_.num_sites));

@@ -17,8 +17,10 @@
 //      f̂'_ij = c̄_ij - 2 + 2/p    if a counter report c̄_ij exists,
 //              -d_ij / p          otherwise,
 // whose variance is O(1/p²) (Lemma 3.1), and sums over instances & rounds.
-// Note the second branch: when no counter exists the *negative* sampled
-// count corrects the boundary bias of the naive estimator (2), which the
+// Every term is an integer, so the coordinator keeps each item's sum as
+// one exact running total (frequency_aggregate.h). Note the second
+// branch: when no counter exists the *negative* sampled count corrects
+// the boundary bias of the naive estimator (2), which the
 // `naive_boundary_estimator` ablation reinstates.
 //
 // Hot path: the sticky counter list is a flat open-addressing table
@@ -48,6 +50,7 @@
 #include "disttrack/common/status.h"
 #include "disttrack/count/coarse_tracker.h"
 #include "disttrack/frequency/counter_table.h"
+#include "disttrack/frequency/frequency_aggregate.h"
 #include "disttrack/sim/protocol.h"
 
 namespace disttrack {
@@ -87,12 +90,12 @@ struct RandomizedFrequencyOptions {
   /// each chunk into site-contiguous spans whenever the chunk provably
   /// contains no coarse broadcast and walks each span against that
   /// site's counter table in one batched pass (table invariants hoisted,
-  /// four-lane probe pipelining, key-run dedup); coordinator effects
-  /// apply directly (the canonical ItemAgg instance order makes
-  /// cross-site application order immaterial), so estimates,
-  /// communication, rounds, and splits are bit-identical to the
-  /// event-countdown engine — which remains the fallback for chunks that
-  /// may broadcast.
+  /// four-lane probe pipelining, key-run dedup); counter reports and
+  /// samples are applied after the spans. Estimator terms are exact
+  /// integers (frequency_aggregate.h), so cross-site order cannot change
+  /// an estimate: estimates, communication, rounds, and splits are
+  /// bit-identical to the event-countdown engine — which remains the
+  /// fallback for chunks that may broadcast.
   ///
   /// Default FALSE, unlike count and rank: on the reference container
   /// the per-site tables the split threshold allows are small enough to
@@ -122,6 +125,10 @@ struct RandomizedFrequencyOptions {
   size_t grouped_cache_bound_bytes = size_t{1} << 20;
 
   Status Validate() const;
+
+  /// 1/p of a round whose broadcast carried `n_bar`: ⌊εn̄/(c√k)⌋₂, at
+  /// least 1. The tracker and its replica both evaluate it here.
+  uint64_t InvP(uint64_t n_bar) const;
 };
 
 /// Randomized ε-approximate frequency tracking (Theorem 3.1).
@@ -143,10 +150,10 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   /// reports, split notices, counter re-reports, sampled copies) is
   /// buffered per site and folded at the epoch barrier. Per-site message
   /// order is preserved, and cross-site order cannot matter: coarse
-  /// reports and traffic are commutative sums, and the per-item instance
-  /// lists are canonically ordered (see ItemAgg::ForInstance) — so the
-  /// coordinator's aggregation state evolves bit-identically to the
-  /// serial execution without global-index bookkeeping.
+  /// reports and traffic are commutative sums, and each item's estimate
+  /// is an exact integer sum of integer terms (frequency_aggregate.h) —
+  /// so the coordinator's state evolves bit-identically to the serial
+  /// execution without global-index bookkeeping.
   sim::KeyedShardIngest* shard_ingest() override {
     return options_.use_skip_sampling && options_.use_flat_counters ? this
                                                                     : nullptr;
@@ -205,60 +212,7 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
     Rng rng{0};
   };
 
-  // Coordinator-side per-(round,item) aggregation. An item is touched by
-  // very few instances per round (a handful of sites/virtual sites win a
-  // coin for it), so the per-instance state is a short vector with linear
-  // scans rather than the two hash tables a map-of-maps would cost on
-  // every newly sampled item. ItemAggs live in a pooled arena indexed by
-  // a CounterTable (item -> arena slot) that is bulk-cleared at round
-  // boundaries with the arena recycled, so a steady-state round performs
-  // no coordinator-side allocation at all.
-  struct InstanceAgg {
-    uint64_t instance = 0;
-    uint64_t cbar = 0;  // last reported counter value; 0 = no counter yet
-                        // (reports are always >= 1, so 0 is unambiguous)
-    uint64_t d = 0;     // sampled copies, used only while cbar == 0
-  };
-  struct ItemAgg {
-    uint64_t item = 0;
-    // Kept sorted by instance id. Instance ids are site-minted
-    // ((site << 32) | per-site sequence), so the sorted order is a pure
-    // function of the instance SET — the order coordinator messages
-    // arrive in (stream order, site-grouped order, shard-barrier order)
-    // can no longer influence the estimator's floating-point summation
-    // order. That canonical order is what lets the grouped engine apply
-    // counter reports and samples directly instead of re-serializing
-    // them by global arrival index (cbar and d stay exact per instance
-    // because all of an instance's messages come from its own site, in
-    // that site's stream order).
-    std::vector<InstanceAgg> instances;
-
-    InstanceAgg& ForInstance(uint64_t instance) {
-      size_t lo = 0;
-      size_t hi = instances.size();
-      while (lo < hi) {
-        size_t mid = (lo + hi) / 2;
-        if (instances[mid].instance < instance) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo < instances.size() && instances[lo].instance == instance) {
-        return instances[lo];
-      }
-      instances.insert(instances.begin() + static_cast<long>(lo),
-                       InstanceAgg{instance, 0, 0});
-      return instances[lo];
-    }
-  };
-
   void OnBroadcast(uint64_t round, uint64_t n_bar);
-  void FoldRound();
-  ItemAgg& LiveAgg(uint64_t item);
-  const ItemAgg* FindLiveAgg(uint64_t item) const;
-  double LiveEstimate(const ItemAgg& agg) const;
-  uint64_t InvPFor(uint64_t n_bar) const;
   void UpdateSpace(int site);
   void ArriveOne(int site, uint64_t item);
   // Everything ArriveOne does except ++n_ (the batch engine advances n_
@@ -288,15 +242,14 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   count::CoarseTracker* shard_coarse() override { return coarse_.get(); }
 
   // One deferred coordinator message (shard ingest only; grouped chunks
-  // apply effects directly). No serialization key is needed: per-site
-  // order is preserved by the sinks themselves, and cross-site order is
-  // immaterial (commutative sums + the canonical instance order).
+  // queue only aggregate effects). No serialization key is needed: per-
+  // site order is preserved by the sinks themselves, and cross-site order
+  // is immaterial (commutative sums and exact integer estimator terms).
   struct ShardMsg {
     enum Kind : uint8_t {
       kCoarseReport,   // value = deferred n' delta
       kSplit,          // virtual-site split notice
-      kCounterReport,  // item/instance, value = fresh counter value
-      kSample,         // item/instance, one sampled copy (d channel)
+      kAggregate,      // item/instance/value as FrequencyAggregate::Message
     };
     Kind kind = kCoarseReport;
     int32_t site = 0;  // full site id (num_sites is only bounded below)
@@ -318,10 +271,12 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   template <typename Port>
   void RunSiteSpan(int site, const uint64_t* keys, size_t count, Port& port);
   // Applies the per-site message sinks — the coordinator half of a
-  // shard-epoch barrier (the only caller: grouped chunks buffer nothing
-  // and apply effects directly through DirectPort). Per-site order is
-  // preserved; cross-site order cannot matter (see ShardMsg).
+  // shard-epoch barrier. Per-site order is preserved; cross-site order
+  // cannot matter (see ShardMsg).
   void FoldSinkMessages();
+  // Applies the queued counter reports and samples as one batch (after a
+  // serial arrival, a grouped chunk's spans, or a shard barrier's sinks).
+  void FlushPending();
   void EnsureSinks();
 
   // Batched fast path on the shared EventCountdown engine; see
@@ -352,17 +307,10 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   int replay_saved_log2_ = 0;
   uint64_t replay_saved_split_threshold_ = 0;
 
-  // Current round: item -> (arena slot + 1) in live_index_; the arena
-  // entries [0, live_used_) are this round's ItemAggs.
-  CounterTable live_index_;
-  std::vector<ItemAgg> live_arena_;
-  size_t live_used_ = 0;
-  // Completed rounds: item -> Σ round estimates, a flat CounterTable with
-  // the double accumulator bit-cast into the uint64 payload (the table
-  // never interprets values). Folding a round touches every live item
-  // once, so the map op is the fold's hot instruction — the flat probe
-  // replaced an unordered_map node walk.
-  CounterTable frozen_;
+  // The coordinator's estimator state (frequency_aggregate.h), and the
+  // counter reports and samples queued for FlushPending.
+  FrequencyAggregate agg_;
+  std::vector<FrequencyAggregate::Message> pending_;
 
   uint64_t inv_p_ = 1;
   int log2_inv_p_ = 0;            // log2(inv_p_), the skip samplers' argument

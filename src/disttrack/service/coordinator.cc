@@ -273,7 +273,12 @@ void Coordinator::DecideCoarse(int site, const Message& report,
   }
 }
 
-void Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
+bool Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
+  // The frequency replica refuses a frame that would break its exactness
+  // bound (a value no tracker produces); nothing else has seen it yet.
+  if (frequency_replica_ && !frequency_replica_->Apply(msg)) return false;
+  if (count_replica_) count_replica_->Apply(msg);
+  if (rank_replica_) rank_replica_->Apply(msg);
   uint64_t charge = sim::wire::PaperWordCharge(msg, options_.num_sites);
   if (charge > 0) {
     // A delivered data-plane frame is exactly one §1.1 upload; replays
@@ -281,9 +286,6 @@ void Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
     stats_.paper_messages += 1;
     stats_.paper_words += charge;
   }
-  if (count_replica_) count_replica_->Apply(msg);
-  if (frequency_replica_) frequency_replica_->Apply(msg);
-  if (rank_replica_) rank_replica_->Apply(msg);
 
   Session& s = sessions_[static_cast<size_t>(site)];
   switch (msg.type) {
@@ -313,6 +315,7 @@ void Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
     default:
       break;  // estimator frames: replica apply above was the whole job
   }
+  return true;
 }
 
 void Coordinator::HandleSiteFrame(Conn* conn, Message msg, uint64_t seq) {
@@ -324,7 +327,7 @@ void Coordinator::HandleSiteFrame(Conn* conn, Message msg, uint64_t seq) {
   if (msg.type == MsgType::kJoin || msg.type == MsgType::kHello) return;
   // The replicas index per-site state by msg.site: a peer speaking for
   // any site but the one it joined as is refused before anything
-  // applies its frame.
+  // applies its frame. So is a frame a replica refuses.
   if (msg.site != conn->site) {
     CloseConn(conn);
     return;
@@ -333,7 +336,10 @@ void Coordinator::HandleSiteFrame(Conn* conn, Message msg, uint64_t seq) {
   std::vector<Message> delivered;
   s.up.Accept(seq, std::move(msg), &delivered);
   for (size_t i = 0; i < delivered.size(); ++i) {
-    ApplyDelivered(conn->site, std::move(delivered[i]), before + 1 + i);
+    if (!ApplyDelivered(conn->site, std::move(delivered[i]), before + 1 + i)) {
+      CloseConn(conn);
+      return;
+    }
   }
 }
 

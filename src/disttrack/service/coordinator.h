@@ -48,7 +48,8 @@ enum QueryKind : uint64_t {
   kQueryCount = 0,         ///< -> [est bits, n', round]
   kQueryPoint = 1,         ///< b = item -> [est bits]       (frequency)
   kQueryHeavyHitters = 2,  ///< b = phi bits -> item/est-bit pairs with
-                           ///< est >= phi * n'               (frequency)
+                           ///< est >= phi * n', by item; phi <= 0
+                           ///< lists est == 0 items too     (frequency)
   kQueryRank = 3,          ///< b = value -> [est bits]       (rank)
   kQueryQuantile = 4,      ///< b = phi bits -> [value, est bits]  (rank)
   kQueryStats = 5,         ///< -> fixed stats vector (see Stats::ToValues)
@@ -131,7 +132,8 @@ class Coordinator {
 
   void HandleFrame(Conn* conn, sim::wire::Message msg, uint64_t seq);
   void HandleSiteFrame(Conn* conn, sim::wire::Message msg, uint64_t seq);
-  void ApplyDelivered(int site, sim::wire::Message msg, uint64_t up_seq);
+  // False if a replica refused the frame; the caller closes the link.
+  bool ApplyDelivered(int site, sim::wire::Message msg, uint64_t up_seq);
   void DecideCoarse(int site, const sim::wire::Message& report,
                     uint64_t up_seq);
   void FinishJoin(Conn* conn, const sim::wire::Message& join,

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -117,72 +116,53 @@ class CountReplica {
 };
 
 // --- Frequency replica ----------------------------------------------------
-// Mirrors the coordinator aggregation of RandomizedFrequencyTracker: the
-// live per-(item, instance) counters of the current round plus the frozen
-// per-item accumulator of completed rounds. Instance lists stay sorted by
-// the site-minted instance id — the tracker's own canonical order — so
-// the floating-point summation order matches regardless of delivery
-// schedule; rounds fold at derived broadcasts with the closing round's p.
+// Hosts the tracker's own coordinator aggregate (frequency_aggregate.h),
+// fed from frames; a derived broadcast opens the next round at the p the
+// tracker computes from the same n̄. Estimator terms are exact integers,
+// so cross-site delivery order cannot change an estimate, and per-site
+// FIFO delivery keeps each (item, instance) pair's messages in order.
+// A frame that would take a term or total to 2^53 (a value no tracker
+// produces) is refused, leaving every estimate as it was.
 
 class FrequencyReplica {
  public:
   explicit FrequencyReplica(
       const frequency::RandomizedFrequencyOptions& options)
-      : options_(options) {}
+      : options_(options), agg_(options.naive_boundary_estimator) {}
 
-  void Apply(const wire::Message& msg) {
+  /// False if the frame is refused: it would break the aggregate's 2^53
+  /// exactness bound, and no state changed.
+  bool Apply(const wire::Message& msg) {
     switch (msg.type) {
-      case wire::MsgType::kCoarseReport:
-        if (coarse_.ApplyReport(msg.a)) {
-          FoldRound();  // with the closing round's inv_p_
-          inv_p_ = InvPFor(coarse_.n_bar);
+      case wire::MsgType::kCoarseReport: {
+        CoarseMirror next = coarse_;
+        if (next.ApplyReport(msg.a) &&
+            !agg_.BeginRound(options_.InvP(next.n_bar))) {
+          return false;
         }
-        break;
+        coarse_ = next;
+        return true;
+      }
       case wire::MsgType::kCounterReport:
-        ForInstance(&live_[msg.a], msg.b)->cbar = msg.c;
-        break;
-      case wire::MsgType::kSampleForward: {
-        InstanceAgg* agg = ForInstance(&live_[msg.a], msg.b);
-        if (agg->cbar == 0) agg->d += 1;
-        break;
-      }
-      case wire::MsgType::kSplitNotice:
-        // Site-side bookkeeping only: the split mints a fresh instance id,
-        // which future counter/sample frames carry.
-        break;
+        return agg_.CounterReport(msg.a, msg.b, msg.c);
+      case wire::MsgType::kSampleForward:
+        return agg_.Sample(msg.a, msg.b);
       default:
-        break;
+        // A split notice is site-side bookkeeping only: the split mints a
+        // fresh instance id, which later counter/sample frames carry.
+        return true;
     }
   }
 
-  double Estimate(uint64_t item) const {
-    double est = 0;
-    auto frozen = frozen_.find(item);
-    if (frozen != frozen_.end()) est += frozen->second;
-    auto live = live_.find(item);
-    if (live != live_.end()) est += LiveEstimate(live->second);
-    return est;
-  }
+  double Estimate(uint64_t item) const { return agg_.Estimate(item); }
 
-  /// Every item the replica has state for, with its current estimate
-  /// (evaluated through the same Estimate() path a point query uses).
-  /// Serves the coordinator's heavy-hitters query: callers filter by
-  /// threshold phi * n-hat themselves.
+  /// Every item any counter report or sampled copy has named, with its
+  /// current estimate, sorted by item: one pass over the item totals.
+  /// Serves the coordinator's heavy-hitters query, whose callers filter by
+  /// threshold phi * n-hat themselves. Items whose estimate is exactly 0
+  /// are included, so a threshold <= 0 (phi <= 0) returns them too.
   std::vector<std::pair<uint64_t, double>> ItemEstimates() const {
-    std::vector<std::pair<uint64_t, double>> out;
-    out.reserve(frozen_.size() + live_.size());
-    for (const auto& [item, est] : frozen_) {
-      (void)est;
-      out.emplace_back(item, Estimate(item));
-    }
-    for (const auto& [item, agg] : live_) {
-      (void)agg;
-      if (frozen_.find(item) == frozen_.end()) {
-        out.emplace_back(item, Estimate(item));
-      }
-    }
-    std::sort(out.begin(), out.end());
-    return out;
+    return agg_.ItemEstimates();
   }
 
   uint64_t round() const { return coarse_.round; }
@@ -190,60 +170,9 @@ class FrequencyReplica {
   uint64_t n_prime() const { return coarse_.n_prime; }
 
  private:
-  struct InstanceAgg {
-    uint64_t instance = 0;
-    uint64_t cbar = 0;
-    uint64_t d = 0;
-  };
-  struct ItemAgg {
-    std::vector<InstanceAgg> instances;  // sorted by instance id
-  };
-
-  static InstanceAgg* ForInstance(ItemAgg* agg, uint64_t instance) {
-    auto it = std::lower_bound(
-        agg->instances.begin(), agg->instances.end(), instance,
-        [](const InstanceAgg& a, uint64_t id) { return a.instance < id; });
-    if (it != agg->instances.end() && it->instance == instance) return &*it;
-    it = agg->instances.insert(it, InstanceAgg{instance, 0, 0});
-    return &*it;
-  }
-
-  double LiveEstimate(const ItemAgg& agg) const {
-    double inv_p = static_cast<double>(inv_p_);
-    double est = 0;
-    for (const InstanceAgg& inst : agg.instances) {
-      if (inst.cbar > 0) {
-        est += static_cast<double>(inst.cbar) - 2.0 + 2.0 * inv_p;
-      } else if (!options_.naive_boundary_estimator) {
-        est -= static_cast<double>(inst.d) * inv_p;
-      }
-    }
-    return est;
-  }
-
-  void FoldRound() {
-    // Per-item accumulation only — iteration order across items cannot
-    // influence any single item's frozen value.
-    for (const auto& [item, agg] : live_) {
-      double est = LiveEstimate(agg);
-      if (est != 0.0) frozen_[item] += est;
-    }
-    live_.clear();
-  }
-
-  uint64_t InvPFor(uint64_t n_bar) const {
-    double scaled = options_.epsilon * static_cast<double>(n_bar) /
-                    (options_.confidence_factor *
-                     std::sqrt(static_cast<double>(options_.num_sites)));
-    if (scaled <= 1.0) return 1;
-    return FloorPow2(scaled);
-  }
-
   frequency::RandomizedFrequencyOptions options_;
   CoarseMirror coarse_;
-  uint64_t inv_p_ = 1;
-  std::map<uint64_t, ItemAgg> live_;
-  std::map<uint64_t, double> frozen_;
+  frequency::FrequencyAggregate agg_;
 };
 
 // --- Rank replica ---------------------------------------------------------

@@ -5,6 +5,7 @@
 // site splitting).
 
 #include <cmath>
+#include <cstring>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -291,6 +292,44 @@ TEST(RandomizedFrequencyTest, CommunicationBeatsDeterministicAtLargeK) {
 
   EXPECT_GT(det_tracker.meter().TotalMessages(),
             rnd_tracker.meter().TotalMessages());
+}
+
+// Fast-tier twin of the slow batch-equivalence suite for the grouped
+// engine: grouped chunks queue counter reports and samples and apply them
+// after the spans with prefetch, which must leave every estimate, the
+// communication totals, rounds and splits bit-identical to the countdown
+// engine. A wide key universe makes the aggregate's tables grow inside a
+// batched apply.
+TEST(RandomizedFrequencyTest, GroupedDeliveryBitIdenticalToCountdown) {
+  const int k = 8;
+  const uint64_t kUniverse = 20000;
+  for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kSingleSite}) {
+    auto w = MakeFrequencyWorkload(k, 200000, sched, kUniverse, 0.8, 23);
+    RandomizedFrequencyOptions o;
+    o.num_sites = k;
+    o.epsilon = 0.02;
+    o.seed = 29;
+    o.use_site_grouping = true;
+    RandomizedFrequencyTracker grouped(o);
+    o.use_site_grouping = false;
+    o.auto_site_grouping = false;
+    RandomizedFrequencyTracker countdown(o);
+    ASSERT_TRUE(grouped.grouped_delivery_enabled());
+    ASSERT_FALSE(countdown.grouped_delivery_enabled());
+    grouped.ArriveBatch(w.data(), w.size());
+    countdown.ArriveBatch(w.data(), w.size());
+    for (uint64_t item = 0; item < kUniverse; ++item) {
+      double a = grouped.EstimateFrequency(item);
+      double b = countdown.EstimateFrequency(item);
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "item " << item;
+    }
+    EXPECT_EQ(grouped.meter().TotalMessages(),
+              countdown.meter().TotalMessages());
+    EXPECT_EQ(grouped.meter().TotalWords(), countdown.meter().TotalWords());
+    EXPECT_EQ(grouped.rounds(), countdown.rounds());
+    EXPECT_EQ(grouped.splits(), countdown.splits());
+    EXPECT_GT(grouped.rounds(), 3u);
+  }
 }
 
 TEST(RandomizedFrequencyTest, ContinuousCheckpointsMostlyCovered) {

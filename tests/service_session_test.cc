@@ -8,7 +8,7 @@
 //
 // Fork-without-exec is deliberate (no binary paths to plumb); the forking
 // tests are skipped under TSan, which cannot follow multiprocess tests.
-// The hostile-peer test at the end needs no fork and runs everywhere.
+// The hostile-peer tests at the end need no fork and run everywhere.
 
 #include <signal.h>
 #include <sys/socket.h>
@@ -299,59 +299,123 @@ TEST(ServiceSession, MismatchedOptionsHashIsRejected) {
   EXPECT_EQ(WEXITSTATUS(status), 2);
 }
 
+// Joins `coordinator` as site 0 over a socketpair, sends `frames` as
+// uplink sequence numbers 1, 2, ..., and polls until the coordinator
+// closes the connection or 2000 polls pass. True iff it closed. No fork:
+// the caller speaks the wire protocol itself.
+bool ClosesAfter(Coordinator* coordinator, const ServiceOptions& options,
+                 const std::vector<Message>& frames) {
+  int fds[2];
+  if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) return false;
+  coordinator->AdoptConnection(fds[0]);
+
+  std::vector<uint8_t> bytes;
+  Message join;
+  join.type = MsgType::kJoin;
+  join.site = 0;
+  join.b = options.Hash();
+  sim::wire::EncodeFrame(join, 0, &bytes);
+  Message hello;
+  hello.type = MsgType::kHello;
+  hello.site = 0;
+  hello.a = 1;
+  sim::wire::EncodeFrame(hello, 0, &bytes);
+  for (size_t i = 0; i < frames.size(); ++i) {
+    sim::wire::EncodeFrame(frames[i], i + 1, &bytes);
+  }
+  bool eof = false;
+  if (WriteAll(fds[1], bytes.data(), bytes.size()) &&
+      SetNonBlocking(fds[1], true)) {
+    for (int i = 0; i < 2000 && !eof; ++i) {
+      if (coordinator->PollOnce(5) < 0) break;
+      uint8_t buf[4096];
+      for (;;) {
+        long n = ReadSome(fds[1], buf, sizeof(buf));
+        if (n == -2) break;  // drained, connection still open
+        if (n <= 0) {
+          eof = true;
+          break;
+        }
+      }
+    }
+  }
+  close(fds[1]);
+  return eof;
+}
+
 TEST(ServiceSession, FrameForAnotherSiteClosesTheConnection) {
-  // No fork: this test speaks the wire protocol itself. It joins as site
-  // 0, then sends a valid-CRC coin report claiming site 4096 — an index
-  // far past the replicas' per-site state. The coordinator must drop the
-  // connection before any replica applies the frame, and keep serving.
+  // A valid-CRC coin report claiming site 4096, an index far past the
+  // replicas' per-site state. The coordinator must drop the connection
+  // before any replica applies the frame, and keep serving.
   ServiceOptions options;
   options.tracker = TrackerKind::kCount;
   options.num_sites = 4;
   options.total_arrivals = 100;
   Coordinator coordinator(options);
-  int fds[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  coordinator.AdoptConnection(fds[0]);
-
-  std::vector<uint8_t> frames;
-  Message join;
-  join.type = MsgType::kJoin;
-  join.site = 0;
-  join.b = options.Hash();
-  sim::wire::EncodeFrame(join, 0, &frames);
-  Message hello;
-  hello.type = MsgType::kHello;
-  hello.site = 0;
-  hello.a = 1;
-  sim::wire::EncodeFrame(hello, 0, &frames);
   Message report;
   report.type = MsgType::kCoinReport;
   report.site = 4096;
   report.a = 7;
   report.paper_words = 1;
-  sim::wire::EncodeFrame(report, 1, &frames);
-  ASSERT_TRUE(WriteAll(fds[1], frames.data(), frames.size()));
-  ASSERT_TRUE(SetNonBlocking(fds[1], true));
-
-  bool eof = false;
-  for (int i = 0; i < 2000 && !eof; ++i) {
-    ASSERT_GE(coordinator.PollOnce(5), 0);
-    uint8_t buf[4096];
-    for (;;) {
-      long n = ReadSome(fds[1], buf, sizeof(buf));
-      if (n == -2) break;  // drained, connection still open
-      if (n <= 0) {
-        eof = true;
-        break;
-      }
-    }
-  }
-  EXPECT_TRUE(eof) << "coordinator kept a connection that spoke for "
-                      "another site";
-  close(fds[1]);
+  EXPECT_TRUE(ClosesAfter(&coordinator, options, {report}))
+      << "coordinator kept a connection that spoke for another site";
   std::vector<uint64_t> stats = StatsVector(coordinator);
   EXPECT_FALSE(stats.empty());
   EXPECT_EQ(Ask(coordinator, kQueryCount).values.size(), 3u);
+}
+
+Message CounterReport(uint64_t item, uint64_t instance, uint64_t value) {
+  Message msg;
+  msg.type = MsgType::kCounterReport;
+  msg.site = 0;
+  msg.a = item;
+  msg.b = instance;
+  msg.c = value;
+  msg.paper_words = 1;
+  return msg;
+}
+
+TEST(ServiceSession, FrameBeyondExactDoublesClosesTheConnection) {
+  // The frequency replica keeps each item's estimate as an integer below
+  // 2^53 (frequency_aggregate.h). A frame that would break that bound is
+  // refused: the connection closes, the frame changes no estimate, and
+  // the coordinator keeps serving queries.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kFrequency;
+  options.num_sites = 4;
+  options.total_arrivals = 100;
+  const uint64_t two53 = uint64_t{1} << 53;
+  const uint64_t item = 5;
+  Message coarse;
+  coarse.type = MsgType::kCoarseReport;
+  coarse.site = 0;
+  coarse.a = uint64_t{1} << 62;  // n̄ whose 1/p exceeds 2^52
+  coarse.paper_words = 1;
+  struct Case {
+    const char* what;
+    std::vector<Message> frames;
+    double estimate;  // of `item` after the refusal
+  };
+  const std::vector<Case> cases = {
+      {"counter value 2^53", {CounterReport(item, 1, two53)}, 0.0},
+      {"item total reaching 2^53",
+       {CounterReport(item, 1, two53 / 2), CounterReport(item, 2, two53 / 2)},
+       static_cast<double>(two53 / 2)},
+      {"1/p beyond 2^52", {coarse}, 0.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    Coordinator coordinator(options);
+    EXPECT_TRUE(ClosesAfter(&coordinator, options, c.frames))
+        << "coordinator kept a connection whose frame breaks the bound";
+    EXPECT_FALSE(StatsVector(coordinator).empty());
+    Message point = Ask(coordinator, kQueryPoint, item);
+    ASSERT_EQ(point.values.size(), 1u);
+    EXPECT_EQ(point.values[0], Bits(c.estimate));
+    Message count = Ask(coordinator, kQueryCount);
+    ASSERT_EQ(count.values.size(), 3u);
+    EXPECT_EQ(count.values[2], 0u) << "a refused coarse report opened a round";
+  }
 }
 
 }  // namespace
