@@ -1,6 +1,6 @@
 // Throughput baseline for the three randomized trackers: elements/sec over
 // uniform and skewed workloads at k in {8, 64}, plus an in-binary A/B of
-// the geometric-skip fast path against the historical per-arrival
+// the production batch path against the paper-literal per-arrival
 // Bernoulli path on the count tracker (n = 1e7, eps = 0.01).
 //
 // Writes BENCH_throughput.json (machine-readable trajectory for later PRs)
@@ -16,10 +16,11 @@
 // The count A/B replays the identical site stream through both engines:
 //  * per_arrival — a faithful copy of the pre-fast-path ReplayImpl loop
 //    (one virtual Arrive() per element, per-element checkpoint
-//    arithmetic) driving the tracker with use_skip_sampling=false, i.e.
-//    one Bernoulli RNG draw per arrival;
-//  * skip_batched — the library's ReplayCountSites (batch delivery between
-//    checkpoints into the skip-sampling event-countdown engine).
+//    arithmetic) driving the tracker's reference oracle,
+//    use_skip_sampling=false, i.e. one Bernoulli RNG draw per arrival;
+//  * grouped_batched — the library's ReplayCountSites (batch delivery
+//    between checkpoints into the production engine: skip sampling,
+//    site-grouped chunks, countdown fallback).
 // Both produce the same checkpoint schedule and ±eps-accurate estimates,
 // so the ratio isolates the delivery + sampling engine.
 //
@@ -44,7 +45,9 @@
 #include "bench/bench_util.h"
 #include "disttrack/common/simd.h"
 #include "disttrack/core/tracking.h"
+#include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
+#include "disttrack/rank/randomized_rank.h"
 #include "disttrack/sim/cluster.h"
 #include "disttrack/sim/online.h"
 #include "disttrack/sim/parallel_cluster.h"
@@ -56,7 +59,7 @@ using namespace disttrack;
 
 struct BenchEntry {
   std::string problem;   // count | frequency | rank
-  std::string path;      // skip_batched | per_arrival
+  std::string path;      // grouped_batched | skip_batched | per_arrival | ...
   std::string workload;  // uniform | zipf | skewed_sites
   int k = 0;
   uint64_t n = 0;
@@ -153,30 +156,27 @@ BenchEntry TimeConfig(const std::string& problem, const std::string& path,
   return e;
 }
 
-core::TrackerOptions Options(int k, double eps, bool skip,
-                             bool shared_ladder = true,
-                             bool site_grouping = true) {
+constexpr uint64_t kSeed = 20260728;
+
+// The production path of every tracker.
+core::TrackerOptions Options(int k, double eps) {
   core::TrackerOptions opt;
   opt.num_sites = k;
   opt.epsilon = eps;
-  opt.seed = 20260728;
-  opt.use_skip_sampling = skip;
-  opt.use_shared_ladder = shared_ladder;
-  opt.use_site_grouping = site_grouping;
+  opt.seed = kSeed;
   return opt;
 }
 
-// The frequency tracker's grouped engine is opt-in through its own
-// options (core::TrackerOptions leaves it off; see tracking.h), so the
-// grouped_batched frequency row constructs the tracker directly.
-std::unique_ptr<sim::FrequencyTrackerInterface> MakeFrequencyGrouped(
-    int k, double eps) {
-  frequency::RandomizedFrequencyOptions o;
+// The per_arrival rows run each tracker's paper-literal per-arrival coin
+// oracle, which only the per-tracker options expose.
+template <typename Tracker, typename TrackerOptions>
+std::unique_ptr<Tracker> MakePerArrival(int k, double eps) {
+  TrackerOptions o;
   o.num_sites = k;
   o.epsilon = eps;
-  o.seed = 20260728;
-  o.use_site_grouping = true;
-  return std::make_unique<frequency::RandomizedFrequencyTracker>(o);
+  o.seed = kSeed;
+  o.use_skip_sampling = false;
+  return std::make_unique<Tracker>(o);
 }
 
 std::unique_ptr<sim::CountTrackerInterface> MakeCount(
@@ -222,9 +222,7 @@ void PrintEntry(const BenchEntry& e) {
 
 void WriteJson(const std::vector<BenchEntry>& entries,
                const std::vector<std::pair<int, double>>& count_speedups,
-               const std::vector<std::pair<int, double>>& rank_speedups,
-               double eps, uint64_t n_count, uint64_t n_rank,
-               const char* json_path) {
+               double eps, uint64_t n_count, const char* json_path) {
   std::FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", json_path);
@@ -249,21 +247,11 @@ void WriteJson(const std::vector<BenchEntry>& entries,
   for (size_t i = 0; i < count_speedups.size(); ++i) {
     std::fprintf(f,
                  "    {\"k\": %d, \"n\": %llu, \"eps\": %g, "
-                 "\"speedup_skip_batched_vs_per_arrival\": %.2f}%s\n",
+                 "\"speedup_grouped_batched_vs_per_arrival\": %.2f}%s\n",
                  count_speedups[i].first,
                  static_cast<unsigned long long>(n_count), eps,
                  count_speedups[i].second,
                  i + 1 < count_speedups.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"rank_ab\": [\n");
-  for (size_t i = 0; i < rank_speedups.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"k\": %d, \"n\": %llu, \"eps\": %g, "
-                 "\"speedup_shared_ladder_vs_staged\": %.2f}%s\n",
-                 rank_speedups[i].first,
-                 static_cast<unsigned long long>(n_rank), eps,
-                 rank_speedups[i].second,
-                 i + 1 < rank_speedups.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -478,25 +466,6 @@ int CheckAgainstBaseline(const std::vector<BenchEntry>& entries,
       std::fprintf(f, "\n%d row(s) compared, %d regression(s), %d missing "
                    "baseline row(s).\n",
                    compared, failures, missing);
-      // Grouped-vs-countdown A/B of this very run, per configuration.
-      std::fprintf(f,
-                   "\n### grouped_batched vs skip_batched (this run)\n\n"
-                   "| problem | workload | k | grouped | skip | ratio |\n"
-                   "|---|---|---|---|---|---|\n");
-      for (const BenchEntry& g : entries) {
-        if (g.path != "grouped_batched") continue;
-        for (const BenchEntry& b : entries) {
-          if (b.path == "skip_batched" && b.problem == g.problem &&
-              b.workload == g.workload && b.k == g.k && b.n == g.n) {
-            std::fprintf(f, "| %s | %s | %d | %.0f | %.0f | %.2fx |\n",
-                         g.problem.c_str(), g.workload.c_str(), g.k,
-                         g.elements_per_sec, b.elements_per_sec,
-                         b.elements_per_sec > 0
-                             ? g.elements_per_sec / b.elements_per_sec
-                             : 0.0);
-          }
-        }
-      }
       // Scalar-vs-SIMD A/B of this very run: each simd_batched row
       // against the force-scalar row of the same configuration
       // (frequency pairs with skip_batched, rank with grouped_batched —
@@ -556,7 +525,6 @@ int main(int argc, char** argv) {
 
   std::vector<BenchEntry> entries;
   std::vector<std::pair<int, double>> count_speedups;
-  std::vector<std::pair<int, double>> rank_speedups;
 
   for (int k : {8, 64}) {
     // ---- count: uniform-random and skewed site schedules, full A/B.
@@ -567,19 +535,15 @@ int main(int argc, char** argv) {
           std::pair(stream::SiteSchedule::kSkewedGeometric, "skewed_sites")}) {
       sim::SiteStream sites = stream::MakeCountSites(k, n_count, sched, 7);
       double per_arrival_secs = 0;
-      struct CountPath {
-        const char* name;
-        bool skip;
-        bool grouped;
-      };
-      for (const CountPath& path :
-           {CountPath{"per_arrival", false, false},
-            CountPath{"skip_batched", true, false},
-            CountPath{"grouped_batched", true, true}}) {
-        bool skip = path.skip;
+      for (bool skip : {false, true}) {
         BenchEntry e = TimeConfig(
-            "count", path.name, sched_name, k, n_count, eps, reps,
-            [&] { return MakeCount(Options(k, eps, skip, true, path.grouped)); },
+            "count", skip ? "grouped_batched" : "per_arrival", sched_name, k,
+            n_count, eps, reps,
+            [&]() -> std::unique_ptr<sim::CountTrackerInterface> {
+              if (skip) return MakeCount(Options(k, eps));
+              return MakePerArrival<count::RandomizedCountTracker,
+                                    count::RandomizedCountOptions>(k, eps);
+            },
             [&](sim::CountTrackerInterface* t) {
               double t0 = Now();
               auto checkpoints =
@@ -596,21 +560,20 @@ int main(int argc, char** argv) {
         PrintEntry(e);
         if (!skip) {
           per_arrival_secs = e.seconds;
-        } else if (std::strcmp(path.name, "skip_batched") == 0 &&
-                   std::strcmp(sched_name, "uniform") == 0) {
+        } else if (std::strcmp(sched_name, "uniform") == 0) {
           count_speedups.emplace_back(k, per_arrival_secs / e.seconds);
         }
         entries.push_back(e);
       }
       // Parallel replay rows: same site stream, same checkpoint schedule
-      // as skip_batched, through sim::ParallelCluster — an online session
+      // as grouped_batched, through sim::ParallelCluster — an online session
       // fed the stream in 64Ki pushes cut at every checkpoint.
       for (int threads : {1, 4}) {
         sim::ParallelCluster cluster(threads);
         BenchEntry e = TimeConfig(
             "count", "cluster_t" + std::to_string(threads), sched_name, k,
             n_count, eps, reps,
-            [&] { return MakeCount(Options(k, eps, true)); },
+            [&] { return MakeCount(Options(k, eps)); },
             [&](sim::CountTrackerInterface* t) {
               double t0 = Now();
               auto checkpoints = cluster.ReplayCountSites(t, sites, 1.5);
@@ -636,7 +599,7 @@ int main(int argc, char** argv) {
         BenchEntry e = TimeConfig(
             "count", "online_t" + std::to_string(threads), sched_name, k,
             n_count, eps, reps,
-            [&] { return MakeCount(Options(k, eps, true)); },
+            [&] { return MakeCount(Options(k, eps)); },
             [&](sim::CountTrackerInterface* t) {
               double t0 = Now();
               sim::OnlineCountSession session(&cluster, t);
@@ -668,25 +631,27 @@ int main(int argc, char** argv) {
       struct FreqPath {
         const char* name;
         bool skip;
-        bool grouped;
         bool simd;
       };
+      // skip_batched is the production path; at this eps the counter
+      // tables stay cache-resident, so the gate keeps the countdown
+      // engine (see RandomizedFrequencyTracker::grouped_delivery_enabled).
       // simd_batched is the skip_batched configuration re-run under
       // kAuto dispatch (AVX2 ctrl-group probes in the counter table):
       // identical stream, identical estimates, only the kernels differ.
-      for (const FreqPath& path :
-           {FreqPath{"per_arrival", false, false, false},
-            FreqPath{"skip_batched", true, false, false},
-            FreqPath{"grouped_batched", true, true, false},
-            FreqPath{"simd_batched", true, false, true}}) {
+      for (const FreqPath& path : {FreqPath{"per_arrival", false, false},
+                                   FreqPath{"skip_batched", true, false},
+                                   FreqPath{"simd_batched", true, true}}) {
         bool skip = path.skip;
         simd::SetDispatchMode(path.simd ? simd::DispatchMode::kAuto
                                         : simd::DispatchMode::kForceScalar);
         BenchEntry e = TimeConfig(
             "frequency", path.name, dist_name, k, n_freq, eps, reps,
             [&]() -> std::unique_ptr<sim::FrequencyTrackerInterface> {
-              if (path.grouped) return MakeFrequencyGrouped(k, eps);
-              return MakeFrequency(Options(k, eps, skip));
+              if (skip) return MakeFrequency(Options(k, eps));
+              return MakePerArrival<frequency::RandomizedFrequencyTracker,
+                                    frequency::RandomizedFrequencyOptions>(
+                  k, eps);
             },
             [&](sim::FrequencyTrackerInterface* t) {
               double secs = DeliverTimed(
@@ -714,7 +679,7 @@ int main(int argc, char** argv) {
         BenchEntry e = TimeConfig(
             "frequency", "cluster_t" + std::to_string(threads), dist_name, k,
             n_freq, eps, reps,
-            [&] { return MakeFrequency(Options(k, eps, true)); },
+            [&] { return MakeFrequency(Options(k, eps)); },
             [&](sim::FrequencyTrackerInterface* t) {
               double t0 = Now();
               auto checkpoints = cluster.ReplayFrequency(t, w, 0, 1e9);
@@ -740,7 +705,7 @@ int main(int argc, char** argv) {
         BenchEntry e = TimeConfig(
             "frequency", "online_t" + std::to_string(threads), dist_name, k,
             n_freq, eps, reps,
-            [&] { return MakeFrequency(Options(k, eps, true)); },
+            [&] { return MakeFrequency(Options(k, eps)); },
             [&](sim::FrequencyTrackerInterface* t) {
               double t0 = Now();
               sim::OnlineKeyedSession session(&cluster, t);
@@ -764,10 +729,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    // ---- rank: uniform values and Zipf(1.1)-skewed values. Three paths:
-    // per_arrival (historical per-element coins + feed), staged_batched
-    // (PR 2's per-level run staging, use_shared_ladder=false), and
-    // skip_batched (the default shared run-merge ladder).
+    // ---- rank: uniform values and Zipf(1.1)-skewed values. per_arrival
+    // runs the per-arrival tail-coin oracle, grouped_batched the
+    // production path.
     for (auto [use_zipf, dist_name] :
          {std::pair(false, "uniform"), std::pair(true, "zipf")}) {
       sim::Workload w =
@@ -782,28 +746,23 @@ int main(int argc, char** argv) {
       struct RankPath {
         const char* name;
         bool skip;
-        bool shared_ladder;
-        bool grouped;
         bool simd;
       };
-      double staged_secs = 0;
       // simd_batched is the grouped_batched configuration re-run under
       // kAuto dispatch (register sorts, bitonic gap-merges, merge-path
       // wire export, leaf-arena flush): identical stream, bit-identical
       // estimates, only the kernels differ.
-      for (const RankPath& path :
-           {RankPath{"per_arrival", false, true, false, false},
-            RankPath{"staged_batched", true, false, false, false},
-            RankPath{"skip_batched", true, true, false, false},
-            RankPath{"grouped_batched", true, true, true, false},
-            RankPath{"simd_batched", true, true, true, true}}) {
+      for (const RankPath& path : {RankPath{"per_arrival", false, false},
+                                   RankPath{"grouped_batched", true, false},
+                                   RankPath{"simd_batched", true, true}}) {
         simd::SetDispatchMode(path.simd ? simd::DispatchMode::kAuto
                                         : simd::DispatchMode::kForceScalar);
         BenchEntry e = TimeConfig(
             "rank", path.name, dist_name, k, n_rank, eps, reps,
-            [&] {
-              return MakeRank(Options(k, eps, path.skip, path.shared_ladder,
-                                      path.grouped));
+            [&]() -> std::unique_ptr<sim::RankTrackerInterface> {
+              if (path.skip) return MakeRank(Options(k, eps));
+              return MakePerArrival<rank::RandomizedRankTracker,
+                                    rank::RandomizedRankOptions>(k, eps);
             },
             [&](sim::RankTrackerInterface* t) {
               double secs = DeliverTimed(
@@ -820,12 +779,6 @@ int main(int argc, char** argv) {
             });
         e.simd = path.simd && simd::Avx2Active() ? 1 : 0;
         PrintEntry(e);
-        if (std::strcmp(path.name, "staged_batched") == 0) {
-          staged_secs = e.seconds;
-        } else if (std::strcmp(path.name, "skip_batched") == 0 &&
-                   std::strcmp(dist_name, "uniform") == 0) {
-          rank_speedups.emplace_back(k, staged_secs / e.seconds);
-        }
         entries.push_back(e);
       }
       simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
@@ -837,7 +790,7 @@ int main(int argc, char** argv) {
         BenchEntry e = TimeConfig(
             "rank", "cluster_t" + std::to_string(threads), dist_name, k,
             n_rank, eps, reps,
-            [&] { return MakeRank(Options(k, eps, true)); },
+            [&] { return MakeRank(Options(k, eps)); },
             [&](sim::RankTrackerInterface* t) {
               double t0 = Now();
               auto checkpoints = cluster.ReplayRank(t, w, query, 1e9);
@@ -861,7 +814,7 @@ int main(int argc, char** argv) {
         BenchEntry e = TimeConfig(
             "rank", "online_t" + std::to_string(threads), dist_name, k,
             n_rank, eps, reps,
-            [&] { return MakeRank(Options(k, eps, true)); },
+            [&] { return MakeRank(Options(k, eps)); },
             [&](sim::RankTrackerInterface* t) {
               double t0 = Now();
               sim::OnlineKeyedSession session(&cluster, t);
@@ -889,9 +842,8 @@ int main(int argc, char** argv) {
   // ---- frequency, table-bound regime: at eps = 5e-4, k = 32 the
   // sticky-counter working set (~ c/(eps sqrt(k)) entries per site, 32
   // bytes each across k sites ~ 1.4 MB) outgrows the 1 MiB cache bound,
-  // so the eps-aware auto gate turns grouped delivery ON — the regime
-  // where site-contiguous spans pay for the permutation. The pair of
-  // rows records both engines so the gate's decision is auditable.
+  // so the tracker's gate turns grouped delivery ON — the regime where
+  // site-contiguous spans pay for the permutation.
   {
     const int k_tb = 32;
     const double eps_tb = 5e-4;
@@ -899,58 +851,47 @@ int main(int argc, char** argv) {
         k_tb, n_freq, stream::SiteSchedule::kUniformRandom, 1 << 20, 0.0,
         17);
     uint64_t truth = stream::ExactFrequency(w, 0);
-    for (bool grouped : {false, true}) {
-      BenchEntry e = TimeConfig(
-          "frequency", grouped ? "grouped_batched" : "skip_batched",
-          "table_bound", k_tb, n_freq, eps_tb, reps,
-          [&]() -> std::unique_ptr<sim::FrequencyTrackerInterface> {
-            frequency::RandomizedFrequencyOptions o;
-            o.num_sites = k_tb;
-            o.epsilon = eps_tb;
-            o.seed = 20260728;
-            o.auto_site_grouping = grouped;
-            auto t =
-                std::make_unique<frequency::RandomizedFrequencyTracker>(o);
-            if (t->grouped_delivery_enabled() != grouped) {
-              std::fprintf(stderr,
-                           "table_bound: auto gate decided %d, expected %d "
-                           "(eps=%g k=%d)\n",
-                           t->grouped_delivery_enabled() ? 1 : 0,
-                           grouped ? 1 : 0, eps_tb, k_tb);
-              std::exit(1);
-            }
-            return t;
-          },
-          [&](sim::FrequencyTrackerInterface* t) {
-            double secs = DeliverTimed(
-                t, w, true,
-                [](sim::FrequencyTrackerInterface* ft, const sim::Arrival& a) {
-                  ft->Arrive(a.site, a.key);
-                });
-            double rel = n_freq == 0
-                             ? 0.0
-                             : std::abs(t->EstimateFrequency(0) -
-                                        static_cast<double>(truth)) /
-                                   static_cast<double>(n_freq);
-            return std::pair<double, double>(secs, rel);
-          });
-      PrintEntry(e);
-      entries.push_back(e);
-    }
+    BenchEntry e = TimeConfig(
+        "frequency", "grouped_batched", "table_bound", k_tb, n_freq, eps_tb,
+        reps,
+        [&] {
+          frequency::RandomizedFrequencyOptions o;
+          o.num_sites = k_tb;
+          o.epsilon = eps_tb;
+          o.seed = kSeed;
+          auto t = std::make_unique<frequency::RandomizedFrequencyTracker>(o);
+          if (!t->grouped_delivery_enabled()) {
+            std::fprintf(stderr,
+                         "table_bound: the gate chose the countdown engine "
+                         "(eps=%g k=%d)\n",
+                         eps_tb, k_tb);
+            std::exit(1);
+          }
+          return t;
+        },
+        [&](sim::FrequencyTrackerInterface* t) {
+          double secs = DeliverTimed(
+              t, w, true,
+              [](sim::FrequencyTrackerInterface* ft, const sim::Arrival& a) {
+                ft->Arrive(a.site, a.key);
+              });
+          double rel = n_freq == 0
+                           ? 0.0
+                           : std::abs(t->EstimateFrequency(0) -
+                                      static_cast<double>(truth)) /
+                                 static_cast<double>(n_freq);
+          return std::pair<double, double>(secs, rel);
+        });
+    PrintEntry(e);
+    entries.push_back(e);
   }
 
-  WriteJson(entries, count_speedups, rank_speedups, eps, n_count, n_rank,
-            json_path);
+  WriteJson(entries, count_speedups, eps, n_count, json_path);
   for (auto [k, speedup] : count_speedups) {
-    std::printf("count A/B (uniform, k=%d, n=%llu): skip_batched is %.2fx "
-                "per_arrival %s\n",
+    std::printf("count A/B (uniform, k=%d, n=%llu): grouped_batched is "
+                "%.2fx per_arrival %s\n",
                 k, static_cast<unsigned long long>(n_count), speedup,
                 speedup >= 5.0 ? "[>=5x OK]" : "[below 5x target]");
-  }
-  for (auto [k, speedup] : rank_speedups) {
-    std::printf("rank A/B (uniform, k=%d, n=%llu): shared ladder is %.2fx "
-                "the per-level staged feed\n",
-                k, static_cast<unsigned long long>(n_rank), speedup);
   }
   std::printf("wrote %s\n", json_path);
   if (const char* baseline = StringFlagOr(argc, argv, "--check", nullptr)) {

@@ -27,7 +27,11 @@ enum class Algorithm {
 std::string AlgorithmName(Algorithm algorithm);
 
 /// Unified construction options. Fields irrelevant to a given algorithm
-/// are ignored (e.g., seed for deterministic trackers).
+/// are ignored (e.g., seed for deterministic trackers). Each randomized
+/// protocol runs one production path; the reference oracles the
+/// equivalence tests compare it against (paper-literal per-arrival coins,
+/// the exact per-element rank feed) are set on the per-tracker
+/// Randomized*Options structs, not here.
 struct TrackerOptions {
   int num_sites = 8;
   double epsilon = 0.01;
@@ -51,53 +55,6 @@ struct TrackerOptions {
   /// Ablations (DESIGN.md §5); only honored by the randomized protocols.
   bool naive_boundary_estimator = false;
   bool virtual_site_split = true;
-
-  /// When true (default) the randomized protocols realize their
-  /// per-arrival Bernoulli(p) coins with geometric skip sampling (see
-  /// common/skip_sampler.h) — identical in distribution, much cheaper per
-  /// arrival. False selects the historical one-RNG-draw-per-arrival path;
-  /// kept for A/B benchmarking (bench_throughput) and equivalence tests.
-  bool use_skip_sampling = true;
-
-  /// When true (default) the randomized frequency tracker stores each
-  /// site's sticky counter list in a flat open-addressing table
-  /// (frequency/counter_table.h); false keeps the historical
-  /// std::unordered_map store. Estimates are unaffected either way (the
-  /// store holds no randomness); kept for A/B benchmarking.
-  bool use_flat_counters = true;
-
-  /// When true (default) the randomized rank tracker feeds batched
-  /// arrivals to its compactor tree via CompactorSummary::InsertBatch —
-  /// equivalent in distribution (same mean-zero ±2^level martingale, see
-  /// summaries/compactor_summary.h), not bit-identical. False keeps the
-  /// per-element feed for A/B benchmarking and exact-equivalence tests.
-  bool use_batch_compaction = true;
-
-  /// When true (default) the randomized rank tracker consolidates each
-  /// site's sorted runs once in a shared run-merge ladder
-  /// (summaries/run_ladder.h) and every tree level pulls borrowed views
-  /// of the merged sequence, instead of staging and re-merging its own
-  /// copy at all h+1 levels. Bit-identical estimates, communication, and
-  /// rounds either way (pinned by tests/batch_equivalence_test.cc); kept
-  /// for A/B benchmarking.
-  bool use_shared_ladder = true;
-
-  /// When true (default) the randomized count and rank trackers' batch
-  /// delivery paths permute each chunk into site-contiguous spans
-  /// whenever the chunk provably contains no coarse broadcast (see
-  /// CoarseTracker::BatchCannotBroadcast) and feed whole per-site spans —
-  /// cache-resident per-site state, span-level event gaps. Per-site coin
-  /// streams and event positions are unchanged, so every estimate,
-  /// communication word, round, and split count is bit-identical to the
-  /// event-countdown engines (pinned by tests/batch_equivalence_test.cc);
-  /// chunks that may broadcast fall back to those engines. False keeps
-  /// the countdown engines everywhere (A/B benchmarking). For the
-  /// frequency tracker this flag arms the eps-aware AUTO gate instead of
-  /// forcing the engine: grouped delivery only wins once the sticky-
-  /// counter working set outgrows cache residency, which is a static
-  /// function of (ε, k, c), so the tracker decides at construction (see
-  /// frequency::RandomizedFrequencyOptions::auto_site_grouping).
-  bool use_site_grouping = true;
 
   Status Validate() const;
 };

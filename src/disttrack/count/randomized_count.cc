@@ -24,6 +24,14 @@ Status RandomizedCountOptions::Validate() const {
   return Status::OK();
 }
 
+uint64_t RandomizedCountOptions::InvP(uint64_t n_bar) const {
+  double scaled =
+      epsilon * static_cast<double>(n_bar) /
+      (confidence_factor * std::sqrt(static_cast<double>(num_sites)));
+  if (scaled <= 1.0) return 1;
+  return FloorPow2(scaled);
+}
+
 RandomizedCountTracker::RandomizedCountTracker(
     const RandomizedCountOptions& options)
     : options_(options),
@@ -46,15 +54,6 @@ RandomizedCountTracker::RandomizedCountTracker(
   countdown_.Resize(options_.num_sites);
 }
 
-uint64_t RandomizedCountTracker::InvPFor(uint64_t n_bar) const {
-  // p = 1 while εn̄ <= c√k; afterwards 1/p = ⌊εn̄/(c√k)⌋₂ (§2.1).
-  double scaled = options_.epsilon * static_cast<double>(n_bar) /
-                  (options_.confidence_factor *
-                   std::sqrt(static_cast<double>(options_.num_sites)));
-  if (scaled <= 1.0) return 1;
-  return FloorPow2(scaled);
-}
-
 double RandomizedCountTracker::p() const {
   return 1.0 / static_cast<double>(inv_p_);
 }
@@ -70,7 +69,7 @@ void RandomizedCountTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
                  "— the broadcast-safety bound is wrong\n");
     std::abort();
   }
-  uint64_t new_inv_p = InvPFor(n_bar);
+  uint64_t new_inv_p = options_.InvP(n_bar);
   bool halved = inv_p_ < new_inv_p;
   while (inv_p_ < new_inv_p) {
     inv_p_ *= 2;
@@ -224,7 +223,7 @@ void RandomizedCountTracker::ReplayCrashArrive(int site,
 }
 
 void RandomizedCountTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
-  uint64_t new_inv_p = InvPFor(n_bar);
+  uint64_t new_inv_p = options_.InvP(n_bar);
   bool halved = inv_p_ < new_inv_p;
   SiteState& s = sites_[static_cast<size_t>(site)];
   while (inv_p_ < new_inv_p) {
@@ -392,7 +391,7 @@ void RandomizedCountTracker::ArriveBatch(const sim::Arrival* arrivals,
   }
   // n_ is advanced up front; nothing inside the batch reads it.
   n_ += count;
-  if (!options_.use_site_grouping) {
+  if (!grouped_enabled_) {
     CountdownBatch(arrivals, count);
     return;
   }
@@ -428,7 +427,7 @@ void RandomizedCountTracker::ArriveSites(const uint16_t* sites,
     return;
   }
   n_ += count;
-  if (!options_.use_site_grouping) {
+  if (!grouped_enabled_) {
     CountdownSites(sites, count);
     return;
   }

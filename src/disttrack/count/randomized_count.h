@@ -24,8 +24,11 @@
 // geometric SkipSampler (skip_sampler.h), so an arrival between successes
 // costs one counter decrement instead of an RNG draw + double compare;
 // every p-halving redraws the outstanding skips (exact by independence of
-// unconsumed coins). The per-arrival coin path survives behind
-// `use_skip_sampling = false` for A/B measurement.
+// unconsumed coins). Batched delivery groups every chunk that provably
+// contains no coarse broadcast into per-site spans and runs the rest on
+// the event-countdown engine; both are bit-identical to per-element
+// Arrive(). The paper-literal per-arrival coin path stays reachable as a
+// reference oracle (`use_skip_sampling = false`).
 
 #ifndef DISTTRACK_COUNT_RANDOMIZED_COUNT_H_
 #define DISTTRACK_COUNT_RANDOMIZED_COUNT_H_
@@ -43,6 +46,10 @@
 #include "disttrack/sim/protocol.h"
 
 namespace disttrack {
+namespace testing_util {
+struct DeliveryPeer;
+}  // namespace testing_util
+
 namespace count {
 
 /// Options for RandomizedCountTracker.
@@ -63,24 +70,21 @@ struct RandomizedCountOptions {
   /// Θ(εn/√k)-per-site bias the paper warns about after Lemma 2.1.
   bool naive_boundary_estimator = false;
 
-  /// When true (default), per-arrival Bernoulli(p) coins are realized by a
-  /// geometric SkipSampler per site — identical in distribution (see
-  /// skip_sampler.h for the argument), ~an order of magnitude cheaper per
-  /// arrival. False selects the historical one-RNG-draw-per-arrival path
-  /// (kept for A/B benchmarking and equivalence tests).
+  /// Reference oracle, not a production path. True (default) realizes
+  /// the per-arrival Bernoulli(p) coins with a geometric SkipSampler per
+  /// site — identical in distribution (skip_sampler.h), an order of
+  /// magnitude cheaper per arrival. False runs the paper-literal
+  /// one-RNG-draw-per-arrival coins that stat_acceptance_test,
+  /// skip_equivalence_test and bench_throughput's per_arrival rows
+  /// compare against.
   bool use_skip_sampling = true;
 
-  /// When true (default), the batch paths histogram each chunk by site
-  /// and, whenever the chunk provably contains no coarse broadcast
-  /// (CoarseTracker::BatchCannotBroadcast), advance every site by its
-  /// whole per-chunk arrival count in one event-driven run — O(k +
-  /// events) per chunk instead of a countdown decrement per element.
-  /// Bit-identical to the countdown engine (per-site coin streams and
-  /// event positions are site-local); unsafe chunks fall back to it.
-  /// False keeps the countdown engine everywhere (A/B benchmarking).
-  bool use_site_grouping = true;
-
   Status Validate() const;
+
+  /// 1/p of a round whose broadcast carried `n_bar`: ⌊εn̄/(c√k)⌋₂, or 1
+  /// while εn̄ <= c√k (§2.1). The tracker and its replica both evaluate
+  /// it here.
+  uint64_t InvP(uint64_t n_bar) const;
 };
 
 /// Randomized ε-approximate count tracking (Theorem 2.1).
@@ -153,8 +157,9 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   void ReplayCrashRitual(int site, uint64_t n_bar);
 
  private:
+  friend struct testing_util::DeliveryPeer;
+
   void OnBroadcast(uint64_t round, uint64_t n_bar);
-  uint64_t InvPFor(uint64_t n_bar) const;
   void ArriveOne(int site);
   void Report(int site);
   void EmitTap(sim::wire::MsgType type, int site, uint64_t a);
@@ -199,9 +204,8 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   void SyncEventless(int site, uint64_t consumed);
   void HandleEventArrival(int site);
   void ResyncAllMidBatch();
-  // Countdown-engine chunk bodies (the pre-grouping ArriveBatch /
-  // ArriveSites loops), used directly when use_site_grouping is off and
-  // as the fallback for chunks that may broadcast.
+  // Countdown-engine chunk bodies: the fallback for chunks that may
+  // broadcast.
   void CountdownBatch(const sim::Arrival* arrivals, size_t count);
   void CountdownSites(const uint16_t* sites, size_t count);
   // Advances `site` by its whole slice of a certified broadcast-free
@@ -245,6 +249,10 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   // abort guard (see OnBroadcast).
   SiteGrouper grouper_;
   bool grouped_chunk_active_ = false;
+  // Always true outside tests; testing_util::DeliveryPeer clears it to
+  // run every chunk on the countdown engine (the grouped ≡ countdown
+  // equivalence tests).
+  bool grouped_enabled_ = true;
 };
 
 }  // namespace count

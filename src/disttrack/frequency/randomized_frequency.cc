@@ -7,10 +7,19 @@
 #include <cstring>
 
 #include "disttrack/common/math_util.h"
-#include "disttrack/common/ordered_drain.h"
 
 namespace disttrack {
 namespace frequency {
+namespace {
+
+// Cache-residency bound of the grouped-delivery gate (see
+// RandomizedFrequencyTracker::grouped_delivery_enabled()): the projected
+// aggregate counter working set, in bytes, above which grouped delivery
+// wins. An L2's worth: the working set must miss per probe before the
+// scatter pass pays for itself.
+constexpr size_t kGroupedCacheBoundBytes = size_t{1} << 20;
+
+}  // namespace
 
 Status RandomizedFrequencyOptions::Validate() const {
   if (num_sites < 1) {
@@ -55,36 +64,19 @@ RandomizedFrequencyTracker::RandomizedFrequencyTracker(
     OnBroadcast(round, n_bar);
   });
   countdown_.Resize(options_.num_sites);
-  // Resolve the grouped-delivery decision (see the options): forced on,
-  // or auto-selected when the projected aggregate counter working set —
-  // k sites × ~c/(ε√k) live entries × one 16-byte slot at ~0.5 load —
-  // cannot stay cache-resident under interleaved delivery. The grouped
-  // engine needs the skip + flat-counter fast paths either way.
-  grouped_enabled_ = options_.use_site_grouping;
-  if (!grouped_enabled_ && options_.auto_site_grouping &&
-      options_.use_skip_sampling && options_.use_flat_counters) {
-    double per_site_entries =
-        options_.confidence_factor /
-        (options_.epsilon * std::sqrt(static_cast<double>(options_.num_sites)));
-    double aggregate_bytes =
-        static_cast<double>(options_.num_sites) * per_site_entries * 32.0;
-    grouped_enabled_ =
-        aggregate_bytes >
-        static_cast<double>(options_.grouped_cache_bound_bytes);
-  }
-}
-
-size_t RandomizedFrequencyTracker::CounterCount(const SiteState& s) const {
-  return options_.use_flat_counters ? s.counters.size()
-                                    : s.legacy_counters.size();
-}
-
-void RandomizedFrequencyTracker::ClearCounters(SiteState* s) {
-  if (options_.use_flat_counters) {
-    s->counters.Clear();
-  } else {
-    s->legacy_counters.clear();
-  }
+  // The grouped-delivery gate (see grouped_delivery_enabled()): group
+  // when the projected aggregate counter working set — k sites ×
+  // ~c/(ε√k) live entries × one 16-byte slot at ~0.5 load — cannot stay
+  // cache-resident under interleaved delivery. The per-arrival coin
+  // oracle has no batch engine to group.
+  double per_site_entries =
+      options_.confidence_factor /
+      (options_.epsilon * std::sqrt(static_cast<double>(options_.num_sites)));
+  double aggregate_bytes =
+      static_cast<double>(options_.num_sites) * per_site_entries * 32.0;
+  grouped_enabled_ =
+      options_.use_skip_sampling &&
+      aggregate_bytes > static_cast<double>(kGroupedCacheBoundBytes);
 }
 
 void RandomizedFrequencyTracker::OnBroadcast(uint64_t /*round*/,
@@ -112,7 +104,7 @@ void RandomizedFrequencyTracker::OnBroadcast(uint64_t /*round*/,
       1, n_bar / static_cast<uint64_t>(options_.num_sites));
   for (int i = 0; i < options_.num_sites; ++i) {
     SiteState& s = sites_[static_cast<size_t>(i)];
-    ClearCounters(&s);
+    s.counters.Clear();
     s.round_arrivals = 0;
     s.instance = NewInstanceId(i, &s);
     if (options_.use_skip_sampling) {
@@ -132,7 +124,7 @@ void RandomizedFrequencyTracker::UpdateSpace(int site) {
   // round arrival counter, 1/p copy, split threshold, and the two skip
   // countdowns. The flat table is charged at its live population — the
   // algorithm's state — not its physical capacity.
-  space_.Set(site, 2 * CounterCount(s) + 6);
+  space_.Set(site, 2 * s.counters.size() + 6);
 }
 
 // Serial and grouped-chunk coordinator port: every effect applies in
@@ -244,7 +236,7 @@ inline void RandomizedFrequencyTracker::ProcessArrivalImpl(int site,
   if (options_.virtual_site_split &&
       s.round_arrivals >= split_threshold_) {
     port.SplitNotify(site);
-    ClearCounters(&s);
+    s.counters.Clear();
     s.instance = NewInstanceId(site, &s);
     s.round_arrivals = 0;
     UpdateSpace(site);
@@ -268,30 +260,13 @@ inline void RandomizedFrequencyTracker::ProcessArrivalImpl(int site,
   // Counter-list channel. The probe is only needed to route a hit and to
   // increment an existing counter; misses on untracked items touch no
   // coordinator state.
-  uint64_t fresh_value = 0;
-  bool tracked;
-  if (options_.use_flat_counters) {
-    if (uint64_t* value = s.counters.Find(item)) {
-      tracked = true;
-      fresh_value = ++*value;
-    } else {
-      tracked = false;
-    }
-  } else {
-    auto it = s.legacy_counters.find(item);
-    tracked = it != s.legacy_counters.end();
-    if (tracked) fresh_value = ++it->second;
-  }
-  if (tracked) {
+  if (uint64_t* value = s.counters.Find(item)) {
+    uint64_t fresh_value = ++*value;
     if (counter_hit) {
       port.CounterReport(site, item, s.instance, fresh_value);
     }
   } else if (counter_hit) {
-    if (options_.use_flat_counters) {
-      s.counters.Insert(item, 1);
-    } else {
-      s.legacy_counters.emplace(item, 1);
-    }
+    s.counters.Insert(item, 1);
     // Setting cbar supersedes any sampled copies d of this instance: the
     // estimator reads d only while cbar == 0.
     port.CounterReport(site, item, s.instance, 1);
@@ -473,7 +448,6 @@ void RandomizedFrequencyTracker::HandleEventArrival(int site, uint64_t item) {
   RearmSite(site);
 }
 
-template <bool kFlat>
 void RandomizedFrequencyTracker::RunBatch(const sim::Arrival* arrivals,
                                           size_t count) {
   // Event-countdown engine: an eventless arrival costs one decrement plus
@@ -492,13 +466,7 @@ void RandomizedFrequencyTracker::RunBatch(const sim::Arrival* arrivals,
     } else {
       // Tracked items must count every arrival; only reports are coin-
       // gated, so the eventless path is probe + maybe-increment.
-      if constexpr (kFlat) {
-        sites_[static_cast<size_t>(site)].counters.IncrementIfTracked(item);
-      } else {
-        auto& store = sites_[static_cast<size_t>(site)].legacy_counters;
-        auto it = store.find(item);
-        if (it != store.end()) ++it->second;
-      }
+      sites_[static_cast<size_t>(site)].counters.IncrementIfTracked(item);
     }
   }
   ResyncAllMidBatch();
@@ -508,20 +476,16 @@ void RandomizedFrequencyTracker::RunBatch(const sim::Arrival* arrivals,
 void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
                                              size_t count) {
   if (!options_.use_skip_sampling) {
-    // The historical coin path draws per arrival; there is no countdown to
-    // run, so batch delivery degenerates to the scalar loop.
+    // The per-arrival coin oracle has no countdown to run, so batch
+    // delivery degenerates to the scalar loop.
     for (size_t i = 0; i < count; ++i) {
       sim::CheckSiteInRange(arrivals[i].site, options_.num_sites);
       ArriveOne(arrivals[i].site, arrivals[i].key);
     }
     return;
   }
-  if (!options_.use_flat_counters) {
-    RunBatch<false>(arrivals, count);
-    return;
-  }
   if (!grouped_enabled_) {
-    RunBatch<true>(arrivals, count);
+    RunBatch(arrivals, count);
     return;
   }
   // Site-grouped delivery: a chunk certified broadcast-free is permuted
@@ -543,7 +507,7 @@ void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
       grouped_chunk_active_ = false;
       FlushPending();
     } else {
-      RunBatch<true>(arrivals + pos, len);
+      RunBatch(arrivals + pos, len);
     }
     pos += len;
   }
@@ -596,19 +560,11 @@ void RandomizedFrequencyTracker::SerializeSiteState(
   // The sticky counter list. Physical table order is not meaningful;
   // restore rebuilds by Insert, which yields an observably identical
   // store regardless of layout.
-  if (options_.use_flat_counters) {
-    out->push_back(s.counters.size());
-    s.counters.ForEach([out](uint64_t key, uint64_t value) {
-      out->push_back(key);
-      out->push_back(value);
-    });
-  } else {
-    out->push_back(s.legacy_counters.size());
-    for (const auto& kv : common::SortedItems(s.legacy_counters)) {
-      out->push_back(kv.first);
-      out->push_back(kv.second);
-    }
-  }
+  out->push_back(s.counters.size());
+  s.counters.ForEach([out](uint64_t key, uint64_t value) {
+    out->push_back(key);
+    out->push_back(value);
+  });
 }
 
 void RandomizedFrequencyTracker::RestoreSiteState(
@@ -632,16 +588,12 @@ void RandomizedFrequencyTracker::RestoreSiteState(
   uint64_t rng_state[4];
   for (int j = 0; j < 4; ++j) rng_state[j] = blob[i++];
   s.rng.RestoreState(rng_state);
-  ClearCounters(&s);
+  s.counters.Clear();
   uint64_t counters = blob[i++];
   for (uint64_t j = 0; j < counters; ++j) {
     uint64_t key = blob[i++];
     uint64_t value = blob[i++];
-    if (options_.use_flat_counters) {
-      s.counters.Insert(key, value);
-    } else {
-      s.legacy_counters.emplace(key, value);
-    }
+    s.counters.Insert(key, value);
   }
   UpdateSpace(site);
 }
@@ -681,7 +633,7 @@ void RandomizedFrequencyTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
   split_threshold_ = std::max<uint64_t>(
       1, n_bar / static_cast<uint64_t>(options_.num_sites));
   SiteState& s = sites_[static_cast<size_t>(site)];
-  ClearCounters(&s);
+  s.counters.Clear();
   s.round_arrivals = 0;
   s.instance = NewInstanceId(site, &s);
   if (options_.use_skip_sampling) {

@@ -30,17 +30,19 @@
 // channel, coarse reports, virtual-site splits) an arrival costs one
 // countdown decrement plus the table probe, with the two skip channels,
 // the round-arrival counter, and the coarse tracker reconciled in bulk at
-// each event. Both fast paths keep their historical counterparts
-// reachable (`use_skip_sampling`, `use_flat_counters`) for A/B runs; the
-// batch engine consumes the RNG exactly as per-element Arrive() does, so
-// batch-vs-scalar is bit-identical (batch_equivalence_test).
+// each event. The batch engine consumes the RNG exactly as per-element
+// Arrive() does, so batch-vs-scalar is bit-identical
+// (batch_equivalence_test). Once the counter tables outgrow the cache,
+// chunks that provably contain no coarse broadcast are instead grouped
+// into per-site spans (see grouped_delivery_enabled()), also
+// bit-identical. The paper-literal per-arrival coins stay reachable as a
+// reference oracle (`use_skip_sampling = false`).
 
 #ifndef DISTTRACK_FREQUENCY_RANDOMIZED_FREQUENCY_H_
 #define DISTTRACK_FREQUENCY_RANDOMIZED_FREQUENCY_H_
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "disttrack/common/event_countdown.h"
@@ -54,6 +56,10 @@
 #include "disttrack/sim/protocol.h"
 
 namespace disttrack {
+namespace testing_util {
+struct DeliveryPeer;
+}  // namespace testing_util
+
 namespace frequency {
 
 /// Options for RandomizedFrequencyTracker.
@@ -73,56 +79,14 @@ struct RandomizedFrequencyOptions {
   /// O(p·n̄) = O(√k/ε) at a site receiving the whole stream).
   bool virtual_site_split = true;
 
-  /// When true (default), the two per-arrival Bernoulli(p) coins (counter
-  /// channel and sampling channel) are realized by two geometric
-  /// SkipSamplers per site — identical in distribution, redrawn on every
-  /// round broadcast — and ArriveBatch runs the event-countdown engine.
-  /// False selects the historical per-arrival coin path.
+  /// Reference oracle, not a production path. True (default) realizes
+  /// the two per-arrival Bernoulli(p) coins (counter channel and sampling
+  /// channel) with two geometric SkipSamplers per site — identical in
+  /// distribution, redrawn on every round broadcast — and batches run
+  /// the countdown or grouped engine. False runs the paper-literal
+  /// per-arrival coins that stat_acceptance_test, skip_equivalence_test
+  /// and bench_throughput's per_arrival rows compare against.
   bool use_skip_sampling = true;
-
-  /// When true (default), each site's sticky counter list is the flat
-  /// open-addressing CounterTable; false keeps the historical
-  /// std::unordered_map store for A/B runs. The store holds no
-  /// randomness, so the choice never changes estimates.
-  bool use_flat_counters = true;
-
-  /// When true (requires the two fast paths above), ArriveBatch permutes
-  /// each chunk into site-contiguous spans whenever the chunk provably
-  /// contains no coarse broadcast and walks each span against that
-  /// site's counter table in one batched pass (table invariants hoisted,
-  /// four-lane probe pipelining, key-run dedup); counter reports and
-  /// samples are applied after the spans. Estimator terms are exact
-  /// integers (frequency_aggregate.h), so cross-site order cannot change
-  /// an estimate: estimates, communication, rounds, and splits are
-  /// bit-identical to the event-countdown engine — which remains the
-  /// fallback for chunks that may broadcast.
-  ///
-  /// Default FALSE, unlike count and rank: on the reference container
-  /// the per-site tables the split threshold allows are small enough to
-  /// be cache-resident even interleaved, so the scatter pass buys no
-  /// probe locality and costs ~5-10% net (the grouped_batched bench rows
-  /// record the A/B). The engine is bit-identical and fully tested; true
-  /// forces it on regardless of table size (A/B runs).
-  bool use_site_grouping = false;
-
-  /// Eps-aware auto gate for the grouped engine (applies only when
-  /// use_site_grouping is false, i.e. not forced). The expected live
-  /// sticky-counter population per site per round is ~c/(ε√k) entries —
-  /// a pure function of (ε, k, c), since the split threshold n̄/k and
-  /// 1/p = ⌊εn̄/(c√k)⌋₂ both scale with n̄ — so whether the k interleaved
-  /// tables fit in cache is decidable at construction. When the
-  /// projected aggregate working set crosses kGroupedCacheBoundBytes the
-  /// grouped engine is selected automatically (that is exactly the
-  /// regime where the scatter pass buys probe locality; the bench's
-  /// table-bound frequency configuration records the win). False
-  /// disables the gate, keeping grouped delivery purely manual.
-  bool auto_site_grouping = true;
-
-  /// Cache-residency bound of the auto gate: aggregate projected counter
-  /// working set (bytes) above which grouped delivery wins. Default 1
-  /// MiB — an L2's worth; the working set must miss per probe before the
-  /// scatter pass pays for itself.
-  size_t grouped_cache_bound_bytes = size_t{1} << 20;
 
   Status Validate() const;
 
@@ -155,8 +119,7 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   /// so the coordinator's state evolves bit-identically to the serial
   /// execution without global-index bookkeeping.
   sim::KeyedShardIngest* shard_ingest() override {
-    return options_.use_skip_sampling && options_.use_flat_counters ? this
-                                                                    : nullptr;
+    return options_.use_skip_sampling ? this : nullptr;
   }
 
   /// Current sampling probability p.
@@ -167,9 +130,20 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   /// Number of virtual-site splits performed so far (diagnostics).
   uint64_t splits() const { return splits_; }
 
-  /// True when batch delivery runs the site-grouped engine — forced via
-  /// use_site_grouping or auto-selected by the eps-aware cache gate
-  /// (diagnostics/tests; resolved once at construction).
+  /// True when ArriveBatch runs the site-grouped engine: it permutes each
+  /// chunk that provably contains no coarse broadcast into site-contiguous
+  /// spans and walks each span against that site's counter table in one
+  /// batched pass (table invariants hoisted, four-lane probe pipelining,
+  /// key-run dedup); other chunks run on the event-countdown engine. Both
+  /// are bit-identical: estimator terms are exact integers
+  /// (frequency_aggregate.h), so cross-site order cannot change an
+  /// estimate. Grouping only pays once the counter working set misses in
+  /// cache, and that is decidable at construction: the live sticky-
+  /// counter population per site per round is ~c/(ε√k) entries (the
+  /// split threshold n̄/k and 1/p = ⌊εn̄/(c√k)⌋₂ both scale with n̄), so
+  /// the gate enables grouping when k of those tables project above a
+  /// 1 MiB bound. At the default c = 4 it is off at k = 64, ε = 0.01 and
+  /// on at k = 32, ε = 5e-4.
   bool grouped_delivery_enabled() const { return grouped_enabled_; }
 
   // --- Wire layer / crash recovery (sim/robust_cluster.h) ----------------
@@ -203,14 +177,15 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
     uint64_t instance = 0;      // current virtual-site id (globally unique)
     uint32_t instance_seq = 0;  // per-site sequence the id is minted from
     uint64_t round_arrivals = 0;
-    CounterTable counters;  // L_i (use_flat_counters, the default)
-    std::unordered_map<uint64_t, uint64_t> legacy_counters;  // A/B store
+    CounterTable counters;  // L_i
     // One skip channel per independent per-arrival coin: the counter
     // channel (create-or-re-report) and the sampling channel (d_ij).
     SkipSampler counter_skip;
     SkipSampler sample_skip;
     Rng rng{0};
   };
+
+  friend struct testing_util::DeliveryPeer;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
   void UpdateSpace(int site);
@@ -230,8 +205,6 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
     return (static_cast<uint64_t>(site) << 32) |
            static_cast<uint64_t>(s->instance_seq++);
   }
-  size_t CounterCount(const SiteState& s) const;
-  void ClearCounters(SiteState* s);
 
   // --- Shard ingest (sim::KeyedShardIngest) ------------------------------
   void ShardEpochBegin(uint64_t arrivals_in_epoch) override;
@@ -281,7 +254,6 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
 
   // Batched fast path on the shared EventCountdown engine; see
   // common/event_countdown.h for the reconciliation contract.
-  template <bool kFlat>
   void RunBatch(const sim::Arrival* arrivals, size_t count);
   // Arrivals at `site` until its next event (coin success on either
   // channel, coarse report, or virtual-site split) — the single source
@@ -324,8 +296,9 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   // abort guard (see OnBroadcast).
   SiteGrouper grouper_;
   bool grouped_chunk_active_ = false;
-  // Resolved grouped-delivery decision (forced || auto gate), fixed at
-  // construction.
+  // The gate's decision (see grouped_delivery_enabled()), fixed at
+  // construction; testing_util::DeliveryPeer overrides it to pin
+  // grouped ≡ countdown.
   bool grouped_enabled_ = false;
 };
 

@@ -26,6 +26,20 @@ Status RandomizedRankOptions::Validate() const {
   return Status::OK();
 }
 
+RoundParams RandomizedRankOptions::RoundParamsFor(uint64_t n_bar) const {
+  RoundParams r;
+  double root_k = std::sqrt(static_cast<double>(num_sites));
+  r.inv_p = std::max(1.0, epsilon * static_cast<double>(n_bar) /
+                              (confidence_factor * root_k));
+  r.chunk_size =
+      std::max<uint64_t>(1, n_bar / static_cast<uint64_t>(num_sites));
+  r.block_size = std::max<uint64_t>(1, static_cast<uint64_t>(r.inv_p));
+  r.block_size = std::min(r.block_size, r.chunk_size);
+  r.num_leaves = static_cast<uint32_t>(CeilDiv(r.chunk_size, r.block_size));
+  r.height = CeilLog2(r.num_leaves);
+  return r;
+}
+
 RandomizedRankTracker::RandomizedRankTracker(
     const RandomizedRankOptions& options)
     : options_(options),
@@ -48,20 +62,8 @@ RandomizedRankTracker::RandomizedRankTracker(
 }
 
 double RandomizedRankTracker::LevelEps(int level) const {
-  double hh = std::max(1, height_);
+  double hh = std::max(1, round_.height);
   return std::pow(2.0, -level) / std::sqrt(hh);
-}
-
-void RandomizedRankTracker::RecomputeRoundParams(uint64_t n_bar) {
-  double root_k = std::sqrt(static_cast<double>(options_.num_sites));
-  inv_p_ = std::max(1.0, options_.epsilon * static_cast<double>(n_bar) /
-                             (options_.confidence_factor * root_k));
-  chunk_size_ = std::max<uint64_t>(
-      1, n_bar / static_cast<uint64_t>(options_.num_sites));
-  block_size_ = std::max<uint64_t>(1, static_cast<uint64_t>(inv_p_));
-  block_size_ = std::min(block_size_, chunk_size_);
-  num_leaves_ = static_cast<uint32_t>(CeilDiv(chunk_size_, block_size_));
-  height_ = CeilLog2(num_leaves_);
 }
 
 std::unique_ptr<summaries::CompactorSummary> RandomizedRankTracker::
@@ -86,7 +88,7 @@ void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
   // Any armed leaf seed dies with the instance — exactly as a discarded
   // level-0 node (whose creation had consumed the same draw) would.
   s->leaf_seed_armed = false;
-  size_t levels = static_cast<size_t>(height_) + 1;
+  size_t levels = static_cast<size_t>(round_.height) + 1;
   if (s->pool.size() != levels) {
     // The round's tree shape changed, and with it LevelEps and every
     // summary capacity: pooled nodes are the wrong size, drop them.
@@ -105,12 +107,10 @@ void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
     s->nodes.clear();
   }
   s->nodes.resize(levels);
-  if (options_.use_shared_ladder) {
-    // Round and chunk boundaries discard in-flight tree state (completed
-    // leaves are covered by shipped summaries, the tail by its frozen
-    // samples); unpulled ladder data goes with it.
-    s->ladder.Reset(levels);
-  }
+  // Round and chunk boundaries discard in-flight tree state (completed
+  // leaves are covered by shipped summaries, the tail by its frozen
+  // samples); unpulled ladder data goes with it.
+  s->ladder.Reset(levels);
   if (crash_replay_ && detached_replay_) {
     // Detached site process: no journaled instances to walk and nothing
     // is ever stored into idata in replay mode, so one scratch instance
@@ -118,7 +118,7 @@ void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
     // O(1) instance memory).
     if (s->owned_instances.empty()) s->owned_instances.emplace_back();
     s->idata = &s->owned_instances.back();
-    s->idata->inv_p = inv_p_;
+    s->idata->inv_p = round_.inv_p;
   } else if (crash_replay_) {
     // The coordinator-side instance storage survived the crash: advance
     // the replay cursor through the instances the original execution
@@ -131,7 +131,7 @@ void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
       std::abort();
     }
     s->idata = &s->owned_instances[replay_cursor_];
-    if (s->idata->inv_p != inv_p_) {
+    if (s->idata->inv_p != round_.inv_p) {
       std::fprintf(stderr,
                    "RandomizedRankTracker: crash replay diverged — "
                    "instance %zu round p mismatch\n", replay_cursor_);
@@ -140,13 +140,13 @@ void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
   } else {
     s->owned_instances.emplace_back();
     s->idata = &s->owned_instances.back();
-    s->idata->inv_p = inv_p_;
+    s->idata->inv_p = round_.inv_p;
   }
   if (options_.use_skip_sampling) {
     // Rounds change p, which invalidates outstanding skips; chunk
     // boundaries don't, but a redraw is exact either way (independence of
     // unconsumed coins) and keeps the transition logic in one place.
-    s->tail_skip.Reset(1.0 / inv_p_, &s->rng);
+    s->tail_skip.Reset(1.0 / round_.inv_p, &s->rng);
   }
 }
 
@@ -168,7 +168,7 @@ void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
   // Completed leaves of the closing round are already covered by shipped
   // summaries, and the in-progress tails stay covered by their frozen
   // residual samples; sites just restart with fresh parameters.
-  RecomputeRoundParams(n_bar);
+  round_ = options_.RoundParamsFor(n_bar);
   for (int i = 0; i < options_.num_sites; ++i) {
     StartFreshInstance(&sites_[static_cast<size_t>(i)]);
     UpdateSpace(i);
@@ -270,8 +270,7 @@ void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
                                       uint32_t node_start,
                                       uint32_t end_leaf) {
   s->nodes_ready = false;
-  if (level == 0 && options_.use_shared_ladder &&
-      options_.use_batch_compaction) {
+  if (level == 0 && options_.use_batch_compaction) {
     // Node-less leaf flush: cascade the leaf window straight from the
     // borrowed ladder views into the wire buffer with the armed seed's
     // coins — no node ingest, no Reset, no pool churn. Identical stored
@@ -317,47 +316,24 @@ void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
   }
   auto& node = s->nodes[static_cast<size_t>(level)];
   if (node == nullptr) return;
-  if (options_.use_shared_ladder) {
-    // Drain the node's remaining ladder window and export in one fused
-    // step: a final sub-threshold window merges straight from the
-    // borrowed ladder storage into the wire buffer, never materializing
-    // in the node (which is pooled and Reset() right after). Same stored
-    // content and serialized words as pull-then-export, one to two full
-    // copies cheaper per flush.
-    size_t total =
-        s->ladder.Pull(static_cast<size_t>(level), &s->view_scratch);
-    if (node->m() == 0 && total == 0) {
-      s->pool[static_cast<size_t>(level)].push_back(std::move(node));
-      return;
-    }
-    StoredSummary stored = TakeStored(s);
-    stored.first_leaf = node_start;
-    stored.end_leaf = end_leaf;
-    uint64_t words = node->InsertViewsAndExport(
-        s->view_scratch.data(), s->view_scratch.size(), total,
-        &stored.values, &stored.segments);
-    Upload(site, words);
-    EmitSummaryFrame(site, stored, words);
-    if (crash_replay_) {
-      RecycleStored(s, std::move(stored));
-    } else {
-      s->idata->summaries.push_back(std::move(stored));
-    }
+  // Drain the node's remaining ladder window and export in one fused
+  // step: a final sub-threshold window merges straight from the borrowed
+  // ladder storage into the wire buffer, never materializing in the node
+  // (which is pooled and Reset() right after). Same stored content and
+  // serialized words as pull-then-export, one to two full copies cheaper
+  // per flush.
+  size_t total = s->ladder.Pull(static_cast<size_t>(level), &s->view_scratch);
+  if (node->m() == 0 && total == 0) {
     s->pool[static_cast<size_t>(level)].push_back(std::move(node));
     return;
   }
-  if (node->m() == 0) {
-    s->pool[static_cast<size_t>(level)].push_back(std::move(node));
-    return;
-  }
-  // Site -> coordinator: the serialized summary.
-  uint64_t words = node->SerializedWords();
-  Upload(site, words);
-
   StoredSummary stored = TakeStored(s);
   stored.first_leaf = node_start;
   stored.end_leaf = end_leaf;
-  node->ExportLevels(&stored.values, &stored.segments);
+  uint64_t words = node->InsertViewsAndExport(
+      s->view_scratch.data(), s->view_scratch.size(), total, &stored.values,
+      &stored.segments);
+  Upload(site, words);
   EmitSummaryFrame(site, stored, words);
   if (crash_replay_) {
     RecycleStored(s, std::move(stored));
@@ -373,15 +349,15 @@ void RandomizedRankTracker::UpdateSpace(int site) {
   for (const auto& node : s.nodes) {
     if (node != nullptr) words += node->SpaceWords();
   }
-  // The ladder buffers at most the largest level's pull window — the
-  // staging memory it removed from the h+1 nodes, charged once.
+  // The ladder buffers at most the largest level's pull window, charged
+  // once for all h+1 levels.
   words += s.ladder.SpaceWords();
   space_.Set(site, words);
 }
 
 void RandomizedRankTracker::EnsureNodes(SiteState* s) {
   if (s->nodes_ready) return;
-  for (int level = 0; level <= height_; ++level) {
+  for (int level = 0; level <= round_.height; ++level) {
     if (level == 0 && options_.use_batch_compaction) {
       // Node-less leaf flush: draw the seed at exactly the site-RNG
       // position node creation used to draw it; the direct leaf export
@@ -407,10 +383,10 @@ void RandomizedRankTracker::PumpLevels(SiteState* s, uint64_t appended) {
     s->pull_slack -= appended;
     return;
   }
-  // Exact feeds pull exactly when staging the same data would have
-  // tripped the level's compaction threshold, so both paths compact the
-  // identical multiset at the identical points and stay bit-identical
-  // (the singleton granularity makes the trigger exact).
+  // The exact feed pulls each level exactly when its fill reaches the
+  // compaction threshold (the singleton granularity makes the trigger
+  // exact), so every level compacts the same multiset at the same points
+  // as a per-element Insert into that level would.
   //
   // The batched feed instead defers every level to dyadic pull quanta,
   // min(2^level * b, top capacity): fewer, larger compactions — the same
@@ -431,20 +407,20 @@ void RandomizedRankTracker::PumpLevels(SiteState* s, uint64_t appended) {
   // direct export). Skipping it here also lifts pull_slack from <= one
   // leaf to the level-1 quantum, halving the scans.
   const int first_level = lazy ? 1 : 0;
-  if (first_level > height_) {
+  if (first_level > round_.height) {
     s->pull_slack = ~uint64_t{0};
     return;
   }
   const uint64_t top_capacity =
-      s->nodes[static_cast<size_t>(height_)]->buffer_capacity();
+      s->nodes[static_cast<size_t>(round_.height)]->buffer_capacity();
   uint64_t slack = ~uint64_t{0};
-  for (int level = first_level; level <= height_; ++level) {
+  for (int level = first_level; level <= round_.height; ++level) {
     uint64_t pending = s->ladder.pending(static_cast<size_t>(level));
     auto& node = s->nodes[static_cast<size_t>(level)];
     uint64_t capacity = node->buffer_capacity();
     uint64_t quantum = 1;
     if (lazy) {
-      quantum = level < 40 ? block_size_ << level : top_capacity;
+      quantum = level < 40 ? round_.block_size << level : top_capacity;
       quantum = std::min(quantum, top_capacity);
     }
     uint64_t owned = node->level0_size();
@@ -469,7 +445,7 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
   CoarseArriveOne(site);
   SiteState& s = sites_[static_cast<size_t>(site)];
 
-  if (chunk_size_ == 1) {
+  if (round_.chunk_size == 1) {
     // Degenerate early-round geometry (n̄ < ~2k): one leaf, one node, one
     // element per instance. The tree would build the identical
     // single-item summary at far higher cost; ship it directly. The
@@ -477,7 +453,7 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
     // always fires and its sample is immediately covered by the shipped
     // summary — exactly what the node path's leaf-completion prune does).
     bool fwd = options_.use_skip_sampling ? s.tail_skip.Next(&s.rng)
-                                          : s.rng.Bernoulli(1.0 / inv_p_);
+                                          : s.rng.Bernoulli(1.0 / round_.inv_p);
     if (fwd) {
       Upload(site, 2);
       EmitResidualFrame(site, 0, value);
@@ -498,31 +474,23 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
     return;
   }
 
-  // Feed the active node at every level of algorithm C's tree.
-  if (options_.use_shared_ladder) {
-    // One append serves all levels: the value lands in the ladder as a
-    // one-element straggler run and each level pulls it when its own
-    // compaction threshold comes due.
-    EnsureNodes(&s);
-    s.ladder.AppendValue(value);
-    PumpLevels(&s, 1);
-    s.ladder.Consolidate();
-  } else {
-    for (int level = 0; level <= height_; ++level) {
-      auto& node = s.nodes[static_cast<size_t>(level)];
-      if (node == nullptr) node = AcquireNode(&s, level);
-      node->Insert(value);
-    }
-  }
+  // Feed the active node at every level of algorithm C's tree. One
+  // append serves all levels: the value lands in the ladder as a
+  // one-element straggler run and each level pulls it when its own
+  // compaction threshold comes due.
+  EnsureNodes(&s);
+  s.ladder.AppendValue(value);
+  PumpLevels(&s, 1);
+  s.ladder.Consolidate();
 
-  bool completes_leaf = s.arrivals_in_leaf + 1 >= block_size_ ||
-                        s.arrivals_in_chunk + 1 >= chunk_size_;
+  bool completes_leaf = s.arrivals_in_leaf + 1 >= round_.block_size ||
+                        s.arrivals_in_chunk + 1 >= round_.chunk_size;
 
   // In-progress tail channel: forward with probability p, tagged with the
   // leaf index.
   bool forward = options_.use_skip_sampling
                      ? s.tail_skip.Next(&s.rng)
-                     : s.rng.Bernoulli(1.0 / inv_p_);
+                     : s.rng.Bernoulli(1.0 / round_.inv_p);
   if (forward) {
     Upload(site, 2);
     EmitResidualFrame(site, s.current_leaf, value);
@@ -538,8 +506,8 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
 
   ++s.arrivals_in_leaf;
   ++s.arrivals_in_chunk;
-  bool chunk_done = s.arrivals_in_chunk >= chunk_size_;
-  bool leaf_done = s.arrivals_in_leaf >= block_size_ || chunk_done;
+  bool chunk_done = s.arrivals_in_chunk >= round_.chunk_size;
+  bool leaf_done = s.arrivals_in_leaf >= round_.block_size || chunk_done;
 
   if (leaf_done) {
     // Space watermark, sampled at every fourth leaf boundary plus the
@@ -551,12 +519,12 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
     // the boundary reading shows.
     if ((s.current_leaf & 3u) == 3u || chunk_done) UpdateSpace(site);
     uint32_t completed_end = s.current_leaf + 1;
-    for (int level = 0; level <= height_; ++level) {
+    for (int level = 0; level <= round_.height; ++level) {
       uint32_t node_start = (s.current_leaf >> level) << level;
       uint32_t node_end = std::min<uint32_t>(
-          node_start + (1u << level), num_leaves_);
+          node_start + (1u << level), round_.num_leaves);
       if (completed_end == node_end || chunk_done) {
-        if (chunk_done && level < height_) {
+        if (chunk_done && level < round_.height) {
           // Every node completes at the chunk's last leaf, and the
           // top-level summary (shipped below) covers the whole chunk —
           // the coordinator would discard the lower summaries on arrival
@@ -696,8 +664,8 @@ uint64_t RandomizedRankTracker::NextEventGap(int site) const {
   // whole run sits in one leaf, so FeedRun walks the skip chain through
   // the buffered values itself — same draws at the same arrivals, same
   // residuals, with runs twice as long.
-  uint64_t gap = std::min(block_size_ - s.arrivals_in_leaf,
-                          chunk_size_ - s.arrivals_in_chunk);
+  uint64_t gap = std::min(round_.block_size - s.arrivals_in_leaf,
+                          round_.chunk_size - s.arrivals_in_chunk);
   gap = std::min(gap, coarse_->arrivals_until_report(site));
   // The countdown would clamp a larger stride anyway; clamping here keeps
   // the shard run loop cutting runs at the same arrivals.
@@ -751,27 +719,17 @@ void RandomizedRankTracker::FeedRun(int site, std::vector<uint64_t>* run,
     }
   }
   // Every level of the tree absorbs the same run, so sort it once, in
-  // place (the buffer is discarded right after). With the shared ladder
-  // the run is then also copied and consolidated once, and each level
-  // pulls borrowed views of the merged sequence at its own compaction
-  // cadence; the staging path instead hands every level its own copy to
-  // re-merge. Short runs (large k, dense events) go through the
-  // branch-light small-run sorter; the sorted result is identical.
+  // place, and consolidate it once in the ladder; each level pulls
+  // borrowed views of the merged sequence at its own compaction cadence.
+  // Short runs (large k, dense events) go through the branch-light
+  // small-run sorter; the sorted result is identical.
   SortRun(values, static_cast<size_t>(count));
-  if (options_.use_shared_ladder) {
-    EnsureNodes(&s);
-    // Callers hand over exactly the run (the event arrival was popped),
-    // so the buffer moves into the ladder instead of being copied.
-    s.ladder.AppendSortedVector(run);
-    PumpLevels(&s, count);
-    s.ladder.Consolidate();
-  } else {
-    for (int level = 0; level <= height_; ++level) {
-      auto& node = s.nodes[static_cast<size_t>(level)];
-      if (node == nullptr) node = AcquireNode(&s, level);
-      node->InsertSortedBatch(values, static_cast<size_t>(count));
-    }
-  }
+  EnsureNodes(&s);
+  // Callers hand over exactly the run (the event arrival was popped), so
+  // the buffer moves into the ladder instead of being copied.
+  s.ladder.AppendSortedVector(run);
+  PumpLevels(&s, count);
+  s.ladder.Consolidate();
   s.arrivals_in_leaf += count;
   s.arrivals_in_chunk += count;
   // Tail coins were consumed by the walk above. The run is strictly below
@@ -857,8 +815,8 @@ void RandomizedRankTracker::GroupedSpan(int site, const uint64_t* keys,
 void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
                                         size_t count) {
   if (!options_.use_skip_sampling || !options_.use_batch_compaction) {
-    // Per-element feed: the historical path (and the only exact one when
-    // tail coins are drawn per arrival).
+    // The reference oracles: the per-element feed (and the only exact
+    // one when tail coins are drawn per arrival).
     for (size_t i = 0; i < count; ++i) {
       sim::CheckSiteInRange(arrivals[i].site, options_.num_sites);
       ArriveOne(arrivals[i].site, arrivals[i].key);
@@ -871,7 +829,7 @@ void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
   // (shard epochs never enter here), so message order inside the batch is
   // unobservable and the charges fold into one bulk post per site.
   defer_uploads_ = tap_ == nullptr && !crash_replay_;
-  if (!options_.use_site_grouping) {
+  if (!grouped_enabled_) {
     CountdownChunk(arrivals, count);
   } else {
     // Site-grouped delivery: chunks certified broadcast-free are permuted
@@ -1046,12 +1004,12 @@ void RandomizedRankTracker::SerializeSiteState(
   }
   const SiteState& s = sites_[static_cast<size_t>(site)];
   uint64_t bits = 0;
-  std::memcpy(&bits, &inv_p_, sizeof(bits));
+  std::memcpy(&bits, &round_.inv_p, sizeof(bits));
   out->push_back(bits);
-  out->push_back(chunk_size_);
-  out->push_back(block_size_);
-  out->push_back(num_leaves_);
-  out->push_back(static_cast<uint64_t>(height_));
+  out->push_back(round_.chunk_size);
+  out->push_back(round_.block_size);
+  out->push_back(round_.num_leaves);
+  out->push_back(static_cast<uint64_t>(round_.height));
   coarse_->SerializeSite(site, out);
   out->push_back(s.owned_instances.size() - 1);
   out->push_back(s.tail_skip.raw_skip());
@@ -1070,11 +1028,11 @@ void RandomizedRankTracker::RestoreSiteState(
     std::abort();
   }
   const uint64_t* data = blob.data();
-  std::memcpy(&inv_p_, &data[0], sizeof(inv_p_));
-  chunk_size_ = data[1];
-  block_size_ = data[2];
-  num_leaves_ = static_cast<uint32_t>(data[3]);
-  height_ = static_cast<int>(data[4]);
+  std::memcpy(&round_.inv_p, &data[0], sizeof(round_.inv_p));
+  round_.chunk_size = data[1];
+  round_.block_size = data[2];
+  round_.num_leaves = static_cast<uint32_t>(data[3]);
+  round_.height = static_cast<int>(data[4]);
   coarse_->RestoreSite(site, data + 5);
   size_t instance_index = static_cast<size_t>(data[8]);
   SiteState& s = sites_[static_cast<size_t>(site)];
@@ -1087,7 +1045,7 @@ void RandomizedRankTracker::RestoreSiteState(
   s.arrivals_in_chunk = 0;
   s.arrivals_in_leaf = 0;
   s.current_leaf = 0;
-  size_t levels = static_cast<size_t>(height_) + 1;
+  size_t levels = static_cast<size_t>(round_.height) + 1;
   s.nodes.clear();
   s.nodes.resize(levels);
   s.pool.clear();
@@ -1108,25 +1066,17 @@ void RandomizedRankTracker::RestoreSiteState(
 }
 
 void RandomizedRankTracker::BeginCrashReplay(int site) {
-  std::memcpy(&replay_saved_inv_p_bits_, &inv_p_,
-              sizeof(replay_saved_inv_p_bits_));
-  replay_saved_chunk_size_ = chunk_size_;
-  replay_saved_block_size_ = block_size_;
-  replay_saved_num_leaves_ = num_leaves_;
-  replay_saved_height_ = height_;
+  replay_saved_round_ = round_;
   crash_replay_ = true;
   replay_site_ = site;
   replay_mid_n_bar_ = nullptr;
 }
 
 void RandomizedRankTracker::EndCrashReplay() {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &inv_p_, sizeof(bits));
-  if (bits != replay_saved_inv_p_bits_ ||
-      chunk_size_ != replay_saved_chunk_size_ ||
-      block_size_ != replay_saved_block_size_ ||
-      num_leaves_ != replay_saved_num_leaves_ ||
-      height_ != replay_saved_height_) {
+  const RoundParams& saved = replay_saved_round_;
+  if (round_.inv_p != saved.inv_p || round_.chunk_size != saved.chunk_size ||
+      round_.block_size != saved.block_size ||
+      round_.num_leaves != saved.num_leaves || round_.height != saved.height) {
     std::fprintf(stderr,
                  "RandomizedRankTracker: crash replay did not restore the "
                  "round parameters\n");
@@ -1161,7 +1111,7 @@ void RandomizedRankTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
   // (cursor-advancing during replay), skip redraw — identical RNG draws.
   // The coordinator half (round counter, broadcast charge, other sites'
   // restarts) already happened in the pre-crash execution.
-  RecomputeRoundParams(n_bar);
+  round_ = options_.RoundParamsFor(n_bar);
   StartFreshInstance(&sites_[static_cast<size_t>(site)]);
   UpdateSpace(site);
 }

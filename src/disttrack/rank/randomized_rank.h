@@ -31,12 +31,14 @@
 // which consolidates runs exactly once. Every tree level owns a ladder
 // cursor and pulls borrowed views of the merged sequence when its
 // compaction comes due — at dyadic leaf quanta under the batched feed
-// (fewer, larger compactions; same martingale argument), at the exact
-// staging thresholds under the exact feed (bit-identical to per-level
-// staging). Batched compaction is equivalent in distribution, not
-// bit-identical, to the per-element feed (see the DESIGN note in
-// summaries/compactor_summary.h); the historical paths stay reachable via
-// `use_batch_compaction = false` and `use_shared_ladder = false`.
+// (fewer, larger compactions; same martingale argument), at each level's
+// own fill threshold under the exact feed. Chunks that provably contain
+// no coarse broadcast are grouped into per-site spans first; that is
+// bit-identical to the countdown engine. Batched compaction is equivalent
+// in distribution, not bit-identical, to the per-element feed (see the
+// DESIGN note in summaries/compactor_summary.h); the per-element feed and
+// the per-arrival coins stay reachable as reference oracles
+// (`use_batch_compaction = false`, `use_skip_sampling = false`).
 
 #ifndef DISTTRACK_RANK_RANDOMIZED_RANK_H_
 #define DISTTRACK_RANK_RANDOMIZED_RANK_H_
@@ -58,7 +60,20 @@
 #include "disttrack/summaries/run_ladder.h"
 
 namespace disttrack {
+namespace testing_util {
+struct DeliveryPeer;
+}  // namespace testing_util
+
 namespace rank {
+
+/// Round parameters of §4 for a round whose broadcast carried n̄.
+struct RoundParams {
+  double inv_p = 1.0;       // 1/p = max(1, εn̄/(c√k)), not rounded
+  uint64_t chunk_size = 1;  // n̄/k: arrivals per instance of algorithm C
+  uint64_t block_size = 1;  // leaf size b = min(⌊1/p⌋, chunk_size)
+  uint32_t num_leaves = 1;  // ⌈chunk_size / b⌉
+  int height = 0;           // ⌈log2 num_leaves⌉
+};
 
 /// Options for RandomizedRankTracker.
 struct RandomizedRankOptions {
@@ -70,45 +85,26 @@ struct RandomizedRankOptions {
   /// cutting the variance by c² at ~c× the communication.
   double confidence_factor = 4.0;
 
-  /// When true (default), the per-arrival Bernoulli(p) tail-channel coin is
-  /// realized by a geometric SkipSampler per site (redrawn at every round
-  /// boundary, where p changes). False selects the historical per-arrival
-  /// coin path. Note the rank p is not rounded to a power of two, so the
-  /// sampler runs in general-p mode.
+  /// Reference oracles, not production paths; the defaults are the
+  /// production path. use_skip_sampling = false draws the tail-channel
+  /// Bernoulli(p) coin per arrival (paper-literal) instead of with a
+  /// general-p geometric SkipSampler per site. use_batch_compaction =
+  /// false feeds the compactor tree one element at a time at each level's
+  /// exact fill threshold instead of at dyadic leaf quanta; batched
+  /// compaction's error increments are the same mean-zero ±2^level
+  /// martingale steps, fewer of them (DESIGN note in
+  /// summaries/compactor_summary.h), so the two agree in distribution,
+  /// not bit for bit. stat_acceptance_test, skip_equivalence_test,
+  /// batch_equivalence_test, fault_tolerance_test and bench_throughput's
+  /// per_arrival rows compare against them.
   bool use_skip_sampling = true;
-
-  /// When true (default), ArriveBatch feeds each site's eventless runs to
-  /// the compactor tree via CompactorSummary::InsertBatch (one call per
-  /// level per run) on the event-countdown engine. Equivalent in
-  /// distribution to the per-element feed — batched compaction's error
-  /// increments are the same mean-zero ±2^level martingale steps, just
-  /// fewer of them (DESIGN note in summaries/compactor_summary.h). False
-  /// keeps the historical per-element feed for A/B runs.
   bool use_batch_compaction = true;
 
-  /// When true (default), each site consolidates its sorted runs once in
-  /// a shared RunLadder and every tree level pulls borrowed views of the
-  /// merged sequence at its own compaction cadence, instead of staging
-  /// and re-merging its own copy of every run at all h+1 levels. Each
-  /// level still compacts the identical element multiset at the identical
-  /// fill thresholds with the identical coin sequence, so estimates,
-  /// communication, and rounds are bit-identical to the per-level staging
-  /// path under BOTH feeds (pinned by tests/batch_equivalence_test.cc);
-  /// only the merge work is shared. False keeps the historical per-level
-  /// staging for A/B runs.
-  bool use_shared_ladder = true;
-
-  /// When true (default), ArriveBatch permutes each chunk into
-  /// site-contiguous spans (common/site_group.h) whenever the chunk
-  /// provably contains no coarse broadcast, and feeds whole spans per
-  /// site — same per-site coin streams, same event boundaries, so the
-  /// grouped path is bit-identical to the event-countdown path (pinned
-  /// by tests/batch_equivalence_test.cc). Chunks that may broadcast fall
-  /// back to the countdown engine. False keeps the countdown engine for
-  /// every chunk (A/B benchmarking).
-  bool use_site_grouping = true;
-
   Status Validate() const;
+
+  /// Round parameters for a round whose broadcast carried `n_bar`. The
+  /// tracker and its replica both evaluate them here.
+  RoundParams RoundParamsFor(uint64_t n_bar) const;
 };
 
 /// Randomized ε-approximate rank tracking (Theorem 4.1).
@@ -131,8 +127,8 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   /// instances directly and defer only the coarse reports and the
   /// traffic charges (order-insensitive sums) to the epoch barrier.
   /// Supported on the batched skip-sampling feed, whose run-at-a-time
-  /// processing the per-site driver reuses; the per-element historical
-  /// paths fall back to serial delivery.
+  /// processing the per-site driver reuses; the per-element reference
+  /// oracles fall back to serial delivery.
   sim::KeyedShardIngest* shard_ingest() override {
     return options_.use_skip_sampling && options_.use_batch_compaction
                ? this
@@ -140,15 +136,15 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   }
 
   /// Element-forwarding probability p of the current round.
-  double p() const { return 1.0 / inv_p_; }
+  double p() const { return 1.0 / round_.inv_p; }
 
   uint64_t rounds() const { return coarse_->round(); }
 
   /// Tree height of algorithm C in the current round.
-  int height() const { return height_; }
+  int height() const { return round_.height; }
 
   /// Leaf block size b of the current round.
-  uint64_t block_size() const { return block_size_; }
+  uint64_t block_size() const { return round_.block_size; }
 
   // --- Wire layer / crash recovery (sim/robust_cluster.h) ----------------
   // Mirrors the count tracker's API: a tap emits every metered message
@@ -272,15 +268,14 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
     // last event/reconciliation, in arrival order (delivery-engine state,
     // not protocol state — the values are the stream itself).
     std::vector<uint64_t> run;
-    // Shared run-merge ladder (use_shared_ladder): the site's sorted runs
-    // consolidated once, with one pull cursor per tree level. Reset with
-    // the instance.
+    // Shared run-merge ladder: the site's sorted runs consolidated once,
+    // with one pull cursor per tree level. Reset with the instance.
     summaries::RunLadder ladder;
     // True while every level's node exists (EnsureNodes fast-exit);
     // cleared whenever a node is flushed, dropped, or the instance
     // restarts.
     bool nodes_ready = false;
-    // Node-less leaf flush (batched feed + shared ladder): level 0 keeps
+    // Node-less leaf flush (batched feed): level 0 keeps
     // no CompactorSummary at all — EnsureNodes draws the seed the node
     // creation used to draw, at the same site-RNG position, and the
     // flush cascades the leaf window straight from the ladder to the
@@ -294,6 +289,8 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
     // PumpLevels skips its level scan while the bound stays positive.
     uint64_t pull_slack = 0;
   };
+
+  friend struct testing_util::DeliveryPeer;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
   void ArriveOne(int site, uint64_t value);
@@ -312,8 +309,8 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   void RearmSite(int site);
   void RearmAll();
   // Feeds the `count` buffered eventless values in `run` (== the whole
-  // buffer; sorted in place, and moved into the ladder when it is on —
-  // callers get back a recycled buffer either way).
+  // buffer; sorted in place and moved into the ladder — callers get back
+  // a recycled buffer).
   void FeedRun(int site, std::vector<uint64_t>* run, uint64_t count);
   void HandleEventArrival(int site);
   // Feeds every site's buffered eventless run into the tree. Called when
@@ -332,10 +329,9 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   std::unique_ptr<summaries::CompactorSummary> AcquireNode(SiteState* s,
                                                            int level);
   // Shared-ladder plumbing. EnsureNodes creates any missing level node in
-  // level order (same seed-draw order as the staging path's lazy
-  // creation); PumpLevels pulls every level whose fill reached its
-  // compaction threshold; FlushNode drains a completing node's remaining
-  // window itself (fused with the export).
+  // level order (the seed-draw order); PumpLevels pulls every level whose
+  // fill reached its compaction threshold; FlushNode drains a completing
+  // node's remaining window itself (fused with the export).
   void EnsureNodes(SiteState* s);
   void PumpLevels(SiteState* s, uint64_t appended);
   // StoredSummary buffer pool (per site): flushes run at leaf cadence,
@@ -343,7 +339,6 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // allocation off the flush path.
   StoredSummary TakeStored(SiteState* s);
   void RecycleStored(SiteState* s, StoredSummary&& stored);
-  void RecomputeRoundParams(uint64_t n_bar);
   void StartFreshInstance(SiteState* s);
   void FlushNode(int site, SiteState* s, int level, uint32_t node_start,
                  uint32_t end_leaf);
@@ -413,29 +408,23 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   int replay_site_ = -1;
   size_t replay_cursor_ = 0;
   const uint64_t* replay_mid_n_bar_ = nullptr;
-  uint64_t replay_saved_inv_p_bits_ = 0;
-  uint64_t replay_saved_chunk_size_ = 0;
-  uint64_t replay_saved_block_size_ = 0;
-  uint32_t replay_saved_num_leaves_ = 0;
-  int replay_saved_height_ = 0;
+  RoundParams replay_saved_round_;
 
-  // Round parameters.
-  double inv_p_ = 1.0;
-  uint64_t chunk_size_ = 1;
-  uint64_t block_size_ = 1;
-  uint32_t num_leaves_ = 1;
-  int height_ = 0;
+  RoundParams round_;
 
   uint64_t n_ = 0;
 
   EventCountdown countdown_;
   bool in_batch_ = false;
-  // Site-grouped delivery (use_site_grouping): pooled permutation scratch
-  // plus a guard that turns a broadcast inside a supposedly
-  // broadcast-free grouped chunk into a loud abort instead of a silent
-  // equivalence break.
+  // Site-grouped delivery: pooled permutation scratch plus a guard that
+  // turns a broadcast inside a supposedly broadcast-free grouped chunk
+  // into a loud abort instead of a silent equivalence break.
   SiteGrouper grouper_;
   bool grouped_chunk_active_ = false;
+  // Always true outside tests; testing_util::DeliveryPeer clears it to
+  // run every chunk on the countdown engine (the grouped ≡ countdown
+  // equivalence tests).
+  bool grouped_enabled_ = true;
   // Per-site buffered-run sizes handed to the broadcast-safety check
   // (scratch, refilled per chunk).
   std::vector<uint64_t> run_carry_;

@@ -16,12 +16,10 @@
 #define DISTTRACK_SIM_REPLICA_H_
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "disttrack/common/math_util.h"
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
@@ -42,8 +40,9 @@ using CoarseMirror = count::CoarseMirror;
 // Mirrors the coordinator state of RandomizedCountTracker: 1/p and the
 // (sum, count) aggregates over existing reports. Reports and p-halving
 // corrections arrive as frames; inv_p evolves at derived broadcasts with
-// the same doubling loop the tracker runs, so the estimator expression is
-// evaluated on bit-identical operands.
+// the tracker's own formula (RandomizedCountOptions::InvP) and doubling
+// loop, so the estimator expression is evaluated on bit-identical
+// operands.
 
 class CountReplica {
  public:
@@ -55,7 +54,7 @@ class CountReplica {
     switch (msg.type) {
       case wire::MsgType::kCoarseReport:
         if (coarse_.ApplyReport(msg.a)) {
-          uint64_t new_inv_p = InvPFor(coarse_.n_bar);
+          uint64_t new_inv_p = options_.InvP(coarse_.n_bar);
           while (inv_p_ < new_inv_p) inv_p_ *= 2;
         }
         break;
@@ -99,14 +98,6 @@ class CountReplica {
   uint64_t n_prime() const { return coarse_.n_prime; }
 
  private:
-  uint64_t InvPFor(uint64_t n_bar) const {
-    double scaled = options_.epsilon * static_cast<double>(n_bar) /
-                    (options_.confidence_factor *
-                     std::sqrt(static_cast<double>(options_.num_sites)));
-    if (scaled <= 1.0) return 1;
-    return FloorPow2(scaled);
-  }
-
   count::RandomizedCountOptions options_;
   CoarseMirror coarse_;
   uint64_t inv_p_ = 1;
@@ -198,7 +189,7 @@ class RankReplica {
     switch (msg.type) {
       case wire::MsgType::kCoarseReport:
         if (coarse_.ApplyReport(msg.a)) {
-          RecomputeRoundParams(coarse_.n_bar);
+          round_ = options_.RoundParamsFor(coarse_.n_bar);
           for (Site& site : sites_) site.open = false;
         }
         break;
@@ -226,7 +217,7 @@ class RankReplica {
           auto top = std::find_if(
               inst.summaries.begin(), inst.summaries.end(),
               [this](const StoredSummary& s) {
-                return s.first_leaf == 0 && s.end_leaf == num_leaves_;
+                return s.first_leaf == 0 && s.end_leaf == round_.num_leaves;
               });
           StoredSummary keep = std::move(*top);
           inst.summaries.clear();
@@ -303,29 +294,16 @@ class RankReplica {
   };
 
   bool stored_covers_chunk(const StoredSummary& stored) const {
-    return stored.first_leaf == 0 && stored.end_leaf == num_leaves_;
+    return stored.first_leaf == 0 && stored.end_leaf == round_.num_leaves;
   }
 
   Instance& Open(Site* site) {
     if (!site->open) {
       site->instances.emplace_back();
-      site->instances.back().inv_p = inv_p_;
+      site->instances.back().inv_p = round_.inv_p;
       site->open = true;
     }
     return site->instances.back();
-  }
-
-  void RecomputeRoundParams(uint64_t n_bar) {
-    // Same expressions as RandomizedRankTracker::RecomputeRoundParams so
-    // inv_p matches bit for bit.
-    double root_k = std::sqrt(static_cast<double>(options_.num_sites));
-    inv_p_ = std::max(1.0, options_.epsilon * static_cast<double>(n_bar) /
-                               (options_.confidence_factor * root_k));
-    chunk_size_ = std::max<uint64_t>(
-        1, n_bar / static_cast<uint64_t>(options_.num_sites));
-    uint64_t block = std::max<uint64_t>(1, static_cast<uint64_t>(inv_p_));
-    block = std::min(block, chunk_size_);
-    num_leaves_ = static_cast<uint32_t>(CeilDiv(chunk_size_, block));
   }
 
   static double SummaryRankBelow(const StoredSummary& summary, uint64_t x) {
@@ -343,9 +321,9 @@ class RankReplica {
 
   rank::RandomizedRankOptions options_;
   CoarseMirror coarse_;
-  double inv_p_ = 1.0;
-  uint64_t chunk_size_ = 1;
-  uint32_t num_leaves_ = 1;
+  // The tracker's own round parameters (RandomizedRankOptions::
+  // RoundParamsFor), so inv_p and the leaf count match bit for bit.
+  rank::RoundParams round_;
   std::vector<Site> sites_;
 };
 

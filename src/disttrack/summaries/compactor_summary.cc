@@ -207,7 +207,7 @@ void CompactorSummary::InsertSortedViews(const RunView* views,
   }
   // Merge views + residue directly into the consolidated buffer, whether
   // or not a compaction follows — a flush's final sub-threshold window is
-  // then already consolidated when ExportLevels reads it. The merge reads
+  // then already consolidated for the export. The merge reads
   // straight from the borrowed storage: no staging copy, no re-merge.
   EnsureSorted(0);
   MergeViewsIntoBase(views, num_views, total);
@@ -749,25 +749,6 @@ std::vector<std::pair<uint64_t, uint64_t>> CompactorSummary::Items() const {
     weight *= 2;
   }
   return out;
-}
-
-void CompactorSummary::ExportLevels(
-    std::vector<uint64_t>* values,
-    std::vector<std::pair<uint64_t, uint32_t>>* segments) {
-  values->clear();
-  segments->clear();
-  size_t total = 0;
-  for (const auto& buf : levels_) total += buf.size();
-  values->reserve(total);
-  size_t used = LevelsUsed();
-  for (size_t level = 0; level < used; ++level) {
-    if (levels_[level].empty()) continue;
-    EnsureSorted(level);
-    values->insert(values->end(), levels_[level].begin(),
-                   levels_[level].end());
-    segments->emplace_back(uint64_t{1} << level,
-                           static_cast<uint32_t>(values->size()));
-  }
 }
 
 size_t CompactorSummary::LevelsUsed() const {

@@ -83,7 +83,7 @@ class CompactorSummary {
   /// merged with the level-0 residue straight into the consolidated
   /// buffer — no staging copy, no re-merge — whether or not the
   /// compaction threshold is reached (a sub-threshold flush tail is then
-  /// already consolidated when ExportLevels reads it); a single
+  /// already consolidated for the export); a single
   /// over-threshold view on a bare residue compacts without even that
   /// merge, via the virtual cascade. Produces the same level-0 sorted
   /// multiset at the same compaction points as staging the identical
@@ -91,17 +91,21 @@ class CompactorSummary {
   void InsertSortedViews(const RunView* views, size_t num_views,
                          size_t total);
 
-  /// InsertSortedViews immediately followed by an ExportLevels, fused for
-  /// the rank tracker's flush path (a completing node drains its ladder
-  /// window and ships at once). Two copies disappear: a sub-threshold
-  /// final window is merged with the level-0 residue straight into the
-  /// export array (never materialized in the summary), and an
-  /// over-threshold window goes through the usual zero-copy virtual
-  /// cascade before the plain export. Returns the serialized word count
-  /// of the post-ingest summary (identical to SerializedWords() after a
-  /// separate InsertSortedViews). The fused path can leave level 0
-  /// unmaterialized, so the summary MUST be Reset() or destroyed after
-  /// this call — exactly what the flush path's node pooling does.
+  /// InsertSortedViews immediately followed by an export of the summary,
+  /// fused for the rank tracker's flush path (a completing node drains its
+  /// ladder window and ships at once). The export is one flat
+  /// ascending-per-segment value array plus (weight, end offset) segment
+  /// descriptors, skipping empty levels — the wire format a site ships
+  /// and the coordinator's per-segment binary-search lookup format. Two
+  /// copies disappear: a sub-threshold final window is merged with the
+  /// level-0 residue straight into the export array (never materialized
+  /// in the summary), and an over-threshold window goes through the usual
+  /// zero-copy virtual cascade before the plain export. Returns the
+  /// serialized word count of the post-ingest summary (identical to
+  /// SerializedWords() after a separate InsertSortedViews). The fused
+  /// path can leave level 0 unmaterialized, so the summary MUST be
+  /// Reset() or destroyed after this call — exactly what the flush path's
+  /// node pooling does.
   uint64_t InsertViewsAndExport(
       const RunView* views, size_t num_views, size_t total,
       std::vector<uint64_t>* values,
@@ -126,15 +130,6 @@ class CompactorSummary {
   /// All stored (value, weight) pairs — what a site ships to the
   /// coordinator when a node of algorithm C becomes full (§4).
   std::vector<std::pair<uint64_t, uint64_t>> Items() const;
-
-  /// Copies the summary's content as one flat ascending-per-segment value
-  /// array plus (weight, end offset) segment descriptors, skipping empty
-  /// levels — the wire format a site ships and the coordinator's
-  /// per-segment binary-search lookup format. No comparison sort of the
-  /// full item set: each level is consolidated (staged runs merged) and
-  /// then copied out. Non-const only because of that consolidation.
-  void ExportLevels(std::vector<uint64_t>* values,
-                    std::vector<std::pair<uint64_t, uint32_t>>* segments);
 
   /// Words transmitted when the summary is sent: one word per stored item
   /// value plus one per-level length header.

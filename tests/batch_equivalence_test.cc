@@ -6,7 +6,8 @@
 //    straddling round and virtual-site-split boundaries) must be
 //    bit-identical to the scalar path — estimates, communication, round
 //    counts, and split counts;
-//  * rank with use_batch_compaction=false: same bit-identity;
+//  * rank with use_batch_compaction=false (the exact per-element feed):
+//    same bit-identity;
 //  * rank with batched compaction (default): fewer, larger compactions
 //    are equivalent in distribution, not bit-identical — checked with a
 //    two-sample Kolmogorov–Smirnov test of final-error samples against
@@ -128,30 +129,6 @@ TEST(BatchEquivalenceTest, FrequencyBatchesBitIdenticalAcrossSplits) {
   }
 }
 
-TEST(BatchEquivalenceTest, FrequencyLegacyStoreMatchesFlatStore) {
-  // The counter store holds no randomness, so flat vs unordered_map must
-  // not change a single estimate, under either delivery mode.
-  const int k = 4;
-  const uint64_t kN = 50000;
-  auto w = MakeFrequencyWorkload(k, kN, SiteSchedule::kUniformRandom, 1000,
-                                 1.1, 37);
-  frequency::RandomizedFrequencyOptions o;
-  o.num_sites = k;
-  o.epsilon = 0.02;
-  o.seed = 11;
-  frequency::RandomizedFrequencyTracker flat(o);
-  o.use_flat_counters = false;
-  frequency::RandomizedFrequencyTracker legacy(o);
-  DeliverRagged(&flat, w, 1);
-  DeliverRagged(&legacy, w, 1);
-  for (uint64_t item : {0ull, 1ull, 5ull, 99ull, 999ull}) {
-    EXPECT_DOUBLE_EQ(flat.EstimateFrequency(item),
-                     legacy.EstimateFrequency(item));
-  }
-  EXPECT_EQ(flat.meter().TotalWords(), legacy.meter().TotalWords());
-  EXPECT_EQ(flat.splits(), legacy.splits());
-}
-
 TEST(BatchEquivalenceTest, RankExactFeedBatchesBitIdenticalToScalar) {
   const int k = 8;
   const uint64_t kN = 50000;
@@ -214,122 +191,13 @@ TEST(BatchEquivalenceTest, RankBatchedCompactionDistributionMatchesScalar) {
   EXPECT_LE(mean_gap, 4.0 * pooled_sd + 1e-9);
 }
 
-// ---- shared run-merge ladder (use_shared_ladder) -------------------------
-
-// Under the exact per-element feed (use_batch_compaction=false), routing
-// every site's arrivals through the shared RunLadder must be bit-identical
-// to the per-level staging path: each level pulls exactly when staging
-// would have tripped its compaction threshold, the consolidated buffer
-// holds the same multiset, and the coin sequences line up draw for draw.
-// The workload crosses many rounds, so p-halving broadcasts land while
-// the ladder holds unpulled one-element straggler runs — the reset path.
-TEST(BatchEquivalenceTest, RankLadderExactFeedBitIdenticalToStagedLevels) {
-  const int k = 8;
-  const uint64_t kN = 60000;
-  for (uint64_t seed : {1ull, 7ull, 13ull}) {
-    auto w = MakeRankWorkload(k, kN, SiteSchedule::kUniformRandom,
-                              stream::ValueOrder::kUniformRandom, 16,
-                              100 + seed);
-    rank::RandomizedRankOptions o;
-    o.num_sites = k;
-    o.epsilon = 0.02;
-    o.seed = seed;
-    o.use_batch_compaction = false;  // exact feed
-    o.use_shared_ladder = true;
-    rank::RandomizedRankTracker ladder(o);
-    o.use_shared_ladder = false;
-    rank::RandomizedRankTracker staged(o);
-    // Ragged batched delivery for the ladder tracker (falls back to the
-    // per-element feed, with run boundaries straddling node windows at
-    // arbitrary offsets), plain scalar delivery for the staged one.
-    DeliverRagged(&ladder, w, seed);
-    for (const auto& a : w) staged.Arrive(a.site, a.key);
-    ASSERT_GT(staged.rounds(), 10u) << "broadcasts must land mid-ladder";
-    for (uint64_t q : {100ull, 9000ull, 30000ull, 65000ull}) {
-      ASSERT_DOUBLE_EQ(ladder.EstimateRank(q), staged.EstimateRank(q))
-          << "seed " << seed << " q " << q;
-    }
-    EXPECT_EQ(ladder.meter().TotalMessages(), staged.meter().TotalMessages());
-    EXPECT_EQ(ladder.meter().TotalWords(), staged.meter().TotalWords());
-    EXPECT_EQ(ladder.rounds(), staged.rounds());
-  }
-}
-
-// Straggler-heavy variant: a large confidence factor keeps p high, so the
-// tail channel fires every few arrivals and nearly every ladder append is
-// the one-element straggler run of an event arrival.
-TEST(BatchEquivalenceTest, RankLadderExactFeedStragglerPathBitIdentical) {
-  const int k = 4;
-  const uint64_t kN = 30000;
-  auto w = MakeRankWorkload(k, kN, SiteSchedule::kUniformRandom,
-                            stream::ValueOrder::kUniformRandom, 14, 71);
-  rank::RandomizedRankOptions o;
-  o.num_sites = k;
-  o.epsilon = 0.05;
-  o.seed = 29;
-  o.confidence_factor = 16.0;  // p stays large: dense tail events
-  o.use_batch_compaction = false;
-  o.use_shared_ladder = true;
-  rank::RandomizedRankTracker ladder(o);
-  o.use_shared_ladder = false;
-  rank::RandomizedRankTracker staged(o);
-  for (const auto& a : w) {
-    ladder.Arrive(a.site, a.key);
-    staged.Arrive(a.site, a.key);
-  }
-  for (uint64_t q : {64ull, 4096ull, 12000ull, 20000ull}) {
-    ASSERT_DOUBLE_EQ(ladder.EstimateRank(q), staged.EstimateRank(q));
-  }
-  EXPECT_EQ(ladder.meter().TotalWords(), staged.meter().TotalWords());
-}
-
-// The batched feed (use_batch_compaction=true) defers ladder pulls to
-// dyadic quanta — fewer, larger compactions than the per-level staging
-// path, so not bit-identical; the error distribution at a fixed query
-// must match (same KS methodology as the batched-vs-scalar test above).
-TEST(BatchEquivalenceTest, RankLadderBatchedFeedDistributionMatchesStaged) {
-  const int k = 8;
-  const uint64_t kN = 20000;
-  const double eps = 0.05;
-  auto w = MakeRankWorkload(k, kN, SiteSchedule::kUniformRandom,
-                            stream::ValueOrder::kUniformRandom, 16, 47);
-  const uint64_t query = 1u << 15;
-  uint64_t truth = stream::ExactRank(w, query);
-  const int kTrials = 120;
-  auto run = [&](bool shared_ladder, uint64_t base_seed) {
-    return testing_util::CollectErrors(
-        kTrials,
-        [&](uint64_t seed) {
-          rank::RandomizedRankOptions o;
-          o.num_sites = k;
-          o.epsilon = eps;
-          o.seed = seed;
-          o.use_shared_ladder = shared_ladder;
-          rank::RandomizedRankTracker tracker(o);
-          tracker.ArriveBatch(w.data(), w.size());
-          return tracker.EstimateRank(query) - static_cast<double>(truth);
-        },
-        base_seed);
-  };
-  auto ladder_errors = run(true, 11000);
-  auto staged_errors = run(false, 11500);
-  double d = KsStatistic(ladder_errors, staged_errors);
-  EXPECT_LE(d, KsThreshold(ladder_errors.size(), staged_errors.size()))
-      << "shared-ladder error distribution drifted from per-level staging";
-  double mean_gap = std::fabs(testing_util::MeanOf(ladder_errors) -
-                              testing_util::MeanOf(staged_errors));
-  double pooled_sd = std::sqrt((testing_util::VarianceOf(ladder_errors) +
-                                testing_util::VarianceOf(staged_errors)) /
-                               kTrials);
-  EXPECT_LE(mean_gap, 4.0 * pooled_sd + 1e-9);
-}
-
-// ---- site-grouped delivery (use_site_grouping) ---------------------------
+// ---- site-grouped delivery ----------------------------------------------
 //
 // Inside a chunk CoarseTracker::BatchCannotBroadcast certifies, arrivals
 // are permuted into site-contiguous spans; per-site coin streams and
 // event positions are site-local, so the grouped engines must be
-// bit-identical to the event-countdown engines — estimates to the ulp,
+// bit-identical to the event-countdown engines (forced through
+// testing_util::DeliveryPeer) — estimates to the ulp,
 // communication totals, rounds, splits — for every workload shape and
 // any batch chunking (including single huge batches that the engines
 // chunk internally, straddling p-halving broadcasts and round/split
@@ -345,10 +213,8 @@ TEST(BatchEquivalenceTest, CountGroupedBitIdenticalAcrossWorkloads) {
     o.num_sites = k;
     o.epsilon = 0.01;
     o.seed = 31;
-    o.use_site_grouping = true;
-    count::RandomizedCountTracker grouped(o);
-    o.use_site_grouping = false;
-    count::RandomizedCountTracker countdown(o);
+    count::RandomizedCountTracker grouped(o), countdown(o);
+    testing_util::DeliveryPeer::SetGrouped(&countdown, false);
     // One huge batch for the grouped tracker (internal chunking must
     // break at exactly the certified boundaries), ragged batches for the
     // countdown one.
@@ -391,10 +257,9 @@ TEST(BatchEquivalenceTest, FrequencyGroupedBitIdenticalAcrossWorkloads) {
     o.num_sites = k;
     o.epsilon = 0.02;  // many rounds and (single-site) many splits inside
     o.seed = 17;
-    o.use_site_grouping = true;
-    frequency::RandomizedFrequencyTracker grouped(o);
-    o.use_site_grouping = false;
-    frequency::RandomizedFrequencyTracker countdown(o), scalar(o);
+    frequency::RandomizedFrequencyTracker grouped(o), countdown(o), scalar(o);
+    testing_util::DeliveryPeer::SetGrouped(&grouped, true);
+    testing_util::DeliveryPeer::SetGrouped(&countdown, false);
     grouped.ArriveBatch(w.data(), w.size());
     DeliverRagged(&countdown, w, 5);
     for (const auto& a : w) scalar.Arrive(a.site, a.key);
@@ -431,10 +296,8 @@ TEST(BatchEquivalenceTest, RankGroupedDominantSiteStraddlingChunks) {
   o.num_sites = 4;
   o.epsilon = 0.05;
   o.seed = 9;
-  o.use_site_grouping = true;
-  rank::RandomizedRankTracker grouped(o);
-  o.use_site_grouping = false;
-  rank::RandomizedRankTracker countdown(o);
+  rank::RandomizedRankTracker grouped(o), countdown(o);
+  testing_util::DeliveryPeer::SetGrouped(&countdown, false);
   grouped.ArriveBatch(w.data(), w.size());
   countdown.ArriveBatch(w.data(), w.size());
   for (uint64_t q : {100ull, 20000ull, 50000ull}) {
@@ -459,10 +322,8 @@ TEST(BatchEquivalenceTest, RankGroupedBitIdenticalToCountdownAcrossChunkings) {
     o.num_sites = k;
     o.epsilon = 0.02;
     o.seed = 41;
-    o.use_site_grouping = true;
-    rank::RandomizedRankTracker grouped(o);
-    o.use_site_grouping = false;
-    rank::RandomizedRankTracker countdown(o);
+    rank::RandomizedRankTracker grouped(o), countdown(o);
+    testing_util::DeliveryPeer::SetGrouped(&countdown, false);
     grouped.ArriveBatch(w.data(), w.size());
     countdown.ArriveBatch(w.data(), w.size());
     for (uint64_t q : {100ull, 9000ull, 30000ull, 65000ull}) {

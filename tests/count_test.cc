@@ -5,6 +5,7 @@
 // estimator ablation.
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -336,6 +337,40 @@ TEST(RandomizedCountTest, NaiveBoundaryEstimatorIsBiased) {
     (naive ? biased_mean : correct_mean) = testing_util::MeanOf(errors);
   }
   EXPECT_GT(std::fabs(biased_mean), 10 * std::fabs(correct_mean) + 50);
+}
+
+// Fast-tier twin of the slow batch-equivalence suite for grouped count
+// delivery: chunks certified broadcast-free advance whole per-site spans,
+// which must leave the estimate, the communication totals and the rounds
+// bit-identical to the countdown engine (forced through the test peer),
+// through both batch entry points.
+TEST(RandomizedCountTest, GroupedDeliveryBitIdenticalToCountdown) {
+  const int k = 8;
+  for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kBursty}) {
+    auto w = MakeCountWorkload(k, 300000, sched, 61);
+    sim::SiteStream sites(w.size());
+    for (size_t i = 0; i < w.size(); ++i) {
+      sites[i] = static_cast<uint16_t>(w[i].site);
+    }
+    RandomizedCountOptions o;
+    o.num_sites = k;
+    o.epsilon = 0.01;
+    o.seed = 67;
+    RandomizedCountTracker countdown(o), grouped(o), grouped_sites(o);
+    testing_util::DeliveryPeer::SetGrouped(&countdown, false);
+    countdown.ArriveBatch(w.data(), w.size());
+    grouped.ArriveBatch(w.data(), w.size());
+    grouped_sites.ArriveSites(sites.data(), sites.size());
+    ASSERT_GT(countdown.rounds(), 3u);
+    for (const RandomizedCountTracker* t : {&grouped, &grouped_sites}) {
+      double a = t->EstimateCount();
+      double b = countdown.EstimateCount();
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0);
+      EXPECT_EQ(t->meter().TotalMessages(), countdown.meter().TotalMessages());
+      EXPECT_EQ(t->meter().TotalWords(), countdown.meter().TotalWords());
+      EXPECT_EQ(t->rounds(), countdown.rounds());
+    }
+  }
 }
 
 TEST(RandomizedCountTest, ContinuousTrackingViaCheckpoints) {

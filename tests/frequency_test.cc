@@ -298,8 +298,9 @@ TEST(RandomizedFrequencyTest, CommunicationBeatsDeterministicAtLargeK) {
 // engine: grouped chunks queue counter reports and samples and apply them
 // after the spans with prefetch, which must leave every estimate, the
 // communication totals, rounds and splits bit-identical to the countdown
-// engine. A wide key universe makes the aggregate's tables grow inside a
-// batched apply.
+// engine. The shape is below the cache gate, so grouping is forced through
+// the test peer. A wide key universe makes the aggregate's tables grow
+// inside a batched apply.
 TEST(RandomizedFrequencyTest, GroupedDeliveryBitIdenticalToCountdown) {
   const int k = 8;
   const uint64_t kUniverse = 20000;
@@ -309,13 +310,10 @@ TEST(RandomizedFrequencyTest, GroupedDeliveryBitIdenticalToCountdown) {
     o.num_sites = k;
     o.epsilon = 0.02;
     o.seed = 29;
-    o.use_site_grouping = true;
-    RandomizedFrequencyTracker grouped(o);
-    o.use_site_grouping = false;
-    o.auto_site_grouping = false;
-    RandomizedFrequencyTracker countdown(o);
-    ASSERT_TRUE(grouped.grouped_delivery_enabled());
+    RandomizedFrequencyTracker grouped(o), countdown(o);
     ASSERT_FALSE(countdown.grouped_delivery_enabled());
+    testing_util::DeliveryPeer::SetGrouped(&grouped, true);
+    ASSERT_TRUE(grouped.grouped_delivery_enabled());
     grouped.ArriveBatch(w.data(), w.size());
     countdown.ArriveBatch(w.data(), w.size());
     for (uint64_t item = 0; item < kUniverse; ++item) {
@@ -330,6 +328,23 @@ TEST(RandomizedFrequencyTest, GroupedDeliveryBitIdenticalToCountdown) {
     EXPECT_EQ(grouped.splits(), countdown.splits());
     EXPECT_GT(grouped.rounds(), 3u);
   }
+}
+
+// The grouped-delivery gate at the default confidence factor, on the two
+// benchmark shapes, one on each side of its 1 MiB bound: k = 64,
+// ε = 0.01 keeps the k counter tables cache-resident (countdown engine);
+// k = 32, ε = 5e-4 outgrows the cache (grouped engine). The per-arrival
+// coin oracle has no batch engine to group.
+TEST(RandomizedFrequencyTest, GroupedDeliveryGateSplitsTheBenchmarkShapes) {
+  RandomizedFrequencyOptions o;
+  o.num_sites = 64;
+  o.epsilon = 0.01;
+  EXPECT_FALSE(RandomizedFrequencyTracker(o).grouped_delivery_enabled());
+  o.num_sites = 32;
+  o.epsilon = 5e-4;
+  EXPECT_TRUE(RandomizedFrequencyTracker(o).grouped_delivery_enabled());
+  o.use_skip_sampling = false;
+  EXPECT_FALSE(RandomizedFrequencyTracker(o).grouped_delivery_enabled());
 }
 
 TEST(RandomizedFrequencyTest, ContinuousCheckpointsMostlyCovered) {

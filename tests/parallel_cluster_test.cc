@@ -23,6 +23,8 @@
 #include "gtest/gtest.h"
 
 #include "disttrack/core/tracking.h"
+#include "disttrack/count/randomized_count.h"
+#include "disttrack/rank/randomized_rank.h"
 #include "disttrack/sim/cluster.h"
 #include "disttrack/stream/workload.h"
 #include "tests/test_util.h"
@@ -65,6 +67,27 @@ std::unique_ptr<sim::RankTrackerInterface> MakeRank(
   std::unique_ptr<sim::RankTrackerInterface> t;
   EXPECT_TRUE(core::MakeRankTracker(core::Algorithm::kRandomized, opt, &t).ok());
   return t;
+}
+
+// The reference oracles live on the per-tracker options (core::
+// TrackerOptions builds only the production path): count's per-arrival
+// coins and rank's per-element compactor feed, at Options(k)'s defaults.
+std::unique_ptr<sim::CountTrackerInterface> MakePerArrivalCount(int k) {
+  count::RandomizedCountOptions o;
+  o.num_sites = k;
+  o.epsilon = 0.05;
+  o.seed = 42;
+  o.use_skip_sampling = false;
+  return std::make_unique<count::RandomizedCountTracker>(o);
+}
+
+std::unique_ptr<sim::RankTrackerInterface> MakePerElementRank(int k) {
+  rank::RandomizedRankOptions o;
+  o.num_sites = k;
+  o.epsilon = 0.05;
+  o.seed = 42;
+  o.use_batch_compaction = false;
+  return std::make_unique<rank::RandomizedRankTracker>(o);
 }
 
 // Bit-exact comparison: n, estimate, and truth must all match.
@@ -140,12 +163,10 @@ TEST(ParallelClusterCount, FallsBackToSerialForPerArrivalCoinPath) {
   int k = 4;
   SiteStream sites = stream::MakeCountSites(
       k, 5000, stream::SiteSchedule::kUniformRandom, 5);
-  core::TrackerOptions opt = Options(k);
-  opt.use_skip_sampling = false;
-  auto serial_tracker = MakeCount(opt);
+  auto serial_tracker = MakePerArrivalCount(k);
   auto serial = sim::ReplayCountSites(serial_tracker.get(), sites, 1.5);
   ParallelCluster cluster(4);
-  auto tracker = MakeCount(opt);
+  auto tracker = MakePerArrivalCount(k);
   auto parallel = cluster.ReplayCountSites(tracker.get(), sites, 1.5);
   EXPECT_FALSE(cluster.last_replay_sharded());
   ExpectIdentical(serial, parallel);
@@ -227,21 +248,6 @@ TEST(ParallelClusterFrequency, BurstySingleSiteLoadShardsExactly) {
   }
 }
 
-TEST(ParallelClusterFrequency, FallsBackForLegacyCounterStore) {
-  int k = 4;
-  Workload w = stream::MakeFrequencyWorkload(
-      k, 4000, stream::SiteSchedule::kUniformRandom, 500, 0.0, 3);
-  core::TrackerOptions opt = Options(k);
-  opt.use_flat_counters = false;
-  auto serial_tracker = MakeFrequency(opt);
-  auto serial = sim::ReplayFrequency(serial_tracker.get(), w, 1, 1.5);
-  ParallelCluster cluster(4);
-  auto tracker = MakeFrequency(opt);
-  auto parallel = cluster.ReplayFrequency(tracker.get(), w, 1, 1.5);
-  EXPECT_FALSE(cluster.last_replay_sharded());
-  ExpectIdentical(serial, parallel);
-}
-
 // ------------------------------------------------------------------- rank
 
 TEST(ParallelClusterRank, BitIdenticalToSerialAcrossThreadCounts) {
@@ -282,35 +288,15 @@ TEST(ParallelClusterRank, SortedAndSkewedInputsShardExactly) {
   }
 }
 
-TEST(ParallelClusterRank, StagedLadderOffAlsoShardsExactly) {
-  // use_shared_ladder = false exercises the per-level staging feed under
-  // the shard driver.
-  int k = 4;
-  Workload w = stream::MakeRankWorkload(
-      k, 15000, stream::SiteSchedule::kUniformRandom,
-      stream::ValueOrder::kUniformRandom, 12, 31);
-  core::TrackerOptions opt = Options(k);
-  opt.use_shared_ladder = false;
-  auto serial_tracker = MakeRank(opt);
-  auto serial = sim::ReplayRank(serial_tracker.get(), w, 100, 1.5);
-  ParallelCluster cluster(4);
-  auto tracker = MakeRank(opt);
-  auto parallel = cluster.ReplayRank(tracker.get(), w, 100, 1.5);
-  EXPECT_TRUE(cluster.last_replay_sharded());
-  ExpectIdentical(serial, parallel);
-}
-
 TEST(ParallelClusterRank, PerElementFeedFallsBack) {
   int k = 4;
   Workload w = stream::MakeRankWorkload(
       k, 5000, stream::SiteSchedule::kUniformRandom,
       stream::ValueOrder::kUniformRandom, 12, 37);
-  core::TrackerOptions opt = Options(k);
-  opt.use_batch_compaction = false;
-  auto serial_tracker = MakeRank(opt);
+  auto serial_tracker = MakePerElementRank(k);
   auto serial = sim::ReplayRank(serial_tracker.get(), w, 100, 1.5);
   ParallelCluster cluster(2);
-  auto tracker = MakeRank(opt);
+  auto tracker = MakePerElementRank(k);
   auto parallel = cluster.ReplayRank(tracker.get(), w, 100, 1.5);
   EXPECT_FALSE(cluster.last_replay_sharded());
   ExpectIdentical(serial, parallel);
@@ -557,11 +543,9 @@ TEST(OnlineCount, FallsBackWithoutOnlineShardSupport) {
   {
     // Per-arrival coin path: sharded replay exists but is not online-
     // ready (no snapshot hooks) — the session must fall back to serial.
-    core::TrackerOptions opt = Options(k);
-    opt.use_skip_sampling = false;
-    auto serial_tracker = MakeCount(opt);
+    auto serial_tracker = MakePerArrivalCount(k);
     serial_tracker->ArriveSites(sites.data(), sites.size());
-    auto tracker = MakeCount(opt);
+    auto tracker = MakePerArrivalCount(k);
     sim::OnlineCountSession session(&cluster, tracker.get());
     EXPECT_FALSE(session.sharded());
     session.PushSites(sites);
@@ -627,25 +611,6 @@ TEST(OnlineFrequency, BurstySingleSiteAndMisalignedPushes) {
               tracker->EstimateFrequency(1));
     ExpectSameKeyedTraffic(*serial_tracker, *tracker);
   }
-}
-
-TEST(OnlineFrequency, FallsBackForLegacyCounterStore) {
-  int k = 4;
-  Workload w = stream::MakeFrequencyWorkload(
-      k, 4000, stream::SiteSchedule::kUniformRandom, 500, 0.0, 3);
-  core::TrackerOptions opt = Options(k);
-  opt.use_flat_counters = false;
-  auto serial_tracker = MakeFrequency(opt);
-  serial_tracker->ArriveBatch(w.data(), w.size());
-  ParallelCluster cluster(4);
-  auto tracker = MakeFrequency(opt);
-  sim::OnlineKeyedSession session(&cluster, tracker.get());
-  EXPECT_FALSE(session.sharded());
-  session.Push(w);
-  session.Sync();
-  EXPECT_EQ(session.epoch_splits(), 0u);
-  EXPECT_EQ(serial_tracker->EstimateFrequency(1), tracker->EstimateFrequency(1));
-  ExpectSameKeyedTraffic(*serial_tracker, *tracker);
 }
 
 TEST(OnlineRank, CheckpointAlignedPushesBitIdenticalToSerial) {
@@ -754,12 +719,10 @@ TEST(OnlineRank, PerElementFeedFallsBack) {
   Workload w = stream::MakeRankWorkload(
       k, 5000, stream::SiteSchedule::kUniformRandom,
       stream::ValueOrder::kUniformRandom, 12, 37);
-  core::TrackerOptions opt = Options(k);
-  opt.use_batch_compaction = false;
-  auto serial_tracker = MakeRank(opt);
+  auto serial_tracker = MakePerElementRank(k);
   serial_tracker->ArriveBatch(w.data(), w.size());
   ParallelCluster cluster(2);
-  auto tracker = MakeRank(opt);
+  auto tracker = MakePerElementRank(k);
   sim::OnlineKeyedSession session(&cluster, tracker.get());
   EXPECT_FALSE(session.sharded());
   session.Push(w);

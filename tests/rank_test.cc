@@ -2,7 +2,9 @@
 // randomized tracker of §4 (Theorem 4.1 unbiasedness, coverage, space, and
 // the √k communication advantage).
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -296,6 +298,45 @@ TEST(RandomizedRankTest, ContinuousCheckpointsMostlyCovered) {
   }
   ASSERT_GT(counted, 5);
   EXPECT_LE(misses, counted / 5);
+}
+
+// Fast-tier twin of the slow batch-equivalence suite for grouped rank
+// delivery: chunks certified broadcast-free are fed span-at-a-time, with
+// eventless runs buffered across chunk boundaries, and must leave every
+// estimate, the communication totals and the rounds bit-identical to the
+// countdown engine (forced through the test peer) for the same ArriveBatch
+// call sequence.
+TEST(RandomizedRankTest, GroupedDeliveryBitIdenticalToCountdown) {
+  const int k = 8;
+  for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kBursty}) {
+    auto w = MakeRankWorkload(k, 80000, sched, ValueOrder::kUniformRandom, 16,
+                              71);
+    RandomizedRankOptions o;
+    o.num_sites = k;
+    o.epsilon = 0.05;
+    o.seed = 73;
+    RandomizedRankTracker grouped(o), countdown(o);
+    testing_util::DeliveryPeer::SetGrouped(&countdown, false);
+    // Ragged calls, some spanning several internal chunks, so spans and
+    // buffered runs straddle chunk and call boundaries.
+    size_t pos = 0;
+    for (size_t len = 7; pos < w.size(); len = len * 5 % 40009 + 1) {
+      size_t n = std::min(len, w.size() - pos);
+      grouped.ArriveBatch(w.data() + pos, n);
+      countdown.ArriveBatch(w.data() + pos, n);
+      pos += n;
+    }
+    ASSERT_GT(countdown.rounds(), 3u);
+    for (uint64_t q : {100ull, 9000ull, 30000ull, 65000ull}) {
+      double a = grouped.EstimateRank(q);
+      double b = countdown.EstimateRank(q);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "q " << q;
+    }
+    EXPECT_EQ(grouped.meter().TotalMessages(),
+              countdown.meter().TotalMessages());
+    EXPECT_EQ(grouped.meter().TotalWords(), countdown.meter().TotalWords());
+    EXPECT_EQ(grouped.rounds(), countdown.rounds());
+  }
 }
 
 TEST(RandomizedRankTest, DuplicateValuesHandled) {

@@ -1,9 +1,8 @@
 // Statistical acceptance tier for the frequency and rank estimators: the
 // checks a variance-breaking "optimization" would trip. Over >= 200
-// independent seeds, for BOTH the historical hot path (per-arrival coins,
-// unordered_map counter store, per-element compactor feed) and the
-// current one (skip sampling, flat counter table, batched compactor
-// feed), the final estimator error must be
+// independent seeds, for BOTH the reference oracles (per-arrival coins,
+// per-element compactor feed) and the production path (skip sampling,
+// batched compactor feed), the final estimator error must be
 //
 //  * unbiased: |mean error| within a 4-sigma CLT band of zero, and
 //  * variance-bounded: sample Var <= (eps * m)^2 * slack, where the
@@ -76,11 +75,10 @@ TEST(StatAcceptanceTest, FrequencyOldAndNewPathsMatchTheory) {
           o.num_sites = k;
           o.epsilon = eps;
           o.seed = seed;
-          // Old hot path: per-arrival Bernoulli coins + unordered_map
-          // counter lists (scalar delivery). New: skip sampling + flat
-          // open-addressing table + event-countdown batches.
+          // Old: the per-arrival Bernoulli coin oracle (scalar delivery).
+          // New: the production path, skip sampling + event-countdown
+          // batches.
           o.use_skip_sampling = new_path;
-          o.use_flat_counters = new_path;
           frequency::RandomizedFrequencyTracker tracker(o);
           tracker.ArriveBatch(w.data(), w.size());
           return tracker.EstimateFrequency(0) - static_cast<double>(truth);
@@ -115,8 +113,9 @@ TEST(StatAcceptanceTest, RankOldAndNewPathsMatchTheory) {
           o.num_sites = k;
           o.epsilon = eps;
           o.seed = seed;
-          // Old hot path: per-arrival tail coins + per-element compactor
-          // feed. New: skip sampling + batched compaction.
+          // Old: the reference oracles, per-arrival tail coins + the
+          // per-element compactor feed. New: the production path, skip
+          // sampling + batched compaction.
           o.use_skip_sampling = new_path;
           o.use_batch_compaction = new_path;
           rank::RandomizedRankTracker tracker(o);
@@ -155,7 +154,6 @@ TEST(StatAcceptanceTest, FrequencyRareItemStaysUnbiasedOnBothPaths) {
           o.epsilon = eps;
           o.seed = seed;
           o.use_skip_sampling = new_path;
-          o.use_flat_counters = new_path;
           frequency::RandomizedFrequencyTracker tracker(o);
           tracker.ArriveBatch(w.data(), w.size());
           return tracker.EstimateFrequency(item) - static_cast<double>(truth);

@@ -58,6 +58,21 @@ inline double MaxRelativeCheckpointError(
   return worst;
 }
 
+/// The one test seam into the randomized trackers' batch engines (each
+/// declares it a friend). In production each tracker picks its engine
+/// itself: count and rank group every chunk
+/// CoarseTracker::BatchCannotBroadcast certifies, frequency applies its
+/// cache gate. The equivalence tests pin grouped ≡ countdown by forcing
+/// one engine on an otherwise identical tracker.
+struct DeliveryPeer {
+  /// false: every chunk runs on the event-countdown engine. true (for
+  /// frequency, whose gate may say no): certified chunks are grouped.
+  template <typename Tracker>
+  static void SetGrouped(Tracker* tracker, bool grouped) {
+    tracker->grouped_enabled_ = grouped;
+  }
+};
+
 }  // namespace testing_util
 }  // namespace disttrack
 
