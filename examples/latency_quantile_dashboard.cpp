@@ -14,30 +14,15 @@
 #include <memory>
 #include <vector>
 
+#include "disttrack/core/quantile.h"
 #include "disttrack/core/tracking.h"
 #include "disttrack/stream/workload.h"
 
 using disttrack::core::Algorithm;
+using disttrack::core::QuantileFromRank;
 using disttrack::core::TrackerOptions;
 
 namespace {
-
-// Smallest value whose estimated rank reaches phi * n (binary search over
-// the value universe; valid because EstimateRank is monotone in x).
-uint64_t QuantileOf(const disttrack::sim::RankTrackerInterface& tracker,
-                    double phi, uint64_t universe) {
-  double target = phi * static_cast<double>(tracker.TrueCount());
-  uint64_t lo = 0, hi = universe;
-  while (lo < hi) {
-    uint64_t mid = lo + (hi - lo) / 2;
-    if (tracker.EstimateRank(mid) < target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo == 0 ? 0 : lo - 1;
-}
 
 uint64_t ExactQuantile(std::vector<uint64_t> values, double phi) {
   if (values.empty()) return 0;
@@ -88,13 +73,13 @@ int main() {
       std::printf("%12zu %10llu %10llu %10llu %10llu %10llu %10llu\n",
                   all.size(),
                   static_cast<unsigned long long>(
-                      QuantileOf(*tracker, 0.50, 1ull << kUniverseBits)),
+                      QuantileFromRank(*tracker, 0.50, 1ull << kUniverseBits)),
                   static_cast<unsigned long long>(ExactQuantile(all, 0.50)),
                   static_cast<unsigned long long>(
-                      QuantileOf(*tracker, 0.95, 1ull << kUniverseBits)),
+                      QuantileFromRank(*tracker, 0.95, 1ull << kUniverseBits)),
                   static_cast<unsigned long long>(ExactQuantile(all, 0.95)),
                   static_cast<unsigned long long>(
-                      QuantileOf(*tracker, 0.99, 1ull << kUniverseBits)),
+                      QuantileFromRank(*tracker, 0.99, 1ull << kUniverseBits)),
                   static_cast<unsigned long long>(ExactQuantile(all, 0.99)));
       next_refresh *= 4;
     }

@@ -137,6 +137,19 @@ class FrequencyAggregate {
     return out;
   }
 
+  /// The items of ItemEstimates() whose estimate is >= `threshold`, in the
+  /// same order: filtered in the pass over the totals, then sorted.
+  std::vector<std::pair<uint64_t, double>> HeavyHitters(
+      double threshold) const {
+    std::vector<std::pair<uint64_t, double>> out;
+    totals_.ForEach([&out, threshold](uint64_t item, uint64_t total) {
+      double est = static_cast<double>(Signed(total));
+      if (est >= threshold) out.emplace_back(item, est);
+    });
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
  private:
   struct PairSlot {
     uint64_t item = 0;

@@ -46,6 +46,7 @@ RandomizedRankTracker::RandomizedRankTracker(
       meter_(options.num_sites),
       space_(options.num_sites),
       sites_(static_cast<size_t>(options.num_sites)),
+      agg_(options.num_sites),
       pending_uploads_(static_cast<size_t>(options.num_sites)) {
   for (int i = 0; i < options_.num_sites; ++i) {
     SiteState& s = sites_[static_cast<size_t>(i)];
@@ -111,36 +112,26 @@ void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
   // leaves are covered by shipped summaries, the tail by its frozen
   // samples); unpulled ladder data goes with it.
   s->ladder.Reset(levels);
-  if (crash_replay_ && detached_replay_) {
-    // Detached site process: no journaled instances to walk and nothing
-    // is ever stored into idata in replay mode, so one scratch instance
-    // serves every round/chunk transition (keeps the long-lived site at
-    // O(1) instance memory).
-    if (s->owned_instances.empty()) s->owned_instances.emplace_back();
-    s->idata = &s->owned_instances.back();
-    s->idata->inv_p = round_.inv_p;
-  } else if (crash_replay_) {
-    // The coordinator-side instance storage survived the crash: advance
-    // the replay cursor through the instances the original execution
-    // created instead of appending duplicates.
+  if (crash_replay_ && !detached_replay_) {
+    // The instance journal survived the crash: advance the replay cursor
+    // through the instances the original execution created and check
+    // that each one is re-created in the same round. (A detached site
+    // process has no journal to walk and keeps none.)
     ++replay_cursor_;
-    if (replay_cursor_ >= s->owned_instances.size()) {
+    if (replay_cursor_ >= s->instance_inv_p.size()) {
       std::fprintf(stderr,
                    "RandomizedRankTracker: crash replay created more "
                    "instances than the original execution\n");
       std::abort();
     }
-    s->idata = &s->owned_instances[replay_cursor_];
-    if (s->idata->inv_p != round_.inv_p) {
+    if (s->instance_inv_p[replay_cursor_] != round_.inv_p) {
       std::fprintf(stderr,
                    "RandomizedRankTracker: crash replay diverged — "
                    "instance %zu round p mismatch\n", replay_cursor_);
       std::abort();
     }
-  } else {
-    s->owned_instances.emplace_back();
-    s->idata = &s->owned_instances.back();
-    s->idata->inv_p = round_.inv_p;
+  } else if (!crash_replay_) {
+    s->instance_inv_p.push_back(round_.inv_p);
   }
   if (options_.use_skip_sampling) {
     // Rounds change p, which invalidates outstanding skips; chunk
@@ -169,28 +160,12 @@ void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
   // summaries, and the in-progress tails stay covered by their frozen
   // residual samples; sites just restart with fresh parameters.
   round_ = options_.RoundParamsFor(n_bar);
+  agg_.BeginRound(round_.inv_p, round_.num_leaves);
   for (int i = 0; i < options_.num_sites; ++i) {
     StartFreshInstance(&sites_[static_cast<size_t>(i)]);
     UpdateSpace(i);
   }
   if (in_batch_) RearmAll();
-}
-
-RandomizedRankTracker::StoredSummary RandomizedRankTracker::TakeStored(
-    SiteState* s) {
-  if (s->stored_pool.empty()) return StoredSummary{};
-  StoredSummary stored = std::move(s->stored_pool.back());
-  s->stored_pool.pop_back();
-  stored.values.clear();
-  stored.segments.clear();
-  return stored;
-}
-
-void RandomizedRankTracker::RecycleStored(SiteState* s,
-                                          StoredSummary&& stored) {
-  if (s->stored_pool.size() < 256) {
-    s->stored_pool.push_back(std::move(stored));
-  }
 }
 
 void RandomizedRankTracker::Upload(int site, uint64_t words) {
@@ -205,10 +180,9 @@ void RandomizedRankTracker::Upload(int site, uint64_t words) {
     ++pending.messages;
     pending.words += std::max<uint64_t>(1, words);
   } else {
-    // disttrack-lint: allow(meter-tap) -- charge-helper: every caller
-    // pairs this charge with its own frame emit (EmitSummaryFrame /
-    // EmitResidualFrame immediately at the call site); the helper
-    // itself has no message payload to tap.
+    // disttrack-lint: allow(meter-tap) -- charge-helper: its callers,
+    // ShipSummary and ShipResidual, emit the frame right after the
+    // charge; the helper itself has no message payload to tap.
     meter_.RecordUpload(site, words);
   }
 }
@@ -278,40 +252,13 @@ void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
     size_t total = s->ladder.Pull(0, &s->view_scratch);
     s->leaf_seed_armed = false;  // consumed (or dropped) with this leaf
     if (total == 0) return;
-    if (tap_ == nullptr && !crash_replay_) {
-      // Arena flush: the summary compacts straight into the instance's
-      // shared leaf arena (CompactSortedViewsToWire appends; segment
-      // ends are absolute) and is addressed by a LeafRef — no
-      // per-summary vectors, no pool churn, O(1) chunk-end prune. Taps
-      // and replay keep the StoredSummary path below so wire frames stay
-      // byte-for-byte identical.
-      InstanceData& data = *s->idata;
-      auto values_begin = static_cast<uint32_t>(data.leaf_values.size());
-      auto seg_begin = static_cast<uint32_t>(data.leaf_segments.size());
-      uint64_t words = summaries::CompactSortedViewsToWire(
-          LevelEps(0), s->leaf_seed, s->view_scratch.data(),
-          s->view_scratch.size(), total, &s->leaf_scratch,
-          &s->leaf_scratch2, &data.leaf_values, &data.leaf_segments);
-      data.leaf_refs.push_back(
-          LeafRef{node_start, end_leaf, values_begin, seg_begin,
-                  static_cast<uint32_t>(data.leaf_segments.size())});
-      Upload(site, words);
-      return;
-    }
-    StoredSummary stored = TakeStored(s);
-    stored.first_leaf = node_start;
-    stored.end_leaf = end_leaf;
+    s->export_values.clear();
+    s->export_segments.clear();
     uint64_t words = summaries::CompactSortedViewsToWire(
         LevelEps(0), s->leaf_seed, s->view_scratch.data(),
         s->view_scratch.size(), total, &s->leaf_scratch, &s->leaf_scratch2,
-        &stored.values, &stored.segments);
-    Upload(site, words);
-    EmitSummaryFrame(site, stored, words);
-    if (crash_replay_) {
-      RecycleStored(s, std::move(stored));  // original already stored it
-    } else {
-      s->idata->summaries.push_back(std::move(stored));
-    }
+        &s->export_values, &s->export_segments);
+    ShipSummary(site, s, node_start, end_leaf, words);
     return;
   }
   auto& node = s->nodes[static_cast<size_t>(level)];
@@ -327,19 +274,10 @@ void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
     s->pool[static_cast<size_t>(level)].push_back(std::move(node));
     return;
   }
-  StoredSummary stored = TakeStored(s);
-  stored.first_leaf = node_start;
-  stored.end_leaf = end_leaf;
   uint64_t words = node->InsertViewsAndExport(
-      s->view_scratch.data(), s->view_scratch.size(), total, &stored.values,
-      &stored.segments);
-  Upload(site, words);
-  EmitSummaryFrame(site, stored, words);
-  if (crash_replay_) {
-    RecycleStored(s, std::move(stored));
-  } else {
-    s->idata->summaries.push_back(std::move(stored));
-  }
+      s->view_scratch.data(), s->view_scratch.size(), total,
+      &s->export_values, &s->export_segments);
+  ShipSummary(site, s, node_start, end_leaf, words);
   s->pool[static_cast<size_t>(level)].push_back(std::move(node));
 }
 
@@ -454,22 +392,11 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
     // summary — exactly what the node path's leaf-completion prune does).
     bool fwd = options_.use_skip_sampling ? s.tail_skip.Next(&s.rng)
                                           : s.rng.Bernoulli(1.0 / round_.inv_p);
-    if (fwd) {
-      Upload(site, 2);
-      EmitResidualFrame(site, 0, value);
-    }
-    Upload(site, 3);  // single-item summary: value + header
-    StoredSummary stored = TakeStored(&s);
-    stored.first_leaf = 0;
-    stored.end_leaf = 1;
-    stored.values.push_back(value);
-    stored.segments.emplace_back(1, 1);
-    EmitSummaryFrame(site, stored, 3);
-    if (crash_replay_) {
-      RecycleStored(&s, std::move(stored));
-    } else {
-      s.idata->summaries.push_back(std::move(stored));
-    }
+    if (fwd) ShipResidual(site, 0, value, /*store=*/false);
+    // Single-item summary: value + header.
+    s.export_values.assign(1, value);
+    s.export_segments.assign(1, {1, 1});
+    ShipSummary(site, &s, 0, 1, 3);
     StartFreshInstance(&s);
     return;
   }
@@ -492,16 +419,12 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
                      ? s.tail_skip.Next(&s.rng)
                      : s.rng.Bernoulli(1.0 / round_.inv_p);
   if (forward) {
-    Upload(site, 2);
-    EmitResidualFrame(site, s.current_leaf, value);
     // A sample of a leaf this very arrival completes would be dropped by
-    // the completion prune below before any estimate can read it; charge
-    // the upload but skip the vector churn. (The frame still travels: the
-    // coordinator replica stores it and prunes it on the covering
-    // summary's arrival — same estimator-visible range.)
-    if (!completes_leaf && !crash_replay_) {
-      s.idata->residuals.push_back(ResidualSample{s.current_leaf, value});
-    }
+    // the leaf's summary below before any estimate can read it; charge
+    // and emit it but skip storing it. (The replica stores the frame and
+    // drops it on the covering summary's arrival — same estimator-visible
+    // range.)
+    ShipResidual(site, s.current_leaf, value, !completes_leaf);
   }
 
   ++s.arrivals_in_leaf;
@@ -527,9 +450,9 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
         if (chunk_done && level < round_.height) {
           // Every node completes at the chunk's last leaf, and the
           // top-level summary (shipped below) covers the whole chunk —
-          // the coordinator would discard the lower summaries on arrival
-          // (see the dyadic-cover pruning after this loop), so don't
-          // build or ship them. The estimate is unchanged and the
+          // the coordinator's cover stack would drop the lower summaries
+          // on its arrival (rank_aggregate.h), so don't build or ship
+          // them. The estimate is unchanged and the
           // communication strictly drops. Unpulled ladder data for these
           // levels dies with the instance reset below.
           auto& node = s.nodes[static_cast<size_t>(level)];
@@ -545,40 +468,10 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
         }
       }
     }
-    // Completed leaves are now covered by summaries: their tail samples
-    // are redundant and dropped (the paper's estimator only uses samples
-    // from the in-progress block). Residuals arrive in leaf order, so the
-    // drop is a constant-time advance of the live-range offset.
-    auto& residuals = s.idata->residuals;
-    size_t& begin = s.idata->residual_begin;
-    while (begin < residuals.size() &&
-           residuals[begin].leaf < completed_end) {
-      ++begin;
-    }
+    // The summaries shipped above dropped the completed leaves' tail
+    // samples (the paper's estimator only uses samples from the
+    // in-progress block), and the chunk's top summary froze the instance.
     if (chunk_done) {
-      // The top-level summary now covers the whole chunk; lower summaries
-      // are redundant for the dyadic cover and are dropped.
-      auto& data = *s.idata;
-      auto top = std::find_if(data.summaries.begin(), data.summaries.end(),
-                              [completed_end](const StoredSummary& stored) {
-                                return stored.first_leaf == 0 &&
-                                       stored.end_leaf == completed_end;
-                              });
-      if (top != data.summaries.end()) {
-        StoredSummary keep = std::move(*top);
-        for (auto& dropped : data.summaries) {
-          RecycleStored(&s, std::move(dropped));
-        }
-        data.summaries.clear();
-        data.summaries.push_back(std::move(keep));
-        // Every arena leaf summary is covered by the kept top summary;
-        // the whole prune is three O(1) clears. (When the top summary
-        // itself lives in the arena — height 0 — the find_if above
-        // misses and the single covering ref stays.)
-        data.leaf_values.clear();
-        data.leaf_segments.clear();
-        data.leaf_refs.clear();
-      }
       StartFreshInstance(&s);
     } else {
       ++s.current_leaf;
@@ -711,10 +604,7 @@ void RandomizedRankTracker::FeedRun(int site, std::vector<uint64_t>* run,
       pos += skips;
       s.tail_skip.ConsumeFailures(skips);
       s.tail_skip.Next(&s.rng);  // skip exhausted: success + redraw
-      Upload(site, 2);
-      EmitResidualFrame(site, s.current_leaf, values[pos]);
-      s.idata->residuals.push_back(
-          ResidualSample{s.current_leaf, values[pos]});
+      ShipResidual(site, s.current_leaf, values[pos], /*store=*/true);
       ++pos;
     }
   }
@@ -867,116 +757,54 @@ void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
   FlushDeferredUploads();
 }
 
-double RandomizedRankTracker::SummaryRankBelow(const StoredSummary& summary,
-                                               uint64_t x) {
-  uint64_t below = 0;
-  uint32_t begin = 0;
-  for (const auto& [weight, end] : summary.segments) {
-    auto first = summary.values.begin() + begin;
-    auto last = summary.values.begin() + end;
-    below += weight * static_cast<uint64_t>(std::lower_bound(first, last, x) -
-                                            first);
-    begin = end;
-  }
-  return static_cast<double>(below);
-}
-
-double RandomizedRankTracker::LeafRankBelow(const InstanceData& data,
-                                            const LeafRef& ref, uint64_t x) {
-  // Arena-resident twin of SummaryRankBelow: the ref's segment slice
-  // carries absolute end offsets into the shared value array.
-  uint64_t below = 0;
-  uint32_t begin = ref.values_begin;
-  for (uint32_t si = ref.seg_begin; si < ref.seg_end; ++si) {
-    const auto& [weight, end] = data.leaf_segments[si];
-    auto first = data.leaf_values.begin() + begin;
-    auto last = data.leaf_values.begin() + end;
-    below += weight * static_cast<uint64_t>(std::lower_bound(first, last, x) -
-                                            first);
-    begin = end;
-  }
-  return static_cast<double>(below);
-}
-
 double RandomizedRankTracker::EstimateRank(uint64_t value) const {
-  double est = 0;
-  for (const SiteState& site_state : sites_) {
-    for (const InstanceData& data : site_state.owned_instances) {
-      // Greedy maximal dyadic cover of the completed-leaf prefix, over
-      // the owned summaries and the arena leaf refs together. Refs are
-      // in leaf order, so they are consumed by one monotone index; on a
-      // range tie the ref wins, matching the StoredSummary-only scan
-      // (which kept the level-0 summary, pushed first) so both storage
-      // layouts sum the identical ranges in the identical order.
-      uint32_t cursor = 0;
-      size_t ref_i = 0;
-      for (;;) {
-        const StoredSummary* best = nullptr;
-        for (const StoredSummary& stored : data.summaries) {
-          if (stored.first_leaf == cursor &&
-              (best == nullptr || stored.end_leaf > best->end_leaf)) {
-            best = &stored;
-          }
-        }
-        while (ref_i < data.leaf_refs.size() &&
-               data.leaf_refs[ref_i].first_leaf < cursor) {
-          ++ref_i;
-        }
-        const LeafRef* ref = ref_i < data.leaf_refs.size() &&
-                                     data.leaf_refs[ref_i].first_leaf ==
-                                         cursor
-                                 ? &data.leaf_refs[ref_i]
-                                 : nullptr;
-        if (ref != nullptr &&
-            (best == nullptr || ref->end_leaf >= best->end_leaf)) {
-          est += LeafRankBelow(data, *ref, value);
-          cursor = ref->end_leaf;
-          continue;
-        }
-        if (best == nullptr) break;
-        est += SummaryRankBelow(*best, value);
-        cursor = best->end_leaf;
-      }
-      // In-progress tail: unbiased sample estimate at this round's p.
-      uint64_t below = 0;
-      for (size_t i = data.residual_begin; i < data.residuals.size(); ++i) {
-        if (data.residuals[i].value < value) ++below;
-      }
-      est += static_cast<double>(below) * data.inv_p;
-    }
-  }
-  return est;
+  return agg_.Estimate(value);
 }
 
 // --- Wire layer / crash recovery -----------------------------------------
 
-void RandomizedRankTracker::EmitSummaryFrame(int site,
-                                             const StoredSummary& stored,
-                                             uint64_t words) {
-  if (tap_ == nullptr) return;
-  sim::wire::Message msg;
-  msg.type = sim::wire::MsgType::kRankSummary;
-  msg.site = site;
-  msg.epoch = coarse_->round();
-  msg.a = stored.first_leaf;
-  msg.b = stored.end_leaf;
-  msg.values = stored.values;
-  msg.segments = stored.segments;
-  msg.paper_words = words;
-  tap_->OnMessage(std::move(msg));
+void RandomizedRankTracker::ShipSummary(int site, SiteState* s,
+                                        uint32_t first_leaf,
+                                        uint32_t end_leaf, uint64_t words) {
+  Upload(site, words);
+  if (tap_ != nullptr) {
+    sim::wire::Message msg;
+    msg.type = sim::wire::MsgType::kRankSummary;
+    msg.site = site;
+    msg.epoch = coarse_->round();
+    msg.a = first_leaf;
+    msg.b = end_leaf;
+    msg.values = s->export_values;
+    msg.segments = s->export_segments;
+    msg.paper_words = words;
+    tap_->OnMessage(std::move(msg));
+  }
+  if (crash_replay_) return;  // the original execution applied it
+  if (!agg_.Summary(site, first_leaf, end_leaf, s->export_values.data(),
+                    s->export_values.size(), s->export_segments.data(),
+                    s->export_segments.size())) {
+    std::fprintf(stderr,
+                 "RandomizedRankTracker: the coordinator aggregate refused "
+                 "site %d's summary of leaves [%u, %u)\n",
+                 site, first_leaf, end_leaf);
+    std::abort();
+  }
 }
 
-void RandomizedRankTracker::EmitResidualFrame(int site, uint32_t leaf,
-                                              uint64_t value) {
-  if (tap_ == nullptr) return;
-  sim::wire::Message msg;
-  msg.type = sim::wire::MsgType::kRankResidual;
-  msg.site = site;
-  msg.epoch = coarse_->round();
-  msg.a = leaf;
-  msg.b = value;
-  msg.paper_words = 2;
-  tap_->OnMessage(std::move(msg));
+void RandomizedRankTracker::ShipResidual(int site, uint32_t leaf,
+                                         uint64_t value, bool store) {
+  Upload(site, 2);
+  if (tap_ != nullptr) {
+    sim::wire::Message msg;
+    msg.type = sim::wire::MsgType::kRankResidual;
+    msg.site = site;
+    msg.epoch = coarse_->round();
+    msg.a = leaf;
+    msg.b = value;
+    msg.paper_words = 2;
+    tap_->OnMessage(std::move(msg));
+  }
+  if (store && !crash_replay_) agg_.Residual(site, leaf, value);
 }
 
 void RandomizedRankTracker::set_wire_tap(sim::wire::WireTap* tap) {
@@ -1011,7 +839,7 @@ void RandomizedRankTracker::SerializeSiteState(
   out->push_back(round_.num_leaves);
   out->push_back(static_cast<uint64_t>(round_.height));
   coarse_->SerializeSite(site, out);
-  out->push_back(s.owned_instances.size() - 1);
+  out->push_back(s.instance_inv_p.size() - 1);
   out->push_back(s.tail_skip.raw_skip());
   double inv_log = s.tail_skip.raw_inv_log();
   std::memcpy(&bits, &inv_log, sizeof(bits));
@@ -1055,14 +883,13 @@ void RandomizedRankTracker::RestoreSiteState(
   s.leaf_seed_armed = false;
   s.ladder.Reset(levels);
   s.run.clear();
-  if (instance_index >= s.owned_instances.size()) {
+  if (instance_index >= s.instance_inv_p.size()) {
     std::fprintf(stderr,
                  "RandomizedRankTracker: snapshot instance index out of "
                  "range\n");
     std::abort();
   }
   replay_cursor_ = instance_index;
-  s.idata = &s.owned_instances[instance_index];
 }
 
 void RandomizedRankTracker::BeginCrashReplay(int site) {
@@ -1083,8 +910,7 @@ void RandomizedRankTracker::EndCrashReplay() {
     std::abort();
   }
   SiteState& s = sites_[static_cast<size_t>(replay_site_)];
-  if (replay_cursor_ + 1 != s.owned_instances.size() ||
-      s.idata != &s.owned_instances[replay_cursor_]) {
+  if (replay_cursor_ + 1 != s.instance_inv_p.size()) {
     std::fprintf(stderr,
                  "RandomizedRankTracker: crash replay instance cursor out "
                  "of step\n");

@@ -17,7 +17,11 @@
 // variance b²/h each) plus (sampled tail count)/p for the in-progress leaf
 // (variance ≤ b/p = b²). Per instance the variance is O(b²); with ≤ 4k
 // instances per round and geometrically decaying past rounds the total is
-// O((εn/c)²), i.e. error ≤ εn with probability ≥ 1 - O(1/c²).
+// O((εn/c)²), i.e. error ≤ εn with probability ≥ 1 - O(1/c²). That half
+// is rank::RankAggregate (rank_aggregate.h), which the replica
+// (sim/replica.h) hosts too: an open instance keeps only its cover, a
+// finished instance one merged run, and a probe costs one binary search
+// per finished instance plus one per segment of the open covers.
 //
 // At a round boundary sites simply clear: completed leaves are already
 // covered by shipped summaries and the in-progress tail stays covered by
@@ -44,8 +48,8 @@
 #define DISTTRACK_RANK_RANDOMIZED_RANK_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "disttrack/common/event_countdown.h"
@@ -54,6 +58,7 @@
 #include "disttrack/common/skip_sampler.h"
 #include "disttrack/common/status.h"
 #include "disttrack/count/coarse_tracker.h"
+#include "disttrack/rank/rank_aggregate.h"
 #include "disttrack/sim/protocol.h"
 #include "disttrack/sim/wire.h"
 #include "disttrack/summaries/compactor_summary.h"
@@ -182,72 +187,15 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   /// and runs in crash replay permanently — the coordinator's instance
   /// storage is a remote replica, so there is no pre-crash instance
   /// journal for the replay cursor to walk. Instance transitions then
-  /// reuse one scratch InstanceData (replay mode never stores summaries
-  /// or residuals into it) instead of cursor-advancing. Set before
-  /// BeginCrashReplay.
+  /// neither journal nor check anything. Set before BeginCrashReplay.
   void set_detached_replay(bool detached) { detached_replay_ = detached; }
 
  private:
-  // A node summary shipped to the coordinator: the compactor's levels as
-  // one flat value array partitioned into ascending segments by
-  // (weight, end offset) descriptors — one binary search per segment
-  // answers a rank query, and building it is a straight copy of the
-  // summary's already-sorted levels (no merge or comparison sort, two
-  // allocations total).
-  struct StoredSummary {
-    uint32_t first_leaf = 0;
-    uint32_t end_leaf = 0;
-    std::vector<uint64_t> values;
-    std::vector<std::pair<uint64_t, uint32_t>> segments;
-  };
-
-  struct ResidualSample {
-    uint32_t leaf;
-    uint64_t value;
-  };
-
-  // One leaf summary stored in the instance's shared arena (below): a
-  // slice of leaf_values / leaf_segments instead of an owned
-  // StoredSummary. Refs land in leaf order, so the estimator's dyadic
-  // cover advances through them monotonically.
-  struct LeafRef {
-    uint32_t first_leaf;
-    uint32_t end_leaf;
-    uint32_t values_begin;
-    uint32_t seg_begin;
-    uint32_t seg_end;
-  };
-
-  // Everything the coordinator holds for one instance of algorithm C.
-  struct InstanceData {
-    std::vector<StoredSummary> summaries;
-    std::vector<ResidualSample> residuals;
-    // Residuals land in leaf order, so pruning completed leaves is just
-    // advancing this offset — the estimator reads [residual_begin, end).
-    size_t residual_begin = 0;
-    double inv_p = 1.0;  // 1/p of the instance's round
-    // Leaf-summary arena (node-less flush, no tap/replay): every level-0
-    // summary of the instance appends to these two flat vectors —
-    // segment ends are absolute offsets into leaf_values — and is
-    // addressed by a LeafRef. One leaf flush then costs two amortized
-    // appends instead of two per-summary vector allocations, and the
-    // chunk-end prune of all covered leaves is three O(1) clears.
-    std::vector<uint64_t> leaf_values;
-    std::vector<std::pair<uint64_t, uint32_t>> leaf_segments;
-    std::vector<LeafRef> leaf_refs;
-  };
-
-
   struct SiteState {
-    InstanceData* idata = nullptr;  // cached &owned_instances.back()
-    // Coordinator-side storage for every instance of algorithm C this
-    // site has started, in chunk order (a deque: stable addresses for
-    // idata). Written only by the owning site — during shard ingest the
-    // site's worker appends summaries/residuals directly — and read by
-    // the estimator between epochs. Site-major iteration keeps the
-    // estimate's summation order deterministic and schedule-independent
-    // (the old global unordered_map iterated in hash order).
-    std::deque<InstanceData> owned_instances;
+    // 1/p of every instance of algorithm C this site has started, in
+    // chunk order: the journal crash replay walks to check that it
+    // re-creates the same instances.
+    std::vector<double> instance_inv_p;
     uint64_t arrivals_in_chunk = 0;
     uint64_t arrivals_in_leaf = 0;
     uint32_t current_leaf = 0;
@@ -263,7 +211,9 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
     SkipSampler tail_skip;  // gap to the next tail-channel forward
     Rng rng{0};
     std::vector<summaries::RunView> view_scratch;  // ladder pull scratch
-    std::vector<StoredSummary> stored_pool;        // recycled buffers
+    // The node summary being shipped, in the wire format.
+    std::vector<uint64_t> export_values;
+    std::vector<std::pair<uint64_t, uint32_t>> export_segments;
     // Batch-engine run buffer: values delivered to this site since its
     // last event/reconciliation, in arrival order (delivery-engine state,
     // not protocol state — the values are the stream itself).
@@ -334,23 +284,19 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // node's remaining window itself (fused with the export).
   void EnsureNodes(SiteState* s);
   void PumpLevels(SiteState* s, uint64_t appended);
-  // StoredSummary buffer pool (per site): flushes run at leaf cadence,
-  // so recycling the vectors the chunk-end prune discards keeps
-  // allocation off the flush path.
-  StoredSummary TakeStored(SiteState* s);
-  void RecycleStored(SiteState* s, StoredSummary&& stored);
   void StartFreshInstance(SiteState* s);
   void FlushNode(int site, SiteState* s, int level, uint32_t node_start,
                  uint32_t end_leaf);
   double LevelEps(int level) const;
   void UpdateSpace(int site);
-  void EmitSummaryFrame(int site, const StoredSummary& stored,
-                        uint64_t words);
-  void EmitResidualFrame(int site, uint32_t leaf, uint64_t value);
-  static double SummaryRankBelow(const StoredSummary& summary, uint64_t x);
-  // SummaryRankBelow over an arena-resident leaf summary.
-  static double LeafRankBelow(const InstanceData& data, const LeafRef& ref,
-                              uint64_t x);
+  // Ships the site's export buffers as node [first_leaf, end_leaf):
+  // uploads `words`, emits the frame, and (outside crash replay) applies
+  // it to the coordinator aggregate.
+  void ShipSummary(int site, SiteState* s, uint32_t first_leaf,
+                   uint32_t end_leaf, uint64_t words);
+  // Ships a tail-channel forward of `value` from leaf `leaf`; `store`
+  // false skips the aggregate (a sample its own leaf's summary covers).
+  void ShipResidual(int site, uint32_t leaf, uint64_t value, bool store);
   // Posts the batch's deferred per-site upload charges in one
   // RecordUploadBulk per site (see pending_uploads_).
   void FlushDeferredUploads();
@@ -381,6 +327,9 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   sim::SpaceGauge space_;
   std::unique_ptr<count::CoarseTracker> coarse_;
   std::vector<SiteState> sites_;
+  // The coordinator's instance storage and estimator. Written by the
+  // shipping site only (shard workers included) and never in crash replay.
+  RankAggregate agg_;
   std::vector<ShardSink> shard_sinks_;
   bool shard_mode_ = false;
   sim::wire::WireTap* tap_ = nullptr;
@@ -399,10 +348,9 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   std::vector<PendingUpload> pending_uploads_;
 
   // Crash-replay bookkeeping (see BeginCrashReplay). The cursor walks
-  // the crashed site's pre-existing owned_instances as the replay
-  // re-creates them — replayed StartFreshInstance calls advance it
-  // instead of appending, so the coordinator-side instance storage is
-  // never duplicated.
+  // the crashed site's instance journal as the replay re-creates the
+  // instances — replayed StartFreshInstance calls advance it and check
+  // the round's 1/p instead of appending.
   bool crash_replay_ = false;
   bool detached_replay_ = false;
   int replay_site_ = -1;

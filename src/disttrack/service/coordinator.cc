@@ -274,11 +274,12 @@ void Coordinator::DecideCoarse(int site, const Message& report,
 }
 
 bool Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
-  // The frequency replica refuses a frame that would break its exactness
-  // bound (a value no tracker produces); nothing else has seen it yet.
+  // The frequency and rank replicas refuse a frame no tracker produces:
+  // one that would break an exactness bound, or a malformed rank summary.
+  // Nothing else has seen it yet.
   if (frequency_replica_ && !frequency_replica_->Apply(msg)) return false;
+  if (rank_replica_ && !rank_replica_->Apply(msg)) return false;
   if (count_replica_) count_replica_->Apply(msg);
-  if (rank_replica_) rank_replica_->Apply(msg);
   uint64_t charge = sim::wire::PaperWordCharge(msg, options_.num_sites);
   if (charge > 0) {
     // A delivered data-plane frame is exactly one §1.1 upload; replays
@@ -370,11 +371,10 @@ sim::wire::Message Coordinator::Query(const Message& query) const {
         uint64_t bits = query.b;
         memcpy(&phi, &bits, sizeof(phi));
         double threshold = phi * static_cast<double>(n_prime);
-        for (const auto& [item, est] : frequency_replica_->ItemEstimates()) {
-          if (est >= threshold) {
-            result.values.push_back(item);
-            result.values.push_back(Bits(est));
-          }
+        for (const auto& [item, est] :
+             frequency_replica_->HeavyHitters(threshold)) {
+          result.values.push_back(item);
+          result.values.push_back(Bits(est));
         }
       }
       break;

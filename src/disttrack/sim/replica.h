@@ -15,7 +15,6 @@
 #ifndef DISTTRACK_SIM_REPLICA_H_
 #define DISTTRACK_SIM_REPLICA_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -149,11 +148,17 @@ class FrequencyReplica {
 
   /// Every item any counter report or sampled copy has named, with its
   /// current estimate, sorted by item: one pass over the item totals.
-  /// Serves the coordinator's heavy-hitters query, whose callers filter by
-  /// threshold phi * n-hat themselves. Items whose estimate is exactly 0
-  /// are included, so a threshold <= 0 (phi <= 0) returns them too.
   std::vector<std::pair<uint64_t, double>> ItemEstimates() const {
     return agg_.ItemEstimates();
+  }
+
+  /// The items of ItemEstimates() whose estimate is >= `threshold` (the
+  /// coordinator's heavy-hitters query, threshold phi * n'). Items whose
+  /// estimate is exactly 0 are included, so a threshold <= 0 (phi <= 0)
+  /// returns them too.
+  std::vector<std::pair<uint64_t, double>> HeavyHitters(
+      double threshold) const {
+    return agg_.HeavyHitters(threshold);
   }
 
   uint64_t round() const { return coarse_.round; }
@@ -167,164 +172,50 @@ class FrequencyReplica {
 };
 
 // --- Rank replica ---------------------------------------------------------
-// Mirrors the coordinator storage of RandomizedRankTracker: per site, the
-// instances of algorithm C in stream order, each holding its shipped
-// summaries, its live residual window, and its round's 1/p. Per-site FIFO
-// delivery gives the replica the tracker's own ordering guarantees: a
-// chunk's frames arrive in leaf order, and the coarse report that opens a
-// round precedes the round's first summary. Instances are opened lazily
-// at their first frame — an instance the tracker created but never fed
-// contributes exactly +0.0 to the estimate, so skipping it is FP-safe —
-// and closed by the round's derived broadcast or by the chunk-completing
-// top summary (first_leaf == 0, end_leaf == num_leaves), which also
-// triggers the tracker's drop-covered-summaries prune.
+// Hosts the tracker's own coordinator aggregate (rank/rank_aggregate.h),
+// fed from frames; a derived broadcast opens the next round with the
+// round parameters the tracker computes from the same n̄. Per-site FIFO
+// delivery gives the aggregate the tracker's ordering: a chunk's frames
+// arrive in leaf order, and the coarse report that opens a round precedes
+// the round's first summary. A malformed summary, or one that would take
+// a site's summary weight to 2^53, is refused and changes nothing.
 
 class RankReplica {
  public:
   explicit RankReplica(const rank::RandomizedRankOptions& options)
-      : options_(options),
-        sites_(static_cast<size_t>(options.num_sites)) {}
+      : options_(options), agg_(options.num_sites) {}
 
-  void Apply(const wire::Message& msg) {
+  /// False if the frame is refused (see above); no state changed.
+  bool Apply(const wire::Message& msg) {
     switch (msg.type) {
       case wire::MsgType::kCoarseReport:
         if (coarse_.ApplyReport(msg.a)) {
-          round_ = options_.RoundParamsFor(coarse_.n_bar);
-          for (Site& site : sites_) site.open = false;
+          rank::RoundParams round = options_.RoundParamsFor(coarse_.n_bar);
+          agg_.BeginRound(round.inv_p, round.num_leaves);
         }
-        break;
-      case wire::MsgType::kRankSummary: {
-        Site& site = sites_[static_cast<size_t>(msg.site)];
-        Instance& inst = Open(&site);
-        StoredSummary stored;
-        stored.first_leaf = static_cast<uint32_t>(msg.a);
-        stored.end_leaf = static_cast<uint32_t>(msg.b);
-        stored.values = msg.values;
-        stored.segments = msg.segments;
-        uint32_t end_leaf = stored.end_leaf;
-        inst.summaries.push_back(std::move(stored));
-        // Completed leaves are covered: drop their residual samples
-        // (mirrors the tracker's leaf-completion prune; residuals arrive
-        // in leaf order on the site's FIFO).
-        while (inst.residual_begin < inst.residuals.size() &&
-               inst.residuals[inst.residual_begin].leaf < end_leaf) {
-          ++inst.residual_begin;
-        }
-        if (stored_covers_chunk(inst.summaries.back())) {
-          // Chunk done: keep only the top summary (the tracker's
-          // dyadic-cover prune) and close the instance — the next frame
-          // from this site opens the successor.
-          auto top = std::find_if(
-              inst.summaries.begin(), inst.summaries.end(),
-              [this](const StoredSummary& s) {
-                return s.first_leaf == 0 && s.end_leaf == round_.num_leaves;
-              });
-          StoredSummary keep = std::move(*top);
-          inst.summaries.clear();
-          inst.summaries.push_back(std::move(keep));
-          site.open = false;
-        }
-        break;
-      }
-      case wire::MsgType::kRankResidual: {
-        Site& site = sites_[static_cast<size_t>(msg.site)];
-        Open(&site).residuals.push_back(
-            ResidualSample{static_cast<uint32_t>(msg.a), msg.b});
-        break;
-      }
+        return true;
+      case wire::MsgType::kRankSummary:
+        return agg_.Summary(msg.site, msg.a, msg.b, msg.values.data(),
+                            msg.values.size(), msg.segments.data(),
+                            msg.segments.size());
+      case wire::MsgType::kRankResidual:
+        agg_.Residual(msg.site, msg.a, msg.b);
+        return true;
       default:
-        break;
+        return true;
     }
   }
 
-  double Estimate(uint64_t value) const {
-    // Exact mirror of RandomizedRankTracker::EstimateRank: site-major,
-    // instances in stream order, greedy maximal dyadic cover, residual
-    // window at the instance's own p.
-    double est = 0;
-    for (const Site& site : sites_) {
-      for (const Instance& data : site.instances) {
-        uint32_t cursor = 0;
-        for (;;) {
-          const StoredSummary* best = nullptr;
-          for (const StoredSummary& stored : data.summaries) {
-            if (stored.first_leaf == cursor &&
-                (best == nullptr || stored.end_leaf > best->end_leaf)) {
-              best = &stored;
-            }
-          }
-          if (best == nullptr) break;
-          est += SummaryRankBelow(*best, value);
-          cursor = best->end_leaf;
-        }
-        uint64_t below = 0;
-        for (size_t i = data.residual_begin; i < data.residuals.size(); ++i) {
-          if (data.residuals[i].value < value) ++below;
-        }
-        est += static_cast<double>(below) * data.inv_p;
-      }
-    }
-    return est;
-  }
+  double Estimate(uint64_t value) const { return agg_.Estimate(value); }
 
   uint64_t round() const { return coarse_.round; }
   uint64_t n_bar() const { return coarse_.n_bar; }
   uint64_t n_prime() const { return coarse_.n_prime; }
 
  private:
-  struct StoredSummary {
-    uint32_t first_leaf = 0;
-    uint32_t end_leaf = 0;
-    std::vector<uint64_t> values;
-    std::vector<std::pair<uint64_t, uint32_t>> segments;
-  };
-  struct ResidualSample {
-    uint32_t leaf = 0;
-    uint64_t value = 0;
-  };
-  struct Instance {
-    std::vector<StoredSummary> summaries;
-    std::vector<ResidualSample> residuals;
-    size_t residual_begin = 0;
-    double inv_p = 1.0;
-  };
-  struct Site {
-    std::vector<Instance> instances;
-    bool open = false;
-  };
-
-  bool stored_covers_chunk(const StoredSummary& stored) const {
-    return stored.first_leaf == 0 && stored.end_leaf == round_.num_leaves;
-  }
-
-  Instance& Open(Site* site) {
-    if (!site->open) {
-      site->instances.emplace_back();
-      site->instances.back().inv_p = round_.inv_p;
-      site->open = true;
-    }
-    return site->instances.back();
-  }
-
-  static double SummaryRankBelow(const StoredSummary& summary, uint64_t x) {
-    uint64_t below = 0;
-    uint32_t begin = 0;
-    for (const auto& [weight, end] : summary.segments) {
-      auto first = summary.values.begin() + begin;
-      auto last = summary.values.begin() + end;
-      below += weight * static_cast<uint64_t>(
-                            std::lower_bound(first, last, x) - first);
-      begin = end;
-    }
-    return static_cast<double>(below);
-  }
-
   rank::RandomizedRankOptions options_;
   CoarseMirror coarse_;
-  // The tracker's own round parameters (RandomizedRankOptions::
-  // RoundParamsFor), so inv_p and the leaf count match bit for bit.
-  rank::RoundParams round_;
-  std::vector<Site> sites_;
+  rank::RankAggregate agg_;
 };
 
 }  // namespace sim

@@ -1,0 +1,538 @@
+// Tests for rank::RankAggregate, the coordinator half of the §4 rank
+// tracker (cover stacks for open instances, one merged run per finished
+// instance).
+//
+// The reference oracle below is the estimator the tracker and its replica
+// used before the aggregate: every shipped summary of every instance is
+// kept, rank(x) takes the greedy maximal dyadic cover of each instance's
+// completed leaves (the longest summary starting at the cursor, the
+// earliest on a tie) plus its live tail samples at the instance's 1/p,
+// summed in double site by site, instance by instance. It is kept here,
+// test-only, as the single reference for the §4 estimator. The aggregate's
+// integer part must equal the oracle's exactly and its total must agree
+// to 1e-12 relative; hosts of the aggregate must agree with each other bit
+// for bit.
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "disttrack/common/random.h"
+#include "disttrack/count/coarse_tracker.h"
+#include "disttrack/rank/randomized_rank.h"
+#include "disttrack/rank/rank_aggregate.h"
+#include "disttrack/sim/replica.h"
+#include "disttrack/sim/wire.h"
+#include "disttrack/stream/workload.h"
+
+namespace disttrack {
+namespace rank {
+namespace {
+
+using sim::wire::Message;
+using sim::wire::MsgType;
+using Segment = RankAggregate::Segment;
+
+class ReferenceRankAggregate {
+ public:
+  explicit ReferenceRankAggregate(int num_sites)
+      : sites_(static_cast<size_t>(num_sites)) {}
+
+  void BeginRound(double inv_p, uint32_t num_leaves) {
+    inv_p_ = inv_p;
+    num_leaves_ = num_leaves;
+    for (Site& site : sites_) site.open = false;
+  }
+
+  void Summary(int site_id, uint64_t first_leaf, uint64_t end_leaf,
+               const std::vector<uint64_t>& values,
+               const std::vector<Segment>& segments) {
+    Site& site = sites_[static_cast<size_t>(site_id)];
+    Instance& inst = Open(&site);
+    inst.summaries.push_back(Stored{first_leaf, end_leaf, values, segments});
+    while (inst.residual_begin < inst.residuals.size() &&
+           inst.residuals[inst.residual_begin].first < end_leaf) {
+      ++inst.residual_begin;
+    }
+    if (first_leaf == 0 && end_leaf == num_leaves_) {
+      // Chunk done: keep only the top summary and close the instance.
+      auto top = std::find_if(inst.summaries.begin(), inst.summaries.end(),
+                              [this](const Stored& s) {
+                                return s.first_leaf == 0 &&
+                                       s.end_leaf == num_leaves_;
+                              });
+      Stored keep = std::move(*top);
+      inst.summaries.clear();
+      inst.summaries.push_back(std::move(keep));
+      site.open = false;
+    }
+  }
+
+  void Residual(int site_id, uint64_t leaf, uint64_t value) {
+    Open(&sites_[static_cast<size_t>(site_id)])
+        .residuals.emplace_back(leaf, value);
+  }
+
+  double Estimate(uint64_t x) const { return Walk(x, nullptr); }
+
+  uint64_t SummaryWeightBelow(uint64_t x) const {
+    uint64_t exact = 0;
+    Walk(x, &exact);
+    return exact;
+  }
+
+ private:
+  struct Stored {
+    uint64_t first_leaf;
+    uint64_t end_leaf;
+    std::vector<uint64_t> values;
+    std::vector<Segment> segments;
+  };
+  struct Instance {
+    std::vector<Stored> summaries;
+    std::vector<std::pair<uint64_t, uint64_t>> residuals;  // (leaf, value)
+    size_t residual_begin = 0;
+    double inv_p = 1.0;
+  };
+  struct Site {
+    std::deque<Instance> instances;
+    bool open = false;
+  };
+
+  Instance& Open(Site* site) {
+    if (!site->open) {
+      site->instances.emplace_back();
+      site->instances.back().inv_p = inv_p_;
+      site->open = true;
+    }
+    return site->instances.back();
+  }
+
+  static uint64_t SummaryRankBelow(const Stored& summary, uint64_t x) {
+    uint64_t below = 0;
+    uint32_t begin = 0;
+    for (const auto& [weight, end] : summary.segments) {
+      auto first = summary.values.begin() + begin;
+      auto last = summary.values.begin() + end;
+      below += weight * static_cast<uint64_t>(
+                            std::lower_bound(first, last, x) - first);
+      begin = end;
+    }
+    return below;
+  }
+
+  double Walk(uint64_t x, uint64_t* exact) const {
+    double est = 0;
+    for (const Site& site : sites_) {
+      for (const Instance& data : site.instances) {
+        uint64_t cursor = 0;
+        for (;;) {
+          const Stored* best = nullptr;
+          for (const Stored& stored : data.summaries) {
+            if (stored.first_leaf == cursor &&
+                (best == nullptr || stored.end_leaf > best->end_leaf)) {
+              best = &stored;
+            }
+          }
+          if (best == nullptr) break;
+          uint64_t below = SummaryRankBelow(*best, x);
+          if (exact != nullptr) *exact += below;
+          est += static_cast<double>(below);
+          cursor = best->end_leaf;
+        }
+        uint64_t below = 0;
+        for (size_t i = data.residual_begin; i < data.residuals.size(); ++i) {
+          if (data.residuals[i].second < x) ++below;
+        }
+        est += static_cast<double>(below) * data.inv_p;
+      }
+    }
+    return est;
+  }
+
+  std::vector<Site> sites_;
+  double inv_p_ = 1.0;
+  uint32_t num_leaves_ = 1;
+};
+
+// Applies a tracker frame to an aggregate (or the oracle), deriving round
+// changes from coarse reports the way sim::RankReplica does.
+template <typename Aggregate>
+void ApplyFrame(const RandomizedRankOptions& options,
+                count::CoarseMirror* coarse, Aggregate* agg,
+                const Message& msg) {
+  switch (msg.type) {
+    case MsgType::kCoarseReport:
+      if (coarse->ApplyReport(msg.a)) {
+        RoundParams round = options.RoundParamsFor(coarse->n_bar);
+        agg->BeginRound(round.inv_p, round.num_leaves);
+      }
+      break;
+    case MsgType::kRankSummary:
+      agg->Summary(msg.site, msg.a, msg.b, msg.values, msg.segments);
+      break;
+    case MsgType::kRankResidual:
+      agg->Residual(msg.site, msg.a, msg.b);
+      break;
+    default:
+      break;
+  }
+}
+
+// RankAggregate behind the oracle's Summary signature; every summary a
+// tracker ships must be accepted.
+class CheckedAggregate : public RankAggregate {
+ public:
+  using RankAggregate::RankAggregate;
+  void Summary(int site, uint64_t first_leaf, uint64_t end_leaf,
+               const std::vector<uint64_t>& values,
+               const std::vector<Segment>& segments) {
+    ASSERT_TRUE(RankAggregate::Summary(site, first_leaf, end_leaf,
+                                       values.data(), values.size(),
+                                       segments.data(), segments.size()))
+        << "refused a tracker summary of leaves [" << first_leaf << ", "
+        << end_leaf << ")";
+  }
+};
+
+class FrameLog : public sim::wire::WireTap {
+ public:
+  void OnMessage(Message&& msg) override { frames.push_back(std::move(msg)); }
+  std::vector<Message> frames;
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void ExpectMatchesOracle(const RankAggregate& agg,
+                         const ReferenceRankAggregate& oracle, uint64_t x) {
+  EXPECT_EQ(agg.SummaryWeightBelow(x), oracle.SummaryWeightBelow(x))
+      << "x " << x;
+  double want = oracle.Estimate(x);
+  EXPECT_NEAR(agg.Estimate(x), want, 1e-12 * std::max(1.0, std::fabs(want)))
+      << "x " << x;
+}
+
+struct Scenario {
+  const char* name;
+  int k;
+  double epsilon;
+  double confidence;
+  uint64_t n;
+  uint64_t seed;
+};
+
+// k ∈ {1, 7, 64}. Leaf counts per chunk are mostly not powers of two; the
+// last scenario runs every round at height 0 (ε√k ≥ c: one leaf per
+// chunk).
+const Scenario kScenarios[] = {
+    {"k1", 1, 0.05, 4.0, 60000, 11},
+    {"k7", 7, 0.05, 4.0, 60000, 12},
+    {"k7_boosted", 7, 0.02, 2.0, 80000, 13},
+    {"k64", 64, 0.02, 4.0, 120000, 14},
+    {"k64_height0", 64, 0.5, 1.0, 30000, 15},
+};
+
+constexpr int kUniverseBits = 16;
+
+std::vector<uint64_t> Queries(Rng* rng) {
+  std::vector<uint64_t> xs = {0, 1, uint64_t{1} << kUniverseBits};
+  for (int i = 0; i < 6; ++i) {
+    xs.push_back(rng->UniformU64(uint64_t{1} << kUniverseBits));
+  }
+  return xs;
+}
+
+// What the frame stream exercised: instances cut short by a round change
+// (with a summary, or residual-only), and rounds at height 0 with leaves
+// longer than one arrival.
+struct Coverage {
+  int cut_with_summary = 0;
+  int cut_residual_only = 0;
+  int height0_rounds = 0;
+};
+
+Coverage Inspect(const RandomizedRankOptions& options,
+                 const std::vector<Message>& frames) {
+  Coverage cov;
+  count::CoarseMirror coarse;
+  RoundParams round;
+  std::vector<int> summaries(static_cast<size_t>(options.num_sites), 0);
+  std::vector<int> residuals(static_cast<size_t>(options.num_sites), 0);
+  for (const Message& msg : frames) {
+    size_t site = static_cast<size_t>(msg.site);
+    if (msg.type == MsgType::kCoarseReport && coarse.ApplyReport(msg.a)) {
+      for (size_t s = 0; s < summaries.size(); ++s) {
+        if (summaries[s] > 0) ++cov.cut_with_summary;
+        if (summaries[s] == 0 && residuals[s] > 0) ++cov.cut_residual_only;
+        summaries[s] = residuals[s] = 0;
+      }
+      round = options.RoundParamsFor(coarse.n_bar);
+      if (round.height == 0 && round.block_size > 1) ++cov.height0_rounds;
+    } else if (msg.type == MsgType::kRankSummary) {
+      ++summaries[site];
+      if (msg.a == 0 && msg.b == round.num_leaves) {
+        summaries[site] = residuals[site] = 0;
+      }
+    } else if (msg.type == MsgType::kRankResidual) {
+      ++residuals[site];
+    }
+  }
+  return cov;
+}
+
+TEST(RankAggregateTest, MatchesTheGreedyCoverOracleOnTrackerFrames) {
+  Coverage total;
+  for (const Scenario& sc : kScenarios) {
+    SCOPED_TRACE(sc.name);
+    RandomizedRankOptions options;
+    options.num_sites = sc.k;
+    options.epsilon = sc.epsilon;
+    options.confidence_factor = sc.confidence;
+    options.seed = sc.seed;
+    // Fed one arrival at a time, as the fault harness and the service
+    // sites do: that keeps every frame ahead of the next site's report.
+    // (A batch flushes the other sites' buffered runs when a report
+    // broadcasts, after the report's frame.)
+    RandomizedRankTracker tracker(options);
+    FrameLog log;
+    tracker.set_wire_tap(&log);
+    sim::RankReplica replica(options);
+    CheckedAggregate agg(sc.k);
+    ReferenceRankAggregate oracle(sc.k);
+    count::CoarseMirror agg_coarse, oracle_coarse;
+    auto workload = stream::MakeRankWorkload(
+        sc.k, sc.n, stream::SiteSchedule::kUniformRandom,
+        stream::ValueOrder::kUniformRandom, kUniverseBits, sc.seed);
+    Rng rng(sc.seed);
+    std::vector<uint64_t> xs = Queries(&rng);
+    size_t pos = 0, applied = 0;
+    while (pos < workload.size()) {
+      // Ragged spans, so checkpoints land mid-leaf and mid-chunk.
+      size_t end = std::min<size_t>(pos + 1 + rng.UniformU64(3000),
+                                    workload.size());
+      for (; pos < end; ++pos) {
+        tracker.Arrive(workload[pos].site, workload[pos].key);
+      }
+      for (; applied < log.frames.size(); ++applied) {
+        const Message& msg = log.frames[applied];
+        replica.Apply(msg);
+        ApplyFrame(options, &agg_coarse, &agg, msg);
+        ApplyFrame(options, &oracle_coarse, &oracle, msg);
+      }
+      for (uint64_t x : xs) {
+        ExpectMatchesOracle(agg, oracle, x);
+        double est = tracker.EstimateRank(x);
+        EXPECT_TRUE(SameBits(replica.Estimate(x), est))
+            << "x " << x << ": replica " << replica.Estimate(x)
+            << " vs tracker " << est;
+        EXPECT_TRUE(SameBits(agg.Estimate(x), est)) << "x " << x;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    Coverage cov = Inspect(options, log.frames);
+    total.cut_with_summary += cov.cut_with_summary;
+    total.cut_residual_only += cov.cut_residual_only;
+    total.height0_rounds += cov.height0_rounds;
+  }
+  EXPECT_GT(total.cut_with_summary, 0) << "no round change cut a chunk";
+  EXPECT_GT(total.cut_residual_only, 0) << "no residual-only instance";
+  EXPECT_GT(total.height0_rounds, 0) << "no height-0 round";
+}
+
+TEST(RankAggregateTest, FrameInterleavingAcrossSitesIsInvisible) {
+  // Within a round, frames of different sites may arrive in any order as
+  // long as each site's stay in order: the estimate must not move by a
+  // bit. Rounds open at the coarse report that triggers them, which stays
+  // in place.
+  for (int k : {7, 64}) {
+    SCOPED_TRACE(k);
+    RandomizedRankOptions options;
+    options.num_sites = k;
+    options.epsilon = 0.02;
+    options.seed = 21 + static_cast<uint64_t>(k);
+    RandomizedRankTracker tracker(options);
+    FrameLog log;
+    tracker.set_wire_tap(&log);
+    auto workload = stream::MakeRankWorkload(
+        k, 100000, stream::SiteSchedule::kSkewedGeometric,
+        stream::ValueOrder::kClustered, kUniverseBits, options.seed);
+    for (const sim::Arrival& a : workload) tracker.Arrive(a.site, a.key);
+
+    sim::RankReplica in_order(options);
+    for (const Message& msg : log.frames) in_order.Apply(msg);
+
+    Rng rng(options.seed);
+    sim::RankReplica shuffled(options);
+    count::CoarseMirror coarse;
+    std::vector<std::deque<const Message*>> queues(static_cast<size_t>(k));
+    auto drain = [&] {
+      std::vector<size_t> busy;
+      for (;;) {
+        busy.clear();
+        for (size_t s = 0; s < queues.size(); ++s) {
+          if (!queues[s].empty()) busy.push_back(s);
+        }
+        if (busy.empty()) return;
+        size_t s = busy[rng.UniformU64(busy.size())];
+        shuffled.Apply(*queues[s].front());
+        queues[s].pop_front();
+      }
+    };
+    for (const Message& msg : log.frames) {
+      if (msg.site < 0) continue;  // broadcasts: the replica derives them
+      if (msg.type == MsgType::kCoarseReport && coarse.ApplyReport(msg.a)) {
+        drain();
+        shuffled.Apply(msg);
+      } else {
+        queues[static_cast<size_t>(msg.site)].push_back(&msg);
+      }
+    }
+    drain();
+    Rng queries(options.seed + 1);
+    for (uint64_t x : Queries(&queries)) {
+      double est = tracker.EstimateRank(x);
+      EXPECT_TRUE(SameBits(in_order.Estimate(x), est)) << "x " << x;
+      EXPECT_TRUE(SameBits(shuffled.Estimate(x), est)) << "x " << x;
+    }
+  }
+}
+
+// Hand-written frames: one site, a round of 5 leaves at 1/p = 3.
+class HandFramesTest : public ::testing::Test {
+ protected:
+  HandFramesTest() : agg_(2), oracle_(2) {
+    agg_.BeginRound(3.0, 5);
+    oracle_.BeginRound(3.0, 5);
+  }
+
+  // Ships to both and checks the estimates after.
+  void Ship(int site, uint64_t first, uint64_t end,
+            std::vector<uint64_t> values, std::vector<Segment> segments) {
+    ASSERT_TRUE(agg_.Summary(site, first, end, values.data(), values.size(),
+                             segments.data(), segments.size()));
+    oracle_.Summary(site, first, end, values, segments);
+    Check();
+  }
+
+  void Sample(int site, uint64_t leaf, uint64_t value) {
+    agg_.Residual(site, leaf, value);
+    oracle_.Residual(site, leaf, value);
+    Check();
+  }
+
+  void Check() {
+    for (uint64_t x = 0; x <= 12; ++x) ExpectMatchesOracle(agg_, oracle_, x);
+  }
+
+  RankAggregate agg_;
+  ReferenceRankAggregate oracle_;
+};
+
+TEST_F(HandFramesTest, RangeTieKeepsTheEarlierSummary) {
+  Ship(0, 0, 1, {2, 6}, {{1, 2}});
+  // The same range again: the greedy cover keeps the first one.
+  Ship(0, 0, 1, {1, 3, 5, 7}, {{1, 4}});
+  Sample(0, 1, 4);
+  Ship(0, 1, 2, {3, 9}, {{1, 2}});
+  Sample(1, 0, 8);
+  Ship(0, 0, 2, {1, 4, 5, 10}, {{1, 2}, {2, 4}});
+  Ship(0, 2, 3, {7}, {{2, 1}});
+  Ship(0, 2, 3, {11}, {{2, 1}});
+  Sample(0, 3, 2);
+  Ship(0, 3, 4, {0, 6}, {{1, 2}});
+  // Leaf 4 is the last of 5, so the level-1 and level-2 nodes over it
+  // clamp to [4, 5), the leaf's own range.
+  Ship(0, 4, 5, {5}, {{1, 1}});
+  Ship(0, 4, 5, {2, 9}, {{1, 2}});
+  Ship(0, 4, 5, {12}, {{4, 1}});
+  Ship(0, 0, 5, {1, 6, 10}, {{1, 1}, {4, 3}});
+  Sample(0, 0, 3);
+}
+
+TEST_F(HandFramesTest, ParentsSupersedeTheirChildren) {
+  Ship(0, 0, 1, {5}, {{1, 1}});
+  Ship(0, 1, 2, {2}, {{1, 1}});
+  Ship(0, 0, 2, {2, 5}, {{1, 2}});
+  Ship(0, 2, 3, {8}, {{1, 1}});
+  Ship(0, 3, 4, {0}, {{1, 1}});
+  Ship(0, 2, 4, {0, 8}, {{1, 2}});
+  Ship(0, 0, 4, {2, 8}, {{2, 2}});
+  Sample(0, 4, 3);
+  Sample(0, 4, 9);
+  // A round change freezes the cut-short instance with its live samples.
+  agg_.BeginRound(5.0, 3);
+  oracle_.BeginRound(5.0, 3);
+  Check();
+  Sample(0, 0, 6);
+  Ship(0, 0, 1, {1, 7}, {{1, 2}});
+  Sample(0, 1, 1);
+  Ship(1, 0, 3, {4, 10, 3}, {{1, 2}, {4, 3}});  // a whole chunk at once
+  Ship(0, 1, 2, {6}, {{1, 1}});
+  Ship(0, 0, 3, {2, 3, 9}, {{3, 3}});
+}
+
+TEST_F(HandFramesTest, ResidualOnlyInstancesSurviveARoundChange) {
+  Sample(0, 0, 4);
+  Sample(0, 0, 1);
+  Sample(1, 2, 7);
+  agg_.BeginRound(7.5, 1);
+  oracle_.BeginRound(7.5, 1);
+  Check();
+  Sample(0, 0, 3);
+  Ship(0, 0, 1, {2, 5}, {{1, 2}});  // height 0: one leaf closes the chunk
+  Sample(0, 0, 9);
+}
+
+TEST(RankAggregateRefusals, MalformedSummariesChangeNothing) {
+  const uint64_t two52 = uint64_t{1} << 52;
+  struct Case {
+    const char* what;
+    uint64_t first, end;
+    std::vector<uint64_t> values;
+    std::vector<Segment> segments;
+  };
+  const std::vector<Case> cases = {
+      {"segment end past the values", 0, 1, {1, 2}, {{1, 3}}},
+      {"decreasing segment ends", 0, 1, {1, 2, 3}, {{1, 2}, {1, 1}}},
+      {"values out of order", 0, 1, {3, 2}, {{1, 2}}},
+      {"values beyond the last segment", 0, 1, {1, 2}, {{1, 1}}},
+      {"first_leaf == end_leaf", 1, 1, {1}, {{1, 1}}},
+      {"first_leaf > end_leaf", 2, 1, {1}, {{1, 1}}},
+      {"end_leaf past the leaves", 3, 5, {1}, {{1, 1}}},
+      {"weight total 2^53", 1, 2, {1, 2}, {{two52, 2}}},
+      {"site weight reaching 2^53", 1, 2, {1}, {{two52, 1}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    RankAggregate agg(1);
+    agg.BeginRound(2.0, 4);
+    const std::vector<uint64_t> base = {4};
+    const std::vector<Segment> base_seg = {{two52, 1}};
+    ASSERT_TRUE(agg.Summary(0, 0, 1, base.data(), 1, base_seg.data(), 1));
+    agg.Residual(0, 1, 3);
+    std::vector<double> before;
+    for (uint64_t x = 0; x < 6; ++x) before.push_back(agg.Estimate(x));
+    EXPECT_FALSE(agg.Summary(0, c.first, c.end, c.values.data(),
+                             c.values.size(), c.segments.data(),
+                             c.segments.size()));
+    for (uint64_t x = 0; x < 6; ++x) {
+      EXPECT_TRUE(SameBits(agg.Estimate(x), before[x])) << "x " << x;
+    }
+    // The site still accepts well-formed frames where it left off.
+    const std::vector<uint64_t> next = {2};
+    const std::vector<Segment> next_seg = {{1, 1}};
+    EXPECT_TRUE(agg.Summary(0, 1, 2, next.data(), 1, next_seg.data(), 1));
+  }
+}
+
+}  // namespace
+}  // namespace rank
+}  // namespace disttrack

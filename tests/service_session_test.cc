@@ -27,6 +27,7 @@
 #include "disttrack/service/coordinator.h"
 #include "disttrack/service/options.h"
 #include "disttrack/service/site_runtime.h"
+#include "disttrack/sim/replica.h"
 #include "disttrack/sim/wire.h"
 
 namespace disttrack {
@@ -224,6 +225,15 @@ TEST(ServiceSession, FrequencyQueriesOverTheFleet) {
 
   Message journal = Ask(fleet.coordinator(), kQueryJournal);
   frequency::RandomizedFrequencyTracker serial(options.FrequencyOptions());
+  // The serial replay's frames feed a replica, whose item totals are the
+  // reference for the heavy-hitters answers below.
+  struct ReplicaTap : sim::wire::WireTap {
+    explicit ReplicaTap(const ServiceOptions& o)
+        : replica(o.FrequencyOptions()) {}
+    void OnMessage(Message&& msg) override { replica.Apply(msg); }
+    sim::FrequencyReplica replica;
+  } tap(options);
+  serial.set_wire_tap(&tap);
   std::vector<uint64_t> position(4, 0);
   for (size_t i = 0; i + 1 < journal.values.size(); i += 2) {
     int site = static_cast<int>(journal.values[i]);
@@ -241,6 +251,24 @@ TEST(ServiceSession, FrequencyQueriesOverTheFleet) {
   // all of them must surface as phi = 0.01 heavy hitters.
   Message hh = Ask(fleet.coordinator(), kQueryHeavyHitters, Bits(0.01));
   EXPECT_GE(hh.values.size() / 2, 8u);
+  // Each answer is every item whose estimate is >= phi * n', by item,
+  // including estimates of 0 (phi <= 0) and none but those at n' or above
+  // (phi = 1).
+  ASSERT_EQ(tap.replica.n_prime(),
+            Ask(fleet.coordinator(), kQueryCount).values[1]);
+  for (double phi : {0.01, 0.0, -0.5, 1.0}) {
+    SCOPED_TRACE(phi);
+    double threshold = phi * static_cast<double>(tap.replica.n_prime());
+    std::vector<uint64_t> want;
+    for (const auto& [item, est] : tap.replica.ItemEstimates()) {
+      if (est >= threshold) {
+        want.push_back(item);
+        want.push_back(Bits(est));
+      }
+    }
+    EXPECT_EQ(Ask(fleet.coordinator(), kQueryHeavyHitters, Bits(phi)).values,
+              want);
+  }
   fleet.ShutdownAndReap();
 }
 
@@ -415,6 +443,58 @@ TEST(ServiceSession, FrameBeyondExactDoublesClosesTheConnection) {
     Message count = Ask(coordinator, kQueryCount);
     ASSERT_EQ(count.values.size(), 3u);
     EXPECT_EQ(count.values[2], 0u) << "a refused coarse report opened a round";
+  }
+}
+
+Message RankSummary(uint64_t first_leaf, uint64_t end_leaf,
+                    std::vector<uint64_t> values,
+                    std::vector<std::pair<uint64_t, uint32_t>> segments) {
+  Message msg;
+  msg.type = MsgType::kRankSummary;
+  msg.site = 0;
+  msg.a = first_leaf;
+  msg.b = end_leaf;
+  msg.values = std::move(values);
+  msg.segments = std::move(segments);
+  msg.paper_words = 2 + msg.values.size();
+  return msg;
+}
+
+TEST(ServiceSession, MalformedRankSummaryClosesTheConnection) {
+  // A rank summary the replica cannot search (segments past or out of
+  // order with the values, unsorted values, an empty or out-of-range leaf
+  // range) or whose weight reaches 2^53 is refused after a valid one: the
+  // connection closes, the refused frame changes no estimate, and the
+  // coordinator keeps serving queries.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kRank;
+  options.num_sites = 4;
+  options.total_arrivals = 100;
+  const uint64_t two53 = uint64_t{1} << 53;
+  // Round 0 has one leaf per chunk: [0, 1) covers a chunk.
+  const Message valid = RankSummary(0, 1, {3, 8}, {{2, 2}});
+  const std::vector<std::pair<const char*, Message>> cases = {
+      {"segment end past the values", RankSummary(0, 1, {1, 2}, {{1, 3}})},
+      {"decreasing segment ends",
+       RankSummary(0, 1, {1, 2, 3}, {{1, 2}, {1, 1}})},
+      {"unsorted values", RankSummary(0, 1, {5, 4}, {{1, 2}})},
+      {"first_leaf >= end_leaf", RankSummary(1, 1, {5}, {{1, 1}})},
+      {"end_leaf past the leaves", RankSummary(0, 2, {5}, {{1, 1}})},
+      {"weight reaching 2^53", RankSummary(0, 1, {5}, {{two53, 1}})},
+  };
+  sim::RankReplica reference(options.RankOptions());
+  ASSERT_TRUE(reference.Apply(valid));
+  for (const auto& [what, frame] : cases) {
+    SCOPED_TRACE(what);
+    Coordinator coordinator(options);
+    EXPECT_TRUE(ClosesAfter(&coordinator, options, {valid, frame}))
+        << "coordinator kept a connection that sent a malformed summary";
+    EXPECT_FALSE(StatsVector(coordinator).empty());
+    for (uint64_t x : {0, 4, 9}) {
+      Message rank = Ask(coordinator, kQueryRank, x);
+      ASSERT_EQ(rank.values.size(), 1u);
+      EXPECT_EQ(rank.values[0], Bits(reference.Estimate(x))) << "x " << x;
+    }
   }
 }
 
