@@ -8,20 +8,12 @@ namespace core {
 uint64_t QuantileFromRank(const sim::RankTrackerInterface& tracker,
                           double phi, uint64_t universe) {
   if (universe == 0) return 0;
-  phi = std::clamp(phi, 0.0, 1.0);
-  double target = phi * static_cast<double>(tracker.TrueCount());
-  // Binary search for the smallest x whose inclusive rank reaches target;
-  // monotonicity of EstimateRank makes this well defined.
-  uint64_t lo = 0, hi = universe - 1;
-  while (lo < hi) {
-    uint64_t mid = lo + (hi - lo) / 2;
-    if (tracker.EstimateRank(mid + 1) < target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  double target =
+      std::clamp(phi, 0.0, 1.0) * static_cast<double>(tracker.TrueCount());
+  // The smallest x whose inclusive rank reaches target.
+  return QuantileSearch(universe - 1, target, [&tracker](uint64_t x) {
+    return tracker.EstimateRank(x + 1);
+  });
 }
 
 std::vector<uint64_t> QuantilesFromRank(

@@ -16,6 +16,24 @@
 namespace disttrack {
 namespace core {
 
+/// Smallest x in [0, last] with rank_at(x) >= target, or `last` when no
+/// x reaches it: a bisection, so rank_at must be nondecreasing. The one
+/// quantile search; QuantileFromRank and the service coordinator's
+/// quantile query each bring their own rank function and target.
+template <typename RankAt>
+uint64_t QuantileSearch(uint64_t last, double target, RankAt rank_at) {
+  uint64_t lo = 0, hi = last;
+  while (lo < hi) {
+    uint64_t mid = lo + (hi - lo) / 2;
+    if (rank_at(mid) < target) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 /// Smallest value x in [0, universe) with EstimateRank(x+1) >= phi * n —
 /// an ε-approximate phi-quantile when the tracker answers ranks within εn.
 /// `phi` is clamped to [0, 1]. O(log universe) rank queries.

@@ -153,6 +153,13 @@ class CoarseTracker {
     return s.next_report - s.count;
   }
 
+  /// True iff one more arrival at `site` fires a report that broadcasts.
+  bool ArriveBroadcasts(int site) const {
+    CoarseSite next = local_[static_cast<size_t>(site)];
+    uint64_t delta = next.Arrive();
+    return delta > 0 && coordinator_.WouldBroadcast(delta);
+  }
+
   /// True iff a batch delivering `histogram[i]` arrivals to site i cannot
   /// trigger a broadcast — under ANY interleaving of the sites. This is
   /// the safety gate of the site-grouped delivery engines

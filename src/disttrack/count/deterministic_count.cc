@@ -20,7 +20,8 @@ DeterministicCountTracker::DeterministicCountTracker(
     : options_(options),
       meter_(options.num_sites),
       space_(options.num_sites),
-      sites_(static_cast<size_t>(options.num_sites)) {
+      sites_(static_cast<size_t>(options.num_sites)),
+      agg_(options.num_sites, /*naive=*/false) {
   // Two words of per-site state: the counter and the last-reported value.
   for (int i = 0; i < options_.num_sites; ++i) space_.Set(i, 2);
 }
@@ -34,13 +35,13 @@ void DeterministicCountTracker::Arrive(int site) {
       static_cast<double>(s.last_reported) * (1.0 + options_.epsilon / 2.0);
   if (s.last_reported == 0 || static_cast<double>(s.count) >= threshold) {
     meter_.RecordUpload(site, 1);
-    reported_sum_ += s.count - s.last_reported;
     s.last_reported = s.count;
+    agg_.Set(site, s.count);
   }
 }
 
 double DeterministicCountTracker::EstimateCount() const {
-  return static_cast<double>(reported_sum_);
+  return agg_.Estimate();
 }
 
 }  // namespace count

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "disttrack/common/status.h"
+#include "disttrack/count/count_aggregate.h"
 #include "disttrack/sim/protocol.h"
 
 namespace disttrack {
@@ -49,7 +50,9 @@ class DeterministicCountTracker : public sim::CountTrackerInterface {
   sim::SpaceGauge space_;
   std::vector<SiteState> sites_;
   uint64_t n_ = 0;
-  uint64_t reported_sum_ = 0;
+  // The coordinator: §2.1's aggregate at p = 1, whose estimate is the sum
+  // of the last reports.
+  CountAggregate agg_;
 };
 
 }  // namespace count

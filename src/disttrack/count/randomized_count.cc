@@ -32,12 +32,29 @@ uint64_t RandomizedCountOptions::InvP(uint64_t n_bar) const {
   return FloorPow2(scaled);
 }
 
+namespace {
+
+int SiteOf(const sim::Arrival& arrival) { return arrival.site; }
+int SiteOf(uint16_t site) { return site; }
+
+void CountChunk(SiteGrouper* grouper, const sim::Arrival* arrivals,
+                size_t count, int num_sites) {
+  grouper->CountArrivals(arrivals, count, num_sites);
+}
+void CountChunk(SiteGrouper* grouper, const uint16_t* sites, size_t count,
+                int num_sites) {
+  grouper->CountSites(sites, count, num_sites);
+}
+
+}  // namespace
+
 RandomizedCountTracker::RandomizedCountTracker(
     const RandomizedCountOptions& options)
     : options_(options),
       meter_(options.num_sites),
       space_(options.num_sites),
-      sites_(static_cast<size_t>(options.num_sites)) {
+      sites_(static_cast<size_t>(options.num_sites)),
+      agg_(options.num_sites, options.naive_boundary_estimator) {
   for (int i = 0; i < options_.num_sites; ++i) {
     SiteState& s = sites_[static_cast<size_t>(i)];
     s.rng =
@@ -58,6 +75,98 @@ double RandomizedCountTracker::p() const {
   return 1.0 / static_cast<double>(inv_p_);
 }
 
+struct RandomizedCountTracker::DirectPort {
+  RandomizedCountTracker* t;
+  void CoarseArrive(int site) { t->coarse_->Arrive(site); }
+  void Report(sim::wire::MsgType type, int site, uint64_t value) {
+    t->meter_.RecordUpload(site, 1);
+    t->agg_.Set(site, value);
+    t->EmitTap(type, site, value);
+  }
+};
+
+// The epoch schedule guarantees no broadcast fires inside a shard run,
+// so a deferred coarse report carries only its n' delta.
+struct RandomizedCountTracker::ShardPort {
+  RandomizedCountTracker* t;
+  ShardSink* sink;
+  void CoarseArrive(int site) {
+    if (uint64_t delta = t->coarse_->ArriveLocal(site)) {
+      sink->coarse_deltas.push_back(delta);
+    }
+  }
+  void Report(sim::wire::MsgType /*type*/, int /*site*/,
+              uint64_t /*value*/) {
+    ++sink->report_messages;
+  }
+};
+
+// Site-local state and the RNG stream advance exactly as in the original
+// execution; no n', round, meter or aggregate write happens. A journaled
+// mid-arrival broadcast runs the site's ritual right after the coarse
+// report, where the original run performed it.
+struct RandomizedCountTracker::ReplayPort {
+  RandomizedCountTracker* t;
+  const uint64_t* mid_n_bar;
+  void CoarseArrive(int site) {
+    uint64_t delta = t->coarse_->ArriveLocal(site);
+    if (delta > 0) t->EmitTap(sim::wire::MsgType::kCoarseReport, site, delta);
+    if (mid_n_bar == nullptr) return;
+    if (delta == 0) {
+      std::fprintf(stderr,
+                   "RandomizedCountTracker: journaled mid-arrival broadcast "
+                   "at an arrival with no coarse report\n");
+      std::abort();
+    }
+    t->ReplayCrashRitual(site, *mid_n_bar);
+  }
+  void Report(sim::wire::MsgType type, int site, uint64_t value) {
+    t->EmitTap(type, site, value);
+  }
+};
+
+template <typename Port>
+inline void RandomizedCountTracker::SiteEvent(int site, Port& port) {
+  SiteState& s = sites_[static_cast<size_t>(site)];
+  ++s.count;
+  // The coarse tracker may broadcast here, halving p before this arrival's
+  // coin is consumed — the skip redraw (or the flip below) then uses the
+  // up-to-date p.
+  port.CoarseArrive(site);
+  bool hit = options_.use_skip_sampling
+                 ? s.skip.Next(&s.rng)
+                 : s.rng.Bernoulli(1.0 / static_cast<double>(inv_p_));
+  if (hit) {
+    s.reported = s.count;
+    port.Report(sim::wire::MsgType::kCoinReport, site, s.reported);
+  }
+}
+
+// A site holding a report keeps it with probability 1/2 (Bernoulli-process
+// thinning), otherwise walks n̄_i down one position per failed
+// Bernoulli(p_new) coin until a success or zero, and tells the
+// coordinator.
+template <typename Port>
+void RandomizedCountTracker::ThinSite(int site, double p_new, Port& port) {
+  SiteState& s = sites_[static_cast<size_t>(site)];
+  if (s.reported == 0 || s.rng.Bernoulli(0.5)) return;
+  uint64_t failures = s.rng.GeometricFailures(p_new);
+  s.reported = failures >= s.reported - 1 ? 0 : s.reported - 1 - failures;
+  port.Report(sim::wire::MsgType::kCorrection, site, s.reported);
+}
+
+template <typename Thin>
+bool RandomizedCountTracker::HalveTo(uint64_t n_bar, Thin thin) {
+  uint64_t new_inv_p = options_.InvP(n_bar);
+  bool halved = inv_p_ < new_inv_p;
+  while (inv_p_ < new_inv_p) {
+    inv_p_ *= 2;
+    ++log2_inv_p_;
+    thin(1.0 / static_cast<double>(inv_p_));
+  }
+  return halved;
+}
+
 void RandomizedCountTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
   if (grouped_chunk_active_) {
     // CoarseTracker::BatchCannotBroadcast certified this chunk; a
@@ -69,36 +178,14 @@ void RandomizedCountTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
                  "— the broadcast-safety bound is wrong\n");
     std::abort();
   }
-  uint64_t new_inv_p = options_.InvP(n_bar);
-  bool halved = inv_p_ < new_inv_p;
-  while (inv_p_ < new_inv_p) {
-    inv_p_ *= 2;
-    ++log2_inv_p_;
-    double p_new = 1.0 / static_cast<double>(inv_p_);
-    // Re-randomization ritual, once per halving, at every site that holds a
-    // report (§2.1). The broadcast that told sites the new n̄ was already
-    // charged by CoarseTracker; the correction uploads are charged here.
-    for (int i = 0; i < options_.num_sites; ++i) {
-      SiteState& s = sites_[static_cast<size_t>(i)];
-      if (s.reported == 0) continue;
-      if (s.rng.Bernoulli(0.5)) continue;  // report survives the thinning
-      uint64_t old_report = s.reported;
-      uint64_t failures = s.rng.GeometricFailures(p_new);
-      uint64_t positions_below = old_report - 1;
-      uint64_t new_report =
-          failures >= positions_below ? 0 : old_report - 1 - failures;
-      // Coordinator-side update (the site informs the coordinator).
-      meter_.RecordUpload(i, 1);
-      EmitTap(sim::wire::MsgType::kCorrection, i, new_report);
-      reported_sum_ -= old_report;
-      --reported_count_;
-      s.reported = new_report;
-      if (new_report > 0) {
-        reported_sum_ += new_report;
-        ++reported_count_;
-      }
-    }
-  }
+  // The re-randomization ritual, once per halving, at every site (§2.1).
+  // The broadcast that told sites the new n̄ was already charged by
+  // CoarseTracker; the corrections are charged by the port.
+  DirectPort port{this};
+  bool halved = HalveTo(n_bar, [&](double p_new) {
+    for (int i = 0; i < options_.num_sites; ++i) ThinSite(i, p_new, port);
+  });
+  agg_.BeginRound(inv_p_);
   // A halved p invalidates every outstanding skip: the counters encode
   // gaps of the *old* coin process. Unconsumed coins are independent of
   // everything observed, so redrawing at the final p is exact (see
@@ -110,16 +197,6 @@ void RandomizedCountTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
     for (SiteState& s : sites_) s.skip.ResetPow2(log2_inv_p_, &s.rng);
     if (in_batch_) RearmAll();
   }
-}
-
-void RandomizedCountTracker::Report(int site) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  meter_.RecordUpload(site, 1);
-  if (s.reported > 0) reported_sum_ -= s.reported;
-  else ++reported_count_;
-  s.reported = s.count;
-  reported_sum_ += s.reported;
-  EmitTap(sim::wire::MsgType::kCoinReport, site, s.reported);
 }
 
 void RandomizedCountTracker::EmitTap(sim::wire::MsgType type, int site,
@@ -176,88 +253,35 @@ void RandomizedCountTracker::RestoreSiteState(
   s.rng.RestoreState(rng_state);
 }
 
-void RandomizedCountTracker::BeginCrashReplay(int site) {
-  crash_replay_ = true;
-  replay_site_ = site;
-  replay_saved_inv_p_ = inv_p_;
-  replay_saved_log2_ = log2_inv_p_;
-}
-
 void RandomizedCountTracker::EndCrashReplay() {
-  if (inv_p_ != replay_saved_inv_p_ || log2_inv_p_ != replay_saved_log2_) {
+  if (inv_p_ != agg_.inv_p()) {
     std::fprintf(stderr,
                  "RandomizedCountTracker: crash replay did not re-evolve "
                  "1/p to its pre-crash value (journal is incomplete)\n");
     std::abort();
   }
-  crash_replay_ = false;
-  replay_site_ = -1;
 }
 
-void RandomizedCountTracker::ReplayCrashArrive(int site,
-                                               const uint64_t* mid_ritual_n_bar) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  ++s.count;
-  uint64_t delta = coarse_->ArriveLocal(site);
-  if (delta > 0) {
-    EmitTap(sim::wire::MsgType::kCoarseReport, site, delta);
-  }
-  if (mid_ritual_n_bar != nullptr) {
-    if (delta == 0) {
-      std::fprintf(stderr,
-                   "RandomizedCountTracker: journaled mid-arrival broadcast "
-                   "at an arrival with no coarse report\n");
-      std::abort();
-    }
-    ReplayCrashRitual(site, *mid_ritual_n_bar);
-  }
-  bool hit = options_.use_skip_sampling
-                 ? s.skip.Next(&s.rng)
-                 : s.rng.Bernoulli(1.0 / static_cast<double>(inv_p_));
-  if (hit) {
-    // Site half of Report(): the coordinator's aggregates already contain
-    // this report from the original (pre-crash) delivery.
-    s.reported = s.count;
-    EmitTap(sim::wire::MsgType::kCoinReport, site, s.reported);
-  }
+void RandomizedCountTracker::ReplayCrashArrive(
+    int site, uint64_t /*key*/, const uint64_t* mid_ritual_n_bar) {
+  ReplayPort port{this, mid_ritual_n_bar};
+  SiteEvent(site, port);
 }
 
 void RandomizedCountTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
-  uint64_t new_inv_p = options_.InvP(n_bar);
-  bool halved = inv_p_ < new_inv_p;
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  while (inv_p_ < new_inv_p) {
-    inv_p_ *= 2;
-    ++log2_inv_p_;
-    double p_new = 1.0 / static_cast<double>(inv_p_);
-    // Per-site half of the §2.1 ritual, with the identical draw order the
-    // full OnBroadcast loop consumes for this site.
-    if (s.reported != 0 && !s.rng.Bernoulli(0.5)) {
-      uint64_t old_report = s.reported;
-      uint64_t failures = s.rng.GeometricFailures(p_new);
-      uint64_t positions_below = old_report - 1;
-      s.reported = failures >= positions_below ? 0 : old_report - 1 - failures;
-      EmitTap(sim::wire::MsgType::kCorrection, site, s.reported);
-    }
-  }
+  ReplayPort port{this, nullptr};
+  bool halved =
+      HalveTo(n_bar, [&](double p_new) { ThinSite(site, p_new, port); });
   if (halved && options_.use_skip_sampling) {
+    SiteState& s = sites_[static_cast<size_t>(site)];
     s.skip.ResetPow2(log2_inv_p_, &s.rng);
   }
 }
 
 inline void RandomizedCountTracker::ArriveOne(int site) {
   ++n_;
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  ++s.count;
-  // The coarse tracker may broadcast here, halving p before this arrival's
-  // coin is consumed — the skip redraw (or the flip below) then uses the
-  // up-to-date p.
-  coarse_->Arrive(site);
-  if (options_.use_skip_sampling) {
-    if (s.skip.Next(&s.rng)) Report(site);
-  } else {
-    if (s.rng.Bernoulli(1.0 / static_cast<double>(inv_p_))) Report(site);
-  }
+  DirectPort port{this};
+  SiteEvent(site, port);
 }
 
 void RandomizedCountTracker::Arrive(int site) {
@@ -282,13 +306,14 @@ void RandomizedCountTracker::RearmAll() {
 // Retires `consumed` arrivals at `site` that are known to be eventless:
 // plain count advances and coin failures. By construction consumed is
 // strictly below both the coarse-report gap and the pending skip count, so
-// neither a report nor a coin success can fire here.
+// neither a report nor a coin success can fire here. Site-local only, so
+// shard workers call it too.
 void RandomizedCountTracker::SyncEventless(int site, uint64_t consumed) {
   if (consumed == 0) return;
   SiteState& s = sites_[static_cast<size_t>(site)];
   s.count += consumed;
   s.skip.ConsumeFailures(consumed);
-  coarse_->ArriveRun(site, consumed);
+  coarse_->AdvanceLocalNoReport(site, consumed);
 }
 
 // Flushes every site's consumed-but-unreconciled arrivals. Called when a
@@ -303,29 +328,26 @@ void RandomizedCountTracker::ResyncAllMidBatch() {
 }
 
 // The countdown for `site` hit zero: reconcile the eventless prefix of its
-// stride, then process the current arrival exactly as the scalar path
-// would — coarse first (a broadcast here redraws skips before the coin is
-// consumed), then the coin.
+// stride, then take the site step for the current arrival.
 void RandomizedCountTracker::HandleEventArrival(int site) {
   // TakeEventPrefix marks the site fully reconciled before coarse is
   // touched: if this arrival broadcasts, ResyncAllMidBatch must see zero
   // outstanding arrivals here.
   SyncEventless(site, countdown_.TakeEventPrefix(site));
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  ++s.count;
-  coarse_->Arrive(site);
-  if (s.skip.Next(&s.rng)) Report(site);
+  DirectPort port{this};
+  SiteEvent(site, port);
   RearmSite(site);
 }
 
-void RandomizedCountTracker::CountdownBatch(const sim::Arrival* arrivals,
+template <typename Input>
+void RandomizedCountTracker::CountdownChunk(const Input* input,
                                             size_t count) {
   // Event-countdown engine: one decrement per eventless arrival.
   in_batch_ = true;
   RearmAll();
   uint32_t* until = countdown_.until();
   for (size_t i = 0; i < count; ++i) {
-    int site = arrivals[i].site;
+    int site = SiteOf(input[i]);
     sim::CheckSiteInRange(site, options_.num_sites);
     if (--until[site] == 0) HandleEventArrival(site);
   }
@@ -333,119 +355,73 @@ void RandomizedCountTracker::CountdownBatch(const sim::Arrival* arrivals,
   in_batch_ = false;
 }
 
-void RandomizedCountTracker::CountdownSites(const uint16_t* sites,
-                                            size_t count) {
-  in_batch_ = true;
-  RearmAll();
-  uint32_t* until = countdown_.until();
-  const unsigned num_sites = static_cast<unsigned>(options_.num_sites);
-  for (size_t i = 0; i < count; ++i) {
-    unsigned site = sites[i];
-    if (site >= num_sites) sim::CheckSiteInRange(static_cast<int>(site),
-                                                 options_.num_sites);
-    if (--until[site] == 0) HandleEventArrival(static_cast<int>(site));
-  }
-  ResyncAllMidBatch();
-  in_batch_ = false;
-}
-
-// Count arrivals carry no payload, so a site's slice of a broadcast-free
-// chunk is just a number: advance counter, coin process, and coarse
-// tracker in eventless bulk, replaying each event arrival (coarse report
-// or coin success) through the exact scalar order. The per-site coin
-// stream is consumed at the same offsets as the countdown engine, and all
-// cross-site coordinator effects inside the chunk are order-insensitive
-// sums (reports fold into n' and the estimator's aggregates; the
-// broadcast condition provably cannot trip), so the permutation is
-// bit-invisible.
-void RandomizedCountTracker::GroupedRun(int site, uint64_t count) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
+// Count arrivals carry no payload, so a site's slice of a run is just a
+// number. The per-site coin stream is consumed at the same offsets as the
+// countdown engine, and inside a run no broadcast can fire: in a grouped
+// chunk all cross-site coordinator effects are order-insensitive sums
+// (reports fold into n' and the aggregate), and a shard run defers them
+// to the epoch barrier, so the permutation is bit-invisible.
+template <typename Port>
+void RandomizedCountTracker::RunSite(int site, uint64_t count, Port& port) {
   while (count > 0) {
     uint64_t gap = NextEventGap(site);
     if (count < gap) {
-      s.count += count;
-      s.skip.ConsumeFailures(count);
-      coarse_->ArriveRun(site, count);
+      SyncEventless(site, count);
       return;
     }
-    uint64_t prefix = gap - 1;
-    s.count += prefix;
-    s.skip.ConsumeFailures(prefix);
-    coarse_->ArriveRun(site, prefix);
+    SyncEventless(site, gap - 1);
     count -= gap;
-    // The event arrival, in scalar order: coarse first, then the coin.
-    ++s.count;
-    coarse_->Arrive(site);
-    if (s.skip.Next(&s.rng)) Report(site);
+    SiteEvent(site, port);
   }
 }
 
-void RandomizedCountTracker::ArriveBatch(const sim::Arrival* arrivals,
-                                         size_t count) {
-  if (!options_.use_skip_sampling) {
-    for (size_t i = 0; i < count; ++i) {
-      sim::CheckSiteInRange(arrivals[i].site, options_.num_sites);
-      ArriveOne(arrivals[i].site);
-    }
-    return;
-  }
+template <typename Input>
+void RandomizedCountTracker::DeliverChunks(const Input* input, size_t count) {
   // n_ is advanced up front; nothing inside the batch reads it.
   n_ += count;
-  if (!grouped_enabled_) {
-    CountdownBatch(arrivals, count);
-    return;
-  }
   // Count arrivals cost ~1 cycle each, so the per-chunk work (histogram
   // reset, span build, safety check) is amortized over a larger chunk
   // than the keyed engines use; there is no scatter scratch to keep
   // cache-resident here.
   constexpr size_t kCountChunk = kSiteGroupChunk * 4;
-  size_t pos = 0;
-  while (pos < count) {
+  for (size_t pos = 0; pos < count; pos += kCountChunk) {
     size_t len = std::min(kCountChunk, count - pos);
-    grouper_.CountArrivals(arrivals + pos, len, options_.num_sites);
-    if (coarse_->BatchCannotBroadcast(grouper_.histogram())) {
+    CountChunk(&grouper_, input + pos, len, options_.num_sites);
+    if (grouped_enabled_ &&
+        coarse_->BatchCannotBroadcast(grouper_.histogram())) {
       grouped_chunk_active_ = true;
+      DirectPort port{this};
       for (const SiteGrouper::Span& span : grouper_.spans()) {
-        GroupedRun(span.site, span.length);
+        RunSite(span.site, span.length, port);
       }
       grouped_chunk_active_ = false;
     } else {
-      CountdownBatch(arrivals + pos, len);
+      CountdownChunk(input + pos, len);
     }
-    pos += len;
+  }
+}
+
+void RandomizedCountTracker::ArriveBatch(const sim::Arrival* arrivals,
+                                         size_t count) {
+  if (options_.use_skip_sampling) {
+    DeliverChunks(arrivals, count);
+    return;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    sim::CheckSiteInRange(arrivals[i].site, options_.num_sites);
+    ArriveOne(arrivals[i].site);
   }
 }
 
 void RandomizedCountTracker::ArriveSites(const uint16_t* sites,
                                          size_t count) {
-  if (!options_.use_skip_sampling) {
-    for (size_t i = 0; i < count; ++i) {
-      sim::CheckSiteInRange(sites[i], options_.num_sites);
-      ArriveOne(sites[i]);
-    }
+  if (options_.use_skip_sampling) {
+    DeliverChunks(sites, count);
     return;
   }
-  n_ += count;
-  if (!grouped_enabled_) {
-    CountdownSites(sites, count);
-    return;
-  }
-  constexpr size_t kCountChunk = kSiteGroupChunk * 4;
-  size_t pos = 0;
-  while (pos < count) {
-    size_t len = std::min(kCountChunk, count - pos);
-    grouper_.CountSites(sites + pos, len, options_.num_sites);
-    if (coarse_->BatchCannotBroadcast(grouper_.histogram())) {
-      grouped_chunk_active_ = true;
-      for (const SiteGrouper::Span& span : grouper_.spans()) {
-        GroupedRun(span.site, span.length);
-      }
-      grouped_chunk_active_ = false;
-    } else {
-      CountdownSites(sites + pos, len);
-    }
-    pos += len;
+  for (size_t i = 0; i < count; ++i) {
+    sim::CheckSiteInRange(sites[i], options_.num_sites);
+    ArriveOne(sites[i]);
   }
 }
 
@@ -458,51 +434,17 @@ void RandomizedCountTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
   n_ += arrivals_in_epoch;
 }
 
-// One site's whole push slice, on a worker thread. The structure is the
-// per-site projection of the serial event-countdown engine: eventless
-// arrivals retire as bulk count advances + consumed coin failures, and
-// each event arrival replays the exact scalar order (coarse first, then
-// the coin) with coordinator effects deferred to the sink. A push that
-// would broadcast is refused by the trial fold and unwound, so in every
-// kept run the coin probability is frozen and the site's RNG stream is
-// consumed at exactly the serial per-site offsets.
+// One site's whole push slice, on a worker thread, with coordinator
+// effects deferred to the sink. A push that would broadcast is refused by
+// the trial fold and unwound, so in every kept run the coin probability
+// is frozen and the site's RNG stream is consumed at exactly the serial
+// per-site offsets.
 // disttrack-lint: allow(site-check) -- shard-internal: every id was
 // validated by SiteGrouper (CheckSiteInRange aborts) before the epoch
 // was partitioned onto workers; the worker replays a pre-checked span.
 void RandomizedCountTracker::ShardArriveRun(int site, uint64_t count) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  ShardSink& sink = shard_sinks_[static_cast<size_t>(site)];
-  while (count > 0) {
-    uint64_t gap = NextEventGap(site);
-    if (count < gap) {
-      s.count += count;
-      s.skip.ConsumeFailures(count);
-      coarse_->AdvanceLocalNoReport(site, count);
-      return;
-    }
-    uint64_t prefix = gap - 1;
-    s.count += prefix;
-    s.skip.ConsumeFailures(prefix);
-    coarse_->AdvanceLocalNoReport(site, prefix);
-    count -= gap;
-    // The event arrival.
-    ++s.count;
-    if (uint64_t delta = coarse_->ArriveLocal(site)) {
-      sink.coarse_deltas.push_back(delta);
-    }
-    if (s.skip.Next(&s.rng)) {
-      // Deferred Report(site): the site-side value updates immediately,
-      // the coordinator aggregates and the upload charge at the barrier.
-      ++sink.report_messages;
-      if (s.reported > 0) {
-        sink.reported_sum_delta -= static_cast<int64_t>(s.reported);
-      } else {
-        ++sink.reported_count_delta;
-      }
-      s.reported = s.count;
-      sink.reported_sum_delta += static_cast<int64_t>(s.count);
-    }
-  }
+  ShardPort port{this, &shard_sinks_[static_cast<size_t>(site)]};
+  RunSite(site, count, port);
 }
 
 void RandomizedCountTracker::ShardSnapshotSite(int site,
@@ -538,13 +480,8 @@ bool RandomizedCountTracker::ShardTryEpochEnd() {
       // sharded path (only the serial runtimes install one).
       meter_.RecordUploadBulk(i, sink.report_messages, sink.report_messages);
       sink.report_messages = 0;
+      agg_.Set(i, sites_[static_cast<size_t>(i)].reported);
     }
-    reported_sum_ = static_cast<uint64_t>(static_cast<int64_t>(reported_sum_) +
-                                          sink.reported_sum_delta);
-    reported_count_ = static_cast<uint64_t>(
-        static_cast<int64_t>(reported_count_) + sink.reported_count_delta);
-    sink.reported_sum_delta = 0;
-    sink.reported_count_delta = 0;
   }
   return true;
 }
@@ -553,24 +490,12 @@ void RandomizedCountTracker::ShardAbortEpoch(uint64_t arrivals) {
   n_ -= arrivals;
   for (ShardSink& sink : shard_sinks_) {
     sink.coarse_deltas.clear();
-    sink.reported_sum_delta = 0;
-    sink.reported_count_delta = 0;
     sink.report_messages = 0;
   }
 }
 
 double RandomizedCountTracker::EstimateCount() const {
-  double inv_p = static_cast<double>(inv_p_);
-  if (options_.naive_boundary_estimator) {
-    // Ablation: apply n̂_i = n̄_i - 1 + 1/p to *every* site, treating a
-    // missing report as n̄_i = 0. Each report-less site contributes the
-    // bias (1/p - 1) the paper's two-case estimator avoids.
-    double all = static_cast<double>(reported_sum_) +
-                 static_cast<double>(options_.num_sites) * (inv_p - 1.0);
-    return all;
-  }
-  return static_cast<double>(reported_sum_) +
-         static_cast<double>(reported_count_) * (inv_p - 1.0);
+  return agg_.Estimate();
 }
 
 }  // namespace count

@@ -20,6 +20,14 @@
 //
 // Communication: O(√k/ε · logN) in expectation; per-site space: O(1) words.
 //
+// The two halves of §1.1 are written once each. The coordinator half is
+// CountAggregate (count_aggregate.h), which sim::CountReplica hosts too.
+// The site half is one event step (SiteEvent) and one thinning step
+// (ThinSite), parameterized over a coordinator port: every delivery path
+// — per-arrival, countdown, grouped, shard ingest, crash replay — runs
+// the same steps and differs only in how their messages reach the
+// coordinator.
+//
 // Hot path: by default each site realizes its Bernoulli(p) coins with a
 // geometric SkipSampler (skip_sampler.h), so an arrival between successes
 // costs one counter decrement instead of an RNG draw + double compare;
@@ -43,6 +51,7 @@
 #include "disttrack/common/skip_sampler.h"
 #include "disttrack/common/status.h"
 #include "disttrack/count/coarse_tracker.h"
+#include "disttrack/count/count_aggregate.h"
 #include "disttrack/sim/protocol.h"
 
 namespace disttrack {
@@ -140,17 +149,19 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   /// same stream position, where they are unchanged.
   void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
 
-  /// Brackets a crash replay of `site`. Begin saves the live round
-  /// globals (the snapshot will rewind them); End verifies the replayed
-  /// broadcasts evolved them back to exactly the saved values.
-  void BeginCrashReplay(int site);
+  /// Brackets a crash replay of `site`. Replay never touches the
+  /// coordinator's 1/p, so Begin has nothing to save and End verifies the
+  /// replayed broadcasts evolved the sites' 1/p back to it.
+  void BeginCrashReplay(int /*site*/) {}
   void EndCrashReplay();
 
-  /// Re-delivers one lost arrival to the crashed site. `mid_ritual_n_bar`
-  /// is non-null iff this arrival's coarse report triggered a broadcast in
-  /// the original run; the per-site half of the round ritual is then
-  /// replayed at the exact point the original run performed it.
-  void ReplayCrashArrive(int site, const uint64_t* mid_ritual_n_bar);
+  /// Re-delivers one lost arrival to the crashed site (`key` is unused:
+  /// count arrivals carry none). `mid_ritual_n_bar` is non-null iff this
+  /// arrival's coarse report triggered a broadcast in the original run;
+  /// the per-site half of the round ritual is then replayed at the exact
+  /// point the original run performed it.
+  void ReplayCrashArrive(int site, uint64_t key,
+                         const uint64_t* mid_ritual_n_bar);
 
   /// Replays the per-site half of a round ritual that fired between two
   /// of the site's arrivals (another site triggered it).
@@ -159,9 +170,30 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
  private:
   friend struct testing_util::DeliveryPeer;
 
+  // Coordinator ports: how a site's messages reach the coordinator.
+  // DirectPort applies each effect in place and taps it (serial, countdown
+  // and grouped delivery); ShardPort defers it to the site's sink for the
+  // epoch barrier (shard ingest); ReplayPort only re-emits the frame, the
+  // coordinator already holding its effect (crash replay, site processes).
+  // Each port offers CoarseArrive(site) and Report(type, site, n̄_i), the
+  // latter for coin reports and p-halving corrections alike.
+  struct DirectPort;
+  struct ShardPort;
+  struct ReplayPort;
+
   void OnBroadcast(uint64_t round, uint64_t n_bar);
   void ArriveOne(int site);
-  void Report(int site);
+  // The site step of one event arrival: n_i, the coarse arrival (which
+  // may broadcast and halve p first), then the coin and its report.
+  template <typename Port>
+  void SiteEvent(int site, Port& port);
+  // One site's thinning step at a halving of p to `p_new` (§2.1 ritual).
+  template <typename Port>
+  void ThinSite(int site, double p_new, Port& port);
+  // Halves the sites' p until 1/p is `n_bar`'s, calling thin(p_new) after
+  // each halving; true iff p changed.
+  template <typename Thin>
+  bool HalveTo(uint64_t n_bar, Thin thin);
   void EmitTap(sim::wire::MsgType type, int site, uint64_t a);
 
   // --- Online shard ingest (sim::CountShardIngest) -----------------------
@@ -177,11 +209,11 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   void ShardAbortEpoch(uint64_t arrivals) override;
 
   // Coordinator messages a site worker buffered during the current shard
-  // epoch; folded (and cleared) by ShardTryEpochEnd.
+  // epoch; folded (and cleared) by ShardTryEpochEnd. A site's reports
+  // supersede each other, so the fold needs only their number: the
+  // site's final n̄_i is its report.
   struct ShardSink {
     std::vector<uint64_t> coarse_deltas;  // deferred coarse-report deltas
-    int64_t reported_sum_delta = 0;       // Σ n̄_i change from coin reports
-    int64_t reported_count_delta = 0;     // |{i : n̄_i exists}| change
     uint64_t report_messages = 0;         // coin reports (1 word each)
   };
   std::vector<ShardSink> shard_sinks_;
@@ -196,35 +228,34 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   // skip_equivalence_test and batch_equivalence_test).
   // Arrivals at `site` until its next event (coarse report or coin
   // success) — the single source of truth for both the countdown engine
-  // (RearmSite) and the shard run loop, so the two delivery paths cannot
-  // drift apart.
+  // (RearmSite) and the run loop, so the delivery paths cannot drift
+  // apart.
   uint64_t NextEventGap(int site) const;
   void RearmSite(int site);
   void RearmAll();
   void SyncEventless(int site, uint64_t consumed);
   void HandleEventArrival(int site);
   void ResyncAllMidBatch();
-  // Countdown-engine chunk bodies: the fallback for chunks that may
-  // broadcast.
-  void CountdownBatch(const sim::Arrival* arrivals, size_t count);
-  void CountdownSites(const uint16_t* sites, size_t count);
-  // Advances `site` by its whole slice of a certified broadcast-free
-  // chunk: eventless stretches retire in bulk, events replay the scalar
-  // path — the per-site projection of the countdown engine, without the
-  // per-element decrement.
-  void GroupedRun(int site, uint64_t count);
+  // The skip-sampling batch path over Arrival[] or site-id streams:
+  // chunks certified broadcast-free run site-grouped through RunSite, the
+  // rest on the countdown engine.
+  template <typename Input>
+  void DeliverChunks(const Input* input, size_t count);
+  template <typename Input>
+  void CountdownChunk(const Input* input, size_t count);
+  // Advances `site` by `count` arrivals of a run no broadcast can cut:
+  // eventless stretches retire in bulk, each event arrival takes the site
+  // step through `port` — the per-site projection of the countdown
+  // engine, without the per-element decrement. Serves grouped chunks and
+  // shard runs.
+  template <typename Port>
+  void RunSite(int site, uint64_t count, Port& port);
 
   RandomizedCountOptions options_;
   sim::CommMeter meter_;
   sim::SpaceGauge space_;
   std::unique_ptr<CoarseTracker> coarse_;
   sim::wire::WireTap* tap_ = nullptr;
-
-  // Crash-replay bookkeeping (see BeginCrashReplay).
-  bool crash_replay_ = false;
-  int replay_site_ = -1;
-  uint64_t replay_saved_inv_p_ = 0;
-  int replay_saved_log2_ = 0;
 
   // Site-side state (O(1) words each).
   struct SiteState {
@@ -234,13 +265,15 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
     Rng rng{0};
   };
   std::vector<SiteState> sites_;
+  // The sites' copy of 1/p (always a power of two) and its log2, the
+  // skip samplers' argument. A crash snapshot rewinds them; replay
+  // re-evolves them to the coordinator's.
+  uint64_t inv_p_ = 1;
+  int log2_inv_p_ = 0;
 
-  // Coordinator-side state.
-  uint64_t inv_p_ = 1;          // 1/p, always a power of two
-  int log2_inv_p_ = 0;          // log2(inv_p_), the skip samplers' argument
-  uint64_t reported_sum_ = 0;   // Σ n̄_i over existing reports
-  uint64_t reported_count_ = 0; // |{i : n̄_i exists}|
-  uint64_t n_ = 0;              // ground truth (harness-side)
+  // Coordinator-side state (count_aggregate.h), and the ground truth.
+  CountAggregate agg_;
+  uint64_t n_ = 0;
 
   // Batch fast-path countdowns (meaningful only while in_batch_).
   EventCountdown countdown_;

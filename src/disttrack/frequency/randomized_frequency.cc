@@ -97,25 +97,31 @@ void RandomizedFrequencyTracker::OnBroadcast(uint64_t /*round*/,
   if (in_batch_) ResyncAllMidBatch();
   // Restart from scratch with the new parameters (§3.1 "Dealing with a
   // decreasing p"); the closing round's terms are already in the totals.
-  inv_p_ = options_.InvP(n_bar);
+  SetRoundParams(n_bar);
   FrequencyAggregate::RequireExact(agg_.BeginRound(inv_p_), "1/p");
+  for (int i = 0; i < options_.num_sites; ++i) SiteRitual(i);
+  if (in_batch_) RearmAll();
+}
+
+void RandomizedFrequencyTracker::SetRoundParams(uint64_t n_bar) {
+  inv_p_ = options_.InvP(n_bar);
   log2_inv_p_ = FloorLog2(inv_p_);
   split_threshold_ = std::max<uint64_t>(
       1, n_bar / static_cast<uint64_t>(options_.num_sites));
-  for (int i = 0; i < options_.num_sites; ++i) {
-    SiteState& s = sites_[static_cast<size_t>(i)];
-    s.counters.Clear();
-    s.round_arrivals = 0;
-    s.instance = NewInstanceId(i, &s);
-    if (options_.use_skip_sampling) {
-      // The new p invalidates outstanding skips (they encode old-p coin
-      // gaps); redrawing is exact by independence of unconsumed coins.
-      s.counter_skip.ResetPow2(log2_inv_p_, &s.rng);
-      s.sample_skip.ResetPow2(log2_inv_p_, &s.rng);
-    }
-    UpdateSpace(i);
+}
+
+void RandomizedFrequencyTracker::SiteRitual(int site) {
+  SiteState& s = sites_[static_cast<size_t>(site)];
+  s.counters.Clear();
+  s.round_arrivals = 0;
+  s.instance = NewInstanceId(site, &s);
+  if (options_.use_skip_sampling) {
+    // The new p invalidates outstanding skips (they encode old-p coin
+    // gaps); redrawing is exact by independence of unconsumed coins.
+    s.counter_skip.ResetPow2(log2_inv_p_, &s.rng);
+    s.sample_skip.ResetPow2(log2_inv_p_, &s.rng);
   }
-  if (in_batch_) RearmAll();
+  UpdateSpace(site);
 }
 
 void RandomizedFrequencyTracker::UpdateSpace(int site) {
@@ -598,9 +604,7 @@ void RandomizedFrequencyTracker::RestoreSiteState(
   UpdateSpace(site);
 }
 
-void RandomizedFrequencyTracker::BeginCrashReplay(int site) {
-  crash_replay_ = true;
-  replay_site_ = site;
+void RandomizedFrequencyTracker::BeginCrashReplay(int /*site*/) {
   replay_saved_inv_p_ = inv_p_;
   replay_saved_log2_ = log2_inv_p_;
   replay_saved_split_threshold_ = split_threshold_;
@@ -614,8 +618,6 @@ void RandomizedFrequencyTracker::EndCrashReplay() {
                  "the round parameters to their pre-crash values\n");
     std::abort();
   }
-  crash_replay_ = false;
-  replay_site_ = -1;
 }
 
 void RandomizedFrequencyTracker::ReplayCrashArrive(
@@ -628,19 +630,8 @@ void RandomizedFrequencyTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
   // Per-site half of OnBroadcast, with the identical draw order. The
   // coordinator half (the aggregate's BeginRound) already ran in the
   // original execution and its state is intact.
-  inv_p_ = options_.InvP(n_bar);
-  log2_inv_p_ = FloorLog2(inv_p_);
-  split_threshold_ = std::max<uint64_t>(
-      1, n_bar / static_cast<uint64_t>(options_.num_sites));
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  s.counters.Clear();
-  s.round_arrivals = 0;
-  s.instance = NewInstanceId(site, &s);
-  if (options_.use_skip_sampling) {
-    s.counter_skip.ResetPow2(log2_inv_p_, &s.rng);
-    s.sample_skip.ResetPow2(log2_inv_p_, &s.rng);
-  }
-  UpdateSpace(site);
+  SetRoundParams(n_bar);
+  SiteRitual(site);
 }
 
 }  // namespace frequency

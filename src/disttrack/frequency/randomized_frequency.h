@@ -188,6 +188,12 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   friend struct testing_util::DeliveryPeer;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
+  // The round parameters a broadcast of `n_bar` sets: 1/p, its log2 and
+  // the split threshold n̄/k.
+  void SetRoundParams(uint64_t n_bar);
+  // One site's half of a round transition: cleared counters, a fresh
+  // instance, redrawn skips. Serves OnBroadcast and ReplayCrashRitual.
+  void SiteRitual(int site);
   void UpdateSpace(int site);
   void ArriveOne(int site, uint64_t item);
   // Everything ArriveOne does except ++n_ (the batch engine advances n_
@@ -273,8 +279,6 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   sim::wire::WireTap* tap_ = nullptr;
 
   // Crash-replay bookkeeping (see BeginCrashReplay).
-  bool crash_replay_ = false;
-  int replay_site_ = -1;
   uint64_t replay_saved_inv_p_ = 0;
   int replay_saved_log2_ = 0;
   uint64_t replay_saved_split_threshold_ = 0;

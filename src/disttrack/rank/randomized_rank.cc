@@ -151,14 +151,11 @@ void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
                  "— the broadcast-safety bound is wrong\n");
     std::abort();
   }
-  // Mid-batch, every site's buffered eventless run belongs to the closing
-  // round: feed it into the current nodes (which the restart below then
-  // discards, exactly as the scalar path discards mid-leaf state — those
-  // arrivals stay covered by the frozen residual samples).
-  if (in_batch_) FlushBufferedRuns();
-  // Completed leaves of the closing round are already covered by shipped
-  // summaries, and the in-progress tails stay covered by their frozen
-  // residual samples; sites just restart with fresh parameters.
+  // Mid-batch, every site's buffered eventless run was fed before the
+  // triggering report (see CoarseArriveOne). Completed leaves of the
+  // closing round are already covered by shipped summaries, and the
+  // in-progress tails stay covered by their frozen residual samples;
+  // sites just restart with fresh parameters.
   round_ = options_.RoundParamsFor(n_bar);
   agg_.BeginRound(round_.inv_p, round_.num_leaves);
   for (int i = 0; i < options_.num_sites; ++i) {
@@ -170,12 +167,9 @@ void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
 
 void RandomizedRankTracker::Upload(int site, uint64_t words) {
   if (crash_replay_) return;  // the pre-crash execution already charged it
-  if (shard_mode_) {
-    ShardSink& sink = shard_sinks_[static_cast<size_t>(site)];
-    ++sink.messages;
-    sink.words += std::max<uint64_t>(1, words);
-  } else if (defer_uploads_) {
-    // Plain batch in flight: accumulate and post in bulk at batch end.
+  if (shard_mode_ || defer_uploads_) {
+    // A shard epoch or a plain batch in flight: accumulate and post in
+    // bulk at its end.
     PendingUpload& pending = pending_uploads_[static_cast<size_t>(site)];
     ++pending.messages;
     pending.words += std::max<uint64_t>(1, words);
@@ -192,9 +186,10 @@ void RandomizedRankTracker::FlushDeferredUploads() {
     PendingUpload& pending = pending_uploads_[static_cast<size_t>(i)];
     if (pending.messages == 0) continue;
     // disttrack-lint: allow(meter-tap) -- batch-fold: the scalar path
-    // charges per message; this replays one batch's deferred per-site
-    // charges in bulk with max(1, payload) already applied, and the
-    // deferral is off whenever a tap or replay needs per-message order.
+    // charges per message; this replays one batch's or shard epoch's
+    // deferred per-site charges in bulk with max(1, payload) already
+    // applied, and the deferral is off whenever a tap or replay needs
+    // per-message order (taps never run on the sharded path).
     meter_.RecordUploadBulk(i, pending.messages, pending.words);
     pending.messages = 0;
     pending.words = 0;
@@ -233,9 +228,16 @@ void RandomizedRankTracker::CoarseArriveOne(int site) {
   }
   if (shard_mode_) {
     if (uint64_t delta = coarse_->ArriveLocal(site)) {
-      shard_sinks_[static_cast<size_t>(site)].coarse_deltas.push_back(delta);
+      shard_deltas_[static_cast<size_t>(site)].push_back(delta);
     }
   } else {
+    // Mid-batch, every site's buffered eventless run belongs to the
+    // closing round: a report that will broadcast first feeds them into
+    // the current nodes (which the round restart then discards, exactly
+    // as the scalar path discards mid-leaf state — those arrivals stay
+    // covered by the frozen residual samples), so their residual frames
+    // precede the report's.
+    if (in_batch_ && coarse_->ArriveBroadcasts(site)) FlushBufferedRuns();
     coarse_->Arrive(site);
   }
 }
@@ -491,8 +493,8 @@ void RandomizedRankTracker::Arrive(int site, uint64_t value) {
 }
 
 void RandomizedRankTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
-  if (shard_sinks_.empty()) {
-    shard_sinks_.resize(static_cast<size_t>(options_.num_sites));
+  if (shard_deltas_.empty()) {
+    shard_deltas_.resize(static_cast<size_t>(options_.num_sites));
   }
   // Nothing inside a shard epoch reads n_ (mirrors the batch engine).
   n_ += arrivals_in_epoch;
@@ -532,21 +534,11 @@ void RandomizedRankTracker::ShardArriveRun(int site, const uint64_t* keys,
 void RandomizedRankTracker::ShardEpochEnd() {
   shard_mode_ = false;
   for (int i = 0; i < options_.num_sites; ++i) {
-    ShardSink& sink = shard_sinks_[static_cast<size_t>(i)];
-    for (uint64_t delta : sink.coarse_deltas) {
-      coarse_->ApplyDeferredReport(i, delta);
-    }
-    sink.coarse_deltas.clear();
-    if (sink.messages > 0) {
-      // disttrack-lint: allow(meter-tap) -- shard-fold: the serial
-      // path charges and taps per message; the fold replays the
-      // epoch's deferred charges in bulk, and taps never run on the
-      // sharded path (only the serial runtimes install one).
-      meter_.RecordUploadBulk(i, sink.messages, sink.words);
-      sink.messages = 0;
-      sink.words = 0;
-    }
+    std::vector<uint64_t>& deltas = shard_deltas_[static_cast<size_t>(i)];
+    for (uint64_t delta : deltas) coarse_->ApplyDeferredReport(i, delta);
+    deltas.clear();
   }
+  FlushDeferredUploads();
 }
 
 uint64_t RandomizedRankTracker::NextEventGap(int site) const {

@@ -309,18 +309,13 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // tracker's broadcast state.
   count::CoarseTracker* shard_coarse() override { return coarse_.get(); }
   // Site->coordinator upload: charged to the meter directly on the serial
-  // paths, accumulated in the site's sink during shard ingest.
+  // paths, accumulated in pending_uploads_ during a plain batch or a
+  // shard epoch.
   void Upload(int site, uint64_t words);
   // One coarse arrival: the serial paths go through CoarseTracker::Arrive
   // (which may broadcast); shard ingest advances site-locally and defers
   // the report delta (the epoch schedule keeps broadcasts on boundaries).
   void CoarseArriveOne(int site);
-
-  struct ShardSink {
-    std::vector<uint64_t> coarse_deltas;
-    uint64_t messages = 0;  // deferred uploads
-    uint64_t words = 0;     // with max(1, payload) applied per message
-  };
 
   RandomizedRankOptions options_;
   sim::CommMeter meter_;
@@ -330,16 +325,19 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // The coordinator's instance storage and estimator. Written by the
   // shipping site only (shard workers included) and never in crash replay.
   RankAggregate agg_;
-  std::vector<ShardSink> shard_sinks_;
+  // Coarse-report deltas a site worker deferred during the current shard
+  // epoch; folded (and cleared) by ShardEpochEnd.
+  std::vector<std::vector<uint64_t>> shard_deltas_;
   bool shard_mode_ = false;
   sim::wire::WireTap* tap_ = nullptr;
 
-  // Batched upload amortization: while a plain ArriveBatch runs (no tap,
-  // no replay, no shard epoch — the modes with their own per-message or
-  // per-epoch accounting), Upload() accumulates (messages, charged
-  // words) per site here and the batch end posts one RecordUploadBulk
+  // Batched upload amortization: while a plain ArriveBatch (no tap, no
+  // replay) or a shard epoch runs, Upload() accumulates (messages,
+  // charged words) per site here — a shard worker writes only its own
+  // site's entry — and the batch or epoch end posts one RecordUploadBulk
   // per site. Meter totals at every public observation point (queries
-  // only happen between batches) are identical to per-message charging.
+  // only happen between batches and epochs) are identical to per-message
+  // charging.
   struct PendingUpload {
     uint64_t messages = 0;
     uint64_t words = 0;  // with max(1, payload) applied per message

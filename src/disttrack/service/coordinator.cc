@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "disttrack/core/quantile.h"
+
 namespace disttrack {
 namespace service {
 
@@ -244,16 +246,22 @@ void Coordinator::TrySchedule() {
 
 // --- Delivered uplink frames ----------------------------------------------
 
-void Coordinator::DecideCoarse(int site, const Message& report,
-                               uint64_t up_seq) {
+const sim::CoarseMirror& Coordinator::Coarse() const {
+  if (count_replica_) return count_replica_->coarse();
+  if (frequency_replica_) return frequency_replica_->coarse();
+  return rank_replica_->coarse();
+}
+
+void Coordinator::DecideCoarse(int site, bool broadcasts, uint64_t up_seq) {
   stats_.decisions += 1;
-  if (decider_.ApplyReport(report.a)) {
+  if (broadcasts) {
+    const sim::CoarseMirror& coarse = Coarse();
     Message broadcast;
     broadcast.type = MsgType::kBroadcast;
     broadcast.site = -1;
-    broadcast.epoch = decider_.round;
-    broadcast.a = decider_.round;
-    broadcast.b = decider_.n_bar;
+    broadcast.epoch = coarse.round;
+    broadcast.a = coarse.round;
+    broadcast.b = coarse.n_bar;
     broadcast.paper_words = 1;
     stats_.broadcasts += 1;
     stats_.paper_messages += static_cast<uint64_t>(options_.num_sites);
@@ -276,7 +284,9 @@ void Coordinator::DecideCoarse(int site, const Message& report,
 bool Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
   // The frequency and rank replicas refuse a frame no tracker produces:
   // one that would break an exactness bound, or a malformed rank summary.
-  // Nothing else has seen it yet.
+  // Nothing else has seen it yet. The hosted replica's coarse mirror is
+  // the coordinator's: its round moves iff this report broadcasts.
+  uint64_t round = Coarse().round;
   if (frequency_replica_ && !frequency_replica_->Apply(msg)) return false;
   if (rank_replica_ && !rank_replica_->Apply(msg)) return false;
   if (count_replica_) count_replica_->Apply(msg);
@@ -291,7 +301,7 @@ bool Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
   Session& s = sessions_[static_cast<size_t>(site)];
   switch (msg.type) {
     case MsgType::kCoarseReport:
-      DecideCoarse(site, msg, up_seq);
+      DecideCoarse(site, Coarse().round != round, up_seq);
       break;
     case MsgType::kGrantRequest:
       if (msg.a == 0) {
@@ -352,12 +362,12 @@ sim::wire::Message Coordinator::Query(const Message& query) const {
   result.site = -1;
   result.a = query.a;
   result.b = query.b;
-  uint64_t n_prime = decider_.n_prime;
+  uint64_t n_prime = Coarse().n_prime;
   switch (query.a) {
     case kQueryCount: {
       double est = 0;
       if (count_replica_) est = count_replica_->Estimate(0);
-      result.values = {Bits(est), n_prime, decider_.round};
+      result.values = {Bits(est), n_prime, Coarse().round};
       break;
     }
     case kQueryPoint:
@@ -388,14 +398,11 @@ sim::wire::Message Coordinator::Query(const Message& query) const {
         double phi = 0;
         uint64_t bits = query.b;
         memcpy(&phi, &bits, sizeof(phi));
-        double target = phi * static_cast<double>(n_prime);
-        uint64_t lo = 0, hi = options_.universe;
-        while (lo < hi) {
-          uint64_t mid = lo + (hi - lo) / 2;
-          if (rank_replica_->Estimate(mid) < target) lo = mid + 1;
-          else hi = mid;
-        }
-        result.values = {lo, Bits(rank_replica_->Estimate(lo))};
+        const sim::RankReplica& replica = *rank_replica_;
+        uint64_t x = core::QuantileSearch(
+            options_.universe, phi * static_cast<double>(n_prime),
+            [&replica](uint64_t value) { return replica.Estimate(value); });
+        result.values = {x, Bits(replica.Estimate(x))};
       }
       break;
     case kQueryStats: {

@@ -134,8 +134,13 @@ class Coordinator {
   void HandleSiteFrame(Conn* conn, sim::wire::Message msg, uint64_t seq);
   // False if a replica refused the frame; the caller closes the link.
   bool ApplyDelivered(int site, sim::wire::Message msg, uint64_t up_seq);
-  void DecideCoarse(int site, const sim::wire::Message& report,
-                    uint64_t up_seq);
+  // Stages the decision on a delivered coarse report: a broadcast to
+  // every site, or a kNoBroadcast to the reporting one.
+  void DecideCoarse(int site, bool broadcasts, uint64_t up_seq);
+  // The hosted replica's coarse mirror (n', n̄, round): it applies every
+  // delivered coarse report in delivery order, so it takes the broadcast
+  // decisions.
+  const sim::CoarseMirror& Coarse() const;
   void FinishJoin(Conn* conn, const sim::wire::Message& join,
                   const sim::wire::Message& hello);
   void TrySchedule();
@@ -158,9 +163,7 @@ class Coordinator {
   std::vector<std::unique_ptr<Conn>> conns_;
   std::vector<Session> sessions_;
 
-  // Broadcast decisions: one mirror, fed every delivered coarse report in
-  // coordinator arrival order (the replicas keep their own copies).
-  sim::CoarseMirror decider_;
+  // Exactly one replica, for options_.tracker.
   std::unique_ptr<sim::CountReplica> count_replica_;
   std::unique_ptr<sim::FrequencyReplica> frequency_replica_;
   std::unique_ptr<sim::RankReplica> rank_replica_;

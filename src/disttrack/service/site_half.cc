@@ -1,5 +1,7 @@
 #include "disttrack/service/site_half.h"
 
+#include <type_traits>
+
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
@@ -9,40 +11,19 @@ namespace service {
 
 namespace {
 
-class CountHalf : public SiteHalf {
+// One site of a whole tracker, permanently in crash replay: the three
+// trackers share the seam's signatures, so one template hosts them all.
+template <typename Tracker>
+class TrackerSite : public SiteHalf {
  public:
-  CountHalf(const ServiceOptions& options, int site)
-      : tracker_(options.CountOptions()), site_(site) {
-    tracker_.BeginCrashReplay(site_);
-  }
-  void set_wire_tap(sim::wire::WireTap* tap) override {
-    tracker_.set_wire_tap(tap);
-  }
-  void Arrive(uint64_t /*key*/) override {
-    tracker_.ReplayCrashArrive(site_, nullptr);
-  }
-  void ApplyRitual(uint64_t n_bar) override {
-    tracker_.ReplayCrashRitual(site_, n_bar);
-  }
-  bool SnapshotReady() const override {
-    return tracker_.SiteSnapshotReady(site_);
-  }
-  void Serialize(std::vector<uint64_t>* out) const override {
-    tracker_.SerializeSiteState(site_, out);
-  }
-  void Restore(const std::vector<uint64_t>& blob) override {
-    tracker_.RestoreSiteState(site_, blob);
-  }
-
- private:
-  count::RandomizedCountTracker tracker_;
-  int site_;
-};
-
-class FrequencyHalf : public SiteHalf {
- public:
-  FrequencyHalf(const ServiceOptions& options, int site)
-      : tracker_(options.FrequencyOptions()), site_(site) {
+  template <typename Options>
+  TrackerSite(const Options& options, int site)
+      : tracker_(options), site_(site) {
+    // Rank keeps an instance journal for crash replay to walk; a site
+    // process has none to walk.
+    if constexpr (std::is_same_v<Tracker, rank::RandomizedRankTracker>) {
+      tracker_.set_detached_replay(true);
+    }
     tracker_.BeginCrashReplay(site_);
   }
   void set_wire_tap(sim::wire::WireTap* tap) override {
@@ -65,38 +46,7 @@ class FrequencyHalf : public SiteHalf {
   }
 
  private:
-  frequency::RandomizedFrequencyTracker tracker_;
-  int site_;
-};
-
-class RankHalf : public SiteHalf {
- public:
-  RankHalf(const ServiceOptions& options, int site)
-      : tracker_(options.RankOptions()), site_(site) {
-    tracker_.set_detached_replay(true);
-    tracker_.BeginCrashReplay(site_);
-  }
-  void set_wire_tap(sim::wire::WireTap* tap) override {
-    tracker_.set_wire_tap(tap);
-  }
-  void Arrive(uint64_t key) override {
-    tracker_.ReplayCrashArrive(site_, key, nullptr);
-  }
-  void ApplyRitual(uint64_t n_bar) override {
-    tracker_.ReplayCrashRitual(site_, n_bar);
-  }
-  bool SnapshotReady() const override {
-    return tracker_.SiteSnapshotReady(site_);
-  }
-  void Serialize(std::vector<uint64_t>* out) const override {
-    tracker_.SerializeSiteState(site_, out);
-  }
-  void Restore(const std::vector<uint64_t>& blob) override {
-    tracker_.RestoreSiteState(site_, blob);
-  }
-
- private:
-  rank::RandomizedRankTracker tracker_;
+  Tracker tracker_;
   int site_;
 };
 
@@ -106,11 +56,15 @@ std::unique_ptr<SiteHalf> SiteHalf::Create(const ServiceOptions& options,
                                            int site) {
   switch (options.tracker) {
     case TrackerKind::kCount:
-      return std::make_unique<CountHalf>(options, site);
+      return std::make_unique<TrackerSite<count::RandomizedCountTracker>>(
+          options.CountOptions(), site);
     case TrackerKind::kFrequency:
-      return std::make_unique<FrequencyHalf>(options, site);
+      return std::make_unique<
+          TrackerSite<frequency::RandomizedFrequencyTracker>>(
+          options.FrequencyOptions(), site);
     case TrackerKind::kRank:
-      return std::make_unique<RankHalf>(options, site);
+      return std::make_unique<TrackerSite<rank::RandomizedRankTracker>>(
+          options.RankOptions(), site);
   }
   return nullptr;
 }

@@ -1,5 +1,6 @@
-// The site half of a tracker, as a kind-erased adapter over the three
-// tracker classes' crash-replay seam.
+// The site half of a tracker, as a kind-erased host over the three
+// tracker classes' crash-replay seam. The seam has one signature on all
+// three trackers, so one class template (site_half.cc) hosts each kind.
 //
 // A site process hosts a real tracker but drives exactly one site of it,
 // in crash-replay mode permanently: ReplayCrashArrive advances only

@@ -2,11 +2,14 @@
 // alone (extracted from the fault harness in robust_cluster.cc so the
 // multi-process service coordinator can host the same mirrors).
 //
-// Each replica consumes the exact frame stream a tracker's WireTap emits
-// and reproduces the coordinator half of the estimator bit for bit: the
-// fault harness (robust_cluster.h) proves the property differentially at
-// every checkpoint, and the service daemon (service/coordinator.h) serves
-// its snapshot query API from these same classes. Delivery contract: per
+// Each replica is a CoarseMirror plus the tracker's own coordinator
+// aggregate (count_aggregate.h, frequency_aggregate.h, rank_aggregate.h),
+// fed the exact frame stream a tracker's WireTap emits, so it reproduces
+// the coordinator half of the estimator bit for bit: the fault harness
+// (robust_cluster.h) proves the property differentially at every
+// checkpoint, and the service daemon (service/coordinator.h) serves its
+// snapshot query API from these same classes and takes its broadcast
+// decisions from the hosted replica's mirror. Delivery contract: per
 // site frames arrive in FIFO order and exactly once — the reliable
 // channel layer (transport.h) provides both under faults, and the TCP
 // sessions of the service provide them natively plus sequence-number
@@ -19,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "disttrack/count/count_aggregate.h"
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
@@ -36,62 +40,36 @@ namespace sim {
 using CoarseMirror = count::CoarseMirror;
 
 // --- Count replica --------------------------------------------------------
-// Mirrors the coordinator state of RandomizedCountTracker: 1/p and the
-// (sum, count) aggregates over existing reports. Reports and p-halving
-// corrections arrive as frames; inv_p evolves at derived broadcasts with
-// the tracker's own formula (RandomizedCountOptions::InvP) and doubling
-// loop, so the estimator expression is evaluated on bit-identical
-// operands.
+// Hosts the tracker's own coordinator aggregate (count/count_aggregate.h),
+// fed from frames: coin reports and p-halving corrections set a site's
+// n̄_i, and a derived broadcast opens the next round at the 1/p the
+// tracker computes from the same n̄.
 
 class CountReplica {
  public:
   explicit CountReplica(const count::RandomizedCountOptions& options)
       : options_(options),
-        reported_(static_cast<size_t>(options.num_sites), 0) {}
+        agg_(options.num_sites, options.naive_boundary_estimator) {}
 
   void Apply(const wire::Message& msg) {
     switch (msg.type) {
       case wire::MsgType::kCoarseReport:
         if (coarse_.ApplyReport(msg.a)) {
-          uint64_t new_inv_p = options_.InvP(coarse_.n_bar);
-          while (inv_p_ < new_inv_p) inv_p_ *= 2;
+          agg_.BeginRound(options_.InvP(coarse_.n_bar));
         }
         break;
-      case wire::MsgType::kCoinReport: {
-        uint64_t& rep = reported_[static_cast<size_t>(msg.site)];
-        if (rep > 0) reported_sum_ -= rep;
-        else ++reported_count_;
-        rep = msg.a;
-        reported_sum_ += rep;
+      case wire::MsgType::kCoinReport:
+      case wire::MsgType::kCorrection:
+        agg_.Set(msg.site, msg.a);
         break;
-      }
-      case wire::MsgType::kCorrection: {
-        // Emitted only for sites holding a report (§2.1 thinning ritual).
-        uint64_t& rep = reported_[static_cast<size_t>(msg.site)];
-        reported_sum_ -= rep;
-        --reported_count_;
-        rep = msg.a;
-        if (rep > 0) {
-          reported_sum_ += rep;
-          ++reported_count_;
-        }
-        break;
-      }
       default:
         break;
     }
   }
 
-  double Estimate(uint64_t /*query*/) const {
-    double inv_p = static_cast<double>(inv_p_);
-    if (options_.naive_boundary_estimator) {
-      return static_cast<double>(reported_sum_) +
-             static_cast<double>(options_.num_sites) * (inv_p - 1.0);
-    }
-    return static_cast<double>(reported_sum_) +
-           static_cast<double>(reported_count_) * (inv_p - 1.0);
-  }
+  double Estimate(uint64_t /*query*/) const { return agg_.Estimate(); }
 
+  const CoarseMirror& coarse() const { return coarse_; }
   uint64_t round() const { return coarse_.round; }
   uint64_t n_bar() const { return coarse_.n_bar; }
   uint64_t n_prime() const { return coarse_.n_prime; }
@@ -99,10 +77,7 @@ class CountReplica {
  private:
   count::RandomizedCountOptions options_;
   CoarseMirror coarse_;
-  uint64_t inv_p_ = 1;
-  std::vector<uint64_t> reported_;
-  uint64_t reported_sum_ = 0;
-  uint64_t reported_count_ = 0;
+  count::CountAggregate agg_;
 };
 
 // --- Frequency replica ----------------------------------------------------
@@ -161,6 +136,7 @@ class FrequencyReplica {
     return agg_.HeavyHitters(threshold);
   }
 
+  const CoarseMirror& coarse() const { return coarse_; }
   uint64_t round() const { return coarse_.round; }
   uint64_t n_bar() const { return coarse_.n_bar; }
   uint64_t n_prime() const { return coarse_.n_prime; }
@@ -208,6 +184,7 @@ class RankReplica {
 
   double Estimate(uint64_t value) const { return agg_.Estimate(value); }
 
+  const CoarseMirror& coarse() const { return coarse_; }
   uint64_t round() const { return coarse_.round; }
   uint64_t n_bar() const { return coarse_.n_bar; }
   uint64_t n_prime() const { return coarse_.n_prime; }

@@ -39,13 +39,6 @@ struct CountAdapter {
   static double Estimate(const Tracker& t, uint64_t) {
     return t.EstimateCount();
   }
-  static void ReplayArrive(Tracker* t, int site, uint64_t /*key*/,
-                           const uint64_t* mid_n_bar) {
-    t->ReplayCrashArrive(site, mid_n_bar);
-  }
-  static void ReplayRitual(Tracker* t, int site, uint64_t n_bar) {
-    t->ReplayCrashRitual(site, n_bar);
-  }
   static void Truth(const Arrival&, uint64_t, uint64_t* acc) { ++*acc; }
 };
 
@@ -58,13 +51,6 @@ struct FrequencyAdapter {
   }
   static double Estimate(const Tracker& t, uint64_t query) {
     return t.EstimateFrequency(query);
-  }
-  static void ReplayArrive(Tracker* t, int site, uint64_t key,
-                           const uint64_t* mid_n_bar) {
-    t->ReplayCrashArrive(site, key, mid_n_bar);
-  }
-  static void ReplayRitual(Tracker* t, int site, uint64_t n_bar) {
-    t->ReplayCrashRitual(site, n_bar);
   }
   static void Truth(const Arrival& a, uint64_t query, uint64_t* acc) {
     if (a.key == query) ++*acc;
@@ -80,13 +66,6 @@ struct RankAdapter {
   }
   static double Estimate(const Tracker& t, uint64_t query) {
     return t.EstimateRank(query);
-  }
-  static void ReplayArrive(Tracker* t, int site, uint64_t key,
-                           const uint64_t* mid_n_bar) {
-    t->ReplayCrashArrive(site, key, mid_n_bar);
-  }
-  static void ReplayRitual(Tracker* t, int site, uint64_t n_bar) {
-    t->ReplayCrashRitual(site, n_bar);
   }
   static void Truth(const Arrival& a, uint64_t query, uint64_t* acc) {
     if (a.key < query) ++*acc;
@@ -543,8 +522,7 @@ class Engine : public wire::WireTap {
              broadcast_records_[rec_idx].trigger_site != site &&
              broadcast_records_[rec_idx]
                      .site_pos[static_cast<size_t>(site)] <= j) {
-        Adapter::ReplayRitual(&tracker_, site,
-                              broadcast_records_[rec_idx].n_bar);
+        tracker_.ReplayCrashRitual(site, broadcast_records_[rec_idx].n_bar);
         ++rec_idx;
       }
       const uint64_t* mid = nullptr;
@@ -557,8 +535,7 @@ class Engine : public wire::WireTap {
         mid = &mid_n_bar;
         ++rec_idx;
       }
-      Adapter::ReplayArrive(&tracker_, site,
-                            keys[static_cast<size_t>(j)], mid);
+      tracker_.ReplayCrashArrive(site, keys[static_cast<size_t>(j)], mid);
       Pump();
     }
     if (!report_.ok) return;
@@ -566,8 +543,7 @@ class Engine : public wire::WireTap {
            broadcast_records_[rec_idx].trigger_site != site &&
            broadcast_records_[rec_idx]
                    .site_pos[static_cast<size_t>(site)] <= j_end) {
-      Adapter::ReplayRitual(&tracker_, site,
-                            broadcast_records_[rec_idx].n_bar);
+      tracker_.ReplayCrashRitual(site, broadcast_records_[rec_idx].n_bar);
       ++rec_idx;
     }
     if (rec_idx != rec_end) {

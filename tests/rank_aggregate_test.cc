@@ -291,56 +291,61 @@ Coverage Inspect(const RandomizedRankOptions& options,
 TEST(RankAggregateTest, MatchesTheGreedyCoverOracleOnTrackerFrames) {
   Coverage total;
   for (const Scenario& sc : kScenarios) {
-    SCOPED_TRACE(sc.name);
-    RandomizedRankOptions options;
-    options.num_sites = sc.k;
-    options.epsilon = sc.epsilon;
-    options.confidence_factor = sc.confidence;
-    options.seed = sc.seed;
-    // Fed one arrival at a time, as the fault harness and the service
-    // sites do: that keeps every frame ahead of the next site's report.
-    // (A batch flushes the other sites' buffered runs when a report
-    // broadcasts, after the report's frame.)
-    RandomizedRankTracker tracker(options);
-    FrameLog log;
-    tracker.set_wire_tap(&log);
-    sim::RankReplica replica(options);
-    CheckedAggregate agg(sc.k);
-    ReferenceRankAggregate oracle(sc.k);
-    count::CoarseMirror agg_coarse, oracle_coarse;
-    auto workload = stream::MakeRankWorkload(
-        sc.k, sc.n, stream::SiteSchedule::kUniformRandom,
-        stream::ValueOrder::kUniformRandom, kUniverseBits, sc.seed);
-    Rng rng(sc.seed);
-    std::vector<uint64_t> xs = Queries(&rng);
-    size_t pos = 0, applied = 0;
-    while (pos < workload.size()) {
-      // Ragged spans, so checkpoints land mid-leaf and mid-chunk.
-      size_t end = std::min<size_t>(pos + 1 + rng.UniformU64(3000),
-                                    workload.size());
-      for (; pos < end; ++pos) {
-        tracker.Arrive(workload[pos].site, workload[pos].key);
+    // Fed one arrival at a time, as the fault harness and the service sites
+    // do, and in batches: a batch feeds the other sites' buffered runs
+    // before a report that broadcasts, so their frames precede it too.
+    for (bool batch : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << sc.name << " batch=" << batch);
+      RandomizedRankOptions options;
+      options.num_sites = sc.k;
+      options.epsilon = sc.epsilon;
+      options.confidence_factor = sc.confidence;
+      options.seed = sc.seed;
+      RandomizedRankTracker tracker(options);
+      FrameLog log;
+      tracker.set_wire_tap(&log);
+      sim::RankReplica replica(options);
+      CheckedAggregate agg(sc.k);
+      ReferenceRankAggregate oracle(sc.k);
+      count::CoarseMirror agg_coarse, oracle_coarse;
+      auto workload = stream::MakeRankWorkload(
+          sc.k, sc.n, stream::SiteSchedule::kUniformRandom,
+          stream::ValueOrder::kUniformRandom, kUniverseBits, sc.seed);
+      Rng rng(sc.seed);
+      std::vector<uint64_t> xs = Queries(&rng);
+      size_t pos = 0, applied = 0;
+      while (pos < workload.size()) {
+        // Ragged spans, so checkpoints land mid-leaf and mid-chunk.
+        size_t end = std::min<size_t>(pos + 1 + rng.UniformU64(3000),
+                                      workload.size());
+        if (batch) {
+          tracker.ArriveBatch(workload.data() + pos, end - pos);
+          pos = end;
+        }
+        for (; pos < end; ++pos) {
+          tracker.Arrive(workload[pos].site, workload[pos].key);
+        }
+        for (; applied < log.frames.size(); ++applied) {
+          const Message& msg = log.frames[applied];
+          replica.Apply(msg);
+          ApplyFrame(options, &agg_coarse, &agg, msg);
+          ApplyFrame(options, &oracle_coarse, &oracle, msg);
+        }
+        for (uint64_t x : xs) {
+          ExpectMatchesOracle(agg, oracle, x);
+          double est = tracker.EstimateRank(x);
+          EXPECT_TRUE(SameBits(replica.Estimate(x), est))
+              << "x " << x << ": replica " << replica.Estimate(x)
+              << " vs tracker " << est;
+          EXPECT_TRUE(SameBits(agg.Estimate(x), est)) << "x " << x;
+        }
+        if (::testing::Test::HasFailure()) return;
       }
-      for (; applied < log.frames.size(); ++applied) {
-        const Message& msg = log.frames[applied];
-        replica.Apply(msg);
-        ApplyFrame(options, &agg_coarse, &agg, msg);
-        ApplyFrame(options, &oracle_coarse, &oracle, msg);
-      }
-      for (uint64_t x : xs) {
-        ExpectMatchesOracle(agg, oracle, x);
-        double est = tracker.EstimateRank(x);
-        EXPECT_TRUE(SameBits(replica.Estimate(x), est))
-            << "x " << x << ": replica " << replica.Estimate(x)
-            << " vs tracker " << est;
-        EXPECT_TRUE(SameBits(agg.Estimate(x), est)) << "x " << x;
-      }
-      if (::testing::Test::HasFailure()) return;
+      Coverage cov = Inspect(options, log.frames);
+      total.cut_with_summary += cov.cut_with_summary;
+      total.cut_residual_only += cov.cut_residual_only;
+      total.height0_rounds += cov.height0_rounds;
     }
-    Coverage cov = Inspect(options, log.frames);
-    total.cut_with_summary += cov.cut_with_summary;
-    total.cut_residual_only += cov.cut_residual_only;
-    total.height0_rounds += cov.height0_rounds;
   }
   EXPECT_GT(total.cut_with_summary, 0) << "no round change cut a chunk";
   EXPECT_GT(total.cut_residual_only, 0) << "no residual-only instance";

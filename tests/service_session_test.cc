@@ -24,6 +24,7 @@
 
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
+#include "disttrack/rank/randomized_rank.h"
 #include "disttrack/service/coordinator.h"
 #include "disttrack/service/options.h"
 #include "disttrack/service/site_runtime.h"
@@ -268,6 +269,56 @@ TEST(ServiceSession, FrequencyQueriesOverTheFleet) {
     }
     EXPECT_EQ(Ask(fleet.coordinator(), kQueryHeavyHitters, Bits(phi)).values,
               want);
+  }
+  fleet.ShutdownAndReap();
+}
+
+TEST(ServiceSession, QuantileQueriesOverTheFleet) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  ServiceOptions options;
+  options.tracker = TrackerKind::kRank;
+  options.num_sites = 4;
+  options.total_arrivals = 6000;
+  options.grant_max = 256;
+  options.universe = 1024;
+  Fleet fleet(options);
+  for (int site = 0; site < options.num_sites; ++site) fleet.StartSite(site);
+  ASSERT_TRUE(
+      fleet.PumpUntil([&] { return fleet.coordinator().AllSitesDone(); }));
+
+  // The serial replay's frames feed a replica, whose ranks are the
+  // reference for the quantile answers below.
+  Message journal = Ask(fleet.coordinator(), kQueryJournal);
+  rank::RandomizedRankTracker serial(options.RankOptions());
+  struct ReplicaTap : sim::wire::WireTap {
+    explicit ReplicaTap(const ServiceOptions& o) : replica(o.RankOptions()) {}
+    void OnMessage(Message&& msg) override { replica.Apply(msg); }
+    sim::RankReplica replica;
+  } tap(options);
+  serial.set_wire_tap(&tap);
+  std::vector<uint64_t> position(4, 0);
+  for (size_t i = 0; i + 1 < journal.values.size(); i += 2) {
+    int site = static_cast<int>(journal.values[i]);
+    for (uint64_t j = 0; j < journal.values[i + 1]; ++j) {
+      serial.Arrive(site, WorkloadKey(options, site,
+                                      position[static_cast<size_t>(site)]++));
+    }
+  }
+  ASSERT_EQ(tap.replica.n_prime(),
+            Ask(fleet.coordinator(), kQueryCount).values[1]);
+  // Each answer is the smallest x in [0, universe] whose estimated rank
+  // reaches phi * n' (universe when none does), with that rank; phi is
+  // not clamped.
+  for (double phi : {-0.5, 0.0, 0.25, 0.5, 0.99, 1.0, 1.5}) {
+    SCOPED_TRACE(phi);
+    double target = phi * static_cast<double>(tap.replica.n_prime());
+    uint64_t want = 0;
+    while (want < options.universe && tap.replica.Estimate(want) < target) {
+      ++want;
+    }
+    EXPECT_EQ(Ask(fleet.coordinator(), kQueryQuantile, Bits(phi)).values,
+              (std::vector<uint64_t>{want,
+                                     Bits(tap.replica.Estimate(want))}));
   }
   fleet.ShutdownAndReap();
 }
