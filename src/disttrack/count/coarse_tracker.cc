@@ -88,18 +88,35 @@ size_t CoarseTracker::RestoreSite(int site, const uint64_t* data) {
   return 3;
 }
 
+bool CoarseTracker::ReplayArrive(int site, const uint64_t* mid_n_bar) {
+  uint64_t delta = local_[static_cast<size_t>(site)].Arrive();
+  if (delta > 0) EmitReport(site, delta);
+  if (mid_n_bar == nullptr) return false;
+  if (delta == 0) {
+    std::fprintf(stderr,
+                 "CoarseTracker: journaled mid-arrival broadcast at an "
+                 "arrival with no coarse report (site %d)\n",
+                 site);
+    std::abort();
+  }
+  return true;
+}
+
+void CoarseTracker::EmitReport(int site, uint64_t delta) {
+  if (tap_ == nullptr) return;
+  sim::wire::Message msg;
+  msg.type = sim::wire::MsgType::kCoarseReport;
+  msg.site = site;
+  msg.epoch = coordinator_.round;
+  msg.a = delta;
+  msg.paper_words = 1;
+  tap_->OnMessage(std::move(msg));
+}
+
 void CoarseTracker::ReportAndMaybeBroadcast(int site, uint64_t delta) {
   // Site -> coordinator: the local count has doubled.
   meter_->RecordUpload(site, 1);
-  if (tap_ != nullptr) {
-    sim::wire::Message msg;
-    msg.type = sim::wire::MsgType::kCoarseReport;
-    msg.site = site;
-    msg.epoch = coordinator_.round;
-    msg.a = delta;
-    msg.paper_words = 1;
-    tap_->OnMessage(std::move(msg));
-  }
+  EmitReport(site, delta);
 
   // Coordinator: broadcast when n' has at least doubled since the last
   // broadcast (first broadcast at the very first report).

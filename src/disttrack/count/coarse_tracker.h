@@ -7,7 +7,9 @@
 //
 // All three randomized trackers (count, frequency, rank) are built on this
 // component: the broadcast both refreshes their sampling probability p and
-// delimits their rounds.
+// delimits their rounds. Their replay ports (crash replay, site processes)
+// share its replayed arrival, ReplayArrive, so the kCoarseReport frame and
+// the journaled-broadcast check are written here once.
 
 #ifndef DISTTRACK_COUNT_COARSE_TRACKER_H_
 #define DISTTRACK_COUNT_COARSE_TRACKER_H_
@@ -217,6 +219,17 @@ class CoarseTracker {
 
   // --- Wire layer / crash recovery ---------------------------------------
 
+  /// The replay half of Arrive(), for a site re-running arrivals the
+  /// coordinator already received (crash replay, site processes):
+  /// advances `site` site-locally and re-emits its kCoarseReport frame
+  /// through this tracker's tap, with no n', round or meter write.
+  /// `mid_n_bar` is the journaled n̄ of the broadcast this arrival's
+  /// report triggered in the original run (null: none). Returns true iff
+  /// one was journaled: the caller's per-site ritual is then due now,
+  /// before the arrival consumes any p-dependent randomness. Aborts if the
+  /// journal puts a broadcast on an arrival that fires no report.
+  bool ReplayArrive(int site, const uint64_t* mid_n_bar);
+
   /// Installs a message tap (sim/wire.h): every coarse report and every
   /// broadcast is mirrored as a typed message. nullptr disables.
   void set_wire_tap(sim::wire::WireTap* tap) { tap_ = tap; }
@@ -255,6 +268,8 @@ class CoarseTracker {
   // `delta`, refresh n', and broadcast if n' has at least doubled since
   // the last broadcast.
   void ReportAndMaybeBroadcast(int site, uint64_t delta);
+  // Emits `site`'s kCoarseReport frame carrying `delta` to the tap.
+  void EmitReport(int site, uint64_t delta);
 
   sim::CommMeter* meter_;
   sim::wire::WireTap* tap_ = nullptr;

@@ -109,16 +109,9 @@ struct RandomizedCountTracker::ReplayPort {
   RandomizedCountTracker* t;
   const uint64_t* mid_n_bar;
   void CoarseArrive(int site) {
-    uint64_t delta = t->coarse_->ArriveLocal(site);
-    if (delta > 0) t->EmitTap(sim::wire::MsgType::kCoarseReport, site, delta);
-    if (mid_n_bar == nullptr) return;
-    if (delta == 0) {
-      std::fprintf(stderr,
-                   "RandomizedCountTracker: journaled mid-arrival broadcast "
-                   "at an arrival with no coarse report\n");
-      std::abort();
+    if (t->coarse_->ReplayArrive(site, mid_n_bar)) {
+      t->ReplayCrashRitual(site, *mid_n_bar);
     }
-    t->ReplayCrashRitual(site, *mid_n_bar);
   }
   void Report(sim::wire::MsgType type, int site, uint64_t value) {
     t->EmitTap(type, site, value);

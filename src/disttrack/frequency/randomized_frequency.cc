@@ -106,7 +106,11 @@ void RandomizedFrequencyTracker::OnBroadcast(uint64_t /*round*/,
 void RandomizedFrequencyTracker::SetRoundParams(uint64_t n_bar) {
   inv_p_ = options_.InvP(n_bar);
   log2_inv_p_ = FloorLog2(inv_p_);
-  split_threshold_ = std::max<uint64_t>(
+  split_threshold_ = SplitThreshold(n_bar);
+}
+
+uint64_t RandomizedFrequencyTracker::SplitThreshold(uint64_t n_bar) const {
+  return std::max<uint64_t>(
       1, n_bar / static_cast<uint64_t>(options_.num_sites));
 }
 
@@ -174,19 +178,8 @@ struct RandomizedFrequencyTracker::ReplayPort {
   RandomizedFrequencyTracker* t;
   const uint64_t* mid_n_bar;
   void CoarseArrive(int site) {
-    uint64_t delta = t->coarse_->ArriveLocal(site);
-    if (delta > 0) {
-      t->EmitTap(sim::wire::MsgType::kCoarseReport, site, delta, 0, 0, 1);
-    }
-    if (mid_n_bar != nullptr) {
-      if (delta == 0) {
-        std::fprintf(stderr,
-                     "RandomizedFrequencyTracker: journaled mid-arrival "
-                     "broadcast at an arrival with no coarse report\n");
-        std::abort();
-      }
+    if (t->coarse_->ReplayArrive(site, mid_n_bar)) {
       t->ReplayCrashRitual(site, *mid_n_bar);
-      mid_n_bar = nullptr;
     }
   }
   void SplitNotify(int site) {
@@ -604,15 +597,11 @@ void RandomizedFrequencyTracker::RestoreSiteState(
   UpdateSpace(site);
 }
 
-void RandomizedFrequencyTracker::BeginCrashReplay(int /*site*/) {
-  replay_saved_inv_p_ = inv_p_;
-  replay_saved_log2_ = log2_inv_p_;
-  replay_saved_split_threshold_ = split_threshold_;
-}
-
 void RandomizedFrequencyTracker::EndCrashReplay() {
-  if (inv_p_ != replay_saved_inv_p_ || log2_inv_p_ != replay_saved_log2_ ||
-      split_threshold_ != replay_saved_split_threshold_) {
+  uint64_t n_bar = coarse_->n_bar();
+  uint64_t inv_p = options_.InvP(n_bar);
+  if (inv_p_ != inv_p || log2_inv_p_ != FloorLog2(inv_p) ||
+      split_threshold_ != SplitThreshold(n_bar)) {
     std::fprintf(stderr,
                  "RandomizedFrequencyTracker: crash replay did not re-evolve "
                  "the round parameters to their pre-crash values\n");

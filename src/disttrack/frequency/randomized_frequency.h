@@ -161,7 +161,11 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   void SerializeSiteState(int site, std::vector<uint64_t>* out) const;
   void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
 
-  void BeginCrashReplay(int site);
+  /// Brackets a crash replay of `site`. Replay never touches the
+  /// coordinator's round, so Begin has nothing to save and End verifies
+  /// the replayed broadcasts evolved the sites' round parameters back to
+  /// the ones the coordinator's n̄ implies.
+  void BeginCrashReplay(int /*site*/) {}
   void EndCrashReplay();
 
   /// Re-delivers one lost arrival. `mid_ritual_n_bar` non-null iff the
@@ -191,6 +195,7 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   // The round parameters a broadcast of `n_bar` sets: 1/p, its log2 and
   // the split threshold n̄/k.
   void SetRoundParams(uint64_t n_bar);
+  uint64_t SplitThreshold(uint64_t n_bar) const;
   // One site's half of a round transition: cleared counters, a fresh
   // instance, redrawn skips. Serves OnBroadcast and ReplayCrashRitual.
   void SiteRitual(int site);
@@ -277,11 +282,6 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   std::unique_ptr<count::CoarseTracker> coarse_;
   std::vector<SiteState> sites_;
   sim::wire::WireTap* tap_ = nullptr;
-
-  // Crash-replay bookkeeping (see BeginCrashReplay).
-  uint64_t replay_saved_inv_p_ = 0;
-  int replay_saved_log2_ = 0;
-  uint64_t replay_saved_split_threshold_ = 0;
 
   // The coordinator's estimator state (frequency_aggregate.h), and the
   // counter reports and samples queued for FlushPending.

@@ -40,6 +40,138 @@ RoundParams RandomizedRankOptions::RoundParamsFor(uint64_t n_bar) const {
   return r;
 }
 
+inline void RandomizedRankTracker::EmitTap(sim::wire::MsgType type,
+                                           int site, uint64_t a, uint64_t b,
+                                           uint64_t words,
+                                           const SiteState* exports) {
+  if (tap_ == nullptr) return;
+  sim::wire::Message msg;
+  msg.type = type;
+  msg.site = site;
+  msg.epoch = coarse_->round();
+  msg.a = a;
+  msg.b = b;
+  if (exports != nullptr) {
+    msg.values = exports->export_values;
+    msg.segments = exports->export_segments;
+  }
+  msg.paper_words = words;
+  tap_->OnMessage(std::move(msg));
+}
+
+inline void RandomizedRankTracker::ApplySummary(int site, const SiteState& s,
+                                                uint32_t first_leaf,
+                                                uint32_t end_leaf) {
+  if (!agg_.Summary(site, first_leaf, end_leaf, s.export_values.data(),
+                    s.export_values.size(), s.export_segments.data(),
+                    s.export_segments.size())) {
+    std::fprintf(stderr,
+                 "RandomizedRankTracker: the coordinator aggregate refused "
+                 "site %d's summary of leaves [%u, %u)\n",
+                 site, first_leaf, end_leaf);
+    std::abort();
+  }
+}
+
+inline void RandomizedRankTracker::DeferUpload(int site, uint64_t words) {
+  PendingUpload& pending = pending_uploads_[static_cast<size_t>(site)];
+  ++pending.messages;
+  pending.words += std::max<uint64_t>(1, words);
+}
+
+// Per-arrival (kBatch false) and batch delivery: every message is charged,
+// tapped and applied to agg_, and every instance journaled. The batch
+// engines post the upload charges in bulk at the batch end (message order
+// inside a batch is unobservable to the meter: queries only happen
+// between batches) while the frames are still tapped per message.
+template <bool kBatch>
+struct RandomizedRankTracker::ApplyPort {
+  RandomizedRankTracker* t;
+  void CoarseArrive(int site) {
+    // Mid-batch, every site's buffered eventless run belongs to the
+    // closing round: a report that will broadcast first feeds them into
+    // the current nodes (which the round restart then discards, exactly
+    // as the scalar path discards mid-leaf state — those arrivals stay
+    // covered by the frozen residual samples), so their residual frames
+    // precede the report's.
+    if (kBatch && t->coarse_->ArriveBroadcasts(site)) t->FlushBufferedRuns();
+    t->coarse_->Arrive(site);
+  }
+  void ShipSummary(int site, const SiteState& s, uint32_t first_leaf,
+                   uint32_t end_leaf, uint64_t words) {
+    if (kBatch) t->DeferUpload(site, words);
+    else t->meter_.RecordUpload(site, words);
+    t->EmitTap(sim::wire::MsgType::kRankSummary, site, first_leaf, end_leaf,
+               words, &s);
+    t->ApplySummary(site, s, first_leaf, end_leaf);
+  }
+  void ShipResidual(int site, uint32_t leaf, uint64_t value, bool store) {
+    if (kBatch) t->DeferUpload(site, 2);
+    else t->meter_.RecordUpload(site, 2);
+    t->EmitTap(sim::wire::MsgType::kRankResidual, site, leaf, value, 2,
+               nullptr);
+    if (store) t->agg_.Residual(site, leaf, value);
+  }
+  void NewInstance(SiteState* s) {
+    s->instance_inv_p.push_back(t->round_.inv_p);
+  }
+};
+
+// A shard worker writes its own site's instances directly (they join only
+// that site's state) and defers the coarse report deltas to the epoch
+// barrier, whose schedule keeps every broadcast on an epoch boundary.
+struct RandomizedRankTracker::ShardPort : BatchPort {
+  void CoarseArrive(int site) {
+    if (uint64_t delta = t->coarse_->ArriveLocal(site)) {
+      t->shard_deltas_[static_cast<size_t>(site)].push_back(delta);
+    }
+  }
+};
+
+// Site-local state and the RNG stream advance exactly as in the original
+// execution and every frame is re-emitted; no n', round, meter or
+// instance-storage write happens. A journaled mid-arrival broadcast runs
+// the site's ritual right after the coarse report, before the arrival's
+// value feeds the tree. Inside a BeginCrashReplay bracket every instance
+// start walks the journal instead of growing it.
+struct RandomizedRankTracker::ReplayPort {
+  RandomizedRankTracker* t;
+  const uint64_t* mid_n_bar;
+  void CoarseArrive(int site) {
+    if (t->coarse_->ReplayArrive(site, mid_n_bar)) {
+      uint64_t n_bar = *mid_n_bar;
+      mid_n_bar = nullptr;
+      t->ReplayCrashRitual(site, n_bar);
+    }
+  }
+  void ShipSummary(int site, const SiteState& s, uint32_t first_leaf,
+                   uint32_t end_leaf, uint64_t words) {
+    t->EmitTap(sim::wire::MsgType::kRankSummary, site, first_leaf, end_leaf,
+               words, &s);
+  }
+  void ShipResidual(int site, uint32_t leaf, uint64_t value,
+                    bool /*store*/) {
+    t->EmitTap(sim::wire::MsgType::kRankResidual, site, leaf, value, 2,
+               nullptr);
+  }
+  void NewInstance(SiteState* s) {
+    if (t->replay_site_ < 0) return;
+    size_t cursor = ++t->replay_cursor_;
+    if (cursor >= s->instance_inv_p.size()) {
+      std::fprintf(stderr,
+                   "RandomizedRankTracker: crash replay created more "
+                   "instances than the original execution\n");
+      std::abort();
+    }
+    if (s->instance_inv_p[cursor] != t->round_.inv_p) {
+      std::fprintf(stderr,
+                   "RandomizedRankTracker: crash replay diverged — "
+                   "instance %zu round p mismatch\n", cursor);
+      std::abort();
+    }
+  }
+};
+
 RandomizedRankTracker::RandomizedRankTracker(
     const RandomizedRankOptions& options)
     : options_(options),
@@ -48,11 +180,12 @@ RandomizedRankTracker::RandomizedRankTracker(
       sites_(static_cast<size_t>(options.num_sites)),
       agg_(options.num_sites),
       pending_uploads_(static_cast<size_t>(options.num_sites)) {
+  DirectPort port{this};
   for (int i = 0; i < options_.num_sites; ++i) {
     SiteState& s = sites_[static_cast<size_t>(i)];
     s.rng = Rng(options_.seed * 0x8CB92BA72F3D8DD7ull +
                 static_cast<uint64_t>(i));
-    StartFreshInstance(&s);
+    StartFreshInstance(&s, port);
   }
   coarse_ = std::make_unique<count::CoarseTracker>(options_.num_sites,
                                                    &meter_);
@@ -80,7 +213,8 @@ std::unique_ptr<summaries::CompactorSummary> RandomizedRankTracker::
   return std::make_unique<summaries::CompactorSummary>(LevelEps(level), seed);
 }
 
-void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
+template <typename Port>
+void RandomizedRankTracker::StartFreshInstance(SiteState* s, Port& port) {
   s->arrivals_in_chunk = 0;
   s->arrivals_in_leaf = 0;
   s->current_leaf = 0;
@@ -112,27 +246,7 @@ void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
   // leaves are covered by shipped summaries, the tail by its frozen
   // samples); unpulled ladder data goes with it.
   s->ladder.Reset(levels);
-  if (crash_replay_ && !detached_replay_) {
-    // The instance journal survived the crash: advance the replay cursor
-    // through the instances the original execution created and check
-    // that each one is re-created in the same round. (A detached site
-    // process has no journal to walk and keeps none.)
-    ++replay_cursor_;
-    if (replay_cursor_ >= s->instance_inv_p.size()) {
-      std::fprintf(stderr,
-                   "RandomizedRankTracker: crash replay created more "
-                   "instances than the original execution\n");
-      std::abort();
-    }
-    if (s->instance_inv_p[replay_cursor_] != round_.inv_p) {
-      std::fprintf(stderr,
-                   "RandomizedRankTracker: crash replay diverged — "
-                   "instance %zu round p mismatch\n", replay_cursor_);
-      std::abort();
-    }
-  } else if (!crash_replay_) {
-    s->instance_inv_p.push_back(round_.inv_p);
-  }
+  port.NewInstance(s);
   if (options_.use_skip_sampling) {
     // Rounds change p, which invalidates outstanding skips; chunk
     // boundaries don't, but a redraw is exact either way (independence of
@@ -152,99 +266,38 @@ void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
     std::abort();
   }
   // Mid-batch, every site's buffered eventless run was fed before the
-  // triggering report (see CoarseArriveOne). Completed leaves of the
+  // triggering report (see BatchPort). Completed leaves of the
   // closing round are already covered by shipped summaries, and the
   // in-progress tails stay covered by their frozen residual samples;
   // sites just restart with fresh parameters.
   round_ = options_.RoundParamsFor(n_bar);
   agg_.BeginRound(round_.inv_p, round_.num_leaves);
+  DirectPort port{this};
   for (int i = 0; i < options_.num_sites; ++i) {
-    StartFreshInstance(&sites_[static_cast<size_t>(i)]);
+    StartFreshInstance(&sites_[static_cast<size_t>(i)], port);
     UpdateSpace(i);
   }
   if (in_batch_) RearmAll();
-}
-
-void RandomizedRankTracker::Upload(int site, uint64_t words) {
-  if (crash_replay_) return;  // the pre-crash execution already charged it
-  if (shard_mode_ || defer_uploads_) {
-    // A shard epoch or a plain batch in flight: accumulate and post in
-    // bulk at its end.
-    PendingUpload& pending = pending_uploads_[static_cast<size_t>(site)];
-    ++pending.messages;
-    pending.words += std::max<uint64_t>(1, words);
-  } else {
-    // disttrack-lint: allow(meter-tap) -- charge-helper: its callers,
-    // ShipSummary and ShipResidual, emit the frame right after the
-    // charge; the helper itself has no message payload to tap.
-    meter_.RecordUpload(site, words);
-  }
 }
 
 void RandomizedRankTracker::FlushDeferredUploads() {
   for (int i = 0; i < options_.num_sites; ++i) {
     PendingUpload& pending = pending_uploads_[static_cast<size_t>(i)];
     if (pending.messages == 0) continue;
-    // disttrack-lint: allow(meter-tap) -- batch-fold: the scalar path
-    // charges per message; this replays one batch's or shard epoch's
+    // disttrack-lint: allow(meter-tap) -- batch-fold: the per-arrival
+    // port charges per message; this posts one batch's or shard epoch's
     // deferred per-site charges in bulk with max(1, payload) already
-    // applied, and the deferral is off whenever a tap or replay needs
-    // per-message order (taps never run on the sharded path).
+    // applied, and their frames were tapped per message as they shipped.
     meter_.RecordUploadBulk(i, pending.messages, pending.words);
     pending.messages = 0;
     pending.words = 0;
   }
 }
 
-void RandomizedRankTracker::CoarseArriveOne(int site) {
-  if (crash_replay_) {
-    // Site-local coarse advance, frame re-emission, and — when the
-    // journal says this arrival's report triggered a broadcast — the
-    // per-site half of the round ritual, at the exact point the original
-    // execution performed it (before this arrival's value feeds the
-    // tree). No n', meter, or round writes: the coordinator kept those.
-    uint64_t delta = coarse_->ArriveLocal(site);
-    if (delta > 0 && tap_ != nullptr) {
-      sim::wire::Message msg;
-      msg.type = sim::wire::MsgType::kCoarseReport;
-      msg.site = site;
-      msg.epoch = coarse_->round();
-      msg.a = delta;
-      msg.paper_words = 1;
-      tap_->OnMessage(std::move(msg));
-    }
-    if (replay_mid_n_bar_ != nullptr) {
-      if (delta == 0) {
-        std::fprintf(stderr,
-                     "RandomizedRankTracker: journaled mid-arrival "
-                     "broadcast at an arrival with no coarse report\n");
-        std::abort();
-      }
-      uint64_t n_bar = *replay_mid_n_bar_;
-      replay_mid_n_bar_ = nullptr;
-      ReplayCrashRitual(site, n_bar);
-    }
-    return;
-  }
-  if (shard_mode_) {
-    if (uint64_t delta = coarse_->ArriveLocal(site)) {
-      shard_deltas_[static_cast<size_t>(site)].push_back(delta);
-    }
-  } else {
-    // Mid-batch, every site's buffered eventless run belongs to the
-    // closing round: a report that will broadcast first feeds them into
-    // the current nodes (which the round restart then discards, exactly
-    // as the scalar path discards mid-leaf state — those arrivals stay
-    // covered by the frozen residual samples), so their residual frames
-    // precede the report's.
-    if (in_batch_ && coarse_->ArriveBroadcasts(site)) FlushBufferedRuns();
-    coarse_->Arrive(site);
-  }
-}
-
+template <typename Port>
 void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
-                                      uint32_t node_start,
-                                      uint32_t end_leaf) {
+                                      uint32_t node_start, uint32_t end_leaf,
+                                      Port& port) {
   s->nodes_ready = false;
   if (level == 0 && options_.use_batch_compaction) {
     // Node-less leaf flush: cascade the leaf window straight from the
@@ -260,7 +313,7 @@ void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
         LevelEps(0), s->leaf_seed, s->view_scratch.data(),
         s->view_scratch.size(), total, &s->leaf_scratch, &s->leaf_scratch2,
         &s->export_values, &s->export_segments);
-    ShipSummary(site, s, node_start, end_leaf, words);
+    port.ShipSummary(site, *s, node_start, end_leaf, words);
     return;
   }
   auto& node = s->nodes[static_cast<size_t>(level)];
@@ -279,7 +332,7 @@ void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
   uint64_t words = node->InsertViewsAndExport(
       s->view_scratch.data(), s->view_scratch.size(), total,
       &s->export_values, &s->export_segments);
-  ShipSummary(site, s, node_start, end_leaf, words);
+  port.ShipSummary(site, *s, node_start, end_leaf, words);
   s->pool[static_cast<size_t>(level)].push_back(std::move(node));
 }
 
@@ -381,8 +434,10 @@ void RandomizedRankTracker::PumpLevels(SiteState* s, uint64_t appended) {
   s->pull_slack = slack;
 }
 
-inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
-  CoarseArriveOne(site);
+template <typename Port>
+inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value,
+                                                  Port& port) {
+  port.CoarseArrive(site);
   SiteState& s = sites_[static_cast<size_t>(site)];
 
   if (round_.chunk_size == 1) {
@@ -394,12 +449,12 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
     // summary — exactly what the node path's leaf-completion prune does).
     bool fwd = options_.use_skip_sampling ? s.tail_skip.Next(&s.rng)
                                           : s.rng.Bernoulli(1.0 / round_.inv_p);
-    if (fwd) ShipResidual(site, 0, value, /*store=*/false);
+    if (fwd) port.ShipResidual(site, 0, value, /*store=*/false);
     // Single-item summary: value + header.
     s.export_values.assign(1, value);
     s.export_segments.assign(1, {1, 1});
-    ShipSummary(site, &s, 0, 1, 3);
-    StartFreshInstance(&s);
+    port.ShipSummary(site, s, 0, 1, 3);
+    StartFreshInstance(&s, port);
     return;
   }
 
@@ -426,7 +481,7 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
     // and emit it but skip storing it. (The replica stores the frame and
     // drops it on the covering summary's arrival — same estimator-visible
     // range.)
-    ShipResidual(site, s.current_leaf, value, !completes_leaf);
+    port.ShipResidual(site, s.current_leaf, value, !completes_leaf);
   }
 
   ++s.arrivals_in_leaf;
@@ -466,7 +521,7 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
           // The window-closing arrival was appended above, so the
           // cursor drain fused into FlushNode hands the node exactly its
           // leaf range.
-          FlushNode(site, &s, level, node_start, completed_end);
+          FlushNode(site, &s, level, node_start, completed_end, port);
         }
       }
     }
@@ -474,7 +529,7 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
     // samples (the paper's estimator only uses samples from the
     // in-progress block), and the chunk's top summary froze the instance.
     if (chunk_done) {
-      StartFreshInstance(&s);
+      StartFreshInstance(&s, port);
     } else {
       ++s.current_leaf;
       s.arrivals_in_leaf = 0;
@@ -484,61 +539,13 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value) {
 
 inline void RandomizedRankTracker::ArriveOne(int site, uint64_t value) {
   ++n_;
-  ProcessArrival(site, value);
+  DirectPort port{this};
+  ProcessArrival(site, value, port);
 }
 
 void RandomizedRankTracker::Arrive(int site, uint64_t value) {
   sim::CheckSiteInRange(site, options_.num_sites);
   ArriveOne(site, value);
-}
-
-void RandomizedRankTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
-  if (shard_deltas_.empty()) {
-    shard_deltas_.resize(static_cast<size_t>(options_.num_sites));
-  }
-  // Nothing inside a shard epoch reads n_ (mirrors the batch engine).
-  n_ += arrivals_in_epoch;
-  shard_mode_ = true;
-}
-
-// One site's epoch slice on a worker thread: the per-site projection of
-// the serial event-countdown engine. The site's run boundaries are the
-// same in both executions — its own events (leaf/chunk completions,
-// coarse reports) plus the epoch ends, which are exactly the points where
-// the serial engine resyncs (checkpoint batch ends and broadcasts) — so
-// the sort/ladder/compaction schedule, and with it the site's RNG
-// consumption, is identical and the replay stays bit-exact.
-// disttrack-lint: allow(site-check) -- shard-internal: every id was
-// validated by SiteGrouper (CheckSiteInRange aborts) before the epoch
-// was partitioned onto workers; the worker replays a pre-checked span.
-void RandomizedRankTracker::ShardArriveRun(int site, const uint64_t* keys,
-                                           size_t count) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  size_t pos = 0;
-  while (pos < count) {
-    uint64_t gap = NextEventGap(site);
-    uint64_t eventless =
-        std::min<uint64_t>(gap - 1, static_cast<uint64_t>(count - pos));
-    if (eventless > 0) {
-      s.run.assign(keys + pos, keys + pos + eventless);
-      FeedRun(site, &s.run, eventless);
-      s.run.clear();
-      pos += static_cast<size_t>(eventless);
-    }
-    if (pos >= count) break;
-    ProcessArrival(site, keys[pos]);
-    ++pos;
-  }
-}
-
-void RandomizedRankTracker::ShardEpochEnd() {
-  shard_mode_ = false;
-  for (int i = 0; i < options_.num_sites; ++i) {
-    std::vector<uint64_t>& deltas = shard_deltas_[static_cast<size_t>(i)];
-    for (uint64_t delta : deltas) coarse_->ApplyDeferredReport(i, delta);
-    deltas.clear();
-  }
-  FlushDeferredUploads();
 }
 
 uint64_t RandomizedRankTracker::NextEventGap(int site) const {
@@ -553,7 +560,7 @@ uint64_t RandomizedRankTracker::NextEventGap(int site) const {
                           round_.chunk_size - s.arrivals_in_chunk);
   gap = std::min(gap, coarse_->arrivals_until_report(site));
   // The countdown would clamp a larger stride anyway; clamping here keeps
-  // the shard run loop cutting runs at the same arrivals.
+  // the run loop cutting runs at the same arrivals.
   return std::min<uint64_t>(gap, std::numeric_limits<uint32_t>::max());
 }
 
@@ -569,17 +576,19 @@ void RandomizedRankTracker::RearmAll() {
   for (int i = 0; i < options_.num_sites; ++i) RearmSite(i);
 }
 
-// Retires `count` buffered arrivals at `site` that are known to be
-// eventless: every active tree level absorbs the run in one InsertBatch,
-// the leaf/chunk counters advance, the tail coins are consumed failures,
-// and the coarse tracker advances in bulk. By construction count is
-// strictly below every event gap, so no leaf completes, no tail forward
-// fires, and no coarse report (hence no broadcast) can fire here.
-void RandomizedRankTracker::FeedRun(int site, std::vector<uint64_t>* run,
-                                    uint64_t count) {
-  if (count == 0) return;
-  uint64_t* values = run->data();
+// Retires the site's buffered arrivals, which are known to be eventless:
+// every active tree level absorbs the run in one InsertBatch, the
+// leaf/chunk counters advance, the tail coins are consumed failures, and
+// the coarse tracker advances in bulk. By construction the run is
+// strictly below every event gap, so no leaf completes and no coarse
+// report (hence no broadcast) can fire here; tail forwards ship through
+// `port`.
+template <typename Port>
+void RandomizedRankTracker::FeedRun(int site, Port& port) {
   SiteState& s = sites_[static_cast<size_t>(site)];
+  uint64_t count = s.run.size();
+  if (count == 0) return;
+  uint64_t* values = s.run.data();
   // Tail channel: walk the skip chain through the run in arrival order
   // (values are still unsorted here). Every coin lands at the same
   // arrival with the same RNG draws as the per-arrival path; successes
@@ -596,7 +605,7 @@ void RandomizedRankTracker::FeedRun(int site, std::vector<uint64_t>* run,
       pos += skips;
       s.tail_skip.ConsumeFailures(skips);
       s.tail_skip.Next(&s.rng);  // skip exhausted: success + redraw
-      ShipResidual(site, s.current_leaf, values[pos], /*store=*/true);
+      port.ShipResidual(site, s.current_leaf, values[pos], /*store=*/true);
       ++pos;
     }
   }
@@ -607,45 +616,62 @@ void RandomizedRankTracker::FeedRun(int site, std::vector<uint64_t>* run,
   // small-run sorter; the sorted result is identical.
   SortRun(values, static_cast<size_t>(count));
   EnsureNodes(&s);
-  // Callers hand over exactly the run (the event arrival was popped), so
-  // the buffer moves into the ladder instead of being copied.
-  s.ladder.AppendSortedVector(run);
+  // The buffer moves into the ladder instead of being copied; a recycled
+  // one comes back.
+  s.ladder.AppendSortedVector(&s.run);
+  s.run.clear();
   PumpLevels(&s, count);
   s.ladder.Consolidate();
   s.arrivals_in_leaf += count;
   s.arrivals_in_chunk += count;
-  // Tail coins were consumed by the walk above. The run is strictly below
-  // every event gap, so on the shard path the coarse advance cannot cross
-  // the site's report threshold.
-  if (shard_mode_) {
-    coarse_->AdvanceLocalNoReport(site, count);
-  } else {
-    coarse_->ArriveRun(site, count);
+  coarse_->AdvanceLocalNoReport(site, count);
+}
+
+// The per-site projection of the countdown engine, without the
+// per-element decrement: the site's runs are fed at the same boundaries
+// (its own events; the caller's batch or epoch end feeds the tail), so
+// the sort/ladder/compaction schedule, and with it the site's RNG
+// consumption, is identical.
+template <typename Port>
+void RandomizedRankTracker::RunSite(int site, const uint64_t* keys,
+                                    size_t count, Port& port) {
+  SiteState& s = sites_[static_cast<size_t>(site)];
+  size_t pos = 0;
+  while (pos < count) {
+    // Arrivals until the site's next event, net of what is already
+    // buffered (the authoritative counters advance only at feed time).
+    uint64_t to_event = NextEventGap(site) - s.run.size();
+    uint64_t avail = count - pos;
+    if (avail < to_event) {
+      s.run.insert(s.run.end(), keys + pos, keys + count);
+      return;
+    }
+    s.run.insert(s.run.end(), keys + pos, keys + pos + (to_event - 1));
+    pos += static_cast<size_t>(to_event);
+    FeedRun(site, port);
+    ProcessArrival(site, keys[pos - 1], port);
   }
 }
 
 void RandomizedRankTracker::FlushBufferedRuns() {
-  for (int i = 0; i < options_.num_sites; ++i) {
-    SiteState& s = sites_[static_cast<size_t>(i)];
-    FeedRun(i, &s.run, s.run.size());
-    s.run.clear();
-  }
+  BatchPort port{this};
+  for (int i = 0; i < options_.num_sites; ++i) FeedRun(i, port);
 }
 
 // The countdown for `site` hit zero: its run buffer holds the buffered
 // eventless arrivals (possibly carried over from earlier chunks of the
 // batch) plus the event arrival's value. Feed the eventless prefix in
-// bulk, clear the buffer (a broadcast fired by the event arrival must see
-// nothing outstanding here), then process the event arrival exactly as
-// the scalar path would.
+// bulk (a broadcast fired by the event arrival must see nothing
+// outstanding here), then process the event arrival exactly as the
+// scalar path would.
 void RandomizedRankTracker::HandleEventArrival(int site) {
   countdown_.TakeEventPrefix(site);
   SiteState& s = sites_[static_cast<size_t>(site)];
   uint64_t event_value = s.run.back();
   s.run.pop_back();  // the buffer now holds exactly the eventless prefix
-  FeedRun(site, &s.run, s.run.size());
-  s.run.clear();
-  ProcessArrival(site, event_value);
+  BatchPort port{this};
+  FeedRun(site, port);
+  ProcessArrival(site, event_value, port);
   RearmSite(site);
 }
 
@@ -666,32 +692,34 @@ void RandomizedRankTracker::CountdownChunk(const sim::Arrival* arrivals,
   in_batch_ = false;
 }
 
-// One site's span of a certified broadcast-free chunk. Mirrors the
-// countdown engine's per-site projection exactly: eventless arrivals
-// accumulate in the site's run buffer (fed at the next event or the
-// batch-end flush — the same boundaries the countdown engine feeds at,
-// so the ladder/compaction schedule and the site's RNG consumption are
-// identical), and each event arrival replays the scalar path.
-void RandomizedRankTracker::GroupedSpan(int site, const uint64_t* keys,
-                                        size_t count) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  size_t pos = 0;
-  while (pos < count) {
-    // Arrivals until the site's next event, net of what is already
-    // buffered (the authoritative counters advance only at feed time).
-    uint64_t to_event = NextEventGap(site) - s.run.size();
-    uint64_t avail = count - pos;
-    if (avail < to_event) {
-      s.run.insert(s.run.end(), keys + pos, keys + pos + avail);
-      return;
-    }
-    s.run.insert(s.run.end(), keys + pos, keys + pos + (to_event - 1));
-    pos += static_cast<size_t>(to_event);
-    uint64_t event_value = keys[pos - 1];
-    FeedRun(site, &s.run, s.run.size());
-    s.run.clear();
-    ProcessArrival(site, event_value);
+void RandomizedRankTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
+  if (shard_deltas_.empty()) {
+    shard_deltas_.resize(static_cast<size_t>(options_.num_sites));
   }
+  // Nothing inside a shard epoch reads n_ (mirrors the batch engine).
+  n_ += arrivals_in_epoch;
+}
+
+// One site's epoch slice on a worker thread. The epoch ends are exactly
+// the points where the serial engine resyncs (checkpoint batch ends and
+// broadcasts), so the slice's tail is fed here.
+// disttrack-lint: allow(site-check) -- shard-internal: every id was
+// validated by SiteGrouper (CheckSiteInRange aborts) before the epoch
+// was partitioned onto workers; the worker replays a pre-checked span.
+void RandomizedRankTracker::ShardArriveRun(int site, const uint64_t* keys,
+                                           size_t count) {
+  ShardPort port{{this}};
+  RunSite(site, keys, count, port);
+  FeedRun(site, port);
+}
+
+void RandomizedRankTracker::ShardEpochEnd() {
+  for (int i = 0; i < options_.num_sites; ++i) {
+    std::vector<uint64_t>& deltas = shard_deltas_[static_cast<size_t>(i)];
+    for (uint64_t delta : deltas) coarse_->ApplyDeferredReport(i, delta);
+    deltas.clear();
+  }
+  FlushDeferredUploads();
 }
 
 void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
@@ -707,10 +735,6 @@ void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
   }
   // n_ is advanced up front; nothing inside the batch reads it.
   n_ += count;
-  // Amortize the per-leaf meter charges: no tap or replay is attached
-  // (shard epochs never enter here), so message order inside the batch is
-  // unobservable and the charges fold into one bulk post per site.
-  defer_uploads_ = tap_ == nullptr && !crash_replay_;
   if (!grouped_enabled_) {
     CountdownChunk(arrivals, count);
   } else {
@@ -734,8 +758,9 @@ void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
       if (coarse_->BatchCannotBroadcast(grouper_.histogram(),
                                         run_carry_.data())) {
         grouped_chunk_active_ = true;
+        BatchPort port{this};
         for (const SiteGrouper::Span& span : grouper_.spans()) {
-          GroupedSpan(span.site, span.data, span.length);
+          RunSite(span.site, span.data, span.length, port);
         }
         grouped_chunk_active_ = false;
       } else {
@@ -745,7 +770,6 @@ void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
     }
   }
   FlushBufferedRuns();
-  defer_uploads_ = false;
   FlushDeferredUploads();
 }
 
@@ -754,50 +778,6 @@ double RandomizedRankTracker::EstimateRank(uint64_t value) const {
 }
 
 // --- Wire layer / crash recovery -----------------------------------------
-
-void RandomizedRankTracker::ShipSummary(int site, SiteState* s,
-                                        uint32_t first_leaf,
-                                        uint32_t end_leaf, uint64_t words) {
-  Upload(site, words);
-  if (tap_ != nullptr) {
-    sim::wire::Message msg;
-    msg.type = sim::wire::MsgType::kRankSummary;
-    msg.site = site;
-    msg.epoch = coarse_->round();
-    msg.a = first_leaf;
-    msg.b = end_leaf;
-    msg.values = s->export_values;
-    msg.segments = s->export_segments;
-    msg.paper_words = words;
-    tap_->OnMessage(std::move(msg));
-  }
-  if (crash_replay_) return;  // the original execution applied it
-  if (!agg_.Summary(site, first_leaf, end_leaf, s->export_values.data(),
-                    s->export_values.size(), s->export_segments.data(),
-                    s->export_segments.size())) {
-    std::fprintf(stderr,
-                 "RandomizedRankTracker: the coordinator aggregate refused "
-                 "site %d's summary of leaves [%u, %u)\n",
-                 site, first_leaf, end_leaf);
-    std::abort();
-  }
-}
-
-void RandomizedRankTracker::ShipResidual(int site, uint32_t leaf,
-                                         uint64_t value, bool store) {
-  Upload(site, 2);
-  if (tap_ != nullptr) {
-    sim::wire::Message msg;
-    msg.type = sim::wire::MsgType::kRankResidual;
-    msg.site = site;
-    msg.epoch = coarse_->round();
-    msg.a = leaf;
-    msg.b = value;
-    msg.paper_words = 2;
-    tap_->OnMessage(std::move(msg));
-  }
-  if (store && !crash_replay_) agg_.Residual(site, leaf, value);
-}
 
 void RandomizedRankTracker::set_wire_tap(sim::wire::WireTap* tap) {
   tap_ = tap;
@@ -885,17 +865,14 @@ void RandomizedRankTracker::RestoreSiteState(
 }
 
 void RandomizedRankTracker::BeginCrashReplay(int site) {
-  replay_saved_round_ = round_;
-  crash_replay_ = true;
   replay_site_ = site;
-  replay_mid_n_bar_ = nullptr;
 }
 
 void RandomizedRankTracker::EndCrashReplay() {
-  const RoundParams& saved = replay_saved_round_;
-  if (round_.inv_p != saved.inv_p || round_.chunk_size != saved.chunk_size ||
-      round_.block_size != saved.block_size ||
-      round_.num_leaves != saved.num_leaves || round_.height != saved.height) {
+  const RoundParams want = options_.RoundParamsFor(coarse_->n_bar());
+  if (round_.inv_p != want.inv_p || round_.chunk_size != want.chunk_size ||
+      round_.block_size != want.block_size ||
+      round_.num_leaves != want.num_leaves || round_.height != want.height) {
     std::fprintf(stderr,
                  "RandomizedRankTracker: crash replay did not restore the "
                  "round parameters\n");
@@ -908,15 +885,14 @@ void RandomizedRankTracker::EndCrashReplay() {
                  "of step\n");
     std::abort();
   }
-  crash_replay_ = false;
   replay_site_ = -1;
 }
 
 void RandomizedRankTracker::ReplayCrashArrive(
     int site, uint64_t value, const uint64_t* mid_ritual_n_bar) {
-  replay_mid_n_bar_ = mid_ritual_n_bar;
-  ProcessArrival(site, value);
-  if (replay_mid_n_bar_ != nullptr) {
+  ReplayPort port{this, mid_ritual_n_bar};
+  ProcessArrival(site, value, port);
+  if (port.mid_n_bar != nullptr) {
     std::fprintf(stderr,
                  "RandomizedRankTracker: journaled mid-arrival broadcast "
                  "was not consumed\n");
@@ -926,11 +902,12 @@ void RandomizedRankTracker::ReplayCrashArrive(
 
 void RandomizedRankTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
   // Per-site half of OnBroadcast: new round parameters, fresh instance
-  // (cursor-advancing during replay), skip redraw — identical RNG draws.
-  // The coordinator half (round counter, broadcast charge, other sites'
-  // restarts) already happened in the pre-crash execution.
+  // (journal-walking inside a replay bracket), skip redraw — identical
+  // RNG draws. The coordinator half (round counter, broadcast charge,
+  // other sites' restarts) already happened in the original execution.
   round_ = options_.RoundParamsFor(n_bar);
-  StartFreshInstance(&sites_[static_cast<size_t>(site)]);
+  ReplayPort port{this, nullptr};
+  StartFreshInstance(&sites_[static_cast<size_t>(site)], port);
   UpdateSpace(site);
 }
 

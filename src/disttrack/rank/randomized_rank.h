@@ -27,6 +27,13 @@
 // covered by shipped summaries and the in-progress tail stays covered by
 // its frozen samples (scaled by that round's p), so no flush is needed.
 //
+// The site half is one arrival step (ProcessArrival), one eventless-run
+// step (FeedRun) and the node flush and instance restart under them, all
+// parameterized over a coordinator port like count's and frequency's:
+// every delivery path — per-arrival, countdown, grouped, shard ingest,
+// crash replay, site processes — runs the same steps and differs only in
+// how their messages reach the coordinator.
+//
 // Hot path: ArriveBatch buffers each site's values and runs the shared
 // EventCountdown engine — between events (leaf/chunk boundaries, coarse
 // reports; tail-channel coins are walked through the buffered run in
@@ -156,9 +163,11 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // (coarse reports, node-summary exports, tail-channel residual
   // forwards, broadcasts) as a typed wire::Message; site snapshots
   // capture the round parameters and the RNG/skip streams; the
-  // ReplayCrash* calls re-run lost arrivals with every coordinator-side
-  // effect (meter, instance storage) suppressed while frames are
-  // re-emitted with identical payloads.
+  // ReplayCrash* calls run the site step through the replay port, which
+  // re-emits every frame with an identical payload and writes nothing
+  // the coordinator holds (meter, n', instance storage). A site process
+  // (service/site_half.h) drives its site through the same two calls
+  // without a BeginCrashReplay bracket.
 
   void set_wire_tap(sim::wire::WireTap* tap);
 
@@ -172,6 +181,11 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   void SerializeSiteState(int site, std::vector<uint64_t>* out) const;
   void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
 
+  /// Brackets a crash replay of `site`. Inside the bracket, every
+  /// instance the replay starts walks the site's instance journal and
+  /// must match the 1/p the original execution journaled; End checks the
+  /// walk reached the journal's end and that the replayed rituals brought
+  /// the round parameters back to the ones the coordinator's n̄ implies.
   void BeginCrashReplay(int site);
   void EndCrashReplay();
 
@@ -183,18 +197,12 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   /// Per-site half of a round transition another site triggered.
   void ReplayCrashRitual(int site, uint64_t n_bar);
 
-  /// Detached-site mode (service/): the tracker lives in a site process
-  /// and runs in crash replay permanently — the coordinator's instance
-  /// storage is a remote replica, so there is no pre-crash instance
-  /// journal for the replay cursor to walk. Instance transitions then
-  /// neither journal nor check anything. Set before BeginCrashReplay.
-  void set_detached_replay(bool detached) { detached_replay_ = detached; }
-
  private:
   struct SiteState {
     // 1/p of every instance of algorithm C this site has started, in
     // chunk order: the journal crash replay walks to check that it
-    // re-creates the same instances.
+    // re-creates the same instances. Only the coordinator-facing ports
+    // append to it, so a site process keeps just its first entry.
     std::vector<double> instance_inv_p;
     uint64_t arrivals_in_chunk = 0;
     uint64_t arrivals_in_leaf = 0;
@@ -242,11 +250,32 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
 
   friend struct testing_util::DeliveryPeer;
 
+  // Coordinator ports: how a site's messages reach the coordinator. Each
+  // offers CoarseArrive(site), ShipSummary(site, s, first_leaf, end_leaf,
+  // words) for the node summary in the site's export buffers,
+  // ShipResidual(site, leaf, value, store) for a tail-channel forward
+  // (`store` false: a sample its own leaf's summary covers), and
+  // NewInstance(s) when the site starts an instance of algorithm C.
+  // DirectPort charges the meter, taps, applies to agg_ and journals the
+  // instance (per-arrival delivery); BatchPort does the same with the
+  // upload charges deferred to the batch end, and feeds every buffered
+  // run before a coarse report that broadcasts (countdown and grouped
+  // engines); ShardPort defers the coarse report deltas as well (shard
+  // epochs); ReplayPort only taps, the coordinator already holding every
+  // effect (crash replay, site processes).
+  template <bool kBatch>
+  struct ApplyPort;
+  using DirectPort = ApplyPort<false>;
+  using BatchPort = ApplyPort<true>;
+  struct ShardPort;
+  struct ReplayPort;
+
   void OnBroadcast(uint64_t round, uint64_t n_bar);
   void ArriveOne(int site, uint64_t value);
   // Everything ArriveOne does except ++n_ (the batch engine advances n_
   // up front): coarse arrival, tree feed, tail coin, leaf bookkeeping.
-  void ProcessArrival(int site, uint64_t value);
+  template <typename Port>
+  void ProcessArrival(int site, uint64_t value, Port& port);
 
   // Batched fast path on the shared EventCountdown engine; see
   // common/event_countdown.h for the reconciliation contract.
@@ -258,10 +287,10 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   uint64_t NextEventGap(int site) const;
   void RearmSite(int site);
   void RearmAll();
-  // Feeds the `count` buffered eventless values in `run` (== the whole
-  // buffer; sorted in place and moved into the ladder — callers get back
-  // a recycled buffer).
-  void FeedRun(int site, std::vector<uint64_t>* run, uint64_t count);
+  // Feeds the site's buffered eventless run (sorted in place and moved
+  // into the ladder) and empties the buffer.
+  template <typename Port>
+  void FeedRun(int site, Port& port);
   void HandleEventArrival(int site);
   // Feeds every site's buffered eventless run into the tree. Called when
   // a mid-batch broadcast is about to restart the instances and at batch
@@ -271,11 +300,13 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // One chunk through the event-countdown engine (buffered runs carry
   // across chunk boundaries; the final flush happens at batch end).
   void CountdownChunk(const sim::Arrival* arrivals, size_t count);
-  // One site's span of a broadcast-free grouped chunk: buffers eventless
-  // arrivals into the site's run (deferring the feed to the next event or
-  // the batch end, exactly like the countdown engine) and processes event
-  // arrivals through the scalar path.
-  void GroupedSpan(int site, const uint64_t* keys, size_t count);
+  // Advances `site` by `count` arrivals of a run no broadcast can cut:
+  // eventless arrivals buffer into the site's run, fed at the site's next
+  // event (the countdown engine's boundaries); each event arrival takes
+  // the site step through `port`. The tail stays buffered for the caller.
+  // Serves grouped chunks and shard runs.
+  template <typename Port>
+  void RunSite(int site, const uint64_t* keys, size_t count, Port& port);
   std::unique_ptr<summaries::CompactorSummary> AcquireNode(SiteState* s,
                                                            int level);
   // Shared-ladder plumbing. EnsureNodes creates any missing level node in
@@ -284,21 +315,23 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // node's remaining window itself (fused with the export).
   void EnsureNodes(SiteState* s);
   void PumpLevels(SiteState* s, uint64_t appended);
-  void StartFreshInstance(SiteState* s);
+  template <typename Port>
+  void StartFreshInstance(SiteState* s, Port& port);
+  template <typename Port>
   void FlushNode(int site, SiteState* s, int level, uint32_t node_start,
-                 uint32_t end_leaf);
+                 uint32_t end_leaf, Port& port);
   double LevelEps(int level) const;
   void UpdateSpace(int site);
-  // Ships the site's export buffers as node [first_leaf, end_leaf):
-  // uploads `words`, emits the frame, and (outside crash replay) applies
-  // it to the coordinator aggregate.
-  void ShipSummary(int site, SiteState* s, uint32_t first_leaf,
-                   uint32_t end_leaf, uint64_t words);
-  // Ships a tail-channel forward of `value` from leaf `leaf`; `store`
-  // false skips the aggregate (a sample its own leaf's summary covers).
-  void ShipResidual(int site, uint32_t leaf, uint64_t value, bool store);
-  // Posts the batch's deferred per-site upload charges in one
-  // RecordUploadBulk per site (see pending_uploads_).
+  // Emits a kRankSummary (node [a, b) from `exports`' buffers) or
+  // kRankResidual (leaf a, value b) frame charged `words`.
+  void EmitTap(sim::wire::MsgType type, int site, uint64_t a, uint64_t b,
+               uint64_t words, const SiteState* exports);
+  // Applies the summary in the site's export buffers to agg_.
+  void ApplySummary(int site, const SiteState& s, uint32_t first_leaf,
+                    uint32_t end_leaf);
+  // Accumulates one upload into pending_uploads_; FlushDeferredUploads
+  // posts them in one RecordUploadBulk per site.
+  void DeferUpload(int site, uint64_t words);
   void FlushDeferredUploads();
 
   // --- Shard ingest (sim::KeyedShardIngest) ------------------------------
@@ -308,14 +341,6 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // sim::OnlineKeyedSession certifies rolling epochs against this
   // tracker's broadcast state.
   count::CoarseTracker* shard_coarse() override { return coarse_.get(); }
-  // Site->coordinator upload: charged to the meter directly on the serial
-  // paths, accumulated in pending_uploads_ during a plain batch or a
-  // shard epoch.
-  void Upload(int site, uint64_t words);
-  // One coarse arrival: the serial paths go through CoarseTracker::Arrive
-  // (which may broadcast); shard ingest advances site-locally and defers
-  // the report delta (the epoch schedule keeps broadcasts on boundaries).
-  void CoarseArriveOne(int site);
 
   RandomizedRankOptions options_;
   sim::CommMeter meter_;
@@ -323,38 +348,30 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   std::unique_ptr<count::CoarseTracker> coarse_;
   std::vector<SiteState> sites_;
   // The coordinator's instance storage and estimator. Written by the
-  // shipping site only (shard workers included) and never in crash replay.
+  // shipping site only (shard workers included), never by the replay port.
   RankAggregate agg_;
   // Coarse-report deltas a site worker deferred during the current shard
   // epoch; folded (and cleared) by ShardEpochEnd.
   std::vector<std::vector<uint64_t>> shard_deltas_;
-  bool shard_mode_ = false;
   sim::wire::WireTap* tap_ = nullptr;
 
-  // Batched upload amortization: while a plain ArriveBatch (no tap, no
-  // replay) or a shard epoch runs, Upload() accumulates (messages,
-  // charged words) per site here — a shard worker writes only its own
-  // site's entry — and the batch or epoch end posts one RecordUploadBulk
-  // per site. Meter totals at every public observation point (queries
-  // only happen between batches and epochs) are identical to per-message
-  // charging.
+  // Batched upload amortization: the batch and shard ports accumulate
+  // (messages, charged words) per site here — a shard worker writes only
+  // its own site's entry — and the batch or epoch end posts one
+  // RecordUploadBulk per site. Meter totals at every public observation
+  // point (queries only happen between batches and epochs) are identical
+  // to per-message charging.
   struct PendingUpload {
     uint64_t messages = 0;
     uint64_t words = 0;  // with max(1, payload) applied per message
   };
-  bool defer_uploads_ = false;
   std::vector<PendingUpload> pending_uploads_;
 
-  // Crash-replay bookkeeping (see BeginCrashReplay). The cursor walks
-  // the crashed site's instance journal as the replay re-creates the
-  // instances — replayed StartFreshInstance calls advance it and check
-  // the round's 1/p instead of appending.
-  bool crash_replay_ = false;
-  bool detached_replay_ = false;
+  // The open crash-replay bracket (-1: none) and its cursor into the
+  // site's instance journal: replayed instance starts advance it and
+  // check the round's 1/p instead of appending.
   int replay_site_ = -1;
   size_t replay_cursor_ = 0;
-  const uint64_t* replay_mid_n_bar_ = nullptr;
-  RoundParams replay_saved_round_;
 
   RoundParams round_;
 

@@ -1,7 +1,5 @@
 #include "disttrack/service/site_half.h"
 
-#include <type_traits>
-
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
@@ -11,21 +9,14 @@ namespace service {
 
 namespace {
 
-// One site of a whole tracker, permanently in crash replay: the three
+// One site of a whole tracker, driven through its replay port: the three
 // trackers share the seam's signatures, so one template hosts them all.
 template <typename Tracker>
 class TrackerSite : public SiteHalf {
  public:
   template <typename Options>
   TrackerSite(const Options& options, int site)
-      : tracker_(options), site_(site) {
-    // Rank keeps an instance journal for crash replay to walk; a site
-    // process has none to walk.
-    if constexpr (std::is_same_v<Tracker, rank::RandomizedRankTracker>) {
-      tracker_.set_detached_replay(true);
-    }
-    tracker_.BeginCrashReplay(site_);
-  }
+      : tracker_(options), site_(site) {}
   void set_wire_tap(sim::wire::WireTap* tap) override {
     tracker_.set_wire_tap(tap);
   }

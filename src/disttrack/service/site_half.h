@@ -2,12 +2,16 @@
 // tracker classes' crash-replay seam. The seam has one signature on all
 // three trackers, so one class template (site_half.cc) hosts each kind.
 //
-// A site process hosts a real tracker but drives exactly one site of it,
-// in crash-replay mode permanently: ReplayCrashArrive advances only
+// A site process hosts a real tracker but drives exactly one site of it
+// through the tracker's replay port. There is no mode to enter: each
+// tracker's site step is written once over a coordinator port, and
+// ReplayCrashArrive runs it through the port that advances only
 // site-local state (counters, RNG/skip streams, coarse thresholds) and
-// re-emits every protocol frame through the wire tap, while every
-// coordinator-side effect (n', rounds, meter, estimator aggregates) is
-// suppressed — those live in the coordinator's replicas (sim/replica.h).
+// re-emits every protocol frame through the wire tap, writing nothing
+// the coordinator holds (n', rounds, meter, estimator aggregates) —
+// those live in the coordinator's replicas (sim/replica.h). The process
+// never opens a BeginCrashReplay bracket, so rank keeps no instance
+// journal here and walks none.
 // Round rituals arrive from outside as ApplyRitual calls, either
 // mid-arrival (from inside the tap, for the site's own triggering report
 // — the trackers emit the coarse report *before* consuming any
@@ -35,8 +39,7 @@ namespace service {
 
 class SiteHalf {
  public:
-  /// Builds the tracker for options.tracker and enters permanent replay
-  /// mode for `site` (rank trackers in detached-replay mode).
+  /// Builds the tracker for options.tracker; this host drives `site`.
   static std::unique_ptr<SiteHalf> Create(const ServiceOptions& options,
                                           int site);
   virtual ~SiteHalf() = default;

@@ -367,6 +367,128 @@ TEST(FaultToleranceTest, ExtremeSchedulesStillConverge) {
   }
 }
 
+// The replay guards. A crash replay that strays from the original
+// execution must abort loudly instead of re-emitting wrong frames, so
+// each guard is pinned here on a replay driven by hand.
+
+count::RandomizedCountOptions GuardCountOptions() {
+  count::RandomizedCountOptions opt;
+  opt.num_sites = 2;
+  opt.epsilon = 0.1;
+  return opt;
+}
+
+frequency::RandomizedFrequencyOptions GuardFrequencyOptions() {
+  frequency::RandomizedFrequencyOptions opt;
+  opt.num_sites = 2;
+  opt.epsilon = 0.1;
+  return opt;
+}
+
+rank::RandomizedRankOptions GuardRankOptions(double epsilon) {
+  rank::RandomizedRankOptions opt;
+  opt.num_sites = 2;
+  opt.epsilon = epsilon;
+  return opt;
+}
+
+// Site 0 has seen two arrivals, so its third fires no coarse report
+// (reports fire at local counts 1, 2, 4, ...); a journal claiming that
+// arrival broadcast is corrupt.
+TEST(FaultToleranceDeathTest, JournaledBroadcastAtAnArrivalWithNoReport) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const uint64_t n_bar = 3;
+  EXPECT_DEATH(
+      {
+        count::RandomizedCountTracker t(GuardCountOptions());
+        t.Arrive(0);
+        t.Arrive(0);
+        t.BeginCrashReplay(0);
+        t.ReplayCrashArrive(0, 0, &n_bar);
+      },
+      "mid-arrival broadcast at an arrival with no coarse report");
+  EXPECT_DEATH(
+      {
+        frequency::RandomizedFrequencyTracker t(GuardFrequencyOptions());
+        t.Arrive(0, 7);
+        t.Arrive(0, 7);
+        t.BeginCrashReplay(0);
+        t.ReplayCrashArrive(0, 7, &n_bar);
+      },
+      "mid-arrival broadcast at an arrival with no coarse report");
+  EXPECT_DEATH(
+      {
+        rank::RandomizedRankTracker t(GuardRankOptions(0.1));
+        t.Arrive(0, 7);
+        t.Arrive(0, 7);
+        t.BeginCrashReplay(0);
+        t.ReplayCrashArrive(0, 7, &n_bar);
+      },
+      "mid-arrival broadcast at an arrival with no coarse report");
+}
+
+// Site 0 is snapshotted first, then site 1's arrivals broadcast several
+// rounds that shrink p. Site 0 lost no arrivals, but a replay that skips
+// the rituals those rounds imposed on it leaves it on the old round.
+TEST(FaultToleranceDeathTest, EndingAReplayThatSkippedARitual) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const uint64_t n = 2000;
+  EXPECT_DEATH(
+      {
+        count::RandomizedCountTracker t(GuardCountOptions());
+        std::vector<uint64_t> blob;
+        t.SerializeSiteState(0, &blob);
+        for (uint64_t i = 0; i < n; ++i) t.Arrive(1);
+        t.BeginCrashReplay(0);
+        t.RestoreSiteState(0, blob);
+        t.EndCrashReplay();
+      },
+      "did not re-evolve 1/p");
+  EXPECT_DEATH(
+      {
+        frequency::RandomizedFrequencyTracker t(GuardFrequencyOptions());
+        std::vector<uint64_t> blob;
+        t.SerializeSiteState(0, &blob);
+        for (uint64_t i = 0; i < n; ++i) t.Arrive(1, i % 5);
+        t.BeginCrashReplay(0);
+        t.RestoreSiteState(0, blob);
+        t.EndCrashReplay();
+      },
+      "did not re-evolve the round parameters");
+  EXPECT_DEATH(
+      {
+        rank::RandomizedRankTracker t(GuardRankOptions(0.1));
+        std::vector<uint64_t> blob;
+        t.SerializeSiteState(0, &blob);
+        for (uint64_t i = 0; i < n; ++i) t.Arrive(1, i);
+        t.BeginCrashReplay(0);
+        t.RestoreSiteState(0, blob);
+        t.EndCrashReplay();
+      },
+      "did not restore the round parameters");
+}
+
+// Rank journals the 1/p of every instance a site starts. A replay that
+// skips the rituals stays on the first round's one-element chunks, so
+// twice the original arrivals start more instances than the journal holds.
+TEST(FaultToleranceDeathTest, RankReplayRecreatingExtraInstances) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const uint64_t n = 100;
+  EXPECT_DEATH(
+      {
+        rank::RandomizedRankTracker t(GuardRankOptions(0.01));
+        std::vector<uint64_t> blob;
+        t.SerializeSiteState(0, &blob);
+        for (uint64_t i = 0; i < n; ++i) t.Arrive(0, i);
+        t.BeginCrashReplay(0);
+        t.RestoreSiteState(0, blob);
+        for (uint64_t i = 0; i < 2 * n; ++i) {
+          t.ReplayCrashArrive(0, i % n, nullptr);
+        }
+      },
+      "created more instances than the original execution");
+}
+
 }  // namespace
 }  // namespace sim
 }  // namespace disttrack
