@@ -31,8 +31,7 @@
 // configurations under kAuto, so the scalar/SIMD ratio is an in-binary
 // A/B on identical streams. Every row records which dispatch actually
 // ran (`simd`: 0 scalar, 1 AVX2) and --check skips rows whose recorded
-// dispatch differs from this machine's, the same way thread-scaling
-// rows are skipped across core counts.
+// dispatch differs from this machine's.
 
 #include <cstdio>
 #include <cstdlib>
@@ -49,8 +48,6 @@
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
 #include "disttrack/sim/cluster.h"
-#include "disttrack/sim/online.h"
-#include "disttrack/sim/parallel_cluster.h"
 #include "disttrack/stream/workload.h"
 
 namespace {
@@ -67,11 +64,6 @@ struct BenchEntry {
   double seconds = 0;
   double elements_per_sec = 0;
   double final_rel_error = 0;  // |estimate - truth| / n at the end
-  // Worker-thread count of the engine under test; 0 for the serial
-  // paths. Rows with threads > 1 measure thread scaling, which is only
-  // comparable between machines with the same core count — --check
-  // skips them when the recorded core count differs (see Cores()).
-  int threads = 0;
   // Dispatch the row actually ran under: 0 scalar, 1 AVX2. Legacy rows
   // are pinned to 0 (kForceScalar); simd_batched rows report what kAuto
   // resolved to, so --check can refuse to compare a row recorded with
@@ -79,8 +71,8 @@ struct BenchEntry {
   int simd = 0;
 };
 
-// Physical parallelism of this machine, stamped into every run row so a
-// later --check knows whether the thread-scaling rows are comparable.
+// Hardware parallelism of this machine, stamped into every run row so a
+// baseline records the machine shape it was measured on.
 int Cores() {
   unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<int>(hc);
@@ -237,10 +229,10 @@ void WriteJson(const std::vector<BenchEntry>& entries,
         "    {\"problem\": \"%s\", \"path\": \"%s\", \"workload\": \"%s\", "
         "\"k\": %d, \"n\": %llu, \"eps\": %g, \"seconds\": %.6f, "
         "\"elements_per_sec\": %.1f, \"final_rel_error\": %.8f, "
-        "\"threads\": %d, \"cores\": %d, \"simd\": %d}%s\n",
+        "\"cores\": %d, \"simd\": %d}%s\n",
         e.problem.c_str(), e.path.c_str(), e.workload.c_str(), e.k,
         static_cast<unsigned long long>(e.n), e.eps, e.seconds,
-        e.elements_per_sec, e.final_rel_error, e.threads, Cores(), e.simd,
+        e.elements_per_sec, e.final_rel_error, Cores(), e.simd,
         i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"count_ab\": [\n");
@@ -289,15 +281,12 @@ struct BaselineEntry {
   int k = 0;
   unsigned long long n = 0;
   double elements_per_sec = 0;
-  int threads = 0;  // 0 on serial rows and pre-threads baselines
-  int cores = 0;    // machine the baseline was recorded on; 0 = unknown
-  int simd = -1;    // dispatch the row ran under; -1 = pre-SIMD baseline
+  int simd = -1;  // dispatch the row ran under; -1 = pre-SIMD baseline
 };
 
 // Parses the `runs` lines of a BENCH_throughput.json produced by
 // WriteJson (one object per line; sscanf on our own fixed format).
-// Rows recorded before the threads/cores fields parse with both at 0;
-// rows recorded before the simd field parse with simd = -1 (unknown,
+// Rows recorded before the simd field parse with simd = -1 (unknown,
 // compared unconditionally — those baselines predate every SIMD path).
 std::vector<BaselineEntry> ReadBaseline(const char* json_path) {
   std::vector<BaselineEntry> out;
@@ -316,15 +305,11 @@ std::vector<BaselineEntry> ReadBaseline(const char* json_path) {
         "\"workload\": \"%15[^\"]\", \"k\": %d, \"n\": %llu, "
         "\"eps\": %lf, \"seconds\": %lf, "
         "\"elements_per_sec\": %lf, \"final_rel_error\": %lf, "
-        "\"threads\": %d, \"cores\": %d, \"simd\": %d",
+        "\"cores\": %*d, \"simd\": %d",
         e.problem, e.path, e.workload, &e.k, &e.n, &eps, &seconds,
-        &e.elements_per_sec, &rel, &e.threads, &e.cores, &e.simd);
+        &e.elements_per_sec, &rel, &e.simd);
     if (got >= 8) {
-      if (got < 11) {
-        e.threads = 0;
-        e.cores = 0;
-      }
-      if (got < 12) e.simd = -1;
+      if (got < 10) e.simd = -1;
       out.push_back(e);
     }
   }
@@ -370,21 +355,11 @@ int CheckAgainstBaseline(const std::vector<BenchEntry>& entries,
       }
     }
     if (match == nullptr) continue;
-    // Thread-scaling rows only mean something on the machine shape they
-    // were recorded on: comparing a 4-thread row from an 8-core recorder
-    // against a 1-core runner gates on the hardware, not the code.
-    if (match->threads > 1 && match->cores != 0 && match->cores != Cores()) {
-      std::printf("check  %-10s %-14s %-13s k=%-3d skipped (baseline on "
-                  "%d cores, this machine has %d)\n",
-                  e.problem.c_str(), e.path.c_str(), e.workload.c_str(), e.k,
-                  match->cores, Cores());
-      continue;
-    }
-    // Same idea for vector capability: a simd_batched row recorded with
-    // AVX2 dispatch would gate a non-AVX2 runner (or a scalar-forced CI
-    // leg) on the hardware, not the code. Pre-SIMD baselines (simd = -1)
-    // are compared unconditionally — their rows were scalar by
-    // construction and the legacy rows still run force-scalar.
+    // A simd_batched row recorded with AVX2 dispatch would gate a
+    // non-AVX2 runner (or a scalar-forced CI leg) on the hardware, not
+    // the code. Pre-SIMD baselines (simd = -1) are compared
+    // unconditionally — their rows were scalar by construction and the
+    // legacy rows still run force-scalar.
     if (match->simd >= 0 && match->simd != e.simd) {
       std::printf("check  %-10s %-14s %-13s k=%-3d skipped (baseline "
                   "dispatch simd=%d, this run has simd=%d)\n",
@@ -565,60 +540,6 @@ int main(int argc, char** argv) {
         }
         entries.push_back(e);
       }
-      // Parallel replay rows: same site stream, same checkpoint schedule
-      // as grouped_batched, through sim::ParallelCluster — an online session
-      // fed the stream in 64Ki pushes cut at every checkpoint.
-      for (int threads : {1, 4}) {
-        sim::ParallelCluster cluster(threads);
-        BenchEntry e = TimeConfig(
-            "count", "cluster_t" + std::to_string(threads), sched_name, k,
-            n_count, eps, reps,
-            [&] { return MakeCount(Options(k, eps)); },
-            [&](sim::CountTrackerInterface* t) {
-              double t0 = Now();
-              auto checkpoints = cluster.ReplayCountSites(t, sites, 1.5);
-              double secs = Now() - t0;
-              const sim::Checkpoint& last = checkpoints.back();
-              double rel = last.n == 0
-                               ? 0.0
-                               : std::abs(last.estimate - last.truth) /
-                                     static_cast<double>(last.n);
-              return std::pair<double, double>(secs, rel);
-            });
-        e.threads = threads;
-        PrintEntry(e);
-        entries.push_back(e);
-      }
-      // Online ingest rows: the SAME stream pushed live through
-      // sim::OnlineCountSession — broadcast schedule discovered by
-      // speculation + rollback — one push per checkpoint segment,
-      // sampled at the same checkpoint boundaries as the replay rows.
-      for (int threads : {1, 4}) {
-        sim::ParallelCluster cluster(threads);
-        std::vector<uint64_t> bounds = sim::CheckpointCounts(n_count, 1.5);
-        BenchEntry e = TimeConfig(
-            "count", "online_t" + std::to_string(threads), sched_name, k,
-            n_count, eps, reps,
-            [&] { return MakeCount(Options(k, eps)); },
-            [&](sim::CountTrackerInterface* t) {
-              double t0 = Now();
-              sim::OnlineCountSession session(&cluster, t);
-              uint64_t pos = 0;
-              double est = 0;
-              for (uint64_t b : bounds) {
-                session.PushSites(sites.data() + pos, b - pos);
-                pos = b;
-                est = t->EstimateCount();
-              }
-              double secs = Now() - t0;
-              double rel = std::abs(est - static_cast<double>(n_count)) /
-                           static_cast<double>(n_count);
-              return std::pair<double, double>(secs, rel);
-            });
-        e.threads = threads;
-        PrintEntry(e);
-        entries.push_back(e);
-      }
     }
 
     // ---- frequency: uniform and Zipf(1.1) items, A/B.
@@ -670,63 +591,6 @@ int main(int argc, char** argv) {
         entries.push_back(e);
       }
       simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
-      // Parallel replay rows. The serial frequency rows above deliver in
-      // 64K chunks without checkpoint sampling, so the cluster rows use a
-      // huge checkpoint factor (start + end samples only) to compare
-      // delivery engines rather than estimate-query cost.
-      for (int threads : {1, 4}) {
-        sim::ParallelCluster cluster(threads);
-        BenchEntry e = TimeConfig(
-            "frequency", "cluster_t" + std::to_string(threads), dist_name, k,
-            n_freq, eps, reps,
-            [&] { return MakeFrequency(Options(k, eps)); },
-            [&](sim::FrequencyTrackerInterface* t) {
-              double t0 = Now();
-              auto checkpoints = cluster.ReplayFrequency(t, w, 0, 1e9);
-              double secs = Now() - t0;
-              const sim::Checkpoint& last = checkpoints.back();
-              double rel = n_freq == 0
-                               ? 0.0
-                               : std::abs(last.estimate - last.truth) /
-                                     static_cast<double>(n_freq);
-              return std::pair<double, double>(secs, rel);
-            });
-        e.threads = threads;
-        PrintEntry(e);
-        entries.push_back(e);
-      }
-      // Online ingest rows: 64K live pushes (PushBoundaries, no
-      // checkpoint cuts) through the rolling certified epoch, one Sync
-      // at the end — the streaming analogue of the cluster rows above.
-      for (int threads : {1, 4}) {
-        sim::ParallelCluster cluster(threads);
-        std::vector<uint64_t> bounds =
-            sim::PushBoundaries(n_freq, 1 << 16, {});
-        BenchEntry e = TimeConfig(
-            "frequency", "online_t" + std::to_string(threads), dist_name, k,
-            n_freq, eps, reps,
-            [&] { return MakeFrequency(Options(k, eps)); },
-            [&](sim::FrequencyTrackerInterface* t) {
-              double t0 = Now();
-              sim::OnlineKeyedSession session(&cluster, t);
-              uint64_t pos = 0;
-              for (uint64_t b : bounds) {
-                session.Push(w.data() + pos, b - pos);
-                pos = b;
-              }
-              session.Sync();
-              double secs = Now() - t0;
-              double rel = n_freq == 0
-                               ? 0.0
-                               : std::abs(t->EstimateFrequency(0) -
-                                          static_cast<double>(truth)) /
-                                     static_cast<double>(n_freq);
-              return std::pair<double, double>(secs, rel);
-            });
-        e.threads = threads;
-        PrintEntry(e);
-        entries.push_back(e);
-      }
     }
 
     // ---- rank: uniform values and Zipf(1.1)-skewed values. per_arrival
@@ -782,60 +646,6 @@ int main(int argc, char** argv) {
         entries.push_back(e);
       }
       simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
-      // Parallel replay rows (same sparse-sample rationale as frequency):
-      // the rank replay pushes the whole stream after the first arrival
-      // as one push, splitting it at every broadcast.
-      for (int threads : {1, 4}) {
-        sim::ParallelCluster cluster(threads);
-        BenchEntry e = TimeConfig(
-            "rank", "cluster_t" + std::to_string(threads), dist_name, k,
-            n_rank, eps, reps,
-            [&] { return MakeRank(Options(k, eps)); },
-            [&](sim::RankTrackerInterface* t) {
-              double t0 = Now();
-              auto checkpoints = cluster.ReplayRank(t, w, query, 1e9);
-              double secs = Now() - t0;
-              const sim::Checkpoint& last = checkpoints.back();
-              double rel = n_rank == 0
-                               ? 0.0
-                               : std::abs(last.estimate - last.truth) /
-                                     static_cast<double>(n_rank);
-              return std::pair<double, double>(secs, rel);
-            });
-        e.threads = threads;
-        PrintEntry(e);
-        entries.push_back(e);
-      }
-      // Online ingest rows (same 64K live-push shape as frequency).
-      for (int threads : {1, 4}) {
-        sim::ParallelCluster cluster(threads);
-        std::vector<uint64_t> bounds =
-            sim::PushBoundaries(n_rank, 1 << 16, {});
-        BenchEntry e = TimeConfig(
-            "rank", "online_t" + std::to_string(threads), dist_name, k,
-            n_rank, eps, reps,
-            [&] { return MakeRank(Options(k, eps)); },
-            [&](sim::RankTrackerInterface* t) {
-              double t0 = Now();
-              sim::OnlineKeyedSession session(&cluster, t);
-              uint64_t pos = 0;
-              for (uint64_t b : bounds) {
-                session.Push(w.data() + pos, b - pos);
-                pos = b;
-              }
-              session.Sync();
-              double secs = Now() - t0;
-              double rel = n_rank == 0
-                               ? 0.0
-                               : std::abs(t->EstimateRank(query) -
-                                          static_cast<double>(truth)) /
-                                     static_cast<double>(n_rank);
-              return std::pair<double, double>(secs, rel);
-            });
-        e.threads = threads;
-        PrintEntry(e);
-        entries.push_back(e);
-      }
     }
   }
 

@@ -7,8 +7,7 @@
 // broadcast (see CoarseTracker::BatchCannotBroadcast), arrivals can
 // therefore be permuted into site-contiguous spans without changing a
 // single coin draw: each site still sees its own arrivals in stream order
-// and consumes its private RNG at the same per-site offsets — the same
-// contract the shard epochs of the online sessions (sim/online.h) rely on.
+// and consumes its private RNG at the same per-site offsets.
 // Processing one site's span end-to-end keeps that site's working set
 // (counter table, run buffer, ladder, compactor nodes) cache-resident
 // instead of thrashing k of them per cache line of the arrival stream.

@@ -1,10 +1,8 @@
 #include "disttrack/count/coarse_tracker.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-
-#include "disttrack/sim/protocol.h"
+#include <utility>
 
 namespace disttrack {
 namespace count {
@@ -49,31 +47,12 @@ void CoarseTracker::AdvanceLocalNoReport(int site, uint64_t count) {
   CoarseSite& s = local_[static_cast<size_t>(site)];
   if (count >= s.next_report - s.count) {
     std::fprintf(stderr,
-                 "CoarseTracker: eventless shard advance of %llu crosses "
+                 "CoarseTracker: eventless advance of %llu crosses "
                  "site %d's report threshold\n",
                  static_cast<unsigned long long>(count), site);
     std::abort();
   }
   s.count += count;
-}
-
-uint64_t CoarseTracker::ArriveLocal(int site) {
-  return local_[static_cast<size_t>(site)].Arrive();
-}
-
-void CoarseTracker::ApplyDeferredReport(int site, uint64_t delta) {
-  // disttrack-lint: allow(meter-tap) -- shard-fold bookkeeping: taps are
-  // only installed by the serial runtimes (robust cluster, service site
-  // half), never on the online sessions' shard epochs that produce
-  // deferred reports, so this charge has no frame to pair with.
-  meter_->RecordUpload(site, 1);
-  if (coordinator_.ApplyReport(delta)) {
-    std::fprintf(stderr,
-                 "CoarseTracker: deferred report of site %d trips the "
-                 "broadcast condition — the epoch schedule is wrong\n",
-                 site);
-    std::abort();
-  }
 }
 
 void CoarseTracker::SerializeSite(int site, std::vector<uint64_t>* out) const {
@@ -133,41 +112,6 @@ void CoarseTracker::ReportAndMaybeBroadcast(int site, uint64_t delta) {
     tap_->OnMessage(std::move(msg));
   }
   for (auto& obs : observers_) obs(coordinator_.round, coordinator_.n_bar);
-}
-
-void EpochCertifier::Reset(const CoarseTracker& tracker) {
-  sites_ = tracker.local_;
-  coordinator_ = tracker.coordinator_;
-}
-
-bool EpochCertifier::ExtendByHistogram(const uint32_t* histogram) {
-  // Project the chunk's final n' (per-site totals alone decide it, see
-  // the header); bail without touching anything on refusal.
-  uint64_t pending = 0;
-  if (!ProjectBroadcastFree(sites_, coordinator_, histogram, nullptr,
-                            &pending)) {
-    return false;
-  }
-  for (size_t i = 0; i < sites_.size(); ++i) {
-    if (histogram[i] != 0) sites_[i].Advance(histogram[i]);
-  }
-  coordinator_.n_prime += pending;
-  return true;
-}
-
-size_t EpochCertifier::CommitUntilBroadcast(const sim::Arrival* arrivals,
-                                            size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    CoarseSite& s = sites_[static_cast<size_t>(arrivals[i].site)];
-    CoarseSite next = s;
-    uint64_t delta = next.Arrive();
-    if (delta != 0) {
-      if (coordinator_.WouldBroadcast(delta)) return i;  // `i` not committed
-      coordinator_.n_prime += delta;
-    }
-    s = next;
-  }
-  return count;
 }
 
 }  // namespace count

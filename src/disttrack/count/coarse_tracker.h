@@ -22,13 +22,7 @@
 #include "disttrack/sim/wire.h"
 
 namespace disttrack {
-namespace sim {
-struct Arrival;
-}  // namespace sim
-
 namespace count {
-
-class EpochCertifier;
 
 /// max(1, 2 n̄): the reported sum n' at which the coordinator broadcasts.
 /// The one encoding of the §2.1 broadcast limit; every broadcast test in
@@ -67,15 +61,6 @@ struct CoarseSite {
     return (uint64_t{1} << (63 - __builtin_clzll(final_count))) -
            last_reported;
   }
-
-  /// Advances by `h` arrivals, committing every report they fire.
-  void Advance(uint64_t h) {
-    count += h;
-    if (count >= next_report) {
-      last_reported = uint64_t{1} << (63 - __builtin_clzll(count));
-      next_report = last_reported * 2;
-    }
-  }
 };
 
 /// Coordinator half of the coarse tracker: the running sum n' of reports
@@ -101,27 +86,6 @@ struct CoarseMirror {
     return true;
   }
 };
-
-/// True iff delivering histogram[i] (+ carry[i], see
-/// CoarseTracker::BatchCannotBroadcast) further arrivals to each site i
-/// of `sites` cannot make `coordinator` broadcast, under any
-/// interleaving; `*pending` receives the summed n' delta. Shared by
-/// BatchCannotBroadcast and EpochCertifier::ExtendByHistogram.
-inline bool ProjectBroadcastFree(const std::vector<CoarseSite>& sites,
-                                 const CoarseMirror& coordinator,
-                                 const uint32_t* histogram,
-                                 const uint64_t* carry, uint64_t* pending) {
-  uint64_t delta = 0;
-  for (size_t i = 0; i < sites.size(); ++i) {
-    uint64_t h = histogram[i];
-    if (h == 0) continue;
-    if (carry != nullptr) h += carry[i];
-    delta += sites[i].ReportDeltaAfter(h);
-    if (coordinator.WouldBroadcast(delta)) return false;
-  }
-  *pending = delta;
-  return !coordinator.WouldBroadcast(delta);
-}
 
 /// Maintains n̄, a factor-4 approximation of n, with O(k logN) traffic.
 class CoarseTracker {
@@ -186,36 +150,21 @@ class CoarseTracker {
   /// feeding everything), which can only cause a harmless fallback.
   bool BatchCannotBroadcast(const uint32_t* histogram,
                             const uint64_t* carry = nullptr) const {
-    uint64_t pending = 0;
-    return ProjectBroadcastFree(local_, coordinator_, histogram, carry,
-                                &pending);
+    uint64_t delta = 0;
+    for (size_t i = 0; i < local_.size(); ++i) {
+      uint64_t h = histogram[i];
+      if (h == 0) continue;
+      if (carry != nullptr) h += carry[i];
+      delta += local_[i].ReportDeltaAfter(h);
+      if (coordinator_.WouldBroadcast(delta)) return false;
+    }
+    return !coordinator_.WouldBroadcast(delta);
   }
-
-  // --- Shard-epoch support (sim/shard.h) ---------------------------------
-  // During shard ingest a worker thread owns a site and may advance only
-  // its site-local half (count / report thresholds); the coordinator half
-  // (n', n̄, broadcasts, the meter) is updated at the epoch barrier by the
-  // driver thread, via deferred report deltas. Safe to call concurrently
-  // for DISTINCT sites only.
 
   /// Advances `site` by `count` arrivals known to contain no report
   /// (requires count < arrivals_until_report(site); aborts otherwise).
+  /// The run loops of the batch engines retire eventless stretches here.
   void AdvanceLocalNoReport(int site, uint64_t count);
-
-  /// One arrival at `site` during shard ingest: advances the local count
-  /// and, when the report threshold is reached, updates the site-local
-  /// report state and returns the n' delta the deferred report carries
-  /// (0 = no report due). The caller buffers the delta and applies it via
-  /// ApplyDeferredReport at the epoch barrier.
-  uint64_t ArriveLocal(int site);
-
-  /// Applies one deferred report at an epoch barrier (driver thread
-  /// only): charges the upload and folds the delta into n'. Aborts if the
-  /// broadcast condition fires — the online sessions certify every epoch
-  /// broadcast-free and deliver each broadcast-triggering arrival through
-  /// the serial Arrive() path instead, so a deferred report can never
-  /// legitimately trip it.
-  void ApplyDeferredReport(int site, uint64_t delta);
 
   // --- Wire layer / crash recovery ---------------------------------------
 
@@ -253,17 +202,12 @@ class CoarseTracker {
   /// n' <= n < 2n'.
   uint64_t n_prime() const { return coordinator_.n_prime; }
 
-  /// The coordinator half (n', n̄, round).
-  const CoarseMirror& coordinator() const { return coordinator_; }
-
   /// Exact local count of one site (site-side state).
   uint64_t local_count(int site) const;
 
   int num_sites() const { return static_cast<int>(local_.size()); }
 
  private:
-  friend class EpochCertifier;
-
   // Slow path of Arrive(): charge the upload of a report carrying
   // `delta`, refresh n', and broadcast if n' has at least doubled since
   // the last broadcast.
@@ -276,55 +220,6 @@ class CoarseTracker {
   std::vector<CoarseSite> local_;
   std::vector<BroadcastObserver> observers_;
   CoarseMirror coordinator_;
-};
-
-/// Rolling broadcast-safety certifier: the online generalization of
-/// BatchCannotBroadcast for streams with no workload pre-knowledge
-/// (sim/online.h). Seeded from the live tracker, it mirrors each site's
-/// projected (count, next_report, last_reported) triple and the projected
-/// n' over every arrival certified so far, and answers — exactly —
-/// whether one more chunk can extend the current broadcast-free epoch.
-/// n̄ (and with it the broadcast limit) is frozen while the epoch is open
-/// by construction: an epoch ends, and the certifier is re-seeded, at
-/// every broadcast.
-class EpochCertifier {
- public:
-  /// Seeds projections from `tracker`'s live site state. Every arrival
-  /// certified before the Reset must already have been delivered (or be
-  /// sitting, fully ingested, in shard sinks whose coarse deltas the
-  /// projections anticipated — the fold cannot change them). O(k).
-  void Reset(const CoarseTracker& tracker);
-
-  /// Exact epoch-extension test: true iff delivering histogram[i] further
-  /// arrivals to site i — on top of everything certified so far — still
-  /// cannot trigger a broadcast under any interleaving; the projections
-  /// then advance past the chunk. False leaves the certifier untouched.
-  /// The exactness argument is BatchCannotBroadcast's, applied to the
-  /// projected state: reports fire at fixed local counts, so the chunk's
-  /// report set depends only on per-site totals, and n' is nondecreasing,
-  /// so the final total reaching the limit is equivalent to some prefix
-  /// reaching it.
-  bool ExtendByHistogram(const uint32_t* histogram);
-
-  /// Scan mode for a chunk ExtendByHistogram refused: walks the arrivals
-  /// in stream order on the projected state, committing reports exactly
-  /// as the serial coordinator would, and returns the index of the first
-  /// arrival whose report trips the broadcast condition. That arrival is
-  /// NOT committed — the caller delivers it through the serial Arrive()
-  /// path (where the broadcast actually fires) and then Resets. Returns
-  /// `count` when no broadcast fires: the whole chunk is then certified
-  /// (never right after a refusal; after a Reset it certifies the tail of
-  /// a refused push).
-  size_t CommitUntilBroadcast(const sim::Arrival* arrivals, size_t count);
-
-  int num_sites() const { return static_cast<int>(sites_.size()); }
-
-  /// Projected n' over everything certified so far (diagnostics/tests).
-  uint64_t projected_n_prime() const { return coordinator_.n_prime; }
-
- private:
-  std::vector<CoarseSite> sites_;
-  CoarseMirror coordinator_;  // n̄ frozen at the last Reset
 };
 
 }  // namespace count

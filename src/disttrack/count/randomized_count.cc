@@ -85,22 +85,6 @@ struct RandomizedCountTracker::DirectPort {
   }
 };
 
-// The epoch schedule guarantees no broadcast fires inside a shard run,
-// so a deferred coarse report carries only its n' delta.
-struct RandomizedCountTracker::ShardPort {
-  RandomizedCountTracker* t;
-  ShardSink* sink;
-  void CoarseArrive(int site) {
-    if (uint64_t delta = t->coarse_->ArriveLocal(site)) {
-      sink->coarse_deltas.push_back(delta);
-    }
-  }
-  void Report(sim::wire::MsgType /*type*/, int /*site*/,
-              uint64_t /*value*/) {
-    ++sink->report_messages;
-  }
-};
-
 // Site-local state and the RNG stream advance exactly as in the original
 // execution; no n', round, meter or aggregate write happens. A journaled
 // mid-arrival broadcast runs the site's ritual right after the coarse
@@ -299,8 +283,7 @@ void RandomizedCountTracker::RearmAll() {
 // Retires `consumed` arrivals at `site` that are known to be eventless:
 // plain count advances and coin failures. By construction consumed is
 // strictly below both the coarse-report gap and the pending skip count, so
-// neither a report nor a coin success can fire here. Site-local only, so
-// shard workers call it too.
+// neither a report nor a coin success can fire here.
 void RandomizedCountTracker::SyncEventless(int site, uint64_t consumed) {
   if (consumed == 0) return;
   SiteState& s = sites_[static_cast<size_t>(site)];
@@ -348,14 +331,13 @@ void RandomizedCountTracker::CountdownChunk(const Input* input,
   in_batch_ = false;
 }
 
-// Count arrivals carry no payload, so a site's slice of a run is just a
+// Count arrivals carry no payload, so a site's slice of a chunk is just a
 // number. The per-site coin stream is consumed at the same offsets as the
-// countdown engine, and inside a run no broadcast can fire: in a grouped
-// chunk all cross-site coordinator effects are order-insensitive sums
-// (reports fold into n' and the aggregate), and a shard run defers them
-// to the epoch barrier, so the permutation is bit-invisible.
-template <typename Port>
-void RandomizedCountTracker::RunSite(int site, uint64_t count, Port& port) {
+// countdown engine, and inside a grouped chunk no broadcast can fire and
+// all cross-site coordinator effects are order-insensitive sums (reports
+// fold into n' and the aggregate), so the permutation is bit-invisible.
+void RandomizedCountTracker::RunSite(int site, uint64_t count) {
+  DirectPort port{this};
   while (count > 0) {
     uint64_t gap = NextEventGap(site);
     if (count < gap) {
@@ -383,9 +365,8 @@ void RandomizedCountTracker::DeliverChunks(const Input* input, size_t count) {
     if (grouped_enabled_ &&
         coarse_->BatchCannotBroadcast(grouper_.histogram())) {
       grouped_chunk_active_ = true;
-      DirectPort port{this};
       for (const SiteGrouper::Span& span : grouper_.spans()) {
-        RunSite(span.site, span.length, port);
+        RunSite(span.site, span.length);
       }
       grouped_chunk_active_ = false;
     } else {
@@ -415,75 +396,6 @@ void RandomizedCountTracker::ArriveSites(const uint16_t* sites,
   for (size_t i = 0; i < count; ++i) {
     sim::CheckSiteInRange(sites[i], options_.num_sites);
     ArriveOne(sites[i]);
-  }
-}
-
-void RandomizedCountTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
-  if (shard_sinks_.empty()) {
-    shard_sinks_.resize(static_cast<size_t>(options_.num_sites));
-  }
-  // Nothing inside a shard epoch reads n_; advancing it up front keeps
-  // TrueCount() exact at the barrier, mirroring the batch engines.
-  n_ += arrivals_in_epoch;
-}
-
-// One site's whole push slice, on a worker thread, with coordinator
-// effects deferred to the sink. A push that would broadcast is refused by
-// the trial fold and unwound, so in every kept run the coin probability
-// is frozen and the site's RNG stream is consumed at exactly the serial
-// per-site offsets.
-// disttrack-lint: allow(site-check) -- shard-internal: every id was
-// validated by SiteGrouper (CheckSiteInRange aborts) before the epoch
-// was partitioned onto workers; the worker replays a pre-checked span.
-void RandomizedCountTracker::ShardArriveRun(int site, uint64_t count) {
-  ShardPort port{this, &shard_sinks_[static_cast<size_t>(site)]};
-  RunSite(site, count, port);
-}
-
-void RandomizedCountTracker::ShardSnapshotSite(int site,
-                                               std::vector<uint64_t>* out) {
-  out->clear();
-  SerializeSiteState(site, out);
-}
-
-void RandomizedCountTracker::ShardRestoreSite(
-    int site, const std::vector<uint64_t>& blob) {
-  // The blob also reinstalls the round globals (1/p); no broadcast can
-  // have fired between snapshot and restore (the trial fold refused), so
-  // they are unchanged and the reinstall is a no-op.
-  RestoreSiteState(site, blob);
-}
-
-bool RandomizedCountTracker::ShardTryEpochEnd() {
-  uint64_t pending = 0;
-  for (const ShardSink& sink : shard_sinks_) {
-    for (uint64_t delta : sink.coarse_deltas) pending += delta;
-  }
-  if (coarse_->coordinator().WouldBroadcast(pending)) return false;
-  for (int i = 0; i < options_.num_sites; ++i) {
-    ShardSink& sink = shard_sinks_[static_cast<size_t>(i)];
-    for (uint64_t delta : sink.coarse_deltas) {
-      coarse_->ApplyDeferredReport(i, delta);
-    }
-    sink.coarse_deltas.clear();
-    if (sink.report_messages > 0) {
-      // disttrack-lint: allow(meter-tap) -- shard-fold: the serial
-      // path charges and taps per message; the fold replays the
-      // epoch's deferred charges in bulk, and taps never run on the
-      // sharded path (only the serial runtimes install one).
-      meter_.RecordUploadBulk(i, sink.report_messages, sink.report_messages);
-      sink.report_messages = 0;
-      agg_.Set(i, sites_[static_cast<size_t>(i)].reported);
-    }
-  }
-  return true;
-}
-
-void RandomizedCountTracker::ShardAbortEpoch(uint64_t arrivals) {
-  n_ -= arrivals;
-  for (ShardSink& sink : shard_sinks_) {
-    sink.coarse_deltas.clear();
-    sink.report_messages = 0;
   }
 }
 

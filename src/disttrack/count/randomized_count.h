@@ -24,9 +24,8 @@
 // CountAggregate (count_aggregate.h), which sim::CountReplica hosts too.
 // The site half is one event step (SiteEvent) and one thinning step
 // (ThinSite), parameterized over a coordinator port: every delivery path
-// — per-arrival, countdown, grouped, shard ingest, crash replay — runs
-// the same steps and differs only in how their messages reach the
-// coordinator.
+// — per-arrival, countdown, grouped, crash replay — runs the same steps
+// and differs only in how their messages reach the coordinator.
 //
 // Hot path: by default each site realizes its Bernoulli(p) coins with a
 // geometric SkipSampler (skip_sampler.h), so an arrival between successes
@@ -97,8 +96,7 @@ struct RandomizedCountOptions {
 };
 
 /// Randomized ε-approximate count tracking (Theorem 2.1).
-class RandomizedCountTracker : public sim::CountTrackerInterface,
-                               private sim::CountShardIngest {
+class RandomizedCountTracker : public sim::CountTrackerInterface {
  public:
   explicit RandomizedCountTracker(const RandomizedCountOptions& options);
 
@@ -109,15 +107,6 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   uint64_t TrueCount() const override { return n_; }
   const sim::CommMeter& meter() const override { return meter_; }
   const sim::SpaceGauge& space() const override { return space_; }
-
-  /// Shard ingest (sim/shard.h): site workers advance count, coarse
-  /// count, and the coin process site-locally, deferring reports and
-  /// their traffic to per-site sinks folded at the epoch barrier. Only
-  /// the skip-sampling path has the bulk coin primitives the per-site
-  /// run loop needs.
-  sim::CountShardIngest* shard_ingest() override {
-    return options_.use_skip_sampling ? this : nullptr;
-  }
 
   /// Current sampling probability p (1 until n̄ exceeds c√k/ε).
   double p() const;
@@ -172,13 +161,11 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
 
   // Coordinator ports: how a site's messages reach the coordinator.
   // DirectPort applies each effect in place and taps it (serial, countdown
-  // and grouped delivery); ShardPort defers it to the site's sink for the
-  // epoch barrier (shard ingest); ReplayPort only re-emits the frame, the
+  // and grouped delivery); ReplayPort only re-emits the frame, the
   // coordinator already holding its effect (crash replay, site processes).
   // Each port offers CoarseArrive(site) and Report(type, site, n̄_i), the
   // latter for coin reports and p-halving corrections alike.
   struct DirectPort;
-  struct ShardPort;
   struct ReplayPort;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
@@ -195,28 +182,6 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   template <typename Thin>
   bool HalveTo(uint64_t n_bar, Thin thin);
   void EmitTap(sim::wire::MsgType type, int site, uint64_t a);
-
-  // --- Online shard ingest (sim::CountShardIngest) -----------------------
-  // Snapshots reuse the crash-recovery site serialization — a count
-  // site's full private state is always capturable; the trial fold
-  // pre-checks the summed deferred coarse deltas against the broadcast
-  // limit (exact, see shard.h) before folding the sinks.
-  void ShardEpochBegin(uint64_t arrivals_in_epoch) override;
-  void ShardArriveRun(int site, uint64_t count) override;
-  void ShardSnapshotSite(int site, std::vector<uint64_t>* out) override;
-  void ShardRestoreSite(int site, const std::vector<uint64_t>& blob) override;
-  bool ShardTryEpochEnd() override;
-  void ShardAbortEpoch(uint64_t arrivals) override;
-
-  // Coordinator messages a site worker buffered during the current shard
-  // epoch; folded (and cleared) by ShardTryEpochEnd. A site's reports
-  // supersede each other, so the fold needs only their number: the
-  // site's final n̄_i is its report.
-  struct ShardSink {
-    std::vector<uint64_t> coarse_deltas;  // deferred coarse-report deltas
-    uint64_t report_messages = 0;         // coin reports (1 word each)
-  };
-  std::vector<ShardSink> shard_sinks_;
 
   // --- Batched fast path -------------------------------------------------
   // The shared EventCountdown engine (common/event_countdown.h): each site
@@ -243,13 +208,12 @@ class RandomizedCountTracker : public sim::CountTrackerInterface,
   void DeliverChunks(const Input* input, size_t count);
   template <typename Input>
   void CountdownChunk(const Input* input, size_t count);
-  // Advances `site` by `count` arrivals of a run no broadcast can cut:
-  // eventless stretches retire in bulk, each event arrival takes the site
-  // step through `port` — the per-site projection of the countdown
-  // engine, without the per-element decrement. Serves grouped chunks and
-  // shard runs.
-  template <typename Port>
-  void RunSite(int site, uint64_t count, Port& port);
+  // Advances `site` by `count` arrivals of a grouped chunk, which no
+  // broadcast can cut: eventless stretches retire in bulk, each event
+  // arrival takes the site step through the direct port — the per-site
+  // projection of the countdown engine, without the per-element
+  // decrement.
+  void RunSite(int site, uint64_t count);
 
   RandomizedCountOptions options_;
   sim::CommMeter meter_;

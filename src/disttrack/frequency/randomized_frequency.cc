@@ -196,32 +196,6 @@ struct RandomizedFrequencyTracker::ReplayPort {
   }
 };
 
-// Shard coordinator port: every effect becomes a message in the site's
-// sink, applied by ShardEpochEnd with per-site order preserved (cross-
-// site order is immaterial; see DirectPort). The epoch schedule
-// guarantees no broadcast can fire inside a run, so the deferred coarse
-// report carries only its n' delta.
-struct RandomizedFrequencyTracker::ShardPort {
-  RandomizedFrequencyTracker* t;
-  std::vector<ShardMsg>* sink;
-  void CoarseArrive(int site) {
-    if (uint64_t delta = t->coarse_->ArriveLocal(site)) {
-      sink->push_back(ShardMsg{ShardMsg::kCoarseReport, site, 0, 0, delta});
-    }
-  }
-  void SplitNotify(int site) {
-    sink->push_back(ShardMsg{ShardMsg::kSplit, site, 0, 0, 0});
-  }
-  void CounterReport(int site, uint64_t item, uint64_t instance,
-                     uint64_t value) {
-    sink->push_back(
-        ShardMsg{ShardMsg::kAggregate, site, item, instance, value});
-  }
-  void SampleForward(int site, uint64_t item, uint64_t instance) {
-    sink->push_back(ShardMsg{ShardMsg::kAggregate, site, item, instance, 0});
-  }
-};
-
 template <typename Port>
 inline void RandomizedFrequencyTracker::ProcessArrivalImpl(int site,
                                                            uint64_t item,
@@ -295,26 +269,13 @@ void RandomizedFrequencyTracker::Arrive(int site, uint64_t item) {
   ArriveOne(site, item);
 }
 
-void RandomizedFrequencyTracker::EnsureSinks() {
-  if (shard_sinks_.empty()) {
-    shard_sinks_.resize(static_cast<size_t>(options_.num_sites));
-  }
-}
-
-void RandomizedFrequencyTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
-  EnsureSinks();
-  // Nothing inside a shard epoch reads n_ (mirrors the batch engines).
-  n_ += arrivals_in_epoch;
-}
-
 // One site's span: the per-site projection of the serial event-countdown
 // engine. Eventless arrivals pay one batched tracked-counter walk and
 // retire in bulk (exactly SyncEventless); each event arrival replays the
-// scalar ProcessArrival logic with coordinator effects routed through
-// `port`.
-template <typename Port>
+// scalar ProcessArrival logic through the direct port.
 void RandomizedFrequencyTracker::RunSiteSpan(int site, const uint64_t* keys,
-                                             size_t count, Port& port) {
+                                             size_t count) {
+  DirectPort port{this};
   SiteState& s = sites_[static_cast<size_t>(site)];
   size_t pos = 0;
   while (pos < count) {
@@ -334,52 +295,6 @@ void RandomizedFrequencyTracker::RunSiteSpan(int site, const uint64_t* keys,
     ProcessArrivalImpl(site, keys[pos], port);
     ++pos;
   }
-}
-
-// One site's epoch slice on a worker thread; see RunSiteSpan.
-// disttrack-lint: allow(site-check) -- shard-internal: every id was
-// validated by SiteGrouper (CheckSiteInRange aborts) before the epoch
-// was partitioned onto workers; the worker replays a pre-checked span.
-void RandomizedFrequencyTracker::ShardArriveRun(int site,
-                                                const uint64_t* keys,
-                                                size_t count) {
-  ShardPort port{this, &shard_sinks_[static_cast<size_t>(site)]};
-  RunSiteSpan(site, keys, count, port);
-}
-
-void RandomizedFrequencyTracker::ShardEpochEnd() { FoldSinkMessages(); }
-
-void RandomizedFrequencyTracker::FoldSinkMessages() {
-  // Apply each site's sink in site order, preserving per-site message
-  // order. Cross-site order is immaterial: coarse deltas, split counts,
-  // and traffic fold into commutative sums, and each item's estimate is
-  // an exact integer sum (frequency_aggregate.h), so no global-index
-  // merge is needed to reproduce the serial coordinator state bit for
-  // bit.
-  for (auto& sink : shard_sinks_) {
-    for (const ShardMsg& m : sink) {
-      int site = static_cast<int>(m.site);
-      switch (m.kind) {
-        case ShardMsg::kCoarseReport:
-          coarse_->ApplyDeferredReport(site, m.value);
-          break;
-        case ShardMsg::kSplit:
-          // disttrack-lint: allow(meter-tap) -- shard-fold: deferred
-          // charges replayed at the barrier; taps never run on the
-          // sharded path (only the serial runtimes install one).
-          meter_.RecordUpload(site, 1);
-          ++splits_;
-          break;
-        case ShardMsg::kAggregate:
-          // disttrack-lint: allow(meter-tap) -- shard-fold: see kSplit.
-          meter_.RecordUpload(site, m.value == 0 ? 1 : 2);
-          pending_.push_back({m.item, m.instance, m.value});
-          break;
-      }
-    }
-    sink.clear();
-  }
-  FlushPending();
 }
 
 void RandomizedFrequencyTracker::FlushPending() {
@@ -499,9 +414,8 @@ void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
     if (coarse_->BatchCannotBroadcast(grouper_.histogram())) {
       n_ += len;
       grouped_chunk_active_ = true;
-      DirectPort port{this};
       for (const SiteGrouper::Span& span : grouper_.spans()) {
-        RunSiteSpan(span.site, span.data, span.length, port);
+        RunSiteSpan(span.site, span.data, span.length);
       }
       grouped_chunk_active_ = false;
       FlushPending();

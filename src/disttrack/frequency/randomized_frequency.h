@@ -96,8 +96,7 @@ struct RandomizedFrequencyOptions {
 };
 
 /// Randomized ε-approximate frequency tracking (Theorem 3.1).
-class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
-                                   private sim::KeyedShardIngest {
+class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
  public:
   explicit RandomizedFrequencyTracker(
       const RandomizedFrequencyOptions& options);
@@ -108,19 +107,6 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   uint64_t TrueCount() const override { return n_; }
   const sim::CommMeter& meter() const override { return meter_; }
   const sim::SpaceGauge& space() const override { return space_; }
-
-  /// Shard ingest (sim/shard.h): site workers run counters, splits, and
-  /// both coin channels site-locally; every coordinator effect (coarse
-  /// reports, split notices, counter re-reports, sampled copies) is
-  /// buffered per site and folded at the epoch barrier. Per-site message
-  /// order is preserved, and cross-site order cannot matter: coarse
-  /// reports and traffic are commutative sums, and each item's estimate
-  /// is an exact integer sum of integer terms (frequency_aggregate.h) —
-  /// so the coordinator's state evolves bit-identically to the serial
-  /// execution without global-index bookkeeping.
-  sim::KeyedShardIngest* shard_ingest() override {
-    return options_.use_skip_sampling ? this : nullptr;
-  }
 
   /// Current sampling probability p.
   double p() const { return 1.0 / static_cast<double>(inv_p_); }
@@ -206,69 +192,39 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface,
   void ProcessArrival(int site, uint64_t item);
   // The shared protocol logic of ProcessArrival, parameterized over how
   // coordinator effects are delivered: DirectPort applies them in place
-  // (the serial path), ShardPort defers them to the site's message sink
-  // (shard ingest). Site-local state is mutated identically either way.
+  // (per-arrival, countdown and grouped delivery), ReplayPort only
+  // re-emits the frames (crash replay, site processes). Site-local state
+  // is mutated identically either way.
   template <typename Port>
   void ProcessArrivalImpl(int site, uint64_t item, Port& port);
-  // Mints the next virtual-site instance id for `site` (site-unique ids
-  // keep id assignment schedule-independent under shard ingest).
+  // Mints the next virtual-site instance id for `site`: the site id over
+  // a per-site sequence, so a site's ids never depend on other sites'
+  // splits. The ids travel in counter-report and sample frames.
   uint64_t NewInstanceId(int site, SiteState* s) {
     return (static_cast<uint64_t>(site) << 32) |
            static_cast<uint64_t>(s->instance_seq++);
   }
 
-  // --- Shard ingest (sim::KeyedShardIngest) ------------------------------
-  void ShardEpochBegin(uint64_t arrivals_in_epoch) override;
-  void ShardArriveRun(int site, const uint64_t* keys, size_t count) override;
-  void ShardEpochEnd() override;
-  // sim::OnlineKeyedSession certifies rolling epochs against this
-  // tracker's broadcast state.
-  count::CoarseTracker* shard_coarse() override { return coarse_.get(); }
-
-  // One deferred coordinator message (shard ingest only; grouped chunks
-  // queue only aggregate effects). No serialization key is needed: per-
-  // site order is preserved by the sinks themselves, and cross-site order
-  // is immaterial (commutative sums and exact integer estimator terms).
-  struct ShardMsg {
-    enum Kind : uint8_t {
-      kCoarseReport,   // value = deferred n' delta
-      kSplit,          // virtual-site split notice
-      kAggregate,      // item/instance/value as FrequencyAggregate::Message
-    };
-    Kind kind = kCoarseReport;
-    int32_t site = 0;  // full site id (num_sites is only bounded below)
-    uint64_t item = 0;
-    uint64_t instance = 0;
-    uint64_t value = 0;
-  };
   struct DirectPort;
-  struct ShardPort;
   struct ReplayPort;
-  std::vector<std::vector<ShardMsg>> shard_sinks_;  // one sink per site
 
   void EmitTap(sim::wire::MsgType type, int site, uint64_t a, uint64_t b,
                uint64_t c, uint64_t words);
 
-  // The per-site span loop shared by shard ingest and grouped delivery:
-  // eventless stretches pay one batched table walk and retire in bulk;
-  // each event arrival replays ProcessArrivalImpl through `port`.
-  template <typename Port>
-  void RunSiteSpan(int site, const uint64_t* keys, size_t count, Port& port);
-  // Applies the per-site message sinks — the coordinator half of a
-  // shard-epoch barrier. Per-site order is preserved; cross-site order
-  // cannot matter (see ShardMsg).
-  void FoldSinkMessages();
+  // The per-site span loop of grouped delivery: eventless stretches pay
+  // one batched table walk and retire in bulk; each event arrival replays
+  // ProcessArrivalImpl through the direct port.
+  void RunSiteSpan(int site, const uint64_t* keys, size_t count);
   // Applies the queued counter reports and samples as one batch (after a
-  // serial arrival, a grouped chunk's spans, or a shard barrier's sinks).
+  // serial arrival or a grouped chunk's spans).
   void FlushPending();
-  void EnsureSinks();
 
   // Batched fast path on the shared EventCountdown engine; see
   // common/event_countdown.h for the reconciliation contract.
   void RunBatch(const sim::Arrival* arrivals, size_t count);
   // Arrivals at `site` until its next event (coin success on either
   // channel, coarse report, or virtual-site split) — the single source
-  // of truth for the countdown engine and the shard run loop.
+  // of truth for the countdown engine and the span loop.
   uint64_t NextEventGap(int site) const;
   void RearmSite(int site);
   void RearmAll();

@@ -117,17 +117,6 @@ struct RandomizedRankTracker::ApplyPort {
   }
 };
 
-// A shard worker writes its own site's instances directly (they join only
-// that site's state) and defers the coarse report deltas to the epoch
-// barrier, whose schedule keeps every broadcast on an epoch boundary.
-struct RandomizedRankTracker::ShardPort : BatchPort {
-  void CoarseArrive(int site) {
-    if (uint64_t delta = t->coarse_->ArriveLocal(site)) {
-      t->shard_deltas_[static_cast<size_t>(site)].push_back(delta);
-    }
-  }
-};
-
 // Site-local state and the RNG stream advance exactly as in the original
 // execution and every frame is re-emitted; no n', round, meter or
 // instance-storage write happens. A journaled mid-arrival broadcast runs
@@ -285,9 +274,9 @@ void RandomizedRankTracker::FlushDeferredUploads() {
     PendingUpload& pending = pending_uploads_[static_cast<size_t>(i)];
     if (pending.messages == 0) continue;
     // disttrack-lint: allow(meter-tap) -- batch-fold: the per-arrival
-    // port charges per message; this posts one batch's or shard epoch's
-    // deferred per-site charges in bulk with max(1, payload) already
-    // applied, and their frames were tapped per message as they shipped.
+    // port charges per message; this posts one batch's deferred per-site
+    // charges in bulk with max(1, payload) already applied, and their
+    // frames were tapped per message as they shipped.
     meter_.RecordUploadBulk(i, pending.messages, pending.words);
     pending.messages = 0;
     pending.words = 0;
@@ -582,12 +571,12 @@ void RandomizedRankTracker::RearmAll() {
 // the coarse tracker advances in bulk. By construction the run is
 // strictly below every event gap, so no leaf completes and no coarse
 // report (hence no broadcast) can fire here; tail forwards ship through
-// `port`.
-template <typename Port>
-void RandomizedRankTracker::FeedRun(int site, Port& port) {
+// the batch port.
+void RandomizedRankTracker::FeedRun(int site) {
   SiteState& s = sites_[static_cast<size_t>(site)];
   uint64_t count = s.run.size();
   if (count == 0) return;
+  BatchPort port{this};
   uint64_t* values = s.run.data();
   // Tail channel: walk the skip chain through the run in arrival order
   // (values are still unsorted here). Every coin lands at the same
@@ -629,12 +618,12 @@ void RandomizedRankTracker::FeedRun(int site, Port& port) {
 
 // The per-site projection of the countdown engine, without the
 // per-element decrement: the site's runs are fed at the same boundaries
-// (its own events; the caller's batch or epoch end feeds the tail), so
-// the sort/ladder/compaction schedule, and with it the site's RNG
+// (its own events; the batch end feeds the tail), so the
+// sort/ladder/compaction schedule, and with it the site's RNG
 // consumption, is identical.
-template <typename Port>
 void RandomizedRankTracker::RunSite(int site, const uint64_t* keys,
-                                    size_t count, Port& port) {
+                                    size_t count) {
+  BatchPort port{this};
   SiteState& s = sites_[static_cast<size_t>(site)];
   size_t pos = 0;
   while (pos < count) {
@@ -648,14 +637,13 @@ void RandomizedRankTracker::RunSite(int site, const uint64_t* keys,
     }
     s.run.insert(s.run.end(), keys + pos, keys + pos + (to_event - 1));
     pos += static_cast<size_t>(to_event);
-    FeedRun(site, port);
+    FeedRun(site);
     ProcessArrival(site, keys[pos - 1], port);
   }
 }
 
 void RandomizedRankTracker::FlushBufferedRuns() {
-  BatchPort port{this};
-  for (int i = 0; i < options_.num_sites; ++i) FeedRun(i, port);
+  for (int i = 0; i < options_.num_sites; ++i) FeedRun(i);
 }
 
 // The countdown for `site` hit zero: its run buffer holds the buffered
@@ -669,8 +657,8 @@ void RandomizedRankTracker::HandleEventArrival(int site) {
   SiteState& s = sites_[static_cast<size_t>(site)];
   uint64_t event_value = s.run.back();
   s.run.pop_back();  // the buffer now holds exactly the eventless prefix
+  FeedRun(site);
   BatchPort port{this};
-  FeedRun(site, port);
   ProcessArrival(site, event_value, port);
   RearmSite(site);
 }
@@ -690,36 +678,6 @@ void RandomizedRankTracker::CountdownChunk(const sim::Arrival* arrivals,
     if (--until[site] == 0) HandleEventArrival(site);
   }
   in_batch_ = false;
-}
-
-void RandomizedRankTracker::ShardEpochBegin(uint64_t arrivals_in_epoch) {
-  if (shard_deltas_.empty()) {
-    shard_deltas_.resize(static_cast<size_t>(options_.num_sites));
-  }
-  // Nothing inside a shard epoch reads n_ (mirrors the batch engine).
-  n_ += arrivals_in_epoch;
-}
-
-// One site's epoch slice on a worker thread. The epoch ends are exactly
-// the points where the serial engine resyncs (checkpoint batch ends and
-// broadcasts), so the slice's tail is fed here.
-// disttrack-lint: allow(site-check) -- shard-internal: every id was
-// validated by SiteGrouper (CheckSiteInRange aborts) before the epoch
-// was partitioned onto workers; the worker replays a pre-checked span.
-void RandomizedRankTracker::ShardArriveRun(int site, const uint64_t* keys,
-                                           size_t count) {
-  ShardPort port{{this}};
-  RunSite(site, keys, count, port);
-  FeedRun(site, port);
-}
-
-void RandomizedRankTracker::ShardEpochEnd() {
-  for (int i = 0; i < options_.num_sites; ++i) {
-    std::vector<uint64_t>& deltas = shard_deltas_[static_cast<size_t>(i)];
-    for (uint64_t delta : deltas) coarse_->ApplyDeferredReport(i, delta);
-    deltas.clear();
-  }
-  FlushDeferredUploads();
 }
 
 void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
@@ -758,9 +716,8 @@ void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
       if (coarse_->BatchCannotBroadcast(grouper_.histogram(),
                                         run_carry_.data())) {
         grouped_chunk_active_ = true;
-        BatchPort port{this};
         for (const SiteGrouper::Span& span : grouper_.spans()) {
-          RunSite(span.site, span.data, span.length, port);
+          RunSite(span.site, span.data, span.length);
         }
         grouped_chunk_active_ = false;
       } else {

@@ -30,9 +30,9 @@
 // The site half is one arrival step (ProcessArrival), one eventless-run
 // step (FeedRun) and the node flush and instance restart under them, all
 // parameterized over a coordinator port like count's and frequency's:
-// every delivery path — per-arrival, countdown, grouped, shard ingest,
-// crash replay, site processes — runs the same steps and differs only in
-// how their messages reach the coordinator.
+// every delivery path — per-arrival, countdown, grouped, crash replay,
+// site processes — runs the same steps and differs only in how their
+// messages reach the coordinator.
 //
 // Hot path: ArriveBatch buffers each site's values and runs the shared
 // EventCountdown engine — between events (leaf/chunk boundaries, coarse
@@ -120,8 +120,7 @@ struct RandomizedRankOptions {
 };
 
 /// Randomized ε-approximate rank tracking (Theorem 4.1).
-class RandomizedRankTracker : public sim::RankTrackerInterface,
-                              private sim::KeyedShardIngest {
+class RandomizedRankTracker : public sim::RankTrackerInterface {
  public:
   explicit RandomizedRankTracker(const RandomizedRankOptions& options);
 
@@ -131,21 +130,6 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   uint64_t TrueCount() const override { return n_; }
   const sim::CommMeter& meter() const override { return meter_; }
   const sim::SpaceGauge& space() const override { return space_; }
-
-  /// Shard ingest (sim/shard.h). Rank coordinator state is naturally
-  /// site-partitioned — every instance of algorithm C belongs to exactly
-  /// one site, and shipped summaries / residual samples only ever join
-  /// the shipping site's own instances — so site workers write their
-  /// instances directly and defer only the coarse reports and the
-  /// traffic charges (order-insensitive sums) to the epoch barrier.
-  /// Supported on the batched skip-sampling feed, whose run-at-a-time
-  /// processing the per-site driver reuses; the per-element reference
-  /// oracles fall back to serial delivery.
-  sim::KeyedShardIngest* shard_ingest() override {
-    return options_.use_skip_sampling && options_.use_batch_compaction
-               ? this
-               : nullptr;
-  }
 
   /// Element-forwarding probability p of the current round.
   double p() const { return 1.0 / round_.inv_p; }
@@ -260,14 +244,12 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // instance (per-arrival delivery); BatchPort does the same with the
   // upload charges deferred to the batch end, and feeds every buffered
   // run before a coarse report that broadcasts (countdown and grouped
-  // engines); ShardPort defers the coarse report deltas as well (shard
-  // epochs); ReplayPort only taps, the coordinator already holding every
+  // engines); ReplayPort only taps, the coordinator already holding every
   // effect (crash replay, site processes).
   template <bool kBatch>
   struct ApplyPort;
   using DirectPort = ApplyPort<false>;
   using BatchPort = ApplyPort<true>;
-  struct ShardPort;
   struct ReplayPort;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
@@ -281,16 +263,16 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // common/event_countdown.h for the reconciliation contract.
   // Arrivals at `site` until its next event (leaf/chunk completion or
   // coarse report), clamped to the countdown's 32-bit stride — the
-  // single source of truth for the countdown engine and the shard run
+  // single source of truth for the countdown engine and the grouped run
   // loop, so their run boundaries (and with them the site's RNG
   // consumption) cannot drift apart.
   uint64_t NextEventGap(int site) const;
   void RearmSite(int site);
   void RearmAll();
   // Feeds the site's buffered eventless run (sorted in place and moved
-  // into the ladder) and empties the buffer.
-  template <typename Port>
-  void FeedRun(int site, Port& port);
+  // into the ladder) and empties the buffer; tail forwards ship through
+  // the batch port.
+  void FeedRun(int site);
   void HandleEventArrival(int site);
   // Feeds every site's buffered eventless run into the tree. Called when
   // a mid-batch broadcast is about to restart the instances and at batch
@@ -300,13 +282,12 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   // One chunk through the event-countdown engine (buffered runs carry
   // across chunk boundaries; the final flush happens at batch end).
   void CountdownChunk(const sim::Arrival* arrivals, size_t count);
-  // Advances `site` by `count` arrivals of a run no broadcast can cut:
-  // eventless arrivals buffer into the site's run, fed at the site's next
-  // event (the countdown engine's boundaries); each event arrival takes
-  // the site step through `port`. The tail stays buffered for the caller.
-  // Serves grouped chunks and shard runs.
-  template <typename Port>
-  void RunSite(int site, const uint64_t* keys, size_t count, Port& port);
+  // Advances `site` by `count` arrivals of a grouped chunk, which no
+  // broadcast can cut: eventless arrivals buffer into the site's run, fed
+  // at the site's next event (the countdown engine's boundaries); each
+  // event arrival takes the site step through the batch port. The tail
+  // stays buffered for the batch end.
+  void RunSite(int site, const uint64_t* keys, size_t count);
   std::unique_ptr<summaries::CompactorSummary> AcquireNode(SiteState* s,
                                                            int level);
   // Shared-ladder plumbing. EnsureNodes creates any missing level node in
@@ -334,33 +315,21 @@ class RandomizedRankTracker : public sim::RankTrackerInterface,
   void DeferUpload(int site, uint64_t words);
   void FlushDeferredUploads();
 
-  // --- Shard ingest (sim::KeyedShardIngest) ------------------------------
-  void ShardEpochBegin(uint64_t arrivals_in_epoch) override;
-  void ShardArriveRun(int site, const uint64_t* keys, size_t count) override;
-  void ShardEpochEnd() override;
-  // sim::OnlineKeyedSession certifies rolling epochs against this
-  // tracker's broadcast state.
-  count::CoarseTracker* shard_coarse() override { return coarse_.get(); }
-
   RandomizedRankOptions options_;
   sim::CommMeter meter_;
   sim::SpaceGauge space_;
   std::unique_ptr<count::CoarseTracker> coarse_;
   std::vector<SiteState> sites_;
-  // The coordinator's instance storage and estimator. Written by the
-  // shipping site only (shard workers included), never by the replay port.
+  // The coordinator's instance storage and estimator. Written through
+  // the direct and batch ports, never by the replay port.
   RankAggregate agg_;
-  // Coarse-report deltas a site worker deferred during the current shard
-  // epoch; folded (and cleared) by ShardEpochEnd.
-  std::vector<std::vector<uint64_t>> shard_deltas_;
   sim::wire::WireTap* tap_ = nullptr;
 
-  // Batched upload amortization: the batch and shard ports accumulate
-  // (messages, charged words) per site here — a shard worker writes only
-  // its own site's entry — and the batch or epoch end posts one
+  // Batched upload amortization: the batch port accumulates (messages,
+  // charged words) per site here, and the batch end posts one
   // RecordUploadBulk per site. Meter totals at every public observation
-  // point (queries only happen between batches and epochs) are identical
-  // to per-message charging.
+  // point (queries only happen between batches) are identical to
+  // per-message charging.
   struct PendingUpload {
     uint64_t messages = 0;
     uint64_t words = 0;  // with max(1, payload) applied per message

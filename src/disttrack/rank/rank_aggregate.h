@@ -32,9 +32,7 @@
 // summary that would break it is refused, as is a malformed one (segment
 // ends decreasing or past the values, values out of order within a
 // segment, first_leaf >= end_leaf, end_leaf past the round's leaves).
-// Summary returns false and changes nothing. State is per site, so
-// writers of different sites (shard workers) touch disjoint state;
-// BeginRound and Estimate must not run concurrently with them.
+// Summary returns false and changes nothing.
 
 #ifndef DISTTRACK_RANK_RANK_AGGREGATE_H_
 #define DISTTRACK_RANK_RANK_AGGREGATE_H_

@@ -19,6 +19,28 @@ void CheckCheckpointFactor(double checkpoint_factor) {
   }
 }
 
+// The checkpoint loop every Replay* driver shares: delivers the arrivals
+// between consecutive CheckpointCounts(total, checkpoint_factor) entries
+// through `deliver_batch(begin, end)` (element indices [begin, end), in
+// order), then records `sample()`'s (estimate, truth) pair at each
+// checkpoint.
+template <typename DeliverBatchFn, typename SampleFn>
+std::vector<Checkpoint> ReplayImpl(uint64_t total, double checkpoint_factor,
+                                   DeliverBatchFn deliver_batch,
+                                   SampleFn sample) {
+  std::vector<uint64_t> schedule = CheckpointCounts(total, checkpoint_factor);
+  std::vector<Checkpoint> out;
+  out.reserve(schedule.size());
+  uint64_t delivered = 0;
+  for (uint64_t target : schedule) {
+    if (target > delivered) deliver_batch(delivered, target);
+    delivered = target;
+    auto [est, truth] = sample();
+    out.push_back(Checkpoint{delivered, est, truth});
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<uint64_t> CheckpointCounts(uint64_t total,
@@ -44,28 +66,6 @@ std::vector<uint64_t> CheckpointCounts(uint64_t total,
     }
   }
   if (out.empty() || out.back() != total) out.push_back(total);
-  return out;
-}
-
-std::vector<uint64_t> PushBoundaries(uint64_t total, uint64_t max_push,
-                                     const std::vector<uint64_t>& checkpoints) {
-  if (max_push == 0) {
-    std::fprintf(stderr, "disttrack: PushBoundaries max_push must be > 0\n");
-    std::abort();
-  }
-  std::vector<uint64_t> out;
-  uint64_t pos = 0;
-  size_t ci = 0;
-  while (pos < total) {
-    while (ci < checkpoints.size() && checkpoints[ci] <= pos) ++ci;
-    uint64_t next = pos + max_push;
-    if (ci < checkpoints.size() && checkpoints[ci] < next) {
-      next = checkpoints[ci];
-    }
-    if (next > total) next = total;
-    out.push_back(next);
-    pos = next;
-  }
   return out;
 }
 

@@ -1,8 +1,7 @@
 // Replay driver: feeds a recorded workload into a tracker and samples the
 // estimate at checkpoints. This is the "cluster" of the simulation — all k
 // sites plus the coordinator advance in arrival order, exactly as in the
-// instant-communication model of §1.1. sim::ParallelCluster runs the same
-// checkpoint loop (ReplayImpl) with an online session as the delivery.
+// instant-communication model of §1.1.
 
 #ifndef DISTTRACK_SIM_CLUSTER_H_
 #define DISTTRACK_SIM_CLUSTER_H_
@@ -36,44 +35,10 @@ struct Checkpoint {
 /// lands on the first n with n >= next, where next starts at 1 and
 /// becomes n * checkpoint_factor after each checkpoint; the final element
 /// is always `total` (a single n = 0 entry when the workload is empty).
-/// Shared by the serial Replay* drivers and sim::ParallelCluster (via
-/// ReplayImpl) so both sample at identical points. Aborts if
+/// Every Replay* driver below samples at these points. Aborts if
 /// checkpoint_factor <= 1.
 std::vector<uint64_t> CheckpointCounts(uint64_t total,
                                        double checkpoint_factor);
-
-/// The checkpoint loop every replay driver shares (the serial Replay*
-/// below and sim::ParallelCluster's): delivers the arrivals between
-/// consecutive CheckpointCounts(total, checkpoint_factor) entries through
-/// `deliver_batch(begin, end)` (element indices [begin, end), in order),
-/// then records `sample()`'s (estimate, truth) pair at each checkpoint.
-template <typename DeliverBatchFn, typename SampleFn>
-std::vector<Checkpoint> ReplayImpl(uint64_t total, double checkpoint_factor,
-                                   DeliverBatchFn deliver_batch,
-                                   SampleFn sample) {
-  std::vector<uint64_t> schedule = CheckpointCounts(total, checkpoint_factor);
-  std::vector<Checkpoint> out;
-  out.reserve(schedule.size());
-  uint64_t delivered = 0;
-  for (uint64_t target : schedule) {
-    if (target > delivered) deliver_batch(delivered, target);
-    delivered = target;
-    auto [est, truth] = sample();
-    out.push_back(Checkpoint{delivered, est, truth});
-  }
-  return out;
-}
-
-/// Push schedule for the online sessions (sim/online.h): the ascending
-/// cut positions splitting [0, total) into pushes of at most `max_push`
-/// arrivals that ALSO cut at every entry of `checkpoints` (ascending,
-/// e.g. CheckpointCounts output). Cutting at the checkpoints keeps
-/// estimate reads between pushes and lines the rank tracker's per-site
-/// run cuts up with the serial checkpoint replay, so online-vs-replay
-/// comparisons stay bit-identical (see sim/online.h). The final entry is
-/// always `total`; empty when total == 0. Aborts if max_push == 0.
-std::vector<uint64_t> PushBoundaries(uint64_t total, uint64_t max_push,
-                                     const std::vector<uint64_t>& checkpoints);
 
 /// Replays a count workload, sampling EstimateCount() every time n grows by
 /// `checkpoint_factor` (>1) past the previous checkpoint, and once at the

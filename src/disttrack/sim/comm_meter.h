@@ -44,9 +44,9 @@ class CommMeter {
   void RecordUpload(int site, uint64_t words);
 
   /// `messages` site -> coordinator messages carrying `words` charged
-  /// words in total. Used by the shard-ingest barriers to fold a whole
-  /// epoch's deferred per-site charges in one call; the caller applies
-  /// the max(1, payload)-per-message rule when accumulating.
+  /// words in total. Used by rank's batch engine to post a whole batch's
+  /// deferred per-site charges in one call; the caller applies the
+  /// max(1, payload)-per-message rule when accumulating.
   void RecordUploadBulk(int site, uint64_t messages, uint64_t words);
 
   /// Coordinator -> single site message with `words` payload words.

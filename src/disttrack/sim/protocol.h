@@ -18,7 +18,6 @@
 #include <cstdlib>
 
 #include "disttrack/sim/comm_meter.h"
-#include "disttrack/sim/shard.h"
 #include "disttrack/sim/space_gauge.h"
 
 namespace disttrack {
@@ -77,12 +76,6 @@ class CountTrackerInterface {
     }
   }
 
-  /// Per-site parallel ingest handle (see sim/shard.h), or nullptr when
-  /// the tracker (or its current option set) does not support shard
-  /// ingest — the online sessions (sim/online.h), and with them
-  /// sim::ParallelCluster's replays, then fall back to serial delivery.
-  virtual CountShardIngest* shard_ingest() { return nullptr; }
-
   /// The coordinator's current estimate n̂ of the global count.
   virtual double EstimateCount() const = 0;
 
@@ -112,9 +105,6 @@ class FrequencyTrackerInterface {
       Arrive(arrivals[i].site, arrivals[i].key);
     }
   }
-
-  /// Per-site parallel ingest handle; see CountTrackerInterface.
-  virtual KeyedShardIngest* shard_ingest() { return nullptr; }
 
   /// The coordinator's estimate f̂ⱼ of item `item`'s global frequency.
   /// May be negative for rare items (the unbiased estimator (4) of §3.1).
@@ -146,9 +136,6 @@ class RankTrackerInterface {
       Arrive(arrivals[i].site, arrivals[i].key);
     }
   }
-
-  /// Per-site parallel ingest handle; see CountTrackerInterface.
-  virtual KeyedShardIngest* shard_ingest() { return nullptr; }
 
   /// The coordinator's estimate of |{y in stream : y < value}|.
   virtual double EstimateRank(uint64_t value) const = 0;

@@ -1,7 +1,7 @@
 // Tests for count::CountAggregate, the coordinator half of the §2.1 count
 // tracker, and its two hosts: RandomizedCountTracker and sim::CountReplica
-// must agree bit for bit on every delivery path, under any cross-site
-// re-interleaving of the frames, and across a shard epoch fold.
+// must agree bit for bit on every delivery path and under any cross-site
+// re-interleaving of the frames.
 
 #include <cstdint>
 #include <cstring>
@@ -16,7 +16,6 @@
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/sim/cluster.h"
 #include "disttrack/sim/replica.h"
-#include "disttrack/sim/shard.h"
 #include "disttrack/sim/wire.h"
 #include "disttrack/stream/workload.h"
 
@@ -186,61 +185,6 @@ TEST(CountAggregateTest, FrameInterleavingAcrossSitesIsInvisible) {
     EXPECT_TRUE(SameBits(shuffled.Estimate(0), tracker.EstimateCount()))
         << shuffled.Estimate(0) << " vs " << tracker.EstimateCount();
   }
-}
-
-// One shard epoch in which a site reports several times: the fold sets
-// the site's final report once, and the state matches a serial twin that
-// took the same arrivals one by one.
-TEST(CountAggregateTest, ShardEpochFoldsRepeatedReportsToTheSerialEstimate) {
-  RandomizedCountOptions options;
-  options.num_sites = 4;
-  options.epsilon = 0.1;
-  options.seed = 5;
-  RandomizedCountTracker sharded(options);
-  RandomizedCountTracker serial(options);
-  FrameLog log;
-  serial.set_wire_tap(&log);
-  sim::Workload warmup = stream::MakeCountWorkload(
-      4, 4000, stream::SiteSchedule::kRoundRobin, 3);
-  sharded.ArriveBatch(warmup.data(), warmup.size());
-  serial.ArriveBatch(warmup.data(), warmup.size());
-  ASSERT_TRUE(SameBits(sharded.EstimateCount(), serial.EstimateCount()));
-
-  const uint64_t runs[] = {120, 3, 0, 17};
-  uint64_t total = 0;
-  for (uint64_t run : runs) total += run;
-  size_t frames_before = log.frames.size();
-  uint64_t rounds_before = serial.rounds();
-  for (int site = 0; site < 4; ++site) {
-    for (uint64_t j = 0; j < runs[site]; ++j) serial.Arrive(site);
-  }
-  ASSERT_EQ(serial.rounds(), rounds_before) << "the epoch must not broadcast";
-  size_t site0_reports = 0;
-  for (size_t i = frames_before; i < log.frames.size(); ++i) {
-    const Message& msg = log.frames[i];
-    if (msg.type == MsgType::kCoinReport && msg.site == 0) ++site0_reports;
-  }
-  ASSERT_GE(site0_reports, 2u) << "site 0 must report several times";
-
-  sim::CountShardIngest* ingest = sharded.shard_ingest();
-  ASSERT_NE(ingest, nullptr);
-  ingest->ShardEpochBegin(total);
-  for (int site = 0; site < 4; ++site) {
-    ingest->ShardArriveRun(site, runs[site]);
-  }
-  ASSERT_TRUE(ingest->ShardTryEpochEnd());
-  EXPECT_TRUE(SameBits(sharded.EstimateCount(), serial.EstimateCount()))
-      << sharded.EstimateCount() << " vs " << serial.EstimateCount();
-  EXPECT_EQ(sharded.TrueCount(), serial.TrueCount());
-  EXPECT_EQ(sharded.meter().TotalMessages(), serial.meter().TotalMessages());
-  EXPECT_EQ(sharded.meter().TotalWords(), serial.meter().TotalWords());
-
-  // Both go on identically after the fold.
-  sim::Workload tail = stream::MakeCountWorkload(
-      4, 20000, stream::SiteSchedule::kUniformRandom, 4);
-  sharded.ArriveBatch(tail.data(), tail.size());
-  serial.ArriveBatch(tail.data(), tail.size());
-  EXPECT_TRUE(SameBits(sharded.EstimateCount(), serial.EstimateCount()));
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
 #include "disttrack/sim/cluster.h"
-#include "disttrack/sim/parallel_cluster.h"
 #include "disttrack/sim/robust_cluster.h"
 #include "disttrack/stream/workload.h"
 
@@ -246,15 +245,12 @@ TEST(FaultToleranceTest, FaultFreeRobustMatchesSerialReplay) {
   }
 }
 
-// Cross-check against the multi-threaded reference: a robust run under a
-// crash/restart-heavy storm must land on the same bits as ParallelCluster
-// replaying the same workload fault-free on a real thread pool. (This is
-// the test the TSan CI leg runs to sanity-check the pool under the
-// fault-tolerance workloads.)
-TEST(FaultToleranceTest, CrashRestartRunMatchesParallelCluster) {
+// Cross-check against the fault-free serial replay: a robust run under a
+// crash/restart-heavy storm must land on the same bits as ReplayCount /
+// ReplayRank delivering the same workload through ArriveBatch.
+TEST(FaultToleranceTest, CrashRestartRunMatchesSerialReplay) {
   const int k = 6;
   const uint64_t n = 4000;
-  ParallelCluster pool(4);
 
   RobustOptions storm;
   storm.plan.seed = 424242;
@@ -279,7 +275,7 @@ TEST(FaultToleranceTest, CrashRestartRunMatchesParallelCluster) {
     Workload w = stream::MakeCountWorkload(
         k, n, stream::SiteSchedule::kUniformRandom, 73);
     count::RandomizedCountTracker tracker(opt);
-    std::vector<Checkpoint> ref = pool.ReplayCount(&tracker, w);
+    std::vector<Checkpoint> ref = ReplayCount(&tracker, w);
     RobustReport robust = RobustReplayCount(opt, w, storm);
     ASSERT_TRUE(robust.ok) << robust.error;
     EXPECT_EQ(robust.site_recoveries, static_cast<uint64_t>(k));
@@ -300,7 +296,7 @@ TEST(FaultToleranceTest, CrashRestartRunMatchesParallelCluster) {
         k, n, stream::SiteSchedule::kUniformRandom,
         stream::ValueOrder::kUniformRandom, 24, 83);
     rank::RandomizedRankTracker tracker(opt);
-    std::vector<Checkpoint> ref = pool.ReplayRank(&tracker, w, 1ull << 23);
+    std::vector<Checkpoint> ref = ReplayRank(&tracker, w, 1ull << 23);
     RobustReport robust = RobustReplayRank(opt, w, 1ull << 23, storm);
     ASSERT_TRUE(robust.ok) << robust.error;
     EXPECT_EQ(robust.site_recoveries, static_cast<uint64_t>(k));

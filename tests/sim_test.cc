@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "disttrack/core/tracking.h"
 #include "disttrack/sim/cluster.h"
 #include "disttrack/sim/comm_meter.h"
 #include "disttrack/sim/protocol.h"
@@ -154,25 +157,6 @@ TEST(ReplayTest, CountCheckpointsAreGeometricAndEndAtN) {
   }
 }
 
-TEST(PushBoundariesTest, CutsAtCheckpointsAndMaxPush) {
-  // max_push-sized cuts, plus a cut at every checkpoint, ending at total.
-  auto bounds = PushBoundaries(100, 30, {10, 45, 100});
-  EXPECT_EQ(bounds, (std::vector<uint64_t>{10, 40, 45, 75, 100}));
-  // Checkpoints past the end or behind the cursor are ignored.
-  EXPECT_EQ(PushBoundaries(10, 100, {3, 3, 200}),
-            (std::vector<uint64_t>{3, 10}));
-  // Empty stream -> no pushes.
-  EXPECT_TRUE(PushBoundaries(0, 5, {}).empty());
-  // Boundaries partition [0, total): strictly ascending, last == total.
-  auto dense = PushBoundaries(1000, 7, CheckpointCounts(1000, 1.5));
-  ASSERT_FALSE(dense.empty());
-  EXPECT_EQ(dense.back(), 1000u);
-  for (size_t i = 1; i < dense.size(); ++i) {
-    EXPECT_GT(dense[i], dense[i - 1]);
-    EXPECT_LE(dense[i] - dense[i - 1], 7u);
-  }
-}
-
 // Toy exact frequency and rank trackers.
 class ExactFrequencyTracker : public FrequencyTrackerInterface {
  public:
@@ -289,6 +273,42 @@ TEST(ArriveBatchTest, DefaultArriveSitesDeliversEveryElement) {
   tracker.ArriveSites(sites.data(), sites.size());
   EXPECT_EQ(tracker.TrueCount(), 5u);
   EXPECT_DOUBLE_EQ(tracker.EstimateCount(), 5.0);
+}
+
+// The randomized trackers' batch paths validate every site id before it
+// indexes per-site state.
+TEST(ArriveBatchDeathTest, TrackerBatchPathsRejectOutOfRangeSites) {
+  core::TrackerOptions opt;
+  opt.num_sites = 4;
+  opt.epsilon = 0.05;
+  opt.seed = 42;
+  {
+    std::unique_ptr<CountTrackerInterface> tracker;
+    ASSERT_TRUE(
+        core::MakeCountTracker(core::Algorithm::kRandomized, opt, &tracker)
+            .ok());
+    SiteStream sites{0, 4};
+    EXPECT_DEATH(tracker->ArriveSites(sites.data(), sites.size()),
+                 "out of range");
+  }
+  {
+    std::unique_ptr<FrequencyTrackerInterface> tracker;
+    ASSERT_TRUE(core::MakeFrequencyTracker(core::Algorithm::kRandomized, opt,
+                                           &tracker)
+                    .ok());
+    Workload bad{{0, 1}, {-1, 2}};
+    EXPECT_DEATH(tracker->ArriveBatch(bad.data(), bad.size()),
+                 "out of range");
+  }
+  {
+    std::unique_ptr<RankTrackerInterface> tracker;
+    ASSERT_TRUE(
+        core::MakeRankTracker(core::Algorithm::kRandomized, opt, &tracker)
+            .ok());
+    Workload bad{{7, 1}};
+    EXPECT_DEATH(tracker->ArriveBatch(bad.data(), bad.size()),
+                 "out of range");
+  }
 }
 
 TEST(ReplayTest, SiteStreamReplayMatchesWorkloadReplay) {
