@@ -28,27 +28,26 @@ uint64_t Bits(double d) {
   return bits;
 }
 
+sim::CoordinatorCore MakeCore(const ServiceOptions& o,
+                              sim::DownlinkSink* sink) {
+  switch (o.tracker) {
+    case TrackerKind::kCount:
+      return sim::CoordinatorCore(o.CountOptions(), sink);
+    case TrackerKind::kFrequency:
+      return sim::CoordinatorCore(o.FrequencyOptions(), sink);
+    case TrackerKind::kRank:
+      break;
+  }
+  return sim::CoordinatorCore(o.RankOptions(), sink);
+}
+
 }  // namespace
 
 Coordinator::Coordinator(const ServiceOptions& options)
     : options_(options),
       options_hash_(options.Hash()),
-      sessions_(static_cast<size_t>(options.num_sites)) {
-  switch (options_.tracker) {
-    case TrackerKind::kCount:
-      count_replica_ =
-          std::make_unique<sim::CountReplica>(options_.CountOptions());
-      break;
-    case TrackerKind::kFrequency:
-      frequency_replica_ = std::make_unique<sim::FrequencyReplica>(
-          options_.FrequencyOptions());
-      break;
-    case TrackerKind::kRank:
-      rank_replica_ =
-          std::make_unique<sim::RankReplica>(options_.RankOptions());
-      break;
-  }
-}
+      sessions_(static_cast<size_t>(options.num_sites)),
+      core_(MakeCore(options, this)) {}
 
 Coordinator::~Coordinator() {
   for (int fd : listeners_) close(fd);
@@ -76,11 +75,23 @@ uint64_t Coordinator::site_position(int site) const {
   return sessions_[static_cast<size_t>(site)].position;
 }
 
-bool Coordinator::AllSitesDone() const {
-  for (const Session& s : sessions_) {
-    if (!s.done) return false;
+uint64_t Coordinator::SitesDone() const {
+  uint64_t done = 0;
+  for (int site = 0; site < options_.num_sites; ++site) {
+    const Session& s = sessions_[static_cast<size_t>(site)];
+    if (s.stream_ended && s.ritual_acked >= core_.last_broadcast(site)) ++done;
   }
-  return true;
+  return done;
+}
+
+bool Coordinator::AllSitesDone() const {
+  return SitesDone() == static_cast<uint64_t>(options_.num_sites);
+}
+
+Coordinator::Stats Coordinator::stats() const {
+  Stats stats = stats_;
+  static_cast<sim::CoordinatorCore::Ledger&>(stats) = core_.ledger();
+  return stats;
 }
 
 bool Coordinator::ShutdownComplete() const {
@@ -113,14 +124,13 @@ void Coordinator::AppendUnseq(Conn* conn, const Message& msg) {
   AppendOut(conn, frame);
 }
 
-void Coordinator::StageDown(int site, Message msg) {
-  Session& s = sessions_[static_cast<size_t>(site)];
-  s.down_journal.push_back(msg);
-  std::vector<uint8_t> frame;
-  s.down.Stage(msg, 0, &frame);
-  if (s.conn != nullptr) AppendOut(s.conn, frame);
-  // Disconnected: the journal keeps the frame; FinishJoin re-stages the
-  // suffix past the site's watermark when it comes back.
+void Coordinator::Send(int site, const std::vector<uint8_t>& frame,
+                       bool resend) {
+  if (resend) {
+    stats_.resend_frames += 1;
+    stats_.resend_bytes += frame.size();
+  }
+  AppendOut(sessions_[static_cast<size_t>(site)].conn, frame);
 }
 
 void Coordinator::TryWrite(Conn* conn) {
@@ -150,9 +160,7 @@ void Coordinator::CloseConn(Conn* conn) {
     Session& s = sessions_[static_cast<size_t>(conn->site)];
     if (s.conn == conn) {
       s.conn = nullptr;
-      // TCP delivered in order, so nothing can be parked in the reorder
-      // buffer; clear it anyway so a replayed prefix starts clean.
-      s.up.Reset(s.up.watermark());
+      core_.Detach(conn->site);
     }
   }
 }
@@ -172,7 +180,7 @@ void Coordinator::FinishJoin(Conn* conn, const Message& join,
       status = 1;  // fleet options mismatch
     } else if (s->conn != nullptr) {
       status = 3;  // duplicate live connection for this site
-    } else if (hello.b > s->down_journal.size()) {
+    } else if (hello.b > core_.journal_size(site)) {
       status = 4;  // watermark from the future: corrupt snapshot
     }
     // A fresh (non-resume) join for a site the coordinator has already
@@ -183,14 +191,12 @@ void Coordinator::FinishJoin(Conn* conn, const Message& join,
     // correctness (docs/OPERATIONS.md, recovery matrix).
   }
 
-  uint64_t resend_count =
-      (status == 0 && s != nullptr) ? s->down_journal.size() - hello.b : 0;
   Message ack;
   ack.type = MsgType::kJoinAck;
   ack.site = site;
   ack.a = status;
-  ack.b = (s != nullptr) ? s->up.watermark() : 0;
-  ack.c = resend_count;
+  ack.b = (s != nullptr) ? core_.up_watermark(site) : 0;
+  ack.c = status == 0 ? core_.journal_size(site) - hello.b : 0;
   AppendUnseq(conn, ack);
   if (status != 0) {
     conn->close_after_drain = true;
@@ -203,19 +209,9 @@ void Coordinator::FinishJoin(Conn* conn, const Message& join,
   if (s->ever_joined) stats_.rejoins += 1;
   s->ever_joined = true;
 
-  // Catch-up re-blast: every journaled downlink frame the site has not
-  // applied, re-staged in order at its original sequence number. This
-  // necessarily includes every grant and broadcast decision the resumed
-  // replay will block on — decisions are emitted after the reports that
-  // trigger them, so their seqs all exceed the snapshot's watermark.
-  s->down.Reset(hello.b + 1);
-  for (size_t j = hello.b; j < s->down_journal.size(); ++j) {
-    std::vector<uint8_t> frame;
-    s->down.Stage(s->down_journal[j], 0, &frame);
-    stats_.resend_frames += 1;
-    stats_.resend_bytes += frame.size();
-    AppendOut(conn, frame);
-  }
+  // Catch-up re-blast of every journaled grant and decision the site has
+  // not applied (counted as resends by Send).
+  core_.Attach(site, hello.b);
   TryWrite(conn);
 }
 
@@ -228,7 +224,7 @@ void Coordinator::Grant(int site, uint64_t want) {
   grant.site = site;
   grant.a = want;
   grant.b = ++grant_ordinal_;
-  StageDown(site, grant);
+  core_.Stage(site, grant);
 }
 
 void Coordinator::TrySchedule() {
@@ -246,66 +242,12 @@ void Coordinator::TrySchedule() {
 
 // --- Delivered uplink frames ----------------------------------------------
 
-const sim::CoarseMirror& Coordinator::Coarse() const {
-  if (count_replica_) return count_replica_->coarse();
-  if (frequency_replica_) return frequency_replica_->coarse();
-  return rank_replica_->coarse();
-}
-
-void Coordinator::DecideCoarse(int site, bool broadcasts, uint64_t up_seq) {
-  stats_.decisions += 1;
-  if (broadcasts) {
-    const sim::CoarseMirror& coarse = Coarse();
-    Message broadcast;
-    broadcast.type = MsgType::kBroadcast;
-    broadcast.site = -1;
-    broadcast.epoch = coarse.round;
-    broadcast.a = coarse.round;
-    broadcast.b = coarse.n_bar;
-    broadcast.paper_words = 1;
-    stats_.broadcasts += 1;
-    stats_.paper_messages += static_cast<uint64_t>(options_.num_sites);
-    stats_.paper_words +=
-        sim::wire::PaperWordCharge(broadcast, options_.num_sites);
-    for (int target = 0; target < options_.num_sites; ++target) {
-      Message copy = broadcast;
-      copy.c = (target == site) ? up_seq : 0;
-      StageDown(target, copy);
-    }
-  } else {
-    Message quiet;
-    quiet.type = MsgType::kNoBroadcast;
-    quiet.site = site;
-    quiet.a = up_seq;
-    StageDown(site, quiet);
-  }
-}
-
-bool Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
-  // The frequency and rank replicas refuse a frame no tracker produces:
-  // one that would break an exactness bound, or a malformed rank summary.
-  // Nothing else has seen it yet. The hosted replica's coarse mirror is
-  // the coordinator's: its round moves iff this report broadcasts.
-  uint64_t round = Coarse().round;
-  if (frequency_replica_ && !frequency_replica_->Apply(msg)) return false;
-  if (rank_replica_ && !rank_replica_->Apply(msg)) return false;
-  if (count_replica_) count_replica_->Apply(msg);
-  uint64_t charge = sim::wire::PaperWordCharge(msg, options_.num_sites);
-  if (charge > 0) {
-    // A delivered data-plane frame is exactly one §1.1 upload; replays
-    // of journaled frames never reach here (sequence dedup).
-    stats_.paper_messages += 1;
-    stats_.paper_words += charge;
-  }
-
+void Coordinator::HandleControl(int site, const Message& msg) {
   Session& s = sessions_[static_cast<size_t>(site)];
   switch (msg.type) {
-    case MsgType::kCoarseReport:
-      DecideCoarse(site, Coarse().round != round, up_seq);
-      break;
     case MsgType::kGrantRequest:
       if (msg.a == 0) {
-        s.done = true;
+        s.stream_ended = true;
       } else if (options_.mode == RunMode::kFreerun) {
         Grant(site, msg.a);
       } else {
@@ -321,37 +263,32 @@ bool Coordinator::ApplyDelivered(int site, Message msg, uint64_t up_seq) {
       }
       break;
     case MsgType::kRitualAck:
+      s.ritual_acked = msg.a;
       stats_.rituals_acked += 1;
       break;
     default:
-      break;  // estimator frames: replica apply above was the whole job
+      break;  // estimator frames: the core's replica apply was the job
   }
-  return true;
 }
 
 void Coordinator::HandleSiteFrame(Conn* conn, Message msg, uint64_t seq) {
-  Session& s = sessions_[static_cast<size_t>(conn->site)];
+  int site = conn->site;
   if (msg.type == MsgType::kAck) {
-    s.down.Ack(msg.a);
+    core_.Ack(site, msg.a);
     return;
   }
   if (msg.type == MsgType::kJoin || msg.type == MsgType::kHello) return;
-  // The replicas index per-site state by msg.site: a peer speaking for
+  // The replica indexes per-site state by msg.site: a peer speaking for
   // any site but the one it joined as is refused before anything
-  // applies its frame. So is a frame a replica refuses.
-  if (msg.site != conn->site) {
+  // applies its frame. So is a frame the replica refuses.
+  if (msg.site != site) {
     CloseConn(conn);
     return;
   }
-  uint64_t before = s.up.watermark();
-  std::vector<Message> delivered;
-  s.up.Accept(seq, std::move(msg), &delivered);
-  for (size_t i = 0; i < delivered.size(); ++i) {
-    if (!ApplyDelivered(conn->site, std::move(delivered[i]), before + 1 + i)) {
-      CloseConn(conn);
-      return;
-    }
-  }
+  std::vector<Message> applied;
+  bool ok = core_.Receive(site, seq, std::move(msg), &applied);
+  for (const Message& m : applied) HandleControl(site, m);
+  if (!ok) CloseConn(conn);
 }
 
 // --- Queries --------------------------------------------------------------
@@ -362,43 +299,44 @@ sim::wire::Message Coordinator::Query(const Message& query) const {
   result.site = -1;
   result.a = query.a;
   result.b = query.b;
-  uint64_t n_prime = Coarse().n_prime;
+  const sim::CoarseMirror& coarse = core_.coarse();
+  uint64_t n_prime = coarse.n_prime;
   switch (query.a) {
     case kQueryCount: {
       double est = 0;
-      if (count_replica_) est = count_replica_->Estimate(0);
-      result.values = {Bits(est), n_prime, Coarse().round};
+      if (options_.tracker == TrackerKind::kCount) est = core_.Estimate(0);
+      result.values = {Bits(est), n_prime, coarse.round};
       break;
     }
     case kQueryPoint:
-      if (frequency_replica_) {
-        result.values = {Bits(frequency_replica_->Estimate(query.b))};
+      if (core_.frequency() != nullptr) {
+        result.values = {Bits(core_.Estimate(query.b))};
       }
       break;
     case kQueryHeavyHitters:
-      if (frequency_replica_) {
+      if (core_.frequency() != nullptr) {
         double phi = 0;
         uint64_t bits = query.b;
         memcpy(&phi, &bits, sizeof(phi));
         double threshold = phi * static_cast<double>(n_prime);
         for (const auto& [item, est] :
-             frequency_replica_->HeavyHitters(threshold)) {
+             core_.frequency()->HeavyHitters(threshold)) {
           result.values.push_back(item);
           result.values.push_back(Bits(est));
         }
       }
       break;
     case kQueryRank:
-      if (rank_replica_) {
-        result.values = {Bits(rank_replica_->Estimate(query.b))};
+      if (core_.rank() != nullptr) {
+        result.values = {Bits(core_.Estimate(query.b))};
       }
       break;
     case kQueryQuantile:
-      if (rank_replica_) {
+      if (core_.rank() != nullptr) {
         double phi = 0;
         uint64_t bits = query.b;
         memcpy(&phi, &bits, sizeof(phi));
-        const sim::RankReplica& replica = *rank_replica_;
+        const auto& replica = *core_.rank();
         uint64_t x = core::QuantileSearch(
             options_.universe, phi * static_cast<double>(n_prime),
             [&replica](uint64_t value) { return replica.Estimate(value); });
@@ -406,34 +344,30 @@ sim::wire::Message Coordinator::Query(const Message& query) const {
       }
       break;
     case kQueryStats: {
-      uint64_t sites_done = 0, dup_frames = 0;
-      for (const Session& s : sessions_) {
-        if (s.done) ++sites_done;
-        dup_frames += s.up.duplicates();
-      }
+      const Stats totals = stats();
       uint64_t pending_out = PendingOutBytes();
       uint64_t ledger_ok =
-          (stats_.bytes_in == stats_.encoded_in &&
-           stats_.bytes_out + pending_out == stats_.encoded_out)
+          (totals.bytes_in == totals.encoded_in &&
+           totals.bytes_out + pending_out == totals.encoded_out)
               ? 1
               : 0;
-      result.values = {sites_done,
+      result.values = {SitesDone(),
                        static_cast<uint64_t>(options_.num_sites),
-                       stats_.frames_in,
-                       stats_.frames_out,
-                       stats_.bytes_in,
-                       stats_.bytes_out,
-                       stats_.encoded_in,
-                       stats_.encoded_out,
+                       totals.frames_in,
+                       totals.frames_out,
+                       totals.bytes_in,
+                       totals.bytes_out,
+                       totals.encoded_in,
+                       totals.encoded_out,
                        pending_out,
-                       stats_.resend_frames,
-                       stats_.resend_bytes,
-                       dup_frames,
-                       stats_.paper_messages,
-                       stats_.paper_words,
-                       stats_.broadcasts,
-                       stats_.rejoins,
-                       stats_.decisions,
+                       totals.resend_frames,
+                       totals.resend_bytes,
+                       core_.duplicates(),
+                       totals.paper_messages,
+                       totals.paper_words,
+                       totals.broadcasts,
+                       totals.rejoins,
+                       totals.decisions,
                        ledger_ok};
       break;
     }
@@ -450,11 +384,6 @@ sim::wire::Message Coordinator::Query(const Message& query) const {
   return result;
 }
 
-void Coordinator::AnswerQuery(Conn* conn, const Message& query) {
-  AppendUnseq(conn, Query(query));
-  TryWrite(conn);
-}
-
 void Coordinator::BeginShutdown() {
   if (shutting_down_) return;
   shutting_down_ = true;
@@ -462,8 +391,7 @@ void Coordinator::BeginShutdown() {
     Message bye;
     bye.type = MsgType::kShutdown;
     bye.site = site;
-    bye.a = 0;
-    StageDown(site, bye);
+    core_.Stage(site, bye);
   }
 }
 
@@ -488,11 +416,10 @@ void Coordinator::HandleFrame(Conn* conn, Message msg, uint64_t seq) {
       if (conn->has_join) FinishJoin(conn, conn->join, msg);
       break;
     case MsgType::kQuery:
-      conn->is_client = true;
-      AnswerQuery(conn, msg);
+      AppendUnseq(conn, Query(msg));
+      TryWrite(conn);
       break;
     case MsgType::kShutdown:
-      conn->is_client = true;
       BeginShutdown();
       break;
     case MsgType::kAck:
@@ -572,11 +499,10 @@ int Coordinator::PollOnce(int timeout_ms) {
     // Ack whatever the reads advanced, then push responses out now —
     // a site may be parked on one of these frames.
     if (conn->site >= 0) {
-      Session& s = sessions_[static_cast<size_t>(conn->site)];
       Message ack;
       ack.type = MsgType::kAck;
       ack.site = conn->site;
-      ack.a = s.up.watermark();
+      ack.a = core_.up_watermark(conn->site);
       AppendUnseq(conn, ack);
     }
     TryWrite(conn);

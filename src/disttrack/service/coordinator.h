@@ -1,15 +1,16 @@
 // The coordinator daemon: k tracker site-halves behind sockets, one
-// non-blocking poll() event loop (tentpole of the service PR).
+// non-blocking poll() event loop.
 //
-// The coordinator owns the global protocol state the sites must agree
-// on: the coarse threshold (one CoarseMirror decides every broadcast),
-// the estimator replicas (sim/replica.h — rebuilt from delivered frames
-// alone, bit-identical to the serial tracker's coordinator half), the
-// lockstep admission scheduler with its grant order journal, and the
-// per-site reliable channels with their downlink journals for reconnect
-// catch-up. Queries (current count / heavy hitters / quantiles / stats /
-// order journal) are answered from the replicas at any time, including
-// mid-stream.
+// The protocol itself is sim::CoordinatorCore (sim/coordinator_core.h),
+// the same core the fault-injected replay drives: per-site reliable
+// channels with downlink journals for reconnect catch-up, the estimator
+// replica (rebuilt from delivered frames alone, bit-identical to the
+// serial tracker's coordinator half), the §1.1 paper ledger, and the
+// broadcast decisions. This class puts sockets around it, validates
+// joins, runs the lockstep admission scheduler with its grant order
+// journal, and answers queries (current count / heavy hitters /
+// quantiles / stats / order journal) from the core's replica at any
+// time, including mid-stream.
 //
 // Event loop contract: the loop never blocks on any one connection —
 // reads are non-blocking and framed by FrameReader, writes buffer and
@@ -17,6 +18,11 @@
 // backpressure cap simply stops being read until it drains. A site
 // parked on a broadcast decision is unblocked by the ordinary write
 // path; the coordinator never needs to wait for it.
+//
+// A site is done once it has sent its end-of-stream request and
+// ritual-acked the last broadcast staged to it: its kRitualAck follows
+// the corrections that ritual emitted on the same ordered channel, so a
+// fleet whose sites are all done has nothing left in flight.
 //
 // Fault model (docs/OPERATIONS.md): a site connection dying mid-grant
 // stalls the lockstep scheduler — no other site is granted until the
@@ -36,8 +42,7 @@
 #include "disttrack/service/framing.h"
 #include "disttrack/service/options.h"
 #include "disttrack/service/socket.h"
-#include "disttrack/sim/replica.h"
-#include "disttrack/sim/transport.h"
+#include "disttrack/sim/coordinator_core.h"
 #include "disttrack/sim/wire.h"
 
 namespace disttrack {
@@ -56,24 +61,23 @@ enum QueryKind : uint64_t {
   kQueryJournal = 6,       ///< -> grant order journal as site/len pairs
 };
 
-class Coordinator {
+class Coordinator : public sim::DownlinkSink {
  public:
-  /// Wire/paper ledgers. The paper channel mirrors CommMeter §1.1
-  /// semantics exactly: one message + max(1, words) words per delivered
-  /// uplink data frame, k messages + k words per derived broadcast;
-  /// duplicates (crash replays) and service-plane frames charge nothing.
-  struct Stats {
+  /// Wire/paper ledgers. The paper channel is the core's Ledger, which
+  /// mirrors CommMeter §1.1 semantics exactly: one message + max(1, words)
+  /// words per delivered uplink data frame, k messages + k words per
+  /// derived broadcast; duplicates (crash replays) and service-plane
+  /// frames charge nothing.
+  struct Stats : sim::CoordinatorCore::Ledger {
     uint64_t frames_in = 0, frames_out = 0;
     uint64_t bytes_in = 0, bytes_out = 0;      ///< socket read()/write()
     uint64_t encoded_in = 0, encoded_out = 0;  ///< Σ wire::EncodedSize
     uint64_t resend_frames = 0, resend_bytes = 0;  ///< rejoin re-blasts
-    uint64_t paper_messages = 0, paper_words = 0;
-    uint64_t broadcasts = 0, decisions = 0;
     uint64_t rejoins = 0, rituals_acked = 0;
   };
 
   explicit Coordinator(const ServiceOptions& options);
-  ~Coordinator();
+  ~Coordinator() override;
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -94,7 +98,7 @@ class Coordinator {
 
   bool ShutdownComplete() const;
   bool AllSitesDone() const;
-  const Stats& stats() const { return stats_; }
+  Stats stats() const;
   uint64_t site_position(int site) const;
 
   /// Answers a query in-process (same code path as the wire API).
@@ -107,7 +111,6 @@ class Coordinator {
     std::vector<uint8_t> out;
     size_t out_off = 0;
     int site = -1;  ///< joined site id, -1 until kJoin completes
-    bool is_client = false;
     bool has_join = false;
     sim::wire::Message join;
     bool close_after_drain = false;
@@ -116,13 +119,11 @@ class Coordinator {
   };
 
   struct Session {
-    Conn* conn = nullptr;
-    sim::ReliableReceiver up;
-    sim::ReliableSender down;
-    std::vector<sim::wire::Message> down_journal;  ///< seq i+1 at index i
+    Conn* conn = nullptr;  ///< non-null iff the core has the site attached
     uint64_t position = 0;
+    uint64_t ritual_acked = 0;  ///< downlink seq of the last ritual acked
     bool ever_joined = false;
-    bool done = false;
+    bool stream_ended = false;  ///< sent its end-of-stream request
   };
 
   struct GrantEntry {
@@ -132,24 +133,19 @@ class Coordinator {
 
   void HandleFrame(Conn* conn, sim::wire::Message msg, uint64_t seq);
   void HandleSiteFrame(Conn* conn, sim::wire::Message msg, uint64_t seq);
-  // False if a replica refused the frame; the caller closes the link.
-  bool ApplyDelivered(int site, sim::wire::Message msg, uint64_t up_seq);
-  // Stages the decision on a delivered coarse report: a broadcast to
-  // every site, or a kNoBroadcast to the reporting one.
-  void DecideCoarse(int site, bool broadcasts, uint64_t up_seq);
-  // The hosted replica's coarse mirror (n', n̄, round): it applies every
-  // delivered coarse report in delivery order, so it takes the broadcast
-  // decisions.
-  const sim::CoarseMirror& Coarse() const;
+  // The service-plane half of a frame the core applied.
+  void HandleControl(int site, const sim::wire::Message& msg);
+  // Sites that have sent their end-of-stream request and ritual-acked the
+  // last broadcast staged to them.
+  uint64_t SitesDone() const;
   void FinishJoin(Conn* conn, const sim::wire::Message& join,
                   const sim::wire::Message& hello);
   void TrySchedule();
   void Grant(int site, uint64_t want);
-  void AnswerQuery(Conn* conn, const sim::wire::Message& query);
   void BeginShutdown();
 
-  /// Journals + stages one sequenced downlink frame for `site`.
-  void StageDown(int site, sim::wire::Message msg);
+  // sim::DownlinkSink: the core's frames for an attached site.
+  void Send(int site, const std::vector<uint8_t>& frame, bool resend) override;
   void AppendOut(Conn* conn, const std::vector<uint8_t>& bytes);
   void AppendUnseq(Conn* conn, const sim::wire::Message& msg);
   void TryWrite(Conn* conn);
@@ -162,11 +158,7 @@ class Coordinator {
   std::vector<int> listeners_;
   std::vector<std::unique_ptr<Conn>> conns_;
   std::vector<Session> sessions_;
-
-  // Exactly one replica, for options_.tracker.
-  std::unique_ptr<sim::CountReplica> count_replica_;
-  std::unique_ptr<sim::FrequencyReplica> frequency_replica_;
-  std::unique_ptr<sim::RankReplica> rank_replica_;
+  sim::CoordinatorCore core_;
 
   // Lockstep admission: FIFO of pending wants, at most one grant in
   // flight fleet-wide. active_site_ == -1 means the floor is free.

@@ -38,21 +38,6 @@ void CommMeter::RecordBroadcast(uint64_t words) {
       static_cast<uint64_t>(num_sites_) * std::max<uint64_t>(1, words);
 }
 
-void CommMeter::RecordWireFrame(uint64_t bytes) {
-  wire_.frames += 1;
-  wire_.bytes += bytes;
-}
-
-void CommMeter::RecordRetransmit(uint64_t bytes) {
-  retransmit_.frames += 1;
-  retransmit_.bytes += bytes;
-}
-
-void CommMeter::RecordWireOverhead(uint64_t bytes) {
-  wire_overhead_.frames += 1;
-  wire_overhead_.bytes += bytes;
-}
-
 uint64_t CommMeter::TotalMessages() const {
   return uploads_.messages + downloads_.messages;
 }
@@ -71,12 +56,6 @@ void CommMeter::MergeFrom(const CommMeter& other) {
   uploads_.words += other.uploads_.words;
   downloads_.messages += other.downloads_.messages;
   downloads_.words += other.downloads_.words;
-  wire_.frames += other.wire_.frames;
-  wire_.bytes += other.wire_.bytes;
-  retransmit_.frames += other.retransmit_.frames;
-  retransmit_.bytes += other.retransmit_.bytes;
-  wire_overhead_.frames += other.wire_overhead_.frames;
-  wire_overhead_.bytes += other.wire_overhead_.bytes;
   broadcast_count_ += other.broadcast_count_;
   size_t shared =
       std::min(site_upload_messages_.size(), other.site_upload_messages_.size());
@@ -88,9 +67,6 @@ void CommMeter::MergeFrom(const CommMeter& other) {
 void CommMeter::Reset() {
   uploads_ = TrafficTally{};
   downloads_ = TrafficTally{};
-  wire_ = WireTally{};
-  retransmit_ = WireTally{};
-  wire_overhead_ = WireTally{};
   broadcast_count_ = 0;
   std::fill(site_upload_messages_.begin(), site_upload_messages_.end(), 0);
 }

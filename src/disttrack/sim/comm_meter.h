@@ -20,15 +20,6 @@ struct TrafficTally {
   uint64_t words = 0;
 };
 
-/// Tallies of framed wire traffic (sim/wire.h). Separate from the paper's
-/// message/word tallies: frames carry headers, CRCs, acks, and
-/// retransmissions the §1.1 model does not charge, so the wire channels
-/// keep the paper-comparable numbers clean under fault injection.
-struct WireTally {
-  uint64_t frames = 0;
-  uint64_t bytes = 0;
-};
-
 /// Meters all traffic between the coordinator and the k sites.
 ///
 /// Word counts follow §1.1: a counter value, an element, a probability
@@ -70,25 +61,6 @@ class CommMeter {
   /// Number of RecordBroadcast calls (before fan-out multiplication).
   uint64_t broadcast_count() const { return broadcast_count_; }
 
-  /// First transmission of a framed data message (either direction).
-  void RecordWireFrame(uint64_t bytes);
-
-  /// Retransmission of a framed data message: sender backoff resends,
-  /// fault-injected duplicates, and coordinator-restart re-sends all land
-  /// here so the first-transmission channel stays paper-comparable.
-  void RecordRetransmit(uint64_t bytes);
-
-  /// Transport control frames (acks, hello) — pure overhead of the
-  /// reliability layer, charged to neither data channel.
-  void RecordWireOverhead(uint64_t bytes);
-
-  const WireTally& wire() const { return wire_; }
-  const WireTally& retransmit() const { return retransmit_; }
-  const WireTally& wire_overhead() const { return wire_overhead_; }
-
-  /// Convenience for the satellite accounting tests.
-  uint64_t retransmit_bytes() const { return retransmit_.bytes; }
-
   /// Per-site upload message counts (used by skew experiments).
   uint64_t SiteUploadMessages(int site) const;
 
@@ -105,9 +77,6 @@ class CommMeter {
   int num_sites_;
   TrafficTally uploads_;
   TrafficTally downloads_;
-  WireTally wire_;
-  WireTally retransmit_;
-  WireTally wire_overhead_;
   uint64_t broadcast_count_ = 0;
   std::vector<uint64_t> site_upload_messages_;
 };

@@ -1,6 +1,6 @@
 // Coordinator-side estimator replicas, rebuilt from delivered wire frames
-// alone (extracted from the fault harness in robust_cluster.cc so the
-// multi-process service coordinator can host the same mirrors).
+// alone. sim::CoordinatorCore (coordinator_core.h) hosts one, for both
+// the fault-injected replay and the multi-process service coordinator.
 //
 // Each replica is a CoarseMirror plus the tracker's own coordinator
 // aggregate (count_aggregate.h, frequency_aggregate.h, rank_aggregate.h),
@@ -8,12 +8,11 @@
 // the coordinator half of the estimator bit for bit: the fault harness
 // (robust_cluster.h) proves the property differentially at every
 // checkpoint, and the service daemon (service/coordinator.h) serves its
-// snapshot query API from these same classes and takes its broadcast
-// decisions from the hosted replica's mirror. Delivery contract: per
-// site frames arrive in FIFO order and exactly once — the reliable
-// channel layer (transport.h) provides both under faults, and the TCP
-// sessions of the service provide them natively plus sequence-number
-// dedup across reconnects.
+// snapshot query API from the same hosted replica. The core takes its
+// broadcast decisions from the replica's mirror. Delivery contract: per
+// site frames arrive in FIFO order and exactly once — the core's
+// sequenced channels (transport.h) provide both, under link faults and
+// across reconnects alike.
 
 #ifndef DISTTRACK_SIM_REPLICA_H_
 #define DISTTRACK_SIM_REPLICA_H_

@@ -1,18 +1,42 @@
 #include "disttrack/sim/robust_cluster.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <map>
+#include <memory>
+#include <utility>
 
-#include "disttrack/common/math_util.h"
-#include "disttrack/sim/replica.h"
+#include "disttrack/sim/coordinator_core.h"
 
 namespace disttrack {
 namespace sim {
 
 namespace {
+
+// Geometric checkpoint schedule factor (cluster.h's default).
+constexpr double kCheckpointFactor = 1.5;
+
+// Abort bound on one quiescence pump. A correct run quiesces in a few
+// ticks per arrival; hitting the cap means frames stopped making progress
+// (a transport bug, not a fault — faults always retransmit).
+constexpr uint64_t kTickCap = 1000000;
+
+// Per-site channel topology (link ids are site * 4 + kind):
+//   kind 0  up_data    site -> coordinator   data frames
+//   kind 1  up_ack     coordinator -> site   cumulative acks for up_data
+//   kind 2  down_data  coordinator -> site   decision frames
+//   kind 3  down_ack   site -> coordinator   cumulative acks for down_data
+// Data links carry reliable channels (a ReliableSender / ReliableReceiver
+// pair; the coordinator's halves live in the CoordinatorCore); ack links
+// are fire-and-forget (a lost ack is recovered by the next ack or by the
+// sender's retransmit). The sites' backoff matches the core's: its
+// initial delay must exceed the 2-tick send+ack round trip, or a
+// fault-free run would retransmit.
+constexpr int kUpData = 0;
+constexpr int kUpAck = 1;
+constexpr int kDownData = 2;
+constexpr int kDownAck = 3;
+constexpr uint64_t kBackoffInitial = 4;
+constexpr uint64_t kBackoffCap = 64;
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -29,160 +53,109 @@ bool SameMessageIgnoringEpoch(const wire::Message& a, const wire::Message& b) {
          a.values == b.values && a.segments == b.segments;
 }
 
-// --- Tracker adapters -----------------------------------------------------
+// --- What differs between the three trackers -------------------------------
 
-struct CountAdapter {
-  using Tracker = count::RandomizedCountTracker;
-  using Options = count::RandomizedCountOptions;
-  using Replica = CountReplica;
-  static void Deliver(Tracker* t, const Arrival& a) { t->Arrive(a.site); }
-  static double Estimate(const Tracker& t, uint64_t) {
-    return t.EstimateCount();
-  }
-  static void Truth(const Arrival&, uint64_t, uint64_t* acc) { ++*acc; }
-};
+void Deliver(count::RandomizedCountTracker* t, const Arrival& a) {
+  t->Arrive(a.site);
+}
+template <typename Tracker>
+void Deliver(Tracker* t, const Arrival& a) {
+  t->Arrive(a.site, a.key);
+}
+double Estimate(const count::RandomizedCountTracker& t, uint64_t) {
+  return t.EstimateCount();
+}
+double Estimate(const frequency::RandomizedFrequencyTracker& t,
+                uint64_t item) {
+  return t.EstimateFrequency(item);
+}
+double Estimate(const rank::RandomizedRankTracker& t, uint64_t value) {
+  return t.EstimateRank(value);
+}
 
-struct FrequencyAdapter {
-  using Tracker = frequency::RandomizedFrequencyTracker;
-  using Options = frequency::RandomizedFrequencyOptions;
-  using Replica = FrequencyReplica;
-  static void Deliver(Tracker* t, const Arrival& a) {
-    t->Arrive(a.site, a.key);
-  }
-  static double Estimate(const Tracker& t, uint64_t query) {
-    return t.EstimateFrequency(query);
-  }
-  static void Truth(const Arrival& a, uint64_t query, uint64_t* acc) {
-    if (a.key == query) ++*acc;
-  }
-};
-
-struct RankAdapter {
-  using Tracker = rank::RandomizedRankTracker;
-  using Options = rank::RandomizedRankOptions;
-  using Replica = RankReplica;
-  static void Deliver(Tracker* t, const Arrival& a) {
-    t->Arrive(a.site, a.key);
-  }
-  static double Estimate(const Tracker& t, uint64_t query) {
-    return t.EstimateRank(query);
-  }
-  static void Truth(const Arrival& a, uint64_t query, uint64_t* acc) {
-    if (a.key < query) ++*acc;
-  }
-};
+/// Whether `arrival` counts toward the checkpoint truth for `query`.
+using TruthFn = bool (*)(const Arrival& arrival, uint64_t query);
 
 // --- Engine ---------------------------------------------------------------
 
-// Per-site channel topology (link ids are site * 4 + kind):
-//   kind 0  up_data    site -> coordinator   data frames
-//   kind 1  up_ack     coordinator -> site   cumulative acks for up_data
-//   kind 2  down_data  coordinator -> site   broadcast frames
-//   kind 3  down_ack   site -> coordinator   cumulative acks for down_data
-// Data links carry reliable channels (ReliableSender / ReliableReceiver);
-// ack links are fire-and-forget (a lost ack is recovered by the next ack
-// or by the sender's retransmit). The backoff's initial delay must exceed
-// the 2-tick send+ack round trip, or a fault-free run would retransmit.
-constexpr int kUpData = 0;
-constexpr int kUpAck = 1;
-constexpr int kDownData = 2;
-constexpr int kDownAck = 3;
-constexpr uint64_t kBackoffInitial = 4;
-constexpr uint64_t kBackoffCap = 64;
-
-template <typename Adapter>
-class Engine : public wire::WireTap {
+template <typename Tracker, typename Options>
+class Engine : public wire::WireTap, public DownlinkSink {
  public:
-  Engine(const typename Adapter::Options& options, const Workload& workload,
-         uint64_t query, const RobustOptions& robust)
+  Engine(const Options& options, const Workload& workload, uint64_t query,
+         const RobustOptions& robust, TruthFn counts)
       : options_(options),
         workload_(workload),
         query_(query),
-        robust_(robust),
+        counts_(counts),
         plan_(robust.plan),
         k_(options.num_sites),
         tracker_(options),
-        replica_(options),
-        meter_(options.num_sites),
+        up_send_(static_cast<size_t>(k_),
+                 ReliableSender(ExponentialBackoff(kBackoffInitial,
+                                                   kBackoffCap))),
+        down_recv_(static_cast<size_t>(k_)),
         site_count_(static_cast<size_t>(k_), 0),
         key_log_(static_cast<size_t>(k_)),
         up_journal_(static_cast<size_t>(k_)),
-        down_journal_(static_cast<size_t>(k_)),
         snapshots_(static_cast<size_t>(k_)),
         snapshot_pending_(static_cast<size_t>(k_), 0) {
     if (plan_.snapshot_every == 0) plan_.snapshot_every = 1;
     links_.reserve(static_cast<size_t>(k_) * 4);
-    for (int s = 0; s < k_; ++s) {
-      for (int kind = 0; kind < 4; ++kind) {
-        links_.emplace_back(&plan_, static_cast<uint64_t>(s * 4 + kind));
-      }
+    for (uint64_t id = 0; id < static_cast<uint64_t>(k_) * 4; ++id) {
+      links_.emplace_back(&plan_, id);
     }
-    ExponentialBackoff backoff(kBackoffInitial, kBackoffCap);
-    up_send_.assign(static_cast<size_t>(k_), ReliableSender(backoff));
-    down_send_.assign(static_cast<size_t>(k_), ReliableSender(backoff));
-    up_recv_.assign(static_cast<size_t>(k_), ReliableReceiver());
-    down_recv_.assign(static_cast<size_t>(k_), ReliableReceiver());
+    core_ = std::make_unique<CoordinatorCore>(options_, this);
+    for (int s = 0; s < k_; ++s) core_->Attach(s, 0);
     tracker_.set_wire_tap(this);
   }
 
   RobustReport Run() {
     for (int s = 0; s < k_; ++s) TakeSnapshot(s);
 
-    std::vector<FaultPlan::SiteCrash> crashes = plan_.site_crashes;
-    std::stable_sort(crashes.begin(), crashes.end(),
-                     [](const FaultPlan::SiteCrash& a,
-                        const FaultPlan::SiteCrash& b) {
-                       return a.global_arrival < b.global_arrival;
-                     });
-    std::vector<uint64_t> restarts = plan_.coordinator_restarts;
-    std::sort(restarts.begin(), restarts.end());
-    for (const auto& crash : crashes) {
+    for (const FaultPlan::SiteCrash& crash : plan_.site_crashes) {
       if (crash.site < 0 || crash.site >= k_) {
-        return Abort("fault plan crashes an out-of-range site");
+        Fail("fault plan crashes an out-of-range site");
       }
     }
 
     std::vector<uint64_t> schedule =
-        CheckpointCounts(workload_.size(), robust_.checkpoint_factor);
-    size_t crash_idx = 0;
-    size_t restart_idx = 0;
+        CheckpointCounts(workload_.size(), kCheckpointFactor);
     size_t ckpt_idx = 0;
     uint64_t truth = 0;
 
     for (uint64_t g = 0; g < workload_.size() && report_.ok; ++g) {
-      while (crash_idx < crashes.size() &&
-             crashes[crash_idx].global_arrival == g && report_.ok) {
-        CrashAndRecover(crashes[crash_idx].site);
-        ++crash_idx;
+      // Fault events fire at arrival boundaries: this arrival's site
+      // crashes first, in plan order, then its coordinator restarts.
+      for (const FaultPlan::SiteCrash& crash : plan_.site_crashes) {
+        if (crash.global_arrival == g && report_.ok) {
+          CrashAndRecover(crash.site);
+        }
       }
-      while (restart_idx < restarts.size() && restarts[restart_idx] == g &&
-             report_.ok) {
-        RestartCoordinator();
-        ++restart_idx;
+      for (uint64_t restart : plan_.coordinator_restarts) {
+        if (restart == g && report_.ok) RestartCoordinator();
       }
       if (!report_.ok) break;
 
       const Arrival& arrival = workload_[g];
-      current_site_ = arrival.site;
-      ++site_count_[static_cast<size_t>(arrival.site)];
-      key_log_[static_cast<size_t>(arrival.site)].push_back(arrival.key);
-      arrival_paper_words_ = 0;
-      uint64_t words_before = tracker_.meter().TotalWords();
-
-      Adapter::Deliver(&tracker_, arrival);
+      int s = arrival.site;
+      current_site_ = s;
+      ++site_count_[static_cast<size_t>(s)];
+      key_log_[static_cast<size_t>(s)].push_back(arrival.key);
+      Deliver(&tracker_, arrival);
       Pump();
       if (!report_.ok) break;
 
-      if (tracker_.meter().TotalWords() - words_before !=
-          arrival_paper_words_) {
-        return Abort("frame word charges diverged from the paper meter");
+      // Quiescent: the coordinator has applied every frame and taken every
+      // decision, so its ledger and round must be the tracker's.
+      const CoordinatorCore::Ledger& ledger = core_->ledger();
+      if (ledger.paper_messages != tracker_.meter().TotalMessages() ||
+          ledger.paper_words != tracker_.meter().TotalWords()) {
+        Fail("coordinator ledger diverged from the paper meter");
+      } else if (core_->coarse().round != broadcast_records_.size()) {
+        Fail("coordinator round diverged after quiescence");
       }
-      if (replica_.round() != broadcast_records_.size()) {
-        return Abort("replica round diverged after quiescence");
-      }
-      Adapter::Truth(arrival, query_, &truth);
+      if (counts_(arrival, query_)) ++truth;
 
-      int s = arrival.site;
       if (site_count_[static_cast<size_t>(s)] % plan_.snapshot_every == 0) {
         snapshot_pending_[static_cast<size_t>(s)] = 1;
       }
@@ -192,11 +165,12 @@ class Engine : public wire::WireTap {
         snapshot_pending_[static_cast<size_t>(s)] = 0;
       }
 
-      if (ckpt_idx < schedule.size() && schedule[ckpt_idx] == g + 1) {
-        double est = Adapter::Estimate(tracker_, query_);
-        double rep = replica_.Estimate(query_);
+      if (report_.ok && ckpt_idx < schedule.size() &&
+          schedule[ckpt_idx] == g + 1) {
+        double est = Estimate(tracker_, query_);
+        double rep = core_->Estimate(query_);
         if (!SameBits(est, rep)) {
-          return Abort("replica estimate diverged from tracker");
+          Fail("coordinator estimate diverged from tracker");
         }
         report_.checkpoints.push_back(RobustCheckpoint{
             g + 1, est, rep, static_cast<double>(truth)});
@@ -209,7 +183,10 @@ class Engine : public wire::WireTap {
   }
 
   // WireTap: the tracker hands over each metered message at its §1.1 send
-  // instant; stage it on the reliable channel and offer it to the link.
+  // instant; stage it on the site's reliable channel and offer it to the
+  // link. The tracker's own broadcast is only recorded: the coordinator
+  // core decides and sends broadcasts, and the sites check each one
+  // against these records.
   void OnMessage(wire::Message&& msg) override {
     if (!report_.ok) return;
     if (msg.site < 0) {
@@ -217,47 +194,35 @@ class Engine : public wire::WireTap {
         Fail("crash replay emitted a broadcast");
         return;
       }
-      arrival_paper_words_ += wire::PaperWordCharge(msg, k_);
       broadcast_records_.push_back(
-          BroadcastRecord{msg.a, msg.b, current_site_, site_count_});
-      for (int s = 0; s < k_; ++s) {
-        std::vector<uint8_t> frame;
-        down_send_[static_cast<size_t>(s)].Stage(msg, now_, &frame);
-        down_journal_[static_cast<size_t>(s)].push_back(msg);
-        meter_.RecordWireFrame(frame.size());
-        uint64_t dup = links_[LinkId(s, kDownData)].Send(std::move(frame),
-                                                         now_);
-        if (dup) meter_.RecordRetransmit(dup);
-      }
+          BroadcastRecord{msg.b, current_site_, site_count_});
       return;
     }
     int s = msg.site;
     std::vector<uint8_t> frame;
     uint64_t seq = up_send_[static_cast<size_t>(s)].Stage(msg, now_, &frame);
+    auto& journal = up_journal_[static_cast<size_t>(s)];
     if (recovering_) {
       // A replayed frame re-uses its original sequence number (the sender
       // was reset to the snapshot's next_seq and the replay regenerates
       // the identical frame sequence); it must match the journaled
       // original and is charged as recovery retransmission.
-      const auto& journal = up_journal_[static_cast<size_t>(s)];
       if (seq > journal.size() ||
           !SameMessageIgnoringEpoch(msg, journal[static_cast<size_t>(seq) -
                                                  1])) {
         Fail("crash replay re-emitted a frame that differs from the journal");
         return;
       }
-      meter_.RecordRetransmit(frame.size());
+      report_.retransmit_bytes += frame.size();
     } else {
-      arrival_paper_words_ += wire::PaperWordCharge(msg, k_);
-      meter_.RecordWireFrame(frame.size());
+      journal.push_back(std::move(msg));
+      report_.wire_bytes += frame.size();
     }
-    uint64_t dup = links_[LinkId(s, kUpData)].Send(std::move(frame), now_);
-    if (dup) meter_.RecordRetransmit(dup);
+    Offer(s, kUpData, std::move(frame), &report_.retransmit_bytes);
   }
 
  private:
   struct BroadcastRecord {
-    uint64_t round = 0;
     uint64_t n_bar = 0;
     int trigger_site = -1;
     // site_pos[i]: arrivals site i had completed or begun when the
@@ -274,49 +239,50 @@ class Engine : public wire::WireTap {
     size_t broadcast_count = 0;
   };
 
-  size_t LinkId(int site, int kind) const {
-    return static_cast<size_t>(site) * 4 + static_cast<size_t>(kind);
-  }
-
   void Fail(const char* what) {
     if (!report_.ok) return;
     report_.ok = false;
     report_.error = what;
   }
 
-  RobustReport Abort(const char* what) {
-    Fail(what);
-    Finish();
-    return std::move(report_);
-  }
-
   void Finish() {
-    report_.wire_bytes = meter_.wire().bytes;
-    report_.retransmit_bytes = meter_.retransmit().bytes;
-    report_.overhead_bytes = meter_.wire_overhead().bytes;
-    report_.link_bytes_offered = 0;
     for (const FaultyLink& link : links_) {
       report_.link_bytes_offered += link.bytes_offered();
     }
-    report_.retransmissions = 0;
-    for (int s = 0; s < k_; ++s) {
-      report_.retransmissions +=
-          up_send_[static_cast<size_t>(s)].retransmissions() +
-          down_send_[static_cast<size_t>(s)].retransmissions();
-      report_.frames_deduped +=
-          up_recv_[static_cast<size_t>(s)].duplicates() +
-          down_recv_[static_cast<size_t>(s)].duplicates();
+    report_.retransmissions += core_->retransmissions();
+    report_.frames_deduped += core_->duplicates();
+    for (const ReliableSender& up : up_send_) {
+      report_.retransmissions += up.retransmissions();
+    }
+    for (const ReliableReceiver& down : down_recv_) {
+      report_.frames_deduped += down.duplicates();
     }
     report_.paper_words = tracker_.meter().TotalWords();
     report_.paper_messages = tracker_.meter().TotalMessages();
-    if (report_.ok &&
-        report_.link_bytes_offered !=
-            report_.wire_bytes + report_.retransmit_bytes +
-                report_.overhead_bytes) {
-      Fail("link bytes diverged from meter frame accounting");
+    if (report_.link_bytes_offered != report_.wire_bytes +
+                                          report_.retransmit_bytes +
+                                          report_.overhead_bytes) {
+      Fail("link bytes diverged from the frame accounting");
     }
   }
 
+  // Offers `frame` to `site`'s `kind` link at the current tick; a
+  // fault-layer duplicate's bytes are charged to `*dup_bytes`.
+  void Offer(int site, int kind, std::vector<uint8_t> frame,
+             uint64_t* dup_bytes) {
+    *dup_bytes += links_[static_cast<size_t>(site * 4 + kind)].Send(
+        std::move(frame), now_);
+  }
+
+  // DownlinkSink: the core's decision frames (and catch-up re-sends) go
+  // out on the site's down_data link.
+  void Send(int site, const std::vector<uint8_t>& frame,
+            bool resend) override {
+    (resend ? report_.retransmit_bytes : report_.wire_bytes) += frame.size();
+    Offer(site, kDownData, frame, &report_.retransmit_bytes);
+  }
+
+  // Acks and hellos: transport overhead, outside both data channels.
   void SendControl(int site, int kind, wire::MsgType type, uint64_t a) {
     wire::Message msg;
     msg.type = type;
@@ -324,129 +290,93 @@ class Engine : public wire::WireTap {
     msg.a = a;
     std::vector<uint8_t> frame;
     wire::EncodeFrame(msg, 0, &frame);
-    meter_.RecordWireOverhead(frame.size());
-    uint64_t dup = links_[LinkId(site, kind)].Send(std::move(frame), now_);
-    if (dup) meter_.RecordWireOverhead(dup);
+    report_.overhead_bytes += frame.size();
+    Offer(site, kind, std::move(frame), &report_.overhead_bytes);
   }
 
-  void ApplyUplink(int site, const wire::Message& msg) {
-    auto& journal = up_journal_[static_cast<size_t>(site)];
-    journal.push_back(msg);
-    global_journal_.push_back(msg);
-    uint64_t round_before = replica_.round();
-    replica_.Apply(msg);
-    if (replica_.round() != round_before) {
-      // Derived broadcast: cross-check against the tap-side record.
-      if (replica_.round() != round_before + 1 ||
-          replica_.round() > broadcast_records_.size()) {
-        Fail("replica derived a broadcast the tracker never performed");
-        return;
-      }
-      const BroadcastRecord& rec =
-          broadcast_records_[static_cast<size_t>(replica_.round()) - 1];
-      if (rec.round != replica_.round() || rec.n_bar != replica_.n_bar()) {
-        Fail("replica broadcast diverged from the tracker's");
-      }
+  // The site's side of a delivered decision: its tracker already ran any
+  // broadcast ritual in place, so it checks that the coordinator's
+  // broadcast is the one the tracker performed (records are kept in
+  // round order, round r at index r - 1).
+  void CheckDecision(const wire::Message& msg) {
+    if (msg.type == wire::MsgType::kNoBroadcast) return;
+    size_t round = static_cast<size_t>(msg.a);
+    if (msg.type != wire::MsgType::kBroadcast || round == 0 ||
+        round > broadcast_records_.size() ||
+        broadcast_records_[round - 1].n_bar != msg.b) {
+      Fail("coordinator decision diverged from the tracker's broadcasts");
     }
+  }
+
+  // Delivers one decoded frame that arrived on `site`'s `kind` link.
+  void Arrived(int site, int kind, wire::Message msg, uint64_t seq) {
+    std::vector<wire::Message> delivered;
+    switch (kind) {
+      case kUpData:
+        if (!core_->Receive(site, seq, std::move(msg), &delivered)) {
+          Fail("coordinator refused a tracker frame");
+        }
+        delivery_order_.insert(delivery_order_.end(), delivered.size(),
+                               site);
+        SendControl(site, kUpAck, wire::MsgType::kAck,
+                    core_->up_watermark(site));
+        break;
+      case kUpAck:
+        up_send_[static_cast<size_t>(site)].Ack(msg.a);
+        return;
+      case kDownData: {
+        ReliableReceiver& down = down_recv_[static_cast<size_t>(site)];
+        down.Accept(seq, std::move(msg), &delivered);
+        for (const wire::Message& d : delivered) CheckDecision(d);
+        SendControl(site, kDownAck, wire::MsgType::kAck, down.watermark());
+        break;
+      }
+      case kDownAck:
+        core_->Ack(site, msg.a);
+        return;
+    }
+    report_.frames_delivered += delivered.size();
   }
 
   void Pump() {
     std::vector<std::vector<uint8_t>> frames;
-    std::vector<wire::Message> delivered;
     uint64_t start = now_;
     while (report_.ok) {
-      ++now_;
+      core_->set_tick(++now_);
       for (int s = 0; s < k_ && report_.ok; ++s) {
-        for (int kind = 0; kind < 4; ++kind) {
+        for (int kind = 0; kind < 4 && report_.ok; ++kind) {
           frames.clear();
-          if (!links_[LinkId(s, kind)].Deliver(now_, &frames)) continue;
-          for (auto& raw : frames) {
+          links_[static_cast<size_t>(s * 4 + kind)].Deliver(now_, &frames);
+          for (size_t i = 0; i < frames.size() && report_.ok; ++i) {
             wire::Message msg;
             uint64_t seq = 0;
-            if (!wire::DecodeFrame(raw.data(), raw.size(), &msg, &seq)) {
+            if (!wire::DecodeFrame(frames[i].data(), frames[i].size(), &msg,
+                                   &seq)) {
               Fail("undecodable frame on a fault-injected link");
-              break;
+            } else if (msg.type != wire::MsgType::kHello) {
+              Arrived(s, kind, std::move(msg), seq);
             }
-            switch (kind) {
-              case kUpData: {
-                if (msg.type == wire::MsgType::kHello) break;
-                delivered.clear();
-                up_recv_[static_cast<size_t>(s)].Accept(seq, std::move(msg),
-                                                        &delivered);
-                for (const wire::Message& m : delivered) ApplyUplink(s, m);
-                report_.frames_delivered += delivered.size();
-                SendControl(s, kUpAck, wire::MsgType::kAck,
-                            up_recv_[static_cast<size_t>(s)].watermark());
-                break;
-              }
-              case kUpAck:
-                up_send_[static_cast<size_t>(s)].Ack(msg.a);
-                break;
-              case kDownData: {
-                if (msg.type == wire::MsgType::kHello) break;
-                delivered.clear();
-                down_recv_[static_cast<size_t>(s)].Accept(
-                    seq, std::move(msg), &delivered);
-                uint64_t wm =
-                    down_recv_[static_cast<size_t>(s)].watermark();
-                uint64_t base = wm - delivered.size();
-                for (size_t i = 0; i < delivered.size(); ++i) {
-                  // The site applies nothing (the tracker already ran the
-                  // broadcast ritual in place); verify the frame matches
-                  // the coordinator's journal copy bit for bit.
-                  const auto& journal =
-                      down_journal_[static_cast<size_t>(s)];
-                  size_t idx = static_cast<size_t>(base + i);
-                  if (idx >= journal.size() ||
-                      !SameMessageIgnoringEpoch(delivered[i],
-                                                journal[idx]) ||
-                      delivered[i].epoch != journal[idx].epoch) {
-                    Fail("delivered broadcast diverged from the journal");
-                    break;
-                  }
-                }
-                report_.frames_delivered += delivered.size();
-                SendControl(s, kDownAck, wire::MsgType::kAck, wm);
-                break;
-              }
-              case kDownAck:
-                down_send_[static_cast<size_t>(s)].Ack(msg.a);
-                break;
-            }
-            if (!report_.ok) break;
           }
         }
+        // Backoff retransmits of both data channels.
         frames.clear();
-        if (up_send_[static_cast<size_t>(s)].DueRetransmits(now_, &frames)) {
-          for (auto& raw : frames) {
-            meter_.RecordRetransmit(raw.size());
-            uint64_t dup =
-                links_[LinkId(s, kUpData)].Send(std::move(raw), now_);
-            if (dup) meter_.RecordRetransmit(dup);
-          }
-        }
-        frames.clear();
-        if (down_send_[static_cast<size_t>(s)].DueRetransmits(now_,
-                                                              &frames)) {
-          for (auto& raw : frames) {
-            meter_.RecordRetransmit(raw.size());
-            uint64_t dup =
-                links_[LinkId(s, kDownData)].Send(std::move(raw), now_);
-            if (dup) meter_.RecordRetransmit(dup);
-          }
+        up_send_[static_cast<size_t>(s)].DueRetransmits(now_, &frames);
+        size_t up_frames = frames.size();
+        core_->DueRetransmits(s, &frames);
+        for (size_t i = 0; i < frames.size(); ++i) {
+          report_.retransmit_bytes += frames[i].size();
+          Offer(s, i < up_frames ? kUpData : kDownData, std::move(frames[i]),
+                &report_.retransmit_bytes);
         }
       }
-      if (!report_.ok) break;
       bool idle = true;
       for (const FaultyLink& link : links_) idle = idle && link.idle();
       for (int s = 0; s < k_ && idle; ++s) {
-        idle = up_send_[static_cast<size_t>(s)].idle() &&
-               down_send_[static_cast<size_t>(s)].idle();
+        idle = up_send_[static_cast<size_t>(s)].idle() && core_->down_idle(s);
       }
       if (idle) break;
-      if (now_ - start > robust_.tick_cap) {
+      if (now_ - start > kTickCap) {
         Fail("transport failed to quiesce within the tick cap");
-        break;
       }
     }
   }
@@ -468,9 +398,10 @@ class Engine : public wire::WireTap {
 
     // The crash wipes the site's volatile state: tracker-side private
     // state back to the snapshot, uplink sender soft state (unacked
-    // buffer + next seq), downlink delivery watermark. Coordinator-side
-    // state — the journal, the replica, the uplink dedup watermark —
-    // survives by design; dedup is what makes the replay idempotent.
+    // buffer + next seq), downlink delivery watermark. The coordinator
+    // detaches the site and keeps its journals, replica and uplink dedup
+    // watermark; dedup is what makes the replay idempotent.
+    core_->Detach(site);
     tracker_.BeginCrashReplay(site);
     tracker_.RestoreSiteState(site, snap.blob);
     up_send_[static_cast<size_t>(site)].Reset(snap.up_next_seq);
@@ -479,33 +410,16 @@ class Engine : public wire::WireTap {
     // Reconnect handshake: watermark exchange, pure transport overhead.
     SendControl(site, kUpData, wire::MsgType::kHello, snap.up_next_seq - 1);
     SendControl(site, kDownData, wire::MsgType::kHello,
-                down_journal_[static_cast<size_t>(site)].size());
+                core_->journal_size(site));
 
-    // Re-deliver the broadcasts the site lost, from the coordinator's
+    // Re-attaching re-sends the decisions the site lost, from the core's
     // journal, with their original sequence numbers.
-    const auto& down_journal = down_journal_[static_cast<size_t>(site)];
-    uint64_t live_next =
-        down_send_[static_cast<size_t>(site)].next_seq();
-    if (live_next != down_journal.size() + 1) {
-      Fail("down channel sequence diverged from the journal");
-      return;
-    }
-    down_send_[static_cast<size_t>(site)].Reset(snap.down_watermark + 1);
-    for (uint64_t seq = snap.down_watermark + 1; seq <= down_journal.size();
-         ++seq) {
-      std::vector<uint8_t> frame;
-      down_send_[static_cast<size_t>(site)].Stage(
-          down_journal[static_cast<size_t>(seq) - 1], now_, &frame);
-      meter_.RecordRetransmit(frame.size());
-      uint64_t dup =
-          links_[LinkId(site, kDownData)].Send(std::move(frame), now_);
-      if (dup) meter_.RecordRetransmit(dup);
-    }
+    core_->Attach(site, snap.down_watermark);
     Pump();
     if (!report_.ok) return;
     if (down_recv_[static_cast<size_t>(site)].watermark() !=
-        down_journal.size()) {
-      Fail("crashed site failed to catch up on broadcasts");
+        core_->journal_size(site)) {
+      Fail("crashed site failed to catch up on decisions");
       return;
     }
 
@@ -517,7 +431,7 @@ class Engine : public wire::WireTap {
     const size_t rec_end = broadcast_records_.size();
     const auto& keys = key_log_[static_cast<size_t>(site)];
     const uint64_t j_end = site_count_[static_cast<size_t>(site)];
-    for (uint64_t j = snap.site_arrivals; j < j_end && report_.ok; ++j) {
+    for (uint64_t j = snap.site_arrivals; report_.ok; ++j) {
       while (rec_idx < rec_end &&
              broadcast_records_[rec_idx].trigger_site != site &&
              broadcast_records_[rec_idx]
@@ -525,6 +439,7 @@ class Engine : public wire::WireTap {
         tracker_.ReplayCrashRitual(site, broadcast_records_[rec_idx].n_bar);
         ++rec_idx;
       }
+      if (j == j_end) break;
       const uint64_t* mid = nullptr;
       uint64_t mid_n_bar = 0;
       if (rec_idx < rec_end &&
@@ -539,13 +454,6 @@ class Engine : public wire::WireTap {
       Pump();
     }
     if (!report_.ok) return;
-    while (rec_idx < rec_end &&
-           broadcast_records_[rec_idx].trigger_site != site &&
-           broadcast_records_[rec_idx]
-                   .site_pos[static_cast<size_t>(site)] <= j_end) {
-      tracker_.ReplayCrashRitual(site, broadcast_records_[rec_idx].n_bar);
-      ++rec_idx;
-    }
     if (rec_idx != rec_end) {
       Fail("crash replay left journaled broadcasts unapplied");
       return;
@@ -563,59 +471,62 @@ class Engine : public wire::WireTap {
 
   void RestartCoordinator() {
     ++report_.coordinator_restarts;
-    double before = replica_.Estimate(query_);
-    // Soft state dies; the epoch journal is the persistent store. Rebuild
-    // the replica by re-applying the journal in original delivery order,
-    // and re-derive the channel positions from the per-site journals.
-    replica_ = typename Adapter::Replica(options_);
-    for (const wire::Message& msg : global_journal_) replica_.Apply(msg);
-    for (int s = 0; s < k_; ++s) {
-      up_recv_[static_cast<size_t>(s)].Reset(
-          up_journal_[static_cast<size_t>(s)].size());
-      down_send_[static_cast<size_t>(s)].Reset(
-          down_journal_[static_cast<size_t>(s)].size() + 1);
-      SendControl(s, kDownData, wire::MsgType::kHello,
-                  down_journal_[static_cast<size_t>(s)].size());
+    double before = core_->Estimate(query_);
+    report_.frames_deduped += core_->duplicates();
+    report_.retransmissions += core_->retransmissions();
+    // Soft state dies; the delivery-order journal is the persistent
+    // store. A fresh core re-applies it with every site detached, so its
+    // decisions are journaled, not sent, and re-attaching each site at
+    // its downlink watermark re-sends only what the site has not applied.
+    core_ = std::make_unique<CoordinatorCore>(options_, this);
+    core_->set_tick(now_);
+    std::vector<size_t> applied(static_cast<size_t>(k_), 0);
+    std::vector<wire::Message> delivered;
+    for (int s : delivery_order_) {
+      size_t i = applied[static_cast<size_t>(s)]++;
+      core_->Receive(s, i + 1, up_journal_[static_cast<size_t>(s)][i],
+                     &delivered);
+    }
+    for (int s = 0; s < k_ && report_.ok; ++s) {
+      uint64_t watermark = down_recv_[static_cast<size_t>(s)].watermark();
+      if (watermark != core_->journal_size(s)) {
+        Fail("rebuilt downlink journal diverged from the sites'");
+      }
+      SendControl(s, kDownData, wire::MsgType::kHello, watermark);
+      core_->Attach(s, watermark);
     }
     Pump();
     if (!report_.ok) return;
-    double after = replica_.Estimate(query_);
-    if (!SameBits(before, after)) {
-      Fail("journal rebuild diverged from the live replica");
-      return;
-    }
-    if (replica_.round() != broadcast_records_.size()) {
-      Fail("rebuilt replica round diverged");
+    if (!SameBits(before, core_->Estimate(query_))) {
+      Fail("journal rebuild diverged from the live coordinator");
+    } else if (core_->coarse().round != broadcast_records_.size()) {
+      Fail("rebuilt coordinator round diverged");
     }
   }
 
-  typename Adapter::Options options_;
+  Options options_;
   const Workload& workload_;
   uint64_t query_;
-  RobustOptions robust_;
+  TruthFn counts_;
   FaultPlan plan_;
   int k_;
 
-  typename Adapter::Tracker tracker_;
-  typename Adapter::Replica replica_;
-  CommMeter meter_;  // wire channels only; the tracker's meter stays §1.1
+  Tracker tracker_;
+  std::unique_ptr<CoordinatorCore> core_;
 
+  // Site halves of the reliable channels; the core holds the others.
   std::vector<FaultyLink> links_;
   std::vector<ReliableSender> up_send_;
-  std::vector<ReliableSender> down_send_;
-  std::vector<ReliableReceiver> up_recv_;
   std::vector<ReliableReceiver> down_recv_;
 
   uint64_t now_ = 0;
   int current_site_ = -1;
   bool recovering_ = false;
-  uint64_t arrival_paper_words_ = 0;
 
   std::vector<uint64_t> site_count_;
   std::vector<std::vector<uint64_t>> key_log_;
-  std::vector<std::vector<wire::Message>> up_journal_;    // by seq - 1
-  std::vector<std::vector<wire::Message>> down_journal_;  // by seq - 1
-  std::vector<wire::Message> global_journal_;  // delivery order
+  std::vector<std::vector<wire::Message>> up_journal_;  // by seq - 1
+  std::vector<int> delivery_order_;  // site of each frame the core applied
   std::vector<BroadcastRecord> broadcast_records_;
   std::vector<SiteSnapshot> snapshots_;
   std::vector<char> snapshot_pending_;
@@ -628,21 +539,30 @@ class Engine : public wire::WireTap {
 RobustReport RobustReplayCount(const count::RandomizedCountOptions& options,
                                const Workload& workload,
                                const RobustOptions& robust) {
-  return Engine<CountAdapter>(options, workload, 0, robust).Run();
+  return Engine<count::RandomizedCountTracker, count::RandomizedCountOptions>(
+             options, workload, 0, robust,
+             [](const Arrival&, uint64_t) { return true; })
+      .Run();
 }
 
 RobustReport RobustReplayFrequency(
     const frequency::RandomizedFrequencyOptions& options,
     const Workload& workload, uint64_t query_item,
     const RobustOptions& robust) {
-  return Engine<FrequencyAdapter>(options, workload, query_item, robust)
+  return Engine<frequency::RandomizedFrequencyTracker,
+                frequency::RandomizedFrequencyOptions>(
+             options, workload, query_item, robust,
+             [](const Arrival& a, uint64_t item) { return a.key == item; })
       .Run();
 }
 
 RobustReport RobustReplayRank(const rank::RandomizedRankOptions& options,
                               const Workload& workload, uint64_t query_value,
                               const RobustOptions& robust) {
-  return Engine<RankAdapter>(options, workload, query_value, robust).Run();
+  return Engine<rank::RandomizedRankTracker, rank::RandomizedRankOptions>(
+             options, workload, query_value, robust,
+             [](const Arrival& a, uint64_t value) { return a.key < value; })
+      .Run();
 }
 
 }  // namespace sim

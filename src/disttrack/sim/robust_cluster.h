@@ -4,26 +4,38 @@
 // calls under the perfectly reliable channels of §1.1. This harness runs
 // the same trackers with every protocol message *also* routed as a
 // versioned wire frame (sim/wire.h) through fault-injected links
-// (sim/transport.h):
+// (sim/transport.h) to the coordinator the service daemon runs
+// (sim/coordinator_core.h):
 //
 //   - the tracker stays authoritative: its scalar Arrive() path runs
-//     unchanged and its CommMeter keeps the paper's word counts;
-//   - a WireTap mirrors every metered message as a frame the instant the
-//     §1.1 model would send it; frames travel per-site reliable channels
-//     (sequence numbers, acks, capped-exponential-backoff retransmits)
-//     over FaultyLinks that drop / duplicate / reorder / delay;
-//   - a coordinator-side replica rebuilds the estimator state *from the
-//     delivered frames alone* — it must match the tracker's estimate bit
-//     for bit at every checkpoint, which is the differential proof that
-//     any fault schedule with eventual delivery converges to the
-//     fault-free execution;
-//   - site crashes restore the site from its last snapshot and replay its
-//     lost arrivals (ReplayCrash* tracker hooks); every re-emitted frame
-//     must byte-match the journaled original (modulo the epoch tag, which
-//     is re-stamped at the current round) and is deduplicated by sequence
+//     unchanged, applies its round rituals in place, and its CommMeter
+//     keeps the paper's word counts;
+//   - a WireTap mirrors every metered site message as a frame the
+//     instant the §1.1 model would send it; frames travel per-site
+//     reliable channels (sequence numbers, acks, capped-exponential-
+//     backoff retransmits) over FaultyLinks that drop / duplicate /
+//     reorder / delay;
+//   - the CoordinatorCore applies the delivered frames to its replica,
+//     which must match the tracker's estimate bit for bit at every
+//     checkpoint — the differential proof that any fault schedule with
+//     eventual delivery converges to the fault-free execution — and
+//     after every quiescent pump its paper ledger must equal the
+//     tracker's CommMeter;
+//   - the core, not the tracker, sends the coordinator's decisions: a
+//     kBroadcast to every site or a kNoBroadcast to the reporter. The
+//     tracker's own broadcast is recorded, and each site checks every
+//     delivered kBroadcast (round, n̄) against those records;
+//   - site crashes detach the site, restore it from its last snapshot,
+//     re-attach it at the snapshot's downlink watermark (the core
+//     re-sends the decisions past it) and replay its lost arrivals
+//     (ReplayCrash* tracker hooks); every re-emitted frame must
+//     byte-match the journaled original (modulo the epoch tag, which is
+//     re-stamped at the current round) and is deduplicated by sequence
 //     number at the coordinator — no double counting;
-//   - coordinator restarts discard the replica and rebuild it from the
-//     epoch journal; the rebuilt estimate must be bit-identical.
+//   - coordinator restarts build a fresh core and re-apply the
+//     delivery-order journal with every site detached, so decisions are
+//     journaled, not sent; the sites then re-attach at their watermarks.
+//     The rebuilt estimate must be bit-identical.
 //
 // Time is a logical tick counter: after every arrival the engine pumps
 // all links to quiescence (everything delivered and acked), realizing the
@@ -32,11 +44,12 @@
 //
 // Byte accounting (tests assert exact equality):
 //   sum of FaultyLink::bytes_offered over all links
-//     == wire.bytes (first transmissions)
-//      + retransmit.bytes (backoff resends, fault duplicates, crash
+//     == wire_bytes (first transmissions: tracker frames and the
+//        coordinator's decision frames)
+//      + retransmit_bytes (backoff resends, fault duplicates, crash
 //        recovery and re-delivery traffic)
-//      + wire_overhead.bytes (acks, hello handshakes)
-// on the harness's own CommMeter (the tracker's meter stays pure §1.1).
+//      + overhead_bytes (acks, hello handshakes)
+// counted apart from the tracker's CommMeter, which stays pure §1.1.
 
 #ifndef DISTTRACK_SIM_ROBUST_CLUSTER_H_
 #define DISTTRACK_SIM_ROBUST_CLUSTER_H_
@@ -56,14 +69,6 @@ namespace sim {
 
 struct RobustOptions {
   FaultPlan plan;
-
-  /// Geometric checkpoint schedule factor (shared with cluster.h).
-  double checkpoint_factor = 1.5;
-
-  /// Abort bound on one quiescence pump. A correct run quiesces in a few
-  /// ticks per arrival; hitting the cap means frames stopped making
-  /// progress (a transport bug, not a fault — faults always retransmit).
-  uint64_t tick_cap = 1000000;
 };
 
 struct RobustCheckpoint {
@@ -76,7 +81,7 @@ struct RobustCheckpoint {
 struct RobustReport {
   std::vector<RobustCheckpoint> checkpoints;
 
-  uint64_t frames_delivered = 0;  ///< in-order data frames applied
+  uint64_t frames_delivered = 0;  ///< in-order data frames delivered
   uint64_t frames_deduped = 0;    ///< duplicates dropped by seq dedup
   uint64_t retransmissions = 0;   ///< backoff retransmits (both directions)
   uint64_t site_recoveries = 0;

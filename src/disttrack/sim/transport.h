@@ -16,6 +16,12 @@
 //                     crash points, coordinator restarts — derived
 //                     deterministically from one seed.
 //
+// The coordinator's halves of the reliable channels (an uplink receiver
+// and a downlink sender per site) live in sim::CoordinatorCore
+// (coordinator_core.h), which the service daemon runs over TCP as well;
+// the daemon never retransmits, so only the robust replay drives the
+// backoff.
+//
 // Time is a logical tick counter private to one arrival's delivery: the
 // robust cluster pumps links until quiescence before the next arrival,
 // which realizes the §1.1 contract ("all communication triggered by that
@@ -180,7 +186,6 @@ class ReliableReceiver {
   uint64_t watermark() const { return next_expected_ - 1; }
 
   uint64_t duplicates() const { return duplicates_; }
-  bool idle() const { return reorder_.empty(); }
 
   /// Crash/restart resets: expect `watermark + 1` next, drop buffered
   /// out-of-order frames (the sender will retransmit them).

@@ -32,9 +32,9 @@
 // know (no silent forward parsing). Sequence numbers are per directed
 // link and assigned by the transport, not by the tracker.
 //
-// Byte accounting: EncodedSize() is exact, so the transport can charge
-// CommMeter's wire channels to the byte, and the differential harness
-// asserts   link bytes == first-transmission + retransmit + ack overhead
+// Byte accounting: EncodedSize() is exact, so the fault-injected replay
+// can count link bytes to the byte and asserts
+//   link bytes == first-transmission + retransmit + ack overhead
 // with equality (tests/fault_tolerance_test.cc).
 
 #ifndef DISTTRACK_SIM_WIRE_H_

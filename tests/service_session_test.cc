@@ -4,11 +4,13 @@
 // a socketpair. Pins the service protocol proper: join handshake, grant
 // admission, blocking broadcast decisions, queries over the wire, the
 // §1.1 paper ledger reconciling with a serial CommMeter to the message,
-// and the wire-byte ledger (socket bytes == encoded frame bytes).
+// the wire-byte ledger (socket bytes == encoded frame bytes), and when a
+// site counts as done.
 //
 // Fork-without-exec is deliberate (no binary paths to plumb); the forking
 // tests are skipped under TSan, which cannot follow multiprocess tests.
-// The hostile-peer tests at the end need no fork and run everywhere.
+// The hostile-peer and raw-frame tests at the end need no fork and run
+// everywhere.
 
 #include <signal.h>
 #include <sys/socket.h>
@@ -26,6 +28,7 @@
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
 #include "disttrack/service/coordinator.h"
+#include "disttrack/service/framing.h"
 #include "disttrack/service/options.h"
 #include "disttrack/service/site_runtime.h"
 #include "disttrack/sim/replica.h"
@@ -547,6 +550,109 @@ TEST(ServiceSession, MalformedRankSummaryClosesTheConnection) {
       EXPECT_EQ(rank.values[0], Bits(reference.Estimate(x))) << "x " << x;
     }
   }
+}
+
+
+/// A site the test speaks for itself over a socketpair (no fork): joins
+/// as `site`, sends sequenced uplink frames, and reads what the
+/// coordinator sends back.
+class RawSite {
+ public:
+  RawSite(Coordinator* coordinator, const ServiceOptions& options, int site)
+      : site_(site) {
+    int fds[2];
+    EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    coordinator->AdoptConnection(fds[0]);
+    fd_ = fds[1];
+    EXPECT_TRUE(SetNonBlocking(fd_, true));
+    std::vector<uint8_t> bytes;
+    Message join;
+    join.type = MsgType::kJoin;
+    join.site = site;
+    join.b = options.Hash();
+    sim::wire::EncodeFrame(join, 0, &bytes);
+    Message hello;
+    hello.type = MsgType::kHello;
+    hello.site = site;
+    hello.a = 1;
+    sim::wire::EncodeFrame(hello, 0, &bytes);
+    EXPECT_TRUE(WriteAll(fd_, bytes.data(), bytes.size()));
+  }
+  ~RawSite() { close(fd_); }
+
+  void Send(MsgType type, uint64_t a) {
+    Message msg;
+    msg.type = type;
+    msg.site = site_;
+    msg.a = a;
+    msg.paper_words = type == MsgType::kCoarseReport ? 1 : 0;
+    std::vector<uint8_t> bytes;
+    sim::wire::EncodeFrame(msg, ++up_seq_, &bytes);
+    EXPECT_TRUE(WriteAll(fd_, bytes.data(), bytes.size()));
+  }
+
+  /// Downlink seq of the first kBroadcast received so far (0: none yet).
+  uint64_t BroadcastSeq() {
+    uint8_t buf[4096];
+    for (;;) {
+      long n = ReadSome(fd_, buf, sizeof(buf));
+      if (n <= 0) break;
+      reader_.Append(buf, static_cast<size_t>(n));
+    }
+    Message msg;
+    uint64_t seq = 0;
+    while (broadcast_seq_ == 0 &&
+           reader_.Next(&msg, &seq) == FrameReader::Result::kFrame) {
+      if (msg.type == MsgType::kBroadcast) broadcast_seq_ = seq;
+    }
+    return broadcast_seq_;
+  }
+
+ private:
+  int site_;
+  int fd_ = -1;
+  uint64_t up_seq_ = 0;
+  uint64_t broadcast_seq_ = 0;
+  FrameReader reader_;
+};
+
+TEST(ServiceSession, SiteIsDoneOnlyAfterAckingTheLastBroadcast) {
+  // A site that has sent its end-of-stream request still applies the
+  // rituals of broadcasts other sites trigger, and its corrections and
+  // ritual ack may still be in flight. Until that ack arrives the site is
+  // not done, or a caller reading the ledger at AllSitesDone() could miss
+  // the corrections.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 2;
+  options.total_arrivals = 100;
+  Coordinator coordinator(options);
+  RawSite site0(&coordinator, options, 0);
+  RawSite site1(&coordinator, options, 1);
+  auto pump = [&coordinator](int rounds) {
+    for (int i = 0; i < rounds; ++i) coordinator.PollOnce(1);
+  };
+  auto sites_done = [&coordinator] { return StatsVector(coordinator)[0]; };
+
+  site0.Send(MsgType::kGrantRequest, 0);  // end of stream
+  site1.Send(MsgType::kCoarseReport, 1);  // the first report broadcasts
+  for (int i = 0; i < 200 && site1.BroadcastSeq() == 0; ++i) pump(1);
+  ASSERT_NE(site1.BroadcastSeq(), 0u);
+  site1.Send(MsgType::kRitualAck, site1.BroadcastSeq());
+  site1.Send(MsgType::kGrantRequest, 0);
+  for (int i = 0; i < 200 && sites_done() < 1; ++i) pump(1);
+  ASSERT_EQ(sites_done(), 1u);
+  pump(20);
+  EXPECT_FALSE(coordinator.AllSitesDone())
+      << "site 0 counted as done before acking the broadcast";
+  EXPECT_EQ(sites_done(), 1u);
+
+  ASSERT_NE(site0.BroadcastSeq(), 0u);
+  site0.Send(MsgType::kRitualAck, site0.BroadcastSeq());
+  for (int i = 0; i < 200 && !coordinator.AllSitesDone(); ++i) pump(1);
+  EXPECT_TRUE(coordinator.AllSitesDone());
+  EXPECT_EQ(sites_done(), 2u);
+  EXPECT_EQ(coordinator.stats().rituals_acked, 2u);
 }
 
 }  // namespace
