@@ -1,7 +1,7 @@
 // Shared harness code for the experiment binaries: run a tracker over a
 // workload, collect communication/space/accuracy, and print paper-style
 // rows. Every bench regenerates one Table-1 row or one figure/theorem of
-// the paper (see DESIGN.md §4 for the experiment index).
+// the paper (see docs/REPRODUCTION.md for the experiment index).
 
 #ifndef DISTTRACK_BENCH_BENCH_UTIL_H_
 #define DISTTRACK_BENCH_BENCH_UTIL_H_

@@ -1,4 +1,4 @@
-// Ablation benches for the design choices DESIGN.md §5 calls out:
+// Ablation benches for the design choices docs/REPRODUCTION.md calls out:
 //  1. estimator (1) boundary case (count): the two-branch estimator vs the
 //     naive "apply the formula to absent reports" variant;
 //  2. estimator (4) vs (2) (frequency): with and without the -d/p branch;
@@ -21,7 +21,7 @@ using namespace disttrack::stream;
 }  // namespace
 
 int main() {
-  std::printf("== Ablations (DESIGN.md §5) ==\n");
+  std::printf("== Ablations (docs/REPRODUCTION.md) ==\n");
 
   // 1. Count boundary estimator, single-site stream so most sites have no
   // report — the regime where §2.1 says the naive estimator picks up a

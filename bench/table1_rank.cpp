@@ -36,7 +36,7 @@ int main() {
               "uniform values in [0, 2^%d))\n",
               static_cast<unsigned long long>(kN), kEps, kUniverseBits);
   std::printf("   deterministic [29] = dyadic reduction with L = %d levels "
-              "(stands in for log(1/eps); see DESIGN.md)\n\n",
+              "(stands in for log(1/eps); see docs/REPRODUCTION.md)\n\n",
               kUniverseBits);
   PrintHeader();
 

@@ -70,7 +70,7 @@ bool RunStorm(uint64_t storm_seed, bool verbose) {
   struct Leg {
     const char* name;
     std::function<disttrack::sim::RobustReport(
-        const disttrack::sim::RobustOptions&)>
+        const disttrack::sim::FaultPlan&)>
         run;
   };
 
@@ -98,26 +98,24 @@ bool RunStorm(uint64_t storm_seed, bool verbose) {
 
   const Leg legs[] = {
       {"count",
-       [&](const disttrack::sim::RobustOptions& r) {
-         return disttrack::sim::RobustReplayCount(count_opt, count_w, r);
+       [&](const disttrack::sim::FaultPlan& plan) {
+         return disttrack::sim::RobustReplayCount(count_opt, count_w, plan);
        }},
       {"frequency",
-       [&](const disttrack::sim::RobustOptions& r) {
-         return disttrack::sim::RobustReplayFrequency(freq_opt, freq_w, 2, r);
+       [&](const disttrack::sim::FaultPlan& plan) {
+         return disttrack::sim::RobustReplayFrequency(freq_opt, freq_w, 2, plan);
        }},
       {"rank",
-       [&](const disttrack::sim::RobustOptions& r) {
+       [&](const disttrack::sim::FaultPlan& plan) {
          return disttrack::sim::RobustReplayRank(rank_opt, rank_w, 1ull << 23,
-                                                 r);
+                                                 plan);
        }},
   };
 
   for (const Leg& leg : legs) {
-    disttrack::sim::RobustOptions clean;
-    auto base = leg.run(clean);
-    disttrack::sim::RobustOptions storm;
-    storm.plan = disttrack::sim::FaultPlan::FromSeed(storm_seed, n, k);
-    auto faulty = leg.run(storm);
+    auto base = leg.run(disttrack::sim::FaultPlan());
+    auto faulty =
+        leg.run(disttrack::sim::FaultPlan::FromSeed(storm_seed, n, k));
 
     const char* what = nullptr;
     if (!base.ok) what = base.error.c_str();

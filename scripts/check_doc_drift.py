@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift guard: fail CI when the normative docs fall behind the code.
 
-Three cross-checks, all exact:
+Four cross-checks, all exact:
 
 1. docs/WIRE_PROTOCOL.md's message-type table vs the MsgType enum in
    src/disttrack/sim/wire.h — same names, same values, nothing missing
@@ -20,6 +20,10 @@ Three cross-checks, all exact:
    SiteRuntime::Run, must equal the documented (code, binary) rows
    ("both" rows must be reachable from both binaries).
 
+4. Every `*.md` path cited in a file under src/, tests/, bench/ or
+   examples/ must exist — relative to the repo root, to docs/, or to
+   the citing file's directory.
+
 No dependencies beyond the standard library; run from anywhere:
 
     python3 scripts/check_doc_drift.py
@@ -37,6 +41,8 @@ WIRE_DOC = ROOT / "docs" / "WIRE_PROTOCOL.md"
 README = ROOT / "README.md"
 BENCH = ROOT / "bench" / "bench_throughput.cpp"
 OPERATIONS = ROOT / "docs" / "OPERATIONS.md"
+DOCS = ROOT / "docs"
+CITING_DIRS = ("src", "tests", "bench", "examples")
 # Exit codes flow from two layers per binary: the flag-parsing main and
 # the runtime loop it tail-returns.
 COORDINATOR_SOURCES = (
@@ -235,6 +241,19 @@ def check_exit_codes():
                  f"from the exit-code table")
 
 
+def check_doc_citations():
+    for top in CITING_DIRS:
+        for path in sorted((ROOT / top).rglob("*")):
+            if not path.is_file():
+                continue
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for cited in sorted(set(re.findall(r"[\w./-]*\w\.md\b", text))):
+                bases = (ROOT, DOCS, path.parent)
+                if not any((base / cited).is_file() for base in bases):
+                    fail(f"{path.relative_to(ROOT)}: cites {cited}, "
+                         f"which does not exist")
+
+
 def run():
     """All checks; prints a report and returns a process exit code."""
     del errors[:]
@@ -247,13 +266,14 @@ def run():
         check_wire_protocol()
         check_delivery_paths()
         check_exit_codes()
+        check_doc_citations()
     if errors:
         for msg in errors:
             print(f"doc-drift: {msg}", file=sys.stderr)
         print(f"doc-drift: {len(errors)} error(s)", file=sys.stderr)
         return 1
-    print("doc-drift: wire-protocol table, delivery-paths table, and "
-          "exit-code table all match the source")
+    print("doc-drift: wire-protocol table, delivery-paths table, "
+          "exit-code table and doc citations all match the source")
     return 0
 
 

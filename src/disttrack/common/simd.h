@@ -419,9 +419,9 @@ inline void MergeSorted(const uint64_t* a, size_t na, const uint64_t* b,
 //
 // TwoViewSelect is the classic selection: element at sorted position i of
 // the merge of two ascending arrays, by binary-searching the split point.
-// TwoViewSelect4 resolves four independent selections at once — the four
-// binary searches advance lane-parallel with masked gathers, turning the
-// accessor's dependent-load chain into overlapped lanes.
+// TwoViewSelect4 resolves four independent selections. It stays scalar:
+// masked 64-bit gathers measured 0.35x (view sizes 32-128) to 0.75x
+// (1024) against these well-predicted adjacent searches.
 // ---------------------------------------------------------------------------
 
 inline uint64_t TwoViewSelect(const uint64_t* A, size_t a, const uint64_t* B,
@@ -445,65 +445,7 @@ inline uint64_t TwoViewSelect(const uint64_t* A, size_t a, const uint64_t* B,
   return va > vb ? va : vb;
 }
 
-#if DISTTRACK_SIMD_ENABLED
-namespace internal {
-
-DISTTRACK_TARGET_AVX2 inline void TwoViewSelect4Avx2(
-    const uint64_t* A, size_t a, const uint64_t* B, size_t b,
-    const size_t idx[4], uint64_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi64x(1);
-  const __m256i av = _mm256_set1_epi64x(static_cast<long long>(a));
-  const __m256i bv = _mm256_set1_epi64x(static_cast<long long>(b));
-  __m256i need = _mm256_add_epi64(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx)), one);
-  // lo = max(need - b, 0); hi = min(need, a). All quantities < 2^63, so
-  // signed 64-bit compares are exact.
-  __m256i d = _mm256_sub_epi64(need, bv);
-  __m256i lo = _mm256_and_si256(d, _mm256_cmpgt_epi64(d, zero));
-  __m256i hi = _mm256_blendv_epi8(av, need, _mm256_cmpgt_epi64(av, need));
-  const auto* ap = reinterpret_cast<const long long*>(A);
-  const auto* bp = reinterpret_cast<const long long*>(B);
-  for (;;) {
-    __m256i active = _mm256_cmpgt_epi64(hi, lo);
-    if (_mm256_movemask_epi8(active) == 0) break;
-    __m256i j = _mm256_srli_epi64(_mm256_add_epi64(lo, hi), 1);
-    __m256i bj = _mm256_sub_epi64(_mm256_sub_epi64(need, j), one);
-    __m256i va = _mm256_mask_i64gather_epi64(zero, ap, j, active, 8);
-    __m256i vb = _mm256_mask_i64gather_epi64(zero, bp, bj, active, 8);
-    // A[j] < B[need-j-1], unsigned: compare in the sign-flipped domain.
-    __m256i take = _mm256_cmpgt_epi64(SignFlip(vb), SignFlip(va));
-    lo = _mm256_blendv_epi8(lo, _mm256_add_epi64(j, one),
-                            _mm256_and_si256(active, take));
-    hi = _mm256_blendv_epi8(hi, j, _mm256_andnot_si256(take, active));
-  }
-  __m256i j = lo;
-  __m256i a_ok = _mm256_cmpgt_epi64(j, zero);          // j > 0
-  __m256i b_ok = _mm256_cmpgt_epi64(need, j);          // need > j
-  __m256i va = _mm256_mask_i64gather_epi64(
-      zero, ap, _mm256_sub_epi64(j, one), a_ok, 8);
-  __m256i vb = _mm256_mask_i64gather_epi64(
-      zero, bp, _mm256_sub_epi64(_mm256_sub_epi64(need, j), one), b_ok, 8);
-  // Inactive sides gathered 0, the unsigned minimum, so an unsigned max
-  // picks the defined side (both inactive is impossible: need >= 1).
-  __m256i fa = SignFlip(va);
-  __m256i fb = SignFlip(vb);
-  __m256i r = SignFlip(_mm256_blendv_epi8(fa, fb, _mm256_cmpgt_epi64(fb, fa)));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out), r);
-}
-
-}  // namespace internal
-#endif  // DISTTRACK_SIMD_ENABLED
-
 /// Resolves out[t] = TwoViewSelect(A, a, B, b, idx[t]) for t in [0, 4).
-///
-/// Dispatches scalar at every size: the gather variant measured 0.35x at
-/// view sizes 32-128 and 0.75x at 1024 on the reference container. Masked
-/// 64-bit gathers cost ~12 cycles each there, the lane-parallel loop runs
-/// to the slowest lane's convergence, and the scalar fallback's adjacent
-/// queries walk nearly identical well-predicted search paths. The AVX2
-/// body stays compiled and differentially tested (simd_kernel_test) so
-/// the demotion is one line to revisit on wider-gather hardware.
 inline void TwoViewSelect4(const uint64_t* A, size_t a, const uint64_t* B,
                            size_t b, const size_t idx[4], uint64_t* out) {
   for (int t = 0; t < 4; ++t) out[t] = TwoViewSelect(A, a, B, b, idx[t]);

@@ -67,18 +67,9 @@ size_t CoarseTracker::RestoreSite(int site, const uint64_t* data) {
   return 3;
 }
 
-bool CoarseTracker::ReplayArrive(int site, const uint64_t* mid_n_bar) {
+void CoarseTracker::ReplayArrive(int site) {
   uint64_t delta = local_[static_cast<size_t>(site)].Arrive();
   if (delta > 0) EmitReport(site, delta);
-  if (mid_n_bar == nullptr) return false;
-  if (delta == 0) {
-    std::fprintf(stderr,
-                 "CoarseTracker: journaled mid-arrival broadcast at an "
-                 "arrival with no coarse report (site %d)\n",
-                 site);
-    std::abort();
-  }
-  return true;
 }
 
 void CoarseTracker::EmitReport(int site, uint64_t delta) {

@@ -7,9 +7,9 @@
 //
 // All three randomized trackers (count, frequency, rank) are built on this
 // component: the broadcast both refreshes their sampling probability p and
-// delimits their rounds. Their replay ports (crash replay, site processes)
-// share its replayed arrival, ReplayArrive, so the kCoarseReport frame and
-// the journaled-broadcast check are written here once.
+// delimits their rounds. Their replay ports (sim::SiteCore's hosted
+// sites) share its replayed arrival, ReplayArrive, so the site's
+// kCoarseReport frame is written here once.
 
 #ifndef DISTTRACK_COUNT_COARSE_TRACKER_H_
 #define DISTTRACK_COUNT_COARSE_TRACKER_H_
@@ -168,16 +168,12 @@ class CoarseTracker {
 
   // --- Wire layer / crash recovery ---------------------------------------
 
-  /// The replay half of Arrive(), for a site re-running arrivals the
-  /// coordinator already received (crash replay, site processes):
-  /// advances `site` site-locally and re-emits its kCoarseReport frame
-  /// through this tracker's tap, with no n', round or meter write.
-  /// `mid_n_bar` is the journaled n̄ of the broadcast this arrival's
-  /// report triggered in the original run (null: none). Returns true iff
-  /// one was journaled: the caller's per-site ritual is then due now,
-  /// before the arrival consumes any p-dependent randomness. Aborts if the
-  /// journal puts a broadcast on an arrival that fires no report.
-  bool ReplayArrive(int site, const uint64_t* mid_n_bar);
+  /// The replay half of Arrive(), for a site whose coordinator lives
+  /// elsewhere (sim::SiteCore): advances `site` site-locally and emits its
+  /// kCoarseReport frame through this tracker's tap, with no n', round or
+  /// meter write. The coordinator's decision, and with it any ritual,
+  /// comes back reentrantly from the tap.
+  void ReplayArrive(int site);
 
   /// Installs a message tap (sim/wire.h): every coarse report and every
   /// broadcast is mirrored as a typed message. nullptr disables.

@@ -85,18 +85,11 @@ struct RandomizedCountTracker::DirectPort {
   }
 };
 
-// Site-local state and the RNG stream advance exactly as in the original
-// execution; no n', round, meter or aggregate write happens. A journaled
-// mid-arrival broadcast runs the site's ritual right after the coarse
-// report, where the original run performed it.
+// Site-local state and the RNG stream advance exactly as in the serial
+// execution; no n', round, meter or aggregate write happens.
 struct RandomizedCountTracker::ReplayPort {
   RandomizedCountTracker* t;
-  const uint64_t* mid_n_bar;
-  void CoarseArrive(int site) {
-    if (t->coarse_->ReplayArrive(site, mid_n_bar)) {
-      t->ReplayCrashRitual(site, *mid_n_bar);
-    }
-  }
+  void CoarseArrive(int site) { t->coarse_->ReplayArrive(site); }
   void Report(sim::wire::MsgType type, int site, uint64_t value) {
     t->EmitTap(type, site, value);
   }
@@ -230,23 +223,13 @@ void RandomizedCountTracker::RestoreSiteState(
   s.rng.RestoreState(rng_state);
 }
 
-void RandomizedCountTracker::EndCrashReplay() {
-  if (inv_p_ != agg_.inv_p()) {
-    std::fprintf(stderr,
-                 "RandomizedCountTracker: crash replay did not re-evolve "
-                 "1/p to its pre-crash value (journal is incomplete)\n");
-    std::abort();
-  }
-}
-
-void RandomizedCountTracker::ReplayCrashArrive(
-    int site, uint64_t /*key*/, const uint64_t* mid_ritual_n_bar) {
-  ReplayPort port{this, mid_ritual_n_bar};
+void RandomizedCountTracker::ReplayCrashArrive(int site, uint64_t /*key*/) {
+  ReplayPort port{this};
   SiteEvent(site, port);
 }
 
 void RandomizedCountTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
-  ReplayPort port{this, nullptr};
+  ReplayPort port{this};
   bool halved =
       HalveTo(n_bar, [&](double p_new) { ThinSite(site, p_new, port); });
   if (halved && options_.use_skip_sampling) {

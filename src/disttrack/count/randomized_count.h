@@ -24,8 +24,9 @@
 // CountAggregate (count_aggregate.h), which sim::CountReplica hosts too.
 // The site half is one event step (SiteEvent) and one thinning step
 // (ThinSite), parameterized over a coordinator port: every delivery path
-// — per-arrival, countdown, grouped, crash replay — runs the same steps
-// and differs only in how their messages reach the coordinator.
+// — per-arrival, countdown, grouped, a SiteCore's hosted site — runs the
+// same steps and differs only in how their messages reach the
+// coordinator.
 //
 // Hot path: by default each site realizes its Bernoulli(p) coins with a
 // geometric SkipSampler (skip_sampler.h), so an arrival between successes
@@ -72,7 +73,7 @@ struct RandomizedCountOptions {
   /// the k/p² variance bound is slack by n̄ <= n and the ⌊·⌋₂ rounding.
   double confidence_factor = 2.0;
 
-  /// Ablation switch (DESIGN.md §5): when true, uses the naive biased
+  /// Ablation switch (docs/REPRODUCTION.md, Ablations): when true, uses the naive biased
   /// estimator n̂_i = n̄_i - 1 + 1/p *even when no report exists* (treating
   /// n̄_i as 0 but still adding the 1/p - 1 correction), reproducing the
   /// Θ(εn/√k)-per-site bias the paper warns about after Lemma 2.1.
@@ -114,15 +115,16 @@ class RandomizedCountTracker : public sim::CountTrackerInterface {
   /// Rounds completed so far (CoarseTracker broadcasts).
   uint64_t rounds() const { return coarse_->round(); }
 
-  // --- Wire layer / crash recovery (sim/robust_cluster.h) ----------------
+  // --- Wire layer / site protocol (sim/site_core.h) ----------------------
   // A tap mirrors every metered message (coarse reports, coin reports,
   // p-halving corrections, broadcasts) as a typed wire::Message at the
   // §1.1 send instant; snapshots capture one site's full private state
   // (counters, report, skip countdown, RNG) so a crashed site can be
-  // restored and replayed bit-identically; the ReplayCrash* calls re-run a
-  // site's lost arrivals with every coordinator-side effect suppressed
-  // (no n_, meter, or estimator-aggregate writes) while the site-local
-  // state and RNG stream advance exactly as the lost execution did.
+  // restored and replayed bit-identically; the ReplayCrash* calls run one
+  // site (a sim::SiteCore's hosted half, live or recovering) with every
+  // coordinator-side effect suppressed (no n_, meter, or
+  // estimator-aggregate writes) while the site-local state and RNG stream
+  // advance exactly as the serial execution's do.
 
   void set_wire_tap(sim::wire::WireTap* tap);
 
@@ -133,27 +135,16 @@ class RandomizedCountTracker : public sim::CountTrackerInterface {
   /// replay needs (1/p) — to `*out`.
   void SerializeSiteState(int site, std::vector<uint64_t>* out) const;
 
-  /// Restores SerializeSiteState output. Also installs the serialized
-  /// globals; outside crash replay the caller restores a tracker at the
-  /// same stream position, where they are unchanged.
+  /// Restores SerializeSiteState output, globals included.
   void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
 
-  /// Brackets a crash replay of `site`. Replay never touches the
-  /// coordinator's 1/p, so Begin has nothing to save and End verifies the
-  /// replayed broadcasts evolved the sites' 1/p back to it.
-  void BeginCrashReplay(int /*site*/) {}
-  void EndCrashReplay();
+  /// One arrival of `site` through the replay port (`key` is unused:
+  /// count arrivals carry none). A broadcast decision on its coarse report
+  /// comes back reentrantly from the tap as a ReplayCrashRitual call, at
+  /// the exact point the serial run performs the ritual.
+  void ReplayCrashArrive(int site, uint64_t key);
 
-  /// Re-delivers one lost arrival to the crashed site (`key` is unused:
-  /// count arrivals carry none). `mid_ritual_n_bar` is non-null iff this
-  /// arrival's coarse report triggered a broadcast in the original run;
-  /// the per-site half of the round ritual is then replayed at the exact
-  /// point the original run performed it.
-  void ReplayCrashArrive(int site, uint64_t key,
-                         const uint64_t* mid_ritual_n_bar);
-
-  /// Replays the per-site half of a round ritual that fired between two
-  /// of the site's arrivals (another site triggered it).
+  /// The per-site half of a round ritual.
   void ReplayCrashRitual(int site, uint64_t n_bar);
 
  private:
@@ -162,7 +153,7 @@ class RandomizedCountTracker : public sim::CountTrackerInterface {
   // Coordinator ports: how a site's messages reach the coordinator.
   // DirectPort applies each effect in place and taps it (serial, countdown
   // and grouped delivery); ReplayPort only re-emits the frame, the
-  // coordinator already holding its effect (crash replay, site processes).
+  // coordinator holding its effect (a SiteCore's hosted site).
   // Each port offers CoarseArrive(site) and Report(type, site, n̄_i), the
   // latter for coin reports and p-halving corrections alike.
   struct DirectPort;

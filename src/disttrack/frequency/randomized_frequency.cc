@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "disttrack/common/math_util.h"
 
@@ -167,21 +169,15 @@ struct RandomizedFrequencyTracker::DirectPort {
   }
 };
 
-// Crash-replay coordinator port: the site-local half of every arrival runs
+// Replay coordinator port: the site-local half of every arrival runs
 // unchanged (counters, splits, coins, instance minting), every wire frame
-// is re-emitted with identical content, and every coordinator-side effect
-// — meter charges, split counter, live aggregation — is suppressed: the
-// coordinator already received these messages from the pre-crash
-// execution, and the replica dedups the re-emitted frames by sequence
-// number.
+// is emitted with identical content, and every coordinator-side effect —
+// meter charges, split counter, live aggregation — is suppressed: the
+// coordinator applies the frames itself, and a recovered site's
+// re-emitted frames are deduplicated by sequence number.
 struct RandomizedFrequencyTracker::ReplayPort {
   RandomizedFrequencyTracker* t;
-  const uint64_t* mid_n_bar;
-  void CoarseArrive(int site) {
-    if (t->coarse_->ReplayArrive(site, mid_n_bar)) {
-      t->ReplayCrashRitual(site, *mid_n_bar);
-    }
-  }
+  void CoarseArrive(int site) { t->coarse_->ReplayArrive(site); }
   void SplitNotify(int site) {
     t->EmitTap(sim::wire::MsgType::kSplitNotice, site, 0, 0, 0, 1);
   }
@@ -470,14 +466,22 @@ void RandomizedFrequencyTracker::SerializeSiteState(
   uint64_t rng_state[4];
   s.rng.SaveState(rng_state);
   for (uint64_t word : rng_state) out->push_back(word);
-  // The sticky counter list. Physical table order is not meaningful;
-  // restore rebuilds by Insert, which yields an observably identical
+  // The sticky counter list, in key order: physical table order depends on
+  // the insert history, so sorting makes the blob a function of the
+  // site's state alone (the fault harness compares blobs word for word).
+  // Restore rebuilds by Insert, which yields an observably identical
   // store regardless of layout.
-  out->push_back(s.counters.size());
-  s.counters.ForEach([out](uint64_t key, uint64_t value) {
+  std::vector<std::pair<uint64_t, uint64_t>> counters;
+  counters.reserve(s.counters.size());
+  s.counters.ForEach([&counters](uint64_t key, uint64_t value) {
+    counters.emplace_back(key, value);
+  });
+  std::sort(counters.begin(), counters.end());
+  out->push_back(counters.size());
+  for (const auto& [key, value] : counters) {
     out->push_back(key);
     out->push_back(value);
-  });
+  }
 }
 
 void RandomizedFrequencyTracker::RestoreSiteState(
@@ -511,28 +515,14 @@ void RandomizedFrequencyTracker::RestoreSiteState(
   UpdateSpace(site);
 }
 
-void RandomizedFrequencyTracker::EndCrashReplay() {
-  uint64_t n_bar = coarse_->n_bar();
-  uint64_t inv_p = options_.InvP(n_bar);
-  if (inv_p_ != inv_p || log2_inv_p_ != FloorLog2(inv_p) ||
-      split_threshold_ != SplitThreshold(n_bar)) {
-    std::fprintf(stderr,
-                 "RandomizedFrequencyTracker: crash replay did not re-evolve "
-                 "the round parameters to their pre-crash values\n");
-    std::abort();
-  }
-}
-
-void RandomizedFrequencyTracker::ReplayCrashArrive(
-    int site, uint64_t item, const uint64_t* mid_ritual_n_bar) {
-  ReplayPort port{this, mid_ritual_n_bar};
+void RandomizedFrequencyTracker::ReplayCrashArrive(int site, uint64_t item) {
+  ReplayPort port{this};
   ProcessArrivalImpl(site, item, port);
 }
 
 void RandomizedFrequencyTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
   // Per-site half of OnBroadcast, with the identical draw order. The
-  // coordinator half (the aggregate's BeginRound) already ran in the
-  // original execution and its state is intact.
+  // coordinator half (the aggregate's BeginRound) is the coordinator's.
   SetRoundParams(n_bar);
   SiteRitual(site);
 }

@@ -71,7 +71,7 @@ struct RandomizedFrequencyOptions {
   /// Constant-factor boost applied to p (variance /c², communication ~×c).
   double confidence_factor = 4.0;
 
-  /// Ablation (DESIGN.md §5): use the biased estimator (2) — contribute 0
+  /// Ablation (docs/REPRODUCTION.md, Ablations): use the biased estimator (2) — contribute 0
   /// instead of -d_ij/p when no counter exists.
   bool naive_boundary_estimator = false;
 
@@ -132,12 +132,12 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   /// on at k = 32, ε = 5e-4.
   bool grouped_delivery_enabled() const { return grouped_enabled_; }
 
-  // --- Wire layer / crash recovery (sim/robust_cluster.h) ----------------
+  // --- Wire layer / site protocol (sim/site_core.h) ----------------------
   // Mirrors the count tracker's API: a tap emits every metered message as
   // a typed wire::Message; site snapshots capture the sticky counter
   // list, both skip channels, the instance id mint, and the RNG; the
-  // ReplayCrash* calls re-run lost arrivals through a coordinator-
-  // suppressed port (frames re-emitted, no meter/aggregation writes).
+  // ReplayCrash* calls run one site through a coordinator-suppressed port
+  // (frames emitted, no meter/aggregation writes).
 
   void set_wire_tap(sim::wire::WireTap* tap);
 
@@ -147,19 +147,11 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   void SerializeSiteState(int site, std::vector<uint64_t>* out) const;
   void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
 
-  /// Brackets a crash replay of `site`. Replay never touches the
-  /// coordinator's round, so Begin has nothing to save and End verifies
-  /// the replayed broadcasts evolved the sites' round parameters back to
-  /// the ones the coordinator's n̄ implies.
-  void BeginCrashReplay(int /*site*/) {}
-  void EndCrashReplay();
+  /// One arrival of `site` through the replay port. A broadcast decision
+  /// on its coarse report comes back reentrantly from the tap.
+  void ReplayCrashArrive(int site, uint64_t item);
 
-  /// Re-delivers one lost arrival. `mid_ritual_n_bar` non-null iff the
-  /// arrival's coarse report triggered a broadcast in the original run.
-  void ReplayCrashArrive(int site, uint64_t item,
-                         const uint64_t* mid_ritual_n_bar);
-
-  /// Per-site half of a round transition another site triggered.
+  /// Per-site half of a round transition.
   void ReplayCrashRitual(int site, uint64_t n_bar);
 
  private:
@@ -193,7 +185,7 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   // The shared protocol logic of ProcessArrival, parameterized over how
   // coordinator effects are delivered: DirectPort applies them in place
   // (per-arrival, countdown and grouped delivery), ReplayPort only
-  // re-emits the frames (crash replay, site processes). Site-local state
+  // emits the frames (sim::SiteCore's hosted sites). Site-local state
   // is mutated identically either way.
   template <typename Port>
   void ProcessArrivalImpl(int site, uint64_t item, Port& port);

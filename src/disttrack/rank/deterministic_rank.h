@@ -5,8 +5,8 @@
 // [29] reduces rank tracking to heavy-hitter tracking over a hierarchy of
 // dyadic intervals: rank(x) = Σ counts of the ≤ L dyadic intervals that
 // decompose [0, x). We implement that reduction directly over a bounded
-// value universe of `universe_bits` bits (DESIGN.md documents this as a
-// faithful-shape substitution): every arrival inserts one item per level g
+// value universe of `universe_bits` bits (docs/REPRODUCTION.md lists this
+// as a faithful-shape substitution): every arrival inserts one item per level g
 // — the interval id (value >> g) tagged with g — into a single
 // DeterministicFrequencyTracker run at error ε/L², so each interval count
 // is off by ≤ εn/L and any rank query by ≤ εn, deterministically.

@@ -80,10 +80,10 @@ inline void RandomizedRankTracker::DeferUpload(int site, uint64_t words) {
 }
 
 // Per-arrival (kBatch false) and batch delivery: every message is charged,
-// tapped and applied to agg_, and every instance journaled. The batch
-// engines post the upload charges in bulk at the batch end (message order
-// inside a batch is unobservable to the meter: queries only happen
-// between batches) while the frames are still tapped per message.
+// tapped and applied to agg_. The batch engines post the upload charges
+// in bulk at the batch end (message order inside a batch is unobservable
+// to the meter: queries only happen between batches) while the frames
+// are still tapped per message.
 template <bool kBatch>
 struct RandomizedRankTracker::ApplyPort {
   RandomizedRankTracker* t;
@@ -112,27 +112,14 @@ struct RandomizedRankTracker::ApplyPort {
                nullptr);
     if (store) t->agg_.Residual(site, leaf, value);
   }
-  void NewInstance(SiteState* s) {
-    s->instance_inv_p.push_back(t->round_.inv_p);
-  }
 };
 
-// Site-local state and the RNG stream advance exactly as in the original
-// execution and every frame is re-emitted; no n', round, meter or
-// instance-storage write happens. A journaled mid-arrival broadcast runs
-// the site's ritual right after the coarse report, before the arrival's
-// value feeds the tree. Inside a BeginCrashReplay bracket every instance
-// start walks the journal instead of growing it.
+// Site-local state and the RNG stream advance exactly as in the serial
+// execution and every frame is emitted; no n', round, meter or
+// instance-storage write happens.
 struct RandomizedRankTracker::ReplayPort {
   RandomizedRankTracker* t;
-  const uint64_t* mid_n_bar;
-  void CoarseArrive(int site) {
-    if (t->coarse_->ReplayArrive(site, mid_n_bar)) {
-      uint64_t n_bar = *mid_n_bar;
-      mid_n_bar = nullptr;
-      t->ReplayCrashRitual(site, n_bar);
-    }
-  }
+  void CoarseArrive(int site) { t->coarse_->ReplayArrive(site); }
   void ShipSummary(int site, const SiteState& s, uint32_t first_leaf,
                    uint32_t end_leaf, uint64_t words) {
     t->EmitTap(sim::wire::MsgType::kRankSummary, site, first_leaf, end_leaf,
@@ -142,22 +129,6 @@ struct RandomizedRankTracker::ReplayPort {
                     bool /*store*/) {
     t->EmitTap(sim::wire::MsgType::kRankResidual, site, leaf, value, 2,
                nullptr);
-  }
-  void NewInstance(SiteState* s) {
-    if (t->replay_site_ < 0) return;
-    size_t cursor = ++t->replay_cursor_;
-    if (cursor >= s->instance_inv_p.size()) {
-      std::fprintf(stderr,
-                   "RandomizedRankTracker: crash replay created more "
-                   "instances than the original execution\n");
-      std::abort();
-    }
-    if (s->instance_inv_p[cursor] != t->round_.inv_p) {
-      std::fprintf(stderr,
-                   "RandomizedRankTracker: crash replay diverged — "
-                   "instance %zu round p mismatch\n", cursor);
-      std::abort();
-    }
   }
 };
 
@@ -169,12 +140,11 @@ RandomizedRankTracker::RandomizedRankTracker(
       sites_(static_cast<size_t>(options.num_sites)),
       agg_(options.num_sites),
       pending_uploads_(static_cast<size_t>(options.num_sites)) {
-  DirectPort port{this};
   for (int i = 0; i < options_.num_sites; ++i) {
     SiteState& s = sites_[static_cast<size_t>(i)];
     s.rng = Rng(options_.seed * 0x8CB92BA72F3D8DD7ull +
                 static_cast<uint64_t>(i));
-    StartFreshInstance(&s, port);
+    StartFreshInstance(&s);
   }
   coarse_ = std::make_unique<count::CoarseTracker>(options_.num_sites,
                                                    &meter_);
@@ -202,8 +172,7 @@ std::unique_ptr<summaries::CompactorSummary> RandomizedRankTracker::
   return std::make_unique<summaries::CompactorSummary>(LevelEps(level), seed);
 }
 
-template <typename Port>
-void RandomizedRankTracker::StartFreshInstance(SiteState* s, Port& port) {
+void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
   s->arrivals_in_chunk = 0;
   s->arrivals_in_leaf = 0;
   s->current_leaf = 0;
@@ -235,7 +204,6 @@ void RandomizedRankTracker::StartFreshInstance(SiteState* s, Port& port) {
   // leaves are covered by shipped summaries, the tail by its frozen
   // samples); unpulled ladder data goes with it.
   s->ladder.Reset(levels);
-  port.NewInstance(s);
   if (options_.use_skip_sampling) {
     // Rounds change p, which invalidates outstanding skips; chunk
     // boundaries don't, but a redraw is exact either way (independence of
@@ -261,9 +229,8 @@ void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
   // sites just restart with fresh parameters.
   round_ = options_.RoundParamsFor(n_bar);
   agg_.BeginRound(round_.inv_p, round_.num_leaves);
-  DirectPort port{this};
   for (int i = 0; i < options_.num_sites; ++i) {
-    StartFreshInstance(&sites_[static_cast<size_t>(i)], port);
+    StartFreshInstance(&sites_[static_cast<size_t>(i)]);
     UpdateSpace(i);
   }
   if (in_batch_) RearmAll();
@@ -443,7 +410,7 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value,
     s.export_values.assign(1, value);
     s.export_segments.assign(1, {1, 1});
     port.ShipSummary(site, s, 0, 1, 3);
-    StartFreshInstance(&s, port);
+    StartFreshInstance(&s);
     return;
   }
 
@@ -518,7 +485,7 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value,
     // samples (the paper's estimator only uses samples from the
     // in-progress block), and the chunk's top summary froze the instance.
     if (chunk_done) {
-      StartFreshInstance(&s, port);
+      StartFreshInstance(&s);
     } else {
       ++s.current_leaf;
       s.arrivals_in_leaf = 0;
@@ -768,7 +735,6 @@ void RandomizedRankTracker::SerializeSiteState(
   out->push_back(round_.num_leaves);
   out->push_back(static_cast<uint64_t>(round_.height));
   coarse_->SerializeSite(site, out);
-  out->push_back(s.instance_inv_p.size() - 1);
   out->push_back(s.tail_skip.raw_skip());
   double inv_log = s.tail_skip.raw_inv_log();
   std::memcpy(&bits, &inv_log, sizeof(bits));
@@ -780,7 +746,7 @@ void RandomizedRankTracker::SerializeSiteState(
 
 void RandomizedRankTracker::RestoreSiteState(
     int site, const std::vector<uint64_t>& blob) {
-  if (blob.size() != 15) {
+  if (blob.size() != 14) {
     std::fprintf(stderr, "RandomizedRankTracker: bad snapshot blob size\n");
     std::abort();
   }
@@ -791,12 +757,11 @@ void RandomizedRankTracker::RestoreSiteState(
   round_.num_leaves = static_cast<uint32_t>(data[3]);
   round_.height = static_cast<int>(data[4]);
   coarse_->RestoreSite(site, data + 5);
-  size_t instance_index = static_cast<size_t>(data[8]);
   SiteState& s = sites_[static_cast<size_t>(site)];
   double inv_log;
-  std::memcpy(&inv_log, &data[10], sizeof(inv_log));
-  s.tail_skip.RestoreRaw(data[9], inv_log);
-  s.rng.RestoreState(data + 11);
+  std::memcpy(&inv_log, &data[9], sizeof(inv_log));
+  s.tail_skip.RestoreRaw(data[8], inv_log);
+  s.rng.RestoreState(data + 10);
   // Rebuild the (empty-at-snapshot) derived state for the restored
   // round's tree shape.
   s.arrivals_in_chunk = 0;
@@ -812,59 +777,20 @@ void RandomizedRankTracker::RestoreSiteState(
   s.leaf_seed_armed = false;
   s.ladder.Reset(levels);
   s.run.clear();
-  if (instance_index >= s.instance_inv_p.size()) {
-    std::fprintf(stderr,
-                 "RandomizedRankTracker: snapshot instance index out of "
-                 "range\n");
-    std::abort();
-  }
-  replay_cursor_ = instance_index;
 }
 
-void RandomizedRankTracker::BeginCrashReplay(int site) {
-  replay_site_ = site;
-}
-
-void RandomizedRankTracker::EndCrashReplay() {
-  const RoundParams want = options_.RoundParamsFor(coarse_->n_bar());
-  if (round_.inv_p != want.inv_p || round_.chunk_size != want.chunk_size ||
-      round_.block_size != want.block_size ||
-      round_.num_leaves != want.num_leaves || round_.height != want.height) {
-    std::fprintf(stderr,
-                 "RandomizedRankTracker: crash replay did not restore the "
-                 "round parameters\n");
-    std::abort();
-  }
-  SiteState& s = sites_[static_cast<size_t>(replay_site_)];
-  if (replay_cursor_ + 1 != s.instance_inv_p.size()) {
-    std::fprintf(stderr,
-                 "RandomizedRankTracker: crash replay instance cursor out "
-                 "of step\n");
-    std::abort();
-  }
-  replay_site_ = -1;
-}
-
-void RandomizedRankTracker::ReplayCrashArrive(
-    int site, uint64_t value, const uint64_t* mid_ritual_n_bar) {
-  ReplayPort port{this, mid_ritual_n_bar};
+void RandomizedRankTracker::ReplayCrashArrive(int site, uint64_t value) {
+  ReplayPort port{this};
   ProcessArrival(site, value, port);
-  if (port.mid_n_bar != nullptr) {
-    std::fprintf(stderr,
-                 "RandomizedRankTracker: journaled mid-arrival broadcast "
-                 "was not consumed\n");
-    std::abort();
-  }
 }
 
 void RandomizedRankTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
-  // Per-site half of OnBroadcast: new round parameters, fresh instance
-  // (journal-walking inside a replay bracket), skip redraw — identical
-  // RNG draws. The coordinator half (round counter, broadcast charge,
-  // other sites' restarts) already happened in the original execution.
+  // Per-site half of OnBroadcast: new round parameters, fresh instance,
+  // skip redraw — identical RNG draws. The coordinator half (round
+  // counter, broadcast charge, other sites' restarts) is the
+  // coordinator's.
   round_ = options_.RoundParamsFor(n_bar);
-  ReplayPort port{this, nullptr};
-  StartFreshInstance(&sites_[static_cast<size_t>(site)], port);
+  StartFreshInstance(&sites_[static_cast<size_t>(site)]);
   UpdateSpace(site);
 }
 

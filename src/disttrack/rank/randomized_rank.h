@@ -30,8 +30,8 @@
 // The site half is one arrival step (ProcessArrival), one eventless-run
 // step (FeedRun) and the node flush and instance restart under them, all
 // parameterized over a coordinator port like count's and frequency's:
-// every delivery path — per-arrival, countdown, grouped, crash replay,
-// site processes — runs the same steps and differs only in how their
+// every delivery path — per-arrival, countdown, grouped, a SiteCore's
+// hosted site — runs the same steps and differs only in how their
 // messages reach the coordinator.
 //
 // Hot path: ArriveBatch buffers each site's values and runs the shared
@@ -142,16 +142,16 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   /// Leaf block size b of the current round.
   uint64_t block_size() const { return round_.block_size; }
 
-  // --- Wire layer / crash recovery (sim/robust_cluster.h) ----------------
+  // --- Wire layer / site protocol (sim/site_core.h) ----------------------
   // Mirrors the count tracker's API: a tap emits every metered message
   // (coarse reports, node-summary exports, tail-channel residual
   // forwards, broadcasts) as a typed wire::Message; site snapshots
   // capture the round parameters and the RNG/skip streams; the
   // ReplayCrash* calls run the site step through the replay port, which
-  // re-emits every frame with an identical payload and writes nothing
-  // the coordinator holds (meter, n', instance storage). A site process
-  // (service/site_half.h) drives its site through the same two calls
-  // without a BeginCrashReplay bracket.
+  // emits every frame with an identical payload and writes nothing the
+  // coordinator holds (meter, n', instance storage). sim::SiteCore's
+  // hosted sites (site processes and the fault harness) drive these two
+  // calls.
 
   void set_wire_tap(sim::wire::WireTap* tap);
 
@@ -165,29 +165,15 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   void SerializeSiteState(int site, std::vector<uint64_t>* out) const;
   void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
 
-  /// Brackets a crash replay of `site`. Inside the bracket, every
-  /// instance the replay starts walks the site's instance journal and
-  /// must match the 1/p the original execution journaled; End checks the
-  /// walk reached the journal's end and that the replayed rituals brought
-  /// the round parameters back to the ones the coordinator's n̄ implies.
-  void BeginCrashReplay(int site);
-  void EndCrashReplay();
+  /// One arrival of `site` through the replay port. A broadcast decision
+  /// on its coarse report comes back reentrantly from the tap.
+  void ReplayCrashArrive(int site, uint64_t value);
 
-  /// Re-delivers one lost arrival. `mid_ritual_n_bar` non-null iff the
-  /// arrival's coarse report triggered a broadcast in the original run.
-  void ReplayCrashArrive(int site, uint64_t value,
-                         const uint64_t* mid_ritual_n_bar);
-
-  /// Per-site half of a round transition another site triggered.
+  /// Per-site half of a round transition.
   void ReplayCrashRitual(int site, uint64_t n_bar);
 
  private:
   struct SiteState {
-    // 1/p of every instance of algorithm C this site has started, in
-    // chunk order: the journal crash replay walks to check that it
-    // re-creates the same instances. Only the coordinator-facing ports
-    // append to it, so a site process keeps just its first entry.
-    std::vector<double> instance_inv_p;
     uint64_t arrivals_in_chunk = 0;
     uint64_t arrivals_in_leaf = 0;
     uint32_t current_leaf = 0;
@@ -238,14 +224,13 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   // offers CoarseArrive(site), ShipSummary(site, s, first_leaf, end_leaf,
   // words) for the node summary in the site's export buffers,
   // ShipResidual(site, leaf, value, store) for a tail-channel forward
-  // (`store` false: a sample its own leaf's summary covers), and
-  // NewInstance(s) when the site starts an instance of algorithm C.
-  // DirectPort charges the meter, taps, applies to agg_ and journals the
-  // instance (per-arrival delivery); BatchPort does the same with the
-  // upload charges deferred to the batch end, and feeds every buffered
-  // run before a coarse report that broadcasts (countdown and grouped
-  // engines); ReplayPort only taps, the coordinator already holding every
-  // effect (crash replay, site processes).
+  // (`store` false: a sample its own leaf's summary covers).
+  // DirectPort charges the meter, taps and applies to agg_ (per-arrival
+  // delivery); BatchPort does the same with the upload charges deferred
+  // to the batch end, and feeds every buffered run before a coarse report
+  // that broadcasts (countdown and grouped engines); ReplayPort only
+  // taps, the coordinator holding every effect (sim::SiteCore's hosted
+  // sites).
   template <bool kBatch>
   struct ApplyPort;
   using DirectPort = ApplyPort<false>;
@@ -296,8 +281,7 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   // node's remaining window itself (fused with the export).
   void EnsureNodes(SiteState* s);
   void PumpLevels(SiteState* s, uint64_t appended);
-  template <typename Port>
-  void StartFreshInstance(SiteState* s, Port& port);
+  void StartFreshInstance(SiteState* s);
   template <typename Port>
   void FlushNode(int site, SiteState* s, int level, uint32_t node_start,
                  uint32_t end_leaf, Port& port);
@@ -335,12 +319,6 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
     uint64_t words = 0;  // with max(1, payload) applied per message
   };
   std::vector<PendingUpload> pending_uploads_;
-
-  // The open crash-replay bracket (-1: none) and its cursor into the
-  // site's instance journal: replayed instance starts advance it and
-  // check the round's 1/p instead of appending.
-  int replay_site_ = -1;
-  size_t replay_cursor_ = 0;
 
   RoundParams round_;
 

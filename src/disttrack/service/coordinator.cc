@@ -135,8 +135,8 @@ void Coordinator::Send(int site, const std::vector<uint8_t>& frame,
 
 void Coordinator::TryWrite(Conn* conn) {
   while (conn->pending() > 0) {
-    ssize_t n = write(conn->fd, conn->out.data() + conn->out_off,
-                      conn->pending());
+    ssize_t n = send(conn->fd, conn->out.data() + conn->out_off,
+                     conn->pending(), MSG_NOSIGNAL);
     if (n > 0) {
       stats_.bytes_out += static_cast<uint64_t>(n);
       conn->out_off += static_cast<size_t>(n);
@@ -156,6 +156,7 @@ void Coordinator::CloseConn(Conn* conn) {
   if (conn->closed) return;
   close(conn->fd);
   conn->closed = true;
+  stats_.discarded_out += conn->pending();
   if (conn->site >= 0) {
     Session& s = sessions_[static_cast<size_t>(conn->site)];
     if (s.conn == conn) {
@@ -348,7 +349,8 @@ sim::wire::Message Coordinator::Query(const Message& query) const {
       uint64_t pending_out = PendingOutBytes();
       uint64_t ledger_ok =
           (totals.bytes_in == totals.encoded_in &&
-           totals.bytes_out + pending_out == totals.encoded_out)
+           totals.bytes_out + pending_out + totals.discarded_out ==
+               totals.encoded_out)
               ? 1
               : 0;
       result.values = {SitesDone(),
@@ -368,7 +370,8 @@ sim::wire::Message Coordinator::Query(const Message& query) const {
                        totals.broadcasts,
                        totals.rejoins,
                        totals.decisions,
-                       ledger_ok};
+                       ledger_ok,
+                       totals.discarded_out};
       break;
     }
     case kQueryJournal:

@@ -57,7 +57,7 @@ enum QueryKind : uint64_t {
                            ///< lists est == 0 items too     (frequency)
   kQueryRank = 3,          ///< b = value -> [est bits]       (rank)
   kQueryQuantile = 4,      ///< b = phi bits -> [value, est bits]  (rank)
-  kQueryStats = 5,         ///< -> fixed stats vector (see Stats::ToValues)
+  kQueryStats = 5,         ///< -> fixed stats vector (WIRE_PROTOCOL.md)
   kQueryJournal = 6,       ///< -> grant order journal as site/len pairs
 };
 
@@ -70,9 +70,10 @@ class Coordinator : public sim::DownlinkSink {
   /// frames charge nothing.
   struct Stats : sim::CoordinatorCore::Ledger {
     uint64_t frames_in = 0, frames_out = 0;
-    uint64_t bytes_in = 0, bytes_out = 0;      ///< socket read()/write()
+    uint64_t bytes_in = 0, bytes_out = 0;      ///< socket read()/send()
     uint64_t encoded_in = 0, encoded_out = 0;  ///< Σ wire::EncodedSize
     uint64_t resend_frames = 0, resend_bytes = 0;  ///< rejoin re-blasts
+    uint64_t discarded_out = 0;  ///< unsent bytes of connections closed
     uint64_t rejoins = 0, rituals_acked = 0;
   };
 

@@ -171,7 +171,9 @@ uint64_t WorkloadKey(const ServiceOptions& options, int site, uint64_t index) {
 
 namespace {
 constexpr uint64_t kSnapshotMagic = 0x44545353ull;  // "DTSS"
-constexpr uint64_t kSnapshotVersion = 1;
+// Version 2: rank's blob lost its instance-index word. A version-1 file
+// reads as no snapshot, so its site starts fresh.
+constexpr uint64_t kSnapshotVersion = 2;
 
 uint64_t SnapshotChecksum(const std::vector<uint64_t>& words) {
   uint64_t h = 0xCBF29CE484222325ull;

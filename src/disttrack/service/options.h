@@ -21,6 +21,7 @@
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
+#include "disttrack/sim/site_core.h"
 
 namespace disttrack {
 namespace service {
@@ -79,19 +80,16 @@ uint64_t ShardSize(const ServiceOptions& options, int site);
 uint64_t WorkloadKey(const ServiceOptions& options, int site, uint64_t index);
 
 // --- Site snapshot files --------------------------------------------------
-// A site's durable state between crashes: tracker blob (SerializeSiteState
-// output, which includes the round-scoped globals) plus the channel
-// cursors needed to splice back into the coordinator's sequence space.
-// Written atomically (tmp + rename); a torn write is detected by the
-// trailing checksum and treated as no-snapshot (fresh start).
+// A site's durable state between crashes: the SiteCore snapshot (tracker
+// blob, which includes the round-scoped globals, plus the channel cursors
+// needed to splice back into the coordinator's sequence spaces), tagged
+// with the fleet and the site. Written atomically (tmp + rename); a torn
+// write is detected by the trailing checksum and treated as no-snapshot
+// (fresh start).
 
-struct SiteSnapshot {
+struct SiteSnapshot : sim::SiteCore::Snapshot {
   uint64_t options_hash = 0;
   int site = -1;
-  uint64_t site_arrivals = 0;   ///< arrivals absorbed into the blob
-  uint64_t up_next_seq = 1;     ///< uplink sender cursor at the snapshot
-  uint64_t down_watermark = 0;  ///< downlink frames applied at the snapshot
-  std::vector<uint64_t> blob;   ///< tracker SerializeSiteState output
 };
 
 /// Default snapshot path for a site under `dir`.

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include "disttrack/service/site_half.h"
+
 namespace disttrack {
 namespace service {
 
@@ -13,23 +15,16 @@ using sim::wire::MsgType;
 }  // namespace
 
 SiteRuntime::SiteRuntime(const Config& config)
-    : config_(config), options_hash_(config.options.Hash()) {
-  half_ = SiteHalf::Create(config_.options, config_.site);
-  half_->set_wire_tap(this);
-}
+    : config_(config),
+      options_hash_(config.options.Hash()),
+      core_(config.site, SiteHalf::Create(config.options, config.site),
+            this) {}
 
-void SiteRuntime::Fail(const std::string& what) {
-  if (!failed_) {
-    failed_ = true;
-    fail_reason_ = what;
-  }
-}
-
-void SiteRuntime::StageUp(const Message& msg, uint64_t* seq_out) {
-  std::vector<uint8_t> frame;
-  uint64_t seq = up_send_.Stage(msg, 0, &frame);
-  outbuf_.insert(outbuf_.end(), frame.begin(), frame.end());
-  if (seq_out != nullptr) *seq_out = seq;
+void SiteRuntime::Request(uint64_t want) {
+  Message request;
+  request.type = MsgType::kGrantRequest;
+  request.a = want;
+  core_.Stage(std::move(request));
 }
 
 void SiteRuntime::SendUnseq(const Message& msg) {
@@ -37,18 +32,18 @@ void SiteRuntime::SendUnseq(const Message& msg) {
 }
 
 bool SiteRuntime::Flush() {
-  if (failed_) return false;
-  if (down_recv_.watermark() != last_acked_) {
+  if (core_.failed()) return false;
+  if (core_.down_watermark() != last_acked_) {
     Message ack;
     ack.type = MsgType::kAck;
     ack.site = config_.site;
-    ack.a = down_recv_.watermark();
+    ack.a = core_.down_watermark();
     SendUnseq(ack);
-    last_acked_ = down_recv_.watermark();
+    last_acked_ = core_.down_watermark();
   }
   if (outbuf_.empty()) return true;
   if (!WriteAll(fd_, outbuf_.data(), outbuf_.size())) {
-    Fail("write to coordinator failed");
+    core_.Fail("write to coordinator failed");
     return false;
   }
   outbuf_.clear();
@@ -62,120 +57,44 @@ bool SiteRuntime::ReadFrame(Message* msg, uint64_t* seq) {
       case FrameReader::Result::kFrame:
         return true;
       case FrameReader::Result::kError:
-        Fail("downlink " + reader_.error());
+        core_.Fail("downlink " + reader_.error());
         return false;
       case FrameReader::Result::kNeed:
         break;
     }
     long n = ReadSome(fd_, buf, sizeof(buf));
     if (n == 0) {
-      Fail("coordinator closed the connection");
+      core_.Fail("coordinator closed the connection");
       return false;
     }
     if (n < 0) {
-      Fail("read from coordinator failed");
+      core_.Fail("read from coordinator failed");
       return false;
     }
     reader_.Append(buf, static_cast<size_t>(n));
   }
 }
 
-bool SiteRuntime::HandleDown(Message msg, uint64_t seq, uint64_t waiting_seq,
-                             bool* resolved) {
-  if (msg.type == MsgType::kAck) {
-    up_send_.Ack(msg.a);
-    return true;
-  }
-  if (msg.type == MsgType::kJoinAck) return true;  // late duplicate
-  // Every other downlink frame is sequenced. Delivered messages come out
-  // of the receiver in contiguous sequence order, so the i-th delivery of
-  // this batch has sequence watermark_before + 1 + i (needed for
-  // kRitualAck, which names the broadcast's downlink seq).
-  uint64_t before = down_recv_.watermark();
-  std::vector<Message> delivered;
-  down_recv_.Accept(seq, std::move(msg), &delivered);
-  for (size_t i = 0; i < delivered.size(); ++i) {
-    Message& d = delivered[i];
-    uint64_t dseq = before + 1 + i;
-    switch (d.type) {
-      case MsgType::kGrant:
-        pending_grants_.push_back(d.a);
-        break;
-      case MsgType::kBroadcast: {
-        round_ = d.a;
-        half_->ApplyRitual(d.b);
-        Message ritual_ack;
-        ritual_ack.type = MsgType::kRitualAck;
-        ritual_ack.site = config_.site;
-        ritual_ack.epoch = round_;
-        ritual_ack.a = dseq;
-        ritual_ack.b = position_;
-        StageUp(ritual_ack, nullptr);
-        if (waiting_seq != 0 && d.c == waiting_seq && resolved != nullptr) {
-          *resolved = true;
-        }
-        break;
-      }
-      case MsgType::kNoBroadcast:
-        if (waiting_seq != 0 && d.a == waiting_seq && resolved != nullptr) {
-          *resolved = true;
-        } else {
-          Fail("unexpected kNoBroadcast for uplink seq " +
-               std::to_string(d.a));
-          return false;
-        }
-        break;
-      case MsgType::kShutdown:
-        shutdown_ = true;
-        break;
-      default:
-        Fail("unexpected downlink frame type " +
-             std::to_string(static_cast<int>(d.type)));
-        return false;
-    }
-  }
-  return true;
-}
-
-bool SiteRuntime::AwaitDecision(uint64_t report_seq) {
-  bool resolved = false;
-  while (!resolved && !shutdown_ && !failed_) {
-    Message msg;
-    uint64_t seq = 0;
-    if (!ReadFrame(&msg, &seq)) return false;
-    if (!HandleDown(std::move(msg), seq, report_seq, &resolved)) return false;
-  }
-  return !failed_;
-}
-
-void SiteRuntime::OnMessage(Message&& msg) {
-  if (failed_ || shutdown_) return;
-  msg.epoch = round_;
-  bool is_report = msg.type == MsgType::kCoarseReport;
+bool SiteRuntime::ReadOne() {
+  Message msg;
   uint64_t seq = 0;
-  StageUp(msg, &seq);
-  if (is_report) {
-    // The tracker is parked at its §1.1 send point: flush the report and
-    // block until the coordinator's decision. A positive decision applies
-    // the ritual reentrantly from HandleDown before this returns.
-    if (!Flush()) return;
-    AwaitDecision(seq);
-  }
+  if (!ReadFrame(&msg, &seq)) return false;
+  core_.Receive(seq, std::move(msg));
+  return true;
 }
 
 void SiteRuntime::MaybeSnapshot() {
   if (config_.snapshot_dir.empty() || config_.options.snapshot_every == 0) {
     return;
   }
-  if (position_ - last_snapshot_pos_ < config_.options.snapshot_every) return;
-  if (!half_->SnapshotReady()) return;  // retry at the next run boundary
+  if (core_.position() - last_snapshot_pos_ < config_.options.snapshot_every) {
+    return;
+  }
+  if (!core_.SnapshotReady()) return;  // retry at the next run boundary
   SiteSnapshot snap;
+  static_cast<sim::SiteCore::Snapshot&>(snap) = core_.TakeSnapshot();
   snap.options_hash = options_hash_;
   snap.site = config_.site;
-  snap.site_arrivals = position_;
-  snap.up_next_seq = up_send_.next_seq();
-  snap.down_watermark = down_recv_.watermark();
-  half_->Serialize(&snap.blob);
   std::string error;
   if (!WriteSnapshotFile(SnapshotPath(config_.snapshot_dir, config_.site),
                          snap, &error)) {
@@ -183,7 +102,7 @@ void SiteRuntime::MaybeSnapshot() {
             error.c_str());
     return;  // non-fatal: recovery just replays from the previous one
   }
-  last_snapshot_pos_ = position_;
+  last_snapshot_pos_ = core_.position();
 }
 
 bool SiteRuntime::Join(std::string* error) {
@@ -192,17 +111,17 @@ bool SiteRuntime::Join(std::string* error) {
   join.site = config_.site;
   join.a = resumed_ ? 1 : 0;
   join.b = options_hash_;
-  join.c = position_;
+  join.c = core_.position();
   SendUnseq(join);
 
   Message hello;
   hello.type = MsgType::kHello;
   hello.site = config_.site;
-  hello.a = up_send_.next_seq();
-  hello.b = down_recv_.watermark();
+  hello.a = core_.up_next_seq();
+  hello.b = core_.down_watermark();
   SendUnseq(hello);
   if (!Flush()) {
-    *error = fail_reason_;
+    *error = core_.error();
     return false;
   }
 
@@ -210,11 +129,11 @@ bool SiteRuntime::Join(std::string* error) {
     Message msg;
     uint64_t seq = 0;
     if (!ReadFrame(&msg, &seq)) {
-      *error = fail_reason_;
+      *error = core_.error();
       return false;
     }
     if (msg.type == MsgType::kAck) {
-      up_send_.Ack(msg.a);
+      core_.Receive(seq, std::move(msg));
       continue;
     }
     if (msg.type != MsgType::kJoinAck) {
@@ -237,12 +156,9 @@ int SiteRuntime::Run() {
     if (ReadSnapshotFile(SnapshotPath(config_.snapshot_dir, config_.site),
                          options_hash_, &snap) &&
         snap.site == config_.site) {
-      half_->Restore(snap.blob);
-      up_send_.Reset(snap.up_next_seq);
-      down_recv_.Reset(snap.down_watermark);
+      core_.Restore(snap);
       last_acked_ = snap.down_watermark;
-      position_ = snap.site_arrivals;
-      last_snapshot_pos_ = position_;
+      last_snapshot_pos_ = snap.site_arrivals;
       resumed_ = true;
     }
   }
@@ -260,68 +176,40 @@ int SiteRuntime::Run() {
     return 2;
   }
 
+  auto key = [this](uint64_t position) {
+    if (config_.crash_after != 0 &&
+        arrivals_in_process_ >= config_.crash_after) {
+      _exit(7);  // hard crash: no flush, no snapshot, no goodbye
+    }
+    ++arrivals_in_process_;
+    return WorkloadKey(config_.options, config_.site, position);
+  };
   const uint64_t shard = ShardSize(config_.options, config_.site);
-  while (position_ < shard && !shutdown_ && !failed_) {
+  while (core_.position() < shard && core_.live()) {
     MaybeSnapshot();
-    uint64_t want = shard - position_;
+    uint64_t want = shard - core_.position();
     if (want > config_.options.grant_max) want = config_.options.grant_max;
-    Message request;
-    request.type = MsgType::kGrantRequest;
-    request.site = config_.site;
-    request.a = want;
-    StageUp(request, nullptr);
-    if (!Flush()) break;
-
-    while (pending_grants_.empty() && !shutdown_ && !failed_) {
-      Message msg;
-      uint64_t seq = 0;
-      if (!ReadFrame(&msg, &seq)) break;
-      if (!HandleDown(std::move(msg), seq, 0, nullptr)) break;
-      if (!Flush()) break;  // ritual acks / corrections staged mid-wait
+    Request(want);
+    // Ritual acks and corrections staged while waiting go out with the
+    // next read.
+    while (core_.live() && !core_.granted() && PumpDown()) {
     }
-    if (shutdown_ || failed_) break;
-    uint64_t granted = pending_grants_.front();
-    pending_grants_.pop_front();
-
-    for (uint64_t i = 0; i < granted && !shutdown_ && !failed_; ++i) {
-      if (config_.crash_after != 0 &&
-          arrivals_in_process_ >= config_.crash_after) {
-        _exit(7);  // hard crash: no flush, no snapshot, no goodbye
-      }
-      half_->Arrive(WorkloadKey(config_.options, config_.site, position_));
-      ++position_;
-      ++arrivals_in_process_;
-    }
-    if (shutdown_ || failed_) break;
-    Message done;
-    done.type = MsgType::kGrantDone;
-    done.site = config_.site;
-    done.a = position_;
-    StageUp(done, nullptr);
+    if (!core_.live()) break;
+    core_.RunGrant(key);
     if (!Flush()) break;
   }
 
-  if (!shutdown_ && !failed_) {
+  if (core_.live()) {
     MaybeSnapshot();
     // End of stream: tell the coordinator, then stay resident — rituals
     // triggered by other sites still need this site's thinning draws.
-    Message eof;
-    eof.type = MsgType::kGrantRequest;
-    eof.site = config_.site;
-    eof.a = 0;
-    StageUp(eof, nullptr);
-    Flush();
-    while (!shutdown_ && !failed_) {
-      Message msg;
-      uint64_t seq = 0;
-      if (!ReadFrame(&msg, &seq)) break;
-      if (!HandleDown(std::move(msg), seq, 0, nullptr)) break;
-      if (!Flush()) break;
+    Request(0);
+    while (core_.live() && PumpDown()) {
     }
   }
 
-  if (failed_) {
-    fprintf(stderr, "site %d: %s\n", config_.site, fail_reason_.c_str());
+  if (core_.failed()) {
+    fprintf(stderr, "site %d: %s\n", config_.site, core_.error().c_str());
     close(fd_);
     return 3;
   }

@@ -1,51 +1,49 @@
-// The site process: one tracker site behind a socket (tentpole of the
-// service PR).
+// The site process: one tracker site behind a socket.
 //
-// A SiteRuntime connects to the coordinator daemon, joins (or resumes)
-// its session, and then drives its shard of the synthetic workload
-// through a SiteHalf. Every frame the tracker emits goes through a
-// ReliableSender (uplink sequence numbers + dedup on reconnect); every
-// downlink frame goes through a ReliableReceiver. The socket is blocking
-// — a site has exactly one thing to wait for at a time:
+// A SiteRuntime is a socket loop around the one site protocol,
+// sim::SiteCore (sim/site_core.h), the same core the fault-injected
+// replay hosts k of. The core holds the tracker's site half, the uplink
+// and downlink channels, the decision wait and the snapshot cursors; this
+// class dials, joins (or resumes) the session, writes the core's frames,
+// feeds it the frames it reads, and runs its shard of the synthetic
+// workload grant by grant. The socket is blocking: a site reads only
+// while its core waits for something —
 //
 //   * a kGrant before it may run (lockstep admission),
 //   * the kBroadcast / kNoBroadcast decision for a coarse report it just
-//     sent (the tracker is parked inside the wire tap at the exact
-//     program point the serial tracker runs the ritual, so a broadcast
-//     decision applies the ritual reentrantly — see site_half.h),
+//     sent (the core is parked at the exact program point the serial
+//     tracker runs the ritual),
 //   * after its stream ends, rituals triggered by other sites, until
 //     kShutdown.
 //
 // Crash recovery: at run boundaries the site writes an atomic snapshot
-// (tracker blob + channel cursors). On restart it restores the snapshot,
-// rejoins with the resume flag, and replays forward: regenerated uplink
-// frames carry their original sequence numbers (the coordinator drops
-// them as duplicates — this is the no-double-counting mechanism), and the
-// coordinator re-blasts every downlink frame past the snapshot's
-// watermark, which re-delivers every grant and decision the replay will
-// block on, in the original order. docs/OPERATIONS.md walks through the
-// recovery matrix.
+// (the core's snapshot, tagged with the fleet and the site). On restart
+// it restores the snapshot, rejoins with the resume flag, and replays
+// forward: regenerated uplink frames carry their original sequence
+// numbers (the coordinator drops them as duplicates — this is the
+// no-double-counting mechanism), and the coordinator re-sends every
+// downlink frame past the snapshot's watermark, which re-delivers every
+// grant and decision the replay waits for, in the original order. The
+// fault harness recovers its sites the same way. docs/OPERATIONS.md
+// walks through the recovery matrix.
 
 #ifndef DISTTRACK_SERVICE_SITE_RUNTIME_H_
 #define DISTTRACK_SERVICE_SITE_RUNTIME_H_
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "disttrack/service/framing.h"
 #include "disttrack/service/options.h"
-#include "disttrack/service/site_half.h"
 #include "disttrack/service/socket.h"
-#include "disttrack/sim/transport.h"
+#include "disttrack/sim/site_core.h"
 #include "disttrack/sim/wire.h"
 
 namespace disttrack {
 namespace service {
 
-class SiteRuntime : public sim::wire::WireTap {
+class SiteRuntime : private sim::SiteLink {
  public:
   struct Config {
     ServiceOptions options;
@@ -65,47 +63,36 @@ class SiteRuntime : public sim::wire::WireTap {
   /// 2 join rejected by the coordinator, 3 transport failure.
   int Run();
 
-  /// WireTap: receives every frame the tracker emits. Coarse reports
-  /// block here until the coordinator's decision arrives.
-  void OnMessage(sim::wire::Message&& msg) override;
-
-  uint64_t position() const { return position_; }
-
  private:
+  // sim::SiteLink: the core's frames are buffered until the next Flush;
+  // a parked core flushes and reads one frame.
+  void SendUp(const std::vector<uint8_t>& frame) override {
+    outbuf_.insert(outbuf_.end(), frame.begin(), frame.end());
+  }
+  bool PumpDown() override { return Flush() && ReadOne(); }
+
   bool Join(std::string* error);
-  void StageUp(const sim::wire::Message& msg, uint64_t* seq_out);
+  /// Stages a kGrantRequest for `want` arrivals (0 = end of stream).
+  void Request(uint64_t want);
   void SendUnseq(const sim::wire::Message& msg);
   bool Flush();
   bool ReadFrame(sim::wire::Message* msg, uint64_t* seq);
-  /// Routes one raw downlink frame; `waiting_seq` != 0 while parked on a
-  /// coarse-report decision (matching kBroadcast.c / kNoBroadcast.a
-  /// resolves the wait).
-  bool HandleDown(sim::wire::Message msg, uint64_t seq, uint64_t waiting_seq,
-                  bool* resolved);
-  bool AwaitDecision(uint64_t report_seq);
+  /// Reads one frame and hands it to the core.
+  bool ReadOne();
   void MaybeSnapshot();
-  void Fail(const std::string& what);
 
   Config config_;
   uint64_t options_hash_ = 0;
-  std::unique_ptr<SiteHalf> half_;
+  sim::SiteCore core_;
 
   int fd_ = -1;
   FrameReader reader_;
   std::vector<uint8_t> outbuf_;
-  sim::ReliableSender up_send_;
-  sim::ReliableReceiver down_recv_;
   uint64_t last_acked_ = 0;  ///< downlink watermark last advertised
 
-  uint64_t position_ = 0;           ///< arrivals absorbed (ever)
   uint64_t arrivals_in_process_ = 0;  ///< arrivals since this exec
   uint64_t last_snapshot_pos_ = 0;
-  uint64_t round_ = 0;  ///< latest broadcast round seen (epoch stamp)
-  std::deque<uint64_t> pending_grants_;
   bool resumed_ = false;
-  bool shutdown_ = false;
-  bool failed_ = false;
-  std::string fail_reason_;
 };
 
 }  // namespace service

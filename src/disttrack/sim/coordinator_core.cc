@@ -5,26 +5,12 @@
 namespace disttrack {
 namespace sim {
 
-namespace {
-
-// Downlink retransmission backoff, in ticks. The initial delay must
-// exceed the 2-tick send + ack round trip of the fault-injected links, or
-// a fault-free replay would retransmit.
-constexpr uint64_t kBackoffInitial = 4;
-constexpr uint64_t kBackoffCap = 64;
-
-}  // namespace
-
 CoordinatorCore::CoordinatorCore(int num_sites, DownlinkSink* sink,
                                  Replica replica)
     : num_sites_(num_sites),
       sink_(sink),
       channels_(static_cast<size_t>(num_sites)),
-      replica_(std::move(replica)) {
-  for (Channel& ch : channels_) {
-    ch.down = ReliableSender(ExponentialBackoff(kBackoffInitial, kBackoffCap));
-  }
-}
+      replica_(std::move(replica)) {}
 
 const CoarseMirror& CoordinatorCore::coarse() const {
   return std::visit(

@@ -2,7 +2,7 @@
 // implementation behind both the service daemon (service/coordinator.h,
 // which wraps it in sockets, joins, lockstep grants and queries) and the
 // fault-injected replay (robust_cluster.h, which wraps it in seeded
-// lossy links).
+// lossy links). Its site-side mirror is sim::SiteCore (site_core.h).
 //
 // Per site it owns one sequenced channel each way: a ReliableReceiver
 // for the uplink (in-order delivery, sequence-number dedup — what makes

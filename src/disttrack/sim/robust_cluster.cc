@@ -2,10 +2,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <utility>
 
 #include "disttrack/sim/coordinator_core.h"
+#include "disttrack/sim/site_core.h"
 
 namespace disttrack {
 namespace sim {
@@ -15,42 +17,54 @@ namespace {
 // Geometric checkpoint schedule factor (cluster.h's default).
 constexpr double kCheckpointFactor = 1.5;
 
-// Abort bound on one quiescence pump. A correct run quiesces in a few
-// ticks per arrival; hitting the cap means frames stopped making progress
-// (a transport bug, not a fault — faults always retransmit).
+// Abort bound on one quiescence pump (or one run's parked pumping). A
+// correct run quiesces in a few ticks per frame; hitting the cap means
+// frames stopped making progress (a transport bug, not a fault — faults
+// always retransmit).
 constexpr uint64_t kTickCap = 1000000;
 
 // Per-site channel topology (link ids are site * 4 + kind):
-//   kind 0  up_data    site -> coordinator   data frames
+//   kind 0  up_data    site -> coordinator   sequenced site frames
 //   kind 1  up_ack     coordinator -> site   cumulative acks for up_data
-//   kind 2  down_data  coordinator -> site   decision frames
+//   kind 2  down_data  coordinator -> site   sequenced grants, decisions
 //   kind 3  down_ack   site -> coordinator   cumulative acks for down_data
-// Data links carry reliable channels (a ReliableSender / ReliableReceiver
-// pair; the coordinator's halves live in the CoordinatorCore); ack links
-// are fire-and-forget (a lost ack is recovered by the next ack or by the
-// sender's retransmit). The sites' backoff matches the core's: its
-// initial delay must exceed the 2-tick send+ack round trip, or a
-// fault-free run would retransmit.
+// Data links carry the reliable channels whose halves live in the two
+// cores; ack links are fire-and-forget (a lost ack is recovered by the
+// next ack or by the sender's retransmit).
 constexpr int kUpData = 0;
 constexpr int kUpAck = 1;
 constexpr int kDownData = 2;
 constexpr int kDownAck = 3;
-constexpr uint64_t kBackoffInitial = 4;
-constexpr uint64_t kBackoffCap = 64;
 
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// Frame-content equality for the crash-replay cross-check. The epoch tag
-/// is excluded on purpose: a replayed frame is re-stamped with the
-/// *current* round (the coordinator kept the round state through the
-/// site's crash), while the journaled original carries the round at its
-/// first emission. Everything the estimators consume must match exactly.
+/// Frame-content equality for the differential checks. The epoch tag is
+/// excluded on purpose: a site stamps the last round it applied (a
+/// restored site, none yet), the oracle the coordinator's round at
+/// emission. Everything the estimators consume must match exactly.
 bool SameMessageIgnoringEpoch(const wire::Message& a, const wire::Message& b) {
   return a.type == b.type && a.site == b.site && a.a == b.a && a.b == b.b &&
          a.c == b.c && a.paper_words == b.paper_words &&
          a.values == b.values && a.segments == b.segments;
+}
+
+/// A site's grant-done reports and ritual acks are service-plane traffic,
+/// as are the grants (see Send). How many grants a run takes depends on
+/// where the plan splits it, so their first transmissions count as
+/// overhead, with acks and hellos.
+bool ServicePlane(const wire::Message& msg) {
+  return msg.type == wire::MsgType::kGrantDone ||
+         msg.type == wire::MsgType::kRitualAck;
+}
+
+wire::Message GrantFrame(int site, uint64_t length) {
+  wire::Message grant;
+  grant.type = wire::MsgType::kGrant;
+  grant.site = site;
+  grant.a = length;
+  return grant;
 }
 
 // --- What differs between the three trackers -------------------------------
@@ -82,20 +96,18 @@ template <typename Tracker, typename Options>
 class Engine : public wire::WireTap, public DownlinkSink {
  public:
   Engine(const Options& options, const Workload& workload, uint64_t query,
-         const RobustOptions& robust, TruthFn counts)
+         const FaultPlan& plan, TruthFn counts)
       : options_(options),
         workload_(workload),
         query_(query),
         counts_(counts),
-        plan_(robust.plan),
+        plan_(plan),
         k_(options.num_sites),
-        tracker_(options),
-        up_send_(static_cast<size_t>(k_),
-                 ReliableSender(ExponentialBackoff(kBackoffInitial,
-                                                   kBackoffCap))),
-        down_recv_(static_cast<size_t>(k_)),
+        oracle_(options),
+        ends_(static_cast<size_t>(k_)),
+        keys_(static_cast<size_t>(k_)),
         site_count_(static_cast<size_t>(k_), 0),
-        key_log_(static_cast<size_t>(k_)),
+        expected_(static_cast<size_t>(k_)),
         up_journal_(static_cast<size_t>(k_)),
         snapshots_(static_cast<size_t>(k_)),
         snapshot_pending_(static_cast<size_t>(k_), 0) {
@@ -104,9 +116,19 @@ class Engine : public wire::WireTap, public DownlinkSink {
     for (uint64_t id = 0; id < static_cast<uint64_t>(k_) * 4; ++id) {
       links_.emplace_back(&plan_, id);
     }
+    // Each site's stream, read by position as a site process derives it.
+    for (const Arrival& arrival : workload_) {
+      CheckSiteInRange(arrival.site, k_);
+      keys_[static_cast<size_t>(arrival.site)].push_back(arrival.key);
+    }
     core_ = std::make_unique<CoordinatorCore>(options_, this);
-    for (int s = 0; s < k_; ++s) core_->Attach(s, 0);
-    tracker_.set_wire_tap(this);
+    for (int s = 0; s < k_; ++s) {
+      ends_[static_cast<size_t>(s)].engine = this;
+      ends_[static_cast<size_t>(s)].site = s;
+      sites_.push_back(NewSite(s));
+      core_->Attach(s, 0);
+    }
+    oracle_.set_wire_tap(this);
   }
 
   RobustReport Run() {
@@ -123,9 +145,10 @@ class Engine : public wire::WireTap, public DownlinkSink {
     size_t ckpt_idx = 0;
     uint64_t truth = 0;
 
-    for (uint64_t g = 0; g < workload_.size() && report_.ok; ++g) {
-      // Fault events fire at arrival boundaries: this arrival's site
-      // crashes first, in plan order, then its coordinator restarts.
+    uint64_t g = 0;
+    while (g < workload_.size() && report_.ok) {
+      // Fault events fire at arrival boundaries: the crashes planned at
+      // this arrival first, in plan order, then coordinator restarts.
       for (const FaultPlan::SiteCrash& crash : plan_.site_crashes) {
         if (crash.global_arrival == g && report_.ok) {
           CrashAndRecover(crash.site);
@@ -136,113 +159,124 @@ class Engine : public wire::WireTap, public DownlinkSink {
       }
       if (!report_.ok) break;
 
-      const Arrival& arrival = workload_[g];
-      int s = arrival.site;
-      current_site_ = s;
-      ++site_count_[static_cast<size_t>(s)];
-      key_log_[static_cast<size_t>(s)].push_back(arrival.key);
-      Deliver(&tracker_, arrival);
-      Pump();
+      // One run: the same site's arrivals up to the next checkpoint or
+      // fault event.
+      const int s = workload_[g].site;
+      uint64_t limit = workload_.size();
+      if (ckpt_idx < schedule.size() && schedule[ckpt_idx] < limit) {
+        limit = schedule[ckpt_idx];
+      }
+      uint64_t end = g + 1;
+      while (end < limit && workload_[end].site == s && !FaultAt(end)) ++end;
+
+      // The oracle runs it first, so the frames and broadcasts the site
+      // and the core must produce are on record.
+      for (uint64_t i = g; i < end; ++i) {
+        Deliver(&oracle_, workload_[i]);
+        if (counts_(workload_[i], query_)) ++truth;
+      }
+      const uint64_t every = plan_.snapshot_every;
+      const uint64_t before = site_count_[static_cast<size_t>(s)];
+      site_count_[static_cast<size_t>(s)] += end - g;
+      Grant(s, end - g);
+      Pump(s);
       if (!report_.ok) break;
 
       // Quiescent: the coordinator has applied every frame and taken every
-      // decision, so its ledger and round must be the tracker's.
+      // decision, so its ledger and round must be the oracle's.
       const CoordinatorCore::Ledger& ledger = core_->ledger();
-      if (ledger.paper_messages != tracker_.meter().TotalMessages() ||
-          ledger.paper_words != tracker_.meter().TotalWords()) {
-        Fail("coordinator ledger diverged from the paper meter");
-      } else if (core_->coarse().round != broadcast_records_.size()) {
-        Fail("coordinator round diverged after quiescence");
+      if (ledger.paper_messages != oracle_.meter().TotalMessages() ||
+          ledger.paper_words != oracle_.meter().TotalWords()) {
+        Fail("coordinator ledger diverged from the oracle's paper meter");
+      } else if (core_->coarse().round != broadcasts_.size()) {
+        Fail("coordinator round diverged from the oracle's");
       }
-      if (counts_(arrival, query_)) ++truth;
+      for (const std::unique_ptr<SiteCore>& site : sites_) {
+        if (site->failed()) Fail(site->error());
+      }
 
-      if (site_count_[static_cast<size_t>(s)] % plan_.snapshot_every == 0) {
+      if (before / every != site_count_[static_cast<size_t>(s)] / every) {
         snapshot_pending_[static_cast<size_t>(s)] = 1;
       }
       if (snapshot_pending_[static_cast<size_t>(s)] &&
-          tracker_.SiteSnapshotReady(s)) {
+          sites_[static_cast<size_t>(s)]->SnapshotReady()) {
         TakeSnapshot(s);
-        snapshot_pending_[static_cast<size_t>(s)] = 0;
       }
 
       if (report_.ok && ckpt_idx < schedule.size() &&
-          schedule[ckpt_idx] == g + 1) {
-        double est = Estimate(tracker_, query_);
+          schedule[ckpt_idx] == end) {
+        double est = Estimate(oracle_, query_);
         double rep = core_->Estimate(query_);
         if (!SameBits(est, rep)) {
-          Fail("coordinator estimate diverged from tracker");
+          Fail("coordinator estimate diverged from the oracle's");
         }
-        report_.checkpoints.push_back(RobustCheckpoint{
-            g + 1, est, rep, static_cast<double>(truth)});
+        report_.checkpoints.push_back(
+            RobustCheckpoint{end, est, rep, static_cast<double>(truth)});
         ++ckpt_idx;
       }
+      g = end;
     }
 
     Finish();
     return std::move(report_);
   }
 
-  // WireTap: the tracker hands over each metered message at its §1.1 send
-  // instant; stage it on the site's reliable channel and offer it to the
-  // link. The tracker's own broadcast is only recorded: the coordinator
-  // core decides and sends broadcasts, and the sites check each one
-  // against these records.
+  // WireTap of the oracle: record each site's frames and each broadcast.
   void OnMessage(wire::Message&& msg) override {
-    if (!report_.ok) return;
     if (msg.site < 0) {
-      if (recovering_) {
-        Fail("crash replay emitted a broadcast");
-        return;
-      }
-      broadcast_records_.push_back(
-          BroadcastRecord{msg.b, current_site_, site_count_});
-      return;
-    }
-    int s = msg.site;
-    std::vector<uint8_t> frame;
-    uint64_t seq = up_send_[static_cast<size_t>(s)].Stage(msg, now_, &frame);
-    auto& journal = up_journal_[static_cast<size_t>(s)];
-    if (recovering_) {
-      // A replayed frame re-uses its original sequence number (the sender
-      // was reset to the snapshot's next_seq and the replay regenerates
-      // the identical frame sequence); it must match the journaled
-      // original and is charged as recovery retransmission.
-      if (seq > journal.size() ||
-          !SameMessageIgnoringEpoch(msg, journal[static_cast<size_t>(seq) -
-                                                 1])) {
-        Fail("crash replay re-emitted a frame that differs from the journal");
-        return;
-      }
-      report_.retransmit_bytes += frame.size();
+      broadcasts_.push_back(msg.b);
     } else {
-      journal.push_back(std::move(msg));
-      report_.wire_bytes += frame.size();
+      expected_[static_cast<size_t>(msg.site)].push_back(std::move(msg));
     }
-    Offer(s, kUpData, std::move(frame), &report_.retransmit_bytes);
   }
 
  private:
-  struct BroadcastRecord {
-    uint64_t n_bar = 0;
-    int trigger_site = -1;
-    // site_pos[i]: arrivals site i had completed or begun when the
-    // broadcast fired. The driver increments site_count before Arrive, so
-    // for the trigger site this counts the in-progress arrival.
-    std::vector<uint64_t> site_pos;
+  // A site's transport: its frames go out on its up_data link, and while
+  // parked it pumps the links one tick at a time.
+  struct SiteEnd final : SiteLink {
+    Engine* engine = nullptr;
+    int site = 0;
+    void SendUp(const std::vector<uint8_t>& frame) override {
+      engine->SendUp(site, frame);
+    }
+    bool PumpDown() override { return engine->PumpParked(); }
   };
 
-  struct SiteSnapshot {
-    std::vector<uint64_t> blob;
-    uint64_t site_arrivals = 0;
-    uint64_t up_next_seq = 1;
-    uint64_t down_watermark = 0;
-    size_t broadcast_count = 0;
+  // One entry of the coordinator's order journal: the next uplink frame
+  // of `site` the core applied (grant == 0), or a kGrant staged to it.
+  struct OrderEntry {
+    int site = 0;
+    uint64_t grant = 0;
   };
 
-  void Fail(const char* what) {
+  void Fail(const std::string& what) {
     if (!report_.ok) return;
     report_.ok = false;
     report_.error = what;
+  }
+
+  bool FaultAt(uint64_t g) const {
+    for (const FaultPlan::SiteCrash& crash : plan_.site_crashes) {
+      if (crash.global_arrival == g) return true;
+    }
+    for (uint64_t restart : plan_.coordinator_restarts) {
+      if (restart == g) return true;
+    }
+    return false;
+  }
+
+  std::unique_ptr<SiteCore> NewSite(int site) {
+    auto core = std::make_unique<SiteCore>(
+        site, std::make_unique<TrackerSite<Tracker>>(options_, site),
+        &ends_[static_cast<size_t>(site)]);
+    core->set_tick(now_);
+    return core;
+  }
+
+  // A site core's channel counters join the report when it dies.
+  void Retire(const SiteCore& site) {
+    report_.retransmissions += site.retransmissions();
+    report_.frames_deduped += site.duplicates();
   }
 
   void Finish() {
@@ -251,14 +285,12 @@ class Engine : public wire::WireTap, public DownlinkSink {
     }
     report_.retransmissions += core_->retransmissions();
     report_.frames_deduped += core_->duplicates();
-    for (const ReliableSender& up : up_send_) {
-      report_.retransmissions += up.retransmissions();
+    for (const std::unique_ptr<SiteCore>& site : sites_) Retire(*site);
+    report_.paper_words = oracle_.meter().TotalWords();
+    report_.paper_messages = oracle_.meter().TotalMessages();
+    for (const std::deque<wire::Message>& expected : expected_) {
+      if (!expected.empty()) Fail("a site never sent a frame the oracle did");
     }
-    for (const ReliableReceiver& down : down_recv_) {
-      report_.frames_deduped += down.duplicates();
-    }
-    report_.paper_words = tracker_.meter().TotalWords();
-    report_.paper_messages = tracker_.meter().TotalMessages();
     if (report_.link_bytes_offered != report_.wire_bytes +
                                           report_.retransmit_bytes +
                                           report_.overhead_bytes) {
@@ -274,11 +306,51 @@ class Engine : public wire::WireTap, public DownlinkSink {
         std::move(frame), now_);
   }
 
-  // DownlinkSink: the core's decision frames (and catch-up re-sends) go
-  // out on the site's down_data link.
+  // A site's staged frame. Its first transmission must be the oracle's
+  // next frame for that site (service-plane frames aside); a seq sent
+  // before is a restored site regenerating what it lost, and must match
+  // its first transmission.
+  void SendUp(int site, const std::vector<uint8_t>& frame) {
+    wire::Message msg;
+    uint64_t seq = 0;
+    wire::DecodeFrame(frame.data(), frame.size(), &msg, &seq);
+    std::vector<wire::Message>& journal =
+        up_journal_[static_cast<size_t>(site)];
+    if (seq <= journal.size()) {
+      if (!SameMessageIgnoringEpoch(msg,
+                                    journal[static_cast<size_t>(seq) - 1])) {
+        Fail("recovered site re-emitted a frame unlike its first one");
+      }
+      report_.retransmit_bytes += frame.size();
+    } else if (ServicePlane(msg)) {
+      report_.overhead_bytes += frame.size();
+      journal.push_back(std::move(msg));
+    } else {
+      std::deque<wire::Message>& expected =
+          expected_[static_cast<size_t>(site)];
+      if (expected.empty() ||
+          !SameMessageIgnoringEpoch(msg, expected.front())) {
+        Fail("site frame diverged from the oracle's");
+      } else {
+        expected.pop_front();
+      }
+      report_.wire_bytes += frame.size();
+      journal.push_back(std::move(msg));
+    }
+    Offer(site, kUpData, frame, &report_.retransmit_bytes);
+  }
+
+  // DownlinkSink: the core's grants and decisions (and catch-up re-sends)
+  // go out on the site's down_data link.
   void Send(int site, const std::vector<uint8_t>& frame,
             bool resend) override {
-    (resend ? report_.retransmit_bytes : report_.wire_bytes) += frame.size();
+    uint64_t* channel = &report_.wire_bytes;
+    if (resend) {
+      channel = &report_.retransmit_bytes;
+    } else if (granting_) {
+      channel = &report_.overhead_bytes;
+    }
+    *channel += frame.size();
     Offer(site, kDownData, frame, &report_.retransmit_bytes);
   }
 
@@ -294,179 +366,197 @@ class Engine : public wire::WireTap, public DownlinkSink {
     Offer(site, kind, std::move(frame), &report_.overhead_bytes);
   }
 
-  // The site's side of a delivered decision: its tracker already ran any
-  // broadcast ritual in place, so it checks that the coordinator's
-  // broadcast is the one the tracker performed (records are kept in
-  // round order, round r at index r - 1).
-  void CheckDecision(const wire::Message& msg) {
-    if (msg.type == wire::MsgType::kNoBroadcast) return;
+  // Every kBroadcast handed to a site must be one the oracle made
+  // (recorded in round order, round r at index r - 1).
+  void CheckBroadcast(const wire::Message& msg) {
     size_t round = static_cast<size_t>(msg.a);
-    if (msg.type != wire::MsgType::kBroadcast || round == 0 ||
-        round > broadcast_records_.size() ||
-        broadcast_records_[round - 1].n_bar != msg.b) {
-      Fail("coordinator decision diverged from the tracker's broadcasts");
+    if (round == 0 || round > broadcasts_.size() ||
+        broadcasts_[round - 1] != msg.b) {
+      Fail("coordinator broadcast diverged from the oracle's");
     }
   }
 
   // Delivers one decoded frame that arrived on `site`'s `kind` link.
   void Arrived(int site, int kind, wire::Message msg, uint64_t seq) {
-    std::vector<wire::Message> delivered;
+    SiteCore& end = *sites_[static_cast<size_t>(site)];
     switch (kind) {
-      case kUpData:
-        if (!core_->Receive(site, seq, std::move(msg), &delivered)) {
-          Fail("coordinator refused a tracker frame");
+      case kUpData: {
+        std::vector<wire::Message> applied;
+        if (!core_->Receive(site, seq, std::move(msg), &applied)) {
+          Fail("coordinator refused a site frame");
         }
-        delivery_order_.insert(delivery_order_.end(), delivered.size(),
-                               site);
-        SendControl(site, kUpAck, wire::MsgType::kAck,
-                    core_->up_watermark(site));
-        break;
+        order_.insert(order_.end(), applied.size(), OrderEntry{site, 0});
+        report_.frames_delivered += applied.size();
+        return;
+      }
       case kUpAck:
-        up_send_[static_cast<size_t>(site)].Ack(msg.a);
+        end.Receive(seq, std::move(msg));
         return;
       case kDownData: {
-        ReliableReceiver& down = down_recv_[static_cast<size_t>(site)];
-        down.Accept(seq, std::move(msg), &delivered);
-        for (const wire::Message& d : delivered) CheckDecision(d);
-        SendControl(site, kDownAck, wire::MsgType::kAck, down.watermark());
-        break;
+        if (msg.type == wire::MsgType::kBroadcast) CheckBroadcast(msg);
+        uint64_t watermark = end.down_watermark();
+        end.Receive(seq, std::move(msg));
+        report_.frames_delivered += end.down_watermark() - watermark;
+        return;
       }
       case kDownAck:
         core_->Ack(site, msg.a);
         return;
     }
-    report_.frames_delivered += delivered.size();
   }
 
-  void Pump() {
+  // One tick: every link delivers what is due, each data link's receiver
+  // acks what arrived (one cumulative ack per tick, duplicates included:
+  // the earlier ack may have been lost), then both data channels offer
+  // their due backoff retransmits.
+  void Step() {
     std::vector<std::vector<uint8_t>> frames;
-    uint64_t start = now_;
-    while (report_.ok) {
-      core_->set_tick(++now_);
-      for (int s = 0; s < k_ && report_.ok; ++s) {
-        for (int kind = 0; kind < 4 && report_.ok; ++kind) {
-          frames.clear();
-          links_[static_cast<size_t>(s * 4 + kind)].Deliver(now_, &frames);
-          for (size_t i = 0; i < frames.size() && report_.ok; ++i) {
-            wire::Message msg;
-            uint64_t seq = 0;
-            if (!wire::DecodeFrame(frames[i].data(), frames[i].size(), &msg,
-                                   &seq)) {
-              Fail("undecodable frame on a fault-injected link");
-            } else if (msg.type != wire::MsgType::kHello) {
-              Arrived(s, kind, std::move(msg), seq);
-            }
+    core_->set_tick(++now_);
+    for (const std::unique_ptr<SiteCore>& site : sites_) site->set_tick(now_);
+    for (int s = 0; s < k_ && report_.ok; ++s) {
+      for (int kind = 0; kind < 4 && report_.ok; ++kind) {
+        frames.clear();
+        links_[static_cast<size_t>(s * 4 + kind)].Deliver(now_, &frames);
+        for (size_t i = 0; i < frames.size() && report_.ok; ++i) {
+          wire::Message msg;
+          uint64_t seq = 0;
+          if (!wire::DecodeFrame(frames[i].data(), frames[i].size(), &msg,
+                                 &seq)) {
+            Fail("undecodable frame on a fault-injected link");
+          } else if (msg.type != wire::MsgType::kHello) {
+            Arrived(s, kind, std::move(msg), seq);
           }
         }
-        // Backoff retransmits of both data channels.
-        frames.clear();
-        up_send_[static_cast<size_t>(s)].DueRetransmits(now_, &frames);
-        size_t up_frames = frames.size();
-        core_->DueRetransmits(s, &frames);
-        for (size_t i = 0; i < frames.size(); ++i) {
-          report_.retransmit_bytes += frames[i].size();
-          Offer(s, i < up_frames ? kUpData : kDownData, std::move(frames[i]),
-                &report_.retransmit_bytes);
+        if (frames.empty() || !report_.ok) continue;
+        if (kind == kUpData) {
+          SendControl(s, kUpAck, wire::MsgType::kAck, core_->up_watermark(s));
+        } else if (kind == kDownData) {
+          SendControl(s, kDownAck, wire::MsgType::kAck,
+                      sites_[static_cast<size_t>(s)]->down_watermark());
         }
       }
-      bool idle = true;
-      for (const FaultyLink& link : links_) idle = idle && link.idle();
-      for (int s = 0; s < k_ && idle; ++s) {
-        idle = up_send_[static_cast<size_t>(s)].idle() && core_->down_idle(s);
-      }
-      if (idle) break;
-      if (now_ - start > kTickCap) {
-        Fail("transport failed to quiesce within the tick cap");
+      frames.clear();
+      sites_[static_cast<size_t>(s)]->DueRetransmits(&frames);
+      size_t up_frames = frames.size();
+      core_->DueRetransmits(s, &frames);
+      for (size_t i = 0; i < frames.size(); ++i) {
+        report_.retransmit_bytes += frames[i].size();
+        Offer(s, i < up_frames ? kUpData : kDownData, std::move(frames[i]),
+              &report_.retransmit_bytes);
       }
     }
   }
 
+  bool Idle() const {
+    for (const FaultyLink& link : links_) {
+      if (!link.idle()) return false;
+    }
+    for (int s = 0; s < k_; ++s) {
+      if (!sites_[static_cast<size_t>(s)]->up_idle() || !core_->down_idle(s)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Steps until everything is delivered and acked, running each grant
+  // `site` (-1: none) receives meanwhile: a run's one grant, or every lost
+  // one the core re-sends to a recovered site.
+  void Pump(int site) {
+    pump_start_ = now_;
+    while (report_.ok) {
+      if (site >= 0 && sites_[static_cast<size_t>(site)]->granted()) {
+        const std::vector<uint64_t>& keys = keys_[static_cast<size_t>(site)];
+        sites_[static_cast<size_t>(site)]->RunGrant(
+            [&keys](uint64_t position) {
+              return position < keys.size() ? keys[position] : 0;
+            });
+        continue;
+      }
+      if (Idle()) break;
+      Step();
+      if (now_ - pump_start_ > kTickCap) {
+        Fail("transport failed to quiesce within the tick cap");
+      }
+    }
+    if (site >= 0 && report_.ok &&
+        sites_[static_cast<size_t>(site)]->position() !=
+            site_count_[static_cast<size_t>(site)]) {
+      Fail("site did not run the arrivals granted to it");
+    }
+  }
+
+  // SiteLink::PumpDown of the parked site: one tick. A ritual never
+  // parks, so no other site may be parked meanwhile; and with nothing in
+  // flight, the decision can never come.
+  bool PumpParked() {
+    if (parked_) {
+      Fail("two sites parked at once");
+    } else if (Idle()) {
+      Fail("a parked site's decision never came");
+    } else if (now_ - pump_start_ > kTickCap) {
+      Fail("transport failed to quiesce within the tick cap");
+    }
+    if (!report_.ok) return false;
+    parked_ = true;
+    Step();
+    parked_ = false;
+    return report_.ok;
+  }
+
+  void Grant(int site, uint64_t length) {
+    order_.push_back(OrderEntry{site, length});
+    granting_ = true;
+    core_->Stage(site, GrantFrame(site, length));
+    granting_ = false;
+  }
+
+  // Snapshots come from the site itself. The oracle holds the same site at
+  // the same point, so the blob must be the oracle's, word for word.
   void TakeSnapshot(int site) {
-    SiteSnapshot& snap = snapshots_[static_cast<size_t>(site)];
-    snap.blob.clear();
-    tracker_.SerializeSiteState(site, &snap.blob);
-    snap.site_arrivals = site_count_[static_cast<size_t>(site)];
-    snap.up_next_seq = up_send_[static_cast<size_t>(site)].next_seq();
-    snap.down_watermark = down_recv_[static_cast<size_t>(site)].watermark();
-    snap.broadcast_count = broadcast_records_.size();
+    SiteCore::Snapshot& snap = snapshots_[static_cast<size_t>(site)];
+    snap = sites_[static_cast<size_t>(site)]->TakeSnapshot();
+    snapshot_pending_[static_cast<size_t>(site)] = 0;
+    std::vector<uint64_t> oracle;
+    if (oracle_.SiteSnapshotReady(site)) {
+      oracle_.SerializeSiteState(site, &oracle);
+    }
+    if (oracle != snap.blob) Fail("site state diverged from the oracle's");
   }
 
   void CrashAndRecover(int site) {
-    const SiteSnapshot& snap = snapshots_[static_cast<size_t>(site)];
     ++report_.site_recoveries;
-    recovering_ = true;
-
-    // The crash wipes the site's volatile state: tracker-side private
-    // state back to the snapshot, uplink sender soft state (unacked
-    // buffer + next seq), downlink delivery watermark. The coordinator
-    // detaches the site and keeps its journals, replica and uplink dedup
-    // watermark; dedup is what makes the replay idempotent.
+    // The crash loses the site's process: a fresh core restores the last
+    // snapshot. The coordinator detaches the site and keeps its journals,
+    // replica and uplink dedup watermark; dedup is what makes the replay
+    // idempotent.
+    Retire(*sites_[static_cast<size_t>(site)]);
     core_->Detach(site);
-    tracker_.BeginCrashReplay(site);
-    tracker_.RestoreSiteState(site, snap.blob);
-    up_send_[static_cast<size_t>(site)].Reset(snap.up_next_seq);
-    down_recv_[static_cast<size_t>(site)].Reset(snap.down_watermark);
+    sites_[static_cast<size_t>(site)] = NewSite(site);
+    const SiteCore::Snapshot& snap = snapshots_[static_cast<size_t>(site)];
+    sites_[static_cast<size_t>(site)]->Restore(snap);
 
     // Reconnect handshake: watermark exchange, pure transport overhead.
     SendControl(site, kUpData, wire::MsgType::kHello, snap.up_next_seq - 1);
     SendControl(site, kDownData, wire::MsgType::kHello,
                 core_->journal_size(site));
 
-    // Re-attaching re-sends the decisions the site lost, from the core's
-    // journal, with their original sequence numbers.
+    // Re-attaching re-sends every grant and decision past the snapshot,
+    // in order, at their original sequence numbers; the site re-runs its
+    // lost grants as it first ran them.
     core_->Attach(site, snap.down_watermark);
-    Pump();
+    Pump(site);
     if (!report_.ok) return;
-    if (down_recv_[static_cast<size_t>(site)].watermark() !=
+    if (sites_[static_cast<size_t>(site)]->down_watermark() !=
         core_->journal_size(site)) {
-      Fail("crashed site failed to catch up on decisions");
+      Fail("recovered site failed to catch up on its downlink");
       return;
     }
 
-    // Replay the site's lost arrivals, interleaved with the round rituals
-    // other sites' broadcasts imposed on it, in original order. Every
-    // frame the replay re-emits is content-checked against the journal
-    // (OnMessage) and deduplicated by the coordinator's receiver.
-    size_t rec_idx = snap.broadcast_count;
-    const size_t rec_end = broadcast_records_.size();
-    const auto& keys = key_log_[static_cast<size_t>(site)];
-    const uint64_t j_end = site_count_[static_cast<size_t>(site)];
-    for (uint64_t j = snap.site_arrivals; report_.ok; ++j) {
-      while (rec_idx < rec_end &&
-             broadcast_records_[rec_idx].trigger_site != site &&
-             broadcast_records_[rec_idx]
-                     .site_pos[static_cast<size_t>(site)] <= j) {
-        tracker_.ReplayCrashRitual(site, broadcast_records_[rec_idx].n_bar);
-        ++rec_idx;
-      }
-      if (j == j_end) break;
-      const uint64_t* mid = nullptr;
-      uint64_t mid_n_bar = 0;
-      if (rec_idx < rec_end &&
-          broadcast_records_[rec_idx].trigger_site == site &&
-          broadcast_records_[rec_idx]
-                  .site_pos[static_cast<size_t>(site)] == j + 1) {
-        mid_n_bar = broadcast_records_[rec_idx].n_bar;
-        mid = &mid_n_bar;
-        ++rec_idx;
-      }
-      tracker_.ReplayCrashArrive(site, keys[static_cast<size_t>(j)], mid);
-      Pump();
-    }
-    if (!report_.ok) return;
-    if (rec_idx != rec_end) {
-      Fail("crash replay left journaled broadcasts unapplied");
-      return;
-    }
-    tracker_.EndCrashReplay();
-    recovering_ = false;
-
-    // The recovered state is the live state: refresh the snapshot when
-    // the tracker allows it so later crashes replay from here.
-    if (tracker_.SiteSnapshotReady(site)) {
-      TakeSnapshot(site);
-      snapshot_pending_[static_cast<size_t>(site)] = 0;
-    }
+    // The recovered state is the live state: snapshot it (checking it
+    // against the oracle) at the first point the site allows.
+    snapshot_pending_[static_cast<size_t>(site)] = 1;
+    if (sites_[static_cast<size_t>(site)]->SnapshotReady()) TakeSnapshot(site);
   }
 
   void RestartCoordinator() {
@@ -474,32 +564,37 @@ class Engine : public wire::WireTap, public DownlinkSink {
     double before = core_->Estimate(query_);
     report_.frames_deduped += core_->duplicates();
     report_.retransmissions += core_->retransmissions();
-    // Soft state dies; the delivery-order journal is the persistent
-    // store. A fresh core re-applies it with every site detached, so its
-    // decisions are journaled, not sent, and re-attaching each site at
-    // its downlink watermark re-sends only what the site has not applied.
+    // Soft state dies; the order journal is the persistent store. A fresh
+    // core re-applies it with every site detached, so its downlink is
+    // journaled, not sent, and re-attaching each site at its downlink
+    // watermark re-sends only what the site has not handled.
     core_ = std::make_unique<CoordinatorCore>(options_, this);
     core_->set_tick(now_);
     std::vector<size_t> applied(static_cast<size_t>(k_), 0);
     std::vector<wire::Message> delivered;
-    for (int s : delivery_order_) {
-      size_t i = applied[static_cast<size_t>(s)]++;
-      core_->Receive(s, i + 1, up_journal_[static_cast<size_t>(s)][i],
+    for (const OrderEntry& entry : order_) {
+      if (entry.grant > 0) {
+        core_->Stage(entry.site, GrantFrame(entry.site, entry.grant));
+        continue;
+      }
+      size_t i = applied[static_cast<size_t>(entry.site)]++;
+      core_->Receive(entry.site, i + 1,
+                     up_journal_[static_cast<size_t>(entry.site)][i],
                      &delivered);
     }
     for (int s = 0; s < k_ && report_.ok; ++s) {
-      uint64_t watermark = down_recv_[static_cast<size_t>(s)].watermark();
+      uint64_t watermark = sites_[static_cast<size_t>(s)]->down_watermark();
       if (watermark != core_->journal_size(s)) {
         Fail("rebuilt downlink journal diverged from the sites'");
       }
       SendControl(s, kDownData, wire::MsgType::kHello, watermark);
       core_->Attach(s, watermark);
     }
-    Pump();
+    Pump(-1);
     if (!report_.ok) return;
     if (!SameBits(before, core_->Estimate(query_))) {
       Fail("journal rebuild diverged from the live coordinator");
-    } else if (core_->coarse().round != broadcast_records_.size()) {
+    } else if (core_->coarse().round != broadcasts_.size()) {
       Fail("rebuilt coordinator round diverged");
     }
   }
@@ -511,24 +606,24 @@ class Engine : public wire::WireTap, public DownlinkSink {
   FaultPlan plan_;
   int k_;
 
-  Tracker tracker_;
+  Tracker oracle_;
   std::unique_ptr<CoordinatorCore> core_;
-
-  // Site halves of the reliable channels; the core holds the others.
+  std::vector<SiteEnd> ends_;
+  std::vector<std::unique_ptr<SiteCore>> sites_;
   std::vector<FaultyLink> links_;
-  std::vector<ReliableSender> up_send_;
-  std::vector<ReliableReceiver> down_recv_;
 
   uint64_t now_ = 0;
-  int current_site_ = -1;
-  bool recovering_ = false;
+  uint64_t pump_start_ = 0;  ///< tick the current Pump began
+  bool parked_ = false;
+  bool granting_ = false;  ///< a kGrant is being staged (Send charges it)
 
-  std::vector<uint64_t> site_count_;
-  std::vector<std::vector<uint64_t>> key_log_;
+  std::vector<std::vector<uint64_t>> keys_;  // each site's stream
+  std::vector<uint64_t> site_count_;         // arrivals granted per site
+  std::vector<std::deque<wire::Message>> expected_;  // oracle, unsent
+  std::vector<uint64_t> broadcasts_;                 // oracle n̄, by round
   std::vector<std::vector<wire::Message>> up_journal_;  // by seq - 1
-  std::vector<int> delivery_order_;  // site of each frame the core applied
-  std::vector<BroadcastRecord> broadcast_records_;
-  std::vector<SiteSnapshot> snapshots_;
+  std::vector<OrderEntry> order_;
+  std::vector<SiteCore::Snapshot> snapshots_;
   std::vector<char> snapshot_pending_;
 
   RobustReport report_;
@@ -538,29 +633,28 @@ class Engine : public wire::WireTap, public DownlinkSink {
 
 RobustReport RobustReplayCount(const count::RandomizedCountOptions& options,
                                const Workload& workload,
-                               const RobustOptions& robust) {
+                               const FaultPlan& plan) {
   return Engine<count::RandomizedCountTracker, count::RandomizedCountOptions>(
-             options, workload, 0, robust,
+             options, workload, 0, plan,
              [](const Arrival&, uint64_t) { return true; })
       .Run();
 }
 
 RobustReport RobustReplayFrequency(
     const frequency::RandomizedFrequencyOptions& options,
-    const Workload& workload, uint64_t query_item,
-    const RobustOptions& robust) {
+    const Workload& workload, uint64_t query_item, const FaultPlan& plan) {
   return Engine<frequency::RandomizedFrequencyTracker,
                 frequency::RandomizedFrequencyOptions>(
-             options, workload, query_item, robust,
+             options, workload, query_item, plan,
              [](const Arrival& a, uint64_t item) { return a.key == item; })
       .Run();
 }
 
 RobustReport RobustReplayRank(const rank::RandomizedRankOptions& options,
                               const Workload& workload, uint64_t query_value,
-                              const RobustOptions& robust) {
+                              const FaultPlan& plan) {
   return Engine<rank::RandomizedRankTracker, rank::RandomizedRankOptions>(
-             options, workload, query_value, robust,
+             options, workload, query_value, plan,
              [](const Arrival& a, uint64_t value) { return a.key < value; })
       .Run();
 }

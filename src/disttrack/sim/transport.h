@@ -16,18 +16,20 @@
 //                     crash points, coordinator restarts — derived
 //                     deterministically from one seed.
 //
-// The coordinator's halves of the reliable channels (an uplink receiver
-// and a downlink sender per site) live in sim::CoordinatorCore
-// (coordinator_core.h), which the service daemon runs over TCP as well;
-// the daemon never retransmits, so only the robust replay drives the
-// backoff.
+// The reliable channels' halves live in the two protocol cores: the
+// coordinator's (an uplink receiver and a downlink sender per site) in
+// sim::CoordinatorCore (coordinator_core.h), the site's (an uplink sender
+// and a downlink receiver) in sim::SiteCore (site_core.h). The service
+// runs both cores over TCP as well; it never retransmits, so only the
+// robust replay drives the backoff.
 //
-// Time is a logical tick counter private to one arrival's delivery: the
-// robust cluster pumps links until quiescence before the next arrival,
-// which realizes the §1.1 contract ("all communication triggered by that
-// arrival completes before Arrive() returns") even under faults — faults
-// stretch delivery *within* an arrival but never across arrivals. That is
-// the property that makes bit-identical fault recovery achievable at all.
+// Time is a logical tick counter private to one run's delivery: the
+// robust replay pumps links until quiescence before the next run, and a
+// site parked on a coarse report pumps them until its decision arrives,
+// which realizes the §1.1 contract ("all communication triggered by an
+// arrival completes before the next one") even under faults — faults
+// stretch delivery *within* a run but never across runs. That is the
+// property that makes bit-identical fault recovery achievable at all.
 //
 // Everything here is deterministic from (plan, seed): links draw fault
 // decisions from private xoshiro streams keyed by (plan seed, link id),
@@ -130,10 +132,13 @@ class FaultyLink {
 
 /// Sender half of a reliable directed channel: assigns sequence numbers,
 /// keeps unacked frames, and schedules retransmissions on capped
-/// exponential backoff.
+/// exponential backoff. The default backoff's initial delay exceeds the
+/// 2-tick send + ack round trip of the fault-injected links, so a
+/// fault-free replay never retransmits.
 class ReliableSender {
  public:
-  explicit ReliableSender(ExponentialBackoff backoff = ExponentialBackoff())
+  explicit ReliableSender(
+      ExponentialBackoff backoff = ExponentialBackoff(4, 64))
       : backoff_(backoff) {}
 
   /// Assigns the next sequence number to `msg`, records the encoded frame

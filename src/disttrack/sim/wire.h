@@ -172,10 +172,10 @@ size_t PeekFrameSize(const uint8_t* data, size_t size);
 
 /// Tracker-side emission hook. A tracker with a tap installed emits every
 /// protocol message it meters through OnMessage, exactly once, at the
-/// moment the §1.1 model would send it. The robust cluster installs a tap
-/// that frames the message and routes it through the fault-injected
-/// transport; with no tap installed the trackers behave exactly as
-/// before (direct-call sim).
+/// moment the §1.1 model would send it. A sim::SiteCore installs itself
+/// as the tap of the site it hosts and sends each message on its uplink;
+/// with no tap installed the trackers behave exactly as before
+/// (direct-call sim).
 class WireTap {
  public:
   virtual ~WireTap() = default;

@@ -23,13 +23,10 @@ size_t CapacityFor(double eps) {
 
 // Accessors for the virtual-cascade get contract: At(i) is element i of
 // a fully sorted logical sequence, and Gather(offset, stride, count,
-// out) materializes the strided slice the cascade keeps. Gather is where
-// the vector work lands — the two-view accessor batches its merge-path
-// selections four lanes at a time through simd::TwoViewSelect4 (masked
-// gather-based binary search under AVX2 dispatch, scalar mirror
-// otherwise) instead of one log-time scalar search per element. All
-// routes keep the selected values exact, so dispatch can never change a
-// tracker estimate (tier A).
+// out) materializes the strided slice the cascade keeps; the two-view
+// accessor resolves its merge-path selections four at a time through
+// simd::TwoViewSelect4. All routes keep the selected values exact, so
+// they can never change a tracker estimate (tier A).
 
 // A bare sorted array.
 struct DirectGet {

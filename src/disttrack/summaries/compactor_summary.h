@@ -14,9 +14,10 @@
 // fixed rank query by a mean-zero +-2^level, so errors form a martingale:
 // variances add, giving Var <= 4 m^2 / s^2; s = ceil(2/eps) meets (2).
 //
-// DESIGN.md documents this as the one substitution in the reproduction:
-// the paper quotes space O(1/eps * log^1.5(1/eps)) for A; the compactor
-// gives O(1/eps * log(eps*m)), identical in all experiments' regimes.
+// docs/REPRODUCTION.md lists this as the one substitution in the
+// randomized protocols: the paper quotes space O(1/eps * log^1.5(1/eps))
+// for A; the compactor gives O(1/eps * log(eps*m)), identical in all
+// experiments' regimes.
 //
 // DESIGN — why batched compaction preserves the martingale argument.
 // InsertBatch appends a whole run to the level-0 buffer and only then

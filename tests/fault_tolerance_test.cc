@@ -5,18 +5,23 @@
 // bytes matching CommMeter's frame accounting exactly.
 //
 // The RobustReplay* engine already self-checks the strongest invariants
-// every arrival (replica estimate == tracker estimate at checkpoints,
-// per-arrival paper word charges, journal content equality, byte
-// conservation) and reports any violation through RobustReport::ok.
-// These tests drive the sweep, compare fault runs against the fault-free
-// baseline checkpoint-by-checkpoint, and cross-check the robust engine
-// against the serial and multi-threaded reference drivers.
+// against its serial oracle (every site frame, every broadcast handed to
+// a site, every site snapshot, the paper ledger after every run, the
+// replica estimate at checkpoints, byte conservation) and reports any
+// violation through RobustReport::ok. These tests drive the sweep,
+// compare fault runs against the fault-free baseline checkpoint by
+// checkpoint, and cross-check the robust engine against the serial
+// reference drivers. The SiteCore tests at the end pin the site protocol
+// on its own: how a parked report resolves, and that a wrong downlink is
+// caught by the same frame and state comparisons.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "disttrack/count/randomized_count.h"
@@ -24,6 +29,7 @@
 #include "disttrack/rank/randomized_rank.h"
 #include "disttrack/sim/cluster.h"
 #include "disttrack/sim/robust_cluster.h"
+#include "disttrack/sim/site_core.h"
 #include "disttrack/stream/workload.h"
 
 namespace disttrack {
@@ -49,10 +55,9 @@ struct SweepStats {
 /// byte-conserving; `*stats` collects what the storms exercised in
 /// aggregate. (Out-parameter: ASSERT_* needs a void function.)
 void RunSweep(const char* tag, uint64_t n, int k, uint64_t seed_base,
-              const std::function<RobustReport(const RobustOptions&)>& run,
+              const std::function<RobustReport(const FaultPlan&)>& run,
               SweepStats* stats) {
-  RobustOptions clean;
-  RobustReport base = run(clean);
+  RobustReport base = run(FaultPlan());
   ASSERT_TRUE(base.ok) << tag << " fault-free: " << base.error;
   EXPECT_EQ(base.retransmit_bytes, 0u) << tag;  // nothing to recover from
   EXPECT_EQ(base.retransmissions, 0u) << tag;
@@ -62,9 +67,7 @@ void RunSweep(const char* tag, uint64_t n, int k, uint64_t seed_base,
 
   for (int i = 0; i < kSweepSeeds; ++i) {
     uint64_t seed = seed_base + static_cast<uint64_t>(i);
-    RobustOptions faulty;
-    faulty.plan = FaultPlan::FromSeed(seed, n, k);
-    RobustReport report = run(faulty);
+    RobustReport report = run(FaultPlan::FromSeed(seed, n, k));
     ASSERT_TRUE(report.ok)
         << tag << " storm seed " << seed << ": " << report.error;
 
@@ -132,7 +135,7 @@ TEST(FaultToleranceTest, CountSweepConvergesBitIdentical) {
   SweepStats stats;
   RunSweep(
       "count", n, k, 100,
-      [&](const RobustOptions& r) { return RobustReplayCount(opt, w, r); },
+      [&](const FaultPlan& plan) { return RobustReplayCount(opt, w, plan); },
       &stats);
   ExpectStormCoverage("count", stats);
 }
@@ -151,8 +154,8 @@ TEST(FaultToleranceTest, FrequencySweepConvergesBitIdentical) {
   SweepStats stats;
   RunSweep(
       "frequency", n, k, 200,
-      [&](const RobustOptions& r) {
-        return RobustReplayFrequency(opt, w, query, r);
+      [&](const FaultPlan& plan) {
+        return RobustReplayFrequency(opt, w, query, plan);
       },
       &stats);
   ExpectStormCoverage("frequency", stats);
@@ -173,8 +176,8 @@ TEST(FaultToleranceTest, RankSweepConvergesBitIdentical) {
   SweepStats stats;
   RunSweep(
       "rank", n, k, 300,
-      [&](const RobustOptions& r) {
-        return RobustReplayRank(opt, w, query, r);
+      [&](const FaultPlan& plan) {
+        return RobustReplayRank(opt, w, query, plan);
       },
       &stats);
   ExpectStormCoverage("rank", stats);
@@ -195,7 +198,7 @@ TEST(FaultToleranceTest, FaultFreeRobustMatchesSerialReplay) {
         k, n, stream::SiteSchedule::kRoundRobin, 19);
     count::RandomizedCountTracker serial(opt);
     std::vector<Checkpoint> ref = ReplayCount(&serial, w);
-    RobustReport robust = RobustReplayCount(opt, w, RobustOptions());
+    RobustReport robust = RobustReplayCount(opt, w, FaultPlan());
     ASSERT_TRUE(robust.ok) << robust.error;
     ASSERT_EQ(robust.checkpoints.size(), ref.size());
     for (size_t i = 0; i < ref.size(); ++i) {
@@ -213,7 +216,7 @@ TEST(FaultToleranceTest, FaultFreeRobustMatchesSerialReplay) {
         k, n, stream::SiteSchedule::kSkewedGeometric, 64, 1.2, 29);
     frequency::RandomizedFrequencyTracker serial(opt);
     std::vector<Checkpoint> ref = ReplayFrequency(&serial, w, 1);
-    RobustReport robust = RobustReplayFrequency(opt, w, 1, RobustOptions());
+    RobustReport robust = RobustReplayFrequency(opt, w, 1, FaultPlan());
     ASSERT_TRUE(robust.ok) << robust.error;
     ASSERT_EQ(robust.checkpoints.size(), ref.size());
     for (size_t i = 0; i < ref.size(); ++i) {
@@ -236,7 +239,7 @@ TEST(FaultToleranceTest, FaultFreeRobustMatchesSerialReplay) {
     rank::RandomizedRankTracker serial(opt);
     std::vector<Checkpoint> ref = ReplayRank(&serial, w, 1ull << 21);
     RobustReport robust =
-        RobustReplayRank(opt, w, 1ull << 21, RobustOptions());
+        RobustReplayRank(opt, w, 1ull << 21, FaultPlan());
     ASSERT_TRUE(robust.ok) << robust.error;
     ASSERT_EQ(robust.checkpoints.size(), ref.size());
     for (size_t i = 0; i < ref.size(); ++i) {
@@ -252,20 +255,20 @@ TEST(FaultToleranceTest, CrashRestartRunMatchesSerialReplay) {
   const int k = 6;
   const uint64_t n = 4000;
 
-  RobustOptions storm;
-  storm.plan.seed = 424242;
-  storm.plan.drop_rate = 0.25;
-  storm.plan.duplicate_rate = 0.2;
-  storm.plan.reorder_rate = 0.3;
-  storm.plan.max_delay_ticks = 3;
-  storm.plan.snapshot_every = 16;
+  FaultPlan storm;
+  storm.seed = 424242;
+  storm.drop_rate = 0.25;
+  storm.duplicate_rate = 0.2;
+  storm.reorder_rate = 0.3;
+  storm.max_delay_ticks = 3;
+  storm.snapshot_every = 16;
   // Crash every site at least once, mid-stream; restart the coordinator
   // twice.
   for (int s = 0; s < k; ++s) {
-    storm.plan.site_crashes.push_back(
+    storm.site_crashes.push_back(
         {n / 4 + static_cast<uint64_t>(s) * (n / (2 * k)), s});
   }
-  storm.plan.coordinator_restarts = {n / 3, (2 * n) / 3};
+  storm.coordinator_restarts = {n / 3, (2 * n) / 3};
 
   {
     count::RandomizedCountOptions opt;
@@ -318,13 +321,13 @@ TEST(FaultToleranceTest, ExtremeSchedulesStillConverge) {
   opt.seed = 2;
   Workload w = stream::MakeCountWorkload(
       k, n, stream::SiteSchedule::kBursty, 3);
-  RobustReport base = RobustReplayCount(opt, w, RobustOptions());
+  RobustReport base = RobustReplayCount(opt, w, FaultPlan());
   ASSERT_TRUE(base.ok);
 
   // Near-total loss: every frame retransmitted many times.
-  RobustOptions lossy;
-  lossy.plan.seed = 1;
-  lossy.plan.drop_rate = 0.9;
+  FaultPlan lossy;
+  lossy.seed = 1;
+  lossy.drop_rate = 0.9;
   RobustReport r = RobustReplayCount(opt, w, lossy);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_GT(r.retransmissions, 0u);
@@ -335,11 +338,11 @@ TEST(FaultToleranceTest, ExtremeSchedulesStillConverge) {
   }
 
   // Crash the same site repeatedly, including back-to-back.
-  RobustOptions crashy;
-  crashy.plan.seed = 2;
-  crashy.plan.duplicate_rate = 0.5;
-  crashy.plan.snapshot_every = 4;
-  crashy.plan.site_crashes = {{100, 0}, {100, 0}, {101, 0}, {400, 0}};
+  FaultPlan crashy;
+  crashy.seed = 2;
+  crashy.duplicate_rate = 0.5;
+  crashy.snapshot_every = 4;
+  crashy.site_crashes = {{100, 0}, {100, 0}, {101, 0}, {400, 0}};
   r = RobustReplayCount(opt, w, crashy);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.site_recoveries, 4u);
@@ -349,11 +352,11 @@ TEST(FaultToleranceTest, ExtremeSchedulesStillConverge) {
   }
 
   // Restart the coordinator every few hundred arrivals.
-  RobustOptions restarty;
-  restarty.plan.seed = 3;
-  restarty.plan.reorder_rate = 0.6;
-  restarty.plan.max_delay_ticks = 5;
-  restarty.plan.coordinator_restarts = {100, 200, 300, 400, 500, 600, 700};
+  FaultPlan restarty;
+  restarty.seed = 3;
+  restarty.reorder_rate = 0.6;
+  restarty.max_delay_ticks = 5;
+  restarty.coordinator_restarts = {100, 200, 300, 400, 500, 600, 700};
   r = RobustReplayCount(opt, w, restarty);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.coordinator_restarts, 7u);
@@ -363,126 +366,342 @@ TEST(FaultToleranceTest, ExtremeSchedulesStillConverge) {
   }
 }
 
-// The replay guards. A crash replay that strays from the original
-// execution must abort loudly instead of re-emitting wrong frames, so
-// each guard is pinned here on a replay driven by hand.
+// --- The site protocol, in isolation ---------------------------------------
 
-count::RandomizedCountOptions GuardCountOptions() {
+wire::Message Frame(wire::MsgType type, uint64_t a, uint64_t b = 0,
+                    uint64_t c = 0) {
+  wire::Message msg;
+  msg.type = type;
+  msg.site = 0;
+  msg.a = a;
+  msg.b = b;
+  msg.c = c;
+  return msg;
+}
+
+/// A site's transport in a test: records every uplink frame with its seq,
+/// sends downlink frames in sequence, and answers a parked report through
+/// `decide(report seq, report)`, which sends the decision.
+struct TestLink : SiteLink {
+  SiteCore* core = nullptr;
+  std::vector<wire::Message> up;
+  std::vector<uint64_t> up_seq;
+  uint64_t down_seq = 0;
+  int pumps = 0;
+  std::function<void(uint64_t, const wire::Message&)> decide;
+
+  void SendUp(const std::vector<uint8_t>& frame) override {
+    wire::Message msg;
+    uint64_t seq = 0;
+    EXPECT_TRUE(wire::DecodeFrame(frame.data(), frame.size(), &msg, &seq));
+    up.push_back(std::move(msg));
+    up_seq.push_back(seq);
+  }
+  bool PumpDown() override {
+    ++pumps;
+    EXPECT_EQ(up.back().type, wire::MsgType::kCoarseReport);
+    decide(up_seq.back(), up.back());
+    return true;
+  }
+  void Send(wire::Message msg) { core->Receive(++down_seq, std::move(msg)); }
+};
+
+std::unique_ptr<SiteCore> CountSite(TestLink* link) {
   count::RandomizedCountOptions opt;
   opt.num_sites = 2;
   opt.epsilon = 0.1;
-  return opt;
+  auto core = std::make_unique<SiteCore>(
+      0, std::make_unique<TrackerSite<count::RandomizedCountTracker>>(opt, 0),
+      link);
+  link->core = core.get();
+  return core;
 }
 
-frequency::RandomizedFrequencyOptions GuardFrequencyOptions() {
+// A parked report is resolved by its decision: kNoBroadcast just releases
+// it, a kBroadcast naming it runs the ritual reentrantly and stages the
+// kRitualAck before the arrival that reported returns.
+TEST(SiteCoreTest, ParkedReportResolvesOnItsDecision) {
+  TestLink link;
+  std::unique_ptr<SiteCore> site = CountSite(&link);
+  // The coordinator of the test: another site has already reported 100.
+  count::CoarseMirror mirror;
+  ASSERT_TRUE(mirror.ApplyReport(100));
+  link.Send(Frame(wire::MsgType::kBroadcast, mirror.round, mirror.n_bar));
+  ASSERT_EQ(link.up.size(), 1u);  // idle: the ritual ran at once
+  EXPECT_EQ(link.up[0].type, wire::MsgType::kRitualAck);
+  EXPECT_EQ(link.up[0].a, 1u);  // downlink seq of the broadcast
+  EXPECT_EQ(link.up[0].epoch, 1u);
+
+  uint64_t quiet = 0;
+  uint64_t report_seq = 0;
+  uint64_t broadcast_seq = 0;
+  link.decide = [&](uint64_t seq, const wire::Message& report) {
+    if (!mirror.ApplyReport(report.a)) {
+      ++quiet;
+      link.Send(Frame(wire::MsgType::kNoBroadcast, seq));
+      return;
+    }
+    report_seq = seq;
+    link.Send(Frame(wire::MsgType::kBroadcast, mirror.round, mirror.n_bar,
+                    seq));
+    broadcast_seq = link.down_seq;
+  };
+  // Reports at local counts 1, 2, 4, ..., 64 keep n' below 2n̄ = 200; the
+  // one at 128 (delta 64) lifts it to 228 and broadcasts.
+  link.Send(Frame(wire::MsgType::kGrant, 128));
+  ASSERT_TRUE(site->granted());
+  site->RunGrant([](uint64_t) { return 0; });
+  ASSERT_TRUE(site->live()) << site->error();
+  EXPECT_EQ(link.pumps, 8);
+  EXPECT_EQ(quiet, 7u);
+  ASSERT_NE(broadcast_seq, 0u);
+  EXPECT_EQ(site->position(), 128u);
+
+  // The ritual ran inside the parked arrival: everything after the
+  // broadcasting report carries the new round, and the ritual ack names
+  // the broadcast and the position mid-arrival.
+  size_t report = 0;
+  while (report < link.up.size() && link.up_seq[report] != report_seq) {
+    ++report;
+  }
+  ASSERT_LT(report, link.up.size());
+  EXPECT_EQ(link.up[report].epoch, 1u);
+  size_t ack = report;
+  while (ack < link.up.size() &&
+         link.up[ack].type != wire::MsgType::kRitualAck) {
+    ++ack;
+  }
+  ASSERT_LT(ack, link.up.size());
+  EXPECT_EQ(link.up[ack].a, broadcast_seq);
+  EXPECT_EQ(link.up[ack].b, 127u);
+  for (size_t i = report + 1; i < link.up.size(); ++i) {
+    EXPECT_EQ(link.up[i].epoch, 2u) << "frame " << i;
+  }
+  EXPECT_EQ(link.up.back().type, wire::MsgType::kGrantDone);
+  EXPECT_EQ(link.up.back().a, 128u);
+  EXPECT_TRUE(site->SnapshotReady());
+}
+
+TEST(SiteCoreTest, UnexpectedNoBroadcastFailsTheSite) {
+  TestLink link;
+  std::unique_ptr<SiteCore> site = CountSite(&link);
+  link.Send(Frame(wire::MsgType::kNoBroadcast, 1));
+  EXPECT_TRUE(site->failed());
+  EXPECT_NE(site->error().find("unexpected kNoBroadcast"), std::string::npos);
+}
+
+// --- The differential catches a wrong downlink -----------------------------
+//
+// Site 0 of a two-site fleet, fed the downlink the coordinator would send
+// it: the broadcasts site 1's runs trigger between site 0's grants, and a
+// decision for each of site 0's coarse reports. The oracle (a serial
+// tracker) records that downlink and site 0's frames. A live core runs
+// the first half; a core restored from its snapshot runs the rest, with
+// `tamper` applied to the broadcasts it is handed. The result says whether
+// the restored core's frames and final state are the oracle's — the
+// checks the fault harness makes of every site.
+
+struct Downlink {
+  uint64_t grant = 0;  ///< arrivals granted, or 0 for a broadcast
+  uint64_t round = 0;
+  uint64_t n_bar = 0;
+};
+
+struct OracleTap : wire::WireTap {
+  std::vector<wire::Message> frames;  // site 0's
+  std::vector<Downlink> downlink;     // broadcasts between site 0's runs
+  std::vector<Downlink> decisions;    // per site-0 report; round 0: quiet
+  bool reported = false;              // the last frame was site 0's report
+
+  void OnMessage(wire::Message&& msg) override {
+    bool report = msg.site == 0 && msg.type == wire::MsgType::kCoarseReport;
+    if (msg.site < 0) {
+      Downlink broadcast{0, msg.a, msg.b};
+      if (reported) {
+        decisions.back() = broadcast;
+      } else {
+        downlink.push_back(broadcast);
+      }
+    } else if (msg.site == 0) {
+      if (report) decisions.emplace_back();
+      frames.push_back(std::move(msg));
+    }
+    reported = report;
+  }
+};
+
+struct Verdict {
+  bool frames_match = false;
+  bool state_match = false;
+};
+
+template <typename Tracker, typename Options>
+Verdict ReplayRestoredSite(
+    const Options& options,
+    const std::function<void(std::vector<Downlink>*)>& tamper) {
+  auto key = [](uint64_t i) { return (i * 2654435761u) % 4096; };
+  Tracker oracle(options);
+  OracleTap tap;
+  oracle.set_wire_tap(&tap);
+  auto arrive = [&](int site, uint64_t value) {
+    if constexpr (std::is_same_v<Tracker, count::RandomizedCountTracker>) {
+      oracle.Arrive(site);
+    } else {
+      oracle.Arrive(site, value);
+    }
+  };
+  uint64_t site0 = 0;
+  for (int phase = 0; phase < 6; ++phase) {
+    for (uint64_t i = 0; i < (uint64_t{200} << phase); ++i) arrive(1, key(i));
+    tap.downlink.push_back(Downlink{16, 0, 0});
+    for (int i = 0; i < 16; ++i) arrive(0, key(site0++));
+  }
+
+  auto run = [&](SiteCore* core, TestLink* link, size_t* decision,
+                 const std::vector<Downlink>& events, size_t from,
+                 size_t to) {
+    link->decide = [&, link, decision](uint64_t seq, const wire::Message&) {
+      const Downlink& d = tap.decisions[(*decision)++];
+      if (d.round == 0) {
+        link->Send(Frame(wire::MsgType::kNoBroadcast, seq));
+      } else {
+        link->Send(Frame(wire::MsgType::kBroadcast, d.round, d.n_bar, seq));
+      }
+    };
+    for (size_t e = from; e < to && core->live(); ++e) {
+      if (events[e].grant) {
+        link->Send(Frame(wire::MsgType::kGrant, events[e].grant));
+        core->RunGrant(key);
+      } else {
+        link->Send(Frame(wire::MsgType::kBroadcast, events[e].round,
+                         events[e].n_bar));
+      }
+    }
+  };
+  auto make = [&](TestLink* link) {
+    auto core = std::make_unique<SiteCore>(
+        0, std::make_unique<TrackerSite<Tracker>>(options, 0), link);
+    link->core = core.get();
+    return core;
+  };
+
+  // The live core runs the first half and snapshots where it can.
+  const size_t half = tap.downlink.size() / 2;
+  TestLink live_link;
+  std::unique_ptr<SiteCore> live = make(&live_link);
+  SiteCore::Snapshot snap = live->TakeSnapshot();
+  size_t snap_event = 0, snap_decision = 0, snap_frames = 0;
+  size_t decision = 0;
+  for (size_t e = 0; e < half; ++e) {
+    run(live.get(), &live_link, &decision, tap.downlink, e, e + 1);
+    if (live->SnapshotReady()) {
+      snap = live->TakeSnapshot();
+      snap_event = e + 1;
+      snap_decision = decision;
+      snap_frames = 0;
+      for (const wire::Message& m : live_link.up) {
+        if (m.type != wire::MsgType::kRitualAck &&
+            m.type != wire::MsgType::kGrantDone) {
+          ++snap_frames;
+        }
+      }
+    }
+  }
+
+  // A fresh core restored from the snapshot runs the rest.
+  std::vector<Downlink> events = tap.downlink;
+  tamper(&events);
+  TestLink link;
+  link.down_seq = snap.down_watermark;
+  std::unique_ptr<SiteCore> restored = make(&link);
+  restored->Restore(snap);
+  decision = snap_decision;
+  run(restored.get(), &link, &decision, events, snap_event, events.size());
+
+  Verdict verdict;
+  std::vector<wire::Message> sent;
+  for (const wire::Message& m : link.up) {
+    if (m.type != wire::MsgType::kRitualAck &&
+        m.type != wire::MsgType::kGrantDone) {
+      sent.push_back(m);
+    }
+  }
+  verdict.frames_match =
+      restored->live() && sent.size() + snap_frames == tap.frames.size();
+  for (size_t i = 0; verdict.frames_match && i < sent.size(); ++i) {
+    const wire::Message& a = sent[i];
+    const wire::Message& b = tap.frames[snap_frames + i];
+    verdict.frames_match = a.type == b.type && a.a == b.a && a.b == b.b &&
+                           a.c == b.c && a.values == b.values &&
+                           a.segments == b.segments;
+  }
+  if (restored->SnapshotReady() && oracle.SiteSnapshotReady(0)) {
+    std::vector<uint64_t> want;
+    oracle.SerializeSiteState(0, &want);
+    verdict.state_match = restored->TakeSnapshot().blob == want;
+  } else {
+    verdict.state_match = restored->SnapshotReady() ==
+                          oracle.SiteSnapshotReady(0);
+  }
+  return verdict;
+}
+
+// The broadcasts handed to the restored core, from its first on.
+void DropFirstTailBroadcast(std::vector<Downlink>* events) {
+  for (size_t e = events->size() / 2; e < events->size(); ++e) {
+    if ((*events)[e].grant == 0) {
+      events->erase(events->begin() + static_cast<std::ptrdiff_t>(e));
+      return;
+    }
+  }
+  ADD_FAILURE() << "no broadcast to drop";
+}
+
+void SkewFirstTailBroadcast(std::vector<Downlink>* events) {
+  for (size_t e = events->size() / 2; e < events->size(); ++e) {
+    if ((*events)[e].grant == 0) {
+      (*events)[e].n_bar *= 4;
+      return;
+    }
+  }
+  ADD_FAILURE() << "no broadcast to skew";
+}
+
+template <typename Tracker, typename Options>
+void ExpectDifferentialCatchesBadDownlinks(const Options& options) {
+  Verdict clean = ReplayRestoredSite<Tracker>(
+      options, [](std::vector<Downlink>*) {});
+  EXPECT_TRUE(clean.frames_match) << "the untouched downlink diverged";
+  EXPECT_TRUE(clean.state_match) << "the untouched downlink diverged";
+  Verdict dropped =
+      ReplayRestoredSite<Tracker>(options, DropFirstTailBroadcast);
+  EXPECT_FALSE(dropped.frames_match && dropped.state_match)
+      << "a missing kBroadcast went unnoticed";
+  Verdict skewed = ReplayRestoredSite<Tracker>(options, SkewFirstTailBroadcast);
+  EXPECT_FALSE(skewed.frames_match && skewed.state_match)
+      << "a wrong n̄ went unnoticed";
+}
+
+TEST(SiteCoreTest, CountDifferentialCatchesMissingOrWrongBroadcast) {
+  count::RandomizedCountOptions opt;
+  opt.num_sites = 2;
+  opt.epsilon = 0.05;
+  ExpectDifferentialCatchesBadDownlinks<count::RandomizedCountTracker>(opt);
+}
+
+TEST(SiteCoreTest, FrequencyDifferentialCatchesMissingOrWrongBroadcast) {
   frequency::RandomizedFrequencyOptions opt;
   opt.num_sites = 2;
-  opt.epsilon = 0.1;
-  return opt;
+  opt.epsilon = 0.05;
+  ExpectDifferentialCatchesBadDownlinks<frequency::RandomizedFrequencyTracker>(
+      opt);
 }
 
-rank::RandomizedRankOptions GuardRankOptions(double epsilon) {
+TEST(SiteCoreTest, RankDifferentialCatchesMissingOrWrongBroadcast) {
   rank::RandomizedRankOptions opt;
   opt.num_sites = 2;
-  opt.epsilon = epsilon;
-  return opt;
-}
-
-// Site 0 has seen two arrivals, so its third fires no coarse report
-// (reports fire at local counts 1, 2, 4, ...); a journal claiming that
-// arrival broadcast is corrupt.
-TEST(FaultToleranceDeathTest, JournaledBroadcastAtAnArrivalWithNoReport) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const uint64_t n_bar = 3;
-  EXPECT_DEATH(
-      {
-        count::RandomizedCountTracker t(GuardCountOptions());
-        t.Arrive(0);
-        t.Arrive(0);
-        t.BeginCrashReplay(0);
-        t.ReplayCrashArrive(0, 0, &n_bar);
-      },
-      "mid-arrival broadcast at an arrival with no coarse report");
-  EXPECT_DEATH(
-      {
-        frequency::RandomizedFrequencyTracker t(GuardFrequencyOptions());
-        t.Arrive(0, 7);
-        t.Arrive(0, 7);
-        t.BeginCrashReplay(0);
-        t.ReplayCrashArrive(0, 7, &n_bar);
-      },
-      "mid-arrival broadcast at an arrival with no coarse report");
-  EXPECT_DEATH(
-      {
-        rank::RandomizedRankTracker t(GuardRankOptions(0.1));
-        t.Arrive(0, 7);
-        t.Arrive(0, 7);
-        t.BeginCrashReplay(0);
-        t.ReplayCrashArrive(0, 7, &n_bar);
-      },
-      "mid-arrival broadcast at an arrival with no coarse report");
-}
-
-// Site 0 is snapshotted first, then site 1's arrivals broadcast several
-// rounds that shrink p. Site 0 lost no arrivals, but a replay that skips
-// the rituals those rounds imposed on it leaves it on the old round.
-TEST(FaultToleranceDeathTest, EndingAReplayThatSkippedARitual) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const uint64_t n = 2000;
-  EXPECT_DEATH(
-      {
-        count::RandomizedCountTracker t(GuardCountOptions());
-        std::vector<uint64_t> blob;
-        t.SerializeSiteState(0, &blob);
-        for (uint64_t i = 0; i < n; ++i) t.Arrive(1);
-        t.BeginCrashReplay(0);
-        t.RestoreSiteState(0, blob);
-        t.EndCrashReplay();
-      },
-      "did not re-evolve 1/p");
-  EXPECT_DEATH(
-      {
-        frequency::RandomizedFrequencyTracker t(GuardFrequencyOptions());
-        std::vector<uint64_t> blob;
-        t.SerializeSiteState(0, &blob);
-        for (uint64_t i = 0; i < n; ++i) t.Arrive(1, i % 5);
-        t.BeginCrashReplay(0);
-        t.RestoreSiteState(0, blob);
-        t.EndCrashReplay();
-      },
-      "did not re-evolve the round parameters");
-  EXPECT_DEATH(
-      {
-        rank::RandomizedRankTracker t(GuardRankOptions(0.1));
-        std::vector<uint64_t> blob;
-        t.SerializeSiteState(0, &blob);
-        for (uint64_t i = 0; i < n; ++i) t.Arrive(1, i);
-        t.BeginCrashReplay(0);
-        t.RestoreSiteState(0, blob);
-        t.EndCrashReplay();
-      },
-      "did not restore the round parameters");
-}
-
-// Rank journals the 1/p of every instance a site starts. A replay that
-// skips the rituals stays on the first round's one-element chunks, so
-// twice the original arrivals start more instances than the journal holds.
-TEST(FaultToleranceDeathTest, RankReplayRecreatingExtraInstances) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const uint64_t n = 100;
-  EXPECT_DEATH(
-      {
-        rank::RandomizedRankTracker t(GuardRankOptions(0.01));
-        std::vector<uint64_t> blob;
-        t.SerializeSiteState(0, &blob);
-        for (uint64_t i = 0; i < n; ++i) t.Arrive(0, i);
-        t.BeginCrashReplay(0);
-        t.RestoreSiteState(0, blob);
-        for (uint64_t i = 0; i < 2 * n; ++i) {
-          t.ReplayCrashArrive(0, i % n, nullptr);
-        }
-      },
-      "created more instances than the original execution");
+  opt.epsilon = 0.05;
+  ExpectDifferentialCatchesBadDownlinks<rank::RandomizedRankTracker>(opt);
 }
 
 }  // namespace

@@ -225,7 +225,7 @@ TEST(RandomizedFrequencyTest, RareItemEstimateCanBeNegativeButSmall) {
 }
 
 TEST(RandomizedFrequencyTest, NaiveEstimatorIsBiasedUpward) {
-  // DESIGN.md ablation: estimator (2) has positive bias ~Θ(εn/√k) per
+  // Ablation (docs/REPRODUCTION.md): estimator (2) has positive bias ~Θ(εn/√k) per
   // mid-frequency item; the correct estimator (4) removes it.
   const double eps = 0.05;
   const int k = 16;

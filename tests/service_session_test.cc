@@ -655,6 +655,41 @@ TEST(ServiceSession, SiteIsDoneOnlyAfterAckingTheLastBroadcast) {
   EXPECT_EQ(coordinator.stats().rituals_acked, 2u);
 }
 
+TEST(ServiceSession, PeerClosedWithOutputPendingIsDiscardedNotFatal) {
+  // A site joins and closes its end before the coordinator answers. The
+  // kJoinAck write then hits a dead peer: it must fail with EPIPE (not
+  // kill the process with SIGPIPE), and the unsent bytes must land in
+  // discarded_out, so the wire-byte ledger still reconciles.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kCount;
+  options.num_sites = 2;
+  options.total_arrivals = 100;
+  Coordinator coordinator(options);
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  coordinator.AdoptConnection(fds[0]);
+  std::vector<uint8_t> bytes;
+  Message join;
+  join.type = MsgType::kJoin;
+  join.site = 0;
+  join.b = options.Hash();
+  sim::wire::EncodeFrame(join, 0, &bytes);
+  Message hello;
+  hello.type = MsgType::kHello;
+  hello.site = 0;
+  hello.a = 1;
+  sim::wire::EncodeFrame(hello, 0, &bytes);
+  ASSERT_TRUE(WriteAll(fds[1], bytes.data(), bytes.size()));
+  close(fds[1]);
+  for (int i = 0; i < 20; ++i) coordinator.PollOnce(1);
+
+  std::vector<uint64_t> stats = StatsVector(coordinator);
+  ASSERT_EQ(stats.size(), 19u);
+  EXPECT_GT(stats[18], 0u) << "the kJoinAck was not counted as discarded";
+  EXPECT_EQ(stats[8], 0u) << "a closed connection still holds output";
+  EXPECT_EQ(stats[17], 1u) << "wire-byte ledger does not reconcile";
+}
+
 }  // namespace
 }  // namespace service
 }  // namespace disttrack

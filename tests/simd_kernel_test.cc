@@ -170,19 +170,6 @@ TEST(SimdTwoViewSelect, Vector4MatchesScalarSelection) {
           ASSERT_EQ(simd::TwoViewSelect(A.data(), a, B.data(), b, idx[t]),
                     merged[idx[t]]);
         }
-#if DISTTRACK_SIMD_ENABLED
-        // The gather variant is demoted from production dispatch (see
-        // TwoViewSelect4's header comment) but stays pinned here so the
-        // demotion remains a one-line revert.
-        if (simd::Avx2Active()) {
-          uint64_t vout[4];
-          simd::internal::TwoViewSelect4Avx2(A.data(), a, B.data(), b, idx,
-                                             vout);
-          for (int t = 0; t < 4; ++t) {
-            ASSERT_EQ(vout[t], merged[idx[t]]) << "i=" << idx[t];
-          }
-        }
-#endif
       }
     }
   });
