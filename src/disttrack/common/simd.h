@@ -16,13 +16,12 @@
 //
 // Determinism contract (docs/ARCHITECTURE.md "SIMD kernels & dispatch").
 // Every kernel here is RNG-free and value-exact: sorted/merged uint64
-// output is a pure function of the input multiset, a probe-group match is
-// a pure function of the ctrl bytes, and a merge-path selection is a pure
-// function of the two arrays. Flipping dispatch therefore cannot move a
-// coin draw, a CommMeter charge, or an estimate by even an ulp — all SIMD
-// paths stay in determinism tier A, pinned by tests/simd_kernel_test.cc
-// differentials plus the existing bit-identity tiers run in both dispatch
-// modes.
+// output is a pure function of the input multiset and a probe-group match
+// is a pure function of the ctrl bytes. Flipping dispatch therefore cannot
+// move a coin draw, a CommMeter charge, or an estimate by even an ulp —
+// all SIMD paths stay in determinism tier A, pinned by
+// tests/simd_kernel_test.cc differentials plus the existing bit-identity
+// tiers run in both dispatch modes.
 
 #ifndef DISTTRACK_COMMON_SIMD_H_
 #define DISTTRACK_COMMON_SIMD_H_
@@ -412,43 +411,6 @@ inline void MergeSorted(const uint64_t* a, size_t na, const uint64_t* b,
   }
 #endif
   MergeSortedScalar(a, na, b, nb, out);
-}
-
-// ---------------------------------------------------------------------------
-// Two-array merge-path selection (compactor_summary's 2-view accessor)
-//
-// TwoViewSelect is the classic selection: element at sorted position i of
-// the merge of two ascending arrays, by binary-searching the split point.
-// TwoViewSelect4 resolves four independent selections. It stays scalar:
-// masked 64-bit gathers measured 0.35x (view sizes 32-128) to 0.75x
-// (1024) against these well-predicted adjacent searches.
-// ---------------------------------------------------------------------------
-
-inline uint64_t TwoViewSelect(const uint64_t* A, size_t a, const uint64_t* B,
-                              size_t b, size_t i) {
-  size_t need = i + 1;
-  size_t lo = need > b ? need - b : 0;
-  size_t hi = need < a ? need : a;
-  while (lo < hi) {
-    size_t j = (lo + hi) / 2;
-    if (A[j] < B[need - j - 1]) {
-      lo = j + 1;
-    } else {
-      hi = j;
-    }
-  }
-  size_t j = lo;
-  if (j == 0) return B[need - 1];
-  if (need == j) return A[j - 1];
-  uint64_t va = A[j - 1];
-  uint64_t vb = B[need - j - 1];
-  return va > vb ? va : vb;
-}
-
-/// Resolves out[t] = TwoViewSelect(A, a, B, b, idx[t]) for t in [0, 4).
-inline void TwoViewSelect4(const uint64_t* A, size_t a, const uint64_t* B,
-                           size_t b, const size_t idx[4], uint64_t* out) {
-  for (int t = 0; t < 4; ++t) out[t] = TwoViewSelect(A, a, B, b, idx[t]);
 }
 
 }  // namespace simd

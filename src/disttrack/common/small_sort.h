@@ -1,14 +1,19 @@
-// Branch-light ascending sort for the short runs the batched rank feed
-// produces between events.
+// Ascending sort for the runs the batched rank feed produces between
+// events.
 //
 // A site's eventless run is sorted once before it enters the run-merge
-// ladder, and at large k (small per-site spans) those sorts are short
-// enough that std::sort's dispatch and pivot branches dominate. SortRun
-// routes short inputs through data-independent compare-exchange networks
+// ladder. Runs are short at large k (small per-site spans) and about one
+// leaf long otherwise (hundreds of values), and std::sort is slow at both
+// ends: its dispatch and pivot branches dominate short inputs, and its
+// comparisons cost ~40 ns per value on leaf-sized runs. SortRun routes
+// short inputs through data-independent compare-exchange networks
 // (Batcher's merge-exchange, Knuth 5.2.2 Algorithm M — every compare
-// compiles to min/max cmovs, no data-dependent branch) and everything
-// longer through std::sort. The sorted output of uint64 keys is unique,
-// so the algorithm choice can never change a tracker estimate.
+// compiles to min/max cmovs, no data-dependent branch), long ones
+// through an LSD radix sort over 8-bit digits that skips every digit
+// constant across the run (keys below 2^20 take three passes, not
+// eight), and the middle through std::sort. The sorted output of uint64
+// keys is unique, so the algorithm choice can never change a tracker
+// estimate.
 
 #ifndef DISTTRACK_COMMON_SMALL_SORT_H_
 #define DISTTRACK_COMMON_SMALL_SORT_H_
@@ -16,6 +21,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "disttrack/common/simd.h"
 
@@ -53,24 +60,81 @@ inline void NetworkSort(uint64_t* v, size_t n) {
   }
 }
 
+// Radix cutover, measured against std::sort on the reference container
+// (ns per value, fresh inputs per call): a pass costs ~3 ns per value
+// plus a 256-bucket prefix sum, so the break-even length grows with the
+// number of varying digits d. Radix wins from n = 64 at d <= 2 (2.4x at
+// one digit, 1.3x at two), from ~96 at d = 5 (1.15x) and from ~128-192
+// at d = 8 (full-width keys; 0.98-1.35x in between, 1.3x at 192), and
+// runs ~4x faster on leaf-sized runs of 20-bit keys (10-11 vs 40-45).
+// The rule n >= max(64, 24 d) keeps every measured shape at or above
+// std::sort.
+inline constexpr size_t kRadixMin = 64;
+inline constexpr size_t kRadixPerDigit = 24;
+
+// LSD radix sort of v[0, n) over the 8-bit digits that vary across the
+// input, ping-ponging through tmp[0, n). Returns false (input untouched)
+// when the run is too short for its digit count.
+inline bool RadixSort(uint64_t* v, size_t n, uint64_t* tmp) {
+  uint64_t diff = 0;
+  const uint64_t first = v[0];
+  for (size_t i = 1; i < n; ++i) diff |= v[i] ^ first;
+  unsigned shifts[8];
+  size_t digits = 0;
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if ((diff >> shift) & 0xFF) shifts[digits++] = shift;
+  }
+  if (n < kRadixPerDigit * digits || n > UINT32_MAX) return false;
+  if (digits == 0) return true;  // all equal
+  uint32_t counts[8][256];
+  std::memset(counts, 0, digits * sizeof(counts[0]));
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t x = v[i];
+    for (size_t d = 0; d < digits; ++d) ++counts[d][(x >> shifts[d]) & 0xFF];
+  }
+  uint64_t* src = v;
+  uint64_t* dst = tmp;
+  for (size_t d = 0; d < digits; ++d) {
+    uint32_t* offsets = counts[d];
+    uint32_t sum = 0;
+    for (size_t b = 0; b < 256; ++b) {
+      const uint32_t c = offsets[b];
+      offsets[b] = sum;
+      sum += c;
+    }
+    const unsigned shift = shifts[d];
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t x = src[i];
+      dst[offsets[(x >> shift) & 0xFF]++] = x;
+    }
+    std::swap(src, dst);
+  }
+  if (src != v) std::memcpy(v, src, n * sizeof(uint64_t));
+  return true;
+}
+
 }  // namespace small_sort_internal
 
-/// Sorts v[0, n) ascending; tuned for the short-run regime (see file
-/// comment). Identical output to std::sort for any input. Measured on
-/// the reference container, the network wins up to ~2x below 16
-/// elements and std::sort wins beyond, so that is the cutover. Runs
-/// 5..16 go through the AVX2 register sort (simd::SortSmall16) when the
-/// vector path is dispatched — padded to a power-of-two width and sorted
-/// branch-free in four ymm registers; the sorted uint64 output is unique,
-/// so the route can never change a tracker estimate (tier A).
-inline void SortRun(uint64_t* v, size_t n) {
+/// Sorts v[0, n) ascending (see file comment); `scratch` is the radix
+/// path's caller-owned ping-pong buffer, grown as needed and never
+/// shrunk. Identical output to std::sort for any input. Runs up to 16
+/// take the network, which wins up to ~2x there; runs 12..16 go through
+/// the AVX2 register sort (simd::SortSmall16) when the vector path is
+/// dispatched — padded to a power-of-two width and sorted branch-free in
+/// four ymm registers. Longer runs take the radix sort where it wins
+/// (kRadixMin, kRadixPerDigit) and std::sort otherwise.
+inline void SortRun(uint64_t* v, size_t n, std::vector<uint64_t>* scratch) {
   if (n < 2) return;
   if (n <= 16) {
     if (simd::SortSmall16(v, n)) return;
     small_sort_internal::NetworkSort(v, n);
-  } else {
-    std::sort(v, v + n);
+    return;
   }
+  if (n >= small_sort_internal::kRadixMin) {
+    if (scratch->size() < n) scratch->resize(std::max(n, scratch->size() * 2));
+    if (small_sort_internal::RadixSort(v, n, scratch->data())) return;
+  }
+  std::sort(v, v + n);
 }
 
 }  // namespace disttrack

@@ -257,18 +257,17 @@ void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
   s->nodes_ready = false;
   if (level == 0 && options_.use_batch_compaction) {
     // Node-less leaf flush: cascade the leaf window straight from the
-    // borrowed ladder views into the wire buffer with the armed seed's
+    // borrowed ladder window into the wire buffer with the armed seed's
     // coins — no node ingest, no Reset, no pool churn. Identical stored
     // content, serialized words, and RNG stream as the node-based flush.
-    size_t total = s->ladder.Pull(0, &s->view_scratch);
+    summaries::RunView window = s->ladder.PullMerged(0, &window_);
     s->leaf_seed_armed = false;  // consumed (or dropped) with this leaf
-    if (total == 0) return;
+    if (window.size == 0) return;
     s->export_values.clear();
     s->export_segments.clear();
-    uint64_t words = summaries::CompactSortedViewsToWire(
-        LevelEps(0), s->leaf_seed, s->view_scratch.data(),
-        s->view_scratch.size(), total, &s->leaf_scratch, &s->leaf_scratch2,
-        &s->export_values, &s->export_segments);
+    uint64_t words = summaries::CompactSortedWindowToWire(
+        LevelEps(0), s->leaf_seed, window, &s->export_values,
+        &s->export_segments);
     port.ShipSummary(site, *s, node_start, end_leaf, words);
     return;
   }
@@ -280,14 +279,14 @@ void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
   // (which is pooled and Reset() right after). Same stored content and
   // serialized words as pull-then-export, one to two full copies cheaper
   // per flush.
-  size_t total = s->ladder.Pull(static_cast<size_t>(level), &s->view_scratch);
-  if (node->m() == 0 && total == 0) {
+  summaries::RunView window =
+      s->ladder.PullMerged(static_cast<size_t>(level), &window_);
+  if (node->m() == 0 && window.size == 0) {
     s->pool[static_cast<size_t>(level)].push_back(std::move(node));
     return;
   }
-  uint64_t words = node->InsertViewsAndExport(
-      s->view_scratch.data(), s->view_scratch.size(), total,
-      &s->export_values, &s->export_segments);
+  uint64_t words = node->InsertWindowAndExport(window, &s->export_values,
+                                               &s->export_segments);
   port.ShipSummary(site, *s, node_start, end_leaf, words);
   s->pool[static_cast<size_t>(level)].push_back(std::move(node));
 }
@@ -376,10 +375,10 @@ void RandomizedRankTracker::PumpLevels(SiteState* s, uint64_t appended) {
     uint64_t threshold =
         std::max(quantum, capacity > owned ? capacity - owned : 1);
     if (pending >= threshold) {
-      size_t total =
-          s->ladder.Pull(static_cast<size_t>(level), &s->view_scratch);
-      node->InsertSortedViews(s->view_scratch.data(), s->view_scratch.size(),
-                              total);
+      // Levels due together pull the same window; PullMerged merges it
+      // once and every such level ingests the one copy.
+      node->InsertSortedWindow(
+          s->ladder.PullMerged(static_cast<size_t>(level), &window_));
       pending = 0;
       owned = node->level0_size();
       threshold =
@@ -566,11 +565,11 @@ void RandomizedRankTracker::FeedRun(int site) {
     }
   }
   // Every level of the tree absorbs the same run, so sort it once, in
-  // place, and consolidate it once in the ladder; each level pulls
-  // borrowed views of the merged sequence at its own compaction cadence.
-  // Short runs (large k, dense events) go through the branch-light
-  // small-run sorter; the sorted result is identical.
-  SortRun(values, static_cast<size_t>(count));
+  // place, and consolidate it once in the ladder; each level pulls a
+  // borrowed window of the merged sequence at its own compaction cadence.
+  // SortRun picks a network, std::sort or a radix sort by length and key
+  // width; the sorted result is identical.
+  SortRun(values, static_cast<size_t>(count), &sort_scratch_);
   EnsureNodes(&s);
   // The buffer moves into the ladder instead of being copied; a recycled
   // one comes back.

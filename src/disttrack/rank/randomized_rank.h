@@ -37,19 +37,26 @@
 // Hot path: ArriveBatch buffers each site's values and runs the shared
 // EventCountdown engine — between events (leaf/chunk boundaries, coarse
 // reports; tail-channel coins are walked through the buffered run in
-// place, same draws at the same arrivals) a site's run is sorted once and
-// moved into the site's shared run-merge ladder (summaries/run_ladder.h),
-// which consolidates runs exactly once. Every tree level owns a ladder
-// cursor and pulls borrowed views of the merged sequence when its
+// place, same draws at the same arrivals) a site's run is sorted once
+// (common/small_sort.h: a radix sort over the key digits that vary, for
+// leaf-sized runs) and moved into the site's shared run-merge ladder
+// (summaries/run_ladder.h), which consolidates runs exactly once. Every
+// tree level owns a ladder cursor and pulls its window when its
 // compaction comes due — at dyadic leaf quanta under the batched feed
 // (fewer, larger compactions; same martingale argument), at each level's
-// own fill threshold under the exact feed. Chunks that provably contain
-// no coarse broadcast are grouped into per-site spans first; that is
-// bit-identical to the countdown engine. Batched compaction is equivalent
-// in distribution, not bit-identical, to the per-element feed (see the
-// DESIGN note in summaries/compactor_summary.h); the per-element feed and
-// the per-arrival coins stay reachable as reference oracles
-// (`use_batch_compaction = false`, `use_skip_sampling = false`).
+// own fill threshold under the exact feed. The leaf cursor pins every
+// leaf start, so an upper level's window can span several runs; it is
+// merged once into tracker-level scratch, every level due on the same
+// window reads that copy, and each ingests it as one view through the
+// zero-copy virtual cascade (the upper levels of a round mostly come due
+// together, since their pull quanta all reach the top capacity). Chunks
+// that provably contain no coarse broadcast are grouped into per-site
+// spans first; that is bit-identical to the countdown engine. Batched
+// compaction is equivalent in distribution, not bit-identical, to the
+// per-element feed (see the DESIGN note in summaries/compactor_summary.h);
+// the per-element feed and the per-arrival coins stay reachable as
+// reference oracles (`use_batch_compaction = false`,
+// `use_skip_sampling = false`).
 
 #ifndef DISTTRACK_RANK_RANDOMIZED_RANK_H_
 #define DISTTRACK_RANK_RANDOMIZED_RANK_H_
@@ -188,7 +195,6 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
         pool;
     SkipSampler tail_skip;  // gap to the next tail-channel forward
     Rng rng{0};
-    std::vector<summaries::RunView> view_scratch;  // ladder pull scratch
     // The node summary being shipped, in the wire format.
     std::vector<uint64_t> export_values;
     std::vector<std::pair<uint64_t, uint32_t>> export_segments;
@@ -207,12 +213,9 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
     // no CompactorSummary at all — EnsureNodes draws the seed the node
     // creation used to draw, at the same site-RNG position, and the
     // flush cascades the leaf window straight from the ladder to the
-    // wire (summaries::CompactSortedViewsToWire) with those coins.
+    // wire (summaries::CompactSortedWindowToWire) with those coins.
     uint64_t leaf_seed = 0;
     bool leaf_seed_armed = false;
-    // Multi-view merge scratch pair for CompactSortedViewsToWire.
-    std::vector<uint64_t> leaf_scratch;
-    std::vector<uint64_t> leaf_scratch2;
     // Lower bound on the appends until some level's next pull threshold;
     // PumpLevels skips its level scan while the bound stays positive.
     uint64_t pull_slack = 0;
@@ -321,6 +324,12 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   std::vector<PendingUpload> pending_uploads_;
 
   RoundParams round_;
+
+  // Site-step scratch shared by all sites: the merged copy of the last
+  // multi-run ladder window (memoized, so levels due on one window merge
+  // it once) and the radix buffer of SortRun.
+  summaries::MergedWindow window_;
+  std::vector<uint64_t> sort_scratch_;
 
   uint64_t n_ = 0;
 

@@ -78,21 +78,17 @@ class CompactorSummary {
   /// then merges whole runs instead of comparison-sorting elements.
   void InsertSortedBatch(const uint64_t* values, size_t count);
 
-  /// Borrowed-view InsertSortedBatch: inserts `total` values given as
-  /// `num_views` ascending segments of shared storage (a RunLadder pull)
-  /// that stay valid only for the duration of this call. The views are
-  /// merged with the level-0 residue straight into the consolidated
-  /// buffer — no staging copy, no re-merge — whether or not the
-  /// compaction threshold is reached (a sub-threshold flush tail is then
-  /// already consolidated for the export); a single
-  /// over-threshold view on a bare residue compacts without even that
-  /// merge, via the virtual cascade. Produces the same level-0 sorted
-  /// multiset at the same compaction points as staging the identical
-  /// data, so the summary stream is bit-identical either way.
-  void InsertSortedViews(const RunView* views, size_t num_views,
-                         size_t total);
+  /// InsertSortedBatch for one ascending window of borrowed storage (a
+  /// RunLadder::PullMerged pull) that stays valid only for the duration
+  /// of this call. A window that reaches the compaction threshold on a
+  /// level-0 residue of at most one value — every pull the rank tracker
+  /// makes — compacts without being copied, via the virtual cascade; any
+  /// other window is staged as InsertSortedBatch stages it. Either way
+  /// the summary compacts the same multiset at the same points with the
+  /// same coins as InsertSortedBatch of the identical data.
+  void InsertSortedWindow(RunView window);
 
-  /// InsertSortedViews immediately followed by an export of the summary,
+  /// InsertSortedWindow immediately followed by an export of the summary,
   /// fused for the rank tracker's flush path (a completing node drains its
   /// ladder window and ships at once). The export is one flat
   /// ascending-per-segment value array plus (weight, end offset) segment
@@ -101,15 +97,14 @@ class CompactorSummary {
   /// copies disappear: a sub-threshold final window is merged with the
   /// level-0 residue straight into the export array (never materialized
   /// in the summary), and an over-threshold window goes through the usual
-  /// zero-copy virtual cascade before the plain export. Returns the
+  /// InsertSortedWindow ingest before the plain export. Returns the
   /// serialized word count of the post-ingest summary (identical to
-  /// SerializedWords() after a separate InsertSortedViews). The fused
+  /// SerializedWords() after a separate InsertSortedWindow). The fused
   /// path can leave level 0 unmaterialized, so the summary MUST be
   /// Reset() or destroyed after this call — exactly what the flush path's
   /// node pooling does.
-  uint64_t InsertViewsAndExport(
-      const RunView* views, size_t num_views, size_t total,
-      std::vector<uint64_t>* values,
+  uint64_t InsertWindowAndExport(
+      RunView window, std::vector<uint64_t>* values,
       std::vector<std::pair<uint64_t, uint32_t>>* segments);
 
   /// Unbiased estimate of |{y in stream : y < x}|; monotone in x.
@@ -171,16 +166,6 @@ class CompactorSummary {
   // ~log2(#runs) passes where a comparison sort would do log2(n), and
   // each element is fully sorted exactly once per level.
   void EnsureSorted(size_t level);
-  // Merges the consolidated level-0 buffer with `num_views` borrowed
-  // ascending segments into one sorted level-0 buffer (single pass, via
-  // merge_buf_). Callers consolidated level 0 first.
-  void MergeViewsIntoBase(const RunView* views, size_t num_views,
-                          size_t total);
-  // Merges the gathered view_merge_srcs_ (ascending sources totalling
-  // out_size elements) and returns the merged sequence — a source
-  // pointer when only one is nonempty, merge scratch otherwise. Shared
-  // by MergeViewsIntoBase and the fused flush export.
-  const uint64_t* MergeGatheredSrcs(size_t out_size);
   // Grows merge_buf_ geometrically to at least `need` elements. The
   // scratch is write-before-read and never shrinks, so growth (and its
   // value-initialization pass) is amortized away instead of being paid on
@@ -193,32 +178,16 @@ class CompactorSummary {
   void CompactLevel(size_t level);
   // Compacts every over-capacity level bottom-up, one pass.
   void Cascade();
-  // Cascade for a fully consolidated over-capacity level-0 buffer (the
-  // state every ladder pull produces): composes the stride-2 promotions
-  // through empty upper levels into direct strided gathers, materializing
-  // only stragglers and the first surviving slice — same coins, same
-  // kept elements, so bit-identical to the real cascade at a fraction of
-  // the moves.
-  void CascadeSortedBase();
-  // Accessor-based core of CascadeSortedBase, shared with the zero-copy
-  // borrowed-view ingest (see the definition for the full argument).
-  // Returns true when the caller must finish with the ordinary Cascade().
+  // Cascade of a fully sorted over-capacity level-0 sequence read
+  // through an accessor (the zero-copy window ingest): composes the
+  // stride-2 promotions through empty upper levels into direct strided
+  // gathers, materializing only stragglers and the first surviving slice
+  // — same coins, same kept elements, so bit-identical to the real
+  // cascade at a fraction of the moves (see the definition for the full
+  // argument). Returns true when the caller must finish with the
+  // ordinary Cascade().
   template <class GetFn>
   bool CascadeVirtual(GetFn get, size_t len);
-  // Re-derives level 0 from straggler_scratch_ after a CascadeVirtual and
-  // finishes with the ordinary cascade when one was signalled.
-  void FinishVirtualCascade(bool continue_normal);
-  // True when ingesting a fully sorted logical sequence of `len` elements
-  // into level 0 would descend the virtual cascade far enough that
-  // random-access gathers (survivors + stragglers) beat a merge copy of
-  // the whole sequence — the gate of the two-view zero-copy ingest, where
-  // each access costs a binary-search merge-path selection.
-  bool VirtualCascadeProfitable(size_t len) const;
-  // True when ingesting `len` sorted level-0 elements would cascade all
-  // the way to an empty level — i.e. CascadeVirtual would never merge
-  // through the shared scratch buffers. Gates the pre-merged zero-copy
-  // ingest, whose source may live in that scratch.
-  bool CascadeStaysVirtual(size_t len) const;
   // Records the boundary of a tail append of `count` ascending values
   // starting at offset `old_size` of level `l` (extends the previous
   // segment when the order allows).
@@ -247,11 +216,7 @@ class CompactorSummary {
   std::vector<uint64_t> merge_buf_;  // MergeSortedTail / SortTail scratch
   std::vector<uint64_t> promote_buf_;  // CompactLevel promotion scratch
   std::vector<size_t> run_bounds_;   // SortTail run-boundary scratch
-  // MergeViewsIntoBase scratch: gathered (pointer, length) sources and
-  // the second ping-pong buffer for 3+-way merges.
-  std::vector<std::pair<const uint64_t*, size_t>> view_merge_srcs_;
-  std::vector<uint64_t> view_merge_buf_;
-  // CascadeSortedBase scratch: (virtual level, value) odd stragglers.
+  // CascadeVirtual scratch: (virtual level, value) odd stragglers.
   std::vector<std::pair<size_t, uint64_t>> straggler_scratch_;
 };
 
@@ -259,21 +224,17 @@ class CompactorSummary {
 /// leaf node's whole life under the batched shared-ladder feed is
 /// "ingest one window, cascade once, export once, reset": this routine
 /// performs exactly that without ever materializing the CompactorSummary
-/// object. It cascades a fully sorted window (given as 1..n borrowed
-/// ascending views totalling `total` elements; `scratch` and `scratch2`
-/// merge multi-view windows) with per-level capacity derived from `eps`
-/// straight into the wire format, drawing from a generator seeded with
-/// `seed` exactly the per-level coins a fresh CompactorSummary ingesting
-/// the same window would draw — so the shipped summary, its serialized
-/// word count (the return value), and the site RNG stream are
-/// bit-identical to the node-based flush it replaces. APPENDS to
-/// *values / *segments (segment ends are absolute offsets into *values),
-/// so one arena can accumulate many leaf summaries; callers wanting a
-/// lone summary clear both first.
-uint64_t CompactSortedViewsToWire(
-    double eps, uint64_t seed, const RunView* views, size_t num_views,
-    size_t total, std::vector<uint64_t>* scratch,
-    std::vector<uint64_t>* scratch2, std::vector<uint64_t>* values,
+/// object. It cascades a fully sorted window with per-level capacity
+/// derived from `eps` straight into the wire format, drawing from a
+/// generator seeded with `seed` exactly the per-level coins a fresh
+/// CompactorSummary ingesting the same window would draw — so the shipped
+/// summary, its serialized word count (the return value), and the site
+/// RNG stream are bit-identical to the node-based flush it replaces.
+/// APPENDS to *values / *segments (segment ends are absolute offsets into
+/// *values), so one arena can accumulate many leaf summaries; callers
+/// wanting a lone summary clear both first.
+uint64_t CompactSortedWindowToWire(
+    double eps, uint64_t seed, RunView window, std::vector<uint64_t>* values,
     std::vector<std::pair<uint64_t, uint32_t>>* segments);
 
 }  // namespace summaries

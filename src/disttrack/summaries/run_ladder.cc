@@ -77,23 +77,22 @@ void RunLadder::AppendValue(uint64_t value) {
   AppendSortedRun(&value, 1);
 }
 
-size_t RunLadder::Pull(size_t cursor, std::vector<RunView>* views) {
-  views->clear();
-  uint64_t at = cursors_[cursor];
-  if (at == end_) return 0;
-  // Runs are position-ordered and the cursor is run-aligned (merges never
-  // cross a cursor), so the window is a whole-run suffix slice.
+size_t RunLadder::FirstRunFrom(uint64_t position) const {
+  // Runs are position-ordered and cursors are run-aligned (merges never
+  // cross a cursor), so a window is a whole-run suffix slice.
   size_t first = runs_.size();
-  while (first > 0 && runs_[first - 1].start >= at) --first;
-  // Consolidate the window before handing out views: merge every adjacent
+  while (first > 0 && runs_[first - 1].start >= position) --first;
+  return first;
+}
+
+void RunLadder::MergeFreeBoundaries(size_t first) {
+  // Consolidate the window before handing it out: merge every adjacent
   // pair whose boundary no cursor still needs, leaving one run per
   // inter-cursor gap. The work is memoized in the ladder — every other
   // level that later pulls an overlapping window reads the already-merged
-  // runs — so the deep merging is shared instead of being redone per
-  // level. Consumers then see at most (#cursors in window + 1) views.
-  // Cheapest adjacent pair first, so small runs coalesce among themselves
-  // before touching a big neighbour (near-optimal merge volume; the
-  // quadratic pair scan is over a handful of runs).
+  // runs. Cheapest adjacent pair first, so small runs coalesce among
+  // themselves before touching a big neighbour (near-optimal merge
+  // volume; the quadratic pair scan is over a handful of runs).
   for (;;) {
     size_t best = runs_.size();
     size_t best_cost = ~size_t{0};
@@ -120,16 +119,115 @@ size_t RunLadder::Pull(size_t cursor, std::vector<RunView>* views) {
     Recycle(std::move(b.values));
     runs_.erase(runs_.begin() + static_cast<long>(best) + 1);
   }
+}
+
+void RunLadder::AdvanceCursor(size_t cursor) {
+  cursors_[cursor] = end_;
+  ++cursors_at_end_;  // pending > 0 held, so it was below end_
+  trim_pending_ = true;
+}
+
+size_t RunLadder::Pull(size_t cursor, std::vector<RunView>* views) {
+  views->clear();
+  uint64_t at = cursors_[cursor];
+  if (at == end_) return 0;
+  size_t first = FirstRunFrom(at);
+  MergeFreeBoundaries(first);
   size_t total = 0;
   for (size_t i = first; i < runs_.size(); ++i) {
     const auto& values = runs_[i].values;
     views->push_back(RunView{values.data(), values.size()});
     total += values.size();
   }
-  cursors_[cursor] = end_;
-  ++cursors_at_end_;  // pending > 0 held, so it was below end_
-  trim_pending_ = true;
+  AdvanceCursor(cursor);
   return total;
+}
+
+uint64_t* MergeRunsPairwise(uint64_t* src, uint64_t* dst,
+                            std::vector<size_t>* bounds) {
+  while (bounds->size() > 2) {
+    size_t kept = 0;
+    size_t r = 0;
+    for (; r + 2 < bounds->size(); r += 2) {
+      const size_t lo = (*bounds)[r];
+      const size_t mid = (*bounds)[r + 1];
+      const size_t hi = (*bounds)[r + 2];
+      simd::MergeSorted(src + lo, mid - lo, src + mid, hi - mid, dst + lo);
+      (*bounds)[++kept] = hi;  // overwrite in place: bounds[0] stays 0
+    }
+    if (r + 1 < bounds->size()) {
+      // Odd run out: carry it to the destination buffer unmerged.
+      const size_t lo = (*bounds)[r];
+      const size_t hi = (*bounds)[r + 1];
+      std::copy(src + lo, src + hi, dst + lo);
+      (*bounds)[++kept] = hi;
+    }
+    bounds->resize(kept + 1);
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+namespace {
+
+void GrowTo(std::vector<uint64_t>* buffer, size_t need) {
+  // Write-before-read scratch: grow geometrically, never shrink, so the
+  // value-initialization of growth is amortized away.
+  if (buffer->size() < need) {
+    buffer->resize(std::max(need, buffer->size() * 2));
+  }
+}
+
+}  // namespace
+
+RunView RunLadder::PullMerged(size_t cursor, MergedWindow* window) {
+  const uint64_t at = cursors_[cursor];
+  if (at == end_) return RunView{nullptr, 0};
+  const size_t total = static_cast<size_t>(end_ - at);
+  if (window->ladder_ == this && window->start_ == at &&
+      window->end_ == end_) {
+    // Another cursor pulled this very window since the last append: its
+    // boundaries are merged already and the copy is current.
+    AdvanceCursor(cursor);
+    return RunView{window->values_.data(), total};
+  }
+  const size_t first = FirstRunFrom(at);
+  MergeFreeBoundaries(first);
+  AdvanceCursor(cursor);
+  if (first + 1 == runs_.size()) {
+    const auto& values = runs_[first].values;
+    return RunView{values.data(), values.size()};
+  }
+  // Pinned boundaries remain: merge the runs pairwise, the first pass
+  // straight from ladder storage, later passes ping-ponging between the
+  // two scratch buffers (one move per element per pass, ceil(log2 runs)
+  // passes).
+  GrowTo(&window->values_, total);
+  GrowTo(&window->spare_, total);
+  auto& bounds = window->bounds_;
+  bounds.assign(1, 0);
+  uint64_t* src = window->values_.data();
+  size_t produced = 0;
+  size_t i = first;
+  for (; i + 1 < runs_.size(); i += 2) {
+    const auto& a = runs_[i].values;
+    const auto& b = runs_[i + 1].values;
+    simd::MergeSorted(a.data(), a.size(), b.data(), b.size(), src + produced);
+    produced += a.size() + b.size();
+    bounds.push_back(produced);
+  }
+  if (i < runs_.size()) {
+    const auto& a = runs_[i].values;
+    std::copy(a.begin(), a.end(), src + produced);
+    bounds.push_back(produced + a.size());
+  }
+  if (MergeRunsPairwise(src, window->spare_.data(), &bounds) != src) {
+    window->values_.swap(window->spare_);
+  }
+  window->ladder_ = this;
+  window->start_ = at;
+  window->end_ = end_;
+  return RunView{window->values_.data(), total};
 }
 
 void RunLadder::Trim() {

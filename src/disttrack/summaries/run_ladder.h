@@ -7,9 +7,11 @@
 // the same merge volume paid h+1 times (the profile shows it as the
 // dominant rank cost). The ladder consolidates each site's runs ONCE and
 // lets every level consume windows of the shared merged sequence through
-// borrowed views (CompactorSummary::InsertSortedViews), so the deep
-// small-run-into-big-run merging is shared and each level only merges a
-// handful of pre-consolidated segments per compaction.
+// borrowed views, so the deep small-run-into-big-run merging is shared.
+// A window that still spans several runs is merged once more, into one
+// caller-owned copy that every level due on it reads
+// (CompactorSummary::InsertSortedWindow), so each level ingests one
+// ascending view per compaction.
 //
 // Contract:
 //  * AppendSortedRun / AppendValue add data at the logical end of the
@@ -18,16 +20,29 @@
 //  * One cursor per consumer (tree level). pending(c) is the element
 //    count appended since cursor c last pulled. Pull(c) returns borrowed
 //    views of whole runs covering exactly [cursor_c, end) and advances
-//    the cursor; views stay valid until the next Append*/Consolidate/
-//    Reset call.
+//    the cursor; PullMerged(c) returns the same window as ONE ascending
+//    view (see below). Views stay valid until the next mutating call
+//    (Append*, Pull*, Consolidate, Reset).
+//  * A merge of ladder runs never crosses a position some cursor still
+//    needs to pull from, which keeps every cursor run-aligned. Pull
+//    merges every cursor-free boundary of the window in place first, so
+//    the work is shared by every later pull of an overlapping window.
+//    The boundaries it cannot merge are the pinned ones: the rank
+//    tracker's leaf cursor pins every leaf start, so an upper level's
+//    window arrives as one run per pinned boundary plus one.
+//  * PullMerged hands a multi-run window to the caller as a merged copy
+//    in caller-owned scratch (MergedWindow; pairwise passes, O(W log
+//    runs)), memoized by [start, end): every other cursor of the same
+//    ladder that pulls the same window before the next append reads the
+//    same copy instead of merging again. The rank tracker's upper levels
+//    come due together on one window, so each window is merged once.
 //  * Consolidate() merges adjacent runs binary-counter style (merge when
 //    the older neighbour is no bigger) and trims runs every cursor has
-//    consumed. A merge never crosses a position some cursor still needs
-//    to pull from, which keeps every cursor run-aligned; callers pump
-//    consumers first, then consolidate, so up-to-date cursors never pin
-//    the tail. Node windows therefore align with run boundaries by
-//    construction — the tracker appends the window-closing event arrival
-//    as a one-element straggler run before flushing the node.
+//    consumed; callers pump consumers first, then consolidate, so
+//    up-to-date cursors never pin the tail. Node windows therefore align
+//    with run boundaries by construction — the tracker appends the
+//    window-closing event arrival as a one-element straggler run before
+//    flushing the node.
 //
 // Space: runs older than the slowest cursor are trimmed, so the ladder
 // holds at most ~max pull window (the largest level capacity) elements —
@@ -47,6 +62,33 @@ namespace summaries {
 struct RunView {
   const uint64_t* data;
   size_t size;
+};
+
+/// Merges the adjacent ascending runs of src that *bounds delimits
+/// (bounds[0] = 0, back() = the total) pairwise until one remains,
+/// ping-ponging between src and dst — one move per element per pass,
+/// ceil(log2 runs) passes. Returns the buffer holding the merged
+/// sequence (src or dst); *bounds is left as {0, total}.
+uint64_t* MergeRunsPairwise(uint64_t* src, uint64_t* dst,
+                            std::vector<size_t>* bounds);
+
+class RunLadder;
+
+/// Caller-owned scratch in which RunLadder::PullMerged merges a window
+/// that spans several runs. It remembers the window it holds (ladder,
+/// start, end), so every cursor that pulls that same window reads the one
+/// merged copy. One scratch may serve many ladders; since the memo is
+/// keyed by the ladder's address, a ladder built where another one was
+/// destroyed must not share the other's scratch.
+class MergedWindow {
+ private:
+  friend class RunLadder;
+  const RunLadder* ladder_ = nullptr;
+  uint64_t start_ = 0;
+  uint64_t end_ = 0;
+  std::vector<uint64_t> values_;
+  std::vector<uint64_t> spare_;   // ping-pong buffer of the merge passes
+  std::vector<size_t> bounds_;    // run bounds of the current pass
 };
 
 /// Sorted-run accumulator with per-consumer cursors (see file comment).
@@ -72,6 +114,11 @@ class RunLadder {
   /// position order — advances the cursor to end, and returns the total
   /// element count. Views are invalidated by the next mutating call.
   size_t Pull(size_t cursor, std::vector<RunView>* views);
+
+  /// Pull as one ascending view: the window's single run, or its runs
+  /// merged into `*window` (memoized; see the file comment). Returns an
+  /// empty view when nothing is pending.
+  RunView PullMerged(size_t cursor, MergedWindow* window);
 
   /// Binary-counter merge of the tail plus a trim of fully-consumed
   /// runs. Call after pulling consumers that were due (their cursors no
@@ -101,6 +148,11 @@ class RunLadder {
   };
 
   bool CursorAt(uint64_t position) const;
+  // Index of the first run of the window starting at `position`.
+  size_t FirstRunFrom(uint64_t position) const;
+  // Merges every cursor-free adjacent pair of runs from `first` on.
+  void MergeFreeBoundaries(size_t first);
+  void AdvanceCursor(size_t cursor);
   std::vector<uint64_t> TakeBuffer();
   void Recycle(std::vector<uint64_t>&& buffer);
   void Trim();

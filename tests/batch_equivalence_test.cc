@@ -337,55 +337,55 @@ TEST(BatchEquivalenceTest, RankGroupedBitIdenticalToCountdownAcrossChunkings) {
   }
 }
 
-// Borrowed-view ingest vs owned staging at the summary level: one
-// over-capacity sorted view into a fresh summary must reproduce
+// Borrowed-window ingest vs owned staging at the summary level: one
+// over-capacity sorted window into a fresh summary must reproduce
 // InsertSortedBatch of the same data bit for bit (the virtual cascade
 // draws the same coins and keeps the same elements).
-TEST(BatchEquivalenceTest, CompactorSortedViewsMatchSortedBatchExactly) {
+TEST(BatchEquivalenceTest, CompactorSortedWindowMatchesSortedBatchExactly) {
   Rng rng(4242);
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<uint64_t> data(20 + rng.UniformU64(800));
     for (auto& v : data) v = rng.UniformU64(1 << 20);
     std::sort(data.begin(), data.end());
     uint64_t seed = 9000 + trial;
-    summaries::CompactorSummary by_view(0.1, seed);
+    summaries::CompactorSummary by_window(0.1, seed);
     summaries::CompactorSummary by_batch(0.1, seed);
-    summaries::RunView view{data.data(), data.size()};
-    by_view.InsertSortedViews(&view, 1, data.size());
+    by_window.InsertSortedWindow(summaries::RunView{data.data(), data.size()});
     by_batch.InsertSortedBatch(data.data(), data.size());
-    EXPECT_EQ(by_view.WeightTotal(), by_batch.WeightTotal());
-    EXPECT_EQ(by_view.m(), by_batch.m());
-    ASSERT_EQ(by_view.Items(), by_batch.Items()) << "trial " << trial;
+    EXPECT_EQ(by_window.WeightTotal(), by_batch.WeightTotal());
+    EXPECT_EQ(by_window.m(), by_batch.m());
+    ASSERT_EQ(by_window.Items(), by_batch.Items()) << "trial " << trial;
   }
 }
 
-// Multi-view pulls conserve weight exactly and answer queries like the
-// equivalent concatenated batch feed (staged under capacity, merged and
-// compacted above it).
-TEST(BatchEquivalenceTest, CompactorSortedViewsConserveWeight) {
+// Multi-run ladder windows (merged by PullMerged) conserve weight
+// exactly, staged under capacity and merged and compacted above it.
+TEST(BatchEquivalenceTest, CompactorMergedWindowsConserveWeight) {
   Rng rng(171);
   summaries::CompactorSummary summary(0.05, 555);
-  uint64_t total = 0;
-  std::vector<std::vector<uint64_t>> runs;
+  summaries::RunLadder ladder;
+  summaries::MergedWindow window;
   std::vector<summaries::RunView> views;
+  ladder.Reset(2);
+  uint64_t total = 0;
+  std::vector<uint64_t> run;
   for (int round = 0; round < 40; ++round) {
-    runs.clear();
-    views.clear();
-    size_t num_views = 1 + rng.UniformU64(6);
-    size_t count = 0;
-    for (size_t v = 0; v < num_views; ++v) {
-      runs.emplace_back();
+    size_t num_runs = 1 + rng.UniformU64(6);
+    for (size_t r = 0; r < num_runs; ++r) {
+      run.clear();
       size_t len = rng.UniformU64(60);
-      for (size_t i = 0; i < len; ++i) {
-        runs.back().push_back(rng.UniformU64(1 << 20));
-      }
-      std::sort(runs.back().begin(), runs.back().end());
-      views.push_back(
-          summaries::RunView{runs.back().data(), runs.back().size()});
-      count += len;
+      for (size_t i = 0; i < len; ++i) run.push_back(rng.UniformU64(1 << 20));
+      std::sort(run.begin(), run.end());
+      ladder.AppendSortedRun(run.data(), run.size());
+      // Cursor 1 pins a boundary between most runs, as the leaf cursor
+      // does in the tracker.
+      if (rng.UniformU64(4) != 0) ladder.Pull(1, &views);
     }
-    summary.InsertSortedViews(views.data(), views.size(), count);
-    total += count;
+    summaries::RunView pulled = ladder.PullMerged(0, &window);
+    ASSERT_TRUE(std::is_sorted(pulled.data, pulled.data + pulled.size));
+    summary.InsertSortedWindow(pulled);
+    total += pulled.size;
+    ladder.Consolidate();
     ASSERT_EQ(summary.WeightTotal(), total);
   }
   EXPECT_EQ(summary.m(), total);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "disttrack/summaries/compactor_summary.h"
 #include "disttrack/summaries/gk_summary.h"
 #include "disttrack/summaries/reservoir.h"
+#include "disttrack/summaries/run_ladder.h"
 #include "test_util.h"
 
 namespace disttrack {
@@ -293,6 +295,185 @@ TEST(CompactorTest, ResetRetainsGuaranteesOnReuse) {
   EXPECT_EQ(c.WeightTotal(), 20000u);
   double err = std::fabs(c.EstimateRank(x) - static_cast<double>(truth));
   EXPECT_LE(err, 4 * eps * 20000);
+}
+
+// --- Merged ladder windows ------------------------------------------------
+//
+// The rank tracker's levels ingest each ladder window as ONE ascending
+// view: RunLadder::PullMerged merges a multi-run window once and every
+// level due on it reads that copy. The invariant that rests on: ingesting
+// the merged window is bit-identical to ingesting the same runs through
+// the element-staging path (InsertBatch of the runs as pulled, which
+// consolidates and compacts level by level at the same threshold). The
+// twins below share a seed and pull the same windows from one ladder —
+// the reference cursor as k borrowed runs, the merged cursor as one view.
+
+using Export = std::pair<std::vector<uint64_t>,
+                         std::vector<std::pair<uint64_t, uint32_t>>>;
+
+// The wire export of `summary`: each nonempty level ascending, tagged
+// with its weight and end offset.
+Export ExportOf(const CompactorSummary& summary) {
+  Export out;
+  auto items = summary.Items();
+  size_t i = 0;
+  while (i < items.size()) {
+    size_t j = i;
+    while (j < items.size() && items[j].second == items[i].second) ++j;
+    size_t from = out.first.size();
+    for (size_t t = i; t < j; ++t) out.first.push_back(items[t].first);
+    std::sort(out.first.begin() + static_cast<long>(from), out.first.end());
+    out.second.emplace_back(items[i].second,
+                            static_cast<uint32_t>(out.first.size()));
+    i = j;
+  }
+  return out;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> SortedItems(
+    const CompactorSummary& summary) {
+  auto items = summary.Items();
+  std::sort(items.begin(), items.end(),
+            [](const auto& a, const auto& b) {
+              return a.second != b.second ? a.second < b.second
+                                          : a.first < b.first;
+            });
+  return items;
+}
+
+std::vector<uint64_t> Concat(const std::vector<RunView>& views) {
+  std::vector<uint64_t> out;
+  for (const RunView& v : views) out.insert(out.end(), v.data, v.data + v.size);
+  return out;
+}
+
+// Appends one sorted run of `len` values; small universes make ties.
+void AppendRun(RunLadder* ladder, Rng* rng, size_t len, uint64_t universe) {
+  std::vector<uint64_t> run(len);
+  for (auto& v : run) v = rng->UniformU64(universe);
+  std::sort(run.begin(), run.end());
+  ladder->AppendSortedRun(run.data(), run.size());
+}
+
+TEST(MergedWindowTest, MergedIngestMatchesRunByRunStagingAfterEveryPull) {
+  const double kEps = 0.1;  // capacity 20
+  // Shapes seen across all seeds: pulls over a residue of 0 and of 1
+  // reaching capacity, with upper levels nonempty, windows below and
+  // above capacity, and windows of several runs.
+  int residue0 = 0, residue1 = 0, upper = 0, below = 0, above = 0, multi = 0;
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 7919);
+    CompactorSummary staged(kEps, seed);
+    CompactorSummary merged(kEps, seed);
+    RunLadder ladder;
+    MergedWindow window;
+    std::vector<RunView> views;
+    // Cursors: 0 the reference, 1 the merged twin, 2 a pin that pulls at
+    // random and so leaves boundaries inside the others' windows (the
+    // leaf cursor's role in the tracker).
+    ladder.Reset(3);
+    for (int step = 0; step < 120; ++step) {
+      uint64_t r = rng.UniformU64(10);
+      if (r < 6) {
+        // Singleton stragglers, short runs and runs past capacity.
+        size_t len = r == 0 ? 1 : 1 + rng.UniformU64(r < 4 ? 8 : 40);
+        AppendRun(&ladder, &rng, len, seed % 2 == 0 ? 16 : 1u << 20);
+        if (rng.UniformU64(3) != 0) ladder.Pull(2, &views);
+      } else if (ladder.pending(0) > 0) {
+        size_t residue = merged.level0_size();
+        size_t total = ladder.Pull(0, &views);
+        multi += views.size() > 1;
+        std::vector<uint64_t> runs = Concat(views);
+        RunView one = ladder.PullMerged(1, &window);
+        ASSERT_EQ(one.size, total);
+        ASSERT_TRUE(std::is_sorted(one.data, one.data + one.size));
+        bool compacts = residue + total >= 20;
+        residue0 += compacts && residue == 0;
+        residue1 += compacts && residue == 1;
+        upper += compacts && merged.NumLevels() > 1;
+        below += !compacts;
+        above += compacts;
+        staged.InsertBatch(runs.data(), runs.size());
+        merged.InsertSortedWindow(one);
+        ASSERT_EQ(SortedItems(merged), SortedItems(staged))
+            << "seed " << seed << " step " << step;
+        ASSERT_EQ(merged.SerializedWords(), staged.SerializedWords());
+        ASSERT_EQ(merged.WeightTotal(), staged.WeightTotal());
+      }
+      ladder.Consolidate();
+    }
+  }
+  EXPECT_GT(residue0, 0);
+  EXPECT_GT(residue1, 0);
+  EXPECT_GT(upper, 0);
+  EXPECT_GT(below, 0);
+  EXPECT_GT(above, 0);
+  EXPECT_GT(multi, 0);
+}
+
+TEST(MergedWindowTest, MergedExportMatchesRunByRunStaging) {
+  const double kEps = 0.1;  // capacity 20
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed * 104729);
+    CompactorSummary staged(kEps, seed);
+    CompactorSummary merged(kEps, seed);
+    RunLadder ladder;
+    MergedWindow window;
+    std::vector<RunView> views;
+    ladder.Reset(3);
+    // A history of whole pulls (residue 0 or 1, upper levels filling),
+    // then the final flush window of 1..60 values over pinned runs.
+    int pulls = static_cast<int>(rng.UniformU64(4));
+    for (int p = 0; p <= pulls; ++p) {
+      size_t runs = 1 + rng.UniformU64(4);
+      for (size_t i = 0; i < runs; ++i) {
+        AppendRun(&ladder, &rng, 1 + rng.UniformU64(15), 1u << 20);
+        ladder.Pull(2, &views);
+      }
+      if (p == pulls) break;
+      ladder.Pull(0, &views);
+      std::vector<uint64_t> concat = Concat(views);
+      staged.InsertBatch(concat.data(), concat.size());
+      merged.InsertSortedWindow(ladder.PullMerged(1, &window));
+      ladder.Consolidate();
+    }
+    ladder.Pull(0, &views);
+    std::vector<uint64_t> concat = Concat(views);
+    staged.InsertBatch(concat.data(), concat.size());
+    Export got;
+    uint64_t words = merged.InsertWindowAndExport(
+        ladder.PullMerged(1, &window), &got.first, &got.second);
+    EXPECT_EQ(words, staged.SerializedWords()) << "seed " << seed;
+    EXPECT_EQ(got, ExportOf(staged)) << "seed " << seed;
+  }
+}
+
+TEST(MergedWindowTest, LeafWireExportMatchesAFreshStagedSummary) {
+  const double kEps = 0.4;  // capacity 6, the leaf level's at height 6
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed * 15485863);
+    RunLadder ladder;
+    MergedWindow window;
+    std::vector<RunView> views;
+    ladder.Reset(3);
+    size_t runs = 1 + rng.UniformU64(5);
+    for (size_t i = 0; i < runs; ++i) {
+      // Windows below capacity, at it, and far above it.
+      size_t len =
+          seed % 3 == 0 ? 1 : 1 + rng.UniformU64(seed % 3 == 1 ? 3 : 120);
+      AppendRun(&ladder, &rng, len, seed % 2 == 0 ? 8 : 1u << 20);
+      ladder.Pull(2, &views);
+    }
+    ladder.Pull(0, &views);
+    std::vector<uint64_t> concat = Concat(views);
+    CompactorSummary staged(kEps, seed);
+    staged.InsertBatch(concat.data(), concat.size());
+    Export got;
+    uint64_t words = CompactSortedWindowToWire(
+        kEps, seed, ladder.PullMerged(1, &window), &got.first, &got.second);
+    EXPECT_EQ(words, staged.SerializedWords()) << "seed " << seed;
+    EXPECT_EQ(got, ExportOf(staged)) << "seed " << seed;
+  }
 }
 
 TEST(BernoulliSummaryTest, PEqualsOneIsExact) {

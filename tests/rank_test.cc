@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -336,6 +338,73 @@ TEST(RandomizedRankTest, GroupedDeliveryBitIdenticalToCountdown) {
               countdown.meter().TotalMessages());
     EXPECT_EQ(grouped.meter().TotalWords(), countdown.meter().TotalWords());
     EXPECT_EQ(grouped.rounds(), countdown.rounds());
+  }
+}
+
+// Golden pin of the production output at both perfbench shapes (k=64,
+// eps=0.01, Zipf(1.1) keys; k=32, eps=5e-4, uniform keys; both over 2^20,
+// perfbench's site sequence, four 64Ki ArriveBatch calls, seed 3). The
+// constants were recorded before the merged-window ladder pulls and the
+// radix run sort went in; both are tier A, so every later change to the
+// rank ingest path must reproduce them bit for bit (or say why not).
+TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
+  struct Shape {
+    int k;
+    double eps;
+    double zipf_alpha;
+    uint64_t messages;
+    uint64_t words;
+    std::vector<std::pair<uint64_t, double>> estimates;
+  };
+  const Shape shapes[] = {
+      {64, 0.01, 1.1, 116168, 859787,
+       {{0, 0},
+        {1, 32279.199999999997},
+        {2, 47452},
+        {3, 57149.800000000003},
+        {10, 86901.200000000012},
+        {100, 138828.39999999999},
+        {1000, 180777.80000000005},
+        {4096, 202182.19999999998},
+        {65536, 236272.60000000001},
+        {524288, 256590},
+        {1048575, 262268.59999999998}}},
+      {32, 5e-4, 0.0, 732928, 4269534,
+       {{0, 0},
+        {131072, 32775},
+        {262144, 65406.973638087467},
+        {393216, 98472.973638087467},
+        {524288, 131157.97363808745},
+        {655360, 163980.97363808745},
+        {786432, 196606.96045713121},
+        {917504, 229503.94727617493},
+        {1048576, 262136.93409521866}}},
+  };
+  const size_t kBatch = size_t{1} << 16;
+  const size_t kBatches = 4;
+  for (const Shape& shape : shapes) {
+    const size_t n = kBatch * kBatches;
+    auto input = stream::MakeFrequencyWorkload(
+        shape.k, n, SiteSchedule::kUniformRandom, uint64_t{1} << 20,
+        shape.zipf_alpha, 3);
+    auto sites = stream::MakeCountSites(shape.k, n,
+                                        SiteSchedule::kUniformRandom, 11);
+    for (size_t i = 0; i < n; ++i) input[i].site = sites[i];
+    RandomizedRankOptions o;
+    o.num_sites = shape.k;
+    o.epsilon = shape.eps;
+    o.seed = 3;
+    RandomizedRankTracker tracker(o);
+    for (size_t b = 0; b < kBatches; ++b) {
+      tracker.ArriveBatch(input.data() + b * kBatch, kBatch);
+    }
+    EXPECT_EQ(tracker.meter().TotalMessages(), shape.messages)
+        << "k " << shape.k;
+    EXPECT_EQ(tracker.meter().TotalWords(), shape.words) << "k " << shape.k;
+    for (const auto& [probe, want] : shape.estimates) {
+      EXPECT_EQ(tracker.EstimateRank(probe), want)
+          << "k " << shape.k << " probe " << probe;
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 // contract under test: every cursor sees every appended element exactly
 // once, views are whole ascending runs (merges never cross a position a
 // cursor still needs), fully-consumed runs are trimmed, and the append
-// fast paths (extend-in-place, buffer handoff) preserve all of it.
+// fast paths (extend-in-place, buffer handoff) preserve all of it;
+// PullMerged hands out the same window as one sorted view, merged once
+// for back-to-back pulls of that window.
 
 #include <algorithm>
 #include <map>
@@ -122,6 +124,75 @@ TEST(RunLadderTest, EveryCursorSeesEveryElementOnceDifferential) {
     }
     EXPECT_EQ(pulled_total[c], ladder.end());
     EXPECT_EQ(pulled[c], appended) << "cursor " << c;
+  }
+}
+
+TEST(RunLadderTest, PullMergedIsTheSortedWindowAndMergesItOnce) {
+  const size_t kCursors = 4;
+  Rng rng(2024);
+  RunLadder ladder;
+  MergedWindow window;
+  ladder.Reset(kCursors);
+  std::vector<RunView> views;
+  std::vector<uint64_t> run;
+  int shared = 0;
+  for (int step = 0; step < 600; ++step) {
+    if (rng.UniformU64(3) != 0) {
+      run.assign(1 + rng.UniformU64(30), 0);
+      for (auto& v : run) v = rng.UniformU64(1 << 12);
+      std::sort(run.begin(), run.end());
+      ladder.AppendSortedRun(run.data(), run.size());
+      if (rng.UniformU64(2) == 0) ladder.Pull(0, &views);  // pins
+    } else {
+      // Cursors 1..3 pull; back-to-back pulls of one window read one
+      // copy (the memo holds the last merged window).
+      const uint64_t* last_data = nullptr;
+      uint64_t last_pending = 0;
+      for (size_t c = 1; c < kCursors; ++c) {
+        if (rng.UniformU64(3) == 0) continue;
+        uint64_t pending = ladder.pending(c);
+        RunView view = ladder.PullMerged(c, &window);
+        ASSERT_EQ(view.size, pending);
+        ASSERT_TRUE(std::is_sorted(view.data, view.data + view.size));
+        if (pending > 0 && pending == last_pending) {
+          EXPECT_EQ(view.data, last_data) << "step " << step;
+          ++shared;
+        }
+        last_data = view.data;
+        last_pending = pending;
+      }
+    }
+    ladder.Consolidate();
+  }
+  EXPECT_GT(shared, 0);
+  // Every cursor still sees every element exactly once.
+  for (size_t c = 1; c < kCursors; ++c) {
+    ladder.PullMerged(c, &window);
+    EXPECT_EQ(ladder.pending(c), 0u);
+  }
+}
+
+TEST(RunLadderTest, PullMergedEqualsTheSortedConcatenationOfPull) {
+  Rng rng(31337);
+  RunLadder ladder;
+  MergedWindow window;
+  ladder.Reset(3);
+  std::vector<RunView> views;
+  std::vector<uint64_t> run;
+  for (int step = 0; step < 400; ++step) {
+    run.assign(1 + rng.UniformU64(20), 0);
+    for (auto& v : run) v = rng.UniformU64(step % 2 == 0 ? 4 : 1 << 20);
+    std::sort(run.begin(), run.end());
+    ladder.AppendSortedRun(run.data(), run.size());
+    if (rng.UniformU64(2) == 0) ladder.Pull(2, &views);  // pins
+    if (rng.UniformU64(4) == 0) {
+      ladder.Pull(0, &views);
+      auto want = Flatten(views);
+      std::sort(want.begin(), want.end());
+      RunView view = ladder.PullMerged(1, &window);
+      ASSERT_EQ(std::vector<uint64_t>(view.data, view.data + view.size), want);
+    }
+    ladder.Consolidate();
   }
 }
 

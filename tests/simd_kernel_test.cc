@@ -105,8 +105,46 @@ TEST(SimdSortSmall, SortRunDispatchesIdentically) {
       for (auto& x : v) x = rng.UniformU64(trial % 2 == 0 ? 8 : ~0ull);
       std::vector<uint64_t> want = v;
       std::sort(want.begin(), want.end());
-      SortRun(v.data(), n);
+      std::vector<uint64_t> scratch;
+      SortRun(v.data(), n, &scratch);
       ASSERT_EQ(v, want);
+    }
+  });
+}
+
+// SortRun over the radix regime: every length 0..320 (the network, the
+// std::sort middle and the radix cutovers at 64 and 24 per varying digit,
+// up to 192 for full-width keys), then sparser lengths up to 4096, for
+// key shapes that vary in no digit, one digit at either end, every digit,
+// only a few distinct values, and only the extremes. One scratch serves
+// every call, as in the tracker, so stale scratch contents are covered.
+TEST(SimdSortSmall, SortRunMatchesStdSortAcrossRadixCutovers) {
+  Rng rng(0x5eed0006);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 320; ++n) lengths.push_back(n);
+  for (size_t n = 321; n <= 4096; n = n * 9 / 8 + 1) lengths.push_back(n);
+  lengths.push_back(4096);
+  auto key = [&](int shape) -> uint64_t {
+    switch (shape) {
+      case 0: return 0x0123456789ABCDEFull;                // all equal
+      case 1: return rng.UniformU64(256) << 56;            // top byte
+      case 2: return 0x5500000000000000ull | rng.UniformU64(256);  // bottom
+      case 3: return rng.NextU64();                        // full width
+      case 4: return rng.UniformU64(5) * 0x0101010101ull;  // duplicates
+      default: return rng.UniformU64(2) == 0 ? 0 : ~0ull;  // 0 / max
+    }
+  };
+  std::vector<uint64_t> scratch;
+  InBothDispatchModes([&] {
+    for (int shape = 0; shape < 6; ++shape) {
+      for (size_t n : lengths) {
+        std::vector<uint64_t> v(n);
+        for (auto& x : v) x = key(shape);
+        std::vector<uint64_t> want = v;
+        std::sort(want.begin(), want.end());
+        SortRun(v.data(), n, &scratch);
+        ASSERT_EQ(v, want) << "shape " << shape << " n " << n;
+      }
     }
   });
 }
@@ -138,38 +176,6 @@ TEST(SimdMerge, AgreesWithStdMergeAllTailsAndAlignments) {
                         got.data() + offo);
       for (size_t i = 0; i < na + nb; ++i) {
         ASSERT_EQ(got[offo + i], want[i]) << "na=" << na << " nb=" << nb;
-      }
-    }
-  });
-}
-
-TEST(SimdTwoViewSelect, Vector4MatchesScalarSelection) {
-  Rng rng(0x5eed0005);
-  InBothDispatchModes([&] {
-    for (int trial = 0; trial < 300; ++trial) {
-      size_t a = rng.UniformU64(40);
-      size_t b = trial % 5 == 0 ? 0 : rng.UniformU64(40);
-      if (a + b < 4) continue;
-      uint64_t lim = trial % 3 == 0 ? 6 : ~0ull;
-      std::vector<uint64_t> A(a);
-      std::vector<uint64_t> B(b);
-      for (auto& x : A) x = rng.UniformU64(lim);
-      for (auto& x : B) x = rng.UniformU64(lim);
-      std::sort(A.begin(), A.end());
-      std::sort(B.begin(), B.end());
-      // Reference: the fully merged array.
-      std::vector<uint64_t> merged(a + b);
-      std::merge(A.begin(), A.end(), B.begin(), B.end(), merged.begin());
-      for (int rep = 0; rep < 8; ++rep) {
-        size_t idx[4];
-        for (auto& i : idx) i = rng.UniformU64(a + b);
-        uint64_t out[4];
-        simd::TwoViewSelect4(A.data(), a, B.data(), b, idx, out);
-        for (int t = 0; t < 4; ++t) {
-          ASSERT_EQ(out[t], merged[idx[t]]) << "i=" << idx[t];
-          ASSERT_EQ(simd::TwoViewSelect(A.data(), a, B.data(), b, idx[t]),
-                    merged[idx[t]]);
-        }
       }
     }
   });
