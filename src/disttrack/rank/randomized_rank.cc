@@ -140,6 +140,7 @@ RandomizedRankTracker::RandomizedRankTracker(
       sites_(static_cast<size_t>(options.num_sites)),
       agg_(options.num_sites),
       pending_uploads_(static_cast<size_t>(options.num_sites)) {
+  SetRound(RoundParams{});
   for (int i = 0; i < options_.num_sites; ++i) {
     SiteState& s = sites_[static_cast<size_t>(i)];
     s.rng = Rng(options_.seed * 0x8CB92BA72F3D8DD7ull +
@@ -154,52 +155,72 @@ RandomizedRankTracker::RandomizedRankTracker(
   countdown_.Resize(options_.num_sites);
 }
 
-double RandomizedRankTracker::LevelEps(int level) const {
-  double hh = std::max(1, round_.height);
-  return std::pow(2.0, -level) / std::sqrt(hh);
+void RandomizedRankTracker::SetRound(const RoundParams& round) {
+  round_ = round;
+  const int height = round_.height;
+  const double hh = std::max(1, height);
+  level_eps_.resize(static_cast<size_t>(height) + 1);
+  level_capacity_.resize(static_cast<size_t>(height) + 1);
+  for (int level = 0; level <= height; ++level) {
+    const size_t l = static_cast<size_t>(level);
+    level_eps_[l] = std::pow(2.0, -level) / std::sqrt(hh);
+    level_capacity_[l] = summaries::CompactorCapacity(level_eps_[l]);
+  }
+  // Under the batched feed a level pulls at quanta of min(b * 2^level,
+  // top capacity) (PumpLevels); when b * 2^level fits in the top
+  // capacity, the quantum covers the node's whole span, so its one pull
+  // lands on the node's last arrival and the flush drains it. Such a
+  // level ingests exactly one window per node and needs no node. Level 0
+  // is always node-less: its leaf window is its only window by design.
+  // The exact feed pulls at every level's own fill threshold and keeps
+  // every node.
+  nodeless_levels_ = 0;
+  if (options_.use_batch_compaction) {
+    const uint64_t top_capacity = level_capacity_.back();
+    for (int level = 0; level <= height; ++level) {
+      if (level == 0 || round_.block_size <= (top_capacity >> level)) {
+        nodeless_levels_ |= uint64_t{1} << level;
+      }
+    }
+  }
 }
 
 std::unique_ptr<summaries::CompactorSummary> RandomizedRankTracker::
     AcquireNode(SiteState* s, int level) {
   uint64_t seed = s->rng.NextU64();
-  auto& pool = s->pool[static_cast<size_t>(level)];
+  auto& pool = s->levels[static_cast<size_t>(level)].pool;
   if (!pool.empty()) {
     auto node = std::move(pool.back());
     pool.pop_back();
     node->Reset(seed);
     return node;
   }
-  return std::make_unique<summaries::CompactorSummary>(LevelEps(level), seed);
+  return std::make_unique<summaries::CompactorSummary>(
+      level_eps_[static_cast<size_t>(level)], seed);
 }
 
 void RandomizedRankTracker::StartFreshInstance(SiteState* s) {
   s->arrivals_in_chunk = 0;
   s->arrivals_in_leaf = 0;
   s->current_leaf = 0;
-  s->nodes_ready = false;
   s->pull_slack = 0;
-  // Any armed leaf seed dies with the instance — exactly as a discarded
-  // level-0 node (whose creation had consumed the same draw) would.
-  s->leaf_seed_armed = false;
+  // Drawn node-less seeds die with the instance — exactly as discarded
+  // nodes (whose creation had consumed the same draws) would.
+  s->live_levels = 0;
   size_t levels = static_cast<size_t>(round_.height) + 1;
-  if (s->pool.size() != levels) {
-    // The round's tree shape changed, and with it LevelEps and every
+  if (s->levels.size() != levels) {
+    // The round's tree shape changed, and with it every level's eps and
     // summary capacity: pooled nodes are the wrong size, drop them.
-    s->pool.clear();
-    s->pool.resize(levels);
-    s->nodes.clear();
+    s->levels.clear();
+    s->levels.resize(levels);
   } else {
     // Recycle still-active node objects — their contents are already
     // covered (shipped summaries / frozen residuals) and Reset() empties
     // them on reuse.
-    for (size_t l = 0; l < s->nodes.size(); ++l) {
-      if (s->nodes[l] != nullptr) {
-        s->pool[l].push_back(std::move(s->nodes[l]));
-      }
+    for (Level& level : s->levels) {
+      if (level.node != nullptr) level.pool.push_back(std::move(level.node));
     }
-    s->nodes.clear();
   }
-  s->nodes.resize(levels);
   // Round and chunk boundaries discard in-flight tree state (completed
   // leaves are covered by shipped summaries, the tail by its frozen
   // samples); unpulled ladder data goes with it.
@@ -227,7 +248,7 @@ void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
   // closing round are already covered by shipped summaries, and the
   // in-progress tails stay covered by their frozen residual samples;
   // sites just restart with fresh parameters.
-  round_ = options_.RoundParamsFor(n_bar);
+  SetRound(options_.RoundParamsFor(n_bar));
   agg_.BeginRound(round_.inv_p, round_.num_leaves);
   for (int i = 0; i < options_.num_sites; ++i) {
     StartFreshInstance(&sites_[static_cast<size_t>(i)]);
@@ -254,24 +275,27 @@ template <typename Port>
 void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
                                       uint32_t node_start, uint32_t end_leaf,
                                       Port& port) {
-  s->nodes_ready = false;
-  if (level == 0 && options_.use_batch_compaction) {
-    // Node-less leaf flush: cascade the leaf window straight from the
-    // borrowed ladder window into the wire buffer with the armed seed's
-    // coins — no node ingest, no Reset, no pool churn. Identical stored
-    // content, serialized words, and RNG stream as the node-based flush.
-    summaries::RunView window = s->ladder.PullMerged(0, &window_);
-    s->leaf_seed_armed = false;  // consumed (or dropped) with this leaf
+  const uint64_t bit = uint64_t{1} << level;
+  s->live_levels &= ~bit;  // the level's next node draws afresh
+  if ((nodeless_levels_ & bit) != 0) {
+    // Node-less flush: the node's one window cascades straight from the
+    // ladder into the wire buffer with the drawn seed's coins — no node
+    // ingest, no Reset, no pool churn. Identical stored content,
+    // serialized words, and RNG stream as the node-based flush.
+    summaries::RunView window =
+        s->ladder.PullMerged(static_cast<size_t>(level), &window_);
     if (window.size == 0) return;
     s->export_values.clear();
     s->export_segments.clear();
     uint64_t words = summaries::CompactSortedWindowToWire(
-        LevelEps(0), s->leaf_seed, window, &s->export_values,
+        level_capacity_[static_cast<size_t>(level)],
+        s->levels[static_cast<size_t>(level)].seed, window, &s->export_values,
         &s->export_segments);
     port.ShipSummary(site, *s, node_start, end_leaf, words);
     return;
   }
-  auto& node = s->nodes[static_cast<size_t>(level)];
+  Level& lv = s->levels[static_cast<size_t>(level)];
+  auto& node = lv.node;
   if (node == nullptr) return;
   // Drain the node's remaining ladder window and export in one fused
   // step: a final sub-threshold window merges straight from the borrowed
@@ -282,20 +306,20 @@ void RandomizedRankTracker::FlushNode(int site, SiteState* s, int level,
   summaries::RunView window =
       s->ladder.PullMerged(static_cast<size_t>(level), &window_);
   if (node->m() == 0 && window.size == 0) {
-    s->pool[static_cast<size_t>(level)].push_back(std::move(node));
+    lv.pool.push_back(std::move(node));
     return;
   }
   uint64_t words = node->InsertWindowAndExport(window, &s->export_values,
                                                &s->export_segments);
   port.ShipSummary(site, *s, node_start, end_leaf, words);
-  s->pool[static_cast<size_t>(level)].push_back(std::move(node));
+  lv.pool.push_back(std::move(node));
 }
 
 void RandomizedRankTracker::UpdateSpace(int site) {
   const SiteState& s = sites_[static_cast<size_t>(site)];
   uint64_t words = 9;  // counters, ids, round parameters, skip countdown
-  for (const auto& node : s.nodes) {
-    if (node != nullptr) words += node->SpaceWords();
+  for (const Level& level : s.levels) {
+    if (level.node != nullptr) words += level.node->SpaceWords();
   }
   // The ladder buffers at most the largest level's pull window, charged
   // once for all h+1 levels.
@@ -304,22 +328,21 @@ void RandomizedRankTracker::UpdateSpace(int site) {
 }
 
 void RandomizedRankTracker::EnsureNodes(SiteState* s) {
-  if (s->nodes_ready) return;
-  for (int level = 0; level <= round_.height; ++level) {
-    if (level == 0 && options_.use_batch_compaction) {
-      // Node-less leaf flush: draw the seed at exactly the site-RNG
-      // position node creation used to draw it; the direct leaf export
-      // consumes it.
-      if (!s->leaf_seed_armed) {
-        s->leaf_seed = s->rng.NextU64();
-        s->leaf_seed_armed = true;
-      }
-      continue;
+  const uint64_t missing =
+      ((uint64_t{2} << round_.height) - 1) & ~s->live_levels;
+  // Levels draw in level order. A node-less level draws its seed at
+  // exactly the site-RNG position node creation would draw it; its flush
+  // consumes it.
+  for (uint64_t m = missing; m != 0; m &= m - 1) {
+    const int level = __builtin_ctzll(m);
+    Level& lv = s->levels[static_cast<size_t>(level)];
+    if (((nodeless_levels_ >> level) & 1) != 0) {
+      lv.seed = s->rng.NextU64();
+    } else {
+      lv.node = AcquireNode(s, level);
     }
-    auto& node = s->nodes[static_cast<size_t>(level)];
-    if (node == nullptr) node = AcquireNode(s, level);
   }
-  s->nodes_ready = true;
+  s->live_levels |= missing;
 }
 
 void RandomizedRankTracker::PumpLevels(SiteState* s, uint64_t appended) {
@@ -349,23 +372,18 @@ void RandomizedRankTracker::PumpLevels(SiteState* s, uint64_t appended) {
   // consolidated run. The top level still pulls at its own capacity, so
   // the ladder's footprint stays at the one window it already buffers.
   const bool lazy = options_.use_batch_compaction;
-  // Under the lazy feed, level 0 has no node and no pump cadence: its
-  // quantum equals the leaf length, so its pulls land exactly on leaf
-  // boundaries, where FlushNode drains the window itself (the node-less
-  // direct export). Skipping it here also lifts pull_slack from <= one
-  // leaf to the level-1 quantum, halving the scans.
-  const int first_level = lazy ? 1 : 0;
-  if (first_level > round_.height) {
-    s->pull_slack = ~uint64_t{0};
-    return;
-  }
-  const uint64_t top_capacity =
-      s->nodes[static_cast<size_t>(round_.height)]->buffer_capacity();
+  const uint64_t top_capacity = level_capacity_.back();
   uint64_t slack = ~uint64_t{0};
-  for (int level = first_level; level <= round_.height; ++level) {
+  for (int level = 0; level <= round_.height; ++level) {
+    // A node-less level has no pump cadence: FlushNode drains its node's
+    // whole window at once (its quantum covers the node, so the pump
+    // would pull only on the node's last arrival; level 0 by design).
+    // Skipping these levels also lifts pull_slack to the lowest node
+    // level's quantum.
+    if (((nodeless_levels_ >> level) & 1) != 0) continue;
     uint64_t pending = s->ladder.pending(static_cast<size_t>(level));
-    auto& node = s->nodes[static_cast<size_t>(level)];
-    uint64_t capacity = node->buffer_capacity();
+    auto& node = s->levels[static_cast<size_t>(level)].node;
+    uint64_t capacity = level_capacity_[static_cast<size_t>(level)];
     uint64_t quantum = 1;
     if (lazy) {
       quantum = level < 40 ? round_.block_size << level : top_capacity;
@@ -467,11 +485,8 @@ inline void RandomizedRankTracker::ProcessArrival(int site, uint64_t value,
           // them. The estimate is unchanged and the
           // communication strictly drops. Unpulled ladder data for these
           // levels dies with the instance reset below.
-          auto& node = s.nodes[static_cast<size_t>(level)];
-          if (node != nullptr) {
-            s.pool[static_cast<size_t>(level)].push_back(std::move(node));
-            s.nodes_ready = false;
-          }
+          Level& lv = s.levels[static_cast<size_t>(level)];
+          if (lv.node != nullptr) lv.pool.push_back(std::move(lv.node));
         } else {
           // The window-closing arrival was appended above, so the
           // cursor drain fused into FlushNode hands the node exactly its
@@ -710,7 +725,7 @@ void RandomizedRankTracker::set_wire_tap(sim::wire::WireTap* tap) {
 bool RandomizedRankTracker::SiteSnapshotReady(int site) const {
   const SiteState& s = sites_[static_cast<size_t>(site)];
   // At a chunk boundary the instance is fresh: no partial leaves, no
-  // live nodes, no unpulled ladder data, no armed leaf seed — the site's
+  // live nodes, no unpulled ladder data, no drawn seed — the site's
   // whole private state is the round parameters, the coarse counters,
   // and the RNG/skip streams. `run` holds batch-engine carry that only
   // exists mid-ArriveBatch; the robust driver feeds scalar arrivals.
@@ -750,11 +765,13 @@ void RandomizedRankTracker::RestoreSiteState(
     std::abort();
   }
   const uint64_t* data = blob.data();
-  std::memcpy(&round_.inv_p, &data[0], sizeof(round_.inv_p));
-  round_.chunk_size = data[1];
-  round_.block_size = data[2];
-  round_.num_leaves = static_cast<uint32_t>(data[3]);
-  round_.height = static_cast<int>(data[4]);
+  RoundParams round;
+  std::memcpy(&round.inv_p, &data[0], sizeof(round.inv_p));
+  round.chunk_size = data[1];
+  round.block_size = data[2];
+  round.num_leaves = static_cast<uint32_t>(data[3]);
+  round.height = static_cast<int>(data[4]);
+  SetRound(round);
   coarse_->RestoreSite(site, data + 5);
   SiteState& s = sites_[static_cast<size_t>(site)];
   double inv_log;
@@ -767,13 +784,10 @@ void RandomizedRankTracker::RestoreSiteState(
   s.arrivals_in_leaf = 0;
   s.current_leaf = 0;
   size_t levels = static_cast<size_t>(round_.height) + 1;
-  s.nodes.clear();
-  s.nodes.resize(levels);
-  s.pool.clear();
-  s.pool.resize(levels);
-  s.nodes_ready = false;
+  s.levels.clear();
+  s.levels.resize(levels);
+  s.live_levels = 0;
   s.pull_slack = 0;
-  s.leaf_seed_armed = false;
   s.ladder.Reset(levels);
   s.run.clear();
 }
@@ -788,7 +802,7 @@ void RandomizedRankTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
   // skip redraw — identical RNG draws. The coordinator half (round
   // counter, broadcast charge, other sites' restarts) is the
   // coordinator's.
-  round_ = options_.RoundParamsFor(n_bar);
+  SetRound(options_.RoundParamsFor(n_bar));
   StartFreshInstance(&sites_[static_cast<size_t>(site)]);
   UpdateSpace(site);
 }

@@ -49,14 +49,21 @@
 // merged once into tracker-level scratch, every level due on the same
 // window reads that copy, and each ingests it as one view through the
 // zero-copy virtual cascade (the upper levels of a round mostly come due
-// together, since their pull quanta all reach the top capacity). Chunks
-// that provably contain no coarse broadcast are grouped into per-site
-// spans first; that is bit-identical to the countdown engine. Batched
-// compaction is equivalent in distribution, not bit-identical, to the
-// per-element feed (see the DESIGN note in summaries/compactor_summary.h);
-// the per-element feed and the per-arrival coins stay reachable as
-// reference oracles (`use_batch_compaction = false`,
-// `use_skip_sampling = false`).
+// together, since their pull quanta all reach the top capacity). A level
+// whose quantum b * 2^level covers its node's span (b * 2^level <= top
+// capacity; level 0 always) ingests exactly one window per node, on the
+// node's last arrival, so it runs node-less: the flush cascades that
+// window straight from the ladder to the wire with the seed the node
+// would have drawn (at ε = 5e-4 and k = 32 the leaf block is 1-11
+// arrivals under a tree 11-12 levels high, and every level below the
+// top is node-less). Each level's ε and capacity are computed once per
+// round. Chunks that provably contain no coarse broadcast are grouped
+// into per-site spans first; that is bit-identical to the countdown
+// engine. Batched compaction is equivalent in distribution, not
+// bit-identical, to the per-element feed (see the DESIGN note in
+// summaries/compactor_summary.h); the per-element feed and the
+// per-arrival coins stay reachable as reference oracles
+// (`use_batch_compaction = false`, `use_skip_sampling = false`).
 
 #ifndef DISTTRACK_RANK_RANDOMIZED_RANK_H_
 #define DISTTRACK_RANK_RANDOMIZED_RANK_H_
@@ -163,8 +170,8 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   void set_wire_tap(sim::wire::WireTap* tap);
 
   /// Rank snapshots are only consistent at chunk boundaries, where the
-  /// site holds no partially built tree (nodes and ladder empty, leaf
-  /// seed unarmed) and its whole private state is the round parameters
+  /// site holds no partially built tree (nodes and ladder empty, no
+  /// seed drawn) and its whole private state is the round parameters
   /// plus the coarse counters and the RNG/skip streams. The robust
   /// driver polls until this returns true.
   bool SiteSnapshotReady(int site) const;
@@ -180,19 +187,28 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   void ReplayCrashRitual(int site, uint64_t n_bar);
 
  private:
+  // One level of a site's tree.
+  struct Level {
+    // The active node's summary (created lazily). Node-less levels (the
+    // tracker's nodeless_levels_) keep no CompactorSummary at all:
+    // EnsureNodes draws `seed` where node creation would have drawn the
+    // node's seed, at the same site-RNG position, and the flush cascades
+    // the node's one ladder window straight to the wire
+    // (summaries::CompactSortedWindowToWire) with those coins.
+    std::unique_ptr<summaries::CompactorSummary> node;
+    uint64_t seed = 0;
+    // Retired summaries awaiting reuse. Tree nodes are short-lived (one
+    // per dyadic range per chunk), so recycling their buffer allocations
+    // takes node turnover off the hot path; pools are dropped whenever
+    // the round's tree height (and with it every level's eps) changes.
+    std::vector<std::unique_ptr<summaries::CompactorSummary>> pool;
+  };
+
   struct SiteState {
     uint64_t arrivals_in_chunk = 0;
     uint64_t arrivals_in_leaf = 0;
     uint32_t current_leaf = 0;
-    // nodes[l] is the active level-l node's summary (lazily created).
-    std::vector<std::unique_ptr<summaries::CompactorSummary>> nodes;
-    // pool[l]: retired level-l summaries awaiting reuse. Tree nodes are
-    // short-lived (one per dyadic range per chunk), so recycling their
-    // buffer allocations takes node turnover off the hot path; pools are
-    // dropped whenever the round's tree height (and with it LevelEps)
-    // changes.
-    std::vector<std::vector<std::unique_ptr<summaries::CompactorSummary>>>
-        pool;
+    std::vector<Level> levels;  // levels[l]: tree level l
     SkipSampler tail_skip;  // gap to the next tail-channel forward
     Rng rng{0};
     // The node summary being shipped, in the wire format.
@@ -201,21 +217,14 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
     // Batch-engine run buffer: values delivered to this site since its
     // last event/reconciliation, in arrival order (delivery-engine state,
     // not protocol state — the values are the stream itself).
-    std::vector<uint64_t> run;
+    summaries::ValueBuffer run;
     // Shared run-merge ladder: the site's sorted runs consolidated once,
     // with one pull cursor per tree level. Reset with the instance.
     summaries::RunLadder ladder;
-    // True while every level's node exists (EnsureNodes fast-exit);
-    // cleared whenever a node is flushed, dropped, or the instance
-    // restarts.
-    bool nodes_ready = false;
-    // Node-less leaf flush (batched feed): level 0 keeps
-    // no CompactorSummary at all — EnsureNodes draws the seed the node
-    // creation used to draw, at the same site-RNG position, and the
-    // flush cascades the leaf window straight from the ladder to the
-    // wire (summaries::CompactSortedWindowToWire) with those coins.
-    uint64_t leaf_seed = 0;
-    bool leaf_seed_armed = false;
+    // Bit l is set from the draw of level l's current node (its node
+    // created, or its seed drawn) until the node is flushed or the
+    // instance restarts; EnsureNodes draws exactly the clear bits.
+    uint64_t live_levels = 0;
     // Lower bound on the appends until some level's next pull threshold;
     // PumpLevels skips its level scan while the bound stays positive.
     uint64_t pull_slack = 0;
@@ -278,17 +287,20 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   void RunSite(int site, const uint64_t* keys, size_t count);
   std::unique_ptr<summaries::CompactorSummary> AcquireNode(SiteState* s,
                                                            int level);
-  // Shared-ladder plumbing. EnsureNodes creates any missing level node in
-  // level order (the seed-draw order); PumpLevels pulls every level whose
-  // fill reached its compaction threshold; FlushNode drains a completing
-  // node's remaining window itself (fused with the export).
+  // Shared-ladder plumbing. EnsureNodes draws every level missing from
+  // live_levels in level order (the seed-draw order): a node, or a
+  // node-less level's seed; PumpLevels pulls every node level whose fill
+  // reached its compaction threshold; FlushNode drains a completing
+  // node's remaining window itself (fused with the export, or straight
+  // to the wire for a node-less level).
   void EnsureNodes(SiteState* s);
   void PumpLevels(SiteState* s, uint64_t appended);
   void StartFreshInstance(SiteState* s);
   template <typename Port>
   void FlushNode(int site, SiteState* s, int level, uint32_t node_start,
                  uint32_t end_leaf, Port& port);
-  double LevelEps(int level) const;
+  // Sets round_ and the per-round level constants below.
+  void SetRound(const RoundParams& round);
   void UpdateSpace(int site);
   // Emits a kRankSummary (node [a, b) from `exports`' buffers) or
   // kRankResidual (leaf a, value b) frame charged `words`.
@@ -324,6 +336,13 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   std::vector<PendingUpload> pending_uploads_;
 
   RoundParams round_;
+  // Per-round level constants (SetRound): level l's eps 2^-l/sqrt(h), its
+  // compactor capacity, and the mask of levels whose node ingests exactly
+  // one ladder window under the batched feed (bit l), which run
+  // node-less.
+  std::vector<double> level_eps_;
+  std::vector<size_t> level_capacity_;
+  uint64_t nodeless_levels_ = 0;
 
   // Site-step scratch shared by all sites: the merged copy of the last
   // multi-run ladder window (memoized, so levels due on one window merge

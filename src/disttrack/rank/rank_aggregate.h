@@ -82,10 +82,14 @@ class RankAggregate {
       for (uint32_t j = begin + 1; j < end; ++j) {
         if (values[j] < values[j - 1]) return false;
       }
-      // Every partial sum stays below 2^53, so none of this overflows.
-      uint64_t len = end - begin;
-      if (len > 0 && w > (kExactLimit - 1 - weight) / len) return false;
-      weight += w * len;
+      // Every partial sum stays below 2^53, so the headroom never wraps;
+      // the product is checked for 64-bit overflow in the same step.
+      uint64_t segment_weight;
+      if (__builtin_mul_overflow(w, uint64_t{end - begin}, &segment_weight) ||
+          segment_weight > kExactLimit - 1 - weight) {
+        return false;
+      }
+      weight += segment_weight;
       begin = end;
     }
     if (begin != num_values) return false;

@@ -8,11 +8,7 @@
 namespace disttrack {
 namespace summaries {
 
-namespace {
-
-// Capacity from eps: s >= 2/eps keeps the martingale variance bound
-// 4 m^2 / s^2 below (eps m)^2; force even so compactions conserve weight.
-size_t CapacityFor(double eps) {
+size_t CompactorCapacity(double eps) {
   if (eps <= 0) eps = 1e-9;
   double raw = std::ceil(2.0 / eps);
   auto s = static_cast<size_t>(std::min(raw, 1e9));
@@ -20,6 +16,8 @@ size_t CapacityFor(double eps) {
   if (s % 2 == 1) ++s;
   return s;
 }
+
+namespace {
 
 // Accessors for the virtual-cascade get contract: At(i) is element i of
 // a fully sorted logical sequence, and Gather(offset, stride, count,
@@ -68,7 +66,7 @@ struct ResidueGet {
 }  // namespace
 
 CompactorSummary::CompactorSummary(double eps, uint64_t seed)
-    : eps_(eps), capacity_(CapacityFor(eps)), rng_(seed) {
+    : eps_(eps), capacity_(CompactorCapacity(eps)), rng_(seed) {
   levels_.emplace_back();
   sorted_.push_back(0);
   seg_bounds_.emplace_back();
@@ -530,9 +528,9 @@ void CompactorSummary::Clear() {
 }
 
 uint64_t CompactSortedWindowToWire(
-    double eps, uint64_t seed, RunView window, std::vector<uint64_t>* values,
+    size_t capacity, uint64_t seed, RunView window,
+    std::vector<uint64_t>* values,
     std::vector<std::pair<uint64_t, uint32_t>>* segments) {
-  size_t capacity = CapacityFor(eps);
   size_t before = values->size();
   size_t len = window.size;
   if (len < capacity) {

@@ -220,21 +220,30 @@ class CompactorSummary {
   std::vector<std::pair<size_t, uint64_t>> straggler_scratch_;
 };
 
-/// Node-less leaf compaction — the rank tracker's level-0 flush path. A
-/// leaf node's whole life under the batched shared-ladder feed is
-/// "ingest one window, cascade once, export once, reset": this routine
-/// performs exactly that without ever materializing the CompactorSummary
-/// object. It cascades a fully sorted window with per-level capacity
-/// derived from `eps` straight into the wire format, drawing from a
+/// Per-level buffer capacity s of a CompactorSummary at `eps`: s >=
+/// 2/eps keeps the martingale variance bound 4 m^2 / s^2 below (eps m)^2,
+/// forced even so compactions conserve weight.
+size_t CompactorCapacity(double eps);
+
+/// Node-less compaction of one window — the rank tracker's flush path for
+/// every tree level whose node ingests exactly one ladder window. Such a
+/// node's whole life is "ingest one window, cascade once, export once,
+/// reset"; this routine does exactly that without materializing the
+/// CompactorSummary. It cascades a fully sorted window at per-level
+/// capacity `capacity` (CompactorCapacity of the level's eps, computed
+/// once by the caller) straight into the wire format, drawing from a
 /// generator seeded with `seed` exactly the per-level coins a fresh
 /// CompactorSummary ingesting the same window would draw — so the shipped
 /// summary, its serialized word count (the return value), and the site
-/// RNG stream are bit-identical to the node-based flush it replaces.
+/// RNG stream are bit-identical to the node-based flush: a fresh node's
+/// InsertWindowAndExport(window), or InsertSortedWindow(window) followed
+/// by InsertWindowAndExport of an empty window.
 /// APPENDS to *values / *segments (segment ends are absolute offsets into
-/// *values), so one arena can accumulate many leaf summaries; callers
-/// wanting a lone summary clear both first.
+/// *values), so one arena can accumulate many summaries; callers wanting
+/// a lone summary clear both first.
 uint64_t CompactSortedWindowToWire(
-    double eps, uint64_t seed, RunView window, std::vector<uint64_t>* values,
+    size_t capacity, uint64_t seed, RunView window,
+    std::vector<uint64_t>* values,
     std::vector<std::pair<uint64_t, uint32_t>>* segments);
 
 }  // namespace summaries

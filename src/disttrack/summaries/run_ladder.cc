@@ -22,15 +22,15 @@ bool RunLadder::CursorAt(uint64_t position) const {
   return false;
 }
 
-std::vector<uint64_t> RunLadder::TakeBuffer() {
+ValueBuffer RunLadder::TakeBuffer() {
   if (pool_.empty()) return {};
-  std::vector<uint64_t> buffer = std::move(pool_.back());
+  ValueBuffer buffer = std::move(pool_.back());
   pool_.pop_back();
   buffer.clear();
   return buffer;
 }
 
-void RunLadder::Recycle(std::vector<uint64_t>&& buffer) {
+void RunLadder::Recycle(ValueBuffer&& buffer) {
   if (buffer.capacity() == 0) return;
   pool_.push_back(std::move(buffer));
 }
@@ -54,7 +54,7 @@ void RunLadder::AppendSortedRun(const uint64_t* values, size_t count) {
   cursors_at_end_ = 0;
 }
 
-void RunLadder::AppendSortedVector(std::vector<uint64_t>* values) {
+void RunLadder::AppendSortedVector(ValueBuffer* values) {
   size_t count = values->size();
   if (count == 0) return;
   if (cursors_at_end_ == 0 && !runs_.empty() &&
@@ -107,7 +107,7 @@ void RunLadder::MergeFreeBoundaries(size_t first) {
     if (best == runs_.size()) break;
     Run& a = runs_[best];
     Run& b = runs_[best + 1];
-    std::vector<uint64_t> merged = TakeBuffer();
+    ValueBuffer merged = TakeBuffer();
     merged.resize(a.values.size() + b.values.size());
     // Gap-merge inner loop: blockwise bitonic merge under AVX2 dispatch,
     // byte-identical output to std::merge (uint64 values are compared
@@ -170,9 +170,9 @@ uint64_t* MergeRunsPairwise(uint64_t* src, uint64_t* dst,
 
 namespace {
 
-void GrowTo(std::vector<uint64_t>* buffer, size_t need) {
-  // Write-before-read scratch: grow geometrically, never shrink, so the
-  // value-initialization of growth is amortized away.
+void GrowTo(ValueBuffer* buffer, size_t need) {
+  // Write-before-read scratch: grow geometrically and never shrink, so
+  // the copy of old contents on growth is amortized away.
   if (buffer->size() < need) {
     buffer->resize(std::max(need, buffer->size() * 2));
   }
@@ -256,7 +256,7 @@ void RunLadder::MergeTail() {
     Run& b = runs_.back();
     if (a.values.size() > b.values.size()) break;
     if (CursorAt(b.start)) break;
-    std::vector<uint64_t> merged = TakeBuffer();
+    ValueBuffer merged = TakeBuffer();
     merged.resize(a.values.size() + b.values.size());
     simd::MergeSorted(a.values.data(), a.values.size(), b.values.data(),
                       b.values.size(), merged.data());

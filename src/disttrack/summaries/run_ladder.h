@@ -47,16 +47,51 @@
 // Space: runs older than the slowest cursor are trimmed, so the ladder
 // holds at most ~max pull window (the largest level capacity) elements —
 // the staging memory it removes from the h+1 compactors, paid once.
+//
+// Buffers: run storage, the recycled-buffer pool, MergedWindow's scratch
+// and the rank tracker's per-site run are ValueBuffers, whose resize()
+// leaves new elements uninitialized. Every such buffer is
+// write-before-read: a merge target is sized and then filled completely,
+// so zero-filling it first would be a wasted pass over every merged value.
 
 #ifndef DISTTRACK_SUMMARIES_RUN_LADDER_H_
 #define DISTTRACK_SUMMARIES_RUN_LADDER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace disttrack {
 namespace summaries {
+
+/// std::allocator whose value-less construct() default-initializes, so a
+/// vector's resize() leaves trivially constructible elements
+/// uninitialized instead of zero-filling them.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// A write-before-read value buffer (see the file comment).
+using ValueBuffer = std::vector<uint64_t, DefaultInitAllocator<uint64_t>>;
 
 /// Borrowed view of one ascending run in ladder storage.
 struct RunView {
@@ -86,8 +121,8 @@ class MergedWindow {
   const RunLadder* ladder_ = nullptr;
   uint64_t start_ = 0;
   uint64_t end_ = 0;
-  std::vector<uint64_t> values_;
-  std::vector<uint64_t> spare_;   // ping-pong buffer of the merge passes
+  ValueBuffer values_;
+  ValueBuffer spare_;             // ping-pong buffer of the merge passes
   std::vector<size_t> bounds_;    // run bounds of the current pass
 };
 
@@ -104,7 +139,7 @@ class RunLadder {
   /// AppendSortedRun taking ownership of the buffer — no copy unless the
   /// run extends the previous one in place. The moved-from vector comes
   /// back holding a recycled buffer, ready to refill.
-  void AppendSortedVector(std::vector<uint64_t>* values);
+  void AppendSortedVector(ValueBuffer* values);
 
   /// Appends a single value (a one-element run; extends the last run in
   /// place when order and cursor alignment allow).
@@ -144,7 +179,7 @@ class RunLadder {
  private:
   struct Run {
     uint64_t start = 0;  // logical position of values.front()
-    std::vector<uint64_t> values;
+    ValueBuffer values;
   };
 
   bool CursorAt(uint64_t position) const;
@@ -153,8 +188,8 @@ class RunLadder {
   // Merges every cursor-free adjacent pair of runs from `first` on.
   void MergeFreeBoundaries(size_t first);
   void AdvanceCursor(size_t cursor);
-  std::vector<uint64_t> TakeBuffer();
-  void Recycle(std::vector<uint64_t>&& buffer);
+  ValueBuffer TakeBuffer();
+  void Recycle(ValueBuffer&& buffer);
   void Trim();
   void MergeTail();
 
@@ -167,7 +202,7 @@ class RunLadder {
   // end_ past every cursor, Reset parks them all there.
   size_t cursors_at_end_ = 0;
   bool trim_pending_ = false;  // a Pull advanced a cursor since last Trim
-  std::vector<std::vector<uint64_t>> pool_;  // recycled run buffers
+  std::vector<ValueBuffer> pool_;  // recycled run buffers
 };
 
 }  // namespace summaries

@@ -538,6 +538,45 @@ TEST(RankAggregateRefusals, MalformedSummariesChangeNothing) {
   }
 }
 
+// The per-segment exactness check at its edges: a summary may take its
+// own weight to exactly 2^53 - 1, not one more, and a weight x length
+// product that wraps 64 bits is refused rather than read modulo 2^64.
+TEST(RankAggregateRefusals, SegmentWeightBoundaries) {
+  const uint64_t limit = RankAggregate::kExactLimit;  // 2^53
+  // 2^53 - 1 = 6361 * 69431 * 20394401: a segment of 6361 values with
+  // weight (2^53 - 1) / 6361 lands on the limit minus one exactly.
+  constexpr uint64_t kLen = 6361;
+  static_assert(((uint64_t{1} << 53) - 1) % kLen == 0, "6361 | 2^53 - 1");
+  const uint64_t w_odd = (limit - 1) / kLen;
+  std::vector<uint64_t> values(kLen + 1);
+  for (uint64_t i = 0; i <= kLen; ++i) values[i] = i;
+  struct Case {
+    const char* what;
+    std::vector<Segment> segments;  // over `values`; weight 0 pads the rest
+    bool accepted;
+  };
+  const uint32_t n = static_cast<uint32_t>(kLen + 1);
+  const std::vector<Case> cases = {
+      // No weight before the segment: headroom 2^53 - 1.
+      {"w x len = 2^53 - 1", {{w_odd, n - 1}, {0, n}}, true},
+      {"w x len = 2^53", {{limit / 2, 2}, {0, n}}, false},
+      // One unit of weight before it: headroom 2^53 - 2.
+      {"1 + w x len = 2^53 - 1", {{1, 1}, {limit / 2 - 1, 3}, {0, n}}, true},
+      {"1 + w x len = 2^53", {{1, 1}, {w_odd, n}}, false},
+      {"w x len wraps 64 bits", {{uint64_t{1} << 63, 2}, {0, n}}, false},
+      {"empty segment of any weight", {{1, 1}, {~uint64_t{0}, 1}, {1, n}},
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    RankAggregate agg(1);
+    agg.BeginRound(2.0, 4);
+    EXPECT_EQ(agg.Summary(0, 0, 1, values.data(), values.size(),
+                          c.segments.data(), c.segments.size()),
+              c.accepted);
+  }
+}
+
 }  // namespace
 }  // namespace rank
 }  // namespace disttrack

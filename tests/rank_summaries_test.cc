@@ -448,31 +448,85 @@ TEST(MergedWindowTest, MergedExportMatchesRunByRunStaging) {
   }
 }
 
-TEST(MergedWindowTest, LeafWireExportMatchesAFreshStagedSummary) {
-  const double kEps = 0.4;  // capacity 6, the leaf level's at height 6
-  for (uint64_t seed = 1; seed <= 60; ++seed) {
-    Rng rng(seed * 15485863);
-    RunLadder ladder;
-    MergedWindow window;
-    std::vector<RunView> views;
-    ladder.Reset(3);
-    size_t runs = 1 + rng.UniformU64(5);
-    for (size_t i = 0; i < runs; ++i) {
-      // Windows below capacity, at it, and far above it.
-      size_t len =
-          seed % 3 == 0 ? 1 : 1 + rng.UniformU64(seed % 3 == 1 ? 3 : 120);
-      AppendRun(&ladder, &rng, len, seed % 2 == 0 ? 8 : 1u << 20);
-      ladder.Pull(2, &views);
+// The rank tracker's node-less flush at every tree level: a level whose
+// node ingests exactly one ladder window ships CompactSortedWindowToWire
+// of that window with the node's seed instead of building the node. The
+// node path reaches the same export two ways — the window drained by the
+// flush itself (InsertWindowAndExport), or pulled by the pump on the
+// node's last arrival (InsertSortedWindow) and exported with an empty
+// drain — and both, like element staging of the window's runs
+// (InsertBatch), must match the wire cascade in values, segments and
+// words at every level's eps 2^-level/sqrt(h).
+TEST(MergedWindowTest, NodeLessFlushMatchesNodeFlushesAtEveryLevel) {
+  for (int height : {1, 6, 11}) {
+    for (int level = 0; level <= height; ++level) {
+      const double eps =
+          std::pow(2.0, -level) / std::sqrt(static_cast<double>(height));
+      const size_t capacity = CompactorCapacity(eps);
+      for (uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "height " << height << " level "
+                                          << level << " seed " << seed);
+        Rng rng(seed * 7919 + static_cast<uint64_t>(level * 131 + height));
+        // Total window below, at and above capacity (up to ~4x), in one
+        // run or several; a small universe makes duplicates.
+        size_t total;
+        switch (seed % 4) {
+          case 0: total = 1 + rng.UniformU64(capacity - 1); break;
+          case 1: total = capacity; break;
+          case 2: total = capacity + 1; break;
+          default: total = capacity + 1 + rng.UniformU64(3 * capacity); break;
+        }
+        const size_t runs =
+            std::min<size_t>(total, seed % 3 == 0 ? 1 : 2 + rng.UniformU64(5));
+        const uint64_t universe = seed % 2 == 0 ? 16 : 1u << 20;
+        // Cursor r >= 1 rests at the start of run r, pinning every run
+        // boundary, so a multi-run window is merged in the pull scratch.
+        RunLadder ladder;
+        MergedWindow window;
+        std::vector<RunView> views;
+        ladder.Reset(runs);
+        std::vector<uint64_t> concat;
+        size_t left = total;
+        for (size_t r = 0; r < runs; ++r) {
+          if (r > 0) ladder.Pull(r, &views);
+          const size_t len =
+              r + 1 == runs ? left : 1 + rng.UniformU64(left - (runs - r - 1));
+          std::vector<uint64_t> run(len);
+          for (auto& v : run) v = rng.UniformU64(universe);
+          std::sort(run.begin(), run.end());
+          ladder.AppendSortedRun(run.data(), run.size());
+          concat.insert(concat.end(), run.begin(), run.end());
+          left -= len;
+        }
+        const RunView view = ladder.PullMerged(0, &window);
+        ASSERT_EQ(view.size, total);
+
+        Export wire;
+        const uint64_t wire_words = CompactSortedWindowToWire(
+            capacity, seed, view, &wire.first, &wire.second);
+
+        CompactorSummary drained(eps, seed);
+        Export drained_export;
+        const uint64_t drained_words = drained.InsertWindowAndExport(
+            view, &drained_export.first, &drained_export.second);
+
+        CompactorSummary pumped(eps, seed);
+        pumped.InsertSortedWindow(view);
+        Export pumped_export;
+        const uint64_t pumped_words = pumped.InsertWindowAndExport(
+            RunView{nullptr, 0}, &pumped_export.first, &pumped_export.second);
+
+        CompactorSummary staged(eps, seed);
+        staged.InsertBatch(concat.data(), concat.size());
+
+        EXPECT_EQ(wire, drained_export);
+        EXPECT_EQ(wire_words, drained_words);
+        EXPECT_EQ(wire, pumped_export);
+        EXPECT_EQ(wire_words, pumped_words);
+        EXPECT_EQ(wire, ExportOf(staged));
+        EXPECT_EQ(wire_words, staged.SerializedWords());
+      }
     }
-    ladder.Pull(0, &views);
-    std::vector<uint64_t> concat = Concat(views);
-    CompactorSummary staged(kEps, seed);
-    staged.InsertBatch(concat.data(), concat.size());
-    Export got;
-    uint64_t words = CompactSortedWindowToWire(
-        kEps, seed, ladder.PullMerged(1, &window), &got.first, &got.second);
-    EXPECT_EQ(words, staged.SerializedWords()) << "seed " << seed;
-    EXPECT_EQ(got, ExportOf(staged)) << "seed " << seed;
   }
 }
 

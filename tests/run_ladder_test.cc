@@ -99,7 +99,7 @@ TEST(RunLadderTest, EveryCursorSeesEveryElementOnceDifferential) {
       if (rng.UniformU64(2) == 0) {
         ladder.AppendSortedRun(run.data(), run.size());
       } else {
-        std::vector<uint64_t> moved = run;
+        ValueBuffer moved(run.begin(), run.end());
         ladder.AppendSortedVector(&moved);
         EXPECT_TRUE(moved.empty());
       }
