@@ -171,10 +171,14 @@ uint64_t* MergeRunsPairwise(uint64_t* src, uint64_t* dst,
 namespace {
 
 void GrowTo(ValueBuffer* buffer, size_t need) {
-  // Write-before-read scratch: grow geometrically and never shrink, so
-  // the copy of old contents on growth is amortized away.
-  if (buffer->size() < need) {
-    buffer->resize(std::max(need, buffer->size() * 2));
+  // Write-before-read scratch: it holds no live data across a grow, so
+  // clear() first and resize() reallocates without copying (and, with the
+  // default-init allocator, without zero-filling). Grows geometrically
+  // and never shrinks.
+  const size_t size = buffer->size();
+  if (size < need) {
+    buffer->clear();
+    buffer->resize(std::max(need, size * 2));
   }
 }
 

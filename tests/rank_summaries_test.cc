@@ -463,18 +463,26 @@ TEST(MergedWindowTest, NodeLessFlushMatchesNodeFlushesAtEveryLevel) {
       const double eps =
           std::pow(2.0, -level) / std::sqrt(static_cast<double>(height));
       const size_t capacity = CompactorCapacity(eps);
-      for (uint64_t seed = 1; seed <= 24; ++seed) {
+      for (uint64_t seed = 1; seed <= 30; ++seed) {
         SCOPED_TRACE(::testing::Message() << "height " << height << " level "
                                           << level << " seed " << seed);
         Rng rng(seed * 7919 + static_cast<uint64_t>(level * 131 + height));
-        // Total window below, at and above capacity (up to ~4x), in one
-        // run or several; a small universe makes duplicates.
+        // Total window below, at and just above capacity, up to ~4x it,
+        // and far above it (up to ~100x, so cascades ~7 levels deep, as
+        // on the rank tracker's zipf windows; capped at kFarCap values
+        // for the widest levels), in one run or several; a small
+        // universe makes duplicates.
+        constexpr size_t kFarCap = size_t{1} << 16;
         size_t total;
-        switch (seed % 4) {
+        switch (seed % 5) {
           case 0: total = 1 + rng.UniformU64(capacity - 1); break;
           case 1: total = capacity; break;
           case 2: total = capacity + 1; break;
-          default: total = capacity + 1 + rng.UniformU64(3 * capacity); break;
+          case 3: total = capacity + 1 + rng.UniformU64(3 * capacity); break;
+          default:
+            total = capacity + 1 +
+                    rng.UniformU64(std::min(100 * capacity, kFarCap));
+            break;
         }
         const size_t runs =
             std::min<size_t>(total, seed % 3 == 0 ? 1 : 2 + rng.UniformU64(5));
