@@ -23,15 +23,6 @@
 //    site-grouped chunks, countdown fallback).
 // Both produce the same checkpoint schedule and ±eps-accurate estimates,
 // so the ratio isolates the delivery + sampling engine.
-//
-// SIMD dispatch policy: the legacy rows run under
-// simd::SetDispatchMode(kForceScalar) so their numbers stay comparable
-// across machines and across the pre-SIMD baselines; the simd_batched
-// rows re-run the frequency skip_batched and rank grouped_batched
-// configurations under kAuto, so the scalar/SIMD ratio is an in-binary
-// A/B on identical streams. Every row records which dispatch actually
-// ran (`simd`: 0 scalar, 1 AVX2) and --check skips rows whose recorded
-// dispatch differs from this machine's.
 
 #include <cstdio>
 #include <cstdlib>
@@ -42,7 +33,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "disttrack/common/simd.h"
 #include "disttrack/core/tracking.h"
 #include "disttrack/count/randomized_count.h"
 #include "disttrack/frequency/randomized_frequency.h"
@@ -64,11 +54,6 @@ struct BenchEntry {
   double seconds = 0;
   double elements_per_sec = 0;
   double final_rel_error = 0;  // |estimate - truth| / n at the end
-  // Dispatch the row actually ran under: 0 scalar, 1 AVX2. Legacy rows
-  // are pinned to 0 (kForceScalar); simd_batched rows report what kAuto
-  // resolved to, so --check can refuse to compare a row recorded with
-  // AVX2 against a run on a machine without it.
-  int simd = 0;
 };
 
 // Hardware parallelism of this machine, stamped into every run row so a
@@ -229,10 +214,10 @@ void WriteJson(const std::vector<BenchEntry>& entries,
         "    {\"problem\": \"%s\", \"path\": \"%s\", \"workload\": \"%s\", "
         "\"k\": %d, \"n\": %llu, \"eps\": %g, \"seconds\": %.6f, "
         "\"elements_per_sec\": %.1f, \"final_rel_error\": %.8f, "
-        "\"cores\": %d, \"simd\": %d}%s\n",
+        "\"cores\": %d}%s\n",
         e.problem.c_str(), e.path.c_str(), e.workload.c_str(), e.k,
         static_cast<unsigned long long>(e.n), e.eps, e.seconds,
-        e.elements_per_sec, e.final_rel_error, Cores(), e.simd,
+        e.elements_per_sec, e.final_rel_error, Cores(),
         i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"count_ab\": [\n");
@@ -281,13 +266,10 @@ struct BaselineEntry {
   int k = 0;
   unsigned long long n = 0;
   double elements_per_sec = 0;
-  int simd = -1;  // dispatch the row ran under; -1 = pre-SIMD baseline
 };
 
 // Parses the `runs` lines of a BENCH_throughput.json produced by
 // WriteJson (one object per line; sscanf on our own fixed format).
-// Rows recorded before the simd field parse with simd = -1 (unknown,
-// compared unconditionally — those baselines predate every SIMD path).
 std::vector<BaselineEntry> ReadBaseline(const char* json_path) {
   std::vector<BaselineEntry> out;
   std::FILE* f = std::fopen(json_path, "r");
@@ -298,20 +280,16 @@ std::vector<BaselineEntry> ReadBaseline(const char* json_path) {
   char line[512];
   while (std::fgets(line, sizeof(line), f) != nullptr) {
     BaselineEntry e;
-    double eps = 0, seconds = 0, rel = 0;
+    double eps = 0, seconds = 0;
     int got = std::sscanf(
         line,
         " {\"problem\": \"%15[^\"]\", \"path\": \"%15[^\"]\", "
         "\"workload\": \"%15[^\"]\", \"k\": %d, \"n\": %llu, "
         "\"eps\": %lf, \"seconds\": %lf, "
-        "\"elements_per_sec\": %lf, \"final_rel_error\": %lf, "
-        "\"cores\": %*d, \"simd\": %d",
+        "\"elements_per_sec\": %lf",
         e.problem, e.path, e.workload, &e.k, &e.n, &eps, &seconds,
-        &e.elements_per_sec, &rel, &e.simd);
-    if (got >= 8) {
-      if (got < 10) e.simd = -1;
-      out.push_back(e);
-    }
+        &e.elements_per_sec);
+    if (got == 8) out.push_back(e);
   }
   std::fclose(f);
   return out;
@@ -355,18 +333,6 @@ int CheckAgainstBaseline(const std::vector<BenchEntry>& entries,
       }
     }
     if (match == nullptr) continue;
-    // A simd_batched row recorded with AVX2 dispatch would gate a
-    // non-AVX2 runner (or a scalar-forced CI leg) on the hardware, not
-    // the code. Pre-SIMD baselines (simd = -1) are compared
-    // unconditionally — their rows were scalar by construction and the
-    // legacy rows still run force-scalar.
-    if (match->simd >= 0 && match->simd != e.simd) {
-      std::printf("check  %-10s %-14s %-13s k=%-3d skipped (baseline "
-                  "dispatch simd=%d, this run has simd=%d)\n",
-                  e.problem.c_str(), e.path.c_str(), e.workload.c_str(), e.k,
-                  match->simd, e.simd);
-      continue;
-    }
     ++compared;
     double ratio = match->elements_per_sec > 0
                        ? e.elements_per_sec / match->elements_per_sec
@@ -441,30 +407,6 @@ int CheckAgainstBaseline(const std::vector<BenchEntry>& entries,
       std::fprintf(f, "\n%d row(s) compared, %d regression(s), %d missing "
                    "baseline row(s).\n",
                    compared, failures, missing);
-      // Scalar-vs-SIMD A/B of this very run: each simd_batched row
-      // against the force-scalar row of the same configuration
-      // (frequency pairs with skip_batched, rank with grouped_batched —
-      // see the path tables in main()).
-      std::fprintf(f,
-                   "\n### simd_batched vs force-scalar twin (this run)\n\n"
-                   "| problem | workload | k | simd | scalar | ratio |\n"
-                   "|---|---|---|---|---|---|\n");
-      for (const BenchEntry& g : entries) {
-        if (g.path != "simd_batched") continue;
-        const char* twin =
-            g.problem == "frequency" ? "skip_batched" : "grouped_batched";
-        for (const BenchEntry& b : entries) {
-          if (b.path == twin && b.problem == g.problem &&
-              b.workload == g.workload && b.k == g.k && b.n == g.n) {
-            std::fprintf(f, "| %s | %s | %d | %.0f | %.0f | %.2fx |\n",
-                         g.problem.c_str(), g.workload.c_str(), g.k,
-                         g.elements_per_sec, b.elements_per_sec,
-                         b.elements_per_sec > 0
-                             ? g.elements_per_sec / b.elements_per_sec
-                             : 0.0);
-          }
-        }
-      }
       std::fclose(f);
     }
   }
@@ -491,12 +433,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(FlagOr(argc, argv, "--reps", 3));
   const char* json_path = "BENCH_throughput.json";
   const uint64_t universe = 100000;
-
-  // Legacy rows are measured with every kernel pinned to its scalar
-  // mirror (see the dispatch-policy note in the header comment); only
-  // the simd_batched rows below flip to kAuto, and they restore this
-  // pin before the next configuration runs.
-  simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
 
   std::vector<BenchEntry> entries;
   std::vector<std::pair<int, double>> count_speedups;
@@ -552,20 +488,13 @@ int main(int argc, char** argv) {
       struct FreqPath {
         const char* name;
         bool skip;
-        bool simd;
       };
       // skip_batched is the production path; at this eps the counter
       // tables stay cache-resident, so the gate keeps the countdown
       // engine (see RandomizedFrequencyTracker::grouped_delivery_enabled).
-      // simd_batched is the skip_batched configuration re-run under
-      // kAuto dispatch (AVX2 ctrl-group probes in the counter table):
-      // identical stream, identical estimates, only the kernels differ.
-      for (const FreqPath& path : {FreqPath{"per_arrival", false, false},
-                                   FreqPath{"skip_batched", true, false},
-                                   FreqPath{"simd_batched", true, true}}) {
+      for (const FreqPath& path : {FreqPath{"per_arrival", false},
+                                   FreqPath{"skip_batched", true}}) {
         bool skip = path.skip;
-        simd::SetDispatchMode(path.simd ? simd::DispatchMode::kAuto
-                                        : simd::DispatchMode::kForceScalar);
         BenchEntry e = TimeConfig(
             "frequency", path.name, dist_name, k, n_freq, eps, reps,
             [&]() -> std::unique_ptr<sim::FrequencyTrackerInterface> {
@@ -586,11 +515,9 @@ int main(int argc, char** argv) {
                                      static_cast<double>(n_freq);
               return std::pair<double, double>(secs, rel);
             });
-        e.simd = path.simd && simd::Avx2Active() ? 1 : 0;
         PrintEntry(e);
         entries.push_back(e);
       }
-      simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
     }
 
     // ---- rank: uniform values and Zipf(1.1)-skewed values. per_arrival
@@ -610,17 +537,9 @@ int main(int argc, char** argv) {
       struct RankPath {
         const char* name;
         bool skip;
-        bool simd;
       };
-      // simd_batched is the grouped_batched configuration re-run under
-      // kAuto dispatch (register sorts, bitonic gap-merges, merge-path
-      // wire export, leaf-arena flush): identical stream, bit-identical
-      // estimates, only the kernels differ.
-      for (const RankPath& path : {RankPath{"per_arrival", false, false},
-                                   RankPath{"grouped_batched", true, false},
-                                   RankPath{"simd_batched", true, true}}) {
-        simd::SetDispatchMode(path.simd ? simd::DispatchMode::kAuto
-                                        : simd::DispatchMode::kForceScalar);
+      for (const RankPath& path : {RankPath{"per_arrival", false},
+                                   RankPath{"grouped_batched", true}}) {
         BenchEntry e = TimeConfig(
             "rank", path.name, dist_name, k, n_rank, eps, reps,
             [&]() -> std::unique_ptr<sim::RankTrackerInterface> {
@@ -641,11 +560,9 @@ int main(int argc, char** argv) {
                                      static_cast<double>(n_rank);
               return std::pair<double, double>(secs, rel);
             });
-        e.simd = path.simd && simd::Avx2Active() ? 1 : 0;
         PrintEntry(e);
         entries.push_back(e);
       }
-      simd::SetDispatchMode(simd::DispatchMode::kForceScalar);
     }
   }
 

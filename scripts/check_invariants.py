@@ -34,11 +34,6 @@ Rules (catalog + rationale: docs/STATIC_ANALYSIS.md):
                    point validates its site ids (sim::CheckSiteInRange,
                    directly or via a checked helper) — the PR 4
                    abort-with-diagnostic invariant.
-  simd-isolation   #include <immintrin.h> and _mm*/__m* intrinsic
-                   tokens are confined to common/simd.h — every vector
-                   kernel lives there behind runtime dispatch with a
-                   scalar mirror, so no other file can fork scalar and
-                   SIMD behavior.
 
 Suppression: a finding is suppressed by an annotation comment on the
 same line or on the comment block immediately above it:
@@ -74,7 +69,6 @@ RULES = (
     "wire-switch",
     "meter-tap",
     "site-check",
-    "simd-isolation",
 )
 
 # ----------------------------------------------------------------- lexer
@@ -654,30 +648,6 @@ def rule_site_check(src):
                 f"with a diagnostic, not corrupt per-site state"))
     return findings
 
-# ------------------------------------------------ rule: simd-isolation
-
-# The one file allowed to hold intrinsics: every kernel there pairs an
-# AVX2 body with a scalar mirror behind runtime dispatch.
-_SIMD_ISOLATION_ALLOWLIST = {"src/disttrack/common/simd.h"}
-_SIMD_TYPE_RE = re.compile(r"^__m\d")  # __m128i / __m256i / __m512 ...
-
-
-def rule_simd_isolation(src):
-    if src.rel in _SIMD_ISOLATION_ALLOWLIST:
-        return []
-    findings = []
-    for tok in src.code:
-        if tok.kind != "id":
-            continue
-        if tok.text.startswith("_mm") or tok.text == "immintrin" \
-                or _SIMD_TYPE_RE.match(tok.text):
-            findings.append(Finding(
-                src.rel, tok.line, "simd-isolation",
-                f"'{tok.text}' outside common/simd.h — intrinsics live "
-                f"there only, each behind runtime dispatch with a scalar "
-                f"mirror; call the simd:: wrapper instead"))
-    return findings
-
 # ------------------------------------------------------------- driver
 
 
@@ -726,7 +696,6 @@ def run_rules(files, root, wire_paths=None):
             findings.extend(rule_meter_tap(src))
             findings.extend(rule_site_check(src))
         findings.extend(rule_banned_source(src))
-        findings.extend(rule_simd_isolation(src))
 
     if wire_paths is None:
         wire_paths = (root / "src/disttrack/sim/wire.h",
@@ -816,7 +785,6 @@ def self_test(root):
         findings.extend(rule_meter_tap(src))
         findings.extend(rule_site_check(src))
         findings.extend(rule_banned_source(src))
-        findings.extend(rule_simd_isolation(src))
         kept, suppressed = apply_suppressions(findings, annotations)
         return kept
 

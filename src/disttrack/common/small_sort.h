@@ -1,5 +1,5 @@
-// Ascending sort for the runs the batched rank feed produces between
-// events.
+// Ascending sort and two-way merge for the runs the batched rank feed
+// produces between events.
 //
 // A site's eventless run is sorted once before it enters the run-merge
 // ladder. Runs are short at large k (small per-site spans) and about one
@@ -14,6 +14,10 @@
 // eight), and the middle through std::sort. The sorted output of uint64
 // keys is unique, so the algorithm choice can never change a tracker
 // estimate.
+//
+// MergeSorted is the one merge of two ascending runs: the run ladder's
+// gap merges and window pulls and the compactor's level merges all go
+// through it.
 
 #ifndef DISTTRACK_COMMON_SMALL_SORT_H_
 #define DISTTRACK_COMMON_SMALL_SORT_H_
@@ -23,8 +27,6 @@
 #include <cstdint>
 #include <cstring>
 #include <vector>
-
-#include "disttrack/common/simd.h"
 
 namespace disttrack {
 
@@ -118,15 +120,12 @@ inline bool RadixSort(uint64_t* v, size_t n, uint64_t* tmp) {
 /// Sorts v[0, n) ascending (see file comment); `scratch` is the radix
 /// path's caller-owned ping-pong buffer, grown as needed and never
 /// shrunk. Identical output to std::sort for any input. Runs up to 16
-/// take the network, which wins up to ~2x there; runs 12..16 go through
-/// the AVX2 register sort (simd::SortSmall16) when the vector path is
-/// dispatched — padded to a power-of-two width and sorted branch-free in
-/// four ymm registers. Longer runs take the radix sort where it wins
-/// (kRadixMin, kRadixPerDigit) and std::sort otherwise.
+/// take the network, which wins up to ~2x there. Longer runs take the
+/// radix sort where it wins (kRadixMin, kRadixPerDigit) and std::sort
+/// otherwise.
 inline void SortRun(uint64_t* v, size_t n, std::vector<uint64_t>* scratch) {
   if (n < 2) return;
   if (n <= 16) {
-    if (simd::SortSmall16(v, n)) return;
     small_sort_internal::NetworkSort(v, n);
     return;
   }
@@ -135,6 +134,17 @@ inline void SortRun(uint64_t* v, size_t n, std::vector<uint64_t>* scratch) {
     if (small_sort_internal::RadixSort(v, n, scratch->data())) return;
   }
   std::sort(v, v + n);
+}
+
+/// Merges ascending a[0, na) and b[0, nb) into out[0, na + nb), ascending.
+/// `out` must not alias the inputs. Byte-identical to std::merge output.
+inline void MergeSorted(const uint64_t* a, size_t na, const uint64_t* b,
+                        size_t nb, uint64_t* out) {
+  size_t i = 0;
+  size_t j = 0;
+  while (i < na && j < nb) *out++ = a[i] <= b[j] ? a[i++] : b[j++];
+  while (i < na) *out++ = a[i++];
+  while (j < nb) *out++ = b[j++];
 }
 
 }  // namespace disttrack

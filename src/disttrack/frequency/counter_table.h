@@ -30,23 +30,6 @@
 // ratio, keep the top bits), which scatters adjacent item ids — the
 // common case in Zipf workloads — across the table.
 
-// SIMD probing (PR 10): the control mirror carries a mirrored tail of
-// kCtrlGroupWidth bytes past the capacity (ctrl_[cap + j] == ctrl_[j mod
-// cap]), so a whole probe group can be inspected with one unaligned
-// 32-byte load — simd::MatchCtrlGroup answers "which positions match the
-// fingerprint / which are empty" as bitmasks, and the probe visits match
-// bits below the first empty bit: the exact scalar visit order, ~32 probe
-// positions per load instead of one. Group probes are used ONLY on the
-// bulk run path (GroupRun), which is compiled as one per-function
-// target("avx2") region so the group matcher inlines and the SSE<->AVX
-// transition (vzeroupper) is paid once per run. Single-key Find() stays
-// scalar always: at 1/2 load the miss chain is ~1.5 one-byte control
-// loads, which an out-of-line vector call cannot beat (measured 0.75x).
-// The grouped path is runtime-dispatched (simd::Avx2Active(), cached per
-// table); the scalar walk below remains the reference and the non-AVX2
-// fallback. Counters are exact integers either way, so probe strategy
-// can never shift an estimate, a coin, or a meter total (tier A).
-
 #ifndef DISTTRACK_FREQUENCY_COUNTER_TABLE_H_
 #define DISTTRACK_FREQUENCY_COUNTER_TABLE_H_
 
@@ -54,8 +37,6 @@
 #include <cstdint>
 #include <cstring>
 #include <vector>
-
-#include "disttrack/common/simd.h"
 
 namespace disttrack {
 namespace frequency {
@@ -70,9 +51,22 @@ class CounterTable {
 
   /// Pointer to the live counter of `key`, or nullptr if untracked.
   /// The pointer is valid until the next Insert() or Clear().
-  /// Always the scalar probe — see the header comment for why a lone
-  /// lookup never goes through the vector group matcher.
-  uint64_t* Find(uint64_t key) { return FindScalar(key); }
+  /// One control byte per probe step; the first fingerprint match with a
+  /// key hit before the first empty wins.
+  uint64_t* Find(uint64_t key) {
+    uint64_t h = Mix(key);
+    size_t idx = h >> shift_;
+    uint8_t fp = Fingerprint(h);
+    for (;;) {
+      uint8_t c = ctrl_[idx];
+      if (c == 0) return nullptr;
+      if (c == fp) {
+        Slot& slot = slots_[idx];
+        if (slot.key == key) return &slot.value;
+      }
+      idx = (idx + 1) & mask_;
+    }
+  }
 
   const uint64_t* Find(uint64_t key) const {
     return const_cast<CounterTable*>(this)->Find(key);
@@ -92,12 +86,6 @@ class CounterTable {
   /// served from the previous probe's counter pointer. No inserts happen
   /// inside an eventless run, so counter pointers stay valid across it.
   void IncrementTrackedRun(const uint64_t* keys, size_t count) {
-#if DISTTRACK_SIMD_ENABLED
-    if (simd_) {
-      GroupRun(keys, count);
-      return;
-    }
-#endif
     size_t quarter = count / 4;
     if (quarter >= 8) {
       LaneRun(keys, keys + quarter, keys + 2 * quarter, keys + 3 * quarter,
@@ -129,7 +117,7 @@ class CounterTable {
     uint64_t h = Mix(key);
     size_t idx = h >> shift_;
     while (ctrl_[idx] != 0) idx = (idx + 1) & mask_;
-    SetCtrl(idx, Fingerprint(h));
+    ctrl_[idx] = Fingerprint(h);
     slots_[idx] = Slot{key, value};
     ++size_;
     return &slots_[idx].value;
@@ -193,97 +181,6 @@ class CounterTable {
     return static_cast<uint8_t>((h >> (shift_ - 8)) | 0x80u);
   }
 
-  // Scalar reference probe: one control byte per step, first fingerprint
-  // match with a key hit before the first empty wins.
-  uint64_t* FindScalar(uint64_t key) {
-    uint64_t h = Mix(key);
-    size_t idx = h >> shift_;
-    uint8_t fp = Fingerprint(h);
-    for (;;) {
-      uint8_t c = ctrl_[idx];
-      if (c == 0) return nullptr;
-      if (c == fp) {
-        Slot& slot = slots_[idx];
-        if (slot.key == key) return &slot.value;
-      }
-      idx = (idx + 1) & mask_;
-    }
-  }
-
-#if DISTTRACK_SIMD_ENABLED
-  // Grouped probe: 32 control bytes per load via the mirrored tail.
-  // Match bits below the first empty bit are visited in ascending
-  // position order — the scalar probe's visit order exactly — so both
-  // probes return the same slot. When the group width exceeds the
-  // capacity (cap 16), positions past it alias earlier slots through the
-  // index mask; harmless, because a half-loaded table always has an
-  // empty within the first `capacity` positions.
-  //
-  // Compiled target("avx2") so the group matcher inlines here (no
-  // per-probe call or ISA transition); only GroupRun — itself an avx2
-  // region, entered only when Avx2Active() — may call it.
-  DISTTRACK_TARGET_AVX2 uint64_t* FindGrouped(uint64_t key) {
-    uint64_t h = Mix(key);
-    size_t idx = h >> shift_;
-    uint8_t fp = Fingerprint(h);
-    for (;;) {
-      simd::CtrlGroup g = simd::MatchCtrlGroupAvx2(ctrl_.data() + idx, fp);
-      uint32_t candidates = g.match;
-      if (g.empty != 0) {
-        candidates &= g.empty ^ (g.empty - 1);  // bits below first empty
-      }
-      while (candidates != 0) {
-        size_t slot =
-            (idx + static_cast<unsigned>(__builtin_ctz(candidates))) & mask_;
-        if (slots_[slot].key == key) return &slots_[slot].value;
-        candidates &= candidates - 1;
-      }
-      if (g.empty != 0) return nullptr;
-      idx = (idx + simd::kCtrlGroupWidth) & mask_;
-    }
-  }
-
-  // Grouped-probe eventless run: key hashes are precomputed a fixed
-  // distance ahead so the control and slot cache lines are in flight
-  // before their probe issues, and a burst of equal adjacent keys is
-  // served from the previous probe's counter pointer (same dedup as the
-  // scalar walk — no inserts happen inside an eventless run). The whole
-  // run is one avx2 region: vzeroupper once at exit, not per key.
-  DISTTRACK_TARGET_AVX2 void GroupRun(const uint64_t* keys, size_t count) {
-    constexpr size_t kPrefetchAhead = 8;
-    uint64_t last_key = 0;
-    uint64_t* last_value = nullptr;
-    bool have_last = false;
-    for (size_t i = 0; i < count; ++i) {
-      if (i + kPrefetchAhead < count) {
-        size_t pidx = Mix(keys[i + kPrefetchAhead]) >> shift_;
-        __builtin_prefetch(ctrl_.data() + pidx, 0, 1);
-        __builtin_prefetch(slots_.data() + pidx, 0, 1);
-      }
-      uint64_t key = keys[i];
-      if (have_last && key == last_key) {
-        if (last_value != nullptr) ++*last_value;
-        continue;
-      }
-      last_value = FindGrouped(key);
-      if (last_value != nullptr) ++*last_value;
-      last_key = key;
-      have_last = true;
-    }
-  }
-#endif  // DISTTRACK_SIMD_ENABLED
-
-  // Writes a control byte and keeps the mirrored tail in lockstep (for
-  // capacity < group width the mirror wraps more than once).
-  void SetCtrl(size_t idx, uint8_t fp) {
-    ctrl_[idx] = fp;
-    size_t capacity = slots_.size();
-    for (size_t m = capacity + idx; m < capacity + simd::kCtrlGroupWidth;
-         m += capacity) {
-      ctrl_[m] = fp;
-    }
-  }
-
   // Four-lane walk over [a, a+n) ∪ [b, b+n) ∪ [c, c+n) ∪ [d, d+n): the
   // loop body carries four independent probe chains, which is what lets
   // the out-of-order core overlap their latencies. Each lane keeps the
@@ -332,9 +229,7 @@ class CounterTable {
 
   void Rebuild(size_t capacity) {
     slots_.assign(capacity, Slot{});
-    // The group-probe tail mirrors the first bytes past the capacity so a
-    // group load never wraps; zeros are self-consistent.
-    ctrl_.assign(capacity + simd::kCtrlGroupWidth, 0);
+    ctrl_.assign(capacity, 0);
     mask_ = capacity - 1;
     shift_ = 64;
     while ((size_t{1} << (64 - shift_)) < capacity) --shift_;
@@ -350,24 +245,17 @@ class CounterTable {
       uint64_t h = Mix(slot.key);
       size_t idx = h >> shift_;
       while (ctrl_[idx] != 0) idx = (idx + 1) & mask_;
-      SetCtrl(idx, Fingerprint(h));
+      ctrl_[idx] = Fingerprint(h);
       slots_[idx] = slot;
     }
   }
 
   std::vector<Slot> slots_;
-  std::vector<uint8_t> ctrl_;  // 0 = empty, else fingerprint (liveness);
-                               // capacity + kCtrlGroupWidth bytes, tail
-                               // mirroring the head (SetCtrl)
+  std::vector<uint8_t> ctrl_;  // 0 = empty, else fingerprint (liveness)
   size_t mask_ = 0;
   int shift_ = 64;       // IndexFor keeps the top log2(capacity) bits
   size_t size_ = 0;      // live slots in the current epoch
   uint64_t epoch_ = 1;   // diagnostics: number of bulk clears + 1
-#if DISTTRACK_SIMD_ENABLED
-  // Run-path dispatch, cached at construction (tables are rebuilt per
-  // tracker / per bench rep, so mode flips take effect at the next one).
-  bool simd_ = simd::Avx2Active();
-#endif
 };
 
 }  // namespace frequency

@@ -52,7 +52,8 @@ inline void RandomizedRankTracker::EmitTap(sim::wire::MsgType type,
   msg.a = a;
   msg.b = b;
   if (exports != nullptr) {
-    msg.values = exports->export_values;
+    msg.values.assign(exports->export_values.begin(),
+                      exports->export_values.end());
     msg.segments = exports->export_segments;
   }
   msg.paper_words = words;

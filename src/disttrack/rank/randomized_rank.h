@@ -212,7 +212,7 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
     SkipSampler tail_skip;  // gap to the next tail-channel forward
     Rng rng{0};
     // The node summary being shipped, in the wire format.
-    std::vector<uint64_t> export_values;
+    summaries::ValueBuffer export_values;
     std::vector<std::pair<uint64_t, uint32_t>> export_segments;
     // Batch-engine run buffer: values delivered to this site since its
     // last event/reconciliation, in arrival order (delivery-engine state,

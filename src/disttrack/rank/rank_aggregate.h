@@ -43,6 +43,8 @@
 #include <utility>
 #include <vector>
 
+#include "disttrack/summaries/run_ladder.h"
+
 namespace disttrack {
 namespace rank {
 
@@ -164,7 +166,7 @@ class RankAggregate {
   struct FrozenInstance {
     // run[0, m): distinct values, ascending; run[m + j]: the weight of the
     // values <= run[j].
-    std::vector<uint64_t> run;
+    summaries::ValueBuffer run;
     std::vector<uint64_t> residuals;  // ascending
     size_t round = 0;
   };

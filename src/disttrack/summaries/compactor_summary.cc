@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "disttrack/common/simd.h"
+#include "disttrack/common/small_sort.h"
 
 namespace disttrack {
 namespace summaries {
@@ -144,7 +144,7 @@ void CompactorSummary::InsertSortedWindow(RunView window) {
 }
 
 uint64_t CompactorSummary::InsertWindowAndExport(
-    RunView window, std::vector<uint64_t>* values,
+    RunView window, ValueBuffer* values,
     std::vector<std::pair<uint64_t, uint32_t>>* segments) {
   values->clear();
   segments->clear();
@@ -174,8 +174,7 @@ uint64_t CompactorSummary::InsertWindowAndExport(
     // One merge pass of residue and window straight into the wire buffer.
     const auto& base = levels_[0];
     values->resize(base.size() + total);
-    simd::MergeSorted(base.data(), base.size(), window.data, total,
-                      values->data());
+    MergeSorted(base.data(), base.size(), window.data, total, values->data());
     segments->emplace_back(1, static_cast<uint32_t>(values->size()));
   } else if (!levels_[0].empty()) {
     EnsureSorted(0);
@@ -250,8 +249,8 @@ bool CompactorSummary::CascadeVirtual(GetFn get, size_t len) {
       auto& up = levels_[level];
       size_t up_size = up.size() + promoted;
       GrowScratch(up_size);
-      simd::MergeSorted(up.data(), up.size(), promote_buf_.data(), promoted,
-                        merge_buf_.data());
+      MergeSorted(up.data(), up.size(), promote_buf_.data(), promoted,
+                  merge_buf_.data());
       up.assign(merge_buf_.data(), merge_buf_.data() + up_size);
       sorted_[level] = up_size;
       seg_bounds_[level].clear();
@@ -308,7 +307,7 @@ void CompactorSummary::EnsureSorted(size_t level) {
   seg_dirty_[level] = 0;
 }
 
-void CompactorSummary::SortTail(std::vector<uint64_t>* buf, size_t from,
+void CompactorSummary::SortTail(ValueBuffer* buf, size_t from,
                                 const std::vector<size_t>* interior_bounds) {
   size_t len = buf->size() - from;
   uint64_t* tail = buf->data() + from;
@@ -340,8 +339,7 @@ void CompactorSummary::SortTail(std::vector<uint64_t>* buf, size_t from,
   if (merged != tail) std::copy(merged, merged + len, tail);
 }
 
-void CompactorSummary::MergeSortedTail(std::vector<uint64_t>* buf,
-                                       size_t mid) {
+void CompactorSummary::MergeSortedTail(ValueBuffer* buf, size_t mid) {
   if (mid == 0 || mid == buf->size()) return;
   uint64_t* data = buf->data();
   if (data[mid - 1] <= data[mid]) return;  // already in order
@@ -357,8 +355,7 @@ void CompactorSummary::MergeSortedTail(std::vector<uint64_t>* buf,
     return;
   }
   GrowScratch(buf->size());
-  simd::MergeSorted(data, mid, data + mid, buf->size() - mid,
-                    merge_buf_.data());
+  MergeSorted(data, mid, data + mid, buf->size() - mid, merge_buf_.data());
   buf->assign(merge_buf_.data(), merge_buf_.data() + buf->size());
 }
 
@@ -398,8 +395,8 @@ void CompactorSummary::CompactLevel(size_t level) {
     for (size_t i = offset; i < take; i += 2) promote_buf_[out++] = buf[i];
     size_t up_size = up.size() + promoted;
     GrowScratch(up_size);
-    simd::MergeSorted(up.data(), up.size(), promote_buf_.data(), promoted,
-                      merge_buf_.data());
+    MergeSorted(up.data(), up.size(), promote_buf_.data(), promoted,
+                merge_buf_.data());
     up.assign(merge_buf_.data(), merge_buf_.data() + up_size);
   }
   sorted_[level + 1] = up.size();
@@ -528,8 +525,7 @@ void CompactorSummary::Clear() {
 }
 
 uint64_t CompactSortedWindowToWire(
-    size_t capacity, uint64_t seed, RunView window,
-    std::vector<uint64_t>* values,
+    size_t capacity, uint64_t seed, RunView window, ValueBuffer* values,
     std::vector<std::pair<uint64_t, uint32_t>>* segments) {
   size_t before = values->size();
   size_t len = window.size;

@@ -104,7 +104,7 @@ class CompactorSummary {
   /// Reset() or destroyed after this call — exactly what the flush path's
   /// node pooling does.
   uint64_t InsertWindowAndExport(
-      RunView window, std::vector<uint64_t>* values,
+      RunView window, ValueBuffer* values,
       std::vector<std::pair<uint64_t, uint32_t>>* segments);
 
   /// Unbiased estimate of |{y in stream : y < x}|; monotone in x.
@@ -167,9 +167,9 @@ class CompactorSummary {
   // each element is fully sorted exactly once per level.
   void EnsureSorted(size_t level);
   // Grows merge_buf_ geometrically to at least `need` elements. The
-  // scratch is write-before-read and never shrinks, so growth (and its
-  // value-initialization pass) is amortized away instead of being paid on
-  // every merge the way an exact resize or a buffer swap would pay it.
+  // scratch is write-before-read and never shrinks, so growth is
+  // amortized away instead of being paid on every merge the way an exact
+  // resize or a buffer swap would pay it.
   void GrowScratch(size_t need) {
     if (merge_buf_.size() < need) {
       merge_buf_.resize(std::max(need, merge_buf_.size() * 2));
@@ -195,11 +195,11 @@ class CompactorSummary {
   // Merges buf's sorted halves [0, mid) and [mid, end) without the
   // per-call temporary-buffer allocation of std::inplace_merge (the
   // scratch vector is reused across calls and levels).
-  void MergeSortedTail(std::vector<uint64_t>* buf, size_t mid);
+  void MergeSortedTail(ValueBuffer* buf, size_t mid);
   // Sorts buf's tail [from, end) by merging its ascending runs pairwise
   // with ping-pong passes through the scratch. `bounds` holds the run
   // starts in (from, end), exclusive; pass nullptr to detect them.
-  void SortTail(std::vector<uint64_t>* buf, size_t from,
+  void SortTail(ValueBuffer* buf, size_t from,
                 const std::vector<size_t>* interior_bounds);
   size_t LevelsUsed() const;        // through the last nonempty, >= 1
 
@@ -207,14 +207,14 @@ class CompactorSummary {
   size_t capacity_;  // per-level buffer capacity s (even, >= 2)
   Rng rng_;
   uint64_t m_ = 0;  // total stream length inserted (not counting merges)
-  std::vector<std::vector<uint64_t>> levels_;  // levels_[i]: weight 2^i each
+  std::vector<ValueBuffer> levels_;  // levels_[i]: weight 2^i each
   std::vector<size_t> sorted_;  // per-level sorted prefix length
   // Per-level staged-segment starts (interior to the tail) and a dirty
   // flag set when unordered data was appended (bounds then unusable).
   std::vector<std::vector<size_t>> seg_bounds_;
   std::vector<uint8_t> seg_dirty_;
-  std::vector<uint64_t> merge_buf_;  // MergeSortedTail / SortTail scratch
-  std::vector<uint64_t> promote_buf_;  // CompactLevel promotion scratch
+  ValueBuffer merge_buf_;  // MergeSortedTail / SortTail scratch
+  ValueBuffer promote_buf_;  // CompactLevel promotion scratch
   std::vector<size_t> run_bounds_;   // SortTail run-boundary scratch
   // CascadeVirtual scratch: (virtual level, value) odd stragglers.
   std::vector<std::pair<size_t, uint64_t>> straggler_scratch_;
@@ -242,8 +242,7 @@ size_t CompactorCapacity(double eps);
 /// *values), so one arena can accumulate many summaries; callers wanting
 /// a lone summary clear both first.
 uint64_t CompactSortedWindowToWire(
-    size_t capacity, uint64_t seed, RunView window,
-    std::vector<uint64_t>* values,
+    size_t capacity, uint64_t seed, RunView window, ValueBuffer* values,
     std::vector<std::pair<uint64_t, uint32_t>>* segments);
 
 }  // namespace summaries

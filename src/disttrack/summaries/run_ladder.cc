@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "disttrack/common/simd.h"
+#include "disttrack/common/small_sort.h"
 
 namespace disttrack {
 namespace summaries {
@@ -109,11 +109,8 @@ void RunLadder::MergeFreeBoundaries(size_t first) {
     Run& b = runs_[best + 1];
     ValueBuffer merged = TakeBuffer();
     merged.resize(a.values.size() + b.values.size());
-    // Gap-merge inner loop: blockwise bitonic merge under AVX2 dispatch,
-    // byte-identical output to std::merge (uint64 values are compared
-    // wholesale, so stability cannot matter).
-    simd::MergeSorted(a.values.data(), a.values.size(), b.values.data(),
-                      b.values.size(), merged.data());
+    MergeSorted(a.values.data(), a.values.size(), b.values.data(),
+                b.values.size(), merged.data());
     Recycle(std::move(a.values));
     a.values = std::move(merged);
     Recycle(std::move(b.values));
@@ -152,7 +149,7 @@ uint64_t* MergeRunsPairwise(uint64_t* src, uint64_t* dst,
       const size_t lo = (*bounds)[r];
       const size_t mid = (*bounds)[r + 1];
       const size_t hi = (*bounds)[r + 2];
-      simd::MergeSorted(src + lo, mid - lo, src + mid, hi - mid, dst + lo);
+      MergeSorted(src + lo, mid - lo, src + mid, hi - mid, dst + lo);
       (*bounds)[++kept] = hi;  // overwrite in place: bounds[0] stays 0
     }
     if (r + 1 < bounds->size()) {
@@ -216,7 +213,7 @@ RunView RunLadder::PullMerged(size_t cursor, MergedWindow* window) {
   for (; i + 1 < runs_.size(); i += 2) {
     const auto& a = runs_[i].values;
     const auto& b = runs_[i + 1].values;
-    simd::MergeSorted(a.data(), a.size(), b.data(), b.size(), src + produced);
+    MergeSorted(a.data(), a.size(), b.data(), b.size(), src + produced);
     produced += a.size() + b.size();
     bounds.push_back(produced);
   }
@@ -262,8 +259,8 @@ void RunLadder::MergeTail() {
     if (CursorAt(b.start)) break;
     ValueBuffer merged = TakeBuffer();
     merged.resize(a.values.size() + b.values.size());
-    simd::MergeSorted(a.values.data(), a.values.size(), b.values.data(),
-                      b.values.size(), merged.data());
+    MergeSorted(a.values.data(), a.values.size(), b.values.data(),
+                b.values.size(), merged.data());
     Recycle(std::move(a.values));
     a.values = std::move(merged);
     Recycle(std::move(b.values));

@@ -50,7 +50,9 @@
 //
 // Buffers: run storage, the recycled-buffer pool, MergedWindow's scratch
 // and the rank tracker's per-site run are ValueBuffers, whose resize()
-// leaves new elements uninitialized. Every such buffer is
+// leaves new elements uninitialized (so are the compactor's level and
+// scratch buffers, the rank flush's export buffer and the coordinator's
+// frozen runs). Every such buffer is
 // write-before-read: a merge target is sized and then filled completely,
 // so zero-filling it first would be a wasted pass over every merged value.
 

@@ -1,5 +1,7 @@
-// Tests for disttrack/common: Rng, math utilities, running statistics.
+// Tests for disttrack/common: Rng, math utilities, running statistics,
+// and the run sort and merge of small_sort.h.
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -7,6 +9,7 @@
 
 #include "disttrack/common/math_util.h"
 #include "disttrack/common/random.h"
+#include "disttrack/common/small_sort.h"
 #include "disttrack/common/stats.h"
 #include "disttrack/common/status.h"
 
@@ -251,6 +254,98 @@ TEST(StatusTest, OkAndErrors) {
   Status pre = Status::FailedPrecondition("not built");
   EXPECT_EQ(pre.code(), Status::Code::kFailedPrecondition);
   EXPECT_NE(pre.ToString().find("not built"), std::string::npos);
+}
+
+// NetworkSort on its own, at every length SortRun hands it (2..16), from
+// unaligned starts, on distinct and on duplicate-heavy keys.
+TEST(SmallSortTest, NetworkSortAgreesWithStdSortAtEveryLengthAndAlignment) {
+  Rng rng(0x5eed0002);
+  for (int trial = 0; trial < 400; ++trial) {
+    for (size_t n = 2; n <= 16; ++n) {
+      size_t off = rng.UniformU64(4);
+      std::vector<uint64_t> buf(off + n);
+      bool dup_heavy = trial % 3 == 0;
+      for (size_t i = 0; i < n; ++i) {
+        buf[off + i] = dup_heavy ? rng.UniformU64(4) : rng.NextU64();
+      }
+      std::vector<uint64_t> want(buf.begin() + static_cast<long>(off),
+                                 buf.end());
+      std::sort(want.begin(), want.end());
+      small_sort_internal::NetworkSort(buf.data() + off, n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(buf[off + i], want[i]) << "n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+// SortRun over every tier: every length 0..320 (the network, the
+// std::sort middle and the radix cutovers at 64 and 24 per varying digit,
+// up to 192 for full-width keys), then sparser lengths up to 4096, for
+// key shapes that vary in no digit, one digit at either end, every digit,
+// only a few distinct values, and only the extremes. One scratch serves
+// every call, as in the tracker, so stale scratch contents are covered.
+TEST(SmallSortTest, SortRunMatchesStdSortAcrossCutovers) {
+  Rng rng(0x5eed0006);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 320; ++n) lengths.push_back(n);
+  for (size_t n = 321; n <= 4096; n = n * 9 / 8 + 1) lengths.push_back(n);
+  lengths.push_back(4096);
+  auto key = [&](int shape) -> uint64_t {
+    switch (shape) {
+      case 0: return 0x0123456789ABCDEFull;                // all equal
+      case 1: return rng.UniformU64(256) << 56;            // top byte
+      case 2: return 0x5500000000000000ull | rng.UniformU64(256);  // bottom
+      case 3: return rng.NextU64();                        // full width
+      case 4: return rng.UniformU64(5) * 0x0101010101ull;  // duplicates
+      default: return rng.UniformU64(2) == 0 ? 0 : ~0ull;  // 0 / max
+    }
+  };
+  std::vector<uint64_t> scratch;
+  for (int shape = 0; shape < 6; ++shape) {
+    for (size_t n : lengths) {
+      std::vector<uint64_t> v(n);
+      for (auto& x : v) x = key(shape);
+      std::vector<uint64_t> want = v;
+      std::sort(want.begin(), want.end());
+      SortRun(v.data(), n, &scratch);
+      ASSERT_EQ(v, want) << "shape " << shape << " n " << n;
+    }
+  }
+}
+
+// MergeSorted against std::merge: tails 0-15 and longer runs on each
+// side, every input and output alignment, distinct and duplicate-heavy
+// keys. Output past na + nb must stay untouched.
+TEST(SmallSortTest, MergeSortedAgreesWithStdMergeAllTailsAndAlignments) {
+  Rng rng(0x5eed0004);
+  for (int trial = 0; trial < 300; ++trial) {
+    size_t na =
+        trial % 2 == 0 ? rng.UniformU64(16) : 16 + rng.UniformU64(120);
+    size_t nb =
+        trial % 3 == 0 ? rng.UniformU64(16) : 16 + rng.UniformU64(120);
+    size_t offa = rng.UniformU64(4);
+    size_t offb = rng.UniformU64(4);
+    uint64_t lim = trial % 4 == 0 ? 8 : ~0ull;  // duplicate-heavy mix
+    std::vector<uint64_t> a(offa + na);
+    std::vector<uint64_t> b(offb + nb);
+    for (size_t i = 0; i < na; ++i) a[offa + i] = rng.UniformU64(lim);
+    for (size_t i = 0; i < nb; ++i) b[offb + i] = rng.UniformU64(lim);
+    std::sort(a.begin() + static_cast<long>(offa), a.end());
+    std::sort(b.begin() + static_cast<long>(offb), b.end());
+    std::vector<uint64_t> want(na + nb);
+    std::merge(a.begin() + static_cast<long>(offa), a.end(),
+               b.begin() + static_cast<long>(offb), b.end(), want.begin());
+    std::vector<uint64_t> got(na + nb + 7, 0xDEADull);
+    size_t offo = rng.UniformU64(4);
+    MergeSorted(a.data() + offa, na, b.data() + offb, nb, got.data() + offo);
+    for (size_t i = 0; i < na + nb; ++i) {
+      ASSERT_EQ(got[offo + i], want[i]) << "na=" << na << " nb=" << nb;
+    }
+    for (size_t i = offo + na + nb; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], 0xDEADull) << "na=" << na << " nb=" << nb;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Edge-case coverage for the frequency hot path's open-addressing counter
 // store (frequency/counter_table.h): epoch-based bulk clears (round
 // boundaries and virtual-site splits), growth at the load-factor
-// threshold, extreme keys (0 and UINT64_MAX have no sentinel role), and
-// stale-slot reuse across epochs.
+// threshold, extreme keys (0 and UINT64_MAX have no sentinel role),
+// stale-slot reuse across epochs, and the four-lane run walk against
+// per-key lookups.
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -146,6 +148,74 @@ TEST(CounterTableTest, MatchesUnorderedMapUnderRandomWorkload) {
   for (const auto& [key, value] : ref) {
     ASSERT_NE(t.Find(key), nullptr);
     EXPECT_EQ(*t.Find(key), value);
+  }
+}
+
+// Find/Insert/Clear/Grow across epochs: every live key is found with its
+// value after several growths, and never-inserted keys miss.
+TEST(CounterTableTest, FindAgreesAcrossEpochsAndGrowth) {
+  Rng rng(0x5eed0007);
+  CounterTable table;
+  std::vector<std::pair<uint64_t, uint64_t>> live;
+  for (int epoch = 0; epoch < 6; ++epoch) {
+    live.clear();
+    size_t inserts = 1 + rng.UniformU64(500);  // forces several grows
+    for (size_t i = 0; i < inserts; ++i) {
+      uint64_t key = rng.UniformU64(2000);
+      if (table.Find(key) == nullptr) {
+        uint64_t value = 1 + rng.UniformU64(100);
+        table.Insert(key, value);
+        live.emplace_back(key, value);
+      }
+    }
+    for (const auto& [key, value] : live) {
+      const uint64_t* found = table.Find(key);
+      ASSERT_NE(found, nullptr);
+      ASSERT_EQ(*found, value);
+    }
+    for (int probe = 0; probe < 200; ++probe) {
+      uint64_t key = 2000 + rng.UniformU64(2000);  // never inserted
+      ASSERT_EQ(table.Find(key), nullptr);
+    }
+    table.Clear();
+    ASSERT_EQ(table.size(), 0u);
+  }
+}
+
+// The four-lane run walk must leave the table in exactly the state that
+// one IncrementIfTracked (one Find) per key leaves, for bursty
+// (duplicate-run) and scattered key mixes, and for runs too short for
+// the lanes.
+TEST(CounterTableTest, IncrementTrackedRunMatchesPerKeyFind) {
+  Rng rng(0x5eed0006);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<uint64_t> tracked;
+    size_t num_tracked = 1 + rng.UniformU64(200);
+    for (size_t i = 0; i < num_tracked; ++i) {
+      tracked.push_back(rng.UniformU64(1000));
+    }
+    std::vector<uint64_t> run;
+    size_t run_len = rng.UniformU64(3000);
+    for (size_t i = 0; i < run_len; ++i) {
+      uint64_t key = rng.UniformU64(1000);
+      size_t burst = 1 + rng.UniformU64(trial % 2 == 0 ? 6 : 1);
+      for (size_t r = 0; r < burst; ++r) run.push_back(key);
+    }
+    CounterTable lanes;
+    CounterTable per_key;
+    for (uint64_t key : tracked) {
+      if (lanes.Find(key) == nullptr) lanes.Insert(key, 1);
+      if (per_key.Find(key) == nullptr) per_key.Insert(key, 1);
+    }
+    lanes.IncrementTrackedRun(run.data(), run.size());
+    for (uint64_t key : run) per_key.IncrementIfTracked(key);
+
+    ASSERT_EQ(lanes.size(), per_key.size());
+    lanes.ForEach([&](uint64_t key, uint64_t value) {
+      const uint64_t* other = per_key.Find(key);
+      ASSERT_NE(other, nullptr) << "key " << key;
+      ASSERT_EQ(value, *other) << "key " << key;
+    });
   }
 }
 

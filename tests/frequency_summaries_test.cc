@@ -1,5 +1,5 @@
-// Tests for the frequency-summary substrate: Misra–Gries [20], SpaceSaving
-// [19], and sticky sampling [18], including their formal error guarantees.
+// Tests for the frequency-summary substrate: Misra–Gries [20], the
+// deterministic frequency baseline, including its formal error guarantee.
 
 #include <unordered_map>
 #include <vector>
@@ -9,9 +9,6 @@
 #include "disttrack/common/random.h"
 #include "disttrack/stream/zipf.h"
 #include "disttrack/summaries/misra_gries.h"
-#include "disttrack/summaries/space_saving.h"
-#include "disttrack/summaries/sticky_sampling.h"
-#include "test_util.h"
 
 namespace disttrack {
 namespace summaries {
@@ -108,143 +105,6 @@ TEST(MisraGriesTest, AllDistinctStreamDecrements) {
   // guarantee f - n/4 <= est holds trivially (all f = 1, n/4 = 3).
   EXPECT_LE(mg.NumCounters(), 3u);
   EXPECT_GT(mg.UndercountBound(), 0u);
-}
-
-TEST(SpaceSavingTest, ExactWhenUnderCapacity) {
-  SpaceSaving ss(10);
-  for (int i = 0; i < 7; ++i) ss.Insert(3);
-  ss.Insert(4);
-  EXPECT_EQ(ss.Estimate(3), 7u);
-  EXPECT_EQ(ss.Estimate(4), 1u);
-  EXPECT_EQ(ss.OvercountBound(3), 0u);
-}
-
-TEST(SpaceSavingTest, NeverUnderestimates) {
-  SpaceSaving ss(8);
-  std::unordered_map<uint64_t, uint64_t> truth;
-  Rng rng(29);
-  for (int i = 0; i < 10000; ++i) {
-    uint64_t item = rng.UniformU64(50);
-    ss.Insert(item);
-    ++truth[item];
-  }
-  for (const auto& [item, f] : truth) {
-    EXPECT_GE(ss.Estimate(item) + 0u, f);
-  }
-}
-
-TEST(SpaceSavingTest, OvercountWithinGuarantee) {
-  const size_t kCapacity = 10;  // error <= n / capacity
-  SpaceSaving ss(kCapacity);
-  std::unordered_map<uint64_t, uint64_t> truth;
-  Rng rng(31);
-  const int kN = 20000;
-  for (int i = 0; i < kN; ++i) {
-    uint64_t item = rng.UniformU64(64);
-    ss.Insert(item);
-    ++truth[item];
-  }
-  for (const auto& [item, f] : truth) {
-    EXPECT_LE(ss.Estimate(item), f + kN / kCapacity);
-  }
-}
-
-TEST(SpaceSavingTest, CapacityRespected) {
-  SpaceSaving ss(6);
-  for (uint64_t i = 0; i < 500; ++i) ss.Insert(i % 37);
-  EXPECT_LE(ss.NumCounters(), 6u);
-}
-
-TEST(SpaceSavingTest, MonitorsTrueHeavyHitter) {
-  SpaceSaving ss(10);
-  stream::ZipfGenerator zipf(1000, 1.3, 37);
-  for (int i = 0; i < 30000; ++i) ss.Insert(zipf.Next());
-  EXPECT_TRUE(ss.IsMonitored(0));
-}
-
-TEST(SpaceSavingTest, ClearResets) {
-  SpaceSaving ss(4);
-  ss.Insert(1);
-  ss.Clear();
-  EXPECT_EQ(ss.n(), 0u);
-  EXPECT_EQ(ss.NumCounters(), 0u);
-  EXPECT_EQ(ss.Estimate(1), 0u);
-}
-
-TEST(StickySamplingTest, PEqualsOneCountsExactly) {
-  StickySampling sticky(1.0, 7);
-  for (int i = 0; i < 25; ++i) sticky.Insert(5);
-  EXPECT_EQ(sticky.Count(5), 25u);
-  EXPECT_DOUBLE_EQ(sticky.UnbiasedEstimate(5), 25.0);
-}
-
-TEST(StickySamplingTest, CreationIsReported) {
-  StickySampling sticky(0.5, 11);
-  bool created = false;
-  for (int i = 0; i < 100 && !created; ++i) {
-    auto r = sticky.Insert(42);
-    if (r.created) {
-      created = true;
-      EXPECT_TRUE(r.tracked);
-      EXPECT_EQ(r.count, 1u);
-    }
-  }
-  EXPECT_TRUE(created);
-}
-
-TEST(StickySamplingTest, UnbiasedEstimateOverTrials) {
-  // Lemma 2.1 applied to a single counter: E[count - 1 + 1/p] = f when a
-  // counter exists, 0 contributes otherwise; overall E[estimate] = f.
-  const double p = 0.05;
-  const uint64_t f = 200;
-  auto errors = testing_util::CollectErrors(3000, [&](uint64_t seed) {
-    StickySampling sticky(p, seed);
-    for (uint64_t i = 0; i < f; ++i) sticky.Insert(1);
-    return sticky.UnbiasedEstimate(1) - static_cast<double>(f);
-  });
-  // Std-dev of the mean ~ (1/p)/sqrt(trials) ~ 0.37.
-  EXPECT_NEAR(testing_util::MeanOf(errors), 0.0, 1.5);
-}
-
-TEST(StickySamplingTest, VarianceBounded) {
-  const double p = 0.1;
-  const uint64_t f = 500;
-  auto errors = testing_util::CollectErrors(2000, [&](uint64_t seed) {
-    StickySampling sticky(p, seed);
-    for (uint64_t i = 0; i < f; ++i) sticky.Insert(9);
-    return sticky.UnbiasedEstimate(9) - static_cast<double>(f);
-  });
-  // Lemma 2.1: Var <= 1/p² = 100.
-  EXPECT_LE(testing_util::VarianceOf(errors), 130.0);
-}
-
-TEST(StickySamplingTest, ExpectedSpaceIsPN) {
-  const double p = 0.01;
-  StickySampling sticky(p, 13);
-  for (uint64_t i = 0; i < 50000; ++i) sticky.Insert(i);  // all distinct
-  // E[#counters] = p * n = 500.
-  EXPECT_NEAR(static_cast<double>(sticky.NumCounters()), 500.0, 120.0);
-}
-
-TEST(StickySamplingTest, TrackedItemsCountDeterministically) {
-  StickySampling sticky(0.3, 17);
-  // Force-track by inserting until created, then verify exact counting.
-  uint64_t before = 0;
-  while (!sticky.IsTracked(77)) {
-    sticky.Insert(77);
-    ++before;
-  }
-  for (int i = 0; i < 50; ++i) sticky.Insert(77);
-  EXPECT_EQ(sticky.Count(77), 1u + 50u);
-  EXPECT_GE(before, 1u);
-}
-
-TEST(StickySamplingTest, ClearResets) {
-  StickySampling sticky(1.0, 19);
-  sticky.Insert(1);
-  sticky.Clear();
-  EXPECT_EQ(sticky.n(), 0u);
-  EXPECT_FALSE(sticky.IsTracked(1));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests for the rank-summary substrate: GK [12], the compactor ("algorithm
-// A" of §4), Bernoulli samples, and the reservoir — in particular the three
-// properties §4 needs from A: unbiasedness, variance (εm)², small space.
+// Tests for the rank-summary substrate: the compactor ("algorithm A" of
+// §4) — in particular the three properties §4 needs from A: unbiasedness,
+// variance (εm)², small space — and its ingest of merged ladder windows.
 
 #include <algorithm>
 #include <cmath>
@@ -10,10 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "disttrack/common/random.h"
-#include "disttrack/summaries/bernoulli_summary.h"
 #include "disttrack/summaries/compactor_summary.h"
-#include "disttrack/summaries/gk_summary.h"
-#include "disttrack/summaries/reservoir.h"
 #include "disttrack/summaries/run_ladder.h"
 #include "test_util.h"
 
@@ -34,90 +31,6 @@ std::vector<uint64_t> RandomData(size_t n, uint64_t universe, uint64_t seed) {
   std::vector<uint64_t> data(n);
   for (auto& v : data) v = rng.UniformU64(universe);
   return data;
-}
-
-TEST(GKSummaryTest, ExactOnTinyStream) {
-  GKSummary gk(0.1);
-  for (uint64_t v : {5ull, 1ull, 9ull, 3ull}) gk.Insert(v);
-  EXPECT_EQ(gk.n(), 4u);
-  EXPECT_LE(gk.EstimateRank(0), 0u);
-  EXPECT_EQ(gk.EstimateRank(100), 4u);
-}
-
-TEST(GKSummaryTest, RankWithinEpsilonUniform) {
-  const double eps = 0.01;
-  GKSummary gk(eps);
-  auto data = RandomData(50000, 1 << 20, 3);
-  for (uint64_t v : data) gk.Insert(v);
-  for (uint64_t q = 0; q <= 10; ++q) {
-    uint64_t x = q * ((1 << 20) / 10);
-    double err = std::fabs(static_cast<double>(gk.EstimateRank(x)) -
-                           static_cast<double>(ExactRankOf(data, x)));
-    EXPECT_LE(err, eps * static_cast<double>(data.size()) + 1)
-        << "query " << x;
-  }
-}
-
-TEST(GKSummaryTest, RankWithinEpsilonSorted) {
-  const double eps = 0.02;
-  GKSummary gk(eps);
-  std::vector<uint64_t> data;
-  for (uint64_t i = 0; i < 30000; ++i) data.push_back(i);
-  for (uint64_t v : data) gk.Insert(v);
-  for (uint64_t x : {1000ull, 15000ull, 29999ull}) {
-    double err = std::fabs(static_cast<double>(gk.EstimateRank(x)) -
-                           static_cast<double>(x));
-    EXPECT_LE(err, eps * 30000 + 1);
-  }
-}
-
-TEST(GKSummaryTest, RankWithinEpsilonReverseSorted) {
-  const double eps = 0.02;
-  GKSummary gk(eps);
-  const uint64_t kN = 30000;
-  for (uint64_t i = 0; i < kN; ++i) gk.Insert(kN - 1 - i);
-  double err = std::fabs(static_cast<double>(gk.EstimateRank(kN / 2)) -
-                         static_cast<double>(kN / 2));
-  EXPECT_LE(err, eps * kN + 1);
-}
-
-TEST(GKSummaryTest, SpaceIsSublinear) {
-  GKSummary gk(0.01);
-  auto data = RandomData(100000, 1 << 24, 7);
-  for (uint64_t v : data) gk.Insert(v);
-  // O(1/eps * log(eps n)) tuples: generous cap at 40/eps.
-  EXPECT_LE(gk.NumTuples(), static_cast<size_t>(40.0 / 0.01));
-  EXPECT_LT(gk.NumTuples(), data.size() / 10);
-}
-
-TEST(GKSummaryTest, QuantileWithinEpsilon) {
-  const double eps = 0.02;
-  GKSummary gk(eps);
-  auto data = RandomData(40000, 1 << 20, 11);
-  for (uint64_t v : data) gk.Insert(v);
-  std::vector<uint64_t> sorted = data;
-  std::sort(sorted.begin(), sorted.end());
-  for (double phi : {0.1, 0.25, 0.5, 0.75, 0.9}) {
-    uint64_t answer = gk.Quantile(phi);
-    double rank = static_cast<double>(ExactRankOf(data, answer));
-    EXPECT_NEAR(rank, phi * 40000, 2 * eps * 40000 + 1) << "phi " << phi;
-  }
-}
-
-TEST(GKSummaryTest, DuplicateHeavyValue) {
-  GKSummary gk(0.05);
-  for (int i = 0; i < 10000; ++i) gk.Insert(500);
-  for (int i = 0; i < 100; ++i) gk.Insert(1000);
-  EXPECT_NEAR(static_cast<double>(gk.EstimateRank(501)), 10000.0, 505.0);
-  EXPECT_LE(gk.EstimateRank(500), static_cast<uint64_t>(0.05 * 10100 + 1));
-}
-
-TEST(GKSummaryTest, ClearResets) {
-  GKSummary gk(0.1);
-  gk.Insert(1);
-  gk.Clear();
-  EXPECT_EQ(gk.n(), 0u);
-  EXPECT_EQ(gk.NumTuples(), 0u);
 }
 
 TEST(CompactorTest, ExactWhileInBuffer) {
@@ -308,7 +221,7 @@ TEST(CompactorTest, ResetRetainsGuaranteesOnReuse) {
 // twins below share a seed and pull the same windows from one ladder —
 // the reference cursor as k borrowed runs, the merged cursor as one view.
 
-using Export = std::pair<std::vector<uint64_t>,
+using Export = std::pair<ValueBuffer,
                          std::vector<std::pair<uint64_t, uint32_t>>>;
 
 // The wire export of `summary`: each nonempty level ascending, tagged
@@ -536,82 +449,6 @@ TEST(MergedWindowTest, NodeLessFlushMatchesNodeFlushesAtEveryLevel) {
       }
     }
   }
-}
-
-TEST(BernoulliSummaryTest, PEqualsOneIsExact) {
-  BernoulliSampleSummary s(1.0, 3);
-  for (uint64_t v : {1ull, 5ull, 5ull, 9ull}) s.Insert(v);
-  EXPECT_DOUBLE_EQ(s.EstimateCount(), 4.0);
-  EXPECT_DOUBLE_EQ(s.EstimateRank(6), 3.0);
-  EXPECT_DOUBLE_EQ(s.EstimateFrequency(5), 2.0);
-}
-
-TEST(BernoulliSummaryTest, UnbiasedCount) {
-  const double p = 0.05;
-  const uint64_t kN = 2000;
-  auto errors = testing_util::CollectErrors(2000, [&](uint64_t seed) {
-    BernoulliSampleSummary s(p, seed);
-    for (uint64_t i = 0; i < kN; ++i) s.Insert(i);
-    return s.EstimateCount() - static_cast<double>(kN);
-  });
-  EXPECT_NEAR(testing_util::MeanOf(errors), 0.0, 10.0);
-  // Var = n (1-p)/p = 38000.
-  EXPECT_NEAR(testing_util::VarianceOf(errors), kN * (1 - p) / p, 8000.0);
-}
-
-TEST(BernoulliSummaryTest, SampleSizeConcentrates) {
-  BernoulliSampleSummary s(0.1, 7);
-  for (uint64_t i = 0; i < 50000; ++i) s.Insert(i);
-  EXPECT_NEAR(static_cast<double>(s.SampleSize()), 5000.0, 400.0);
-}
-
-TEST(ReservoirTest, HoldsEverythingUnderCapacity) {
-  ReservoirSample r(100, 5);
-  for (uint64_t i = 0; i < 50; ++i) r.Insert(i);
-  EXPECT_EQ(r.sample().size(), 50u);
-  EXPECT_DOUBLE_EQ(r.EstimateRank(25), 25.0);
-}
-
-TEST(ReservoirTest, CapacityIsRespected) {
-  ReservoirSample r(64, 7);
-  for (uint64_t i = 0; i < 10000; ++i) r.Insert(i);
-  EXPECT_EQ(r.sample().size(), 64u);
-  EXPECT_EQ(r.n(), 10000u);
-}
-
-TEST(ReservoirTest, UniformInclusion) {
-  // Every element survives with probability capacity/n.
-  const size_t kCap = 50;
-  const uint64_t kN = 1000;
-  std::vector<int> hits(kN, 0);
-  for (uint64_t seed = 0; seed < 2000; ++seed) {
-    ReservoirSample r(kCap, seed);
-    for (uint64_t i = 0; i < kN; ++i) r.Insert(i);
-    for (uint64_t v : r.sample()) ++hits[v];
-  }
-  double expect = 2000.0 * kCap / static_cast<double>(kN);  // = 100
-  int lo = 0, hi = 0;
-  for (int h : hits) {
-    if (h < expect * 0.5) ++lo;
-    if (h > expect * 1.5) ++hi;
-  }
-  EXPECT_LT(lo + hi, 20);  // at most 2% of elements far from expectation
-}
-
-TEST(ReservoirTest, RankEstimateReasonable) {
-  ReservoirSample r(2000, 11);
-  Rng rng(13);
-  const uint64_t kN = 100000;
-  for (uint64_t i = 0; i < kN; ++i) r.Insert(rng.UniformU64(1 << 16));
-  // rank of midpoint ~ n/2; sampling std ~ n/(2 sqrt(s)) ~ 1120.
-  EXPECT_NEAR(r.EstimateRank(1 << 15), kN / 2.0, 6000.0);
-}
-
-TEST(ReservoirTest, QuantileReasonable) {
-  ReservoirSample r(4000, 17);
-  Rng rng(19);
-  for (uint64_t i = 0; i < 200000; ++i) r.Insert(rng.UniformU64(1000000));
-  EXPECT_NEAR(static_cast<double>(r.Quantile(0.5)), 500000.0, 50000.0);
 }
 
 }  // namespace

@@ -343,21 +343,24 @@ TEST(RandomizedRankTest, GroupedDeliveryBitIdenticalToCountdown) {
 
 // Golden pin of the production output at both perfbench shapes (k=64,
 // eps=0.01, Zipf(1.1) keys; k=32, eps=5e-4, uniform keys; both over 2^20,
-// perfbench's site sequence, four 64Ki ArriveBatch calls, seed 3). The
-// constants were recorded before the merged-window ladder pulls and the
-// radix run sort went in; both are tier A, so every later change to the
-// rank ingest path must reproduce them bit for bit (or say why not).
+// perfbench's site sequence, four 64Ki ArriveBatch calls, seed 3), plus a
+// 24-batch run of the k=32 shape. The four-batch constants were recorded
+// before the merged-window ladder pulls and the radix run sort went in,
+// the 24-batch ones before the scalar-only sort and merge; all of these
+// are tier A, so every later change to the rank ingest path must
+// reproduce them bit for bit (or say why not).
 TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
   struct Shape {
     int k;
     double eps;
     double zipf_alpha;
+    size_t batches;
     uint64_t messages;
     uint64_t words;
     std::vector<std::pair<uint64_t, double>> estimates;
   };
   const Shape shapes[] = {
-      {64, 0.01, 1.1, 116168, 859787,
+      {64, 0.01, 1.1, 4, 116168, 859787,
        {{0, 0},
         {1, 32279.199999999997},
         {2, 47452},
@@ -369,7 +372,7 @@ TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
         {65536, 236272.60000000001},
         {524288, 256590},
         {1048575, 262268.59999999998}}},
-      {32, 5e-4, 0.0, 732928, 4269534,
+      {32, 5e-4, 0.0, 4, 732928, 4269534,
        {{0, 0},
         {131072, 32775},
         {262144, 65406.973638087467},
@@ -379,11 +382,24 @@ TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
         {786432, 196606.96045713121},
         {917504, 229503.94727617493},
         {1048576, 262136.93409521866}}},
+      // Over 24 batches the k = 32 windows outgrow their levels'
+      // capacities, so the node-less flushes draw wire-cascade coins from
+      // each level's seed: this shape pins the order of those seed draws,
+      // which the 4-batch shape above (no coin drawn) cannot see.
+      {32, 5e-4, 0.0, 24, 1507819, 17342592,
+       {{0, 0},
+        {131072, 196833.90773330611},
+        {262144, 393146.85500948108},
+        {393216, 590164.77592374338},
+        {524288, 786588.61775226821},
+        {655360, 983115.53866653051},
+        {786432, 1179010.2750474054},
+        {917504, 1376362.1036949737},
+        {1048576, 1572818.0509711488}}},
   };
   const size_t kBatch = size_t{1} << 16;
-  const size_t kBatches = 4;
   for (const Shape& shape : shapes) {
-    const size_t n = kBatch * kBatches;
+    const size_t n = kBatch * shape.batches;
     auto input = stream::MakeFrequencyWorkload(
         shape.k, n, SiteSchedule::kUniformRandom, uint64_t{1} << 20,
         shape.zipf_alpha, 3);
@@ -395,15 +411,17 @@ TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
     o.epsilon = shape.eps;
     o.seed = 3;
     RandomizedRankTracker tracker(o);
-    for (size_t b = 0; b < kBatches; ++b) {
+    for (size_t b = 0; b < shape.batches; ++b) {
       tracker.ArriveBatch(input.data() + b * kBatch, kBatch);
     }
     EXPECT_EQ(tracker.meter().TotalMessages(), shape.messages)
-        << "k " << shape.k;
-    EXPECT_EQ(tracker.meter().TotalWords(), shape.words) << "k " << shape.k;
+        << "k " << shape.k << " batches " << shape.batches;
+    EXPECT_EQ(tracker.meter().TotalWords(), shape.words)
+        << "k " << shape.k << " batches " << shape.batches;
     for (const auto& [probe, want] : shape.estimates) {
       EXPECT_EQ(tracker.EstimateRank(probe), want)
-          << "k " << shape.k << " probe " << probe;
+          << "k " << shape.k << " batches " << shape.batches << " probe "
+          << probe;
     }
   }
 }
