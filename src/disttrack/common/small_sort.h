@@ -16,8 +16,20 @@
 // estimate.
 //
 // MergeSorted is the one merge of two ascending runs: the run ladder's
-// gap merges and window pulls and the compactor's level merges all go
-// through it.
+// pair merges and window pulls and the compactor's level merges all go
+// through it. It merges back to front, so its output may be the first
+// input's own buffer: the run ladder and the compactor grow the older
+// run's buffer and merge the newer run into it, with no third buffer and
+// no copy back. Its inner loop is a branchless select (cmovs, no
+// data-dependent branch to mispredict on interleaved keys) that loads
+// both inputs' next values ahead of the compare, so each step waits on
+// a register move rather than on a load. Every eight selects it first
+// checks for a block: when the top eight values left in one input all
+// sort at or above the other input's largest, it moves them with one
+// 64-byte copy. Skewed streams (long runs of equal or ordered keys) and
+// merges of a small run into a big one take that path. A merge of
+// uint64 keys has exactly one ascending output, so neither path can
+// change where a value lands.
 
 #ifndef DISTTRACK_COMMON_SMALL_SORT_H_
 #define DISTTRACK_COMMON_SMALL_SORT_H_
@@ -136,15 +148,57 @@ inline void SortRun(uint64_t* v, size_t n, std::vector<uint64_t>* scratch) {
   std::sort(v, v + n);
 }
 
-/// Merges ascending a[0, na) and b[0, nb) into out[0, na + nb), ascending.
-/// `out` must not alias the inputs. Byte-identical to std::merge output.
+/// Merges ascending a[0, na) and b[0, nb) into out[0, na + nb), ascending
+/// (see the file comment). `out` may be `a` itself, whose buffer must
+/// then hold na + nb values: the merge runs in place, and the prefix of
+/// a that sorts before every b value is never moved. Otherwise `out`
+/// must not overlap a; `b` never overlaps `out`. Byte-identical to
+/// std::merge output.
 inline void MergeSorted(const uint64_t* a, size_t na, const uint64_t* b,
                         size_t nb, uint64_t* out) {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < na && j < nb) *out++ = a[i] <= b[j] ? a[i++] : b[j++];
-  while (i < na) *out++ = a[i++];
-  while (j < nb) *out++ = b[j++];
+  constexpr size_t kBlock = 8;
+  // Back to front: the next write, out[i + j - 1], lies at or past a[i]
+  // while j > 0, so an in-place merge never overwrites an unread a value.
+  size_t i = na;
+  size_t j = nb;
+  while (i > 0 && j > 0) {
+    const uint64_t* block = nullptr;
+    if (i >= kBlock && a[i - kBlock] >= b[j - 1]) {
+      block = a + (i - kBlock);
+      i -= kBlock;
+    } else if (j >= kBlock && b[j - kBlock] >= a[i - 1]) {
+      block = b + (j - kBlock);
+      j -= kBlock;
+    }
+    if (block != nullptr) {
+      // The block sorts at or above every value left in the other
+      // input. In place, an a block may overlap its destination.
+      std::memmove(out + i + j, block, kBlock * sizeof(uint64_t));
+      continue;
+    }
+    // Up to eight selects. Each but the last loads the next value of both
+    // inputs before it compares (in bounds: with n selects left, both
+    // inputs hold at least n values), so the next compare waits on a
+    // cmov, not on a load whose address the previous compare decided.
+    uint64_t x = a[i - 1];
+    uint64_t y = b[j - 1];
+    for (size_t n = std::min({i, j, kBlock}); n > 1; --n) {
+      const uint64_t x_next = a[i - 2];
+      const uint64_t y_next = b[j - 2];
+      const bool take_a = x > y;
+      out[i + j - 1] = take_a ? x : y;
+      x = take_a ? x_next : x;
+      y = take_a ? y : y_next;
+      i -= take_a;
+      j -= !take_a;
+    }
+    const bool take_a = x > y;
+    out[i + j - 1] = take_a ? x : y;
+    i -= take_a;
+    j -= !take_a;
+  }
+  if (j > 0) std::memcpy(out, b, j * sizeof(uint64_t));
+  if (i > 0 && out != a) std::memcpy(out, a, i * sizeof(uint64_t));
 }
 
 }  // namespace disttrack

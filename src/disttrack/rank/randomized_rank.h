@@ -156,6 +156,14 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   /// Leaf block size b of the current round.
   uint64_t block_size() const { return round_.block_size; }
 
+  /// Run-ladder work summed over every site (summaries::LadderWork:
+  /// counters only, no RNG draw and no meter charge).
+  summaries::LadderWork ladder_work() const {
+    summaries::LadderWork total;
+    for (const SiteState& s : sites_) total += s.ladder.work();
+    return total;
+  }
+
   // --- Wire layer / site protocol (sim/site_core.h) ----------------------
   // Mirrors the count tracker's API: a tap emits every metered message
   // (coarse reports, node-summary exports, tail-channel residual

@@ -81,9 +81,17 @@ class RankAggregate {
     for (size_t i = 0; i < num_segments; ++i) {
       const auto [w, end] = segments[i];
       if (end < begin || end > num_values) return false;
-      for (uint32_t j = begin + 1; j < end; ++j) {
-        if (values[j] < values[j - 1]) return false;
+      // Order check without a branch per value: bit 63 of each term is
+      // the borrow of values[j] - values[j - 1], set iff the pair is
+      // inverted (Hacker's Delight 2-13). Plain 64-bit logic, so the
+      // loop vectorizes; the segment is tested once at its end.
+      uint64_t borrows = 0;
+      for (size_t j = size_t{begin} + 1; j < end; ++j) {
+        const uint64_t x = values[j];
+        const uint64_t y = values[j - 1];
+        borrows |= (~x & y) | (~(x ^ y) & (x - y));
       }
+      if (borrows >> 63 != 0) return false;
       // Every partial sum stays below 2^53, so the headroom never wraps;
       // the product is checked for 64-bit overflow in the same step.
       uint64_t segment_weight;

@@ -247,12 +247,11 @@ bool CompactorSummary::CascadeVirtual(GetFn get, size_t len) {
       get.Gather(offset, stride, promoted, promote_buf_.data());
       EnsureSorted(level);
       auto& up = levels_[level];
-      size_t up_size = up.size() + promoted;
-      GrowScratch(up_size);
-      MergeSorted(up.data(), up.size(), promote_buf_.data(), promoted,
-                  merge_buf_.data());
-      up.assign(merge_buf_.data(), merge_buf_.data() + up_size);
-      sorted_[level] = up_size;
+      const size_t up_size = up.size();
+      up.resize(up_size + promoted);
+      MergeSorted(up.data(), up_size, promote_buf_.data(), promoted,
+                  up.data());
+      sorted_[level] = up.size();
       seg_bounds_[level].clear();
       seg_dirty_[level] = 0;
       continue_normal = true;
@@ -354,9 +353,12 @@ void CompactorSummary::MergeSortedTail(ValueBuffer* buf, size_t mid) {
     }
     return;
   }
-  GrowScratch(buf->size());
-  MergeSorted(data, mid, data + mid, buf->size() - mid, merge_buf_.data());
-  buf->assign(merge_buf_.data(), merge_buf_.data() + buf->size());
+  // The tail moves out to the scratch and merges back in place: the
+  // kernel's second input must not overlap its output.
+  const size_t tail = buf->size() - mid;
+  GrowScratch(tail);
+  std::copy(data + mid, data + buf->size(), merge_buf_.data());
+  MergeSorted(data, mid, merge_buf_.data(), tail, data);
 }
 
 void CompactorSummary::CompactLevel(size_t level) {
@@ -393,11 +395,10 @@ void CompactorSummary::CompactLevel(size_t level) {
     promote_buf_.resize(promoted);
     size_t out = 0;
     for (size_t i = offset; i < take; i += 2) promote_buf_[out++] = buf[i];
-    size_t up_size = up.size() + promoted;
-    GrowScratch(up_size);
-    MergeSorted(up.data(), up.size(), promote_buf_.data(), promoted,
-                merge_buf_.data());
-    up.assign(merge_buf_.data(), merge_buf_.data() + up_size);
+    const size_t up_size = up.size();
+    up.resize(up_size + promoted);
+    MergeSorted(up.data(), up_size, promote_buf_.data(), promoted,
+                up.data());
   }
   sorted_[level + 1] = up.size();
   seg_bounds_[level + 1].clear();

@@ -193,8 +193,8 @@ class CompactorSummary {
   // segment when the order allows).
   void NoteAscendingAppend(size_t level, size_t old_size);
   // Merges buf's sorted halves [0, mid) and [mid, end) without the
-  // per-call temporary-buffer allocation of std::inplace_merge (the
-  // scratch vector is reused across calls and levels).
+  // per-call temporary-buffer allocation of std::inplace_merge: the tail
+  // moves to the reused scratch and merges back into buf in place.
   void MergeSortedTail(ValueBuffer* buf, size_t mid);
   // Sorts buf's tail [from, end) by merging its ascending runs pairwise
   // with ping-pong passes through the scratch. `bounds` holds the run

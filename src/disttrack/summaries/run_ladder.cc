@@ -10,6 +10,7 @@ namespace summaries {
 void RunLadder::Reset(size_t num_cursors) {
   for (auto& run : runs_) Recycle(std::move(run.values));
   runs_.clear();
+  BoundPool();
   cursors_.assign(num_cursors, end_);
   cursors_at_end_ = num_cursors;
   trim_pending_ = false;
@@ -27,12 +28,17 @@ ValueBuffer RunLadder::TakeBuffer() {
   ValueBuffer buffer = std::move(pool_.back());
   pool_.pop_back();
   buffer.clear();
+  ++work_.pool_takes;
   return buffer;
 }
 
 void RunLadder::Recycle(ValueBuffer&& buffer) {
   if (buffer.capacity() == 0) return;
   pool_.push_back(std::move(buffer));
+}
+
+void RunLadder::BoundPool() {
+  if (pool_.size() > kMaxPooled) pool_.resize(kMaxPooled);
 }
 
 void RunLadder::AppendSortedRun(const uint64_t* values, size_t count) {
@@ -49,6 +55,7 @@ void RunLadder::AppendSortedRun(const uint64_t* values, size_t count) {
     run.values = TakeBuffer();
     run.values.assign(values, values + count);
     runs_.push_back(std::move(run));
+    ++work_.runs_appended;
   }
   end_ += count;
   cursors_at_end_ = 0;
@@ -68,6 +75,7 @@ void RunLadder::AppendSortedVector(ValueBuffer* values) {
     run.values = std::move(*values);
     runs_.push_back(std::move(run));
     *values = TakeBuffer();
+    ++work_.runs_appended;
   }
   end_ += count;
   cursors_at_end_ = 0;
@@ -105,17 +113,24 @@ void RunLadder::MergeFreeBoundaries(size_t first) {
       }
     }
     if (best == runs_.size()) break;
-    Run& a = runs_[best];
-    Run& b = runs_[best + 1];
-    ValueBuffer merged = TakeBuffer();
-    merged.resize(a.values.size() + b.values.size());
-    MergeSorted(a.values.data(), a.values.size(), b.values.data(),
-                b.values.size(), merged.data());
-    Recycle(std::move(a.values));
-    a.values = std::move(merged);
-    Recycle(std::move(b.values));
-    runs_.erase(runs_.begin() + static_cast<long>(best) + 1);
+    MergeWithNext(best);
   }
+}
+
+void RunLadder::MergeWithNext(size_t index) {
+  // The older run's buffer takes the merge: grown (geometrically, by the
+  // vector) and filled back to front, so no third buffer is taken and
+  // only the newer run's buffer goes back to the pool.
+  ValueBuffer& a = runs_[index].values;
+  ValueBuffer& b = runs_[index + 1].values;
+  const size_t na = a.size();
+  const size_t nb = b.size();
+  a.resize(na + nb);
+  MergeSorted(a.data(), na, b.data(), nb, a.data());
+  ++work_.pair_merges;
+  work_.pair_values += na + nb;
+  Recycle(std::move(b));
+  runs_.erase(runs_.begin() + static_cast<long>(index) + 1);
 }
 
 void RunLadder::AdvanceCursor(size_t cursor) {
@@ -228,6 +243,7 @@ RunView RunLadder::PullMerged(size_t cursor, MergedWindow* window) {
   window->ladder_ = this;
   window->start_ = at;
   window->end_ = end_;
+  work_.window_values += total;
   return RunView{window->values_.data(), total};
 }
 
@@ -244,6 +260,7 @@ void RunLadder::Trim() {
   if (keep > 0) {
     runs_.erase(runs_.begin(), runs_.begin() + static_cast<long>(keep));
   }
+  BoundPool();
 }
 
 void RunLadder::MergeTail() {
@@ -253,18 +270,10 @@ void RunLadder::MergeTail() {
   // still needs to pull from stays put (the cascade retries it once the
   // cursor moves on and the counter reaches it again).
   while (runs_.size() >= 2) {
-    Run& a = runs_[runs_.size() - 2];
-    Run& b = runs_.back();
-    if (a.values.size() > b.values.size()) break;
-    if (CursorAt(b.start)) break;
-    ValueBuffer merged = TakeBuffer();
-    merged.resize(a.values.size() + b.values.size());
-    MergeSorted(a.values.data(), a.values.size(), b.values.data(),
-                b.values.size(), merged.data());
-    Recycle(std::move(a.values));
-    a.values = std::move(merged);
-    Recycle(std::move(b.values));
-    runs_.pop_back();
+    const size_t older = runs_.size() - 2;
+    if (runs_[older].values.size() > runs_.back().values.size()) break;
+    if (CursorAt(runs_.back().start)) break;
+    MergeWithNext(older);
   }
 }
 

@@ -55,6 +55,12 @@
 // frozen runs). Every such buffer is
 // write-before-read: a merge target is sized and then filled completely,
 // so zero-filling it first would be a wasted pass over every merged value.
+// Merges of two ladder runs happen in place: the older run's buffer grows
+// and the newer run merges into it back to front (MergeSorted), and only
+// the newer run's buffer is recycled. The pool therefore serves appends
+// only, and Trim and Reset keep at most kMaxPooled buffers in it, so a
+// burst of trimmed runs cannot pin their memory for the ladder's life.
+// work() counts the merge volume and the pool traffic.
 
 #ifndef DISTTRACK_SUMMARIES_RUN_LADDER_H_
 #define DISTTRACK_SUMMARIES_RUN_LADDER_H_
@@ -94,6 +100,27 @@ struct DefaultInitAllocator : std::allocator<T> {
 
 /// A write-before-read value buffer (see the file comment).
 using ValueBuffer = std::vector<uint64_t, DefaultInitAllocator<uint64_t>>;
+
+/// Cumulative work of a RunLadder (survives Reset). Plain counters: they
+/// read no RNG and charge no meter, so they cannot change an output.
+struct LadderWork {
+  uint64_t runs_appended = 0;  // appends that started a new run
+  uint64_t pair_merges = 0;    // in-place merges of two adjacent runs
+  uint64_t pair_values = 0;    // values those merges produced
+  uint64_t window_values = 0;  // size of each window PullMerged merged
+  uint64_t pool_takes = 0;     // recycled buffers handed out
+
+  uint64_t merged_values() const { return pair_values + window_values; }
+
+  LadderWork& operator+=(const LadderWork& o) {
+    runs_appended += o.runs_appended;
+    pair_merges += o.pair_merges;
+    pair_values += o.pair_values;
+    window_values += o.window_values;
+    pool_takes += o.pool_takes;
+    return *this;
+  }
+};
 
 /// Borrowed view of one ascending run in ladder storage.
 struct RunView {
@@ -178,6 +205,18 @@ class RunLadder {
   /// run header and cursor.
   uint64_t SpaceWords() const;
 
+  /// Merge and pool counters since construction (see LadderWork).
+  const LadderWork& work() const { return work_; }
+
+  /// Recycled buffers currently pooled (at most kMaxPooled after a Trim
+  /// or Reset).
+  size_t pooled() const { return pool_.size(); }
+
+  // At the k = 32, eps = 5e-4 shape a bound of 4 made 8x more pair
+  // merges reallocate than 8 does; 16 and above matched an unbounded
+  // pool.
+  static constexpr size_t kMaxPooled = 8;
+
  private:
   struct Run {
     uint64_t start = 0;  // logical position of values.front()
@@ -189,9 +228,13 @@ class RunLadder {
   size_t FirstRunFrom(uint64_t position) const;
   // Merges every cursor-free adjacent pair of runs from `first` on.
   void MergeFreeBoundaries(size_t first);
+  // Merges run `index + 1` into run `index` in place and drops it.
+  void MergeWithNext(size_t index);
   void AdvanceCursor(size_t cursor);
   ValueBuffer TakeBuffer();
   void Recycle(ValueBuffer&& buffer);
+  // Drops pooled buffers beyond kMaxPooled.
+  void BoundPool();
   void Trim();
   void MergeTail();
 
@@ -205,6 +248,7 @@ class RunLadder {
   size_t cursors_at_end_ = 0;
   bool trim_pending_ = false;  // a Pull advanced a cursor since last Trim
   std::vector<ValueBuffer> pool_;  // recycled run buffers
+  LadderWork work_;
 };
 
 }  // namespace summaries

@@ -314,36 +314,61 @@ TEST(SmallSortTest, SortRunMatchesStdSortAcrossCutovers) {
   }
 }
 
-// MergeSorted against std::merge: tails 0-15 and longer runs on each
-// side, every input and output alignment, distinct and duplicate-heavy
-// keys. Output past na + nb must stay untouched.
+// MergeSorted against std::merge: every (na, nb) in 0..24 x 0..24 and
+// long runs on either side (the eight-value block path's edges 7-9 and
+// 15-17 among them); interleaved, disjoint (either input entirely below
+// the other) and duplicate-heavy keys; into a separate output and in
+// place (output == first input); the output 1-4 words past the start
+// of its buffer, so every alignment is hit. Guard words on both sides of
+// the output must stay untouched.
 TEST(SmallSortTest, MergeSortedAgreesWithStdMergeAllTailsAndAlignments) {
   Rng rng(0x5eed0004);
-  for (int trial = 0; trial < 300; ++trial) {
-    size_t na =
-        trial % 2 == 0 ? rng.UniformU64(16) : 16 + rng.UniformU64(120);
-    size_t nb =
-        trial % 3 == 0 ? rng.UniformU64(16) : 16 + rng.UniformU64(120);
-    size_t offa = rng.UniformU64(4);
-    size_t offb = rng.UniformU64(4);
-    uint64_t lim = trial % 4 == 0 ? 8 : ~0ull;  // duplicate-heavy mix
-    std::vector<uint64_t> a(offa + na);
-    std::vector<uint64_t> b(offb + nb);
-    for (size_t i = 0; i < na; ++i) a[offa + i] = rng.UniformU64(lim);
-    for (size_t i = 0; i < nb; ++i) b[offb + i] = rng.UniformU64(lim);
-    std::sort(a.begin() + static_cast<long>(offa), a.end());
-    std::sort(b.begin() + static_cast<long>(offb), b.end());
-    std::vector<uint64_t> want(na + nb);
-    std::merge(a.begin() + static_cast<long>(offa), a.end(),
-               b.begin() + static_cast<long>(offb), b.end(), want.begin());
-    std::vector<uint64_t> got(na + nb + 7, 0xDEADull);
-    size_t offo = rng.UniformU64(4);
-    MergeSorted(a.data() + offa, na, b.data() + offb, nb, got.data() + offo);
-    for (size_t i = 0; i < na + nb; ++i) {
-      ASSERT_EQ(got[offo + i], want[i]) << "na=" << na << " nb=" << nb;
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 24; ++n) lengths.push_back(n);
+  for (size_t n : {31, 32, 33, 100, 257, 1000}) lengths.push_back(n);
+  constexpr uint64_t kGuard = 0xDEADBEEFull;
+  constexpr size_t kPad = 4;
+  enum Keys { kInterleaved, kABelowB, kBBelowA, kDuplicates, kNumKeys };
+  auto draw = [&](int keys, bool first) -> uint64_t {
+    const uint64_t below = rng.UniformU64(uint64_t{1} << 32);
+    switch (keys) {
+      case kInterleaved: return rng.NextU64();
+      case kABelowB: return first ? below : below + (uint64_t{1} << 32);
+      case kBBelowA: return first ? below + (uint64_t{1} << 32) : below;
+      default: return rng.UniformU64(4);
     }
-    for (size_t i = offo + na + nb; i < got.size(); ++i) {
-      ASSERT_EQ(got[i], 0xDEADull) << "na=" << na << " nb=" << nb;
+  };
+  for (int keys = 0; keys < kNumKeys; ++keys) {
+    for (size_t na : lengths) {
+      for (size_t nb : lengths) {
+        std::vector<uint64_t> a(na);
+        std::vector<uint64_t> b(nb);
+        for (auto& x : a) x = draw(keys, true);
+        for (auto& x : b) x = draw(keys, false);
+        std::sort(a.begin(), a.end());
+        std::sort(b.begin(), b.end());
+        std::vector<uint64_t> want(na + nb);
+        std::merge(a.begin(), a.end(), b.begin(), b.end(), want.begin());
+        const size_t off = 1 + rng.UniformU64(4);
+        for (bool in_place : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "keys " << keys << " na " << na << " nb " << nb
+                       << " offset " << off << " in place " << in_place);
+          std::vector<uint64_t> buf(off + na + nb + kPad, kGuard);
+          uint64_t* out = buf.data() + off;
+          if (in_place) {
+            std::copy(a.begin(), a.end(), out);
+            MergeSorted(out, na, b.data(), nb, out);
+          } else {
+            MergeSorted(a.data(), na, b.data(), nb, out);
+          }
+          ASSERT_TRUE(std::equal(want.begin(), want.end(), out));
+          for (size_t i = 0; i < off; ++i) ASSERT_EQ(buf[i], kGuard);
+          for (size_t i = off + na + nb; i < buf.size(); ++i) {
+            ASSERT_EQ(buf[i], kGuard);
+          }
+        }
+      }
     }
   }
 }

@@ -514,6 +514,14 @@ TEST(RankAggregateRefusals, MalformedSummariesChangeNothing) {
       {"end_leaf past the leaves", 3, 5, {1}, {{1, 1}}},
       {"weight total 2^53", 1, 2, {1, 2}, {{two52, 2}}},
       {"site weight reaching 2^53", 1, 2, {1}, {{two52, 1}}},
+      // A second segment may start below the first one's end (see the
+      // accepted twin below), but must ascend within itself.
+      {"inversion at the second segment's first pair", 0, 1,
+       {5, 6, 7, 2, 1, 3, 4, 8}, {{1, 3}, {2, 8}, {4, 8}}},
+      {"inversion in the second segment's middle", 0, 1,
+       {5, 6, 7, 1, 2, 4, 3, 8}, {{1, 3}, {2, 8}, {4, 8}}},
+      {"inversion at the second segment's last pair", 0, 1,
+       {5, 6, 7, 1, 2, 3, 8, 4}, {{1, 3}, {2, 8}, {4, 8}}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
@@ -536,6 +544,14 @@ TEST(RankAggregateRefusals, MalformedSummariesChangeNothing) {
     const std::vector<Segment> next_seg = {{1, 1}};
     EXPECT_TRUE(agg.Summary(0, 1, 2, next.data(), 1, next_seg.data(), 1));
   }
+  // The inversion cases' well-formed twin is accepted.
+  RankAggregate agg(1);
+  agg.BeginRound(2.0, 4);
+  const std::vector<uint64_t> values = {5, 6, 7, 1, 2, 3, 4, 8};
+  const std::vector<Segment> segments = {{1, 3}, {2, 8}, {4, 8}};
+  EXPECT_TRUE(agg.Summary(0, 0, 1, values.data(), values.size(),
+                          segments.data(), segments.size()));
+  EXPECT_EQ(agg.SummaryWeightBelow(5), 8u);  // 1, 2, 3, 4 at weight 2
 }
 
 // The per-segment exactness check at its edges: a summary may take its

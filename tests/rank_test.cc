@@ -426,6 +426,40 @@ TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
   }
 }
 
+// The run ladder's work at the golden k = 32 shape (24 x 64Ki uniform
+// keys, seed 3, tree height 11), read from counters that touch no RNG
+// and no meter. Each arrival is merged about once per tree level: 10.0
+// values per arrival in pair merges plus 0.75 in merged windows when
+// this test was written, so h + 1 bounds the total. Pair merges write
+// into the older run's own buffer, so only appends take pooled buffers.
+// A change that raises the merge volume or brings back a merge buffer
+// per pair merge fails here, not only in the wall clock.
+TEST(RandomizedRankTest, LadderWorkAtTheTableBoundShape) {
+  const int k = 32;
+  const size_t kBatch = size_t{1} << 16;
+  const size_t batches = 24;
+  const size_t n = kBatch * batches;
+  auto input = stream::MakeFrequencyWorkload(
+      k, n, SiteSchedule::kUniformRandom, uint64_t{1} << 20, 0.0, 3);
+  auto sites = stream::MakeCountSites(k, n, SiteSchedule::kUniformRandom, 11);
+  for (size_t i = 0; i < n; ++i) input[i].site = sites[i];
+  RandomizedRankOptions o;
+  o.num_sites = k;
+  o.epsilon = 5e-4;
+  o.seed = 3;
+  RandomizedRankTracker tracker(o);
+  for (size_t b = 0; b < batches; ++b) {
+    tracker.ArriveBatch(input.data() + b * kBatch, kBatch);
+  }
+  const summaries::LadderWork work = tracker.ladder_work();
+  ASSERT_EQ(tracker.height(), 11);
+  EXPECT_GT(work.pair_merges, 0u);
+  EXPECT_GT(work.window_values, 0u);
+  EXPECT_LE(work.merged_values(),
+            static_cast<uint64_t>(tracker.height() + 1) * n);
+  EXPECT_LE(work.pool_takes, work.runs_appended);
+}
+
 TEST(RandomizedRankTest, DuplicateValuesHandled) {
   RandomizedRankOptions o;
   o.num_sites = 4;

@@ -5,7 +5,8 @@
 // cursor still needs), fully-consumed runs are trimmed, and the append
 // fast paths (extend-in-place, buffer handoff) preserve all of it;
 // PullMerged hands out the same window as one sorted view, merged once
-// for back-to-back pulls of that window.
+// for back-to-back pulls of that window; pair merges run in place and the
+// recycled-buffer pool stays bounded.
 
 #include <algorithm>
 #include <map>
@@ -246,6 +247,48 @@ TEST(RunLadderTest, ResetDropsDataAndRealignsCursors) {
   ladder.AppendValue(42);
   EXPECT_EQ(ladder.pending(0), 1u);
   EXPECT_EQ(ladder.end(), 6u);
+}
+
+// Pair merges grow the older run's buffer and merge the newer run into
+// it, so they take nothing from the pool: only appends do. Trim and
+// Reset keep at most kMaxPooled recycled buffers.
+TEST(RunLadderTest, PairMergesTakeNoPooledBufferAndThePoolStaysBounded) {
+  RunLadder ladder;
+  ladder.Reset(1);
+  Rng rng(11);
+  std::vector<uint64_t> all;
+  for (int r = 0; r < 300; ++r) {
+    ValueBuffer run(1 + rng.UniformU64(20));
+    for (auto& x : run) x = rng.UniformU64(1000);
+    std::sort(run.begin(), run.end());
+    all.insert(all.end(), run.begin(), run.end());
+    ladder.AppendSortedVector(&run);
+    ladder.Consolidate();
+  }
+  const LadderWork& work = ladder.work();
+  EXPECT_GT(work.pair_merges, 0u);
+  EXPECT_GE(work.pair_values, 2 * work.pair_merges);
+  EXPECT_LE(work.pool_takes, work.runs_appended);
+  std::vector<RunView> views;
+  ASSERT_EQ(ladder.Pull(0, &views), all.size());
+  std::vector<uint64_t> got = Flatten(views);
+  std::sort(got.begin(), got.end());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(got, all);
+  ladder.Consolidate();  // trims every run
+  EXPECT_EQ(ladder.held(), 0u);
+  EXPECT_LE(ladder.pooled(), RunLadder::kMaxPooled);
+
+  // Shrinking runs never merge (the older neighbour is bigger), so many
+  // buffers are live when Reset recycles them all at once.
+  for (size_t size = 60; size > 0; --size) {
+    std::vector<uint64_t> run(size, size);  // descending: no extension
+    ladder.AppendSortedRun(run.data(), run.size());
+    ladder.Consolidate();
+  }
+  EXPECT_EQ(ladder.run_count(), 60u);
+  ladder.Reset(1);
+  EXPECT_LE(ladder.pooled(), RunLadder::kMaxPooled);
 }
 
 TEST(RunLadderTest, SpaceWordsTracksHeldValues) {
