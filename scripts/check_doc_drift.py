@@ -24,6 +24,13 @@ Four cross-checks, all exact:
    examples/ must exist — relative to the repo root, to docs/, or to
    the citing file's directory.
 
+5. Every code name README.md or docs/*.md cites in backticks must occur
+   somewhere under src/, tests/, bench/, perfbench/, examples/ or
+   scripts/. Three shapes are checked: qualified names (each component
+   of `a::B::C` that is not a lowercase namespace; `std::` is exempt),
+   call-shaped names (`Name(...)`, `obj.Name()`) and UpperCamelCase
+   identifiers (`SiteCore`). Fenced code blocks are not citations.
+
 No dependencies beyond the standard library; run from anywhere:
 
     python3 scripts/check_doc_drift.py
@@ -43,6 +50,7 @@ BENCH = ROOT / "bench" / "bench_throughput.cpp"
 OPERATIONS = ROOT / "docs" / "OPERATIONS.md"
 DOCS = ROOT / "docs"
 CITING_DIRS = ("src", "tests", "bench", "examples")
+CODE_DIRS = ("src", "tests", "bench", "perfbench", "examples", "scripts")
 # Exit codes flow from two layers per binary: the flag-parsing main and
 # the runtime loop it tail-returns.
 COORDINATOR_SOURCES = (
@@ -254,6 +262,45 @@ def check_doc_citations():
                          f"which does not exist")
 
 
+QUALIFIED = re.compile(r"^[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+")
+CALL = re.compile(r"^(?:[\w:]+(?:\.|->))?([A-Za-z_]\w*)\(")
+CAMEL = re.compile(r"^[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+$")
+
+
+def cited_names(text):
+    """The code names a Markdown text cites in inline backticks."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    names = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        span = " ".join(span.split())  # a span may wrap across lines
+        m = QUALIFIED.match(span)
+        if m and not span.startswith("std::"):
+            parts = m.group(0).split("::")
+            names.update(p.lstrip("~") for i, p in enumerate(parts)
+                         if i == len(parts) - 1 or not p.islower())
+            continue
+        m = CALL.match(span)
+        if m:
+            names.add(m.group(1))
+        elif CAMEL.match(span):
+            names.add(span)
+    return names
+
+
+def check_code_citations():
+    words = set()
+    for top in CODE_DIRS:
+        for path in (ROOT / top).rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                text = path.read_text(encoding="utf-8", errors="replace")
+                words.update(re.findall(r"\w+", text))
+    for doc in [README, *sorted(DOCS.glob("*.md"))]:
+        for name in sorted(cited_names(doc.read_text(encoding="utf-8"))):
+            if name not in words:
+                fail(f"{doc.relative_to(ROOT)}: cites `{name}`, which "
+                     f"occurs nowhere in the code")
+
+
 def run():
     """All checks; prints a report and returns a process exit code."""
     del errors[:]
@@ -267,13 +314,15 @@ def run():
         check_delivery_paths()
         check_exit_codes()
         check_doc_citations()
+        check_code_citations()
     if errors:
         for msg in errors:
             print(f"doc-drift: {msg}", file=sys.stderr)
         print(f"doc-drift: {len(errors)} error(s)", file=sys.stderr)
         return 1
     print("doc-drift: wire-protocol table, delivery-paths table, "
-          "exit-code table and doc citations all match the source")
+          "exit-code table, doc citations and cited code names all match "
+          "the source")
     return 0
 
 

@@ -34,6 +34,11 @@ Rules (catalog + rationale: docs/STATIC_ANALYSIS.md):
                    point validates its site ids (sim::CheckSiteInRange,
                    directly or via a checked helper) — the PR 4
                    abort-with-diagnostic invariant.
+  no-threads       no std::thread / std::jthread / std::async and no
+                   pthread_create / fork / vfork / posix_spawn anywhere
+                   in src/ outside src/disttrack/service/ — the library
+                   starts no threads or processes, which the TSan leg's
+                   scope rests on.
 
 Suppression: a finding is suppressed by an annotation comment on the
 same line or on the comment block immediately above it:
@@ -69,6 +74,7 @@ RULES = (
     "wire-switch",
     "meter-tap",
     "site-check",
+    "no-threads",
 )
 
 # ----------------------------------------------------------------- lexer
@@ -648,6 +654,50 @@ def rule_site_check(src):
                 f"with a diagnostic, not corrupt per-site state"))
     return findings
 
+# ---------------------------------------------------- rule: no-threads
+
+_THREAD_NAMES = {"thread", "jthread", "async"}  # as std:: names
+_SPAWN_CALLS = {"pthread_create", "fork", "vfork", "posix_spawn",
+                "posix_spawnp"}
+# The service layer owns the process model (site processes, the daemon).
+_THREADS_ALLOWED = "src/disttrack/service/"
+# Keywords that may precede an expression: `return fork()` and
+# `return ::fork()` are calls, not declarations or qualified members.
+_EXPR_KEYWORDS = {"return", "else", "do", "case", "throw"}
+
+
+def rule_no_threads(src):
+    if not src.rel.startswith("src/") or src.rel.startswith(_THREADS_ALLOWED):
+        return []
+    findings = []
+    code = src.code
+    for i, tok in enumerate(code):
+        if tok.kind != "id":
+            continue
+        prev = code[i - 1].text if i else ""
+        qualifier = code[i - 2] if i >= 2 and prev == "::" else None
+        if tok.text in _THREAD_NAMES:
+            if qualifier is None or qualifier.text != "std":
+                continue
+            what = f"std::{tok.text}"
+        elif tok.text in _SPAWN_CALLS and i + 1 < len(code) \
+                and code[i + 1].text == "(":
+            if prev in (".", "->"):
+                continue  # member of some object, not the libc call
+            if qualifier is not None and qualifier.kind == "id" \
+                    and qualifier.text not in _EXPR_KEYWORDS | {"std"}:
+                continue  # qualified member (Tree::fork), not libc
+            if i and code[i - 1].kind == "id" and prev not in _EXPR_KEYWORDS:
+                continue  # a declaration (int fork(...)), not a call
+            what = f"{tok.text}()"
+        else:
+            continue
+        findings.append(Finding(
+            src.rel, tok.line, "no-threads",
+            f"{what} outside src/disttrack/service/ — the library starts "
+            f"no threads or processes (the TSan leg's scope rests on it)"))
+    return findings
+
 # ------------------------------------------------------------- driver
 
 
@@ -695,6 +745,7 @@ def run_rules(files, root, wire_paths=None):
             findings.extend(rule_pointer_key(src))
             findings.extend(rule_meter_tap(src))
             findings.extend(rule_site_check(src))
+            findings.extend(rule_no_threads(src))
         findings.extend(rule_banned_source(src))
 
     if wire_paths is None:
@@ -784,6 +835,7 @@ def self_test(root):
         findings.extend(rule_pointer_key(src))
         findings.extend(rule_meter_tap(src))
         findings.extend(rule_site_check(src))
+        findings.extend(rule_no_threads(src))
         findings.extend(rule_banned_source(src))
         kept, suppressed = apply_suppressions(findings, annotations)
         return kept

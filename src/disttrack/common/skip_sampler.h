@@ -32,6 +32,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "disttrack/common/random.h"
 
@@ -81,15 +82,17 @@ class SkipSampler {
   /// Arrivals that will fail before the next success (diagnostics/tests).
   uint64_t pending_skips() const { return skip_; }
 
-  /// Raw state for crash snapshots. `raw_inv_log` must round-trip
-  /// bit-exactly (snapshot code stores its bit pattern), because the Draw
+  /// Crash-snapshot state as two words: the skip and the bit pattern of
+  /// 1/log(1-p). The latter must round-trip bit-exactly, because the Draw
   /// inversion multiplies by it: an ulp of drift could flip a floor and
   /// desynchronize the replayed coin stream.
-  uint64_t raw_skip() const { return skip_; }
-  double raw_inv_log() const { return inv_log_; }
-  void RestoreRaw(uint64_t skip, double inv_log) {
-    skip_ = skip;
-    inv_log_ = inv_log;
+  void Save(uint64_t out[2]) const {
+    out[0] = skip_;
+    std::memcpy(&out[1], &inv_log_, sizeof(inv_log_));
+  }
+  void Restore(const uint64_t in[2]) {
+    skip_ = in[0];
+    std::memcpy(&inv_log_, &in[1], sizeof(inv_log_));
   }
 
  private:

@@ -7,15 +7,20 @@
 //
 // All three randomized trackers (count, frequency, rank) are built on this
 // component: the broadcast both refreshes their sampling probability p and
-// delimits their rounds. Their replay ports (sim::SiteCore's hosted
-// sites) share its replayed arrival, ReplayArrive, so the site's
-// kCoarseReport frame is written here once.
+// delimits their rounds. Each of their site classes holds one CoarseSite
+// and hands its reports to a coordinator port: in process the port calls
+// CoarseTracker::Report, in a hosted site (sim::HostedSite) it only emits
+// the kCoarseReport frame (TapCoarsePort).
 
 #ifndef DISTTRACK_COUNT_COARSE_TRACKER_H_
 #define DISTTRACK_COUNT_COARSE_TRACKER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "disttrack/sim/comm_meter.h"
@@ -36,6 +41,9 @@ inline uint64_t BroadcastLimit(uint64_t n_bar) {
 /// `next_report` is always a power of two and `last_reported` the one
 /// before it (0 before the first report).
 struct CoarseSite {
+  /// Words of Save / Restore.
+  static constexpr size_t kWords = 3;
+
   uint64_t count = 0;          // exact local count n_i
   uint64_t next_report = 1;    // report when count reaches this (doubles)
   uint64_t last_reported = 0;  // n'_i at the coordinator
@@ -51,6 +59,25 @@ struct CoarseSite {
     return delta;
   }
 
+  /// Arrivals before the next report fires (always >= 1). Batch engines
+  /// use this to bound how far they may advance without observing an
+  /// event.
+  uint64_t arrivals_until_report() const { return next_report - count; }
+
+  /// Advances by `n` arrivals known to contain no report (requires
+  /// n < arrivals_until_report(); aborts otherwise). The run loops of the
+  /// batch engines retire eventless stretches here.
+  void AdvanceNoReport(uint64_t n) {
+    if (n >= arrivals_until_report()) {
+      std::fprintf(stderr,
+                   "CoarseSite: eventless advance of %llu crosses the "
+                   "report threshold\n",
+                   static_cast<unsigned long long>(n));
+      std::abort();
+    }
+    count += n;
+  }
+
   /// Summed n' delta of every report `h` further arrivals would fire,
   /// without advancing. Reports telescope, so it is the last threshold
   /// reached (the floor power of two of the final count) minus the value
@@ -60,6 +87,29 @@ struct CoarseSite {
     if (final_count < next_report) return 0;
     return (uint64_t{1} << (63 - __builtin_clzll(final_count))) -
            last_reported;
+  }
+
+  void Save(uint64_t out[kWords]) const {
+    out[0] = count;
+    out[1] = next_report;
+    out[2] = last_reported;
+  }
+  void Restore(const uint64_t in[kWords]) {
+    count = in[0];
+    next_report = in[1];
+    last_reported = in[2];
+  }
+};
+
+/// The site half of a CoarseSite owner's coordinator port, for a site
+/// whose coordinator lives elsewhere (sim::HostedSite): a report only
+/// emits its kCoarseReport frame; the coordinator's decision, and with it
+/// any ritual, comes back reentrantly from the tap. Each site class's
+/// TapPort derives from it.
+struct TapCoarsePort {
+  sim::wire::WireTap* tap = nullptr;
+  void CoarseReport(int site, uint64_t delta) const {
+    sim::wire::Emit(tap, sim::wire::MsgType::kCoarseReport, site, 0, delta);
   }
 };
 
@@ -87,7 +137,9 @@ struct CoarseMirror {
   }
 };
 
-/// Maintains n̄, a factor-4 approximation of n, with O(k logN) traffic.
+/// Maintains n̄, a factor-4 approximation of n, with O(k logN) traffic:
+/// the coordinator half. The sites' halves are CoarseSites, held by their
+/// owners.
 class CoarseTracker {
  public:
   /// Invoked immediately after each broadcast, with the new round index
@@ -96,40 +148,34 @@ class CoarseTracker {
   using BroadcastObserver = std::function<void(uint64_t round, uint64_t n_bar)>;
 
   /// Traffic is charged to `meter` (not owned; must outlive the tracker).
-  CoarseTracker(int num_sites, sim::CommMeter* meter);
+  explicit CoarseTracker(sim::CommMeter* meter) : meter_(meter) {}
 
   /// Registers an observer; observers fire in registration order.
-  void AddObserver(BroadcastObserver observer);
-
-  /// One element arrives at `site`; may trigger an upload and a broadcast.
-  void Arrive(int site);
-
-  /// Advances `site` by `count` arrivals in bulk, firing every report and
-  /// broadcast at exactly the local counts where per-element Arrive() calls
-  /// would have fired them. Reports double in spacing, so a run of m
-  /// arrivals costs O(log m) work plus events — this is the coarse-tracker
-  /// half of the batched fast path.
-  void ArriveRun(int site, uint64_t count);
-
-  /// Arrivals at `site` before its next report fires (always >= 1). Batch
-  /// engines use this to bound how far they may advance without observing
-  /// an event.
-  uint64_t arrivals_until_report(int site) const {
-    const CoarseSite& s = local_[static_cast<size_t>(site)];
-    return s.next_report - s.count;
+  void AddObserver(BroadcastObserver observer) {
+    observers_.push_back(std::move(observer));
   }
 
-  /// True iff one more arrival at `site` fires a report that broadcasts.
-  bool ArriveBroadcasts(int site) const {
-    CoarseSite next = local_[static_cast<size_t>(site)];
-    uint64_t delta = next.Arrive();
-    return delta > 0 && coordinator_.WouldBroadcast(delta);
+  /// One element arrives at `site`, whose site half is `*local`; may
+  /// trigger an upload and a broadcast.
+  void Arrive(int site, CoarseSite* local) {
+    if (uint64_t delta = local->Arrive()) Report(site, delta);
   }
 
-  /// True iff a batch delivering `histogram[i]` arrivals to site i cannot
-  /// trigger a broadcast — under ANY interleaving of the sites. This is
-  /// the safety gate of the site-grouped delivery engines
-  /// (common/site_group.h), and it is EXACT for carry-free batches:
+  /// Site `site`'s report carrying `delta`: charges the upload, refreshes
+  /// n', and broadcasts if n' has at least doubled since the last
+  /// broadcast (first broadcast at the very first report).
+  void Report(int site, uint64_t delta);
+
+  /// True iff a report adding `delta` to n' would broadcast.
+  bool WouldBroadcast(uint64_t delta) const {
+    return coordinator_.WouldBroadcast(delta);
+  }
+
+  /// True iff a batch delivering `histogram[i]` arrivals to site i, whose
+  /// site half is CoarseOf(sites[i]), cannot trigger a broadcast — under
+  /// ANY interleaving of the sites. This is the safety gate of the
+  /// site-grouped delivery engines (common/site_group.h), and it is EXACT
+  /// for carry-free batches:
   ///
   /// A site's reports fire at fixed local counts (the power-of-two
   /// doubling thresholds), so the set of reports the batch produces — and
@@ -141,52 +187,30 @@ class CoarseTracker {
   /// batch broadcasts iff the final n' reaches the threshold.
   ///
   /// `carry[i]`, when non-null, counts arrivals already delivered to
-  /// site i but not yet advanced through this tracker (the rank engine
+  /// site i but not yet advanced through its site half (the rank engine
   /// buffers eventless runs across chunk boundaries); they may be fed
   /// during the batch, so a site receiving new arrivals is projected
   /// over histogram[i] + carry[i]. A site with histogram[i] == 0 is not
   /// touched by the batch at all — its carry stays unfed and is ignored.
   /// With carry the test is an upper bound (the batch may end before
   /// feeding everything), which can only cause a harmless fallback.
-  bool BatchCannotBroadcast(const uint32_t* histogram,
+  template <typename Sites>
+  bool BatchCannotBroadcast(const Sites& sites, const uint32_t* histogram,
                             const uint64_t* carry = nullptr) const {
     uint64_t delta = 0;
-    for (size_t i = 0; i < local_.size(); ++i) {
+    for (size_t i = 0; i < sites.size(); ++i) {
       uint64_t h = histogram[i];
       if (h == 0) continue;
       if (carry != nullptr) h += carry[i];
-      delta += local_[i].ReportDeltaAfter(h);
+      delta += CoarseOf(sites[i]).ReportDeltaAfter(h);
       if (coordinator_.WouldBroadcast(delta)) return false;
     }
     return !coordinator_.WouldBroadcast(delta);
   }
 
-  /// Advances `site` by `count` arrivals known to contain no report
-  /// (requires count < arrivals_until_report(site); aborts otherwise).
-  /// The run loops of the batch engines retire eventless stretches here.
-  void AdvanceLocalNoReport(int site, uint64_t count);
-
-  // --- Wire layer / crash recovery ---------------------------------------
-
-  /// The replay half of Arrive(), for a site whose coordinator lives
-  /// elsewhere (sim::SiteCore): advances `site` site-locally and emits its
-  /// kCoarseReport frame through this tracker's tap, with no n', round or
-  /// meter write. The coordinator's decision, and with it any ritual,
-  /// comes back reentrantly from the tap.
-  void ReplayArrive(int site);
-
   /// Installs a message tap (sim/wire.h): every coarse report and every
   /// broadcast is mirrored as a typed message. nullptr disables.
   void set_wire_tap(sim::wire::WireTap* tap) { tap_ = tap; }
-
-  /// Serializes one site's local half (count, next_report, last_reported)
-  /// into `*out` (appended). The coordinator half (n', n̄, round) is not
-  /// site state and is never part of a site snapshot.
-  void SerializeSite(int site, std::vector<uint64_t>* out) const;
-
-  /// Restores a site's local half from SerializeSite output at `data`.
-  /// Returns the number of words consumed.
-  size_t RestoreSite(int site, const uint64_t* data);
 
   /// Last broadcast value (0 before the first element arrives).
   uint64_t n_bar() const { return coordinator_.n_bar; }
@@ -198,22 +222,15 @@ class CoarseTracker {
   /// n' <= n < 2n'.
   uint64_t n_prime() const { return coordinator_.n_prime; }
 
-  /// Exact local count of one site (site-side state).
-  uint64_t local_count(int site) const;
-
-  int num_sites() const { return static_cast<int>(local_.size()); }
-
  private:
-  // Slow path of Arrive(): charge the upload of a report carrying
-  // `delta`, refresh n', and broadcast if n' has at least doubled since
-  // the last broadcast.
-  void ReportAndMaybeBroadcast(int site, uint64_t delta);
-  // Emits `site`'s kCoarseReport frame carrying `delta` to the tap.
-  void EmitReport(int site, uint64_t delta);
+  static const CoarseSite& CoarseOf(const CoarseSite& site) { return site; }
+  template <typename Site>
+  static const CoarseSite& CoarseOf(const Site& site) {
+    return site.coarse();
+  }
 
   sim::CommMeter* meter_;
   sim::wire::WireTap* tap_ = nullptr;
-  std::vector<CoarseSite> local_;
   std::vector<BroadcastObserver> observers_;
   CoarseMirror coordinator_;
 };

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "disttrack/common/math_util.h"
 
@@ -48,94 +47,110 @@ void CountChunk(SiteGrouper* grouper, const uint16_t* sites, size_t count,
 
 }  // namespace
 
+CountSite::CountSite(const RandomizedCountOptions& options, int site)
+    : options_(options),
+      rng_(options.seed * 0x9E3779B97F4A7C15ull + static_cast<uint64_t>(site)),
+      site_(site) {
+  skip_.ResetPow2(log2_inv_p_, &rng_);
+}
+
+template <typename Port>
+void CountSite::Arrive(uint64_t /*key*/, Port& port) {
+  // The coarse tracker may broadcast here, halving p before this arrival's
+  // coin is consumed — the skip redraw (or the flip below) then uses the
+  // up-to-date p.
+  if (uint64_t delta = coarse_.Arrive()) port.CoarseReport(site_, delta);
+  bool hit = options_.use_skip_sampling
+                 ? skip_.Next(&rng_)
+                 : rng_.Bernoulli(1.0 / static_cast<double>(inv_p()));
+  if (hit) {
+    reported_ = coarse_.count;
+    port.Report(sim::wire::MsgType::kCoinReport, site_, reported_);
+  }
+}
+
+// At each halving of p, a site holding a report keeps it with probability
+// 1/2 (Bernoulli-process thinning), otherwise walks n̄_i down one position
+// per failed Bernoulli(p_new) coin until a success or zero, and tells the
+// coordinator. A halved p invalidates the outstanding skip, which encodes
+// a gap of the *old* coin process; unconsumed coins are independent of
+// everything observed, so one redraw at the final p is exact (see
+// skip_sampler.h), however many halvings there were.
+template <typename Port>
+void CountSite::Ritual(uint64_t n_bar, Port& port) {
+  const uint64_t new_inv_p = options_.InvP(n_bar);
+  if (inv_p() >= new_inv_p) return;
+  while (inv_p() < new_inv_p) {
+    ++log2_inv_p_;
+    if (reported_ == 0 || rng_.Bernoulli(0.5)) continue;
+    uint64_t failures =
+        rng_.GeometricFailures(1.0 / static_cast<double>(inv_p()));
+    reported_ = failures >= reported_ - 1 ? 0 : reported_ - 1 - failures;
+    port.Report(sim::wire::MsgType::kCorrection, site_, reported_);
+  }
+  if (options_.use_skip_sampling) skip_.ResetPow2(log2_inv_p_, &rng_);
+}
+
+template void CountSite::Arrive(uint64_t, CountSite::TapPort&);
+template void CountSite::Ritual(uint64_t, CountSite::TapPort&);
+
+void CountSite::Serialize(std::vector<uint64_t>* out) const {
+  uint64_t words[kBlobWords];
+  words[0] = static_cast<uint64_t>(log2_inv_p_);
+  coarse_.Save(words + 1);
+  uint64_t* w = words + 1 + CoarseSite::kWords;
+  w[0] = reported_;
+  skip_.Save(w + 1);
+  rng_.SaveState(w + 3);
+  out->insert(out->end(), words, words + kBlobWords);
+}
+
+bool CountSite::Restore(const std::vector<uint64_t>& blob) {
+  if (blob.size() != kBlobWords || blob[0] >= 64) return false;
+  log2_inv_p_ = static_cast<int>(blob[0]);
+  coarse_.Restore(blob.data() + 1);
+  const uint64_t* w = blob.data() + 1 + CoarseSite::kWords;
+  reported_ = w[0];
+  skip_.Restore(w + 1);
+  rng_.RestoreState(w + 3);
+  return true;
+}
+
 RandomizedCountTracker::RandomizedCountTracker(
     const RandomizedCountOptions& options)
     : options_(options),
       meter_(options.num_sites),
       space_(options.num_sites),
-      sites_(static_cast<size_t>(options.num_sites)),
+      coarse_(&meter_),
       agg_(options.num_sites, options.naive_boundary_estimator) {
+  sites_.reserve(static_cast<size_t>(options_.num_sites));
   for (int i = 0; i < options_.num_sites; ++i) {
-    SiteState& s = sites_[static_cast<size_t>(i)];
-    s.rng =
-        Rng(options_.seed * 0x9E3779B97F4A7C15ull + static_cast<uint64_t>(i));
-    s.skip.ResetPow2(log2_inv_p_, &s.rng);
+    sites_.emplace_back(options_, i);
     // O(1) site state: counter, last report, doubling threshold, 1/p copy,
     // plus the skip countdown on the fast path.
     space_.Set(i, options_.use_skip_sampling ? 5 : 4);
   }
-  coarse_ = std::make_unique<CoarseTracker>(options_.num_sites, &meter_);
-  coarse_->AddObserver([this](uint64_t round, uint64_t n_bar) {
+  coarse_.AddObserver([this](uint64_t round, uint64_t n_bar) {
     OnBroadcast(round, n_bar);
   });
   countdown_.Resize(options_.num_sites);
 }
 
 double RandomizedCountTracker::p() const {
-  return 1.0 / static_cast<double>(inv_p_);
+  return 1.0 / static_cast<double>(agg_.inv_p());
 }
 
 struct RandomizedCountTracker::DirectPort {
   RandomizedCountTracker* t;
-  void CoarseArrive(int site) { t->coarse_->Arrive(site); }
+  void CoarseReport(int site, uint64_t delta) {
+    t->coarse_.Report(site, delta);
+  }
   void Report(sim::wire::MsgType type, int site, uint64_t value) {
     t->meter_.RecordUpload(site, 1);
     t->agg_.Set(site, value);
-    t->EmitTap(type, site, value);
+    sim::wire::Emit(t->tap_, type, site, t->coarse_.round(), value);
   }
 };
-
-// Site-local state and the RNG stream advance exactly as in the serial
-// execution; no n', round, meter or aggregate write happens.
-struct RandomizedCountTracker::ReplayPort {
-  RandomizedCountTracker* t;
-  void CoarseArrive(int site) { t->coarse_->ReplayArrive(site); }
-  void Report(sim::wire::MsgType type, int site, uint64_t value) {
-    t->EmitTap(type, site, value);
-  }
-};
-
-template <typename Port>
-inline void RandomizedCountTracker::SiteEvent(int site, Port& port) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  ++s.count;
-  // The coarse tracker may broadcast here, halving p before this arrival's
-  // coin is consumed — the skip redraw (or the flip below) then uses the
-  // up-to-date p.
-  port.CoarseArrive(site);
-  bool hit = options_.use_skip_sampling
-                 ? s.skip.Next(&s.rng)
-                 : s.rng.Bernoulli(1.0 / static_cast<double>(inv_p_));
-  if (hit) {
-    s.reported = s.count;
-    port.Report(sim::wire::MsgType::kCoinReport, site, s.reported);
-  }
-}
-
-// A site holding a report keeps it with probability 1/2 (Bernoulli-process
-// thinning), otherwise walks n̄_i down one position per failed
-// Bernoulli(p_new) coin until a success or zero, and tells the
-// coordinator.
-template <typename Port>
-void RandomizedCountTracker::ThinSite(int site, double p_new, Port& port) {
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  if (s.reported == 0 || s.rng.Bernoulli(0.5)) return;
-  uint64_t failures = s.rng.GeometricFailures(p_new);
-  s.reported = failures >= s.reported - 1 ? 0 : s.reported - 1 - failures;
-  port.Report(sim::wire::MsgType::kCorrection, site, s.reported);
-}
-
-template <typename Thin>
-bool RandomizedCountTracker::HalveTo(uint64_t n_bar, Thin thin) {
-  uint64_t new_inv_p = options_.InvP(n_bar);
-  bool halved = inv_p_ < new_inv_p;
-  while (inv_p_ < new_inv_p) {
-    inv_p_ *= 2;
-    ++log2_inv_p_;
-    thin(1.0 / static_cast<double>(inv_p_));
-  }
-  return halved;
-}
 
 void RandomizedCountTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
   if (grouped_chunk_active_) {
@@ -148,100 +163,27 @@ void RandomizedCountTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
                  "— the broadcast-safety bound is wrong\n");
     std::abort();
   }
-  // The re-randomization ritual, once per halving, at every site (§2.1).
-  // The broadcast that told sites the new n̄ was already charged by
-  // CoarseTracker; the corrections are charged by the port.
+  // Mid-batch, the countdowns were scheduled from the old skips: flush
+  // them before the rituals redraw, and re-arm after.
+  if (in_batch_) ResyncAllMidBatch();
+  // The re-randomization ritual, at every site (§2.1). The broadcast that
+  // told sites the new n̄ was already charged by CoarseTracker; the
+  // corrections are charged by the port.
   DirectPort port{this};
-  bool halved = HalveTo(n_bar, [&](double p_new) {
-    for (int i = 0; i < options_.num_sites; ++i) ThinSite(i, p_new, port);
-  });
-  agg_.BeginRound(inv_p_);
-  // A halved p invalidates every outstanding skip: the counters encode
-  // gaps of the *old* coin process. Unconsumed coins are independent of
-  // everything observed, so redrawing at the final p is exact (see
-  // skip_sampler.h). One redraw after the loop covers any number of
-  // halvings. Mid-batch, the countdowns scheduled from the old skips must
-  // be flushed first and re-armed after.
-  if (halved && options_.use_skip_sampling) {
-    if (in_batch_) ResyncAllMidBatch();
-    for (SiteState& s : sites_) s.skip.ResetPow2(log2_inv_p_, &s.rng);
-    if (in_batch_) RearmAll();
-  }
-}
-
-void RandomizedCountTracker::EmitTap(sim::wire::MsgType type, int site,
-                                     uint64_t a) {
-  if (tap_ == nullptr) return;
-  sim::wire::Message msg;
-  msg.type = type;
-  msg.site = site;
-  msg.epoch = coarse_->round();
-  msg.a = a;
-  msg.paper_words = 1;
-  tap_->OnMessage(std::move(msg));
+  for (CountSite& site : sites_) site.Ritual(n_bar, port);
+  agg_.BeginRound(options_.InvP(n_bar));
+  if (in_batch_) RearmAll();
 }
 
 void RandomizedCountTracker::set_wire_tap(sim::wire::WireTap* tap) {
   tap_ = tap;
-  coarse_->set_wire_tap(tap);
-}
-
-void RandomizedCountTracker::SerializeSiteState(
-    int site, std::vector<uint64_t>* out) const {
-  out->push_back(inv_p_);
-  out->push_back(static_cast<uint64_t>(log2_inv_p_));
-  coarse_->SerializeSite(site, out);
-  const SiteState& s = sites_[static_cast<size_t>(site)];
-  out->push_back(s.count);
-  out->push_back(s.reported);
-  out->push_back(s.skip.raw_skip());
-  uint64_t inv_log_bits = 0;
-  double inv_log = s.skip.raw_inv_log();
-  std::memcpy(&inv_log_bits, &inv_log, sizeof(inv_log_bits));
-  out->push_back(inv_log_bits);
-  uint64_t rng_state[4];
-  s.rng.SaveState(rng_state);
-  for (uint64_t word : rng_state) out->push_back(word);
-}
-
-void RandomizedCountTracker::RestoreSiteState(
-    int site, const std::vector<uint64_t>& blob) {
-  size_t i = 0;
-  inv_p_ = blob[i++];
-  log2_inv_p_ = static_cast<int>(blob[i++]);
-  i += coarse_->RestoreSite(site, blob.data() + i);
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  s.count = blob[i++];
-  s.reported = blob[i++];
-  uint64_t skip = blob[i++];
-  uint64_t inv_log_bits = blob[i++];
-  double inv_log = 0;
-  std::memcpy(&inv_log, &inv_log_bits, sizeof(inv_log));
-  s.skip.RestoreRaw(skip, inv_log);
-  uint64_t rng_state[4];
-  for (int j = 0; j < 4; ++j) rng_state[j] = blob[i++];
-  s.rng.RestoreState(rng_state);
-}
-
-void RandomizedCountTracker::ReplayCrashArrive(int site, uint64_t /*key*/) {
-  ReplayPort port{this};
-  SiteEvent(site, port);
-}
-
-void RandomizedCountTracker::ReplayCrashRitual(int site, uint64_t n_bar) {
-  ReplayPort port{this};
-  bool halved =
-      HalveTo(n_bar, [&](double p_new) { ThinSite(site, p_new, port); });
-  if (halved && options_.use_skip_sampling) {
-    SiteState& s = sites_[static_cast<size_t>(site)];
-    s.skip.ResetPow2(log2_inv_p_, &s.rng);
-  }
+  coarse_.set_wire_tap(tap);
 }
 
 inline void RandomizedCountTracker::ArriveOne(int site) {
   ++n_;
   DirectPort port{this};
-  SiteEvent(site, port);
+  sites_[static_cast<size_t>(site)].Arrive(0, port);
 }
 
 void RandomizedCountTracker::Arrive(int site) {
@@ -249,40 +191,23 @@ void RandomizedCountTracker::Arrive(int site) {
   ArriveOne(site);
 }
 
-uint64_t RandomizedCountTracker::NextEventGap(int site) const {
-  const SiteState& s = sites_[static_cast<size_t>(site)];
-  return std::min(coarse_->arrivals_until_report(site),
-                  s.skip.pending_skips() + 1);
-}
-
 void RandomizedCountTracker::RearmSite(int site) {
-  countdown_.Arm(site, NextEventGap(site));
+  countdown_.Arm(site, sites_[static_cast<size_t>(site)].NextEventGap());
 }
 
 void RandomizedCountTracker::RearmAll() {
   for (int i = 0; i < options_.num_sites; ++i) RearmSite(i);
 }
 
-// Retires `consumed` arrivals at `site` that are known to be eventless:
-// plain count advances and coin failures. By construction consumed is
-// strictly below both the coarse-report gap and the pending skip count, so
-// neither a report nor a coin success can fire here.
-void RandomizedCountTracker::SyncEventless(int site, uint64_t consumed) {
-  if (consumed == 0) return;
-  SiteState& s = sites_[static_cast<size_t>(site)];
-  s.count += consumed;
-  s.skip.ConsumeFailures(consumed);
-  coarse_->AdvanceLocalNoReport(site, consumed);
-}
-
-// Flushes every site's consumed-but-unreconciled arrivals. Called when a
-// mid-batch broadcast is about to redraw the skips (the countdowns encode
-// coin gaps of the old p) and at batch end.
+// Flushes every site's consumed-but-unreconciled arrivals, which are
+// eventless by construction. Called when a mid-batch broadcast is about
+// to redraw the skips (the countdowns encode coin gaps of the old p) and
+// at batch end.
 void RandomizedCountTracker::ResyncAllMidBatch() {
   for (int i = 0; i < options_.num_sites; ++i) {
     uint64_t consumed = countdown_.Outstanding(i);
     countdown_.Reconcile(i);
-    SyncEventless(i, consumed);
+    sites_[static_cast<size_t>(i)].AdvanceNoEvent(consumed);
   }
 }
 
@@ -292,9 +217,10 @@ void RandomizedCountTracker::HandleEventArrival(int site) {
   // TakeEventPrefix marks the site fully reconciled before coarse is
   // touched: if this arrival broadcasts, ResyncAllMidBatch must see zero
   // outstanding arrivals here.
-  SyncEventless(site, countdown_.TakeEventPrefix(site));
+  CountSite& s = sites_[static_cast<size_t>(site)];
+  s.AdvanceNoEvent(countdown_.TakeEventPrefix(site));
   DirectPort port{this};
-  SiteEvent(site, port);
+  s.Arrive(0, port);
   RearmSite(site);
 }
 
@@ -321,15 +247,16 @@ void RandomizedCountTracker::CountdownChunk(const Input* input,
 // fold into n' and the aggregate), so the permutation is bit-invisible.
 void RandomizedCountTracker::RunSite(int site, uint64_t count) {
   DirectPort port{this};
+  CountSite& s = sites_[static_cast<size_t>(site)];
   while (count > 0) {
-    uint64_t gap = NextEventGap(site);
+    uint64_t gap = s.NextEventGap();
     if (count < gap) {
-      SyncEventless(site, count);
+      s.AdvanceNoEvent(count);
       return;
     }
-    SyncEventless(site, gap - 1);
+    s.AdvanceNoEvent(gap - 1);
     count -= gap;
-    SiteEvent(site, port);
+    s.Arrive(0, port);
   }
 }
 
@@ -346,7 +273,7 @@ void RandomizedCountTracker::DeliverChunks(const Input* input, size_t count) {
     size_t len = std::min(kCountChunk, count - pos);
     CountChunk(&grouper_, input + pos, len, options_.num_sites);
     if (grouped_enabled_ &&
-        coarse_->BatchCannotBroadcast(grouper_.histogram())) {
+        coarse_.BatchCannotBroadcast(sites_, grouper_.histogram())) {
       grouped_chunk_active_ = true;
       for (const SiteGrouper::Span& span : grouper_.spans()) {
         RunSite(span.site, span.length);

@@ -22,11 +22,13 @@
 //
 // The two halves of §1.1 are written once each. The coordinator half is
 // CountAggregate (count_aggregate.h), which sim::CountReplica hosts too.
-// The site half is one event step (SiteEvent) and one thinning step
-// (ThinSite), parameterized over a coordinator port: every delivery path
-// — per-arrival, countdown, grouped, a SiteCore's hosted site — runs the
-// same steps and differs only in how their messages reach the
-// coordinator.
+// The site half is CountSite: one site's state (its CoarseSite, its copy
+// of 1/p, its report, skip countdown and RNG), its event step and its
+// ritual, parameterized over a coordinator port. The in-process tracker
+// is k CountSites plus the coordinator half; a site process or a fault
+// harness site hosts one CountSite behind its TapPort (sim::HostedSite).
+// Every delivery path runs the same steps and differs only in how their
+// messages reach the coordinator.
 //
 // Hot path: by default each site realizes its Bernoulli(p) coins with a
 // geometric SkipSampler (skip_sampler.h), so an arrival between successes
@@ -41,8 +43,9 @@
 #ifndef DISTTRACK_COUNT_RANDOMIZED_COUNT_H_
 #define DISTTRACK_COUNT_RANDOMIZED_COUNT_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "disttrack/common/event_countdown.h"
@@ -96,9 +99,84 @@ struct RandomizedCountOptions {
   uint64_t InvP(uint64_t n_bar) const;
 };
 
+/// One site of the §2.1 protocol: O(1) words.
+class CountSite {
+ public:
+  using Options = RandomizedCountOptions;
+
+  /// The coordinator port of a hosted site: every message becomes a
+  /// frame on the tap, and nothing the coordinator holds is written.
+  struct TapPort : TapCoarsePort {
+    void Report(sim::wire::MsgType type, int site, uint64_t value) const {
+      sim::wire::Emit(tap, type, site, 0, value);
+    }
+  };
+
+  /// `options` must outlive the site.
+  CountSite(const RandomizedCountOptions& options, int site);
+
+  /// One arrival (`key` is unused: count arrivals carry none): the coarse
+  /// step, whose report may come back as a broadcast and run Ritual
+  /// before this arrival's coin is consumed, then the coin and its
+  /// report. A port offers CoarseReport(site, delta) and
+  /// Report(type, site, n̄_i), the latter for coin reports and p-halving
+  /// corrections alike.
+  template <typename Port>
+  void Arrive(uint64_t key, Port& port);
+
+  /// The site's half of a round ritual for a broadcast carrying `n_bar`:
+  /// one thinning step per halving of p (§2.1), then a skip redraw.
+  template <typename Port>
+  void Ritual(uint64_t n_bar, Port& port);
+
+  /// Arrivals until the next event (coarse report or coin success) — the
+  /// single source of truth for the countdown engine and the run loop.
+  uint64_t NextEventGap() const {
+    return std::min(coarse_.arrivals_until_report(),
+                    skip_.pending_skips() + 1);
+  }
+
+  /// Retires `n` arrivals known to be eventless (n < NextEventGap()):
+  /// plain count advances and coin failures.
+  void AdvanceNoEvent(uint64_t n) {
+    coarse_.AdvanceNoReport(n);
+    skip_.ConsumeFailures(n);
+  }
+
+  /// Count sites can snapshot between any two arrivals.
+  bool SnapshotReady() const { return true; }
+  /// Appends the site's whole state, its copy of 1/p included.
+  void Serialize(std::vector<uint64_t>* out) const;
+  /// Restores Serialize output; false (state untouched) on a blob of the
+  /// wrong length or with a round parameter out of range.
+  bool Restore(const std::vector<uint64_t>& blob);
+
+  const CoarseSite& coarse() const { return coarse_; }
+  /// n̄_i; 0 means "does not exist".
+  uint64_t reported() const { return reported_; }
+
+ private:
+  // log2(1/p), the coarse site, n̄_i, the skip and the RNG.
+  static constexpr size_t kBlobWords = 1 + CoarseSite::kWords + 1 + 2 + 4;
+
+  uint64_t inv_p() const { return uint64_t{1} << log2_inv_p_; }
+
+  const RandomizedCountOptions& options_;  // the owner's
+  CoarseSite coarse_;  // its count is the exact n_i
+  uint64_t reported_ = 0;
+  SkipSampler skip_;  // gap to the site's next Bernoulli(p) success
+  Rng rng_;
+  int site_;
+  // The site's copy of 1/p, always a power of two, as its log2 (the skip
+  // sampler's argument).
+  int log2_inv_p_ = 0;
+};
+
 /// Randomized ε-approximate count tracking (Theorem 2.1).
 class RandomizedCountTracker : public sim::CountTrackerInterface {
  public:
+  using Site = CountSite;
+
   explicit RandomizedCountTracker(const RandomizedCountOptions& options);
 
   void Arrive(int site) override;
@@ -113,66 +191,27 @@ class RandomizedCountTracker : public sim::CountTrackerInterface {
   double p() const;
 
   /// Rounds completed so far (CoarseTracker broadcasts).
-  uint64_t rounds() const { return coarse_->round(); }
+  uint64_t rounds() const { return coarse_.round(); }
 
-  // --- Wire layer / site protocol (sim/site_core.h) ----------------------
-  // A tap mirrors every metered message (coarse reports, coin reports,
-  // p-halving corrections, broadcasts) as a typed wire::Message at the
-  // §1.1 send instant; snapshots capture one site's full private state
-  // (counters, report, skip countdown, RNG) so a crashed site can be
-  // restored and replayed bit-identically; the ReplayCrash* calls run one
-  // site (a sim::SiteCore's hosted half, live or recovering) with every
-  // coordinator-side effect suppressed (no n_, meter, or
-  // estimator-aggregate writes) while the site-local state and RNG stream
-  // advance exactly as the serial execution's do.
-
+  /// A tap mirrors every metered message (coarse reports, coin reports,
+  /// p-halving corrections, broadcasts) as a typed wire::Message at the
+  /// §1.1 send instant.
   void set_wire_tap(sim::wire::WireTap* tap);
 
-  /// Count sites can snapshot between any two arrivals.
-  bool SiteSnapshotReady(int /*site*/) const { return true; }
-
-  /// Appends site `site`'s state — plus the round-scoped globals the
-  /// replay needs (1/p) — to `*out`.
-  void SerializeSiteState(int site, std::vector<uint64_t>* out) const;
-
-  /// Restores SerializeSiteState output, globals included.
-  void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
-
-  /// One arrival of `site` through the replay port (`key` is unused:
-  /// count arrivals carry none). A broadcast decision on its coarse report
-  /// comes back reentrantly from the tap as a ReplayCrashRitual call, at
-  /// the exact point the serial run performs the ritual.
-  void ReplayCrashArrive(int site, uint64_t key);
-
-  /// The per-site half of a round ritual.
-  void ReplayCrashRitual(int site, uint64_t n_bar);
+  /// Site `i` (the fault harness and the snapshot tests compare hosted
+  /// sites against it).
+  const CountSite& site(int i) const { return sites_[static_cast<size_t>(i)]; }
+  CountSite& site(int i) { return sites_[static_cast<size_t>(i)]; }
 
  private:
   friend struct testing_util::DeliveryPeer;
 
-  // Coordinator ports: how a site's messages reach the coordinator.
-  // DirectPort applies each effect in place and taps it (serial, countdown
-  // and grouped delivery); ReplayPort only re-emits the frame, the
-  // coordinator holding its effect (a SiteCore's hosted site).
-  // Each port offers CoarseArrive(site) and Report(type, site, n̄_i), the
-  // latter for coin reports and p-halving corrections alike.
+  // The in-process coordinator port: each effect applies in place and is
+  // tapped (serial, countdown and grouped delivery).
   struct DirectPort;
-  struct ReplayPort;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
   void ArriveOne(int site);
-  // The site step of one event arrival: n_i, the coarse arrival (which
-  // may broadcast and halve p first), then the coin and its report.
-  template <typename Port>
-  void SiteEvent(int site, Port& port);
-  // One site's thinning step at a halving of p to `p_new` (§2.1 ritual).
-  template <typename Port>
-  void ThinSite(int site, double p_new, Port& port);
-  // Halves the sites' p until 1/p is `n_bar`'s, calling thin(p_new) after
-  // each halving; true iff p changed.
-  template <typename Thin>
-  bool HalveTo(uint64_t n_bar, Thin thin);
-  void EmitTap(sim::wire::MsgType type, int site, uint64_t a);
 
   // --- Batched fast path -------------------------------------------------
   // The shared EventCountdown engine (common/event_countdown.h): each site
@@ -182,14 +221,8 @@ class RandomizedCountTracker : public sim::CountTrackerInterface {
   // draw sequence is unchanged, so the batch path is bit-identical to
   // per-element Arrive() with skip sampling (tested in
   // skip_equivalence_test and batch_equivalence_test).
-  // Arrivals at `site` until its next event (coarse report or coin
-  // success) — the single source of truth for both the countdown engine
-  // (RearmSite) and the run loop, so the delivery paths cannot drift
-  // apart.
-  uint64_t NextEventGap(int site) const;
   void RearmSite(int site);
   void RearmAll();
-  void SyncEventless(int site, uint64_t consumed);
   void HandleEventArrival(int site);
   void ResyncAllMidBatch();
   // The skip-sampling batch path over Arrival[] or site-id streams:
@@ -209,22 +242,9 @@ class RandomizedCountTracker : public sim::CountTrackerInterface {
   RandomizedCountOptions options_;
   sim::CommMeter meter_;
   sim::SpaceGauge space_;
-  std::unique_ptr<CoarseTracker> coarse_;
+  CoarseTracker coarse_;
   sim::wire::WireTap* tap_ = nullptr;
-
-  // Site-side state (O(1) words each).
-  struct SiteState {
-    uint64_t count = 0;     // exact n_i
-    uint64_t reported = 0;  // n̄_i; 0 means "does not exist"
-    SkipSampler skip;       // gap to the site's next Bernoulli(p) success
-    Rng rng{0};
-  };
-  std::vector<SiteState> sites_;
-  // The sites' copy of 1/p (always a power of two) and its log2, the
-  // skip samplers' argument. A crash snapshot rewinds them; replay
-  // re-evolves them to the coordinator's.
-  uint64_t inv_p_ = 1;
-  int log2_inv_p_ = 0;
+  std::vector<CountSite> sites_;
 
   // Coordinator-side state (count_aggregate.h), and the ground truth.
   CountAggregate agg_;

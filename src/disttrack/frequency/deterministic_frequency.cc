@@ -29,8 +29,7 @@ DeterministicFrequencyTracker::DeterministicFrequencyTracker(
   for (auto& s : sites_) {
     s.sketch = std::make_unique<summaries::MisraGries>(sketch_capacity_);
   }
-  coarse_ = std::make_unique<count::CoarseTracker>(options_.num_sites,
-                                                   &meter_);
+  coarse_ = std::make_unique<count::CoarseTracker>(&meter_);
   coarse_->AddObserver([this](uint64_t round, uint64_t n_bar) {
     OnBroadcast(round, n_bar);
   });
@@ -81,8 +80,8 @@ void DeterministicFrequencyTracker::SweepAfterDecrement(int site) {
 void DeterministicFrequencyTracker::Arrive(int site, uint64_t item) {
   sim::CheckSiteInRange(site, options_.num_sites);
   ++n_;
-  coarse_->Arrive(site);
   SiteState& s = sites_[static_cast<size_t>(site)];
+  coarse_->Arrive(site, &s.coarse);
   uint64_t dec_before = s.sketch->UndercountBound();
   s.sketch->Insert(item);
   if (s.sketch->UndercountBound() != dec_before) {

@@ -60,6 +60,7 @@ class DeterministicFrequencyTracker : public sim::FrequencyTrackerInterface {
     // drift checks; semantically it lives at both ends of the channel).
     std::unordered_map<uint64_t, uint64_t> mirror;
     uint64_t decrement_events_seen = 0;
+    count::CoarseSite coarse;
   };
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);

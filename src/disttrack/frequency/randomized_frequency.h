@@ -23,13 +23,20 @@
 // the boundary bias of the naive estimator (2), which the
 // `naive_boundary_estimator` ablation reinstates.
 //
+// The site half is FrequencySite: one site's state (its CoarseSite, its
+// copy of the round parameters, its counter list, both skip channels and
+// its RNG), its arrival step and its ritual, parameterized over a
+// coordinator port. The in-process tracker is k FrequencySites plus the
+// aggregate; a site process or a fault harness site hosts one
+// FrequencySite behind its TapPort (sim::HostedSite).
+//
 // Hot path: the sticky counter list is a flat open-addressing table
 // (counter_table.h) — one Fibonacci-hash probe per arrival instead of an
 // unordered_map find — and batched delivery runs on the shared
 // EventCountdown engine: between events (coin successes on either
 // channel, coarse reports, virtual-site splits) an arrival costs one
 // countdown decrement plus the table probe, with the two skip channels,
-// the round-arrival counter, and the coarse tracker reconciled in bulk at
+// the round-arrival counter, and the coarse site reconciled in bulk at
 // each event. The batch engine consumes the RNG exactly as per-element
 // Arrive() does, so batch-vs-scalar is bit-identical
 // (batch_equivalence_test). Once the counter tables outgrow the cache,
@@ -41,8 +48,8 @@
 #ifndef DISTTRACK_FREQUENCY_RANDOMIZED_FREQUENCY_H_
 #define DISTTRACK_FREQUENCY_RANDOMIZED_FREQUENCY_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "disttrack/common/event_countdown.h"
@@ -95,9 +102,124 @@ struct RandomizedFrequencyOptions {
   uint64_t InvP(uint64_t n_bar) const;
 };
 
+/// One site of the §3.1 protocol.
+class FrequencySite {
+ public:
+  using Options = RandomizedFrequencyOptions;
+
+  /// The coordinator port of a hosted site: every message becomes a
+  /// frame on the tap, and nothing the coordinator holds is written.
+  struct TapPort : count::TapCoarsePort {
+    void SplitNotify(int site) const {
+      sim::wire::Emit(tap, sim::wire::MsgType::kSplitNotice, site, 0, 0);
+    }
+    void CounterReport(int site, uint64_t item, uint64_t instance,
+                       uint64_t value) const {
+      sim::wire::Emit(tap, sim::wire::MsgType::kCounterReport, site, 0, item,
+                      instance, value, 2);
+    }
+    void SampleForward(int site, uint64_t item, uint64_t instance) const {
+      sim::wire::Emit(tap, sim::wire::MsgType::kSampleForward, site, 0, item,
+                      instance);
+    }
+    void Space(const FrequencySite& /*site*/) const {}
+  };
+
+  /// `options` must outlive the site.
+  FrequencySite(const RandomizedFrequencyOptions& options, int site);
+
+  /// One arrival of `item`: the coarse step (whose report may come back
+  /// as a broadcast and run Ritual first), the split check, both coins,
+  /// the counter list. A port offers CoarseReport(site, delta),
+  /// SplitNotify(site), CounterReport(site, item, instance, value),
+  /// SampleForward(site, item, instance) and Space(site) (the counter
+  /// list changed size).
+  template <typename Port>
+  void Arrive(uint64_t item, Port& port);
+
+  /// The site's half of a round transition for a broadcast carrying
+  /// `n_bar`: the new round parameters, cleared counters, a fresh
+  /// instance, redrawn skips.
+  template <typename Port>
+  void Ritual(uint64_t n_bar, Port& port);
+
+  /// Arrivals until the next event (coin success on either channel,
+  /// coarse report, or virtual-site split) — the single source of truth
+  /// for the countdown engine and the span loop.
+  uint64_t NextEventGap() const;
+
+  /// Retires `n` arrivals known to be eventless (n < NextEventGap())
+  /// whose tracked counters were already incremented: round-arrival
+  /// advances, coin failures on both channels, coarse count advances.
+  void AdvanceNoEvent(uint64_t n) {
+    round_arrivals_ += n;
+    counter_skip_.ConsumeFailures(n);
+    sample_skip_.ConsumeFailures(n);
+    coarse_.AdvanceNoReport(n);
+  }
+  /// The same for `n` eventless arrivals of `keys`, counters included.
+  void AdvanceNoEvent(const uint64_t* keys, size_t n) {
+    counters_.IncrementTrackedRun(keys, n);
+    AdvanceNoEvent(n);
+  }
+  /// An eventless arrival's counter step: tracked items count every
+  /// arrival, only reports are coin-gated.
+  void CountIfTracked(uint64_t item) { counters_.IncrementIfTracked(item); }
+
+  /// Frequency sites can snapshot between any two arrivals.
+  bool SnapshotReady() const { return true; }
+  /// Appends the site's whole state, its round parameters included.
+  void Serialize(std::vector<uint64_t>* out) const;
+  /// Restores Serialize output; false (state untouched) on a blob whose
+  /// length disagrees with its header words or with a round parameter
+  /// out of range.
+  bool Restore(const std::vector<uint64_t>& blob);
+
+  const count::CoarseSite& coarse() const { return coarse_; }
+  int id() const { return site_; }
+  uint64_t inv_p() const { return uint64_t{1} << log2_inv_p_; }
+  /// Counter list (item, value pairs) plus O(1) fixed state: instance id,
+  /// round arrival counter, 1/p copy, split threshold, and the two skip
+  /// countdowns. The flat table is charged at its live population — the
+  /// algorithm's state — not its physical capacity.
+  uint64_t SpaceWords() const { return 2 * counters_.size() + 6; }
+
+ private:
+  // Round parameters, instance, skips and RNG ahead of the counter list.
+  static constexpr size_t kHeaderWords =
+      2 + count::CoarseSite::kWords + 3 + 2 * 2 + 4 + 1;
+
+  // Mints the next virtual-site instance id: the site id over a per-site
+  // sequence, so a site's ids never depend on other sites' splits. The
+  // ids travel in counter-report and sample frames.
+  void NewInstance() {
+    instance_ = (static_cast<uint64_t>(site_) << 32) |
+                static_cast<uint64_t>(instance_seq_++);
+  }
+
+  CounterTable counters_;  // L_i
+  // One skip channel per independent per-arrival coin: the counter
+  // channel (create-or-re-report) and the sampling channel (d_ij).
+  SkipSampler counter_skip_;
+  SkipSampler sample_skip_;
+  uint64_t round_arrivals_ = 0;
+  uint64_t split_threshold_ = 1;  // n̄/k
+  count::CoarseSite coarse_;
+  uint64_t instance_ = 0;      // current virtual-site id (globally unique)
+  Rng rng_;
+  const RandomizedFrequencyOptions& options_;  // the owner's
+  uint32_t instance_seq_ = 0;  // per-site sequence the id is minted from
+  int site_;
+  // The site's copy of 1/p, always a power of two, as its log2 (the skip
+  // samplers' argument).
+  int log2_inv_p_ = 0;
+};
+
 /// Randomized ε-approximate frequency tracking (Theorem 3.1).
 class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
  public:
+  using Site = FrequencySite;
+
   explicit RandomizedFrequencyTracker(
       const RandomizedFrequencyOptions& options);
 
@@ -109,9 +231,9 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   const sim::SpaceGauge& space() const override { return space_; }
 
   /// Current sampling probability p.
-  double p() const { return 1.0 / static_cast<double>(inv_p_); }
+  double p() const { return 1.0 / static_cast<double>(sites_[0].inv_p()); }
 
-  uint64_t rounds() const { return coarse_->round(); }
+  uint64_t rounds() const { return coarse_.round(); }
 
   /// Number of virtual-site splits performed so far (diagnostics).
   uint64_t splits() const { return splits_; }
@@ -132,80 +254,33 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   /// on at k = 32, ε = 5e-4.
   bool grouped_delivery_enabled() const { return grouped_enabled_; }
 
-  // --- Wire layer / site protocol (sim/site_core.h) ----------------------
-  // Mirrors the count tracker's API: a tap emits every metered message as
-  // a typed wire::Message; site snapshots capture the sticky counter
-  // list, both skip channels, the instance id mint, and the RNG; the
-  // ReplayCrash* calls run one site through a coordinator-suppressed port
-  // (frames emitted, no meter/aggregation writes).
-
+  /// A tap mirrors every metered message as a typed wire::Message at the
+  /// §1.1 send instant.
   void set_wire_tap(sim::wire::WireTap* tap);
 
-  /// Frequency sites can snapshot between any two arrivals.
-  bool SiteSnapshotReady(int /*site*/) const { return true; }
-
-  void SerializeSiteState(int site, std::vector<uint64_t>* out) const;
-  void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
-
-  /// One arrival of `site` through the replay port. A broadcast decision
-  /// on its coarse report comes back reentrantly from the tap.
-  void ReplayCrashArrive(int site, uint64_t item);
-
-  /// Per-site half of a round transition.
-  void ReplayCrashRitual(int site, uint64_t n_bar);
+  /// Site `i` (the fault harness and the snapshot tests compare hosted
+  /// sites against it).
+  const FrequencySite& site(int i) const {
+    return sites_[static_cast<size_t>(i)];
+  }
+  FrequencySite& site(int i) { return sites_[static_cast<size_t>(i)]; }
 
  private:
-  struct SiteState {
-    uint64_t instance = 0;      // current virtual-site id (globally unique)
-    uint32_t instance_seq = 0;  // per-site sequence the id is minted from
-    uint64_t round_arrivals = 0;
-    CounterTable counters;  // L_i
-    // One skip channel per independent per-arrival coin: the counter
-    // channel (create-or-re-report) and the sampling channel (d_ij).
-    SkipSampler counter_skip;
-    SkipSampler sample_skip;
-    Rng rng{0};
-  };
-
   friend struct testing_util::DeliveryPeer;
 
+  // The in-process coordinator port: every effect applies in place
+  // except counter reports and samples, which queue for FlushPending.
+  struct DirectPort;
+
   void OnBroadcast(uint64_t round, uint64_t n_bar);
-  // The round parameters a broadcast of `n_bar` sets: 1/p, its log2 and
-  // the split threshold n̄/k.
-  void SetRoundParams(uint64_t n_bar);
-  uint64_t SplitThreshold(uint64_t n_bar) const;
-  // One site's half of a round transition: cleared counters, a fresh
-  // instance, redrawn skips. Serves OnBroadcast and ReplayCrashRitual.
-  void SiteRitual(int site);
-  void UpdateSpace(int site);
   void ArriveOne(int site, uint64_t item);
   // Everything ArriveOne does except ++n_ (the batch engine advances n_
-  // up front): coarse arrival, split check, coins, store updates.
+  // up front): the site step, then the queued messages' flush.
   void ProcessArrival(int site, uint64_t item);
-  // The shared protocol logic of ProcessArrival, parameterized over how
-  // coordinator effects are delivered: DirectPort applies them in place
-  // (per-arrival, countdown and grouped delivery), ReplayPort only
-  // emits the frames (sim::SiteCore's hosted sites). Site-local state
-  // is mutated identically either way.
-  template <typename Port>
-  void ProcessArrivalImpl(int site, uint64_t item, Port& port);
-  // Mints the next virtual-site instance id for `site`: the site id over
-  // a per-site sequence, so a site's ids never depend on other sites'
-  // splits. The ids travel in counter-report and sample frames.
-  uint64_t NewInstanceId(int site, SiteState* s) {
-    return (static_cast<uint64_t>(site) << 32) |
-           static_cast<uint64_t>(s->instance_seq++);
-  }
-
-  struct DirectPort;
-  struct ReplayPort;
-
-  void EmitTap(sim::wire::MsgType type, int site, uint64_t a, uint64_t b,
-               uint64_t c, uint64_t words);
 
   // The per-site span loop of grouped delivery: eventless stretches pay
-  // one batched table walk and retire in bulk; each event arrival replays
-  // ProcessArrivalImpl through the direct port.
+  // one batched table walk and retire in bulk; each event arrival takes
+  // the site step through the direct port.
   void RunSiteSpan(int site, const uint64_t* keys, size_t count);
   // Applies the queued counter reports and samples as one batch (after a
   // serial arrival or a grouped chunk's spans).
@@ -214,21 +289,16 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   // Batched fast path on the shared EventCountdown engine; see
   // common/event_countdown.h for the reconciliation contract.
   void RunBatch(const sim::Arrival* arrivals, size_t count);
-  // Arrivals at `site` until its next event (coin success on either
-  // channel, coarse report, or virtual-site split) — the single source
-  // of truth for the countdown engine and the span loop.
-  uint64_t NextEventGap(int site) const;
   void RearmSite(int site);
   void RearmAll();
-  void SyncEventless(int site, uint64_t consumed);
   void HandleEventArrival(int site, uint64_t item);
   void ResyncAllMidBatch();
 
   RandomizedFrequencyOptions options_;
   sim::CommMeter meter_;
   sim::SpaceGauge space_;
-  std::unique_ptr<count::CoarseTracker> coarse_;
-  std::vector<SiteState> sites_;
+  count::CoarseTracker coarse_;
+  std::vector<FrequencySite> sites_;
   sim::wire::WireTap* tap_ = nullptr;
 
   // The coordinator's estimator state (frequency_aggregate.h), and the
@@ -236,9 +306,6 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   FrequencyAggregate agg_;
   std::vector<FrequencyAggregate::Message> pending_;
 
-  uint64_t inv_p_ = 1;
-  int log2_inv_p_ = 0;            // log2(inv_p_), the skip samplers' argument
-  uint64_t split_threshold_ = 1;  // n̄/k
   uint64_t splits_ = 0;
   uint64_t n_ = 0;
 

@@ -27,12 +27,14 @@
 // covered by shipped summaries and the in-progress tail stays covered by
 // its frozen samples (scaled by that round's p), so no flush is needed.
 //
-// The site half is one arrival step (ProcessArrival), one eventless-run
-// step (FeedRun) and the node flush and instance restart under them, all
-// parameterized over a coordinator port like count's and frequency's:
-// every delivery path — per-arrival, countdown, grouped, a SiteCore's
-// hosted site — runs the same steps and differs only in how their
-// messages reach the coordinator.
+// The site half is RankSite: one site's state (its CoarseSite, its copy
+// of the round parameters and per-level constants, its RNG and tail skip,
+// its tree and ladder), its arrival step, its eventless-run step
+// (FeedRun) and its ritual, parameterized over a coordinator port like
+// count's and frequency's. The in-process tracker is k RankSites plus the
+// aggregate; a site process or a fault harness site hosts one RankSite
+// behind its TapPort (sim::HostedSite). Every delivery path runs the same
+// steps and differs only in how their messages reach the coordinator.
 //
 // Hot path: ArriveBatch buffers each site's values and runs the shared
 // EventCountdown engine — between events (leaf/chunk boundaries, coarse
@@ -46,18 +48,19 @@
 // (fewer, larger compactions; same martingale argument), at each level's
 // own fill threshold under the exact feed. The leaf cursor pins every
 // leaf start, so an upper level's window can span several runs; it is
-// merged once into tracker-level scratch, every level due on the same
-// window reads that copy, and each ingests it as one view through the
-// zero-copy virtual cascade (the upper levels of a round mostly come due
-// together, since their pull quanta all reach the top capacity). A level
+// merged once into step scratch (SiteScratch, shared by the tracker's
+// sites), every level due on the same window reads that copy, and each
+// ingests it as one view through the zero-copy virtual cascade (the upper
+// levels of a round mostly come due together, since their pull quanta
+// all reach the top capacity). A level
 // whose quantum b * 2^level covers its node's span (b * 2^level <= top
 // capacity; level 0 always) ingests exactly one window per node, on the
 // node's last arrival, so it runs node-less: the flush cascades that
 // window straight from the ladder to the wire with the seed the node
 // would have drawn (at ε = 5e-4 and k = 32 the leaf block is 1-11
 // arrivals under a tree 11-12 levels high, and every level below the
-// top is node-less). Each level's ε and capacity are computed once per
-// round. Chunks that provably contain no coarse broadcast are grouped
+// top is node-less). Each level's capacity is computed once per round
+// and site. Chunks that provably contain no coarse broadcast are grouped
 // into per-site spans first; that is bit-identical to the countdown
 // engine. Batched compaction is equivalent in distribution, not
 // bit-identical, to the per-element feed (see the DESIGN note in
@@ -68,6 +71,8 @@
 #ifndef DISTTRACK_RANK_RANDOMIZED_RANK_H_
 #define DISTTRACK_RANK_RANDOMIZED_RANK_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -133,75 +138,99 @@ struct RandomizedRankOptions {
   RoundParams RoundParamsFor(uint64_t n_bar) const;
 };
 
-/// Randomized ε-approximate rank tracking (Theorem 4.1).
-class RandomizedRankTracker : public sim::RankTrackerInterface {
+/// Site-step scratch that is not protocol state: the merged copy of the
+/// last multi-run ladder window (memoized, so levels due on one window
+/// merge it once), the radix buffer of SortRun, and the node summary
+/// being shipped, in the wire format. The in-process tracker shares one
+/// among its sites; a hosted site's port owns one.
+struct SiteScratch {
+  summaries::MergedWindow window;
+  std::vector<uint64_t> sort;
+  summaries::ValueBuffer export_values;
+  std::vector<std::pair<uint64_t, uint32_t>> export_segments;
+};
+
+/// One site of the §4 protocol.
+class RankSite {
  public:
-  explicit RandomizedRankTracker(const RandomizedRankOptions& options);
+  using Options = RandomizedRankOptions;
 
-  void Arrive(int site, uint64_t value) override;
-  void ArriveBatch(const sim::Arrival* arrivals, size_t count) override;
-  double EstimateRank(uint64_t value) const override;
-  uint64_t TrueCount() const override { return n_; }
-  const sim::CommMeter& meter() const override { return meter_; }
-  const sim::SpaceGauge& space() const override { return space_; }
+  /// The coordinator port of a hosted site: every message becomes a
+  /// frame on the tap, and nothing the coordinator holds is written.
+  struct TapPort : count::TapCoarsePort {
+    SiteScratch own;
+    SiteScratch& scratch() { return own; }
+    void ShipSummary(int site, uint32_t first_leaf, uint32_t end_leaf,
+                     uint64_t words) const;
+    void ShipResidual(int site, uint32_t leaf, uint64_t value,
+                      bool /*store*/) const {
+      sim::wire::Emit(tap, sim::wire::MsgType::kRankResidual, site, 0, leaf,
+                      value, 0, 2);
+    }
+    void Space(const RankSite& /*site*/) const {}
+  };
 
-  /// Element-forwarding probability p of the current round.
-  double p() const { return 1.0 / round_.inv_p; }
+  /// `options` must outlive the site.
+  RankSite(const RandomizedRankOptions& options, int site);
 
-  uint64_t rounds() const { return coarse_->round(); }
+  /// One arrival of `value`: the coarse step (whose report may come back
+  /// as a broadcast and run Ritual first), the tree feed, the tail coin,
+  /// the leaf bookkeeping and the node flushes it completes. A port
+  /// offers CoarseReport(site, delta), ShipSummary(site, first_leaf,
+  /// end_leaf, words) for the node summary in its scratch's export
+  /// buffers, ShipResidual(site, leaf, value, store) for a tail-channel
+  /// forward (`store` false: a sample its own leaf's summary covers),
+  /// Space(site) and scratch().
+  template <typename Port>
+  void Arrive(uint64_t value, Port& port);
 
-  /// Tree height of algorithm C in the current round.
-  int height() const { return round_.height; }
+  /// Feeds `*run`, a buffer of eventless arrivals (shorter than
+  /// NextEventGap()), in arrival order: tail forwards ship through the
+  /// port, the run is sorted in place and moved into the ladder (a
+  /// recycled buffer comes back, empty).
+  template <typename Port>
+  void FeedRun(summaries::ValueBuffer* run, Port& port);
 
-  /// Leaf block size b of the current round.
-  uint64_t block_size() const { return round_.block_size; }
+  /// The site's half of a round transition for a broadcast carrying
+  /// `n_bar`: new round parameters, a fresh instance, a skip redraw.
+  template <typename Port>
+  void Ritual(uint64_t n_bar, Port& port);
 
-  /// Run-ladder work summed over every site (summaries::LadderWork:
-  /// counters only, no RNG draw and no meter charge).
-  summaries::LadderWork ladder_work() const {
-    summaries::LadderWork total;
-    for (const SiteState& s : sites_) total += s.ladder.work();
-    return total;
-  }
-
-  // --- Wire layer / site protocol (sim/site_core.h) ----------------------
-  // Mirrors the count tracker's API: a tap emits every metered message
-  // (coarse reports, node-summary exports, tail-channel residual
-  // forwards, broadcasts) as a typed wire::Message; site snapshots
-  // capture the round parameters and the RNG/skip streams; the
-  // ReplayCrash* calls run the site step through the replay port, which
-  // emits every frame with an identical payload and writes nothing the
-  // coordinator holds (meter, n', instance storage). sim::SiteCore's
-  // hosted sites (site processes and the fault harness) drive these two
-  // calls.
-
-  void set_wire_tap(sim::wire::WireTap* tap);
+  /// Arrivals until the next event (leaf/chunk completion or coarse
+  /// report), clamped to the countdown's 32-bit stride — the single
+  /// source of truth for the countdown engine and the grouped run loop,
+  /// so their run boundaries (and with them the site's RNG consumption)
+  /// cannot drift apart.
+  uint64_t NextEventGap() const;
 
   /// Rank snapshots are only consistent at chunk boundaries, where the
-  /// site holds no partially built tree (nodes and ladder empty, no
-  /// seed drawn) and its whole private state is the round parameters
-  /// plus the coarse counters and the RNG/skip streams. The robust
-  /// driver polls until this returns true.
-  bool SiteSnapshotReady(int site) const;
+  /// site holds no partially built tree (nodes and ladder empty, no seed
+  /// drawn) and its whole private state is the round parameters plus the
+  /// coarse counters and the RNG/skip streams. SiteCore takes a snapshot
+  /// only once this returns true.
+  bool SnapshotReady() const { return arrivals_in_chunk_ == 0; }
+  /// Appends the site's state; aborts unless SnapshotReady().
+  void Serialize(std::vector<uint64_t>* out) const;
+  /// Restores Serialize output; false (state untouched) on a blob of the
+  /// wrong length or with a round parameter out of range.
+  bool Restore(const std::vector<uint64_t>& blob);
 
-  void SerializeSiteState(int site, std::vector<uint64_t>* out) const;
-  void RestoreSiteState(int site, const std::vector<uint64_t>& blob);
-
-  /// One arrival of `site` through the replay port. A broadcast decision
-  /// on its coarse report comes back reentrantly from the tap.
-  void ReplayCrashArrive(int site, uint64_t value);
-
-  /// Per-site half of a round transition.
-  void ReplayCrashRitual(int site, uint64_t n_bar);
+  const count::CoarseSite& coarse() const { return coarse_; }
+  int id() const { return site_; }
+  const RoundParams& round() const { return round_; }
+  summaries::LadderWork ladder_work() const { return ladder_.work(); }
+  uint64_t SpaceWords() const;
 
  private:
-  // One level of a site's tree.
+  // One level of the site's tree, with the round's compactor capacity
+  // for it (SetRound).
   struct Level {
-    // The active node's summary (created lazily). Node-less levels (the
-    // tracker's nodeless_levels_) keep no CompactorSummary at all:
-    // EnsureNodes draws `seed` where node creation would have drawn the
-    // node's seed, at the same site-RNG position, and the flush cascades
-    // the node's one ladder window straight to the wire
+    size_t capacity = 0;
+    // The active node's summary (created lazily). Node-less levels
+    // (nodeless_levels_) keep no CompactorSummary at all: EnsureNodes
+    // draws `seed` where node creation would have drawn the node's seed,
+    // at the same site-RNG position, and the flush cascades the node's
+    // one ladder window straight to the wire
     // (summaries::CompactSortedWindowToWire) with those coins.
     std::unique_ptr<summaries::CompactorSummary> node;
     uint64_t seed = 0;
@@ -212,72 +241,120 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
     std::vector<std::unique_ptr<summaries::CompactorSummary>> pool;
   };
 
-  struct SiteState {
-    uint64_t arrivals_in_chunk = 0;
-    uint64_t arrivals_in_leaf = 0;
-    uint32_t current_leaf = 0;
-    std::vector<Level> levels;  // levels[l]: tree level l
-    SkipSampler tail_skip;  // gap to the next tail-channel forward
-    Rng rng{0};
-    // The node summary being shipped, in the wire format.
-    summaries::ValueBuffer export_values;
-    std::vector<std::pair<uint64_t, uint32_t>> export_segments;
-    // Batch-engine run buffer: values delivered to this site since its
-    // last event/reconciliation, in arrival order (delivery-engine state,
-    // not protocol state — the values are the stream itself).
-    summaries::ValueBuffer run;
-    // Shared run-merge ladder: the site's sorted runs consolidated once,
-    // with one pull cursor per tree level. Reset with the instance.
-    summaries::RunLadder ladder;
-    // Bit l is set from the draw of level l's current node (its node
-    // created, or its seed drawn) until the node is flushed or the
-    // instance restarts; EnsureNodes draws exactly the clear bits.
-    uint64_t live_levels = 0;
-    // Lower bound on the appends until some level's next pull threshold;
-    // PumpLevels skips its level scan while the bound stays positive.
-    uint64_t pull_slack = 0;
-  };
+  // Round parameters (5 words), coarse site, tail skip, RNG.
+  static constexpr size_t kBlobWords = 5 + count::CoarseSite::kWords + 2 + 4;
 
+  // Sets round_, the levels' capacities and nodeless_levels_. A new tree
+  // height drops every level, its pooled nodes with it: their eps and
+  // capacity are the wrong size.
+  void SetRound(const RoundParams& round);
+  // Level `level`'s eps in the current round: 2^-level / sqrt(h).
+  double LevelEps(int level) const {
+    return std::pow(2.0, -level) / std::sqrt(std::max(1, round_.height));
+  }
+  std::unique_ptr<summaries::CompactorSummary> AcquireNode(int level);
+  // Shared-ladder plumbing. EnsureNodes draws every level missing from
+  // live_levels_ in level order (the seed-draw order): a node, or a
+  // node-less level's seed; PumpLevels pulls every node level whose fill
+  // reached its compaction threshold; FlushNode drains a completing
+  // node's remaining window itself (fused with the export, or straight
+  // to the wire for a node-less level).
+  void EnsureNodes();
+  void PumpLevels(uint64_t appended, SiteScratch* scratch);
+  void StartFreshInstance();
+  template <typename Port>
+  void FlushNode(int level, uint32_t node_start, uint32_t end_leaf,
+                 Port& port);
+
+  const RandomizedRankOptions& options_;  // the owner's
+  int site_;
+  count::CoarseSite coarse_;
+  RoundParams round_;
+  // The levels whose node ingests exactly one ladder window under the
+  // batched feed (bit l), which run node-less; set per round.
+  uint64_t nodeless_levels_ = 0;
+
+  uint64_t arrivals_in_chunk_ = 0;
+  uint64_t arrivals_in_leaf_ = 0;
+  uint32_t current_leaf_ = 0;
+  std::vector<Level> levels_;  // levels_[l]: tree level l
+  SkipSampler tail_skip_;      // gap to the next tail-channel forward
+  Rng rng_;
+  // Shared run-merge ladder: the site's sorted runs consolidated once,
+  // with one pull cursor per tree level. Reset with the instance.
+  summaries::RunLadder ladder_;
+  // Bit l is set from the draw of level l's current node (its node
+  // created, or its seed drawn) until the node is flushed or the
+  // instance restarts; EnsureNodes draws exactly the clear bits.
+  uint64_t live_levels_ = 0;
+  // Lower bound on the appends until some level's next pull threshold;
+  // PumpLevels skips its level scan while the bound stays positive.
+  uint64_t pull_slack_ = 0;
+};
+
+/// Randomized ε-approximate rank tracking (Theorem 4.1).
+class RandomizedRankTracker : public sim::RankTrackerInterface {
+ public:
+  using Site = RankSite;
+
+  explicit RandomizedRankTracker(const RandomizedRankOptions& options);
+
+  void Arrive(int site, uint64_t value) override;
+  void ArriveBatch(const sim::Arrival* arrivals, size_t count) override;
+  double EstimateRank(uint64_t value) const override;
+  uint64_t TrueCount() const override { return n_; }
+  const sim::CommMeter& meter() const override { return meter_; }
+  const sim::SpaceGauge& space() const override { return space_; }
+
+  /// Element-forwarding probability p of the current round.
+  double p() const { return 1.0 / sites_[0].round().inv_p; }
+
+  uint64_t rounds() const { return coarse_.round(); }
+
+  /// Tree height of algorithm C in the current round.
+  int height() const { return sites_[0].round().height; }
+
+  /// Leaf block size b of the current round.
+  uint64_t block_size() const { return sites_[0].round().block_size; }
+
+  /// Run-ladder work summed over every site (summaries::LadderWork:
+  /// counters only, no RNG draw and no meter charge).
+  summaries::LadderWork ladder_work() const {
+    summaries::LadderWork total;
+    for (const RankSite& s : sites_) total += s.ladder_work();
+    return total;
+  }
+
+  /// A tap mirrors every metered message (coarse reports, node-summary
+  /// exports, tail-channel residual forwards, broadcasts) as a typed
+  /// wire::Message at the §1.1 send instant.
+  void set_wire_tap(sim::wire::WireTap* tap);
+
+  /// Site `i` (the fault harness and the snapshot tests compare hosted
+  /// sites against it).
+  const RankSite& site(int i) const { return sites_[static_cast<size_t>(i)]; }
+  RankSite& site(int i) { return sites_[static_cast<size_t>(i)]; }
+
+ private:
   friend struct testing_util::DeliveryPeer;
 
-  // Coordinator ports: how a site's messages reach the coordinator. Each
-  // offers CoarseArrive(site), ShipSummary(site, s, first_leaf, end_leaf,
-  // words) for the node summary in the site's export buffers,
-  // ShipResidual(site, leaf, value, store) for a tail-channel forward
-  // (`store` false: a sample its own leaf's summary covers).
-  // DirectPort charges the meter, taps and applies to agg_ (per-arrival
-  // delivery); BatchPort does the same with the upload charges deferred
-  // to the batch end, and feeds every buffered run before a coarse report
-  // that broadcasts (countdown and grouped engines); ReplayPort only
-  // taps, the coordinator holding every effect (sim::SiteCore's hosted
-  // sites).
+  // The in-process coordinator ports. DirectPort charges the meter, taps
+  // and applies to agg_ (per-arrival delivery); BatchPort does the same
+  // with the upload charges deferred to the batch end, and feeds every
+  // buffered run before a coarse report that broadcasts (countdown and
+  // grouped engines).
   template <bool kBatch>
   struct ApplyPort;
   using DirectPort = ApplyPort<false>;
   using BatchPort = ApplyPort<true>;
-  struct ReplayPort;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
   void ArriveOne(int site, uint64_t value);
-  // Everything ArriveOne does except ++n_ (the batch engine advances n_
-  // up front): coarse arrival, tree feed, tail coin, leaf bookkeeping.
-  template <typename Port>
-  void ProcessArrival(int site, uint64_t value, Port& port);
 
   // Batched fast path on the shared EventCountdown engine; see
   // common/event_countdown.h for the reconciliation contract.
-  // Arrivals at `site` until its next event (leaf/chunk completion or
-  // coarse report), clamped to the countdown's 32-bit stride — the
-  // single source of truth for the countdown engine and the grouped run
-  // loop, so their run boundaries (and with them the site's RNG
-  // consumption) cannot drift apart.
-  uint64_t NextEventGap(int site) const;
   void RearmSite(int site);
   void RearmAll();
-  // Feeds the site's buffered eventless run (sorted in place and moved
-  // into the ladder) and empties the buffer; tail forwards ship through
-  // the batch port.
-  void FeedRun(int site);
   void HandleEventArrival(int site);
   // Feeds every site's buffered eventless run into the tree. Called when
   // a mid-batch broadcast is about to restart the instances and at batch
@@ -293,30 +370,12 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   // event arrival takes the site step through the batch port. The tail
   // stays buffered for the batch end.
   void RunSite(int site, const uint64_t* keys, size_t count);
-  std::unique_ptr<summaries::CompactorSummary> AcquireNode(SiteState* s,
-                                                           int level);
-  // Shared-ladder plumbing. EnsureNodes draws every level missing from
-  // live_levels in level order (the seed-draw order): a node, or a
-  // node-less level's seed; PumpLevels pulls every node level whose fill
-  // reached its compaction threshold; FlushNode drains a completing
-  // node's remaining window itself (fused with the export, or straight
-  // to the wire for a node-less level).
-  void EnsureNodes(SiteState* s);
-  void PumpLevels(SiteState* s, uint64_t appended);
-  void StartFreshInstance(SiteState* s);
-  template <typename Port>
-  void FlushNode(int site, SiteState* s, int level, uint32_t node_start,
-                 uint32_t end_leaf, Port& port);
-  // Sets round_ and the per-round level constants below.
-  void SetRound(const RoundParams& round);
-  void UpdateSpace(int site);
   // Emits a kRankSummary (node [a, b) from `exports`' buffers) or
   // kRankResidual (leaf a, value b) frame charged `words`.
   void EmitTap(sim::wire::MsgType type, int site, uint64_t a, uint64_t b,
-               uint64_t words, const SiteState* exports);
-  // Applies the summary in the site's export buffers to agg_.
-  void ApplySummary(int site, const SiteState& s, uint32_t first_leaf,
-                    uint32_t end_leaf);
+               uint64_t words, const SiteScratch* exports);
+  // Applies the summary in scratch_'s export buffers to agg_.
+  void ApplySummary(int site, uint32_t first_leaf, uint32_t end_leaf);
   // Accumulates one upload into pending_uploads_; FlushDeferredUploads
   // posts them in one RecordUploadBulk per site.
   void DeferUpload(int site, uint64_t words);
@@ -325,10 +384,10 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   RandomizedRankOptions options_;
   sim::CommMeter meter_;
   sim::SpaceGauge space_;
-  std::unique_ptr<count::CoarseTracker> coarse_;
-  std::vector<SiteState> sites_;
+  count::CoarseTracker coarse_;
+  std::vector<RankSite> sites_;
   // The coordinator's instance storage and estimator. Written through
-  // the direct and batch ports, never by the replay port.
+  // the direct and batch ports.
   RankAggregate agg_;
   sim::wire::WireTap* tap_ = nullptr;
 
@@ -343,25 +402,17 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   };
   std::vector<PendingUpload> pending_uploads_;
 
-  RoundParams round_;
-  // Per-round level constants (SetRound): level l's eps 2^-l/sqrt(h), its
-  // compactor capacity, and the mask of levels whose node ingests exactly
-  // one ladder window under the batched feed (bit l), which run
-  // node-less.
-  std::vector<double> level_eps_;
-  std::vector<size_t> level_capacity_;
-  uint64_t nodeless_levels_ = 0;
-
-  // Site-step scratch shared by all sites: the merged copy of the last
-  // multi-run ladder window (memoized, so levels due on one window merge
-  // it once) and the radix buffer of SortRun.
-  summaries::MergedWindow window_;
-  std::vector<uint64_t> sort_scratch_;
+  // Site-step scratch shared by all sites.
+  SiteScratch scratch_;
 
   uint64_t n_ = 0;
 
   EventCountdown countdown_;
   bool in_batch_ = false;
+  // Batch-engine run buffers: values delivered to each site since its
+  // last event/reconciliation, in arrival order (delivery-engine state,
+  // not protocol state — the values are the stream itself).
+  std::vector<summaries::ValueBuffer> runs_;
   // Site-grouped delivery: pooled permutation scratch plus a guard that
   // turns a broadcast inside a supposedly broadcast-free grouped chunk
   // into a loud abort instead of a silent equivalence break.

@@ -80,12 +80,13 @@ uint64_t ShardSize(const ServiceOptions& options, int site);
 uint64_t WorkloadKey(const ServiceOptions& options, int site, uint64_t index);
 
 // --- Site snapshot files --------------------------------------------------
-// A site's durable state between crashes: the SiteCore snapshot (tracker
-// blob, which includes the round-scoped globals, plus the channel cursors
-// needed to splice back into the coordinator's sequence spaces), tagged
-// with the fleet and the site. Written atomically (tmp + rename); a torn
-// write is detected by the trailing checksum and treated as no-snapshot
-// (fresh start).
+// A site's durable state between crashes: the SiteCore snapshot (the
+// site class's blob, which holds its whole state, its copy of the round
+// parameters included, plus the channel cursors needed to splice back
+// into the coordinator's sequence spaces), tagged with the fleet and the
+// site. Written atomically (tmp + rename); a torn write is detected by
+// the trailing checksum and treated as no-snapshot (fresh start), and so
+// is a blob the site class refuses (SiteCore::Restore).
 
 struct SiteSnapshot : sim::SiteCore::Snapshot {
   uint64_t options_hash = 0;

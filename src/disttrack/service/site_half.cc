@@ -11,16 +11,14 @@ std::unique_ptr<SiteHalf> SiteHalf::Create(const ServiceOptions& options,
                                            int site) {
   switch (options.tracker) {
     case TrackerKind::kCount:
-      return std::make_unique<
-          sim::TrackerSite<count::RandomizedCountTracker, SiteHalf>>(
+      return std::make_unique<sim::HostedSite<count::CountSite, SiteHalf>>(
           options.CountOptions(), site);
     case TrackerKind::kFrequency:
       return std::make_unique<
-          sim::TrackerSite<frequency::RandomizedFrequencyTracker, SiteHalf>>(
+          sim::HostedSite<frequency::FrequencySite, SiteHalf>>(
           options.FrequencyOptions(), site);
     case TrackerKind::kRank:
-      return std::make_unique<
-          sim::TrackerSite<rank::RandomizedRankTracker, SiteHalf>>(
+      return std::make_unique<sim::HostedSite<rank::RankSite, SiteHalf>>(
           options.RankOptions(), site);
   }
   return nullptr;

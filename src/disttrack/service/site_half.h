@@ -1,9 +1,11 @@
 // The service's site half: sim::SiteHalf (sim/site_core.h) built from a
-// fleet's ServiceOptions. A site process hosts a real k-site tracker and
-// drives exactly one site of it through the trackers' replay port, inside
-// the one site protocol, sim::SiteCore; the fault harness hosts the same
-// halves (robust_cluster.h), so the storms prove the seam the daemon
-// runs (the service demo and tests/service_*.cc prove the daemon).
+// fleet's ServiceOptions. A site process hosts exactly one site class of
+// its tracker (sim::HostedSite over count::CountSite,
+// frequency::FrequencySite or rank::RankSite) inside the one site
+// protocol, sim::SiteCore; its state does not grow with the fleet size.
+// The fault harness hosts the same site classes (robust_cluster.h), so
+// the storms prove the seam the daemon runs (the service demo and
+// tests/service_*.cc prove the daemon).
 
 #ifndef DISTTRACK_SERVICE_SITE_HALF_H_
 #define DISTTRACK_SERVICE_SITE_HALF_H_
@@ -18,7 +20,7 @@ namespace service {
 
 class SiteHalf : public sim::SiteHalf {
  public:
-  /// Builds the tracker for options.tracker; this host drives `site`.
+  /// Builds site `site` of options.tracker's tracker.
   static std::unique_ptr<SiteHalf> Create(const ServiceOptions& options,
                                           int site);
 };

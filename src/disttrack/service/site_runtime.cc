@@ -153,10 +153,11 @@ int SiteRuntime::Run() {
   // Resume from the latest snapshot, if one matches this fleet's options.
   if (!config_.snapshot_dir.empty()) {
     SiteSnapshot snap;
+    // A snapshot the site refuses (a blob whose length disagrees with
+    // its own header words) counts as none, like a torn file.
     if (ReadSnapshotFile(SnapshotPath(config_.snapshot_dir, config_.site),
                          options_hash_, &snap) &&
-        snap.site == config_.site) {
-      core_.Restore(snap);
+        snap.site == config_.site && core_.Restore(snap)) {
       last_acked_ = snap.down_watermark;
       last_snapshot_pos_ = snap.site_arrivals;
       resumed_ = true;

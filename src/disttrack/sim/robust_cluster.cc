@@ -266,8 +266,9 @@ class Engine : public wire::WireTap, public DownlinkSink {
   }
 
   std::unique_ptr<SiteCore> NewSite(int site) {
+    using Hosted = HostedSite<typename Tracker::Site>;
     auto core = std::make_unique<SiteCore>(
-        site, std::make_unique<TrackerSite<Tracker>>(options_, site),
+        site, std::make_unique<Hosted>(options_, site),
         &ends_[static_cast<size_t>(site)]);
     core->set_tick(now_);
     return core;
@@ -518,8 +519,8 @@ class Engine : public wire::WireTap, public DownlinkSink {
     snap = sites_[static_cast<size_t>(site)]->TakeSnapshot();
     snapshot_pending_[static_cast<size_t>(site)] = 0;
     std::vector<uint64_t> oracle;
-    if (oracle_.SiteSnapshotReady(site)) {
-      oracle_.SerializeSiteState(site, &oracle);
+    if (oracle_.site(site).SnapshotReady()) {
+      oracle_.site(site).Serialize(&oracle);
     }
     if (oracle != snap.blob) Fail("site state diverged from the oracle's");
   }
@@ -534,7 +535,10 @@ class Engine : public wire::WireTap, public DownlinkSink {
     core_->Detach(site);
     sites_[static_cast<size_t>(site)] = NewSite(site);
     const SiteCore::Snapshot& snap = snapshots_[static_cast<size_t>(site)];
-    sites_[static_cast<size_t>(site)]->Restore(snap);
+    if (!sites_[static_cast<size_t>(site)]->Restore(snap)) {
+      Fail("site refused its own snapshot");
+      return;
+    }
 
     // Reconnect handshake: watermark exchange, pure transport overhead.
     SendControl(site, kUpData, wire::MsgType::kHello, snap.up_next_seq - 1);

@@ -3,8 +3,9 @@
 //
 // The serial sim (cluster.h) delivers coordinator traffic as direct
 // calls under the perfectly reliable channels of §1.1. This harness runs
-// k sim::SiteCores (site_core.h), each hosting one site of its own
-// tracker, and one sim::CoordinatorCore (coordinator_core.h) — the site
+// k sim::SiteCores (site_core.h), each hosting one site class of the
+// tracker (sim::HostedSite), and one sim::CoordinatorCore
+// (coordinator_core.h) — the site
 // and coordinator protocols the service daemon runs — over links
 // (transport.h) that drop / duplicate / reorder / delay, under the
 // reliable channels' sequence numbers, acks and capped-exponential-
@@ -18,8 +19,8 @@
 //     broadcasts the coordinator must make. The harness checks each
 //     site's first transmissions against the oracle's frames (modulo the
 //     epoch tag), each kBroadcast handed to a site against the oracle's
-//     (round, n̄), each site snapshot's blob against the oracle's state
-//     of that site, the core's estimate against the oracle's at every
+//     (round, n̄), each site snapshot's blob against the oracle's
+//     site(i), the core's estimate against the oracle's at every
 //     checkpoint (bit for bit), and after every quiescent pump the core's
 //     paper ledger and round against the oracle's — the differential
 //     proof that any fault schedule with eventual delivery converges to

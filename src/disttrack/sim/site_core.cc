@@ -109,11 +109,12 @@ SiteCore::Snapshot SiteCore::TakeSnapshot() const {
   return snapshot;
 }
 
-void SiteCore::Restore(const Snapshot& snapshot) {
-  half_->Restore(snapshot.blob);
+bool SiteCore::Restore(const Snapshot& snapshot) {
+  if (!half_->Restore(snapshot.blob)) return false;
   up_.Reset(snapshot.up_next_seq);
   down_.Reset(snapshot.down_watermark);
   position_ = snapshot.site_arrivals;
+  return true;
 }
 
 }  // namespace sim

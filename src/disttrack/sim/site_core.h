@@ -5,8 +5,8 @@
 // of them over seeded lossy links). It is the site-side mirror of
 // CoordinatorCore.
 //
-// The core hosts one SiteHalf (one tracker site, driven through the
-// trackers' replay port) and one sequenced channel each way: a
+// The core hosts one SiteHalf (one tracker site class behind its tap-only
+// port) and one sequenced channel each way: a
 // ReliableSender for the uplink, whose frames leave through the owner's
 // SiteLink, and a ReliableReceiver for the downlink. Every frame the half
 // emits is stamped with the latest round the site has applied and staged
@@ -49,12 +49,11 @@
 namespace disttrack {
 namespace sim {
 
-/// One site of a tracker, as a kind-erased host over the trackers'
-/// replay port (ReplayCrashArrive / ReplayCrashRitual and the site
-/// snapshots). The port advances only site-local state (counters,
-/// RNG/skip streams, coarse thresholds) and re-emits every protocol frame
-/// through the wire tap, writing nothing the coordinator holds (n',
-/// rounds, meter, estimator aggregates).
+/// One site of a tracker, kind-erased. Only site-local state exists here
+/// (counters, RNG/skip streams, the coarse thresholds, the site's copy of
+/// the round parameters); every protocol frame leaves through the wire
+/// tap, and the coordinator's state (n', rounds, meter, estimator
+/// aggregates) lives elsewhere.
 class SiteHalf {
  public:
   virtual ~SiteHalf() = default;
@@ -74,36 +73,37 @@ class SiteHalf {
 
   virtual bool SnapshotReady() const = 0;
   virtual void Serialize(std::vector<uint64_t>* out) const = 0;
-  virtual void Restore(const std::vector<uint64_t>& blob) = 0;
+  /// False (state untouched) on a blob that is not a snapshot of this
+  /// kind of site.
+  [[nodiscard]] virtual bool Restore(const std::vector<uint64_t>& blob) = 0;
 };
 
-/// One site of a whole k-site tracker. The three trackers share the
-/// replay port's signatures, so one template hosts them all. `Base` lets
-/// the service derive its own SiteHalf type (service/site_half.h).
-template <typename Tracker, typename Base = SiteHalf>
-class TrackerSite final : public Base {
+/// One site class (count::CountSite, frequency::FrequencySite,
+/// rank::RankSite) behind its TapPort: the port turns every message into
+/// a frame on the tap and owns whatever step scratch the site borrows
+/// in process. The three site classes share these signatures, so one
+/// template hosts them all. `Base` lets the service derive its own
+/// SiteHalf type (service/site_half.h).
+template <typename Site, typename Base = SiteHalf>
+class HostedSite final : public Base {
  public:
-  template <typename Options>
-  TrackerSite(const Options& options, int site)
-      : tracker_(options), site_(site) {}
-  void set_wire_tap(wire::WireTap* tap) override { tracker_.set_wire_tap(tap); }
-  void Arrive(uint64_t key) override { tracker_.ReplayCrashArrive(site_, key); }
-  void ApplyRitual(uint64_t n_bar) override {
-    tracker_.ReplayCrashRitual(site_, n_bar);
-  }
-  bool SnapshotReady() const override {
-    return tracker_.SiteSnapshotReady(site_);
-  }
+  HostedSite(const typename Site::Options& options, int site)
+      : options_(options), site_(options_, site) {}
+  void set_wire_tap(wire::WireTap* tap) override { port_.tap = tap; }
+  void Arrive(uint64_t key) override { site_.Arrive(key, port_); }
+  void ApplyRitual(uint64_t n_bar) override { site_.Ritual(n_bar, port_); }
+  bool SnapshotReady() const override { return site_.SnapshotReady(); }
   void Serialize(std::vector<uint64_t>* out) const override {
-    tracker_.SerializeSiteState(site_, out);
+    site_.Serialize(out);
   }
-  void Restore(const std::vector<uint64_t>& blob) override {
-    tracker_.RestoreSiteState(site_, blob);
+  bool Restore(const std::vector<uint64_t>& blob) override {
+    return site_.Restore(blob);
   }
 
  private:
-  Tracker tracker_;
-  int site_;
+  const typename Site::Options options_;
+  Site site_;
+  typename Site::TapPort port_;
 };
 
 /// The owner's transport under a SiteCore.
@@ -175,8 +175,9 @@ class SiteCore : private wire::WireTap {
   /// Idle with nothing queued, and the half at a snapshot point.
   bool SnapshotReady() const;
   Snapshot TakeSnapshot() const;
-  /// Restores a fresh core to `snapshot`.
-  void Restore(const Snapshot& snapshot);
+  /// Restores a fresh core to `snapshot`. False, with the core left
+  /// fresh, if the half refuses the blob.
+  [[nodiscard]] bool Restore(const Snapshot& snapshot);
 
   /// Tick the uplink sender stages and retransmits at.
   void set_tick(uint64_t now) { tick_ = now; }

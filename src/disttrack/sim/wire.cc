@@ -259,6 +259,20 @@ size_t PeekFrameSize(const uint8_t* data, size_t size) {
   return kHeaderBytes + payload_bytes + kCrcBytes;
 }
 
+void Emit(WireTap* tap, MsgType type, int site, uint64_t epoch, uint64_t a,
+          uint64_t b, uint64_t c, uint64_t words) {
+  if (tap == nullptr) return;
+  Message msg;
+  msg.type = type;
+  msg.site = site;
+  msg.epoch = epoch;
+  msg.a = a;
+  msg.b = b;
+  msg.c = c;
+  msg.paper_words = words;
+  tap->OnMessage(std::move(msg));
+}
+
 }  // namespace wire
 }  // namespace sim
 }  // namespace disttrack

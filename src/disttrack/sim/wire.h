@@ -182,6 +182,11 @@ class WireTap {
   virtual void OnMessage(Message&& msg) = 0;
 };
 
+/// Sends one protocol message of `site` (-1: the coordinator), stamped
+/// `epoch`, to `tap`; a no-op when `tap` is null.
+void Emit(WireTap* tap, MsgType type, int site, uint64_t epoch, uint64_t a,
+          uint64_t b = 0, uint64_t c = 0, uint64_t words = 1);
+
 }  // namespace wire
 }  // namespace sim
 }  // namespace disttrack

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -26,11 +27,13 @@ using stream::SiteSchedule;
 
 TEST(CoarseTrackerTest, NBarIsConstantFactorApproximation) {
   sim::CommMeter meter(4);
-  CoarseTracker coarse(4, &meter);
+  CoarseTracker coarse(&meter);
+  std::vector<CoarseSite> sites(4);
   Rng rng(3);
   uint64_t n = 0;
   for (int i = 0; i < 100000; ++i) {
-    coarse.Arrive(static_cast<int>(rng.UniformU64(4)));
+    int site = static_cast<int>(rng.UniformU64(4));
+    coarse.Arrive(site, &sites[static_cast<size_t>(site)]);
     ++n;
     ASSERT_GE(n, coarse.n_bar());
     ASSERT_LT(n, 4 * std::max<uint64_t>(1, coarse.n_bar()));
@@ -40,8 +43,9 @@ TEST(CoarseTrackerTest, NBarIsConstantFactorApproximation) {
 
 TEST(CoarseTrackerTest, FirstElementBroadcastsImmediately) {
   sim::CommMeter meter(4);
-  CoarseTracker coarse(4, &meter);
-  coarse.Arrive(2);
+  CoarseTracker coarse(&meter);
+  CoarseSite site;
+  coarse.Arrive(2, &site);
   EXPECT_EQ(coarse.n_bar(), 1u);
   EXPECT_EQ(coarse.round(), 1u);
   EXPECT_EQ(meter.broadcast_count(), 1u);
@@ -50,10 +54,11 @@ TEST(CoarseTrackerTest, FirstElementBroadcastsImmediately) {
 TEST(CoarseTrackerTest, CommunicationIsKLogN) {
   const int k = 16;
   sim::CommMeter meter(k);
-  CoarseTracker coarse(k, &meter);
+  CoarseTracker coarse(&meter);
+  std::vector<CoarseSite> sites(k);
   const uint64_t kN = 1 << 18;
   for (uint64_t i = 0; i < kN; ++i) {
-    coarse.Arrive(static_cast<int>(i % k));
+    coarse.Arrive(static_cast<int>(i % k), &sites[i % k]);
   }
   // Uploads: each site reports ~log2(N/k) times; broadcasts: ~log2(N) each
   // costing k. Budget 4 k log2 N total messages.
@@ -63,7 +68,8 @@ TEST(CoarseTrackerTest, CommunicationIsKLogN) {
 
 TEST(CoarseTrackerTest, ObserversFireInOrderWithRounds) {
   sim::CommMeter meter(2);
-  CoarseTracker coarse(2, &meter);
+  CoarseTracker coarse(&meter);
+  std::vector<CoarseSite> sites(2);
   uint64_t last_round = 0;
   uint64_t last_nbar = 0;
   coarse.AddObserver([&](uint64_t round, uint64_t n_bar) {
@@ -72,15 +78,16 @@ TEST(CoarseTrackerTest, ObserversFireInOrderWithRounds) {
     last_round = round;
     last_nbar = n_bar;
   });
-  for (int i = 0; i < 5000; ++i) coarse.Arrive(i % 2);
+  for (int i = 0; i < 5000; ++i) coarse.Arrive(i % 2, &sites[i % 2]);
   EXPECT_EQ(last_round, coarse.round());
 }
 
 TEST(CoarseTrackerTest, SingleSiteSkewStillApproximates) {
   sim::CommMeter meter(8);
-  CoarseTracker coarse(8, &meter);
+  CoarseTracker coarse(&meter);
+  CoarseSite site;
   for (uint64_t i = 1; i <= 50000; ++i) {
-    coarse.Arrive(3);
+    coarse.Arrive(3, &site);
     ASSERT_GE(i, coarse.n_bar());
     ASSERT_LT(i, 4 * std::max<uint64_t>(1, coarse.n_bar()));
   }

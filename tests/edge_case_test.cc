@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -108,14 +109,15 @@ TEST(CoarseTrackerBurstTest, HugeBurstTriggersMultipleHalvings) {
 
 TEST(CoarseTrackerBurstTest, NBarInvariantSurvivesBurst) {
   sim::CommMeter meter(8);
-  count::CoarseTracker coarse(8, &meter);
+  count::CoarseTracker coarse(&meter);
+  std::vector<count::CoarseSite> sites(8);
   uint64_t n = 0;
   for (int i = 0; i < 100; ++i) {
-    coarse.Arrive(i % 8);
+    coarse.Arrive(i % 8, &sites[static_cast<size_t>(i % 8)]);
     ++n;
   }
   for (int i = 0; i < 100000; ++i) {
-    coarse.Arrive(5);
+    coarse.Arrive(5, &sites[5]);
     ++n;
     ASSERT_GE(n, coarse.n_bar());
     ASSERT_LT(n, 4 * std::max<uint64_t>(1, coarse.n_bar()));

@@ -411,8 +411,7 @@ std::unique_ptr<SiteCore> CountSite(TestLink* link) {
   opt.num_sites = 2;
   opt.epsilon = 0.1;
   auto core = std::make_unique<SiteCore>(
-      0, std::make_unique<TrackerSite<count::RandomizedCountTracker>>(opt, 0),
-      link);
+      0, std::make_unique<HostedSite<count::CountSite>>(opt, 0), link);
   link->core = core.get();
   return core;
 }
@@ -580,7 +579,8 @@ Verdict ReplayRestoredSite(
   };
   auto make = [&](TestLink* link) {
     auto core = std::make_unique<SiteCore>(
-        0, std::make_unique<TrackerSite<Tracker>>(options, 0), link);
+        0, std::make_unique<HostedSite<typename Tracker::Site>>(options, 0),
+        link);
     link->core = core.get();
     return core;
   };
@@ -614,7 +614,7 @@ Verdict ReplayRestoredSite(
   TestLink link;
   link.down_seq = snap.down_watermark;
   std::unique_ptr<SiteCore> restored = make(&link);
-  restored->Restore(snap);
+  EXPECT_TRUE(restored->Restore(snap));
   decision = snap_decision;
   run(restored.get(), &link, &decision, events, snap_event, events.size());
 
@@ -635,13 +635,13 @@ Verdict ReplayRestoredSite(
                            a.c == b.c && a.values == b.values &&
                            a.segments == b.segments;
   }
-  if (restored->SnapshotReady() && oracle.SiteSnapshotReady(0)) {
+  if (restored->SnapshotReady() && oracle.site(0).SnapshotReady()) {
     std::vector<uint64_t> want;
-    oracle.SerializeSiteState(0, &want);
+    oracle.site(0).Serialize(&want);
     verdict.state_match = restored->TakeSnapshot().blob == want;
   } else {
     verdict.state_match = restored->SnapshotReady() ==
-                          oracle.SiteSnapshotReady(0);
+                          oracle.site(0).SnapshotReady();
   }
   return verdict;
 }

@@ -17,17 +17,23 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "disttrack/count/randomized_count.h"
+#include "disttrack/frequency/randomized_frequency.h"
 #include "disttrack/rank/randomized_rank.h"
 #include "disttrack/service/coordinator.h"
 #include "disttrack/service/options.h"
+#include "disttrack/service/site_half.h"
 #include "disttrack/service/site_runtime.h"
+#include "disttrack/sim/site_core.h"
 #include "disttrack/sim/wire.h"
 
 namespace disttrack {
@@ -70,6 +76,13 @@ class RecoveryFleet {
     for (pid_t pid : pids_) {
       if (pid > 0) waitpid(pid, nullptr, 0);
     }
+    if (snapshot_dir_ == ".") return;  // mkdtemp failed: nothing of ours
+    for (int site = 0; site < options_.num_sites; ++site) {
+      std::string path = SnapshotPath(snapshot_dir_, site);
+      remove(path.c_str());
+      remove((path + ".tmp").c_str());
+    }
+    rmdir(snapshot_dir_.c_str());
   }
 
   void StartSite(int site, uint64_t crash_after = 0) {
@@ -243,6 +256,184 @@ TEST(ServiceRecovery, RankSiteRecoversMidRun) {
             serial.meter().TotalMessages());
   EXPECT_EQ(fleet.coordinator().stats().paper_words,
             serial.meter().TotalWords());
+}
+
+// --- Snapshot blobs the site refuses -----------------------------------------
+//
+// A snapshot file whose checksum matches but whose blob disagrees with
+// its own header words (a blob cut short, one with a word too many, a
+// frequency blob whose counter count overruns it) reads back fine: the
+// file layer cannot tell. The site class refuses it without reading past
+// the blob's end, and the site starts fresh, as after a torn file.
+
+ServiceOptions RecoveryOptions(TrackerKind tracker) {
+  ServiceOptions options;
+  options.tracker = tracker;
+  options.num_sites = 4;
+  options.total_arrivals = 6000;
+  options.grant_max = 256;
+  options.snapshot_every = 256;
+  return options;
+}
+
+// Site `site`'s snapshot after a ritual and at least 256 arrivals of its
+// stream, taken at the first point the site allows.
+SiteSnapshot LiveSnapshot(const ServiceOptions& options, int site) {
+  std::unique_ptr<SiteHalf> half = SiteHalf::Create(options, site);
+  half->ApplyRitual(uint64_t{1} << 12);
+  SiteSnapshot snap;
+  while (snap.site_arrivals < 256 || !half->SnapshotReady()) {
+    half->Arrive(WorkloadKey(options, site, snap.site_arrivals++));
+  }
+  half->Serialize(&snap.blob);
+  snap.options_hash = options.Hash();
+  snap.site = site;
+  return snap;
+}
+
+// The ways a checksummed blob can disagree with its header words, and a
+// round parameter out of range: log2(1/p) (count's and frequency's first
+// word) or the tree height (rank's fifth) of 64, past any shift.
+std::vector<std::vector<uint64_t>> RefusedBlobs(
+    TrackerKind tracker, const std::vector<uint64_t>& blob) {
+  std::vector<std::vector<uint64_t>> bad;
+  bad.emplace_back(blob.begin(), blob.end() - 1);  // cut short
+  bad.push_back(blob);
+  bad.back().push_back(0);  // a word too many
+  if (tracker == TrackerKind::kFrequency) {
+    // The header counts one more counter than the blob holds.
+    bad.emplace_back(blob.begin(), blob.end() - 2);
+  }
+  bad.push_back(blob);
+  bad.back()[tracker == TrackerKind::kRank ? 4 : 0] = 64;
+  return bad;
+}
+
+struct NullLink : sim::SiteLink {
+  void SendUp(const std::vector<uint8_t>&) override {}
+  bool PumpDown() override { return false; }
+};
+
+TEST(ServiceRecovery, RefusedSnapshotBlobLeavesTheSiteFresh) {
+  for (TrackerKind tracker :
+       {TrackerKind::kCount, TrackerKind::kFrequency, TrackerKind::kRank}) {
+    SCOPED_TRACE(static_cast<int>(tracker));
+    ServiceOptions options = RecoveryOptions(tracker);
+    SiteSnapshot live = LiveSnapshot(options, 1);
+    if (tracker == TrackerKind::kFrequency) {
+      ASSERT_GT(live.blob.size(), 20u) << "no counters to overrun";
+    }
+    NullLink link;
+    sim::SiteCore fresh(1, SiteHalf::Create(options, 1), &link);
+    const std::vector<uint64_t> fresh_blob = fresh.TakeSnapshot().blob;
+    ASSERT_NE(fresh_blob, live.blob);
+
+    char tmpl[] = "/tmp/disttrack_refused_XXXXXX";
+    const char* dir = mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
+    const std::string path = SnapshotPath(dir, 1);
+    for (const std::vector<uint64_t>& blob : RefusedBlobs(tracker, live.blob)) {
+      SiteSnapshot bad = live;
+      bad.blob = blob;
+      std::string error;
+      ASSERT_TRUE(WriteSnapshotFile(path, bad, &error)) << error;
+      SiteSnapshot read;
+      ASSERT_TRUE(ReadSnapshotFile(path, options.Hash(), &read));
+      ASSERT_EQ(read.blob, blob);
+
+      sim::SiteCore core(1, SiteHalf::Create(options, 1), &link);
+      EXPECT_FALSE(core.Restore(read)) << "blob of " << blob.size()
+                                       << " words restored";
+      sim::SiteCore::Snapshot after = core.TakeSnapshot();
+      EXPECT_EQ(after.blob, fresh_blob);
+      EXPECT_EQ(after.site_arrivals, 0u);
+      EXPECT_EQ(after.up_next_seq, 1u);
+      EXPECT_EQ(after.down_watermark, 0u);
+    }
+    // The live blob itself restores.
+    sim::SiteCore core(1, SiteHalf::Create(options, 1), &link);
+    EXPECT_TRUE(core.Restore(live));
+    EXPECT_EQ(core.TakeSnapshot().blob, live.blob);
+    remove(path.c_str());
+    rmdir(dir);
+  }
+}
+
+// The site process end to end: site 1 finds a checksummed snapshot file
+// it refuses, starts fresh (it joins without the resume flag), and the
+// fleet ends exactly as the serial replay of the grant journal does.
+template <typename Tracker, typename Options>
+void ExpectSerialLedger(RecoveryFleet& fleet, const ServiceOptions& options,
+                        const Options& tracker_options) {
+  Message journal = Ask(fleet.coordinator(), kQueryJournal);
+  Tracker serial(tracker_options);
+  std::vector<uint64_t> position(4, 0);
+  for (size_t i = 0; i + 1 < journal.values.size(); i += 2) {
+    int site = static_cast<int>(journal.values[i]);
+    for (uint64_t j = 0; j < journal.values[i + 1]; ++j) {
+      uint64_t key =
+          WorkloadKey(options, site, position[static_cast<size_t>(site)]++);
+      if constexpr (std::is_same_v<Tracker, count::RandomizedCountTracker>) {
+        serial.Arrive(site);
+      } else {
+        serial.Arrive(site, key);
+      }
+    }
+  }
+  const Coordinator::Stats& stats = fleet.coordinator().stats();
+  EXPECT_EQ(stats.paper_messages, serial.meter().TotalMessages());
+  EXPECT_EQ(stats.paper_words, serial.meter().TotalWords());
+  if constexpr (std::is_same_v<Tracker, count::RandomizedCountTracker>) {
+    EXPECT_EQ(Ask(fleet.coordinator(), kQueryCount).values[0],
+              Bits(serial.EstimateCount()));
+  } else if constexpr (std::is_same_v<Tracker,
+                                      frequency::RandomizedFrequencyTracker>) {
+    EXPECT_EQ(Ask(fleet.coordinator(), kQueryPoint, 3).values[0],
+              Bits(serial.EstimateFrequency(3)));
+  } else {
+    uint64_t value = options.universe / 2;
+    EXPECT_EQ(Ask(fleet.coordinator(), kQueryRank, value).values[0],
+              Bits(serial.EstimateRank(value)));
+  }
+}
+
+TEST(ServiceRecovery, SiteRefusingItsSnapshotStartsFresh) {
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  for (TrackerKind tracker :
+       {TrackerKind::kCount, TrackerKind::kFrequency, TrackerKind::kRank}) {
+    ServiceOptions options = RecoveryOptions(tracker);
+    SiteSnapshot live = LiveSnapshot(options, 1);
+    for (const std::vector<uint64_t>& blob : RefusedBlobs(tracker, live.blob)) {
+      SCOPED_TRACE(testing::Message() << "tracker " << static_cast<int>(tracker)
+                                      << ", blob of " << blob.size()
+                                      << " words");
+      RecoveryFleet fleet(options);
+      SiteSnapshot bad = live;
+      bad.blob = blob;
+      std::string error;
+      ASSERT_TRUE(WriteSnapshotFile(SnapshotPath(fleet.snapshot_dir(), 1), bad,
+                                    &error))
+          << error;
+      for (int site = 0; site < 4; ++site) fleet.StartSite(site);
+      ASSERT_TRUE(
+          fleet.PumpUntil([&] { return fleet.coordinator().AllSitesDone(); }));
+      EXPECT_EQ(fleet.coordinator().stats().rejoins, 0u);
+      switch (tracker) {
+        case TrackerKind::kCount:
+          ExpectSerialLedger<count::RandomizedCountTracker>(
+              fleet, options, options.CountOptions());
+          break;
+        case TrackerKind::kFrequency:
+          ExpectSerialLedger<frequency::RandomizedFrequencyTracker>(
+              fleet, options, options.FrequencyOptions());
+          break;
+        case TrackerKind::kRank:
+          ExpectSerialLedger<rank::RandomizedRankTracker>(
+              fleet, options, options.RankOptions());
+          break;
+      }
+    }
+  }
 }
 
 }  // namespace

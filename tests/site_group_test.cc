@@ -151,7 +151,8 @@ TEST(SiteGroupTest, BatchCannotBroadcastIsExactAgainstReplay) {
                      SiteSchedule::kBursty}) {
     auto w = MakeFrequencyWorkload(k, 60000, sched, 100, 0.0, 17);
     sim::CommMeter meter(k);
-    count::CoarseTracker coarse(k, &meter);
+    count::CoarseTracker coarse(&meter);
+    std::vector<count::CoarseSite> sites(static_cast<size_t>(k));
     SiteGrouper grouper;
     Rng rng(23);
     size_t pos = 0;
@@ -160,9 +161,13 @@ TEST(SiteGroupTest, BatchCannotBroadcastIsExactAgainstReplay) {
     while (pos < w.size()) {
       size_t len = std::min<size_t>(1 + rng.UniformU64(4096), w.size() - pos);
       grouper.CountArrivals(w.data() + pos, len, k);
-      bool predicted_safe = coarse.BatchCannotBroadcast(grouper.histogram());
+      bool predicted_safe =
+          coarse.BatchCannotBroadcast(sites, grouper.histogram());
       uint64_t round_before = coarse.round();
-      for (size_t i = 0; i < len; ++i) coarse.Arrive(w[pos + i].site);
+      for (size_t i = 0; i < len; ++i) {
+        int site = w[pos + i].site;
+        coarse.Arrive(site, &sites[static_cast<size_t>(site)]);
+      }
       bool was_safe = coarse.round() == round_before;
       ASSERT_EQ(predicted_safe, was_safe)
           << "chunk at " << pos << " len " << len;

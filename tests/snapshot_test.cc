@@ -1,7 +1,7 @@
-// Snapshot round-trip property tests for all three trackers (robustness
-// PR satellite): SerializeSiteState / RestoreSiteState must be a lossless
-// round trip of everything that influences future behavior — counters,
-// report state, RNG and skip-sampler streams, round-scoped globals.
+// Snapshot round-trip property tests for all three trackers: a site's
+// Serialize / Restore must be a lossless round trip of everything that
+// influences future behavior — counters, report state, RNG and
+// skip-sampler streams, the site's copy of the round parameters.
 //
 // Protocol: run two trackers with identical options over the same
 // workload (bit-identical state), then at several cut points serialize
@@ -49,21 +49,22 @@ void RunTwinTest(Tracker& primary, Tracker& twin, const sim::Workload& workload,
       ++cut_idx;
     }
     for (int s = 0; s < num_sites; ++s) {
-      if (!pending[static_cast<size_t>(s)] || !primary.SiteSnapshotReady(s)) {
+      if (!pending[static_cast<size_t>(s)] ||
+          !primary.site(s).SnapshotReady()) {
         continue;
       }
       pending[static_cast<size_t>(s)] = 0;
-      ASSERT_TRUE(twin.SiteSnapshotReady(s));  // twins agree on readiness
+      ASSERT_TRUE(twin.site(s).SnapshotReady());  // twins agree on readiness
 
       std::vector<uint64_t> blob, blob_twin, blob_again;
-      primary.SerializeSiteState(s, &blob);
-      twin.SerializeSiteState(s, &blob_twin);
+      primary.site(s).Serialize(&blob);
+      twin.site(s).Serialize(&blob_twin);
       EXPECT_EQ(blob, blob_twin) << "site " << s << " at arrival " << i + 1;
 
       // Cross-restore, twice (idempotent), then re-serialize (stable).
-      twin.RestoreSiteState(s, blob);
-      twin.RestoreSiteState(s, blob);
-      twin.SerializeSiteState(s, &blob_again);
+      ASSERT_TRUE(twin.site(s).Restore(blob));
+      ASSERT_TRUE(twin.site(s).Restore(blob));
+      twin.site(s).Serialize(&blob_again);
       EXPECT_EQ(blob, blob_again) << "site " << s << " at arrival " << i + 1;
     }
 
