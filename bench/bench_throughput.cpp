@@ -20,7 +20,7 @@
 //    use_skip_sampling=false, i.e. one Bernoulli RNG draw per arrival;
 //  * grouped_batched — the library's ReplayCountSites (batch delivery
 //    between checkpoints into the production engine: skip sampling,
-//    site-grouped chunks, countdown fallback).
+//    site-grouped chunks cut at each broadcast).
 // Both produce the same checkpoint schedule and ±eps-accurate estimates,
 // so the ratio isolates the delivery + sampling engine.
 
@@ -489,9 +489,9 @@ int main(int argc, char** argv) {
         const char* name;
         bool skip;
       };
-      // skip_batched is the production path; at this eps the counter
-      // tables stay cache-resident, so the gate keeps the countdown
-      // engine (see RandomizedFrequencyTracker::grouped_delivery_enabled).
+      // skip_batched is the production path: skip sampling and the
+      // grouped batch engine, with the counter tables cache-resident at
+      // this eps.
       for (const FreqPath& path : {FreqPath{"per_arrival", false},
                                    FreqPath{"skip_batched", true}}) {
         bool skip = path.skip;
@@ -568,9 +568,8 @@ int main(int argc, char** argv) {
 
   // ---- frequency, table-bound regime: at eps = 5e-4, k = 32 the
   // sticky-counter working set (~ c/(eps sqrt(k)) entries per site, 32
-  // bytes each across k sites ~ 1.4 MB) outgrows the 1 MiB cache bound,
-  // so the tracker's gate turns grouped delivery ON — the regime where
-  // site-contiguous spans pay for the permutation.
+  // bytes each across k sites ~ 1.4 MB) outgrows the cache — the regime
+  // where site-contiguous spans pay most for the permutation.
   {
     const int k_tb = 32;
     const double eps_tb = 5e-4;
@@ -586,15 +585,7 @@ int main(int argc, char** argv) {
           o.num_sites = k_tb;
           o.epsilon = eps_tb;
           o.seed = kSeed;
-          auto t = std::make_unique<frequency::RandomizedFrequencyTracker>(o);
-          if (!t->grouped_delivery_enabled()) {
-            std::fprintf(stderr,
-                         "table_bound: the gate chose the countdown engine "
-                         "(eps=%g k=%d)\n",
-                         eps_tb, k_tb);
-            std::exit(1);
-          }
-          return t;
+          return std::make_unique<frequency::RandomizedFrequencyTracker>(o);
         },
         [&](sim::FrequencyTrackerInterface* t) {
           double secs = DeliverTimed(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift guard: fail CI when the normative docs fall behind the code.
 
-Four cross-checks, all exact:
+Six cross-checks, all exact:
 
 1. docs/WIRE_PROTOCOL.md's message-type table vs the MsgType enum in
    src/disttrack/sim/wire.h — same names, same values, nothing missing
@@ -30,6 +30,13 @@ Four cross-checks, all exact:
    of `a::B::C` that is not a lowercase namespace; `std::` is exempt),
    call-shaped names (`Name(...)`, `obj.Name()`) and UpperCamelCase
    identifiers (`SiteCore`). Fenced code blocks are not citations.
+
+6. Every source-file path (`*.h`, `*.cc`, `*.cpp`, `*.py`, `*.json`)
+   README.md or docs/*.md cites in backticks must name a file in the
+   tree — relative to the repo root, to src/disttrack/ or to the doc's
+   directory, or, for a bare file name, as the one file of that name.
+   `x.h/.cc` cites both x.h and x.cc; `path/to/` placeholders are
+   exempt. Fenced code blocks are not citations.
 
 No dependencies beyond the standard library; run from anywhere:
 
@@ -301,6 +308,59 @@ def check_code_citations():
                      f"occurs nowhere in the code")
 
 
+SOURCE_PATH = re.compile(
+    r"[\w./-]*\w\.(?:h|cc|cpp|py|json)(?:/\.(?:h|cc|cpp|py|json))*(?![\w/])")
+
+
+# Linter test data: stand-ins named like the sources they imitate
+# (wire_switch__pass/wire.cc), which no doc cites.
+LINT_FIXTURES = ROOT / "tests" / "lint_fixture"
+
+
+def tree_basenames():
+    """How many files of each name the tree holds; build output, hidden
+    directories, caches and the lint fixtures are left out."""
+    counts = {}
+    for path in ROOT.rglob("*"):
+        rel = path.relative_to(ROOT).parts
+        if (not path.is_file() or LINT_FIXTURES in path.parents
+                or any(p.startswith((".", "build")) or p == "__pycache__"
+                       for p in rel[:-1])):
+            continue
+        counts[path.name] = counts.get(path.name, 0) + 1
+    return counts
+
+
+def cited_source_paths(text):
+    """The source-file paths a Markdown text cites in inline backticks,
+    `x.h/.cc` expanded to x.h and x.cc."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    paths = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        for cited in SOURCE_PATH.findall(span):
+            if "path/to/" in cited:
+                continue
+            first, *more = cited.split("/.")
+            paths.add(first)
+            stem = first.rsplit(".", 1)[0]
+            paths.update(f"{stem}.{ext}" for ext in more)
+    return paths
+
+
+def check_source_citations():
+    basenames = tree_basenames()
+    for doc in [README, *sorted(DOCS.glob("*.md"))]:
+        bases = (ROOT, ROOT / "src" / "disttrack", doc.parent)
+        text = doc.read_text(encoding="utf-8")
+        for cited in sorted(cited_source_paths(text)):
+            if any((base / cited).is_file() for base in bases):
+                continue
+            if "/" not in cited and basenames.get(cited) == 1:
+                continue
+            fail(f"{doc.relative_to(ROOT)}: cites `{cited}`, which names "
+                 f"no file in the tree")
+
+
 def run():
     """All checks; prints a report and returns a process exit code."""
     del errors[:]
@@ -315,14 +375,15 @@ def run():
         check_exit_codes()
         check_doc_citations()
         check_code_citations()
+        check_source_citations()
     if errors:
         for msg in errors:
             print(f"doc-drift: {msg}", file=sys.stderr)
         print(f"doc-drift: {len(errors)} error(s)", file=sys.stderr)
         return 1
     print("doc-drift: wire-protocol table, delivery-paths table, "
-          "exit-code table, doc citations and cited code names all match "
-          "the source")
+          "exit-code table, doc citations, cited code names and cited "
+          "source paths all match the source")
     return 0
 
 

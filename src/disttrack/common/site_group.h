@@ -1,13 +1,14 @@
-// Site-grouped batch delivery: the shared permutation layer of the serial
-// grouped engines (count, frequency, rank).
+// Site-grouped batch delivery: the permutation layer of the one batch
+// engine (CoarseTracker::DeliverChunks) that count, frequency and rank
+// share.
 //
 // All per-arrival randomness in the paper's trackers lives in independent
 // per-site coin streams, and the only cross-site coupling is the
-// CoarseTracker broadcast. Inside a batch that provably contains no
-// broadcast (see CoarseTracker::BatchCannotBroadcast), arrivals can
-// therefore be permuted into site-contiguous spans without changing a
-// single coin draw: each site still sees its own arrivals in stream order
-// and consumes its private RNG at the same per-site offsets.
+// CoarseTracker broadcast. Inside a chunk that contains no broadcast (the
+// engine cuts each chunk at its first one), arrivals can therefore be
+// permuted into site-contiguous spans without changing a single coin
+// draw: each site still sees its own arrivals in stream order and
+// consumes its private RNG at the same per-site offsets.
 // Processing one site's span end-to-end keeps that site's working set
 // (counter table, run buffer, ladder, compactor nodes) cache-resident
 // instead of thrashing k of them per cache line of the arrival stream.
@@ -17,9 +18,9 @@
 // steady-state replay groups without allocating). Keyed trackers scatter
 // the 8-byte keys in ONE pass over the batch (per-site pooled buffers;
 // the histogram falls out of the buffer sizes, so the broadcast-safety
-// check runs after the scatter and an unsafe chunk wastes only that one
-// pass); the count tracker needs only the histogram — its spans are just
-// counts.
+// check runs after the scatter, and a chunk cut at a broadcast is
+// scattered again up to the cut); the count tracker needs only the
+// histogram — its spans are just counts.
 
 #ifndef DISTTRACK_COMMON_SITE_GROUP_H_
 #define DISTTRACK_COMMON_SITE_GROUP_H_
@@ -32,10 +33,10 @@
 
 namespace disttrack {
 
-/// Chunk size of the grouped engines: large enough to amortize the O(k)
+/// Chunk size of the grouped engine: large enough to amortize the O(k)
 /// per-chunk work and the broadcast-safety check, small enough that the
-/// scatter scratch (8 bytes/element keyed) stays cache-resident and an
-/// unsafe chunk's countdown fallback stays fine-grained.
+/// scatter scratch (8 bytes/element keyed) stays cache-resident and a
+/// chunk cut at a broadcast rescans little.
 inline constexpr size_t kSiteGroupChunk = size_t{1} << 14;
 
 /// Stable scatter of an arrival batch into per-site spans. One instance

@@ -75,8 +75,8 @@ class SkipSampler {
   }
 
   /// Consumes `count` arrivals known to be failures in one step; requires
-  /// count <= pending_skips(). Batch engines use this to retire a run of
-  /// eventless arrivals without per-element Next() calls.
+  /// count <= pending_skips(). The batch engine uses this to retire a run
+  /// of eventless arrivals without per-element Next() calls.
   void ConsumeFailures(uint64_t count) { skip_ -= count; }
 
   /// Arrivals that will fail before the next success (diagnostics/tests).

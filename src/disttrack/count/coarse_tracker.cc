@@ -1,5 +1,8 @@
 #include "disttrack/count/coarse_tracker.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace disttrack {
 namespace count {
 
@@ -12,6 +15,12 @@ void CoarseTracker::Report(int site, uint64_t delta) {
   // Coordinator: broadcast when n' has at least doubled since the last
   // broadcast (first broadcast at the very first report).
   if (!coordinator_.ApplyReport(delta)) return;
+  if (grouped_chunk_) {
+    std::fprintf(stderr,
+                 "CoarseTracker: broadcast inside a grouped chunk — the "
+                 "broadcast-safety test is wrong\n");
+    std::abort();
+  }
   meter_->RecordBroadcast(1);
   sim::wire::Emit(tap_, sim::wire::MsgType::kBroadcast, -1,
                   coordinator_.round, coordinator_.round, coordinator_.n_bar);

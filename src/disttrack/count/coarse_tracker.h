@@ -11,10 +11,15 @@
 // and hands its reports to a coordinator port: in process the port calls
 // CoarseTracker::Report, in a hosted site (sim::HostedSite) it only emits
 // the kCoarseReport frame (TapCoarsePort).
+//
+// The broadcast is also the only thing that couples sites, so the three
+// trackers' one batch engine lives here too: CoarseTracker::DeliverChunks
+// runs every chunk site-grouped up to its first broadcast.
 
 #ifndef DISTTRACK_COUNT_COARSE_TRACKER_H_
 #define DISTTRACK_COUNT_COARSE_TRACKER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "disttrack/sim/comm_meter.h"
+#include "disttrack/sim/protocol.h"
 #include "disttrack/sim/wire.h"
 
 namespace disttrack {
@@ -59,14 +65,14 @@ struct CoarseSite {
     return delta;
   }
 
-  /// Arrivals before the next report fires (always >= 1). Batch engines
-  /// use this to bound how far they may advance without observing an
-  /// event.
+  /// Arrivals before the next report fires (always >= 1). The batch
+  /// engine uses this to bound how far it may advance without observing
+  /// an event.
   uint64_t arrivals_until_report() const { return next_report - count; }
 
   /// Advances by `n` arrivals known to contain no report (requires
-  /// n < arrivals_until_report(); aborts otherwise). The run loops of the
-  /// batch engines retire eventless stretches here.
+  /// n < arrivals_until_report(); aborts otherwise). The span loops of the
+  /// batch engine retire eventless stretches here.
   void AdvanceNoReport(uint64_t n) {
     if (n >= arrivals_until_report()) {
       std::fprintf(stderr,
@@ -173,9 +179,8 @@ class CoarseTracker {
 
   /// True iff a batch delivering `histogram[i]` arrivals to site i, whose
   /// site half is CoarseOf(sites[i]), cannot trigger a broadcast — under
-  /// ANY interleaving of the sites. This is the safety gate of the
-  /// site-grouped delivery engines (common/site_group.h), and it is EXACT
-  /// for carry-free batches:
+  /// ANY interleaving of the sites. This is the O(k) safety test of the
+  /// site-grouped batch engine (DeliverChunks), and it is EXACT:
   ///
   /// A site's reports fire at fixed local counts (the power-of-two
   /// doubling thresholds), so the set of reports the batch produces — and
@@ -188,12 +193,12 @@ class CoarseTracker {
   ///
   /// `carry[i]`, when non-null, counts arrivals already delivered to
   /// site i but not yet advanced through its site half (the rank engine
-  /// buffers eventless runs across chunk boundaries); they may be fed
-  /// during the batch, so a site receiving new arrivals is projected
-  /// over histogram[i] + carry[i]. A site with histogram[i] == 0 is not
-  /// touched by the batch at all — its carry stays unfed and is ignored.
-  /// With carry the test is an upper bound (the batch may end before
-  /// feeding everything), which can only cause a harmless fallback.
+  /// buffers eventless runs across chunk boundaries). Carry is always
+  /// short of the site's next report, and a site feeds it before any
+  /// arrival of its own that reports, so a site receiving new arrivals is
+  /// projected over histogram[i] + carry[i]; a site with
+  /// histogram[i] == 0 reports nothing, and its carry is ignored. The
+  /// test stays exact (site_group_test replays it).
   template <typename Sites>
   bool BatchCannotBroadcast(const Sites& sites, const uint32_t* histogram,
                             const uint64_t* carry = nullptr) const {
@@ -206,6 +211,76 @@ class CoarseTracker {
       if (coordinator_.WouldBroadcast(delta)) return false;
     }
     return !coordinator_.WouldBroadcast(delta);
+  }
+
+  /// Index of the first arrival of `input[0, len)` whose coarse report
+  /// broadcasts, or `len` when none does: the chunk replayed in stream
+  /// order on copies of the sites' halves (each advanced by its `carry`,
+  /// as in BatchCannotBroadcast) and of the coordinator half. Site ids
+  /// must already be range-checked. DeliverChunks cuts a chunk here.
+  template <typename Sites, typename Input>
+  size_t BroadcastFreePrefix(const Sites& sites, const Input* input,
+                             size_t len,
+                             const uint64_t* carry = nullptr) const {
+    std::vector<CoarseSite> local(sites.size());
+    for (size_t i = 0; i < sites.size(); ++i) {
+      local[i] = CoarseOf(sites[i]);
+      if (carry != nullptr) local[i].AdvanceNoReport(carry[i]);
+    }
+    CoarseMirror mirror = coordinator_;
+    for (size_t i = 0; i < len; ++i) {
+      uint64_t delta = local[SiteOf(input[i])].Arrive();
+      if (delta != 0 && mirror.ApplyReport(delta)) return i;
+    }
+    return len;
+  }
+
+  /// The batch engine of the randomized trackers. Delivers
+  /// `input[0, count)` in chunks of at most `chunk` arrivals: `group(in,
+  /// len)` permutes arrivals into per-site spans (common/site_group.h)
+  /// and returns their histogram, `run()` runs the spans of the last
+  /// grouping. A chunk BatchCannotBroadcast certifies runs grouped whole.
+  /// Any other is cut at each of its broadcasting arrivals, found by
+  /// BroadcastFreePrefix scans: the stretch before each runs grouped, and
+  /// the arrival itself runs alone — a one-arrival chunk is already in
+  /// stream order, so it is the one place a broadcast may fire. Per-site
+  /// coin streams are site-local and every other coordinator effect is an
+  /// order-insensitive sum, so the result is bit-identical to per-element
+  /// delivery. `carry` is as in BatchCannotBroadcast, re-read after each
+  /// `group` call; a broadcast must leave it zero (rank feeds every
+  /// buffered run before the report that broadcasts).
+  template <typename Sites, typename Input, typename Group, typename Run>
+  void DeliverChunks(const Sites& sites, const Input* input, size_t count,
+                     size_t chunk, const uint64_t* carry, Group&& group,
+                     Run&& run) {
+    auto run_certified = [&] {
+      grouped_chunk_ = true;
+      run();
+      grouped_chunk_ = false;
+    };
+    for (size_t pos = 0; pos < count;) {
+      const size_t end = pos + std::min(chunk, count - pos);
+      if (BatchCannotBroadcast(sites, group(input + pos, end - pos), carry)) {
+        run_certified();
+        pos = end;
+        continue;
+      }
+      // One scan per stretch instead of one regrouping of the rest per
+      // broadcast: early in a stream, broadcasts come dense.
+      for (const uint64_t* c = carry; pos < end; c = nullptr) {
+        size_t cut = BroadcastFreePrefix(sites, input + pos, end - pos, c);
+        if (cut > 0) {
+          group(input + pos, cut);
+          run_certified();
+          pos += cut;
+        }
+        if (pos < end) {
+          group(input + pos, 1);
+          run();
+          ++pos;
+        }
+      }
+    }
   }
 
   /// Installs a message tap (sim/wire.h): every coarse report and every
@@ -223,6 +298,10 @@ class CoarseTracker {
   uint64_t n_prime() const { return coordinator_.n_prime; }
 
  private:
+  static size_t SiteOf(const sim::Arrival& arrival) {
+    return static_cast<size_t>(arrival.site);
+  }
+  static size_t SiteOf(uint16_t site) { return site; }
   static const CoarseSite& CoarseOf(const CoarseSite& site) { return site; }
   template <typename Site>
   static const CoarseSite& CoarseOf(const Site& site) {
@@ -233,6 +312,10 @@ class CoarseTracker {
   sim::wire::WireTap* tap_ = nullptr;
   std::vector<BroadcastObserver> observers_;
   CoarseMirror coordinator_;
+  // Set while DeliverChunks runs a certified chunk: a broadcast then
+  // means the arrivals were already reordered across it, and Report
+  // aborts instead of letting the replay silently diverge.
+  bool grouped_chunk_ = false;
 };
 
 }  // namespace count

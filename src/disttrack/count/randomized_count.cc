@@ -1,9 +1,6 @@
 #include "disttrack/count/randomized_count.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "disttrack/common/math_util.h"
 
@@ -32,9 +29,6 @@ uint64_t RandomizedCountOptions::InvP(uint64_t n_bar) const {
 }
 
 namespace {
-
-int SiteOf(const sim::Arrival& arrival) { return arrival.site; }
-int SiteOf(uint16_t site) { return site; }
 
 void CountChunk(SiteGrouper* grouper, const sim::Arrival* arrivals,
                 size_t count, int num_sites) {
@@ -133,7 +127,6 @@ RandomizedCountTracker::RandomizedCountTracker(
   coarse_.AddObserver([this](uint64_t round, uint64_t n_bar) {
     OnBroadcast(round, n_bar);
   });
-  countdown_.Resize(options_.num_sites);
 }
 
 double RandomizedCountTracker::p() const {
@@ -153,26 +146,12 @@ struct RandomizedCountTracker::DirectPort {
 };
 
 void RandomizedCountTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
-  if (grouped_chunk_active_) {
-    // CoarseTracker::BatchCannotBroadcast certified this chunk; a
-    // broadcast here means grouped processing already reordered arrivals
-    // across it — abort instead of silently diverging from the serial
-    // coin streams.
-    std::fprintf(stderr,
-                 "RandomizedCountTracker: broadcast inside a grouped chunk "
-                 "— the broadcast-safety bound is wrong\n");
-    std::abort();
-  }
-  // Mid-batch, the countdowns were scheduled from the old skips: flush
-  // them before the rituals redraw, and re-arm after.
-  if (in_batch_) ResyncAllMidBatch();
   // The re-randomization ritual, at every site (§2.1). The broadcast that
   // told sites the new n̄ was already charged by CoarseTracker; the
   // corrections are charged by the port.
   DirectPort port{this};
   for (CountSite& site : sites_) site.Ritual(n_bar, port);
   agg_.BeginRound(options_.InvP(n_bar));
-  if (in_batch_) RearmAll();
 }
 
 void RandomizedCountTracker::set_wire_tap(sim::wire::WireTap* tap) {
@@ -191,60 +170,11 @@ void RandomizedCountTracker::Arrive(int site) {
   ArriveOne(site);
 }
 
-void RandomizedCountTracker::RearmSite(int site) {
-  countdown_.Arm(site, sites_[static_cast<size_t>(site)].NextEventGap());
-}
-
-void RandomizedCountTracker::RearmAll() {
-  for (int i = 0; i < options_.num_sites; ++i) RearmSite(i);
-}
-
-// Flushes every site's consumed-but-unreconciled arrivals, which are
-// eventless by construction. Called when a mid-batch broadcast is about
-// to redraw the skips (the countdowns encode coin gaps of the old p) and
-// at batch end.
-void RandomizedCountTracker::ResyncAllMidBatch() {
-  for (int i = 0; i < options_.num_sites; ++i) {
-    uint64_t consumed = countdown_.Outstanding(i);
-    countdown_.Reconcile(i);
-    sites_[static_cast<size_t>(i)].AdvanceNoEvent(consumed);
-  }
-}
-
-// The countdown for `site` hit zero: reconcile the eventless prefix of its
-// stride, then take the site step for the current arrival.
-void RandomizedCountTracker::HandleEventArrival(int site) {
-  // TakeEventPrefix marks the site fully reconciled before coarse is
-  // touched: if this arrival broadcasts, ResyncAllMidBatch must see zero
-  // outstanding arrivals here.
-  CountSite& s = sites_[static_cast<size_t>(site)];
-  s.AdvanceNoEvent(countdown_.TakeEventPrefix(site));
-  DirectPort port{this};
-  s.Arrive(0, port);
-  RearmSite(site);
-}
-
-template <typename Input>
-void RandomizedCountTracker::CountdownChunk(const Input* input,
-                                            size_t count) {
-  // Event-countdown engine: one decrement per eventless arrival.
-  in_batch_ = true;
-  RearmAll();
-  uint32_t* until = countdown_.until();
-  for (size_t i = 0; i < count; ++i) {
-    int site = SiteOf(input[i]);
-    sim::CheckSiteInRange(site, options_.num_sites);
-    if (--until[site] == 0) HandleEventArrival(site);
-  }
-  ResyncAllMidBatch();
-  in_batch_ = false;
-}
-
 // Count arrivals carry no payload, so a site's slice of a chunk is just a
-// number. The per-site coin stream is consumed at the same offsets as the
-// countdown engine, and inside a grouped chunk no broadcast can fire and
-// all cross-site coordinator effects are order-insensitive sums (reports
-// fold into n' and the aggregate), so the permutation is bit-invisible.
+// number. The site consumes its coin stream at the same offsets as
+// per-element Arrive(), and inside a grouped chunk all cross-site
+// coordinator effects are order-insensitive sums (reports fold into n'
+// and the aggregate), so the permutation is bit-invisible.
 void RandomizedCountTracker::RunSite(int site, uint64_t count) {
   DirectPort port{this};
   CountSite& s = sites_[static_cast<size_t>(site)];
@@ -261,34 +191,31 @@ void RandomizedCountTracker::RunSite(int site, uint64_t count) {
 }
 
 template <typename Input>
-void RandomizedCountTracker::DeliverChunks(const Input* input, size_t count) {
+void RandomizedCountTracker::DeliverGrouped(const Input* input,
+                                            size_t count) {
   // n_ is advanced up front; nothing inside the batch reads it.
   n_ += count;
   // Count arrivals cost ~1 cycle each, so the per-chunk work (histogram
   // reset, span build, safety check) is amortized over a larger chunk
-  // than the keyed engines use; there is no scatter scratch to keep
+  // than the keyed trackers use; there is no scatter scratch to keep
   // cache-resident here.
-  constexpr size_t kCountChunk = kSiteGroupChunk * 4;
-  for (size_t pos = 0; pos < count; pos += kCountChunk) {
-    size_t len = std::min(kCountChunk, count - pos);
-    CountChunk(&grouper_, input + pos, len, options_.num_sites);
-    if (grouped_enabled_ &&
-        coarse_.BatchCannotBroadcast(sites_, grouper_.histogram())) {
-      grouped_chunk_active_ = true;
-      for (const SiteGrouper::Span& span : grouper_.spans()) {
-        RunSite(span.site, span.length);
-      }
-      grouped_chunk_active_ = false;
-    } else {
-      CountdownChunk(input + pos, len);
-    }
-  }
+  coarse_.DeliverChunks(
+      sites_, input, count, kSiteGroupChunk * 4, nullptr,
+      [this](const Input* chunk, size_t len) {
+        CountChunk(&grouper_, chunk, len, options_.num_sites);
+        return grouper_.histogram();
+      },
+      [this] {
+        for (const SiteGrouper::Span& span : grouper_.spans()) {
+          RunSite(span.site, span.length);
+        }
+      });
 }
 
 void RandomizedCountTracker::ArriveBatch(const sim::Arrival* arrivals,
                                          size_t count) {
   if (options_.use_skip_sampling) {
-    DeliverChunks(arrivals, count);
+    DeliverGrouped(arrivals, count);
     return;
   }
   for (size_t i = 0; i < count; ++i) {
@@ -300,7 +227,7 @@ void RandomizedCountTracker::ArriveBatch(const sim::Arrival* arrivals,
 void RandomizedCountTracker::ArriveSites(const uint16_t* sites,
                                          size_t count) {
   if (options_.use_skip_sampling) {
-    DeliverChunks(sites, count);
+    DeliverGrouped(sites, count);
     return;
   }
   for (size_t i = 0; i < count; ++i) {

@@ -34,9 +34,9 @@
 // geometric SkipSampler (skip_sampler.h), so an arrival between successes
 // costs one counter decrement instead of an RNG draw + double compare;
 // every p-halving redraws the outstanding skips (exact by independence of
-// unconsumed coins). Batched delivery groups every chunk that provably
-// contains no coarse broadcast into per-site spans and runs the rest on
-// the event-countdown engine; both are bit-identical to per-element
+// unconsumed coins). Batched delivery runs the one batch engine,
+// CoarseTracker::DeliverChunks: each chunk is grouped into per-site spans
+// up to its first coarse broadcast, bit-identical to per-element
 // Arrive(). The paper-literal per-arrival coin path stays reachable as a
 // reference oracle (`use_skip_sampling = false`).
 
@@ -48,7 +48,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "disttrack/common/event_countdown.h"
 #include "disttrack/common/random.h"
 #include "disttrack/common/site_group.h"
 #include "disttrack/common/skip_sampler.h"
@@ -58,10 +57,6 @@
 #include "disttrack/sim/protocol.h"
 
 namespace disttrack {
-namespace testing_util {
-struct DeliveryPeer;
-}  // namespace testing_util
-
 namespace count {
 
 /// Options for RandomizedCountTracker.
@@ -129,8 +124,8 @@ class CountSite {
   template <typename Port>
   void Ritual(uint64_t n_bar, Port& port);
 
-  /// Arrivals until the next event (coarse report or coin success) — the
-  /// single source of truth for the countdown engine and the run loop.
+  /// Arrivals until the next event (coarse report or coin success): where
+  /// the batch engine's span loop stops to take the site step.
   uint64_t NextEventGap() const {
     return std::min(coarse_.arrivals_until_report(),
                     skip_.pending_skips() + 1);
@@ -204,39 +199,20 @@ class RandomizedCountTracker : public sim::CountTrackerInterface {
   CountSite& site(int i) { return sites_[static_cast<size_t>(i)]; }
 
  private:
-  friend struct testing_util::DeliveryPeer;
-
   // The in-process coordinator port: each effect applies in place and is
-  // tapped (serial, countdown and grouped delivery).
+  // tapped (serial and grouped delivery).
   struct DirectPort;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
   void ArriveOne(int site);
 
-  // --- Batched fast path -------------------------------------------------
-  // The shared EventCountdown engine (common/event_countdown.h): each site
-  // counts down to its next event — a coarse-tracker report or a
-  // skip-sampler coin success, whichever is sooner. Events fire at exactly
-  // the arrival indices where the scalar path would fire them, and the RNG
-  // draw sequence is unchanged, so the batch path is bit-identical to
-  // per-element Arrive() with skip sampling (tested in
-  // skip_equivalence_test and batch_equivalence_test).
-  void RearmSite(int site);
-  void RearmAll();
-  void HandleEventArrival(int site);
-  void ResyncAllMidBatch();
-  // The skip-sampling batch path over Arrival[] or site-id streams:
-  // chunks certified broadcast-free run site-grouped through RunSite, the
-  // rest on the countdown engine.
+  // The skip-sampling batch path over Arrival[] or site-id streams: the
+  // chunks of CoarseTracker::DeliverChunks, each span through RunSite.
   template <typename Input>
-  void DeliverChunks(const Input* input, size_t count);
-  template <typename Input>
-  void CountdownChunk(const Input* input, size_t count);
-  // Advances `site` by `count` arrivals of a grouped chunk, which no
-  // broadcast can cut: eventless stretches retire in bulk, each event
-  // arrival takes the site step through the direct port — the per-site
-  // projection of the countdown engine, without the per-element
-  // decrement.
+  void DeliverGrouped(const Input* input, size_t count);
+  // Advances `site` by `count` arrivals of a grouped chunk: eventless
+  // stretches retire in bulk, each event arrival takes the site step
+  // through the direct port.
   void RunSite(int site, uint64_t count);
 
   RandomizedCountOptions options_;
@@ -250,17 +226,8 @@ class RandomizedCountTracker : public sim::CountTrackerInterface {
   CountAggregate agg_;
   uint64_t n_ = 0;
 
-  // Batch fast-path countdowns (meaningful only while in_batch_).
-  EventCountdown countdown_;
-  bool in_batch_ = false;
-  // Site-grouped delivery scratch + the broadcast-inside-grouped-chunk
-  // abort guard (see OnBroadcast).
+  // Site-grouped delivery scratch.
   SiteGrouper grouper_;
-  bool grouped_chunk_active_ = false;
-  // Always true outside tests; testing_util::DeliveryPeer clears it to
-  // run every chunk on the countdown engine (the grouped ≡ countdown
-  // equivalence tests).
-  bool grouped_enabled_ = true;
 };
 
 }  // namespace count

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -11,16 +9,6 @@
 
 namespace disttrack {
 namespace frequency {
-namespace {
-
-// Cache-residency bound of the grouped-delivery gate (see
-// RandomizedFrequencyTracker::grouped_delivery_enabled()): the projected
-// aggregate counter working set, in bytes, above which grouped delivery
-// wins. An L2's worth: the working set must miss per probe before the
-// scatter pass pays for itself.
-constexpr size_t kGroupedCacheBoundBytes = size_t{1} << 20;
-
-}  // namespace
 
 Status RandomizedFrequencyOptions::Validate() const {
   if (num_sites < 1) {
@@ -213,20 +201,6 @@ RandomizedFrequencyTracker::RandomizedFrequencyTracker(
   coarse_.AddObserver([this](uint64_t round, uint64_t n_bar) {
     OnBroadcast(round, n_bar);
   });
-  countdown_.Resize(options_.num_sites);
-  // The grouped-delivery gate (see grouped_delivery_enabled()): group
-  // when the projected aggregate counter working set — k sites ×
-  // ~c/(ε√k) live entries × one 16-byte slot at ~0.5 load — cannot stay
-  // cache-resident under interleaved delivery. The per-arrival coin
-  // oracle has no batch engine to group.
-  double per_site_entries =
-      options_.confidence_factor /
-      (options_.epsilon * std::sqrt(static_cast<double>(options_.num_sites)));
-  double aggregate_bytes =
-      static_cast<double>(options_.num_sites) * per_site_entries * 32.0;
-  grouped_enabled_ =
-      options_.use_skip_sampling &&
-      aggregate_bytes > static_cast<double>(kGroupedCacheBoundBytes);
 }
 
 // Serial and grouped-chunk coordinator port: every effect applies in
@@ -269,37 +243,17 @@ struct RandomizedFrequencyTracker::DirectPort {
 
 void RandomizedFrequencyTracker::OnBroadcast(uint64_t /*round*/,
                                              uint64_t n_bar) {
-  if (grouped_chunk_active_) {
-    // CoarseTracker::BatchCannotBroadcast certified this chunk; a
-    // broadcast here means grouped processing already reordered arrivals
-    // across it — abort instead of silently diverging from the serial
-    // coin streams.
-    std::fprintf(stderr,
-                 "RandomizedFrequencyTracker: broadcast inside a grouped "
-                 "chunk — the broadcast-safety bound is wrong\n");
-    std::abort();
-  }
-  // Mid-batch, the outstanding eventless arrivals belong to the closing
-  // round: flush them into the authoritative per-site state before the
-  // round ritual discards it.
-  if (in_batch_) ResyncAllMidBatch();
   FrequencyAggregate::RequireExact(agg_.BeginRound(options_.InvP(n_bar)),
                                    "1/p");
   DirectPort port{this};
   for (FrequencySite& site : sites_) site.Ritual(n_bar, port);
-  if (in_batch_) RearmAll();
-}
-
-inline void RandomizedFrequencyTracker::ProcessArrival(int site,
-                                                       uint64_t item) {
-  DirectPort port{this};
-  sites_[static_cast<size_t>(site)].Arrive(item, port);
-  FlushPending();
 }
 
 inline void RandomizedFrequencyTracker::ArriveOne(int site, uint64_t item) {
   ++n_;
-  ProcessArrival(site, item);
+  DirectPort port{this};
+  sites_[static_cast<size_t>(site)].Arrive(item, port);
+  FlushPending();
 }
 
 void RandomizedFrequencyTracker::Arrive(int site, uint64_t item) {
@@ -307,10 +261,9 @@ void RandomizedFrequencyTracker::Arrive(int site, uint64_t item) {
   ArriveOne(site, item);
 }
 
-// One site's span: the per-site projection of the serial event-countdown
-// engine. Eventless arrivals pay one batched tracked-counter walk and
-// retire in bulk; each event arrival takes the site step through the
-// direct port.
+// One site's span of a grouped chunk. Eventless arrivals pay one batched
+// tracked-counter walk and retire in bulk; each event arrival takes the
+// site step through the direct port.
 void RandomizedFrequencyTracker::RunSiteSpan(int site, const uint64_t* keys,
                                              size_t count) {
   DirectPort port{this};
@@ -334,97 +287,35 @@ void RandomizedFrequencyTracker::FlushPending() {
   pending_.clear();
 }
 
-void RandomizedFrequencyTracker::RearmSite(int site) {
-  countdown_.Arm(site, sites_[static_cast<size_t>(site)].NextEventGap());
-}
-
-void RandomizedFrequencyTracker::RearmAll() {
-  for (int i = 0; i < options_.num_sites; ++i) RearmSite(i);
-}
-
-// Retires every site's consumed-but-unreconciled arrivals, which are
-// eventless by construction (their counters were incremented inline at
-// arrival time; that carries no randomness and touches no coordinator
-// state).
-void RandomizedFrequencyTracker::ResyncAllMidBatch() {
-  for (int i = 0; i < options_.num_sites; ++i) {
-    uint64_t consumed = countdown_.Outstanding(i);
-    countdown_.Reconcile(i);
-    sites_[static_cast<size_t>(i)].AdvanceNoEvent(consumed);
-  }
-}
-
-// The countdown for `site` hit zero: reconcile the eventless prefix of its
-// stride, then process the current arrival exactly as the scalar path
-// would — coarse first (a broadcast here redraws skips before the coins
-// are consumed), then the coins and store updates.
-void RandomizedFrequencyTracker::HandleEventArrival(int site, uint64_t item) {
-  sites_[static_cast<size_t>(site)].AdvanceNoEvent(
-      countdown_.TakeEventPrefix(site));
-  ProcessArrival(site, item);
-  RearmSite(site);
-}
-
-void RandomizedFrequencyTracker::RunBatch(const sim::Arrival* arrivals,
-                                          size_t count) {
-  // Event-countdown engine: an eventless arrival costs one decrement plus
-  // one counter-store probe. n_ is advanced up front; nothing inside the
-  // batch reads it.
-  n_ += count;
-  in_batch_ = true;
-  RearmAll();
-  uint32_t* until = countdown_.until();
-  for (size_t i = 0; i < count; ++i) {
-    int site = arrivals[i].site;
-    sim::CheckSiteInRange(site, options_.num_sites);
-    uint64_t item = arrivals[i].key;
-    if (--until[site] == 0) {
-      HandleEventArrival(site, item);
-    } else {
-      sites_[static_cast<size_t>(site)].CountIfTracked(item);
-    }
-  }
-  ResyncAllMidBatch();
-  in_batch_ = false;
-}
-
 void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
                                              size_t count) {
   if (!options_.use_skip_sampling) {
-    // The per-arrival coin oracle has no countdown to run, so batch
-    // delivery degenerates to the scalar loop.
+    // The per-arrival coin oracle has no skips to retire in bulk, so
+    // batch delivery degenerates to the scalar loop.
     for (size_t i = 0; i < count; ++i) {
       sim::CheckSiteInRange(arrivals[i].site, options_.num_sites);
       ArriveOne(arrivals[i].site, arrivals[i].key);
     }
     return;
   }
-  if (!grouped_enabled_) {
-    RunBatch(arrivals, count);
-    return;
-  }
-  // Site-grouped delivery: a chunk certified broadcast-free is permuted
-  // into site-contiguous spans, each walked against its site's counter
-  // table in one cache-resident pass; counter reports and samples apply
-  // after the spans in one prefetched batch (see DirectPort).
-  // Chunks that may broadcast run through the countdown engine unchanged.
-  size_t pos = 0;
-  while (pos < count) {
-    size_t len = std::min(kSiteGroupChunk, count - pos);
-    grouper_.ScatterBySite(arrivals + pos, len, options_.num_sites);
-    if (coarse_.BatchCannotBroadcast(sites_, grouper_.histogram())) {
-      n_ += len;
-      grouped_chunk_active_ = true;
-      for (const SiteGrouper::Span& span : grouper_.spans()) {
-        RunSiteSpan(span.site, span.data, span.length);
-      }
-      grouped_chunk_active_ = false;
-      FlushPending();
-    } else {
-      RunBatch(arrivals + pos, len);
-    }
-    pos += len;
-  }
+  // n_ is advanced up front; nothing inside the batch reads it. Each
+  // chunk's spans are walked against their sites' counter tables in one
+  // cache-resident pass, and the counter reports and samples they queue
+  // apply after the spans in one prefetched batch (see DirectPort) —
+  // always before a broadcasting arrival's round ends.
+  n_ += count;
+  coarse_.DeliverChunks(
+      sites_, arrivals, count, kSiteGroupChunk, nullptr,
+      [this](const sim::Arrival* chunk, size_t len) {
+        grouper_.ScatterBySite(chunk, len, options_.num_sites);
+        return grouper_.histogram();
+      },
+      [this] {
+        for (const SiteGrouper::Span& span : grouper_.spans()) {
+          RunSiteSpan(span.site, span.data, span.length);
+        }
+        FlushPending();
+      });
 }
 
 double RandomizedFrequencyTracker::EstimateFrequency(uint64_t item) const {

@@ -32,18 +32,17 @@
 //
 // Hot path: the sticky counter list is a flat open-addressing table
 // (counter_table.h) — one Fibonacci-hash probe per arrival instead of an
-// unordered_map find — and batched delivery runs on the shared
-// EventCountdown engine: between events (coin successes on either
-// channel, coarse reports, virtual-site splits) an arrival costs one
-// countdown decrement plus the table probe, with the two skip channels,
-// the round-arrival counter, and the coarse site reconciled in bulk at
-// each event. The batch engine consumes the RNG exactly as per-element
-// Arrive() does, so batch-vs-scalar is bit-identical
-// (batch_equivalence_test). Once the counter tables outgrow the cache,
-// chunks that provably contain no coarse broadcast are instead grouped
-// into per-site spans (see grouped_delivery_enabled()), also
-// bit-identical. The paper-literal per-arrival coins stay reachable as a
-// reference oracle (`use_skip_sampling = false`).
+// unordered_map find — and batched delivery runs the one batch engine,
+// CoarseTracker::DeliverChunks: each chunk is grouped into per-site spans
+// up to its first coarse broadcast, and each span is walked against its
+// site's counter table in one batched pass. Between events (coin
+// successes on either channel, coarse reports, virtual-site splits) an
+// arrival costs its share of that walk, with the two skip channels, the
+// round-arrival counter and the coarse site retired in bulk at each
+// event. The engine consumes the RNG exactly as per-element Arrive()
+// does, so batch-vs-scalar is bit-identical (batch_equivalence_test). The
+// paper-literal per-arrival coins stay reachable as a reference oracle
+// (`use_skip_sampling = false`).
 
 #ifndef DISTTRACK_FREQUENCY_RANDOMIZED_FREQUENCY_H_
 #define DISTTRACK_FREQUENCY_RANDOMIZED_FREQUENCY_H_
@@ -52,7 +51,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "disttrack/common/event_countdown.h"
 #include "disttrack/common/random.h"
 #include "disttrack/common/site_group.h"
 #include "disttrack/common/skip_sampler.h"
@@ -63,10 +61,6 @@
 #include "disttrack/sim/protocol.h"
 
 namespace disttrack {
-namespace testing_util {
-struct DeliveryPeer;
-}  // namespace testing_util
-
 namespace frequency {
 
 /// Options for RandomizedFrequencyTracker.
@@ -90,9 +84,9 @@ struct RandomizedFrequencyOptions {
   /// the two per-arrival Bernoulli(p) coins (counter channel and sampling
   /// channel) with two geometric SkipSamplers per site — identical in
   /// distribution, redrawn on every round broadcast — and batches run
-  /// the countdown or grouped engine. False runs the paper-literal
-  /// per-arrival coins that stat_acceptance_test, skip_equivalence_test
-  /// and bench_throughput's per_arrival rows compare against.
+  /// the grouped engine. False runs the paper-literal per-arrival coins
+  /// that stat_acceptance_test, skip_equivalence_test and
+  /// bench_throughput's per_arrival rows compare against.
   bool use_skip_sampling = true;
 
   Status Validate() const;
@@ -144,27 +138,21 @@ class FrequencySite {
   void Ritual(uint64_t n_bar, Port& port);
 
   /// Arrivals until the next event (coin success on either channel,
-  /// coarse report, or virtual-site split) — the single source of truth
-  /// for the countdown engine and the span loop.
+  /// coarse report, or virtual-site split): where the batch engine's span
+  /// loop stops to take the site step.
   uint64_t NextEventGap() const;
 
-  /// Retires `n` arrivals known to be eventless (n < NextEventGap())
-  /// whose tracked counters were already incremented: round-arrival
-  /// advances, coin failures on both channels, coarse count advances.
-  void AdvanceNoEvent(uint64_t n) {
+  /// Retires `n` arrivals of `keys` known to be eventless
+  /// (n < NextEventGap()): tracked counters count every arrival (only
+  /// reports are coin-gated), plus round-arrival advances, coin failures
+  /// on both channels and coarse count advances.
+  void AdvanceNoEvent(const uint64_t* keys, size_t n) {
+    counters_.IncrementTrackedRun(keys, n);
     round_arrivals_ += n;
     counter_skip_.ConsumeFailures(n);
     sample_skip_.ConsumeFailures(n);
     coarse_.AdvanceNoReport(n);
   }
-  /// The same for `n` eventless arrivals of `keys`, counters included.
-  void AdvanceNoEvent(const uint64_t* keys, size_t n) {
-    counters_.IncrementTrackedRun(keys, n);
-    AdvanceNoEvent(n);
-  }
-  /// An eventless arrival's counter step: tracked items count every
-  /// arrival, only reports are coin-gated.
-  void CountIfTracked(uint64_t item) { counters_.IncrementIfTracked(item); }
 
   /// Frequency sites can snapshot between any two arrivals.
   bool SnapshotReady() const { return true; }
@@ -238,21 +226,10 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   /// Number of virtual-site splits performed so far (diagnostics).
   uint64_t splits() const { return splits_; }
 
-  /// True when ArriveBatch runs the site-grouped engine: it permutes each
-  /// chunk that provably contains no coarse broadcast into site-contiguous
-  /// spans and walks each span against that site's counter table in one
-  /// batched pass (table invariants hoisted, four-lane probe pipelining,
-  /// key-run dedup); other chunks run on the event-countdown engine. Both
-  /// are bit-identical: estimator terms are exact integers
-  /// (frequency_aggregate.h), so cross-site order cannot change an
-  /// estimate. Grouping only pays once the counter working set misses in
-  /// cache, and that is decidable at construction: the live sticky-
-  /// counter population per site per round is ~c/(ε√k) entries (the
-  /// split threshold n̄/k and 1/p = ⌊εn̄/(c√k)⌋₂ both scale with n̄), so
-  /// the gate enables grouping when k of those tables project above a
-  /// 1 MiB bound. At the default c = 4 it is off at k = 64, ε = 0.01 and
-  /// on at k = 32, ε = 5e-4.
-  bool grouped_delivery_enabled() const { return grouped_enabled_; }
+  /// Always true: ArriveBatch has one engine, the site-grouped one. Kept
+  /// only because perfbench reports it; the next benchmark change drops
+  /// it.
+  bool grouped_delivery_enabled() const { return true; }
 
   /// A tap mirrors every metered message as a typed wire::Message at the
   /// §1.1 send instant.
@@ -266,17 +243,12 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   FrequencySite& site(int i) { return sites_[static_cast<size_t>(i)]; }
 
  private:
-  friend struct testing_util::DeliveryPeer;
-
   // The in-process coordinator port: every effect applies in place
   // except counter reports and samples, which queue for FlushPending.
   struct DirectPort;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
   void ArriveOne(int site, uint64_t item);
-  // Everything ArriveOne does except ++n_ (the batch engine advances n_
-  // up front): the site step, then the queued messages' flush.
-  void ProcessArrival(int site, uint64_t item);
 
   // The per-site span loop of grouped delivery: eventless stretches pay
   // one batched table walk and retire in bulk; each event arrival takes
@@ -285,14 +257,6 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   // Applies the queued counter reports and samples as one batch (after a
   // serial arrival or a grouped chunk's spans).
   void FlushPending();
-
-  // Batched fast path on the shared EventCountdown engine; see
-  // common/event_countdown.h for the reconciliation contract.
-  void RunBatch(const sim::Arrival* arrivals, size_t count);
-  void RearmSite(int site);
-  void RearmAll();
-  void HandleEventArrival(int site, uint64_t item);
-  void ResyncAllMidBatch();
 
   RandomizedFrequencyOptions options_;
   sim::CommMeter meter_;
@@ -309,16 +273,8 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   uint64_t splits_ = 0;
   uint64_t n_ = 0;
 
-  EventCountdown countdown_;
-  bool in_batch_ = false;
-  // Site-grouped delivery scratch + the broadcast-inside-grouped-chunk
-  // abort guard (see OnBroadcast).
+  // Site-grouped delivery scratch.
   SiteGrouper grouper_;
-  bool grouped_chunk_active_ = false;
-  // The gate's decision (see grouped_delivery_enabled()), fixed at
-  // construction; testing_util::DeliveryPeer overrides it to pin
-  // grouped ≡ countdown.
-  bool grouped_enabled_ = false;
 };
 
 }  // namespace frequency

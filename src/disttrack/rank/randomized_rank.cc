@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #include "disttrack/common/math_util.h"
 #include "disttrack/common/small_sort.h"
@@ -370,10 +369,7 @@ uint64_t RankSite::NextEventGap() const {
   // residuals, with runs twice as long.
   uint64_t gap = std::min(round_.block_size - arrivals_in_leaf_,
                           round_.chunk_size - arrivals_in_chunk_);
-  gap = std::min(gap, coarse_.arrivals_until_report());
-  // The countdown would clamp a larger stride anyway; clamping here keeps
-  // the run loop cutting runs at the same arrivals.
-  return std::min<uint64_t>(gap, std::numeric_limits<uint32_t>::max());
+  return std::min(gap, coarse_.arrivals_until_report());
 }
 
 // The run is strictly below every event gap, so no leaf completes and no
@@ -526,7 +522,7 @@ inline void RandomizedRankTracker::DeferUpload(int site, uint64_t words) {
 }
 
 // Per-arrival (kBatch false) and batch delivery: every message is charged,
-// tapped and applied to agg_. The batch engines post the upload charges
+// tapped and applied to agg_. The batch engine posts the upload charges
 // in bulk at the batch end (message order inside a batch is unobservable
 // to the meter: queries only happen between batches) while the frames
 // are still tapped per message.
@@ -570,31 +566,21 @@ RandomizedRankTracker::RandomizedRankTracker(
       coarse_(&meter_),
       agg_(options.num_sites),
       pending_uploads_(static_cast<size_t>(options.num_sites)),
-      runs_(static_cast<size_t>(options.num_sites)) {
+      runs_(static_cast<size_t>(options.num_sites)),
+      run_carry_(static_cast<size_t>(options.num_sites)) {
   sites_.reserve(static_cast<size_t>(options_.num_sites));
   for (int i = 0; i < options_.num_sites; ++i) sites_.emplace_back(options_, i);
   coarse_.AddObserver([this](uint64_t round, uint64_t n_bar) {
     OnBroadcast(round, n_bar);
   });
-  countdown_.Resize(options_.num_sites);
 }
 
 void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
-  if (grouped_chunk_active_) {
-    // CoarseTracker::BatchCannotBroadcast certified this chunk; a
-    // broadcast here means site-grouped processing already reordered
-    // arrivals across it, so the replay silently diverged — abort loudly.
-    std::fprintf(stderr,
-                 "RandomizedRankTracker: broadcast inside a grouped chunk "
-                 "— the broadcast-safety bound is wrong\n");
-    std::abort();
-  }
   // Mid-batch, every site's buffered eventless run was fed before the
   // triggering report (see BatchPort).
   DirectPort port{this};
   for (RankSite& site : sites_) site.Ritual(n_bar, port);
   agg_.BeginRound(sites_[0].round().inv_p, sites_[0].round().num_leaves);
-  if (in_batch_) RearmAll();
 }
 
 void RandomizedRankTracker::FlushDeferredUploads() {
@@ -622,23 +608,9 @@ void RandomizedRankTracker::Arrive(int site, uint64_t value) {
   ArriveOne(site, value);
 }
 
-void RandomizedRankTracker::RearmSite(int site) {
-  // The site's run buffer may already hold eventless arrivals carried
-  // over from a grouped chunk of the same batch; they count against the
-  // gap (the site's counters advance only when the run is fed).
-  const size_t i = static_cast<size_t>(site);
-  countdown_.Arm(site, sites_[i].NextEventGap() - runs_[i].size());
-}
-
-void RandomizedRankTracker::RearmAll() {
-  for (int i = 0; i < options_.num_sites; ++i) RearmSite(i);
-}
-
-// The per-site projection of the countdown engine, without the
-// per-element decrement: the site's runs are fed at the same boundaries
-// (its own events; the batch end feeds the tail), so the
-// sort/ladder/compaction schedule, and with it the site's RNG
-// consumption, is identical.
+// A site's runs are fed at its own events (and the batch end), however
+// the batch is chunked, so the sort/ladder/compaction schedule, and with
+// it the site's RNG consumption, does not depend on the chunking.
 void RandomizedRankTracker::RunSite(int site, const uint64_t* keys,
                                     size_t count) {
   BatchPort port{this};
@@ -666,41 +638,6 @@ void RandomizedRankTracker::FlushBufferedRuns() {
   for (size_t i = 0; i < sites_.size(); ++i) sites_[i].FeedRun(&runs_[i], port);
 }
 
-// The countdown for `site` hit zero: its run buffer holds the buffered
-// eventless arrivals (possibly carried over from earlier chunks of the
-// batch) plus the event arrival's value. Feed the eventless prefix in
-// bulk (a broadcast fired by the event arrival must see nothing
-// outstanding here), then process the event arrival exactly as the
-// scalar path would.
-void RandomizedRankTracker::HandleEventArrival(int site) {
-  countdown_.TakeEventPrefix(site);
-  summaries::ValueBuffer& run = runs_[static_cast<size_t>(site)];
-  uint64_t event_value = run.back();
-  run.pop_back();  // the buffer now holds exactly the eventless prefix
-  BatchPort port{this};
-  RankSite& s = sites_[static_cast<size_t>(site)];
-  s.FeedRun(&run, port);
-  s.Arrive(event_value, port);
-  RearmSite(site);
-}
-
-void RandomizedRankTracker::CountdownChunk(const sim::Arrival* arrivals,
-                                           size_t count) {
-  // Event-countdown engine: an eventless arrival costs one decrement plus
-  // one buffered value. Buffered runs carry across chunk boundaries; the
-  // batch-end flush reconciles them.
-  in_batch_ = true;
-  RearmAll();
-  uint32_t* until = countdown_.until();
-  for (size_t i = 0; i < count; ++i) {
-    int site = arrivals[i].site;
-    sim::CheckSiteInRange(site, options_.num_sites);
-    runs_[static_cast<size_t>(site)].push_back(arrivals[i].key);
-    if (--until[site] == 0) HandleEventArrival(site);
-  }
-  in_batch_ = false;
-}
-
 void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
                                         size_t count) {
   if (!options_.use_skip_sampling || !options_.use_batch_compaction) {
@@ -712,38 +649,26 @@ void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
     }
     return;
   }
-  // n_ is advanced up front; nothing inside the batch reads it.
+  // n_ is advanced up front; nothing inside the batch reads it. Each
+  // chunk's spans are fed span-at-a-time (cache-resident per-site state).
   n_ += count;
-  if (!grouped_enabled_) {
-    CountdownChunk(arrivals, count);
-  } else {
-    // Site-grouped delivery: chunks certified broadcast-free are permuted
-    // into site-contiguous spans and fed span-at-a-time (cache-resident
-    // per-site state); chunks that may broadcast run through the countdown
-    // engine unchanged. Either way runs feed at the same boundaries, so
-    // the two engines interleave bit-identically.
-    size_t pos = 0;
-    while (pos < count) {
-      size_t len = std::min(kSiteGroupChunk, count - pos);
-      grouper_.ScatterBySite(arrivals + pos, len, options_.num_sites);
-      // Eventless runs buffered from earlier chunks of this batch have not
-      // advanced the coarse sites yet; this chunk's events may feed them
-      // through it, so they count against the broadcast projection.
-      run_carry_.resize(static_cast<size_t>(options_.num_sites));
-      for (size_t i = 0; i < runs_.size(); ++i) run_carry_[i] = runs_[i].size();
-      if (coarse_.BatchCannotBroadcast(sites_, grouper_.histogram(),
-                                       run_carry_.data())) {
-        grouped_chunk_active_ = true;
+  coarse_.DeliverChunks(
+      sites_, arrivals, count, chunk_, run_carry_.data(),
+      [this](const sim::Arrival* chunk, size_t len) {
+        grouper_.ScatterBySite(chunk, len, options_.num_sites);
+        // Eventless runs buffered from earlier chunks of this batch have
+        // not advanced the coarse sites yet; this chunk's events may feed
+        // them through it, so they count as carry.
+        for (size_t i = 0; i < runs_.size(); ++i) {
+          run_carry_[i] = runs_[i].size();
+        }
+        return grouper_.histogram();
+      },
+      [this] {
         for (const SiteGrouper::Span& span : grouper_.spans()) {
           RunSite(span.site, span.data, span.length);
         }
-        grouped_chunk_active_ = false;
-      } else {
-        CountdownChunk(arrivals + pos, len);
-      }
-      pos += len;
-    }
-  }
+      });
   FlushBufferedRuns();
   FlushDeferredUploads();
 }

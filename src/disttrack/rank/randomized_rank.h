@@ -36,10 +36,12 @@
 // behind its TapPort (sim::HostedSite). Every delivery path runs the same
 // steps and differs only in how their messages reach the coordinator.
 //
-// Hot path: ArriveBatch buffers each site's values and runs the shared
-// EventCountdown engine — between events (leaf/chunk boundaries, coarse
-// reports; tail-channel coins are walked through the buffered run in
-// place, same draws at the same arrivals) a site's run is sorted once
+// Hot path: ArriveBatch runs the one batch engine,
+// CoarseTracker::DeliverChunks, which groups each chunk into per-site
+// spans up to its first coarse broadcast, and buffers each site's values —
+// between events (leaf/chunk boundaries, coarse reports; tail-channel
+// coins are walked through the buffered run in place, same draws at the
+// same arrivals) a site's run is sorted once
 // (common/small_sort.h: a radix sort over the key digits that vary, for
 // leaf-sized runs) and moved into the site's shared run-merge ladder
 // (summaries/run_ladder.h), which consolidates runs exactly once. Every
@@ -60,9 +62,10 @@
 // would have drawn (at ε = 5e-4 and k = 32 the leaf block is 1-11
 // arrivals under a tree 11-12 levels high, and every level below the
 // top is node-less). Each level's capacity is computed once per round
-// and site. Chunks that provably contain no coarse broadcast are grouped
-// into per-site spans first; that is bit-identical to the countdown
-// engine. Batched compaction is equivalent in distribution, not
+// and site. Buffered runs carry across chunk boundaries, so a site's runs
+// are fed at its own events and the batch end whatever the chunking: a
+// chunk length of 1 (stream order) gives the identical output. Batched
+// compaction is equivalent in distribution, not
 // bit-identical, to the per-element feed (see the DESIGN note in
 // summaries/compactor_summary.h); the per-element feed and the
 // per-arrival coins stay reachable as reference oracles
@@ -78,7 +81,6 @@
 #include <utility>
 #include <vector>
 
-#include "disttrack/common/event_countdown.h"
 #include "disttrack/common/random.h"
 #include "disttrack/common/site_group.h"
 #include "disttrack/common/skip_sampler.h"
@@ -197,10 +199,7 @@ class RankSite {
   void Ritual(uint64_t n_bar, Port& port);
 
   /// Arrivals until the next event (leaf/chunk completion or coarse
-  /// report), clamped to the countdown's 32-bit stride — the single
-  /// source of truth for the countdown engine and the grouped run loop,
-  /// so their run boundaries (and with them the site's RNG consumption)
-  /// cannot drift apart.
+  /// report): where the batch engine's span loop cuts the site's runs.
   uint64_t NextEventGap() const;
 
   /// Rank snapshots are only consistent at chunk boundaries, where the
@@ -341,8 +340,8 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   // The in-process coordinator ports. DirectPort charges the meter, taps
   // and applies to agg_ (per-arrival delivery); BatchPort does the same
   // with the upload charges deferred to the batch end, and feeds every
-  // buffered run before a coarse report that broadcasts (countdown and
-  // grouped engines).
+  // buffered run before a coarse report that broadcasts (the batch
+  // engine).
   template <bool kBatch>
   struct ApplyPort;
   using DirectPort = ApplyPort<false>;
@@ -351,24 +350,15 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   void OnBroadcast(uint64_t round, uint64_t n_bar);
   void ArriveOne(int site, uint64_t value);
 
-  // Batched fast path on the shared EventCountdown engine; see
-  // common/event_countdown.h for the reconciliation contract.
-  void RearmSite(int site);
-  void RearmAll();
-  void HandleEventArrival(int site);
   // Feeds every site's buffered eventless run into the tree. Called when
   // a mid-batch broadcast is about to restart the instances and at batch
   // end — the two points where the per-element execution would also have
   // everything reconciled.
   void FlushBufferedRuns();
-  // One chunk through the event-countdown engine (buffered runs carry
-  // across chunk boundaries; the final flush happens at batch end).
-  void CountdownChunk(const sim::Arrival* arrivals, size_t count);
-  // Advances `site` by `count` arrivals of a grouped chunk, which no
-  // broadcast can cut: eventless arrivals buffer into the site's run, fed
-  // at the site's next event (the countdown engine's boundaries); each
-  // event arrival takes the site step through the batch port. The tail
-  // stays buffered for the batch end.
+  // Advances `site` by `count` arrivals of a grouped chunk: eventless
+  // arrivals buffer into the site's run, fed at the site's next event;
+  // each event arrival takes the site step through the batch port. The
+  // tail stays buffered for the next chunk or the batch end.
   void RunSite(int site, const uint64_t* keys, size_t count);
   // Emits a kRankSummary (node [a, b) from `exports`' buffers) or
   // kRankResidual (leaf a, value b) frame charged `words`.
@@ -407,24 +397,19 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
 
   uint64_t n_ = 0;
 
-  EventCountdown countdown_;
-  bool in_batch_ = false;
   // Batch-engine run buffers: values delivered to each site since its
   // last event/reconciliation, in arrival order (delivery-engine state,
   // not protocol state — the values are the stream itself).
   std::vector<summaries::ValueBuffer> runs_;
-  // Site-grouped delivery: pooled permutation scratch plus a guard that
-  // turns a broadcast inside a supposedly broadcast-free grouped chunk
-  // into a loud abort instead of a silent equivalence break.
-  SiteGrouper grouper_;
-  bool grouped_chunk_active_ = false;
-  // Always true outside tests; testing_util::DeliveryPeer clears it to
-  // run every chunk on the countdown engine (the grouped ≡ countdown
-  // equivalence tests).
-  bool grouped_enabled_ = true;
-  // Per-site buffered-run sizes handed to the broadcast-safety check
-  // (scratch, refilled per chunk).
+  // Their sizes, handed to the broadcast-safety tests as carry (refilled
+  // per chunk).
   std::vector<uint64_t> run_carry_;
+  // Site-grouped delivery scratch.
+  SiteGrouper grouper_;
+  // Arrivals per grouped chunk. testing_util::DeliveryPeer sets 1 to
+  // deliver in stream order, the reference the equivalence tests pin the
+  // grouped engine to.
+  size_t chunk_ = kSiteGroupChunk;
 };
 
 }  // namespace rank

@@ -1,7 +1,7 @@
 // Property tests for the batched delivery engines added with the
 // frequency/rank hot-path overhaul:
 //
-//  * count + frequency: the event-countdown engines consume the RNG
+//  * count + frequency: the grouped batch engine consumes the RNG
 //    exactly as per-element Arrive() does, so ArriveBatch (any chunking,
 //    straddling round and virtual-site-split boundaries) must be
 //    bit-identical to the scalar path — estimates, communication, round
@@ -193,14 +193,15 @@ TEST(BatchEquivalenceTest, RankBatchedCompactionDistributionMatchesScalar) {
 
 // ---- site-grouped delivery ----------------------------------------------
 //
-// Inside a chunk CoarseTracker::BatchCannotBroadcast certifies, arrivals
-// are permuted into site-contiguous spans; per-site coin streams and
-// event positions are site-local, so the grouped engines must be
-// bit-identical to the event-countdown engines (forced through
-// testing_util::DeliveryPeer) — estimates to the ulp,
-// communication totals, rounds, splits — for every workload shape and
-// any batch chunking (including single huge batches that the engines
-// chunk internally, straddling p-halving broadcasts and round/split
+// CoarseTracker::DeliverChunks permutes each chunk, up to its first
+// broadcast, into site-contiguous spans; per-site coin streams and event
+// positions are site-local, so the grouped engine must be bit-identical
+// to per-element Arrive() for count and frequency, and for rank to the
+// same engine run in stream order (chunk length 1, set through
+// testing_util::DeliveryPeer) — estimates to the ulp, communication
+// totals, rounds, splits — for every workload shape and any batch
+// chunking (including single huge batches that the engine chunks
+// internally, straddling p-halving broadcasts and round/split
 // boundaries).
 
 TEST(BatchEquivalenceTest, CountGroupedBitIdenticalAcrossWorkloads) {
@@ -213,18 +214,18 @@ TEST(BatchEquivalenceTest, CountGroupedBitIdenticalAcrossWorkloads) {
     o.num_sites = k;
     o.epsilon = 0.01;
     o.seed = 31;
-    count::RandomizedCountTracker grouped(o), countdown(o);
-    testing_util::DeliveryPeer::SetGrouped(&countdown, false);
-    // One huge batch for the grouped tracker (internal chunking must
-    // break at exactly the certified boundaries), ragged batches for the
-    // countdown one.
+    count::RandomizedCountTracker grouped(o), ragged(o), scalar(o);
+    // One huge batch (internal chunking must cut at exactly the
+    // broadcasts) and ragged batches, both against per-element Arrive().
     grouped.ArriveBatch(w.data(), w.size());
-    DeliverRagged(&countdown, w, 3);
-    ASSERT_DOUBLE_EQ(grouped.EstimateCount(), countdown.EstimateCount());
-    EXPECT_EQ(grouped.meter().TotalMessages(),
-              countdown.meter().TotalMessages());
-    EXPECT_EQ(grouped.meter().TotalWords(), countdown.meter().TotalWords());
-    EXPECT_EQ(grouped.rounds(), countdown.rounds());
+    DeliverRagged(&ragged, w, 3);
+    for (const auto& a : w) scalar.Arrive(a.site);
+    for (const count::RandomizedCountTracker* t : {&grouped, &ragged}) {
+      ASSERT_DOUBLE_EQ(t->EstimateCount(), scalar.EstimateCount());
+      EXPECT_EQ(t->meter().TotalMessages(), scalar.meter().TotalMessages());
+      EXPECT_EQ(t->meter().TotalWords(), scalar.meter().TotalWords());
+      EXPECT_EQ(t->rounds(), scalar.rounds());
+    }
   }
 }
 
@@ -257,11 +258,9 @@ TEST(BatchEquivalenceTest, FrequencyGroupedBitIdenticalAcrossWorkloads) {
     o.num_sites = k;
     o.epsilon = 0.02;  // many rounds and (single-site) many splits inside
     o.seed = 17;
-    frequency::RandomizedFrequencyTracker grouped(o), countdown(o), scalar(o);
-    testing_util::DeliveryPeer::SetGrouped(&grouped, true);
-    testing_util::DeliveryPeer::SetGrouped(&countdown, false);
+    frequency::RandomizedFrequencyTracker grouped(o), ragged(o), scalar(o);
     grouped.ArriveBatch(w.data(), w.size());
-    DeliverRagged(&countdown, w, 5);
+    DeliverRagged(&ragged, w, 5);
     for (const auto& a : w) scalar.Arrive(a.site, a.key);
     EXPECT_EQ(grouped.rounds(), scalar.rounds());
     EXPECT_EQ(grouped.splits(), scalar.splits());
@@ -269,7 +268,7 @@ TEST(BatchEquivalenceTest, FrequencyGroupedBitIdenticalAcrossWorkloads) {
       ASSERT_DOUBLE_EQ(grouped.EstimateFrequency(item),
                        scalar.EstimateFrequency(item))
           << "item " << item;
-      ASSERT_DOUBLE_EQ(countdown.EstimateFrequency(item),
+      ASSERT_DOUBLE_EQ(ragged.EstimateFrequency(item),
                        scalar.EstimateFrequency(item))
           << "item " << item;
     }
@@ -296,22 +295,23 @@ TEST(BatchEquivalenceTest, RankGroupedDominantSiteStraddlingChunks) {
   o.num_sites = 4;
   o.epsilon = 0.05;
   o.seed = 9;
-  rank::RandomizedRankTracker grouped(o), countdown(o);
-  testing_util::DeliveryPeer::SetGrouped(&countdown, false);
+  rank::RandomizedRankTracker grouped(o), stream_order(o);
+  testing_util::DeliveryPeer::SetChunk(&stream_order, 1);
   grouped.ArriveBatch(w.data(), w.size());
-  countdown.ArriveBatch(w.data(), w.size());
+  stream_order.ArriveBatch(w.data(), w.size());
   for (uint64_t q : {100ull, 20000ull, 50000ull}) {
-    ASSERT_DOUBLE_EQ(grouped.EstimateRank(q), countdown.EstimateRank(q));
+    ASSERT_DOUBLE_EQ(grouped.EstimateRank(q), stream_order.EstimateRank(q));
   }
-  EXPECT_EQ(grouped.meter().TotalWords(), countdown.meter().TotalWords());
+  EXPECT_EQ(grouped.meter().TotalWords(), stream_order.meter().TotalWords());
 }
 
-TEST(BatchEquivalenceTest, RankGroupedBitIdenticalToCountdownAcrossChunkings) {
+TEST(BatchEquivalenceTest,
+     RankGroupedBitIdenticalToStreamOrderAcrossChunkings) {
   // The grouped rank engine buffers eventless spans across its internal
-  // chunk boundaries and feeds at exactly the countdown engine's
-  // boundaries (events + batch ends), so for identical ArriveBatch call
-  // sequences the two engines must agree bit for bit — spans straddling
-  // round broadcasts and leaf/chunk completions included.
+  // chunk boundaries and feeds at each site's own events and the batch
+  // end, so for identical ArriveBatch call sequences it must agree bit for
+  // bit with itself run in stream order — spans straddling round
+  // broadcasts and leaf/chunk completions included.
   const int k = 8;
   const uint64_t kN = 60000;
   for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kSingleSite,
@@ -322,18 +322,19 @@ TEST(BatchEquivalenceTest, RankGroupedBitIdenticalToCountdownAcrossChunkings) {
     o.num_sites = k;
     o.epsilon = 0.02;
     o.seed = 41;
-    rank::RandomizedRankTracker grouped(o), countdown(o);
-    testing_util::DeliveryPeer::SetGrouped(&countdown, false);
+    rank::RandomizedRankTracker grouped(o), stream_order(o);
+    testing_util::DeliveryPeer::SetChunk(&stream_order, 1);
     grouped.ArriveBatch(w.data(), w.size());
-    countdown.ArriveBatch(w.data(), w.size());
+    stream_order.ArriveBatch(w.data(), w.size());
     for (uint64_t q : {100ull, 9000ull, 30000ull, 65000ull}) {
-      ASSERT_DOUBLE_EQ(grouped.EstimateRank(q), countdown.EstimateRank(q))
+      ASSERT_DOUBLE_EQ(grouped.EstimateRank(q), stream_order.EstimateRank(q))
           << "q " << q;
     }
     EXPECT_EQ(grouped.meter().TotalMessages(),
-              countdown.meter().TotalMessages());
-    EXPECT_EQ(grouped.meter().TotalWords(), countdown.meter().TotalWords());
-    EXPECT_EQ(grouped.rounds(), countdown.rounds());
+              stream_order.meter().TotalMessages());
+    EXPECT_EQ(grouped.meter().TotalWords(),
+              stream_order.meter().TotalWords());
+    EXPECT_EQ(grouped.rounds(), stream_order.rounds());
   }
 }
 

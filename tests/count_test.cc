@@ -347,11 +347,11 @@ TEST(RandomizedCountTest, NaiveBoundaryEstimatorIsBiased) {
 }
 
 // Fast-tier twin of the slow batch-equivalence suite for grouped count
-// delivery: chunks certified broadcast-free advance whole per-site spans,
-// which must leave the estimate, the communication totals and the rounds
-// bit-identical to the countdown engine (forced through the test peer),
-// through both batch entry points.
-TEST(RandomizedCountTest, GroupedDeliveryBitIdenticalToCountdown) {
+// delivery: each chunk advances whole per-site spans up to its first
+// broadcast, which must leave the estimate, the communication totals and
+// the rounds bit-identical to per-element Arrive(), through both batch
+// entry points.
+TEST(RandomizedCountTest, GroupedDeliveryBitIdenticalToPerElement) {
   const int k = 8;
   for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kBursty}) {
     auto w = MakeCountWorkload(k, 300000, sched, 61);
@@ -363,19 +363,18 @@ TEST(RandomizedCountTest, GroupedDeliveryBitIdenticalToCountdown) {
     o.num_sites = k;
     o.epsilon = 0.01;
     o.seed = 67;
-    RandomizedCountTracker countdown(o), grouped(o), grouped_sites(o);
-    testing_util::DeliveryPeer::SetGrouped(&countdown, false);
-    countdown.ArriveBatch(w.data(), w.size());
+    RandomizedCountTracker scalar(o), grouped(o), grouped_sites(o);
+    for (const auto& a : w) scalar.Arrive(a.site);
     grouped.ArriveBatch(w.data(), w.size());
     grouped_sites.ArriveSites(sites.data(), sites.size());
-    ASSERT_GT(countdown.rounds(), 3u);
+    ASSERT_GT(scalar.rounds(), 3u);
     for (const RandomizedCountTracker* t : {&grouped, &grouped_sites}) {
       double a = t->EstimateCount();
-      double b = countdown.EstimateCount();
+      double b = scalar.EstimateCount();
       EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0);
-      EXPECT_EQ(t->meter().TotalMessages(), countdown.meter().TotalMessages());
-      EXPECT_EQ(t->meter().TotalWords(), countdown.meter().TotalWords());
-      EXPECT_EQ(t->rounds(), countdown.rounds());
+      EXPECT_EQ(t->meter().TotalMessages(), scalar.meter().TotalMessages());
+      EXPECT_EQ(t->meter().TotalWords(), scalar.meter().TotalWords());
+      EXPECT_EQ(t->rounds(), scalar.rounds());
     }
   }
 }

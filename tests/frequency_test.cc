@@ -297,11 +297,10 @@ TEST(RandomizedFrequencyTest, CommunicationBeatsDeterministicAtLargeK) {
 // Fast-tier twin of the slow batch-equivalence suite for the grouped
 // engine: grouped chunks queue counter reports and samples and apply them
 // after the spans with prefetch, which must leave every estimate, the
-// communication totals, rounds and splits bit-identical to the countdown
-// engine. The shape is below the cache gate, so grouping is forced through
-// the test peer. A wide key universe makes the aggregate's tables grow
-// inside a batched apply.
-TEST(RandomizedFrequencyTest, GroupedDeliveryBitIdenticalToCountdown) {
+// communication totals, rounds and splits bit-identical to per-element
+// Arrive(). A wide key universe makes the aggregate's tables grow inside
+// a batched apply.
+TEST(RandomizedFrequencyTest, GroupedDeliveryBitIdenticalToPerElement) {
   const int k = 8;
   const uint64_t kUniverse = 20000;
   for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kSingleSite}) {
@@ -310,41 +309,21 @@ TEST(RandomizedFrequencyTest, GroupedDeliveryBitIdenticalToCountdown) {
     o.num_sites = k;
     o.epsilon = 0.02;
     o.seed = 29;
-    RandomizedFrequencyTracker grouped(o), countdown(o);
-    ASSERT_FALSE(countdown.grouped_delivery_enabled());
-    testing_util::DeliveryPeer::SetGrouped(&grouped, true);
-    ASSERT_TRUE(grouped.grouped_delivery_enabled());
+    RandomizedFrequencyTracker grouped(o), scalar(o);
     grouped.ArriveBatch(w.data(), w.size());
-    countdown.ArriveBatch(w.data(), w.size());
+    for (const auto& a : w) scalar.Arrive(a.site, a.key);
     for (uint64_t item = 0; item < kUniverse; ++item) {
       double a = grouped.EstimateFrequency(item);
-      double b = countdown.EstimateFrequency(item);
+      double b = scalar.EstimateFrequency(item);
       ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "item " << item;
     }
     EXPECT_EQ(grouped.meter().TotalMessages(),
-              countdown.meter().TotalMessages());
-    EXPECT_EQ(grouped.meter().TotalWords(), countdown.meter().TotalWords());
-    EXPECT_EQ(grouped.rounds(), countdown.rounds());
-    EXPECT_EQ(grouped.splits(), countdown.splits());
+              scalar.meter().TotalMessages());
+    EXPECT_EQ(grouped.meter().TotalWords(), scalar.meter().TotalWords());
+    EXPECT_EQ(grouped.rounds(), scalar.rounds());
+    EXPECT_EQ(grouped.splits(), scalar.splits());
     EXPECT_GT(grouped.rounds(), 3u);
   }
-}
-
-// The grouped-delivery gate at the default confidence factor, on the two
-// benchmark shapes, one on each side of its 1 MiB bound: k = 64,
-// ε = 0.01 keeps the k counter tables cache-resident (countdown engine);
-// k = 32, ε = 5e-4 outgrows the cache (grouped engine). The per-arrival
-// coin oracle has no batch engine to group.
-TEST(RandomizedFrequencyTest, GroupedDeliveryGateSplitsTheBenchmarkShapes) {
-  RandomizedFrequencyOptions o;
-  o.num_sites = 64;
-  o.epsilon = 0.01;
-  EXPECT_FALSE(RandomizedFrequencyTracker(o).grouped_delivery_enabled());
-  o.num_sites = 32;
-  o.epsilon = 5e-4;
-  EXPECT_TRUE(RandomizedFrequencyTracker(o).grouped_delivery_enabled());
-  o.use_skip_sampling = false;
-  EXPECT_FALSE(RandomizedFrequencyTracker(o).grouped_delivery_enabled());
 }
 
 TEST(RandomizedFrequencyTest, ContinuousCheckpointsMostlyCovered) {

@@ -2,8 +2,8 @@
 // (common/site_group.h): the permutation must be a stable counting sort
 // (per-site stream order preserved), its histogram must match a direct
 // tally, pooled scratch must survive reuse across calls of different
-// shapes, and the broadcast-safety gate must agree with a replayed
-// CoarseTracker on whether a chunk can broadcast.
+// shapes, and the broadcast-safety gate and the cut must agree with a
+// replayed CoarseTracker on whether, and where, a chunk broadcasts.
 
 #include <algorithm>
 #include <map>
@@ -142,9 +142,15 @@ TEST(SiteGroupDeathTest, OutOfRangeSiteAborts) {
                "out of range");
 }
 
-// The broadcast-safety gate is exact: for any chunking of a real
-// workload, BatchCannotBroadcast must return true exactly when replaying
-// the chunk through the CoarseTracker produces no broadcast.
+// The broadcast-safety gate and the cut are exact: for any chunking of a
+// real workload, BatchCannotBroadcast must return true exactly when
+// replaying the chunk through the CoarseTracker produces no broadcast, and
+// BroadcastFreePrefix must return the index of the chunk's first
+// broadcasting arrival, or the chunk length when none broadcasts. Chunks
+// are cut three ways besides at random: to open on a broadcasting
+// arrival, to close on one, and with carry (arrivals already delivered to
+// a site but not yet advanced through its half, which the replay advances
+// before the chunk).
 TEST(SiteGroupTest, BatchCannotBroadcastIsExactAgainstReplay) {
   const int k = 11;
   for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kSingleSite,
@@ -158,24 +164,75 @@ TEST(SiteGroupTest, BatchCannotBroadcastIsExactAgainstReplay) {
     size_t pos = 0;
     int safe_chunks = 0;
     int unsafe_chunks = 0;
-    while (pos < w.size()) {
-      size_t len = std::min<size_t>(1 + rng.UniformU64(4096), w.size() - pos);
+    int opens_on_broadcast = 0;
+    int closes_on_broadcast = 0;
+    int carry_cuts = 0;
+    // Predicts, replays and checks the chunk [pos, pos + len).
+    auto check_chunk = [&](size_t len, const std::vector<uint64_t>* carry) {
+      const uint64_t* c = carry != nullptr ? carry->data() : nullptr;
       grouper.CountArrivals(w.data() + pos, len, k);
       bool predicted_safe =
-          coarse.BatchCannotBroadcast(sites, grouper.histogram());
+          coarse.BatchCannotBroadcast(sites, grouper.histogram(), c);
+      size_t predicted_cut =
+          coarse.BroadcastFreePrefix(sites, w.data() + pos, len, c);
+      for (size_t i = 0; c != nullptr && i < sites.size(); ++i) {
+        sites[i].AdvanceNoReport(c[i]);
+      }
       uint64_t round_before = coarse.round();
+      size_t cut = len;
       for (size_t i = 0; i < len; ++i) {
         int site = w[pos + i].site;
         coarse.Arrive(site, &sites[static_cast<size_t>(site)]);
+        if (cut == len && coarse.round() != round_before) cut = i;
       }
-      bool was_safe = coarse.round() == round_before;
-      ASSERT_EQ(predicted_safe, was_safe)
-          << "chunk at " << pos << " len " << len;
-      (predicted_safe ? safe_chunks : unsafe_chunks) += 1;
+      EXPECT_EQ(predicted_safe, cut == len) << "chunk at " << pos << " len "
+                                            << len;
+      EXPECT_EQ(predicted_cut, cut) << "chunk at " << pos << " len " << len;
+      (cut == len ? safe_chunks : unsafe_chunks) += 1;
+      if (cut == 0) ++opens_on_broadcast;
+      if (len > 1 && cut == len - 1) ++closes_on_broadcast;
+      if (c != nullptr && cut < len) ++carry_cuts;
       pos += len;
+    };
+    // Distance from pos to the next broadcasting arrival, found on copies
+    // (w.size() when there is none within reach).
+    auto next_broadcast = [&]() {
+      count::CoarseTracker ahead = coarse;
+      std::vector<count::CoarseSite> ahead_sites = sites;
+      uint64_t round_before = ahead.round();
+      for (size_t i = pos; i < w.size() && i < pos + 4096; ++i) {
+        int site = w[i].site;
+        ahead.Arrive(site, &ahead_sites[static_cast<size_t>(site)]);
+        if (ahead.round() != round_before) return i - pos;
+      }
+      return w.size();
+    };
+    for (int chunk = 0; pos < w.size() && !HasFailure(); ++chunk) {
+      size_t random_len =
+          std::min<size_t>(1 + rng.UniformU64(4096), w.size() - pos);
+      size_t to_broadcast = next_broadcast();
+      if (chunk % 3 == 0 && to_broadcast < w.size()) {
+        // Open a chunk on the broadcasting arrival.
+        if (to_broadcast > 0) check_chunk(to_broadcast, nullptr);
+        check_chunk(std::min(random_len, w.size() - pos), nullptr);
+      } else if (chunk % 3 == 1 && to_broadcast < w.size()) {
+        // Close a chunk on it.
+        check_chunk(to_broadcast + 1, nullptr);
+      } else if (chunk % 3 == 2) {
+        std::vector<uint64_t> carry(sites.size());
+        for (size_t i = 0; i < sites.size(); ++i) {
+          carry[i] = rng.UniformU64(sites[i].arrivals_until_report());
+        }
+        check_chunk(random_len, &carry);
+      } else {
+        check_chunk(random_len, nullptr);
+      }
     }
     EXPECT_GT(safe_chunks, 0);
     EXPECT_GT(unsafe_chunks, 0) << "workload must exercise both outcomes";
+    EXPECT_GT(opens_on_broadcast, 0);
+    EXPECT_GT(closes_on_broadcast, 0);
+    EXPECT_GT(carry_cuts, 0);
   }
 }
 

@@ -76,8 +76,7 @@ TEST(StatAcceptanceTest, FrequencyOldAndNewPathsMatchTheory) {
           o.epsilon = eps;
           o.seed = seed;
           // Old: the per-arrival Bernoulli coin oracle (scalar delivery).
-          // New: the production path, skip sampling + event-countdown
-          // batches.
+          // New: the production path, skip sampling + grouped batches.
           o.use_skip_sampling = new_path;
           frequency::RandomizedFrequencyTracker tracker(o);
           tracker.ArriveBatch(w.data(), w.size());

@@ -5,6 +5,7 @@
 #ifndef DISTTRACK_TESTS_TEST_UTIL_H_
 #define DISTTRACK_TESTS_TEST_UTIL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -58,18 +59,14 @@ inline double MaxRelativeCheckpointError(
   return worst;
 }
 
-/// The one test seam into the randomized trackers' batch engines (each
-/// declares it a friend). In production each tracker picks its engine
-/// itself: count and rank group every chunk
-/// CoarseTracker::BatchCannotBroadcast certifies, frequency applies its
-/// cache gate. The equivalence tests pin grouped ≡ countdown by forcing
-/// one engine on an otherwise identical tracker.
+/// The one test seam into the rank tracker's batch engine (it declares it
+/// a friend). The equivalence tests pin grouped delivery to the same
+/// engine run in stream order.
 struct DeliveryPeer {
-  /// false: every chunk runs on the event-countdown engine. true (for
-  /// frequency, whose gate may say no): certified chunks are grouped.
+  /// Arrivals per grouped chunk; 1 delivers in stream order.
   template <typename Tracker>
-  static void SetGrouped(Tracker* tracker, bool grouped) {
-    tracker->grouped_enabled_ = grouped;
+  static void SetChunk(Tracker* tracker, size_t chunk) {
+    tracker->chunk_ = chunk;
   }
 };
 
