@@ -17,9 +17,11 @@
 //   $ ./examples/service_demo --kill=3:777             # crash + recover
 //
 // --kill=SITE:AFTER hard-kills that site (exit 7) after AFTER arrivals
-// in-process and relaunches it; recovery must go through the snapshot +
-// journal catch-up path with no double counting (the audits above still
-// have to pass, and the stats must show duplicates and a rejoin).
+// in-process (at most one 256-arrival key block early: a site draws a
+// block's keys before running it) and relaunches it; recovery must go
+// through the snapshot + journal catch-up path with no double counting
+// (the audits above still have to pass, and the stats must show
+// duplicates and a rejoin).
 
 #include <sys/wait.h>
 #include <unistd.h>

@@ -600,7 +600,8 @@ _ENTRY_NAMES = {"Arrive", "ArriveBatch", "ArriveSites", "ArriveRun",
 # SiteGrouper's scatter/count methods validate every id they bucket
 # (common/site_group.cc), so routing through the grouper is a check.
 _CHECKED_HELPERS = {"CheckSiteInRange", "CheckArrivalSites",
-                    "CheckSitesInRange", "CountSites", "ScatterBySite"}
+                    "CheckSitesInRange", "CountArrivals", "CountSites",
+                    "ScatterBySite"}
 
 
 def rule_site_check(src):

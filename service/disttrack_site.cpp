@@ -8,8 +8,9 @@
 //
 // Site-only flags: --connect=ENDPOINT, --site=ID,
 // --snapshot-dir=DIR (with the shared --snapshot-every cadence), and
-// --crash-after=N (exit(7) after N arrivals in this process — the
-// recovery tests' deterministic crash). Every shared fleet flag must
+// --crash-after=N (exit(7) after N arrivals in this process, at most
+// one 256-arrival key block early — the recovery tests' deterministic
+// crash). Every shared fleet flag must
 // match the coordinator's (see service/options.h).
 
 #include <cstdio>

@@ -14,7 +14,9 @@
 //
 // The broadcast is also the only thing that couples sites, so the three
 // trackers' one batch engine lives here too: CoarseTracker::DeliverChunks
-// runs every chunk site-grouped up to its first broadcast.
+// runs every chunk site-grouped up to its first broadcast, each per-site
+// span through its site class's one site step, ArriveRun (the step a
+// hosted count or frequency site runs its grants through).
 
 #ifndef DISTTRACK_COUNT_COARSE_TRACKER_H_
 #define DISTTRACK_COUNT_COARSE_TRACKER_H_
@@ -71,8 +73,8 @@ struct CoarseSite {
   uint64_t arrivals_until_report() const { return next_report - count; }
 
   /// Advances by `n` arrivals known to contain no report (requires
-  /// n < arrivals_until_report(); aborts otherwise). The span loops of the
-  /// batch engine retire eventless stretches here.
+  /// n < arrivals_until_report(); aborts otherwise). Each site class's
+  /// ArriveRun retires its eventless stretches here.
   void AdvanceNoReport(uint64_t n) {
     if (n >= arrivals_until_report()) {
       std::fprintf(stderr,
@@ -192,13 +194,14 @@ class CoarseTracker {
   /// batch broadcasts iff the final n' reaches the threshold.
   ///
   /// `carry[i]`, when non-null, counts arrivals already delivered to
-  /// site i but not yet advanced through its site half (the rank engine
-  /// buffers eventless runs across chunk boundaries). Carry is always
-  /// short of the site's next report, and a site feeds it before any
-  /// arrival of its own that reports, so a site receiving new arrivals is
-  /// projected over histogram[i] + carry[i]; a site with
-  /// histogram[i] == 0 reports nothing, and its carry is ignored. The
-  /// test stays exact (site_group_test replays it).
+  /// site i but not yet advanced through its site half (a rank site
+  /// buffers its eventless run across chunk boundaries:
+  /// RankSite::buffered). Carry is always short of the site's next
+  /// report, and a site feeds it before any arrival of its own that
+  /// reports, so a site receiving new arrivals is projected over
+  /// histogram[i] + carry[i]; a site with histogram[i] == 0 reports
+  /// nothing, and its carry is ignored. The test stays exact
+  /// (site_group_test replays it).
   template <typename Sites>
   bool BatchCannotBroadcast(const Sites& sites, const uint32_t* histogram,
                             const uint64_t* carry = nullptr) const {
@@ -239,8 +242,9 @@ class CoarseTracker {
   /// `input[0, count)` in chunks of at most `chunk` arrivals: `group(in,
   /// len)` permutes arrivals into per-site spans (common/site_group.h)
   /// and returns their histogram, `run()` runs the spans of the last
-  /// grouping. A chunk BatchCannotBroadcast certifies runs grouped whole.
-  /// Any other is cut at each of its broadcasting arrivals, found by
+  /// grouping, each through its site's ArriveRun. A chunk
+  /// BatchCannotBroadcast certifies runs grouped whole. Any other is cut
+  /// at each of its broadcasting arrivals, found by
   /// BroadcastFreePrefix scans: the stretch before each runs grouped, and
   /// the arrival itself runs alone — a one-arrival chunk is already in
   /// stream order, so it is the one place a broadcast may fire. Per-site

@@ -28,19 +28,6 @@ uint64_t RandomizedCountOptions::InvP(uint64_t n_bar) const {
   return FloorPow2(scaled);
 }
 
-namespace {
-
-void CountChunk(SiteGrouper* grouper, const sim::Arrival* arrivals,
-                size_t count, int num_sites) {
-  grouper->CountArrivals(arrivals, count, num_sites);
-}
-void CountChunk(SiteGrouper* grouper, const uint16_t* sites, size_t count,
-                int num_sites) {
-  grouper->CountSites(sites, count, num_sites);
-}
-
-}  // namespace
-
 CountSite::CountSite(const RandomizedCountOptions& options, int site)
     : options_(options),
       rng_(options.seed * 0x9E3779B97F4A7C15ull + static_cast<uint64_t>(site)),
@@ -85,7 +72,29 @@ void CountSite::Ritual(uint64_t n_bar, Port& port) {
   if (options_.use_skip_sampling) skip_.ResetPow2(log2_inv_p_, &rng_);
 }
 
-template void CountSite::Arrive(uint64_t, CountSite::TapPort&);
+// Count arrivals carry no payload, so a run is just a number. The site
+// consumes its coin stream at the same offsets as per-arrival Arrive().
+template <typename Port>
+void CountSite::ArriveRun(const uint64_t* /*keys*/, size_t n, Port& port) {
+  if (!options_.use_skip_sampling) {
+    for (size_t i = 0; i < n; ++i) Arrive(0, port);
+    return;
+  }
+  uint64_t left = n;
+  while (left > 0) {
+    uint64_t gap = NextEventGap();
+    if (left < gap) {
+      AdvanceNoEvent(left);
+      return;
+    }
+    AdvanceNoEvent(gap - 1);
+    left -= gap;
+    Arrive(0, port);
+  }
+}
+
+template void CountSite::ArriveRun(const uint64_t*, size_t,
+                                   CountSite::TapPort&);
 template void CountSite::Ritual(uint64_t, CountSite::TapPort&);
 
 void CountSite::Serialize(std::vector<uint64_t>* out) const {
@@ -159,40 +168,16 @@ void RandomizedCountTracker::set_wire_tap(sim::wire::WireTap* tap) {
   coarse_.set_wire_tap(tap);
 }
 
-inline void RandomizedCountTracker::ArriveOne(int site) {
+void RandomizedCountTracker::Arrive(int site) {
+  sim::CheckSiteInRange(site, options_.num_sites);
   ++n_;
   DirectPort port{this};
   sites_[static_cast<size_t>(site)].Arrive(0, port);
 }
 
-void RandomizedCountTracker::Arrive(int site) {
-  sim::CheckSiteInRange(site, options_.num_sites);
-  ArriveOne(site);
-}
-
-// Count arrivals carry no payload, so a site's slice of a chunk is just a
-// number. The site consumes its coin stream at the same offsets as
-// per-element Arrive(), and inside a grouped chunk all cross-site
-// coordinator effects are order-insensitive sums (reports fold into n'
-// and the aggregate), so the permutation is bit-invisible.
-void RandomizedCountTracker::RunSite(int site, uint64_t count) {
-  DirectPort port{this};
-  CountSite& s = sites_[static_cast<size_t>(site)];
-  while (count > 0) {
-    uint64_t gap = s.NextEventGap();
-    if (count < gap) {
-      s.AdvanceNoEvent(count);
-      return;
-    }
-    s.AdvanceNoEvent(gap - 1);
-    count -= gap;
-    s.Arrive(0, port);
-  }
-}
-
-template <typename Input>
-void RandomizedCountTracker::DeliverGrouped(const Input* input,
-                                            size_t count) {
+template <typename Input, typename Count>
+void RandomizedCountTracker::DeliverGrouped(const Input* input, size_t count,
+                                            Count&& count_chunk) {
   // n_ is advanced up front; nothing inside the batch reads it.
   n_ += count;
   // Count arrivals cost ~1 cycle each, so the per-chunk work (histogram
@@ -201,39 +186,35 @@ void RandomizedCountTracker::DeliverGrouped(const Input* input,
   // cache-resident here.
   coarse_.DeliverChunks(
       sites_, input, count, kSiteGroupChunk * 4, nullptr,
-      [this](const Input* chunk, size_t len) {
-        CountChunk(&grouper_, chunk, len, options_.num_sites);
+      [&](const Input* chunk, size_t len) {
+        count_chunk(chunk, len);
         return grouper_.histogram();
       },
       [this] {
+        // A site's slice of a grouped chunk is just a count; inside the
+        // chunk every cross-site coordinator effect is an
+        // order-insensitive sum (reports fold into n' and the
+        // aggregate), so the permutation is bit-invisible.
+        DirectPort port{this};
         for (const SiteGrouper::Span& span : grouper_.spans()) {
-          RunSite(span.site, span.length);
+          sites_[static_cast<size_t>(span.site)].ArriveRun(nullptr,
+                                                          span.length, port);
         }
       });
 }
 
 void RandomizedCountTracker::ArriveBatch(const sim::Arrival* arrivals,
                                          size_t count) {
-  if (options_.use_skip_sampling) {
-    DeliverGrouped(arrivals, count);
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    sim::CheckSiteInRange(arrivals[i].site, options_.num_sites);
-    ArriveOne(arrivals[i].site);
-  }
+  DeliverGrouped(arrivals, count, [this](const sim::Arrival* in, size_t len) {
+    grouper_.CountArrivals(in, len, options_.num_sites);
+  });
 }
 
 void RandomizedCountTracker::ArriveSites(const uint16_t* sites,
                                          size_t count) {
-  if (options_.use_skip_sampling) {
-    DeliverGrouped(sites, count);
-    return;
-  }
-  for (size_t i = 0; i < count; ++i) {
-    sim::CheckSiteInRange(sites[i], options_.num_sites);
-    ArriveOne(sites[i]);
-  }
+  DeliverGrouped(sites, count, [this](const uint16_t* in, size_t len) {
+    grouper_.CountSites(in, len, options_.num_sites);
+  });
 }
 
 double RandomizedCountTracker::EstimateCount() const {

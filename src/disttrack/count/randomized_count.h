@@ -34,11 +34,13 @@
 // geometric SkipSampler (skip_sampler.h), so an arrival between successes
 // costs one counter decrement instead of an RNG draw + double compare;
 // every p-halving redraws the outstanding skips (exact by independence of
-// unconsumed coins). Batched delivery runs the one batch engine,
-// CoarseTracker::DeliverChunks: each chunk is grouped into per-site spans
-// up to its first coarse broadcast, bit-identical to per-element
-// Arrive(). The paper-literal per-arrival coin path stays reachable as a
-// reference oracle (`use_skip_sampling = false`).
+// unconsumed coins). The site step is CountSite::ArriveRun, which retires
+// a run's eventless stretches in bulk; every host drives the site through
+// it: the one batch engine, CoarseTracker::DeliverChunks (each chunk
+// grouped into per-site spans up to its first coarse broadcast,
+// bit-identical to per-element Arrive()), and a hosted site's grants.
+// The paper-literal per-arrival coin path stays reachable as a reference
+// oracle (`use_skip_sampling = false`), a branch of ArriveRun.
 
 #ifndef DISTTRACK_COUNT_RANDOMIZED_COUNT_H_
 #define DISTTRACK_COUNT_RANDOMIZED_COUNT_H_
@@ -119,24 +121,21 @@ class CountSite {
   template <typename Port>
   void Arrive(uint64_t key, Port& port);
 
+  /// The site step every host runs: `n` arrivals (`keys` is unused and
+  /// may be null). Eventless stretches retire in bulk, each event
+  /// arrival (coarse report or coin success) takes Arrive; bit-identical
+  /// to n Arrive calls. The reference oracle (`use_skip_sampling =
+  /// false`) is its per-arrival branch.
+  template <typename Port>
+  void ArriveRun(const uint64_t* keys, size_t n, Port& port);
+
+  /// A hosted site runs its grants through ArriveRun (sim::HostedSite).
+  static constexpr bool kHostedPerArrival = false;
+
   /// The site's half of a round ritual for a broadcast carrying `n_bar`:
   /// one thinning step per halving of p (§2.1), then a skip redraw.
   template <typename Port>
   void Ritual(uint64_t n_bar, Port& port);
-
-  /// Arrivals until the next event (coarse report or coin success): where
-  /// the batch engine's span loop stops to take the site step.
-  uint64_t NextEventGap() const {
-    return std::min(coarse_.arrivals_until_report(),
-                    skip_.pending_skips() + 1);
-  }
-
-  /// Retires `n` arrivals known to be eventless (n < NextEventGap()):
-  /// plain count advances and coin failures.
-  void AdvanceNoEvent(uint64_t n) {
-    coarse_.AdvanceNoReport(n);
-    skip_.ConsumeFailures(n);
-  }
 
   /// Count sites can snapshot between any two arrivals.
   bool SnapshotReady() const { return true; }
@@ -155,6 +154,19 @@ class CountSite {
   static constexpr size_t kBlobWords = 1 + CoarseSite::kWords + 1 + 2 + 4;
 
   uint64_t inv_p() const { return uint64_t{1} << log2_inv_p_; }
+
+  // Arrivals until the next event (coarse report or coin success): where
+  // ArriveRun stops to take Arrive.
+  uint64_t NextEventGap() const {
+    return std::min(coarse_.arrivals_until_report(),
+                    skip_.pending_skips() + 1);
+  }
+  // Retires `n` arrivals known to be eventless (n < NextEventGap()):
+  // plain count advances and coin failures.
+  void AdvanceNoEvent(uint64_t n) {
+    coarse_.AdvanceNoReport(n);
+    skip_.ConsumeFailures(n);
+  }
 
   const RandomizedCountOptions& options_;  // the owner's
   CoarseSite coarse_;  // its count is the exact n_i
@@ -204,16 +216,12 @@ class RandomizedCountTracker : public sim::CountTrackerInterface {
   struct DirectPort;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
-  void ArriveOne(int site);
 
-  // The skip-sampling batch path over Arrival[] or site-id streams: the
-  // chunks of CoarseTracker::DeliverChunks, each span through RunSite.
-  template <typename Input>
-  void DeliverGrouped(const Input* input, size_t count);
-  // Advances `site` by `count` arrivals of a grouped chunk: eventless
-  // stretches retire in bulk, each event arrival takes the site step
-  // through the direct port.
-  void RunSite(int site, uint64_t count);
+  // The batch path over Arrival[] or site-id streams: the chunks of
+  // CoarseTracker::DeliverChunks, each histogrammed by `count_chunk(in,
+  // len)` into grouper_ and each span run through its site's ArriveRun.
+  template <typename Input, typename Count>
+  void DeliverGrouped(const Input* input, size_t count, Count&& count_chunk);
 
   RandomizedCountOptions options_;
   sim::CommMeter meter_;

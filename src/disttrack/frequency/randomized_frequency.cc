@@ -109,7 +109,28 @@ void FrequencySite::Ritual(uint64_t n_bar, Port& port) {
   port.Space(*this);
 }
 
-template void FrequencySite::Arrive(uint64_t, FrequencySite::TapPort&);
+template <typename Port>
+void FrequencySite::ArriveRun(const uint64_t* keys, size_t n, Port& port) {
+  if (!options_.use_skip_sampling) {
+    for (size_t i = 0; i < n; ++i) Arrive(keys[i], port);
+    return;
+  }
+  size_t pos = 0;
+  while (pos < n) {
+    uint64_t eventless = std::min<uint64_t>(NextEventGap() - 1,
+                                            static_cast<uint64_t>(n - pos));
+    if (eventless > 0) {
+      AdvanceNoEvent(keys + pos, static_cast<size_t>(eventless));
+      pos += static_cast<size_t>(eventless);
+    }
+    if (pos >= n) break;
+    Arrive(keys[pos], port);
+    ++pos;
+  }
+}
+
+template void FrequencySite::ArriveRun(const uint64_t*, size_t,
+                                       FrequencySite::TapPort&);
 template void FrequencySite::Ritual(uint64_t, FrequencySite::TapPort&);
 
 uint64_t FrequencySite::NextEventGap() const {
@@ -249,37 +270,12 @@ void RandomizedFrequencyTracker::OnBroadcast(uint64_t /*round*/,
   for (FrequencySite& site : sites_) site.Ritual(n_bar, port);
 }
 
-inline void RandomizedFrequencyTracker::ArriveOne(int site, uint64_t item) {
+void RandomizedFrequencyTracker::Arrive(int site, uint64_t item) {
+  sim::CheckSiteInRange(site, options_.num_sites);
   ++n_;
   DirectPort port{this};
   sites_[static_cast<size_t>(site)].Arrive(item, port);
   FlushPending();
-}
-
-void RandomizedFrequencyTracker::Arrive(int site, uint64_t item) {
-  sim::CheckSiteInRange(site, options_.num_sites);
-  ArriveOne(site, item);
-}
-
-// One site's span of a grouped chunk. Eventless arrivals pay one batched
-// tracked-counter walk and retire in bulk; each event arrival takes the
-// site step through the direct port.
-void RandomizedFrequencyTracker::RunSiteSpan(int site, const uint64_t* keys,
-                                             size_t count) {
-  DirectPort port{this};
-  FrequencySite& s = sites_[static_cast<size_t>(site)];
-  size_t pos = 0;
-  while (pos < count) {
-    uint64_t eventless = std::min<uint64_t>(
-        s.NextEventGap() - 1, static_cast<uint64_t>(count - pos));
-    if (eventless > 0) {
-      s.AdvanceNoEvent(keys + pos, static_cast<size_t>(eventless));
-      pos += static_cast<size_t>(eventless);
-    }
-    if (pos >= count) break;
-    s.Arrive(keys[pos], port);
-    ++pos;
-  }
 }
 
 void RandomizedFrequencyTracker::FlushPending() {
@@ -289,15 +285,6 @@ void RandomizedFrequencyTracker::FlushPending() {
 
 void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
                                              size_t count) {
-  if (!options_.use_skip_sampling) {
-    // The per-arrival coin oracle has no skips to retire in bulk, so
-    // batch delivery degenerates to the scalar loop.
-    for (size_t i = 0; i < count; ++i) {
-      sim::CheckSiteInRange(arrivals[i].site, options_.num_sites);
-      ArriveOne(arrivals[i].site, arrivals[i].key);
-    }
-    return;
-  }
   // n_ is advanced up front; nothing inside the batch reads it. Each
   // chunk's spans are walked against their sites' counter tables in one
   // cache-resident pass, and the counter reports and samples they queue
@@ -311,8 +298,10 @@ void RandomizedFrequencyTracker::ArriveBatch(const sim::Arrival* arrivals,
         return grouper_.histogram();
       },
       [this] {
+        DirectPort port{this};
         for (const SiteGrouper::Span& span : grouper_.spans()) {
-          RunSiteSpan(span.site, span.data, span.length);
+          sites_[static_cast<size_t>(span.site)].ArriveRun(
+              span.data, span.length, port);
         }
         FlushPending();
       });

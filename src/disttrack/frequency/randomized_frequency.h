@@ -32,17 +32,19 @@
 //
 // Hot path: the sticky counter list is a flat open-addressing table
 // (counter_table.h) — one Fibonacci-hash probe per arrival instead of an
-// unordered_map find — and batched delivery runs the one batch engine,
-// CoarseTracker::DeliverChunks: each chunk is grouped into per-site spans
-// up to its first coarse broadcast, and each span is walked against its
-// site's counter table in one batched pass. Between events (coin
-// successes on either channel, coarse reports, virtual-site splits) an
-// arrival costs its share of that walk, with the two skip channels, the
-// round-arrival counter and the coarse site retired in bulk at each
-// event. The engine consumes the RNG exactly as per-element Arrive()
-// does, so batch-vs-scalar is bit-identical (batch_equivalence_test). The
-// paper-literal per-arrival coins stay reachable as a reference oracle
-// (`use_skip_sampling = false`).
+// unordered_map find — and the site step is FrequencySite::ArriveRun,
+// which walks a run against the site's counter table in one batched
+// pass. Between events (coin successes on either channel, coarse
+// reports, virtual-site splits) an arrival costs its share of that walk,
+// with the two skip channels, the round-arrival counter and the coarse
+// site retired in bulk at each event. Every host drives the site through
+// it: the one batch engine, CoarseTracker::DeliverChunks (each chunk
+// grouped into per-site spans up to its first coarse broadcast), and a
+// hosted site's grants. It consumes the RNG exactly as per-element
+// Arrive() does, so batch-vs-scalar is bit-identical
+// (batch_equivalence_test). The paper-literal per-arrival coins stay
+// reachable as a reference oracle (`use_skip_sampling = false`), a
+// branch of ArriveRun.
 
 #ifndef DISTTRACK_FREQUENCY_RANDOMIZED_FREQUENCY_H_
 #define DISTTRACK_FREQUENCY_RANDOMIZED_FREQUENCY_H_
@@ -131,28 +133,23 @@ class FrequencySite {
   template <typename Port>
   void Arrive(uint64_t item, Port& port);
 
+  /// The site step every host runs: `n` arrivals of `keys`. Eventless
+  /// stretches pay one batched tracked-counter walk and retire in bulk,
+  /// each event arrival (a coin success on either channel, a coarse
+  /// report or a virtual-site split) takes Arrive; bit-identical to n
+  /// Arrive calls. The reference oracle (`use_skip_sampling = false`) is
+  /// its per-arrival branch.
+  template <typename Port>
+  void ArriveRun(const uint64_t* keys, size_t n, Port& port);
+
+  /// A hosted site runs its grants through ArriveRun (sim::HostedSite).
+  static constexpr bool kHostedPerArrival = false;
+
   /// The site's half of a round transition for a broadcast carrying
   /// `n_bar`: the new round parameters, cleared counters, a fresh
   /// instance, redrawn skips.
   template <typename Port>
   void Ritual(uint64_t n_bar, Port& port);
-
-  /// Arrivals until the next event (coin success on either channel,
-  /// coarse report, or virtual-site split): where the batch engine's span
-  /// loop stops to take the site step.
-  uint64_t NextEventGap() const;
-
-  /// Retires `n` arrivals of `keys` known to be eventless
-  /// (n < NextEventGap()): tracked counters count every arrival (only
-  /// reports are coin-gated), plus round-arrival advances, coin failures
-  /// on both channels and coarse count advances.
-  void AdvanceNoEvent(const uint64_t* keys, size_t n) {
-    counters_.IncrementTrackedRun(keys, n);
-    round_arrivals_ += n;
-    counter_skip_.ConsumeFailures(n);
-    sample_skip_.ConsumeFailures(n);
-    coarse_.AdvanceNoReport(n);
-  }
 
   /// Frequency sites can snapshot between any two arrivals.
   bool SnapshotReady() const { return true; }
@@ -176,6 +173,22 @@ class FrequencySite {
   // Round parameters, instance, skips and RNG ahead of the counter list.
   static constexpr size_t kHeaderWords =
       2 + count::CoarseSite::kWords + 3 + 2 * 2 + 4 + 1;
+
+  // Arrivals until the next event (coin success on either channel,
+  // coarse report, or virtual-site split): where ArriveRun stops to take
+  // Arrive.
+  uint64_t NextEventGap() const;
+  // Retires `n` arrivals of `keys` known to be eventless
+  // (n < NextEventGap()): tracked counters count every arrival (only
+  // reports are coin-gated), plus round-arrival advances, coin failures
+  // on both channels and coarse count advances.
+  void AdvanceNoEvent(const uint64_t* keys, size_t n) {
+    counters_.IncrementTrackedRun(keys, n);
+    round_arrivals_ += n;
+    counter_skip_.ConsumeFailures(n);
+    sample_skip_.ConsumeFailures(n);
+    coarse_.AdvanceNoReport(n);
+  }
 
   // Mints the next virtual-site instance id: the site id over a per-site
   // sequence, so a site's ids never depend on other sites' splits. The
@@ -248,12 +261,7 @@ class RandomizedFrequencyTracker : public sim::FrequencyTrackerInterface {
   struct DirectPort;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
-  void ArriveOne(int site, uint64_t item);
 
-  // The per-site span loop of grouped delivery: eventless stretches pay
-  // one batched table walk and retire in bulk; each event arrival takes
-  // the site step through the direct port.
-  void RunSiteSpan(int site, const uint64_t* keys, size_t count);
   // Applies the queued counter reports and samples as one batch (after a
   // serial arrival or a grouped chunk's spans).
   void FlushPending();

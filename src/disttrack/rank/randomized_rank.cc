@@ -364,7 +364,7 @@ uint64_t RankSite::NextEventGap() const {
   // Next event: the arrival that completes the current leaf (or chunk —
   // its boundary coincides with a leaf boundary via leaf_done) or the
   // next coarse report. Tail-channel coin successes are not events: the
-  // whole run sits in one leaf, so FeedRun walks the skip chain through
+  // whole run sits in one leaf, so Settle walks the skip chain through
   // the buffered values itself — same draws at the same arrivals, same
   // residuals, with runs twice as long.
   uint64_t gap = std::min(round_.block_size - arrivals_in_leaf_,
@@ -377,10 +377,10 @@ uint64_t RankSite::NextEventGap() const {
 // level absorbs the run, the leaf/chunk counters advance, the tail coins
 // are consumed, and the coarse site advances in bulk.
 template <typename Port>
-void RankSite::FeedRun(summaries::ValueBuffer* run, Port& port) {
-  uint64_t count = run->size();
+void RankSite::Settle(Port& port) {
+  uint64_t count = run_.size();
   if (count == 0) return;
-  uint64_t* values = run->data();
+  uint64_t* values = run_.data();
   // Tail channel: walk the skip chain through the run in arrival order
   // (values are still unsorted here). Every coin lands at the same
   // arrival with the same RNG draws as the per-arrival path; successes
@@ -408,13 +408,38 @@ void RankSite::FeedRun(summaries::ValueBuffer* run, Port& port) {
   EnsureNodes();
   // The buffer moves into the ladder instead of being copied; a recycled
   // one comes back.
-  ladder_.AppendSortedVector(run);
-  run->clear();
+  ladder_.AppendSortedVector(&run_);
+  run_.clear();
   PumpLevels(count, &scratch);
   ladder_.Consolidate();
   arrivals_in_leaf_ += count;
   arrivals_in_chunk_ += count;
   coarse_.AdvanceNoReport(count);
+}
+
+// A site's runs are fed at its own events (and at Settle), however its
+// arrivals are split into calls, so the sort/ladder/compaction schedule,
+// and with it the site's RNG consumption, does not depend on the split.
+template <typename Port>
+void RankSite::ArriveRun(const uint64_t* values, size_t n, Port& port) {
+  if (!options_.use_skip_sampling || !options_.use_batch_compaction) {
+    for (size_t i = 0; i < n; ++i) Arrive(values[i], port);
+    return;
+  }
+  size_t pos = 0;
+  while (pos < n) {
+    // Arrivals until the next event, net of what is already buffered
+    // (the site's counters advance only at feed time).
+    uint64_t to_event = NextEventGap() - run_.size();
+    if (n - pos < to_event) {
+      run_.insert(run_.end(), values + pos, values + n);
+      return;
+    }
+    run_.insert(run_.end(), values + pos, values + pos + (to_event - 1));
+    pos += static_cast<size_t>(to_event);
+    Settle(port);
+    Arrive(values[pos - 1], port);
+  }
 }
 
 void RankSite::TapPort::ShipSummary(int site, uint32_t first_leaf,
@@ -537,7 +562,7 @@ struct RandomizedRankTracker::ApplyPort {
     // as the scalar path discards mid-leaf state — those arrivals stay
     // covered by the frozen residual samples), so their residual frames
     // precede the report's.
-    if (kBatch && t->coarse_.WouldBroadcast(delta)) t->FlushBufferedRuns();
+    if (kBatch && t->coarse_.WouldBroadcast(delta)) t->SettleSites();
     t->coarse_.Report(site, delta);
   }
   void ShipSummary(int site, uint32_t first_leaf, uint32_t end_leaf,
@@ -566,7 +591,6 @@ RandomizedRankTracker::RandomizedRankTracker(
       coarse_(&meter_),
       agg_(options.num_sites),
       pending_uploads_(static_cast<size_t>(options.num_sites)),
-      runs_(static_cast<size_t>(options.num_sites)),
       run_carry_(static_cast<size_t>(options.num_sites)) {
   sites_.reserve(static_cast<size_t>(options_.num_sites));
   for (int i = 0; i < options_.num_sites; ++i) sites_.emplace_back(options_, i);
@@ -597,58 +621,20 @@ void RandomizedRankTracker::FlushDeferredUploads() {
   }
 }
 
-inline void RandomizedRankTracker::ArriveOne(int site, uint64_t value) {
+void RandomizedRankTracker::Arrive(int site, uint64_t value) {
+  sim::CheckSiteInRange(site, options_.num_sites);
   ++n_;
   DirectPort port{this};
   sites_[static_cast<size_t>(site)].Arrive(value, port);
 }
 
-void RandomizedRankTracker::Arrive(int site, uint64_t value) {
-  sim::CheckSiteInRange(site, options_.num_sites);
-  ArriveOne(site, value);
-}
-
-// A site's runs are fed at its own events (and the batch end), however
-// the batch is chunked, so the sort/ladder/compaction schedule, and with
-// it the site's RNG consumption, does not depend on the chunking.
-void RandomizedRankTracker::RunSite(int site, const uint64_t* keys,
-                                    size_t count) {
+void RandomizedRankTracker::SettleSites() {
   BatchPort port{this};
-  RankSite& s = sites_[static_cast<size_t>(site)];
-  summaries::ValueBuffer& run = runs_[static_cast<size_t>(site)];
-  size_t pos = 0;
-  while (pos < count) {
-    // Arrivals until the site's next event, net of what is already
-    // buffered (the site's counters advance only at feed time).
-    uint64_t to_event = s.NextEventGap() - run.size();
-    uint64_t avail = count - pos;
-    if (avail < to_event) {
-      run.insert(run.end(), keys + pos, keys + count);
-      return;
-    }
-    run.insert(run.end(), keys + pos, keys + pos + (to_event - 1));
-    pos += static_cast<size_t>(to_event);
-    s.FeedRun(&run, port);
-    s.Arrive(keys[pos - 1], port);
-  }
-}
-
-void RandomizedRankTracker::FlushBufferedRuns() {
-  BatchPort port{this};
-  for (size_t i = 0; i < sites_.size(); ++i) sites_[i].FeedRun(&runs_[i], port);
+  for (RankSite& site : sites_) site.Settle(port);
 }
 
 void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
                                         size_t count) {
-  if (!options_.use_skip_sampling || !options_.use_batch_compaction) {
-    // The reference oracles: the per-element feed (and the only exact
-    // one when tail coins are drawn per arrival).
-    for (size_t i = 0; i < count; ++i) {
-      sim::CheckSiteInRange(arrivals[i].site, options_.num_sites);
-      ArriveOne(arrivals[i].site, arrivals[i].key);
-    }
-    return;
-  }
   // n_ is advanced up front; nothing inside the batch reads it. Each
   // chunk's spans are fed span-at-a-time (cache-resident per-site state).
   n_ += count;
@@ -659,17 +645,19 @@ void RandomizedRankTracker::ArriveBatch(const sim::Arrival* arrivals,
         // Eventless runs buffered from earlier chunks of this batch have
         // not advanced the coarse sites yet; this chunk's events may feed
         // them through it, so they count as carry.
-        for (size_t i = 0; i < runs_.size(); ++i) {
-          run_carry_[i] = runs_[i].size();
+        for (size_t i = 0; i < sites_.size(); ++i) {
+          run_carry_[i] = sites_[i].buffered();
         }
         return grouper_.histogram();
       },
       [this] {
+        BatchPort port{this};
         for (const SiteGrouper::Span& span : grouper_.spans()) {
-          RunSite(span.site, span.data, span.length);
+          sites_[static_cast<size_t>(span.site)].ArriveRun(
+              span.data, span.length, port);
         }
       });
-  FlushBufferedRuns();
+  SettleSites();
   FlushDeferredUploads();
 }
 

@@ -29,19 +29,22 @@
 //
 // The site half is RankSite: one site's state (its CoarseSite, its copy
 // of the round parameters and per-level constants, its RNG and tail skip,
-// its tree and ladder), its arrival step, its eventless-run step
-// (FeedRun) and its ritual, parameterized over a coordinator port like
-// count's and frequency's. The in-process tracker is k RankSites plus the
-// aggregate; a site process or a fault harness site hosts one RankSite
-// behind its TapPort (sim::HostedSite). Every delivery path runs the same
-// steps and differs only in how their messages reach the coordinator.
+// its tree, ladder and buffered run), its arrival step, its run step
+// (ArriveRun, with Settle) and its ritual, parameterized over a
+// coordinator port like count's and frequency's. The in-process tracker
+// is k RankSites plus the aggregate; a site process or a fault harness
+// site hosts one RankSite behind its TapPort (sim::HostedSite). Every
+// delivery path runs the same steps and differs only in how their
+// messages reach the coordinator.
 //
-// Hot path: ArriveBatch runs the one batch engine,
-// CoarseTracker::DeliverChunks, which groups each chunk into per-site
-// spans up to its first coarse broadcast, and buffers each site's values —
-// between events (leaf/chunk boundaries, coarse reports; tail-channel
-// coins are walked through the buffered run in place, same draws at the
-// same arrivals) a site's run is sorted once
+// Hot path: the site step is RankSite::ArriveRun, which ArriveBatch's
+// one batch engine, CoarseTracker::DeliverChunks, runs (each chunk
+// grouped into per-site spans up to its first coarse broadcast, settled
+// at the batch end); a hosted site still takes each arrival of its grants
+// through Arrive (kHostedPerArrival). ArriveRun buffers the site's
+// values — between events (leaf/chunk boundaries, coarse reports;
+// tail-channel coins are walked through the buffered run in place, same
+// draws at the same arrivals) a site's run is sorted once
 // (common/small_sort.h: a radix sort over the key digits that vary, for
 // leaf-sized runs) and moved into the site's shared run-merge ladder
 // (summaries/run_ladder.h), which consolidates runs exactly once. Every
@@ -62,14 +65,15 @@
 // would have drawn (at ε = 5e-4 and k = 32 the leaf block is 1-11
 // arrivals under a tree 11-12 levels high, and every level below the
 // top is node-less). Each level's capacity is computed once per round
-// and site. Buffered runs carry across chunk boundaries, so a site's runs
-// are fed at its own events and the batch end whatever the chunking: a
-// chunk length of 1 (stream order) gives the identical output. Batched
-// compaction is equivalent in distribution, not
+// and site. Buffered runs carry across chunk and block boundaries, so a
+// site's runs are fed at its own events and at Settle whatever the
+// chunking: a chunk length of 1 (stream order) gives the identical
+// output. Batched compaction is equivalent in distribution, not
 // bit-identical, to the per-element feed (see the DESIGN note in
 // summaries/compactor_summary.h); the per-element feed and the
 // per-arrival coins stay reachable as reference oracles
-// (`use_batch_compaction = false`, `use_skip_sampling = false`).
+// (`use_batch_compaction = false`, `use_skip_sampling = false`), the
+// per-arrival branch of ArriveRun.
 
 #ifndef DISTTRACK_RANK_RANDOMIZED_RANK_H_
 #define DISTTRACK_RANK_RANDOMIZED_RANK_H_
@@ -186,28 +190,50 @@ class RankSite {
   template <typename Port>
   void Arrive(uint64_t value, Port& port);
 
-  /// Feeds `*run`, a buffer of eventless arrivals (shorter than
-  /// NextEventGap()), in arrival order: tail forwards ship through the
-  /// port, the run is sorted in place and moved into the ladder (a
-  /// recycled buffer comes back, empty).
+  /// The site step the batch engine runs: `n` arrivals of `values`. Eventless
+  /// arrivals buffer into the site's run, which is fed at the site's
+  /// next event (leaf/chunk completion or coarse report), whose arrival
+  /// then takes Arrive; the tail stays buffered across calls until the
+  /// next event or Settle. So how a stretch of arrivals is split into
+  /// calls is invisible; only the Settle points shape the output. The
+  /// reference oracles (`use_skip_sampling = false`,
+  /// `use_batch_compaction = false`) are its per-arrival branch.
   template <typename Port>
-  void FeedRun(summaries::ValueBuffer* run, Port& port);
+  void ArriveRun(const uint64_t* values, size_t n, Port& port);
+
+  /// Feeds the buffered run (shorter than the site's next event gap),
+  /// in arrival order: tail forwards ship through the port, and the run
+  /// is sorted once and moved into the ladder. ArriveRun settles before
+  /// each event arrival; the tracker settles every site at the end of
+  /// each batch and before a broadcast.
+  template <typename Port>
+  void Settle(Port& port);
+
+  /// A hosted site takes each arrival of a grant through Arrive
+  /// (sim::HostedSite), not ArriveRun: batched compaction matches
+  /// per-element Arrive only in distribution, and the serial checks of
+  /// a service fleet (perfbench's CheckAgainstJournal among them) replay
+  /// its grant journal per element. ROADMAP 3(a) moves those replays to
+  /// one ArriveBatch per grant and drops this.
+  static constexpr bool kHostedPerArrival = true;
+
+  /// Arrivals ArriveRun has buffered but not yet fed; the site's coarse
+  /// count lags by this many (CoarseTracker's carry).
+  uint64_t buffered() const { return run_.size(); }
 
   /// The site's half of a round transition for a broadcast carrying
   /// `n_bar`: new round parameters, a fresh instance, a skip redraw.
   template <typename Port>
   void Ritual(uint64_t n_bar, Port& port);
 
-  /// Arrivals until the next event (leaf/chunk completion or coarse
-  /// report): where the batch engine's span loop cuts the site's runs.
-  uint64_t NextEventGap() const;
-
-  /// Rank snapshots are only consistent at chunk boundaries, where the
-  /// site holds no partially built tree (nodes and ladder empty, no seed
-  /// drawn) and its whole private state is the round parameters plus the
-  /// coarse counters and the RNG/skip streams. SiteCore takes a snapshot
-  /// only once this returns true.
-  bool SnapshotReady() const { return arrivals_in_chunk_ == 0; }
+  /// Rank snapshots are only consistent at chunk boundaries with nothing
+  /// buffered, where the site holds no partially built tree (nodes and
+  /// ladder empty, no seed drawn) and its whole private state is the
+  /// round parameters plus the coarse counters and the RNG/skip streams.
+  /// SiteCore takes a snapshot only once this returns true.
+  bool SnapshotReady() const {
+    return arrivals_in_chunk_ == 0 && run_.empty();
+  }
   /// Appends the site's state; aborts unless SnapshotReady().
   void Serialize(std::vector<uint64_t>* out) const;
   /// Restores Serialize output; false (state untouched) on a blob of the
@@ -242,6 +268,10 @@ class RankSite {
 
   // Round parameters (5 words), coarse site, tail skip, RNG.
   static constexpr size_t kBlobWords = 5 + count::CoarseSite::kWords + 2 + 4;
+
+  // Arrivals until the next event (leaf/chunk completion or coarse
+  // report): where ArriveRun cuts the site's runs.
+  uint64_t NextEventGap() const;
 
   // Sets round_, the levels' capacities and nodeless_levels_. A new tree
   // height drops every level, its pooled nodes with it: their eps and
@@ -289,6 +319,10 @@ class RankSite {
   // Lower bound on the appends until some level's next pull threshold;
   // PumpLevels skips its level scan while the bound stays positive.
   uint64_t pull_slack_ = 0;
+  // Values ArriveRun delivered since the site's last event or Settle, in
+  // arrival order: the stream itself, not protocol state, so it is not
+  // charged as space.
+  summaries::ValueBuffer run_;
 };
 
 /// Randomized ε-approximate rank tracking (Theorem 4.1).
@@ -348,18 +382,11 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   using BatchPort = ApplyPort<true>;
 
   void OnBroadcast(uint64_t round, uint64_t n_bar);
-  void ArriveOne(int site, uint64_t value);
 
-  // Feeds every site's buffered eventless run into the tree. Called when
-  // a mid-batch broadcast is about to restart the instances and at batch
-  // end — the two points where the per-element execution would also have
-  // everything reconciled.
-  void FlushBufferedRuns();
-  // Advances `site` by `count` arrivals of a grouped chunk: eventless
-  // arrivals buffer into the site's run, fed at the site's next event;
-  // each event arrival takes the site step through the batch port. The
-  // tail stays buffered for the next chunk or the batch end.
-  void RunSite(int site, const uint64_t* keys, size_t count);
+  // Settles every site. Called when a mid-batch broadcast is about to
+  // restart the instances and at batch end — the two points where the
+  // per-element execution would also have everything reconciled.
+  void SettleSites();
   // Emits a kRankSummary (node [a, b) from `exports`' buffers) or
   // kRankResidual (leaf a, value b) frame charged `words`.
   void EmitTap(sim::wire::MsgType type, int site, uint64_t a, uint64_t b,
@@ -397,12 +424,8 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
 
   uint64_t n_ = 0;
 
-  // Batch-engine run buffers: values delivered to each site since its
-  // last event/reconciliation, in arrival order (delivery-engine state,
-  // not protocol state — the values are the stream itself).
-  std::vector<summaries::ValueBuffer> runs_;
-  // Their sizes, handed to the broadcast-safety tests as carry (refilled
-  // per chunk).
+  // The sites' buffered() counts, handed to the broadcast-safety tests
+  // as carry (refilled per chunk).
   std::vector<uint64_t> run_carry_;
   // Site-grouped delivery scratch.
   SiteGrouper grouper_;

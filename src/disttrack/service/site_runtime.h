@@ -51,8 +51,9 @@ class SiteRuntime : private sim::SiteLink {
     Endpoint endpoint;
     std::string snapshot_dir;  ///< empty = snapshots off
     uint64_t crash_after = 0;  ///< _exit(7) after this many arrivals in
-                               ///< this process (0 = never); simulates a
-                               ///< hard crash for the recovery tests
+                               ///< this process (0 = never), at most one
+                               ///< key block early (kGrantBlock); a hard
+                               ///< crash for the recovery tests
     int connected_fd = -1;     ///< already-connected socket to use instead
                                ///< of dialing `endpoint` (fork-based tests)
   };

@@ -75,7 +75,9 @@ void SiteCore::Handle(uint64_t seq, wire::Message msg) {
       wire::Message ack;
       ack.type = wire::MsgType::kRitualAck;
       ack.a = seq;
-      ack.b = position_;
+      // Parked, the ritual runs inside the reporting arrival, which the
+      // site has counted but not completed.
+      ack.b = position() - (parked_ != 0 ? 1 : 0);
       Stage(std::move(ack));
       if (parked_ != 0 && msg.c == parked_) parked_ = 0;
       return;
@@ -103,17 +105,16 @@ bool SiteCore::SnapshotReady() const {
 SiteCore::Snapshot SiteCore::TakeSnapshot() const {
   Snapshot snapshot;
   half_->Serialize(&snapshot.blob);
-  snapshot.site_arrivals = position_;
+  snapshot.site_arrivals = position();
   snapshot.up_next_seq = up_.next_seq();
   snapshot.down_watermark = down_.watermark();
   return snapshot;
 }
 
 bool SiteCore::Restore(const Snapshot& snapshot) {
-  if (!half_->Restore(snapshot.blob)) return false;
+  if (!half_->Restore(snapshot.blob, snapshot.site_arrivals)) return false;
   up_.Reset(snapshot.up_next_seq);
   down_.Reset(snapshot.down_watermark);
-  position_ = snapshot.site_arrivals;
   return true;
 }
 

@@ -12,6 +12,15 @@
 // emits is stamped with the latest round the site has applied and staged
 // on the uplink at its §1.1 send instant.
 //
+// The core draws a grant's keys in blocks of kGrantBlock. A count or
+// frequency site runs each block through its site class's one site step,
+// ArriveRun, the step the in-process batch engine runs, so it is
+// bit-identical to its tracker fed per element or per grant alike,
+// whatever the block size. A rank site (RankSite::kHostedPerArrival)
+// still takes each arrival through Arrive, so it stays bit-identical to
+// its tracker fed per element, which is what the serial replays of a
+// grant journal run. The site's position is its own exact local count.
+//
 // Downlink frames are handled in sequence order, and only while the site
 // waits for one:
 //
@@ -36,6 +45,8 @@
 #ifndef DISTTRACK_SIM_SITE_CORE_H_
 #define DISTTRACK_SIM_SITE_CORE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -63,19 +74,30 @@ class SiteHalf {
   /// emitted from inside ApplyRitual (thinning corrections).
   virtual void set_wire_tap(wire::WireTap* tap) = 0;
 
-  /// One arrival of this site's stream (key: item / value / ignored).
-  virtual void Arrive(uint64_t key) = 0;
+  /// `n` arrivals of this site's stream, keyed `keys[0, n)` (item /
+  /// value / ignored), all absorbed when it returns.
+  virtual void ArriveRun(const uint64_t* keys, size_t n) = 0;
+
+  /// One arrival. For per-arrival drivers (perfbench's frame recorder);
+  /// the site protocol runs grants through ArriveRun.
+  void Arrive(uint64_t key) { ArriveRun(&key, 1); }
 
   /// Per-site half of the round ritual for a broadcast carrying n̄.
   /// Callable between arrivals or reentrantly from the tap's
   /// kCoarseReport delivery.
   virtual void ApplyRitual(uint64_t n_bar) = 0;
 
+  /// Arrivals absorbed: the site's exact local count, the reporting
+  /// arrival included inside a parked report.
+  virtual uint64_t arrivals() const = 0;
+
   virtual bool SnapshotReady() const = 0;
   virtual void Serialize(std::vector<uint64_t>* out) const = 0;
   /// False (state untouched) on a blob that is not a snapshot of this
-  /// kind of site.
-  [[nodiscard]] virtual bool Restore(const std::vector<uint64_t>& blob) = 0;
+  /// kind of site, or one of a site that absorbed other than `arrivals`
+  /// arrivals.
+  [[nodiscard]] virtual bool Restore(const std::vector<uint64_t>& blob,
+                                     uint64_t arrivals) = 0;
 };
 
 /// One site class (count::CountSite, frequency::FrequencySite,
@@ -88,20 +110,31 @@ template <typename Site, typename Base = SiteHalf>
 class HostedSite final : public Base {
  public:
   HostedSite(const typename Site::Options& options, int site)
-      : options_(options), site_(options_, site) {}
+      : options_(options), id_(site), site_(options_, site) {}
   void set_wire_tap(wire::WireTap* tap) override { port_.tap = tap; }
-  void Arrive(uint64_t key) override { site_.Arrive(key, port_); }
+  void ArriveRun(const uint64_t* keys, size_t n) override {
+    if constexpr (Site::kHostedPerArrival) {
+      for (size_t i = 0; i < n; ++i) site_.Arrive(keys[i], port_);
+    } else {
+      site_.ArriveRun(keys, n, port_);
+    }
+  }
   void ApplyRitual(uint64_t n_bar) override { site_.Ritual(n_bar, port_); }
+  uint64_t arrivals() const override { return site_.coarse().count; }
   bool SnapshotReady() const override { return site_.SnapshotReady(); }
   void Serialize(std::vector<uint64_t>* out) const override {
     site_.Serialize(out);
   }
-  bool Restore(const std::vector<uint64_t>& blob) override {
-    return site_.Restore(blob);
+  bool Restore(const std::vector<uint64_t>& blob,
+               uint64_t arrivals) override {
+    Site probe(options_, id_);  // a refused blob leaves site_ untouched
+    return probe.Restore(blob) && probe.coarse().count == arrivals &&
+           site_.Restore(blob);
   }
 
  private:
   const typename Site::Options options_;
+  const int id_;
   Site site_;
   typename Site::TapPort port_;
 };
@@ -144,22 +177,33 @@ class SiteCore : private wire::WireTap {
   /// Whether a kGrant is waiting to be run.
   bool granted() const { return grant_ > 0; }
 
-  /// Runs the waiting grant: one arrival per granted unit, keyed
-  /// `key(position)`, then stages kGrantDone and handles the frames
-  /// queued behind the grant.
+  /// Keys RunGrant draws ahead of the site: the grant runs through
+  /// ArriveRun in blocks of this many arrivals.
+  static constexpr size_t kGrantBlock = 256;
+
+  /// Runs the waiting grant: its arrivals, keyed `key(position)`, through
+  /// the half's ArriveRun one block at a time (a block's keys are all
+  /// drawn before any of its arrivals runs), then stages kGrantDone and
+  /// handles the frames queued behind the grant. A site that fails
+  /// mid-grant stops at the end of the block.
   template <typename KeyFn>
   void RunGrant(KeyFn&& key) {
-    uint64_t granted = grant_;
+    const uint64_t granted = grant_;
+    const uint64_t start = position();
     grant_ = 0;
     running_ = true;
-    for (uint64_t i = 0; i < granted && live(); ++i) {
-      half_->Arrive(key(position_));
-      ++position_;
+    uint64_t keys[kGrantBlock];
+    for (uint64_t ran = 0; ran < granted && live();) {
+      const size_t n =
+          static_cast<size_t>(std::min<uint64_t>(kGrantBlock, granted - ran));
+      for (size_t i = 0; i < n; ++i) keys[i] = key(start + ran + i);
+      half_->ArriveRun(keys, n);
+      ran += n;
     }
     running_ = false;
     wire::Message done;
     done.type = wire::MsgType::kGrantDone;
-    done.a = position_;
+    done.a = position();
     Stage(std::move(done));
     Drain();
   }
@@ -176,7 +220,8 @@ class SiteCore : private wire::WireTap {
   bool SnapshotReady() const;
   Snapshot TakeSnapshot() const;
   /// Restores a fresh core to `snapshot`. False, with the core left
-  /// fresh, if the half refuses the blob.
+  /// fresh, if the half refuses the blob: not a snapshot of this kind of
+  /// site, or one whose count disagrees with `site_arrivals`.
   [[nodiscard]] bool Restore(const Snapshot& snapshot);
 
   /// Tick the uplink sender stages and retransmits at.
@@ -189,7 +234,8 @@ class SiteCore : private wire::WireTap {
   uint64_t retransmissions() const { return up_.retransmissions(); }
   uint64_t duplicates() const { return down_.duplicates(); }
 
-  uint64_t position() const { return position_; }
+  /// Arrivals the site has absorbed (SiteHalf::arrivals).
+  uint64_t position() const { return half_->arrivals(); }
   uint64_t up_next_seq() const { return up_.next_seq(); }
   uint64_t down_watermark() const { return down_.watermark(); }
   bool live() const { return !failed_ && !shutdown_; }
@@ -213,7 +259,6 @@ class SiteCore : private wire::WireTap {
   ReliableReceiver down_;
   std::deque<std::pair<uint64_t, wire::Message>> inbox_;  ///< (seq, frame)
 
-  uint64_t position_ = 0;  ///< arrivals absorbed
   uint64_t round_ = 0;     ///< latest broadcast round applied
   uint64_t grant_ = 0;     ///< arrivals of the waiting grant (0: none)
   uint64_t parked_ = 0;    ///< uplink seq of the undecided report (0: none)

@@ -207,24 +207,30 @@ TEST(BatchEquivalenceTest, RankBatchedCompactionDistributionMatchesScalar) {
 TEST(BatchEquivalenceTest, CountGroupedBitIdenticalAcrossWorkloads) {
   const int k = 16;
   const uint64_t kN = 150000;
-  for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kSingleSite,
-                     SiteSchedule::kSkewedGeometric, SiteSchedule::kBursty}) {
-    auto w = MakeCountWorkload(k, kN, sched, 901);
-    count::RandomizedCountOptions o;
-    o.num_sites = k;
-    o.epsilon = 0.01;
-    o.seed = 31;
-    count::RandomizedCountTracker grouped(o), ragged(o), scalar(o);
-    // One huge batch (internal chunking must cut at exactly the
-    // broadcasts) and ragged batches, both against per-element Arrive().
-    grouped.ArriveBatch(w.data(), w.size());
-    DeliverRagged(&ragged, w, 3);
-    for (const auto& a : w) scalar.Arrive(a.site);
-    for (const count::RandomizedCountTracker* t : {&grouped, &ragged}) {
-      ASSERT_DOUBLE_EQ(t->EstimateCount(), scalar.EstimateCount());
-      EXPECT_EQ(t->meter().TotalMessages(), scalar.meter().TotalMessages());
-      EXPECT_EQ(t->meter().TotalWords(), scalar.meter().TotalWords());
-      EXPECT_EQ(t->rounds(), scalar.rounds());
+  // The per-arrival coin oracle's batches run the same engine, through
+  // ArriveRun's per-arrival branch.
+  for (bool use_skip : {true, false}) {
+    for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kSingleSite,
+                       SiteSchedule::kSkewedGeometric, SiteSchedule::kBursty}) {
+      SCOPED_TRACE(use_skip ? "skip sampling" : "per-arrival coins");
+      auto w = MakeCountWorkload(k, kN, sched, 901);
+      count::RandomizedCountOptions o;
+      o.num_sites = k;
+      o.epsilon = 0.01;
+      o.seed = 31;
+      o.use_skip_sampling = use_skip;
+      count::RandomizedCountTracker grouped(o), ragged(o), scalar(o);
+      // One huge batch (internal chunking must cut at exactly the
+      // broadcasts) and ragged batches, both against per-element Arrive().
+      grouped.ArriveBatch(w.data(), w.size());
+      DeliverRagged(&ragged, w, 3);
+      for (const auto& a : w) scalar.Arrive(a.site);
+      for (const count::RandomizedCountTracker* t : {&grouped, &ragged}) {
+        ASSERT_DOUBLE_EQ(t->EstimateCount(), scalar.EstimateCount());
+        EXPECT_EQ(t->meter().TotalMessages(), scalar.meter().TotalMessages());
+        EXPECT_EQ(t->meter().TotalWords(), scalar.meter().TotalWords());
+        EXPECT_EQ(t->rounds(), scalar.rounds());
+      }
     }
   }
 }
@@ -251,29 +257,36 @@ TEST(BatchEquivalenceTest, CountGroupedSiteStreamMatchesScalar) {
 TEST(BatchEquivalenceTest, FrequencyGroupedBitIdenticalAcrossWorkloads) {
   const int k = 8;
   const uint64_t kN = 90000;
-  for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kSingleSite,
-                     SiteSchedule::kBursty}) {
-    auto w = MakeFrequencyWorkload(k, kN, sched, 400, 1.1, 311);
-    frequency::RandomizedFrequencyOptions o;
-    o.num_sites = k;
-    o.epsilon = 0.02;  // many rounds and (single-site) many splits inside
-    o.seed = 17;
-    frequency::RandomizedFrequencyTracker grouped(o), ragged(o), scalar(o);
-    grouped.ArriveBatch(w.data(), w.size());
-    DeliverRagged(&ragged, w, 5);
-    for (const auto& a : w) scalar.Arrive(a.site, a.key);
-    EXPECT_EQ(grouped.rounds(), scalar.rounds());
-    EXPECT_EQ(grouped.splits(), scalar.splits());
-    for (uint64_t item = 0; item < 50; ++item) {
-      ASSERT_DOUBLE_EQ(grouped.EstimateFrequency(item),
-                       scalar.EstimateFrequency(item))
-          << "item " << item;
-      ASSERT_DOUBLE_EQ(ragged.EstimateFrequency(item),
-                       scalar.EstimateFrequency(item))
-          << "item " << item;
+  // The per-arrival coin oracle's batches run the same engine, through
+  // ArriveRun's per-arrival branch.
+  for (bool use_skip : {true, false}) {
+    for (auto sched : {SiteSchedule::kUniformRandom, SiteSchedule::kSingleSite,
+                       SiteSchedule::kBursty}) {
+      SCOPED_TRACE(use_skip ? "skip sampling" : "per-arrival coins");
+      auto w = MakeFrequencyWorkload(k, kN, sched, 400, 1.1, 311);
+      frequency::RandomizedFrequencyOptions o;
+      o.num_sites = k;
+      o.epsilon = 0.02;  // many rounds and (single-site) many splits inside
+      o.seed = 17;
+      o.use_skip_sampling = use_skip;
+      frequency::RandomizedFrequencyTracker grouped(o), ragged(o), scalar(o);
+      grouped.ArriveBatch(w.data(), w.size());
+      DeliverRagged(&ragged, w, 5);
+      for (const auto& a : w) scalar.Arrive(a.site, a.key);
+      EXPECT_EQ(grouped.rounds(), scalar.rounds());
+      EXPECT_EQ(grouped.splits(), scalar.splits());
+      for (uint64_t item = 0; item < 50; ++item) {
+        ASSERT_DOUBLE_EQ(grouped.EstimateFrequency(item),
+                         scalar.EstimateFrequency(item))
+            << "item " << item;
+        ASSERT_DOUBLE_EQ(ragged.EstimateFrequency(item),
+                         scalar.EstimateFrequency(item))
+            << "item " << item;
+      }
+      EXPECT_EQ(grouped.meter().TotalMessages(),
+                scalar.meter().TotalMessages());
+      EXPECT_EQ(grouped.meter().TotalWords(), scalar.meter().TotalWords());
     }
-    EXPECT_EQ(grouped.meter().TotalMessages(), scalar.meter().TotalMessages());
-    EXPECT_EQ(grouped.meter().TotalWords(), scalar.meter().TotalWords());
   }
 }
 

@@ -537,7 +537,8 @@ struct Verdict {
 template <typename Tracker, typename Options>
 Verdict ReplayRestoredSite(
     const Options& options,
-    const std::function<void(std::vector<Downlink>*)>& tamper) {
+    const std::function<void(std::vector<Downlink>*)>& tamper,
+    uint64_t grant) {
   auto key = [](uint64_t i) { return (i * 2654435761u) % 4096; };
   Tracker oracle(options);
   OracleTap tap;
@@ -549,11 +550,15 @@ Verdict ReplayRestoredSite(
       oracle.Arrive(site, value);
     }
   };
+  // Site 0 takes at least 16 arrivals a phase, in grants of `grant`.
+  const uint64_t grants_per_phase = grant < 16 ? 16 / grant : 1;
   uint64_t site0 = 0;
   for (int phase = 0; phase < 6; ++phase) {
     for (uint64_t i = 0; i < (uint64_t{200} << phase); ++i) arrive(1, key(i));
-    tap.downlink.push_back(Downlink{16, 0, 0});
-    for (int i = 0; i < 16; ++i) arrive(0, key(site0++));
+    for (uint64_t g = 0; g < grants_per_phase; ++g) {
+      tap.downlink.push_back(Downlink{grant, 0, 0});
+      for (uint64_t i = 0; i < grant; ++i) arrive(0, key(site0++));
+    }
   }
 
   auto run = [&](SiteCore* core, TestLink* link, size_t* decision,
@@ -670,16 +675,26 @@ void SkewFirstTailBroadcast(std::vector<Downlink>* events) {
 template <typename Tracker, typename Options>
 void ExpectDifferentialCatchesBadDownlinks(const Options& options) {
   Verdict clean = ReplayRestoredSite<Tracker>(
-      options, [](std::vector<Downlink>*) {});
+      options, [](std::vector<Downlink>*) {}, 16);
   EXPECT_TRUE(clean.frames_match) << "the untouched downlink diverged";
   EXPECT_TRUE(clean.state_match) << "the untouched downlink diverged";
   Verdict dropped =
-      ReplayRestoredSite<Tracker>(options, DropFirstTailBroadcast);
+      ReplayRestoredSite<Tracker>(options, DropFirstTailBroadcast, 16);
   EXPECT_FALSE(dropped.frames_match && dropped.state_match)
       << "a missing kBroadcast went unnoticed";
-  Verdict skewed = ReplayRestoredSite<Tracker>(options, SkewFirstTailBroadcast);
+  Verdict skewed =
+      ReplayRestoredSite<Tracker>(options, SkewFirstTailBroadcast, 16);
   EXPECT_FALSE(skewed.frames_match && skewed.state_match)
       << "a wrong n̄ went unnoticed";
+  // Grants of 1, 37 and 2048 arrivals straddle broadcasts and rank's
+  // leaf and chunk ends; fed each grant in blocks, the hosted site must
+  // still be the oracle's site.
+  for (uint64_t grant : {1, 37, 2048}) {
+    Verdict run = ReplayRestoredSite<Tracker>(
+        options, [](std::vector<Downlink>*) {}, grant);
+    EXPECT_TRUE(run.frames_match) << "grants of " << grant << " diverged";
+    EXPECT_TRUE(run.state_match) << "grants of " << grant << " diverged";
+  }
 }
 
 TEST(SiteCoreTest, CountDifferentialCatchesMissingOrWrongBroadcast) {

@@ -264,7 +264,9 @@ TEST(ServiceRecovery, RankSiteRecoversMidRun) {
 // its own header words (a blob cut short, one with a word too many, a
 // frequency blob whose counter count overruns it) reads back fine: the
 // file layer cannot tell. The site class refuses it without reading past
-// the blob's end, and the site starts fresh, as after a torn file.
+// the blob's end, and the site starts fresh, as after a torn file. A
+// snapshot whose site_arrivals disagrees with the count in its blob is
+// refused the same way.
 
 ServiceOptions RecoveryOptions(TrackerKind tracker) {
   ServiceOptions options;
@@ -332,18 +334,26 @@ TEST(ServiceRecovery, RefusedSnapshotBlobLeavesTheSiteFresh) {
     const char* dir = mkdtemp(tmpl);
     ASSERT_NE(dir, nullptr);
     const std::string path = SnapshotPath(dir, 1);
+    std::vector<SiteSnapshot> refused;
     for (const std::vector<uint64_t>& blob : RefusedBlobs(tracker, live.blob)) {
-      SiteSnapshot bad = live;
-      bad.blob = blob;
+      refused.push_back(live);
+      refused.back().blob = blob;
+    }
+    // The live blob under an arrival count its coarse count disagrees
+    // with.
+    refused.push_back(live);
+    refused.back().site_arrivals += 1;
+    for (const SiteSnapshot& bad : refused) {
       std::string error;
       ASSERT_TRUE(WriteSnapshotFile(path, bad, &error)) << error;
       SiteSnapshot read;
       ASSERT_TRUE(ReadSnapshotFile(path, options.Hash(), &read));
-      ASSERT_EQ(read.blob, blob);
+      ASSERT_EQ(read.blob, bad.blob);
 
       sim::SiteCore core(1, SiteHalf::Create(options, 1), &link);
-      EXPECT_FALSE(core.Restore(read)) << "blob of " << blob.size()
-                                       << " words restored";
+      EXPECT_FALSE(core.Restore(read))
+          << "blob of " << bad.blob.size() << " words at "
+          << bad.site_arrivals << " arrivals restored";
       sim::SiteCore::Snapshot after = core.TakeSnapshot();
       EXPECT_EQ(after.blob, fresh_blob);
       EXPECT_EQ(after.site_arrivals, 0u);
