@@ -11,6 +11,28 @@
 
 namespace disttrack {
 namespace rank {
+namespace {
+
+// The skip rule (RoundParams::skipped_levels): level l >= 1 is skipped iff
+// for every j in 0..l a level-j node's window, min(b * 2^j, chunk_size)
+// values, is shorter than the level's capacity — the strict test under
+// which CompactSortedWindowToWire, and a node fed one element at a time,
+// keep the whole window as one weight-1 segment.
+uint64_t SkippedLevels(const RoundParams& r) {
+  uint64_t skipped = 0;
+  for (int level = 0; level <= r.height; ++level) {
+    const uint64_t window = r.block_size <= (r.chunk_size >> level)
+                                ? r.block_size << level
+                                : r.chunk_size;
+    if (window >= summaries::CompactorCapacity(LevelEps(level, r.height))) {
+      break;
+    }
+    if (level > 0) skipped |= uint64_t{1} << level;
+  }
+  return skipped;
+}
+
+}  // namespace
 
 Status RandomizedRankOptions::Validate() const {
   if (num_sites < 1) {
@@ -36,6 +58,7 @@ RoundParams RandomizedRankOptions::RoundParamsFor(uint64_t n_bar) const {
   r.block_size = std::min(r.block_size, r.chunk_size);
   r.num_leaves = static_cast<uint32_t>(CeilDiv(r.chunk_size, r.block_size));
   r.height = CeilLog2(r.num_leaves);
+  r.skipped_levels = SkippedLevels(r);
   return r;
 }
 
@@ -68,7 +91,8 @@ void RankSite::SetRound(const RoundParams& round) {
   // level ingests exactly one window per node and needs no node. Level 0
   // is always node-less: its leaf window is its only window by design.
   // The exact feed pulls at every level's own fill threshold and keeps
-  // every node.
+  // every node. A skipped level (round_.skipped_levels) has neither node
+  // nor cursor under either feed.
   nodeless_levels_ = 0;
   if (options_.use_batch_compaction) {
     const uint64_t top_capacity = levels_.back().capacity;
@@ -110,7 +134,7 @@ void RankSite::StartFreshInstance() {
   // Round and chunk boundaries discard in-flight tree state (completed
   // leaves are covered by shipped summaries, the tail by its frozen
   // samples); unpulled ladder data goes with it.
-  ladder_.Reset(levels_.size());
+  ladder_.Reset(Cursor(round_.height + 1));
   if (options_.use_skip_sampling) {
     // Rounds change p, which invalidates outstanding skips; chunk
     // boundaries don't, but a redraw is exact either way (independence of
@@ -140,7 +164,7 @@ void RankSite::FlushNode(int level, uint32_t node_start, uint32_t end_leaf,
     // ingest, no Reset, no pool churn. Identical stored content,
     // serialized words, and RNG stream as the node-based flush.
     summaries::RunView window =
-        ladder_.PullMerged(static_cast<size_t>(level), &port.scratch().window);
+        ladder_.PullMerged(Cursor(level), &port.scratch().window);
     if (window.size == 0) return;
     SiteScratch& scratch = port.scratch();
     scratch.export_values.clear();
@@ -149,6 +173,7 @@ void RankSite::FlushNode(int level, uint32_t node_start, uint32_t end_leaf,
     uint64_t words = summaries::CompactSortedWindowToWire(
         lv.capacity, lv.seed, window, &scratch.export_values,
         &scratch.export_segments);
+    ++CountAt(level).shipped;
     port.ShipSummary(site_, node_start, end_leaf, words);
     return;
   }
@@ -162,7 +187,7 @@ void RankSite::FlushNode(int level, uint32_t node_start, uint32_t end_leaf,
   // serialized words as pull-then-export, one to two full copies cheaper
   // per flush.
   summaries::RunView window =
-      ladder_.PullMerged(static_cast<size_t>(level), &port.scratch().window);
+      ladder_.PullMerged(Cursor(level), &port.scratch().window);
   if (node->m() == 0 && window.size == 0) {
     lv.pool.push_back(std::move(node));
     return;
@@ -170,6 +195,7 @@ void RankSite::FlushNode(int level, uint32_t node_start, uint32_t end_leaf,
   SiteScratch& scratch = port.scratch();
   uint64_t words = node->InsertWindowAndExport(window, &scratch.export_values,
                                                &scratch.export_segments);
+  ++CountAt(level).shipped;
   port.ShipSummary(site_, node_start, end_leaf, words);
   lv.pool.push_back(std::move(node));
 }
@@ -189,11 +215,14 @@ void RankSite::EnsureNodes() {
       ((uint64_t{2} << round_.height) - 1) & ~live_levels_;
   // Levels draw in level order. A node-less level draws its seed at
   // exactly the site-RNG position node creation would draw it; its flush
-  // consumes it.
+  // consumes it. A skipped level draws its seed there too and never uses
+  // it, so every other node's coins stay where they were.
   for (uint64_t m = missing; m != 0; m &= m - 1) {
     const int level = __builtin_ctzll(m);
     Level& lv = levels_[static_cast<size_t>(level)];
-    if (((nodeless_levels_ >> level) & 1) != 0) {
+    if (((round_.skipped_levels >> level) & 1) != 0) {
+      rng_.NextU64();
+    } else if (((nodeless_levels_ >> level) & 1) != 0) {
       lv.seed = rng_.NextU64();
     } else {
       lv.node = AcquireNode(level);
@@ -234,11 +263,13 @@ void RankSite::PumpLevels(uint64_t appended, SiteScratch* scratch) {
   for (int level = 0; level <= round_.height; ++level) {
     // A node-less level has no pump cadence: FlushNode drains its node's
     // whole window at once (its quantum covers the node, so the pump
-    // would pull only on the node's last arrival; level 0 by design).
-    // Skipping these levels also lifts pull_slack to the lowest node
-    // level's quantum.
-    if (((nodeless_levels_ >> level) & 1) != 0) continue;
-    uint64_t pending = ladder_.pending(static_cast<size_t>(level));
+    // would pull only on the node's last arrival; level 0 by design). A
+    // skipped level has no cursor at all. Skipping these levels also
+    // lifts pull_slack to the lowest node level's quantum.
+    if ((((nodeless_levels_ | round_.skipped_levels) >> level) & 1) != 0) {
+      continue;
+    }
+    uint64_t pending = ladder_.pending(Cursor(level));
     auto& node = levels_[static_cast<size_t>(level)].node;
     uint64_t capacity = levels_[static_cast<size_t>(level)].capacity;
     uint64_t quantum = 1;
@@ -253,7 +284,7 @@ void RankSite::PumpLevels(uint64_t appended, SiteScratch* scratch) {
       // Levels due together pull the same window; PullMerged merges it
       // once and every such level ingests the one copy.
       node->InsertSortedWindow(
-          ladder_.PullMerged(static_cast<size_t>(level), &scratch->window));
+          ladder_.PullMerged(Cursor(level), &scratch->window));
       pending = 0;
       owned = node->level0_size();
       threshold =
@@ -282,6 +313,7 @@ void RankSite::Arrive(uint64_t value, Port& port) {
     SiteScratch& scratch = port.scratch();
     scratch.export_values.assign(1, value);
     scratch.export_segments.assign(1, {1, 1});
+    ++CountAt(0).shipped;
     port.ShipSummary(site_, 0, 1, 3);
     StartFreshInstance();
     return;
@@ -328,26 +360,34 @@ void RankSite::Arrive(uint64_t value, Port& port) {
   // boundary reading shows.
   if ((current_leaf_ & 3u) == 3u || chunk_done) port.Space(*this);
   uint32_t completed_end = current_leaf_ + 1;
-  for (int level = 0; level <= round_.height; ++level) {
+  const int top = round_.height;
+  // Every node completes at the chunk's last leaf, and one summary then
+  // closes the instance: the top node's, or, when the top level is
+  // skipped (so is every level above the leaves), the last leaf's, after
+  // which the coordinator holds the chunk's whole cover. The coordinator
+  // would drop the other nodes' summaries on its arrival
+  // (rank_aggregate.h), so they are neither built nor shipped; the
+  // estimate is unchanged and the communication strictly drops.
+  const int closing = ((round_.skipped_levels >> top) & 1) != 0 ? 0 : top;
+  for (int level = 0; level <= top; ++level) {
     uint32_t node_start = (current_leaf_ >> level) << level;
     uint32_t node_end =
         std::min<uint32_t>(node_start + (1u << level), round_.num_leaves);
     if (completed_end != node_end && !chunk_done) continue;
-    if (chunk_done && level < round_.height) {
-      // Every node completes at the chunk's last leaf, and the top-level
-      // summary (shipped below) covers the whole chunk — the
-      // coordinator's cover stack would drop the lower summaries on its
-      // arrival (rank_aggregate.h), so don't build or ship them. The
-      // estimate is unchanged and the communication strictly drops.
-      // Unpulled ladder data for these levels dies with the instance
-      // reset below.
+    const bool skipped = ((round_.skipped_levels >> level) & 1) != 0;
+    if (chunk_done ? level != closing : skipped) {
+      // A skipped node is exact, and the coordinator rebuilds it from
+      // the children it holds. Unpulled ladder data of a superseded node
+      // dies with the instance reset below.
+      live_levels_ &= ~(uint64_t{1} << level);  // the next node draws
+      if (skipped && (!chunk_done || level == top)) ++CountAt(level).skipped;
       Level& lv = levels_[static_cast<size_t>(level)];
       if (lv.node != nullptr) lv.pool.push_back(std::move(lv.node));
-    } else {
-      // The window-closing arrival was appended above, so the cursor
-      // drain fused into FlushNode hands the node exactly its leaf range.
-      FlushNode(level, node_start, completed_end, port);
+      continue;
     }
+    // The window-closing arrival was appended above, so the cursor drain
+    // fused into FlushNode hands the node exactly its leaf range.
+    FlushNode(level, node_start, completed_end, port);
   }
   // The summaries shipped above dropped the completed leaves' tail
   // samples (the paper's estimator only uses samples from the
@@ -487,6 +527,7 @@ bool RankSite::Restore(const std::vector<uint64_t>& blob) {
   round.block_size = data[2];
   round.num_leaves = static_cast<uint32_t>(data[3]);
   round.height = static_cast<int>(data[4]);
+  round.skipped_levels = SkippedLevels(round);
   levels_.clear();
   SetRound(round);
   coarse_.Restore(data + 5);
@@ -499,7 +540,7 @@ bool RankSite::Restore(const std::vector<uint64_t>& blob) {
   current_leaf_ = 0;
   live_levels_ = 0;
   pull_slack_ = 0;
-  ladder_.Reset(levels_.size());
+  ladder_.Reset(Cursor(round_.height + 1));
   return true;
 }
 
@@ -604,7 +645,8 @@ void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
   // triggering report (see BatchPort).
   DirectPort port{this};
   for (RankSite& site : sites_) site.Ritual(n_bar, port);
-  agg_.BeginRound(sites_[0].round().inv_p, sites_[0].round().num_leaves);
+  const RoundParams& round = sites_[0].round();
+  agg_.BeginRound(round.inv_p, round.num_leaves, round.skipped_levels);
 }
 
 void RandomizedRankTracker::FlushDeferredUploads() {

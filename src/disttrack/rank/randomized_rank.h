@@ -7,17 +7,25 @@
 //    elements and builds a balanced binary tree of height h over them in
 //    arrival order; each node v at level ℓ runs one instance of algorithm A
 //    (CompactorSummary) at error parameter 2^-ℓ/√h over D(v), shipped to
-//    the coordinator the moment v's leaf range completes;
+//    the coordinator the moment v's leaf range completes, with two
+//    exceptions. A node of a skipped level (RoundParams::skipped_levels:
+//    it and every node below it hold fewer values than their compactor
+//    capacity, so its summary is the exact union of its children's) ships
+//    nothing; the coordinator rebuilds it from the children it holds. And
+//    at the chunk's end, where every node completes, one summary closes
+//    the instance: the top node's, or the last leaf's when the top level
+//    is skipped;
 //  * independently every arrival is forwarded with probability
 //    p = c√k/(εn̄), tagged with its leaf index (the in-progress tail
 //    channel).
 //
 // The coordinator answers rank(x) per instance by the maximal dyadic cover
-// of the completed-leaf prefix (≤ h shipped node summaries, unbiased with
-// variance b²/h each) plus (sampled tail count)/p for the in-progress leaf
-// (variance ≤ b/p = b²). Per instance the variance is O(b²); with ≤ 4k
-// instances per round and geometrically decaying past rounds the total is
-// O((εn/c)²), i.e. error ≤ εn with probability ≥ 1 - O(1/c²). That half
+// of the completed-leaf prefix (≤ h node summaries, shipped or rebuilt
+// from exact children, unbiased with variance b²/h each) plus (sampled
+// tail count)/p for the in-progress leaf (variance ≤ b/p = b²). Per
+// instance the variance is O(b²); with ≤ 4k instances per round and
+// geometrically decaying past rounds the total is O((εn/c)²), i.e.
+// error ≤ εn with probability ≥ 1 - O(1/c²). That half
 // is rank::RankAggregate (rank_aggregate.h), which the replica
 // (sim/replica.h) hosts too: an open instance keeps only its cover, a
 // finished instance one merged run, and a probe costs one binary search
@@ -48,7 +56,8 @@
 // (common/small_sort.h: a radix sort over the key digits that vary, for
 // leaf-sized runs) and moved into the site's shared run-merge ladder
 // (summaries/run_ladder.h), which consolidates runs exactly once. Every
-// tree level owns a ladder cursor and pulls its window when its
+// tree level that is not skipped owns a ladder cursor (so a skipped level
+// pins no run boundary) and pulls its window when its
 // compaction comes due — at dyadic leaf quanta under the batched feed
 // (fewer, larger compactions; same martingale argument), at each level's
 // own fill threshold under the exact feed. The leaf cursor pins every
@@ -63,8 +72,10 @@
 // node's last arrival, so it runs node-less: the flush cascades that
 // window straight from the ladder to the wire with the seed the node
 // would have drawn (at ε = 5e-4 and k = 32 the leaf block is 1-11
-// arrivals under a tree 11-12 levels high, and every level below the
-// top is node-less). Each level's capacity is computed once per round
+// arrivals under a tree 11-12 levels high, every level below the top is
+// node-less, and most are skipped). A skipped level draws its node's seed
+// at the same position and drops it, so every coin of every other node
+// is unchanged. Each level's capacity is computed once per round
 // and site. Buffered runs carry across chunk and block boundaries, so a
 // site's runs are fed at its own events and at Settle whatever the
 // chunking: a chunk length of 1 (stream order) gives the identical
@@ -110,7 +121,20 @@ struct RoundParams {
   uint64_t block_size = 1;  // leaf size b = min(⌊1/p⌋, chunk_size)
   uint32_t num_leaves = 1;  // ⌈chunk_size / b⌉
   int height = 0;           // ⌈log2 num_leaves⌉
+  // Bit l: every node of level l (l >= 1) is exact, and so is every node
+  // below it: each node's window, min(b * 2^j, chunk_size) values at
+  // level j, stays below the level's compactor capacity, so its summary
+  // is the union of its children's. A site ships no node of such a
+  // level, and the coordinator rebuilds it from the children it holds
+  // (rank_aggregate.h). The skipped levels are always 1..L for some L.
+  uint64_t skipped_levels = 0;
 };
+
+/// Level `level`'s compactor eps in a round of tree height `height`:
+/// 2^-level / sqrt(h).
+inline double LevelEps(int level, int height) {
+  return std::pow(2.0, -level) / std::sqrt(std::max(1, height));
+}
 
 /// Options for RandomizedRankTracker.
 struct RandomizedRankOptions {
@@ -143,6 +167,17 @@ struct RandomizedRankOptions {
   /// tracker and its replica both evaluate them here.
   RoundParams RoundParamsFor(uint64_t n_bar) const;
 };
+
+/// Nodes of one tree level a site completed: `shipped` counts the node
+/// summaries it sent, `skipped` the nodes of a skipped level it left to
+/// the coordinator (mid-chunk, plus a skipped top at each chunk's end).
+/// Plain counters: they read no RNG and charge no meter.
+struct NodeCount {
+  uint64_t shipped = 0;
+  uint64_t skipped = 0;
+};
+/// NodeCount by tree level, up to the highest level counted so far.
+using NodeCounts = std::vector<NodeCount>;
 
 /// Site-step scratch that is not protocol state: the merged copy of the
 /// last multi-run ladder window (memoized, so levels due on one window
@@ -244,6 +279,7 @@ class RankSite {
   int id() const { return site_; }
   const RoundParams& round() const { return round_; }
   summaries::LadderWork ladder_work() const { return ladder_.work(); }
+  const NodeCounts& node_counts() const { return nodes_; }
   uint64_t SpaceWords() const;
 
  private:
@@ -256,7 +292,8 @@ class RankSite {
     // draws `seed` where node creation would have drawn the node's seed,
     // at the same site-RNG position, and the flush cascades the node's
     // one ladder window straight to the wire
-    // (summaries::CompactSortedWindowToWire) with those coins.
+    // (summaries::CompactSortedWindowToWire) with those coins. Skipped
+    // levels (RoundParams::skipped_levels) keep neither node nor seed.
     std::unique_ptr<summaries::CompactorSummary> node;
     uint64_t seed = 0;
     // Retired summaries awaiting reuse. Tree nodes are short-lived (one
@@ -273,13 +310,31 @@ class RankSite {
   // report): where ArriveRun cuts the site's runs.
   uint64_t NextEventGap() const;
 
+  // Level `level`'s node counts, grown on first use (a site that is only
+  // constructed allocates none).
+  NodeCount& CountAt(int level) {
+    if (nodes_.size() <= static_cast<size_t>(level)) {
+      nodes_.resize(static_cast<size_t>(level) + 1);
+    }
+    return nodes_[static_cast<size_t>(level)];
+  }
+
+  // The ladder cursor of level `level`: only levels that are not skipped
+  // own one, in level order, so a skipped level pins no run boundary.
+  // Cursor(height + 1) is the number of cursors.
+  size_t Cursor(int level) const {
+    const uint64_t below = (uint64_t{1} << level) - 1;
+    return static_cast<size_t>(
+        level - __builtin_popcountll(round_.skipped_levels & below));
+  }
+
   // Sets round_, the levels' capacities and nodeless_levels_. A new tree
   // height drops every level, its pooled nodes with it: their eps and
   // capacity are the wrong size.
   void SetRound(const RoundParams& round);
-  // Level `level`'s eps in the current round: 2^-level / sqrt(h).
+  // Level `level`'s eps in the current round.
   double LevelEps(int level) const {
-    return std::pow(2.0, -level) / std::sqrt(std::max(1, round_.height));
+    return rank::LevelEps(level, round_.height);
   }
   std::unique_ptr<summaries::CompactorSummary> AcquireNode(int level);
   // Shared-ladder plumbing. EnsureNodes draws every level missing from
@@ -323,6 +378,7 @@ class RankSite {
   // arrival order: the stream itself, not protocol state, so it is not
   // charged as space.
   summaries::ValueBuffer run_;
+  NodeCounts nodes_;
 };
 
 /// Randomized ε-approximate rank tracking (Theorem 4.1).
@@ -355,6 +411,20 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   summaries::LadderWork ladder_work() const {
     summaries::LadderWork total;
     for (const RankSite& s : sites_) total += s.ladder_work();
+    return total;
+  }
+
+  /// Node counts summed over every site (NodeCounts: counters only).
+  NodeCounts node_counts() const {
+    NodeCounts total;
+    for (const RankSite& s : sites_) {
+      const NodeCounts& counts = s.node_counts();
+      if (total.size() < counts.size()) total.resize(counts.size());
+      for (size_t l = 0; l < counts.size(); ++l) {
+        total[l].shipped += counts[l].shipped;
+        total[l].skipped += counts[l].skipped;
+      }
+    }
     return total;
   }
 

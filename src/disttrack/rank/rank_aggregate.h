@@ -10,15 +10,26 @@
 // per-site arena that is reused from instance to instance. Nodes ship in
 // leaf order and a node contains every node shipped before it inside its
 // range, so a shipped node [s, e) truncates the entries with
-// first_leaf >= s and is then appended. On an exact range tie the earlier
-// entry stays and the new node is dropped: the greedy cover picks the
-// earliest of equal-range summaries. Superseded summaries are never kept.
+// first_leaf >= s and is then appended. Superseded summaries are never
+// kept.
 //
-// Frozen instances. An instance freezes when the node covering its whole
-// chunk ships or a round change cuts it short. Its cover entries are then
-// merged once into one immutable run of distinct values with prefix
-// weights, so a probe is one binary search, and its live tail samples are
-// kept sorted and tagged with their round.
+// Skipped levels. No site ships a node of a skipped level
+// (RoundParams::skipped_levels: that level's nodes and every node below
+// them are exact, so a node's summary is the union of its children's).
+// The coordinator rebuilds it instead: whenever the top two cover entries
+// are exact (one weight-1 segment), adjacent, aligned siblings of equal
+// span whose parent level is skipped, they merge in place in the arena
+// (MergeSorted), binary-counter style. Each merged entry is the summary
+// the site would have shipped, so after each of a site's leaf
+// completions the cover is the one a site shipping every node would
+// leave.
+//
+// Frozen instances. An instance freezes when the summary ending at its
+// chunk's last leaf arrives (the top node's, or the last leaf's when the
+// top level is skipped) or a round change cuts it short. Its cover
+// entries are then merged once into one immutable run of distinct values
+// with prefix weights, so a probe is one binary search, and its live tail
+// samples are kept sorted and tagged with their round.
 //
 // Estimate. rank(x) = I + Σ_r below_r · inv_p_r, where I counts the
 // summary weights below x (an exact integer) and below_r counts the tail
@@ -31,7 +42,8 @@
 // Exactness precondition: each site's summary weight stays below 2^53. A
 // summary that would break it is refused, as is a malformed one (segment
 // ends decreasing or past the values, values out of order within a
-// segment, first_leaf >= end_leaf, end_leaf past the round's leaves).
+// segment, first_leaf >= end_leaf, end_leaf past the round's leaves, or a
+// range that is a node of a skipped level, which no site ships).
 // Summary returns false and changes nothing.
 
 #ifndef DISTTRACK_RANK_RANK_AGGREGATE_H_
@@ -43,6 +55,7 @@
 #include <utility>
 #include <vector>
 
+#include "disttrack/common/small_sort.h"
 #include "disttrack/summaries/run_ladder.h"
 
 namespace disttrack {
@@ -59,23 +72,28 @@ class RankAggregate {
       : sites_(static_cast<size_t>(num_sites)) {}
 
   /// Opens the next round: freezes every open instance. Later frames open
-  /// instances at `inv_p` with `num_leaves` leaves per chunk.
-  void BeginRound(double inv_p, uint32_t num_leaves) {
+  /// instances at `inv_p` with `num_leaves` leaves per chunk, whose tree
+  /// levels in `skipped_levels` (bit l) ship no node.
+  void BeginRound(double inv_p, uint32_t num_leaves, uint64_t skipped_levels) {
     for (Site& site : sites_) Freeze(&site);
     round_inv_p_.push_back(inv_p);
     num_leaves_ = num_leaves;
+    skipped_levels_ = skipped_levels;
   }
 
   /// Node summary [first_leaf, end_leaf) shipped by `site`, in the wire
   /// format: `values` ascending within each segment, segment ends relative
   /// to `values`. Drops the open instance's tail samples of the leaves it
-  /// covers; the node covering the whole chunk freezes the instance. False,
-  /// and no change, if the summary is malformed or would take the site's
-  /// weight to 2^53.
+  /// covers; the summary ending at the chunk's last leaf freezes the
+  /// instance. False, and no change, if the summary is malformed or would
+  /// take the site's weight to 2^53.
   bool Summary(int site, uint64_t first_leaf, uint64_t end_leaf,
                const uint64_t* values, size_t num_values,
                const Segment* segments, size_t num_segments) {
-    if (first_leaf >= end_leaf || end_leaf > num_leaves_) return false;
+    if (first_leaf >= end_leaf || end_leaf > num_leaves_ ||
+        IsSkippedNode(first_leaf, end_leaf)) {
+      return false;
+    }
     uint64_t weight = 0;
     uint32_t begin = 0;
     for (size_t i = 0; i < num_segments; ++i) {
@@ -111,28 +129,24 @@ class RankAggregate {
       --keep;
       kept_weight -= s.cover[keep].weight;
     }
-    bool tie = keep < s.cover.size() &&
-               s.cover[keep].first_leaf == first_leaf &&
-               s.cover[keep].end_leaf == end_leaf;
-    if (!tie) {
-      if (weight >= kExactLimit - s.frozen_weight - kept_weight) return false;
-      if (keep < s.cover.size()) {
-        s.values.resize(s.cover[keep].values_begin);
-        s.segments.resize(s.cover[keep].segments_begin);
-        s.cover.resize(keep);
-      }
-      s.cover.push_back(Entry{static_cast<uint32_t>(first_leaf),
-                              static_cast<uint32_t>(end_leaf),
-                              s.values.size(), s.segments.size(), weight});
-      s.values.insert(s.values.end(), values, values + num_values);
-      s.segments.insert(s.segments.end(), segments, segments + num_segments);
-      s.cover_weight = kept_weight + weight;
+    if (weight >= kExactLimit - s.frozen_weight - kept_weight) return false;
+    if (keep < s.cover.size()) {
+      s.values.resize(s.cover[keep].values_begin);
+      s.segments.resize(s.cover[keep].segments_begin);
+      s.cover.resize(keep);
     }
+    s.cover.push_back(Entry{static_cast<uint32_t>(first_leaf),
+                            static_cast<uint32_t>(end_leaf), s.values.size(),
+                            s.segments.size(), weight});
+    s.values.insert(s.values.end(), values, values + num_values);
+    s.segments.insert(s.segments.end(), segments, segments + num_segments);
+    s.cover_weight = kept_weight + weight;
+    MergeSkippedParents(&s);
     while (s.residual_begin < s.residuals.size() &&
            s.residuals[s.residual_begin].leaf < end_leaf) {
       ++s.residual_begin;
     }
-    if (first_leaf == 0 && end_leaf == num_leaves_) Freeze(&s);
+    if (end_leaf == num_leaves_) Freeze(&s);
     return true;
   }
 
@@ -191,6 +205,53 @@ class RankAggregate {
     std::vector<FrozenInstance> frozen;
     uint64_t frozen_weight = 0;
   };
+
+  // True iff [first, end) is the range of a node of a skipped level. Its
+  // lowest level l = ceil(log2(end - first)) must have `first` aligned to
+  // 2^l and end at first + 2^l, or clamped at the chunk's last leaf.
+  bool IsSkippedNode(uint64_t first, uint64_t end) const {
+    const uint64_t span = end - first;
+    const int level = span <= 1 ? 0 : 64 - __builtin_clzll(span - 1);
+    if (((skipped_levels_ >> level) & 1) == 0) return false;
+    const uint64_t size = uint64_t{1} << level;
+    return first % size == 0 && (span == size || end == num_leaves_);
+  }
+
+  // While the top two cover entries are exact sibling nodes whose parent
+  // level is skipped, replaces them with that parent: their values merged
+  // in place as one weight-1 segment.
+  void MergeSkippedParents(Site* s) {
+    while (s->cover.size() >= 2) {
+      Entry& left = s->cover[s->cover.size() - 2];
+      const Entry& right = s->cover.back();
+      const uint64_t span = right.end_leaf - right.first_leaf;
+      if (left.end_leaf != right.first_leaf ||
+          left.end_leaf - left.first_leaf != span ||
+          (span & (span - 1)) != 0 || left.first_leaf % (2 * span) != 0 ||
+          ((skipped_levels_ >> (__builtin_ctzll(span) + 1)) & 1) == 0) {
+        return;
+      }
+      // Exact: one segment each, of weight 1.
+      if (right.segments_begin != left.segments_begin + 1 ||
+          s->segments.size() != right.segments_begin + 1 ||
+          s->segments[left.segments_begin].first != 1 ||
+          s->segments.back().first != 1) {
+        return;
+      }
+      const size_t num_left = right.values_begin - left.values_begin;
+      const size_t num_right = s->values.size() - right.values_begin;
+      uint64_t* out = s->values.data() + left.values_begin;
+      merge_scratch_.assign(s->values.begin() + right.values_begin,
+                            s->values.end());
+      MergeSorted(out, num_left, merge_scratch_.data(), num_right, out);
+      s->segments[left.segments_begin].second =
+          static_cast<uint32_t>(num_left + num_right);
+      s->segments.pop_back();
+      left.end_leaf = right.end_leaf;
+      left.weight += right.weight;
+      s->cover.pop_back();
+    }
+  }
 
   // One past the last segment of cover entry `c`.
   static size_t SegmentsEnd(const Site& s, size_t c) {
@@ -312,6 +373,9 @@ class RankAggregate {
   std::vector<Site> sites_;
   std::vector<double> round_inv_p_ = {1.0};  // by round, from round 0
   uint32_t num_leaves_ = 1;  // leaves per chunk in the current round
+  uint64_t skipped_levels_ = 0;  // the current round's, as RoundParams
+  // The right-hand entry of a sibling merge (MergeSorted writes over it).
+  summaries::ValueBuffer merge_scratch_;
 };
 
 }  // namespace rank

@@ -166,7 +166,8 @@ class RankReplica {
       case wire::MsgType::kCoarseReport:
         if (coarse_.ApplyReport(msg.a)) {
           rank::RoundParams round = options_.RoundParamsFor(coarse_.n_bar);
-          agg_.BeginRound(round.inv_p, round.num_leaves);
+          agg_.BeginRound(round.inv_p, round.num_leaves,
+                          round.skipped_levels);
         }
         return true;
       case wire::MsgType::kRankSummary:

@@ -51,9 +51,12 @@ namespace wire {
 
 /// Frame magic ("DTW1") and the current payload-format version.
 /// History: v1 = robustness PR (types 1..11); v2 = service plane (types
-/// 12..21, kQueryResult carries vectors).
+/// 12..21, kQueryResult carries vectors); v3 = rank sites ship no node of
+/// a skipped level (rank::RoundParams::skipped_levels), and the
+/// coordinator refuses a kRankSummary over such a node's range, which a
+/// v2 rank site sends.
 constexpr uint32_t kMagic = 0x44545731u;
-constexpr uint16_t kVersion = 2;
+constexpr uint16_t kVersion = 3;
 
 /// Frozen header prefix:
 ///   magic u32 | version u16 | type u8 | flags u8 | site i32 | seq u64 |

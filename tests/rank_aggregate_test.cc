@@ -5,13 +5,16 @@
 // The reference oracle below is the estimator the tracker and its replica
 // used before the aggregate: every shipped summary of every instance is
 // kept, rank(x) takes the greedy maximal dyadic cover of each instance's
-// completed leaves (the longest summary starting at the cursor, the
-// earliest on a tie) plus its live tail samples at the instance's 1/p,
-// summed in double site by site, instance by instance. It is kept here,
-// test-only, as the single reference for the §4 estimator. The aggregate's
-// integer part must equal the oracle's exactly and its total must agree
-// to 1e-12 relative; hosts of the aggregate must agree with each other bit
-// for bit.
+// completed leaves (the longest summary starting at the cursor) plus its
+// live tail samples at the instance's 1/p, summed in double site by site,
+// instance by instance; an instance closes on the summary ending at its
+// chunk's last leaf. It is kept here, test-only, as the single reference
+// for the §4 estimator. It needs no skipped-level mask: where the
+// aggregate merges exact siblings into their skipped parent, the oracle's
+// cover walks the siblings themselves, whose weights below any x add up
+// to the parent's. The aggregate's integer part must equal the oracle's
+// exactly and its total must agree to 1e-12 relative; hosts of the
+// aggregate must agree with each other bit for bit.
 
 #include <algorithm>
 #include <cmath>
@@ -44,7 +47,8 @@ class ReferenceRankAggregate {
   explicit ReferenceRankAggregate(int num_sites)
       : sites_(static_cast<size_t>(num_sites)) {}
 
-  void BeginRound(double inv_p, uint32_t num_leaves) {
+  void BeginRound(double inv_p, uint32_t num_leaves,
+                  uint64_t /*skipped_levels*/) {
     inv_p_ = inv_p;
     num_leaves_ = num_leaves;
     for (Site& site : sites_) site.open = false;
@@ -60,18 +64,7 @@ class ReferenceRankAggregate {
            inst.residuals[inst.residual_begin].first < end_leaf) {
       ++inst.residual_begin;
     }
-    if (first_leaf == 0 && end_leaf == num_leaves_) {
-      // Chunk done: keep only the top summary and close the instance.
-      auto top = std::find_if(inst.summaries.begin(), inst.summaries.end(),
-                              [this](const Stored& s) {
-                                return s.first_leaf == 0 &&
-                                       s.end_leaf == num_leaves_;
-                              });
-      Stored keep = std::move(*top);
-      inst.summaries.clear();
-      inst.summaries.push_back(std::move(keep));
-      site.open = false;
-    }
+    if (end_leaf == num_leaves_) site.open = false;  // chunk done
   }
 
   void Residual(int site_id, uint64_t leaf, uint64_t value) {
@@ -171,7 +164,7 @@ void ApplyFrame(const RandomizedRankOptions& options,
     case MsgType::kCoarseReport:
       if (coarse->ApplyReport(msg.a)) {
         RoundParams round = options.RoundParamsFor(coarse->n_bar);
-        agg->BeginRound(round.inv_p, round.num_leaves);
+        agg->BeginRound(round.inv_p, round.num_leaves, round.skipped_levels);
       }
       break;
     case MsgType::kRankSummary:
@@ -251,12 +244,14 @@ std::vector<uint64_t> Queries(Rng* rng) {
 }
 
 // What the frame stream exercised: instances cut short by a round change
-// (with a summary, or residual-only), and rounds at height 0 with leaves
-// longer than one arrival.
+// (with a summary, or residual-only), rounds at height 0 with leaves
+// longer than one arrival, and instances closed by their last leaf (the
+// top level skipped).
 struct Coverage {
   int cut_with_summary = 0;
   int cut_residual_only = 0;
   int height0_rounds = 0;
+  int closed_by_last_leaf = 0;
 };
 
 Coverage Inspect(const RandomizedRankOptions& options,
@@ -278,8 +273,9 @@ Coverage Inspect(const RandomizedRankOptions& options,
       if (round.height == 0 && round.block_size > 1) ++cov.height0_rounds;
     } else if (msg.type == MsgType::kRankSummary) {
       ++summaries[site];
-      if (msg.a == 0 && msg.b == round.num_leaves) {
+      if (msg.b == round.num_leaves) {
         summaries[site] = residuals[site] = 0;
+        if (msg.a > 0) ++cov.closed_by_last_leaf;
       }
     } else if (msg.type == MsgType::kRankResidual) {
       ++residuals[site];
@@ -345,11 +341,13 @@ TEST(RankAggregateTest, MatchesTheGreedyCoverOracleOnTrackerFrames) {
       total.cut_with_summary += cov.cut_with_summary;
       total.cut_residual_only += cov.cut_residual_only;
       total.height0_rounds += cov.height0_rounds;
+      total.closed_by_last_leaf += cov.closed_by_last_leaf;
     }
   }
   EXPECT_GT(total.cut_with_summary, 0) << "no round change cut a chunk";
   EXPECT_GT(total.cut_residual_only, 0) << "no residual-only instance";
   EXPECT_GT(total.height0_rounds, 0) << "no height-0 round";
+  EXPECT_GT(total.closed_by_last_leaf, 0) << "no chunk closed by its leaf";
 }
 
 TEST(RankAggregateTest, FrameInterleavingAcrossSitesIsInvisible) {
@@ -410,12 +408,16 @@ TEST(RankAggregateTest, FrameInterleavingAcrossSitesIsInvisible) {
   }
 }
 
-// Hand-written frames: one site, a round of 5 leaves at 1/p = 3.
+// Hand-written frames: two sites, a round of 5 leaves (tree height 3) at
+// 1/p = 3 with no level skipped unless a test opens another round.
 class HandFramesTest : public ::testing::Test {
  protected:
-  HandFramesTest() : agg_(2), oracle_(2) {
-    agg_.BeginRound(3.0, 5);
-    oracle_.BeginRound(3.0, 5);
+  HandFramesTest() : agg_(2), oracle_(2) { Begin(3.0, 5, 0); }
+
+  void Begin(double inv_p, uint32_t num_leaves, uint64_t skipped_levels) {
+    agg_.BeginRound(inv_p, num_leaves, skipped_levels);
+    oracle_.BeginRound(inv_p, num_leaves, skipped_levels);
+    Check();
   }
 
   // Ships to both and checks the estimates after.
@@ -441,41 +443,34 @@ class HandFramesTest : public ::testing::Test {
   ReferenceRankAggregate oracle_;
 };
 
-TEST_F(HandFramesTest, RangeTieKeepsTheEarlierSummary) {
+TEST_F(HandFramesTest, MixedWeightCoverClosesOnTheTopNode) {
   Ship(0, 0, 1, {2, 6}, {{1, 2}});
-  // The same range again: the greedy cover keeps the first one.
-  Ship(0, 0, 1, {1, 3, 5, 7}, {{1, 4}});
   Sample(0, 1, 4);
   Ship(0, 1, 2, {3, 9}, {{1, 2}});
   Sample(1, 0, 8);
   Ship(0, 0, 2, {1, 4, 5, 10}, {{1, 2}, {2, 4}});
   Ship(0, 2, 3, {7}, {{2, 1}});
-  Ship(0, 2, 3, {11}, {{2, 1}});
   Sample(0, 3, 2);
   Ship(0, 3, 4, {0, 6}, {{1, 2}});
-  // Leaf 4 is the last of 5, so the level-1 and level-2 nodes over it
-  // clamp to [4, 5), the leaf's own range.
-  Ship(0, 4, 5, {5}, {{1, 1}});
-  Ship(0, 4, 5, {2, 9}, {{1, 2}});
-  Ship(0, 4, 5, {12}, {{4, 1}});
+  // The top level is not skipped, so the top node over all 5 leaves
+  // closes the chunk.
   Ship(0, 0, 5, {1, 6, 10}, {{1, 1}, {4, 3}});
   Sample(0, 0, 3);
 }
 
 TEST_F(HandFramesTest, ParentsSupersedeTheirChildren) {
-  Ship(0, 0, 1, {5}, {{1, 1}});
-  Ship(0, 1, 2, {2}, {{1, 1}});
-  Ship(0, 0, 2, {2, 5}, {{1, 2}});
-  Ship(0, 2, 3, {8}, {{1, 1}});
-  Ship(0, 3, 4, {0}, {{1, 1}});
-  Ship(0, 2, 4, {0, 8}, {{1, 2}});
-  Ship(0, 0, 4, {2, 8}, {{2, 2}});
+  // Compacted leaves: no level is skipped, so every node ships.
+  Ship(0, 0, 1, {5}, {{2, 1}});
+  Ship(0, 1, 2, {2}, {{2, 1}});
+  Ship(0, 0, 2, {2, 5}, {{2, 2}});
+  Ship(0, 2, 3, {8}, {{2, 1}});
+  Ship(0, 3, 4, {0}, {{2, 1}});
+  Ship(0, 2, 4, {0, 8}, {{2, 2}});
+  Ship(0, 0, 4, {2, 8}, {{4, 2}});
   Sample(0, 4, 3);
   Sample(0, 4, 9);
   // A round change freezes the cut-short instance with its live samples.
-  agg_.BeginRound(5.0, 3);
-  oracle_.BeginRound(5.0, 3);
-  Check();
+  Begin(5.0, 3, 0);
   Sample(0, 0, 6);
   Ship(0, 0, 1, {1, 7}, {{1, 2}});
   Sample(0, 1, 1);
@@ -484,13 +479,67 @@ TEST_F(HandFramesTest, ParentsSupersedeTheirChildren) {
   Ship(0, 0, 3, {2, 3, 9}, {{3, 3}});
 }
 
+TEST_F(HandFramesTest, ExactSiblingsMergeThenGiveWayToAShippedParent) {
+  // Level 1 is skipped, levels 2 and 3 ship.
+  Begin(3.0, 5, 0b0010);
+  Ship(0, 0, 1, {5}, {{1, 1}});
+  Sample(0, 1, 4);
+  Ship(0, 1, 2, {2, 7}, {{1, 2}});  // merges with [0, 1) into [0, 2)
+  Ship(0, 2, 3, {8}, {{1, 1}});
+  Sample(0, 3, 1);
+  // Merges into [2, 4). Level 2 is not skipped, so [0, 2) and [2, 4)
+  // stay apart until the site's level-2 node arrives.
+  Ship(0, 3, 4, {0, 3}, {{1, 2}});
+  // A skipped node's range is refused, however well-formed.
+  const std::vector<uint64_t> pair = {2, 5, 7};
+  const std::vector<Segment> exact = {{1, 3}};
+  EXPECT_FALSE(agg_.Summary(0, 0, 2, pair.data(), 3, exact.data(), 1));
+  Check();
+  Ship(0, 0, 4, {2, 5, 8}, {{2, 3}});  // supersedes both merged entries
+  Sample(0, 4, 6);
+  Ship(0, 0, 5, {2, 6, 8}, {{2, 3}});  // the top node closes the chunk
+  Sample(0, 0, 11);
+  // A compacted leaf, which no site sends under a skipped parent, is not
+  // exact and does not merge with its exact sibling.
+  Ship(1, 0, 1, {5}, {{2, 1}});
+  Ship(1, 1, 2, {2, 7}, {{1, 2}});
+}
+
+TEST_F(HandFramesTest, ExactLeavesStayApartUnderAShippedParent) {
+  // Level 1 is not skipped, so two exact leaves stay two cover entries
+  // until their parent ships. The [1, 3) frame, which no site sends,
+  // makes that visible: it supersedes the second leaf only.
+  Ship(0, 0, 1, {2, 6}, {{1, 2}});
+  Ship(0, 1, 2, {3, 9}, {{1, 2}});
+  Ship(0, 1, 3, {4, 7, 8}, {{1, 3}});
+}
+
+TEST_F(HandFramesTest, AllExactInstanceClosesOnItsLastLeaf) {
+  // Every level above the leaves is skipped, the top one included.
+  Begin(3.0, 5, 0b1110);
+  Ship(0, 0, 1, {4, 9}, {{1, 2}});
+  Ship(0, 1, 2, {1}, {{1, 1}});
+  Sample(0, 2, 7);
+  Ship(1, 0, 1, {3}, {{1, 1}});
+  Ship(0, 2, 3, {6}, {{1, 1}});
+  Ship(0, 3, 4, {2, 11}, {{1, 2}});  // [0, 4) rebuilt from its leaves
+  Sample(0, 4, 5);
+  Ship(0, 4, 5, {3}, {{1, 1}});  // the last leaf closes the instance
+  Sample(0, 0, 10);              // the site's next instance
+  Ship(0, 0, 1, {0, 12}, {{1, 2}});
+  Ship(0, 1, 2, {5}, {{1, 1}});
+  // The round change freezes both open instances.
+  Begin(5.0, 3, 0b110);
+  Ship(1, 0, 1, {8}, {{1, 1}});
+  Ship(1, 1, 2, {2}, {{1, 1}});
+  Ship(1, 2, 3, {4, 7}, {{1, 2}});
+}
+
 TEST_F(HandFramesTest, ResidualOnlyInstancesSurviveARoundChange) {
   Sample(0, 0, 4);
   Sample(0, 0, 1);
   Sample(1, 2, 7);
-  agg_.BeginRound(7.5, 1);
-  oracle_.BeginRound(7.5, 1);
-  Check();
+  Begin(7.5, 1, 0);
   Sample(0, 0, 3);
   Ship(0, 0, 1, {2, 5}, {{1, 2}});  // height 0: one leaf closes the chunk
   Sample(0, 0, 9);
@@ -522,11 +571,13 @@ TEST(RankAggregateRefusals, MalformedSummariesChangeNothing) {
        {5, 6, 7, 1, 2, 4, 3, 8}, {{1, 3}, {2, 8}, {4, 8}}},
       {"inversion at the second segment's last pair", 0, 1,
        {5, 6, 7, 1, 2, 3, 8, 4}, {{1, 3}, {2, 8}, {4, 8}}},
+      // Level 1 is skipped: no site ships its node [2, 4).
+      {"summary over a skipped range", 2, 4, {1}, {{1, 1}}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
     RankAggregate agg(1);
-    agg.BeginRound(2.0, 4);
+    agg.BeginRound(2.0, 4, 0b10);
     const std::vector<uint64_t> base = {4};
     const std::vector<Segment> base_seg = {{two52, 1}};
     ASSERT_TRUE(agg.Summary(0, 0, 1, base.data(), 1, base_seg.data(), 1));
@@ -546,7 +597,7 @@ TEST(RankAggregateRefusals, MalformedSummariesChangeNothing) {
   }
   // The inversion cases' well-formed twin is accepted.
   RankAggregate agg(1);
-  agg.BeginRound(2.0, 4);
+  agg.BeginRound(2.0, 4, 0b10);
   const std::vector<uint64_t> values = {5, 6, 7, 1, 2, 3, 4, 8};
   const std::vector<Segment> segments = {{1, 3}, {2, 8}, {4, 8}};
   EXPECT_TRUE(agg.Summary(0, 0, 1, values.data(), values.size(),
@@ -586,7 +637,7 @@ TEST(RankAggregateRefusals, SegmentWeightBoundaries) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
     RankAggregate agg(1);
-    agg.BeginRound(2.0, 4);
+    agg.BeginRound(2.0, 4, 0);
     EXPECT_EQ(agg.Summary(0, 0, 1, values.data(), values.size(),
                           c.segments.data(), c.segments.size()),
               c.accepted);

@@ -345,11 +345,14 @@ TEST(RandomizedRankTest, GroupedDeliveryBitIdenticalToStreamOrder) {
 // Golden pin of the production output at both perfbench shapes (k=64,
 // eps=0.01, Zipf(1.1) keys; k=32, eps=5e-4, uniform keys; both over 2^20,
 // perfbench's site sequence, four 64Ki ArriveBatch calls, seed 3), plus a
-// 24-batch run of the k=32 shape. The four-batch constants were recorded
+// 24-batch run of the k=32 shape. The four-batch estimates were recorded
 // before the merged-window ladder pulls and the radix run sort went in,
 // the 24-batch ones before the scalar-only sort and merge; all of these
 // are tier A, so every later change to the rank ingest path must
-// reproduce them bit for bit (or say why not).
+// reproduce them bit for bit (or say why not). The message and word
+// counts were re-recorded when sites stopped shipping the nodes of
+// skipped levels (RoundParams::skipped_levels), which left every
+// estimate as it was.
 TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
   struct Shape {
     int k;
@@ -361,7 +364,7 @@ TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
     std::vector<std::pair<uint64_t, double>> estimates;
   };
   const Shape shapes[] = {
-      {64, 0.01, 1.1, 4, 116168, 859787,
+      {64, 0.01, 1.1, 4, 97262, 669592,
        {{0, 0},
         {1, 32279.199999999997},
         {2, 47452},
@@ -373,7 +376,7 @@ TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
         {65536, 236272.60000000001},
         {524288, 256590},
         {1048575, 262268.59999999998}}},
-      {32, 5e-4, 0.0, 4, 732928, 4269534,
+      {32, 5e-4, 0.0, 4, 476275, 1213663,
        {{0, 0},
         {131072, 32775},
         {262144, 65406.973638087467},
@@ -387,7 +390,7 @@ TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
       // capacities, so the node-less flushes draw wire-cascade coins from
       // each level's seed: this shape pins the order of those seed draws,
       // which the 4-batch shape above (no coin drawn) cannot see.
-      {32, 5e-4, 0.0, 24, 1507819, 17342592,
+      {32, 5e-4, 0.0, 24, 1021269, 5921089,
        {{0, 0},
         {131072, 196833.90773330611},
         {262144, 393146.85500948108},
@@ -427,28 +430,41 @@ TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
   }
 }
 
-// The run ladder's work at the golden k = 32 shape (24 x 64Ki uniform
-// keys, seed 3, tree height 11), read from counters that touch no RNG
-// and no meter. Each arrival is merged about once per tree level: 10.0
-// values per arrival in pair merges plus 0.75 in merged windows when
-// this test was written, so h + 1 bounds the total. Pair merges write
-// into the older run's own buffer, so only appends take pooled buffers.
-// A change that raises the merge volume or brings back a merge buffer
-// per pair merge fails here, not only in the wall clock.
-TEST(RandomizedRankTest, LadderWorkAtTheTableBoundShape) {
+// The golden k = 32 shape's input: k = 32 sites, perfbench's site
+// sequence, uniform keys over 2^20, seed 3.
+std::vector<sim::Arrival> TableBoundInput(size_t n) {
   const int k = 32;
-  const size_t kBatch = size_t{1} << 16;
-  const size_t batches = 24;
-  const size_t n = kBatch * batches;
   auto input = stream::MakeFrequencyWorkload(
       k, n, SiteSchedule::kUniformRandom, uint64_t{1} << 20, 0.0, 3);
   auto sites = stream::MakeCountSites(k, n, SiteSchedule::kUniformRandom, 11);
   for (size_t i = 0; i < n; ++i) input[i].site = sites[i];
+  return input;
+}
+
+RandomizedRankOptions TableBoundOptions() {
   RandomizedRankOptions o;
-  o.num_sites = k;
+  o.num_sites = 32;
   o.epsilon = 5e-4;
   o.seed = 3;
-  RandomizedRankTracker tracker(o);
+  return o;
+}
+
+// The run ladder's work at the golden k = 32 shape (24 x 64Ki uniform
+// keys, seed 3, tree height 11), read from counters that touch no RNG
+// and no meter. Skipped levels own no ladder cursor, so the ladder
+// merges each leaf's runs and the windows of the levels that still ship:
+// about 3.7 values per arrival in pair merges plus 0.4 in merged windows
+// when this test was written (10.75 while every level held a cursor).
+// Pair merges write into the older run's own buffer, so only appends
+// take pooled buffers. A change that raises the merge volume or brings
+// back a merge buffer per pair merge fails here, not only in the wall
+// clock.
+TEST(RandomizedRankTest, LadderWorkAtTheTableBoundShape) {
+  const size_t kBatch = size_t{1} << 16;
+  const size_t batches = 24;
+  const size_t n = kBatch * batches;
+  auto input = TableBoundInput(n);
+  RandomizedRankTracker tracker(TableBoundOptions());
   for (size_t b = 0; b < batches; ++b) {
     tracker.ArriveBatch(input.data() + b * kBatch, kBatch);
   }
@@ -456,9 +472,90 @@ TEST(RandomizedRankTest, LadderWorkAtTheTableBoundShape) {
   ASSERT_EQ(tracker.height(), 11);
   EXPECT_GT(work.pair_merges, 0u);
   EXPECT_GT(work.window_values, 0u);
-  EXPECT_LE(work.merged_values(),
-            static_cast<uint64_t>(tracker.height() + 1) * n);
+  EXPECT_LE(work.merged_values(), 5 * static_cast<uint64_t>(n));
   EXPECT_LE(work.pool_takes, work.runs_appended);
+}
+
+// Level `l`'s count, zero where no node of the level was counted.
+NodeCount CountAt(const NodeCounts& counts, size_t l) {
+  return l < counts.size() ? counts[l] : NodeCount{};
+}
+
+// No node of a skipped level ships: per round, the node counts of every
+// level in that round's skipped_levels grow only in `skipped`, and those
+// of every other level only in `shipped`. Fed one arrival at a time: a
+// broadcast opens the next round before its arrival's tree step, so what
+// that arrival ships belongs to the new round. At the k = 32 shape the
+// masks grow from level 1 alone (round 8) to every level (rounds 18 and
+// 19); round 20's top level ships again.
+TEST(RandomizedRankTest, SkippedLevelsShipNoNode) {
+  const size_t n = size_t{1} << 20;
+  auto input = TableBoundInput(n);
+  RandomizedRankTracker tracker(TableBoundOptions());
+  NodeCounts before = tracker.node_counts();
+  uint64_t skipped_levels = tracker.site(0).round().skipped_levels;
+  uint64_t skipped_nodes = 0, shipped_above = 0;
+  auto close_round = [&](const NodeCounts& now) {
+    for (size_t l = 0; l < now.size(); ++l) {
+      const uint64_t shipped = now[l].shipped - CountAt(before, l).shipped;
+      const uint64_t skipped = now[l].skipped - CountAt(before, l).skipped;
+      if (((skipped_levels >> l) & 1) != 0) {
+        EXPECT_EQ(shipped, 0u) << "round " << tracker.rounds() << " level "
+                               << l;
+        skipped_nodes += skipped;
+      } else {
+        EXPECT_EQ(skipped, 0u) << "round " << tracker.rounds() << " level "
+                               << l;
+        if (l > 0) shipped_above += shipped;
+      }
+    }
+    before = now;
+    skipped_levels = tracker.site(0).round().skipped_levels;
+  };
+  uint64_t round = tracker.rounds();
+  for (const sim::Arrival& a : input) {
+    const NodeCounts prior = tracker.site(a.site).node_counts();
+    tracker.Arrive(a.site, a.key);
+    if (tracker.rounds() != round) {
+      round = tracker.rounds();
+      // Everything the arrival shipped or skipped belongs to the new round.
+      NodeCounts closing = tracker.node_counts();
+      const NodeCounts& site = tracker.site(a.site).node_counts();
+      for (size_t l = 0; l < site.size(); ++l) {
+        closing[l].shipped -= site[l].shipped - CountAt(prior, l).shipped;
+        closing[l].skipped -= site[l].skipped - CountAt(prior, l).skipped;
+      }
+      close_round(closing);
+    }
+  }
+  close_round(tracker.node_counts());
+  EXPECT_GT(skipped_nodes, 0u);
+  EXPECT_GT(shipped_above, 0u);
+}
+
+// The skip rule reads only the round's geometry, so the batched feed and
+// the exact-feed oracle (use_batch_compaction = false) complete, skip
+// and ship the same nodes of the same trees.
+TEST(RandomizedRankTest, BothFeedsSkipTheSameNodes) {
+  const size_t n = size_t{1} << 17;
+  auto input = TableBoundInput(n);
+  RandomizedRankOptions exact_options = TableBoundOptions();
+  exact_options.use_batch_compaction = false;
+  RandomizedRankTracker batched(TableBoundOptions()), exact(exact_options);
+  for (size_t pos = 0; pos < n; pos += 4096) {
+    batched.ArriveBatch(input.data() + pos, 4096);
+    exact.ArriveBatch(input.data() + pos, 4096);
+  }
+  const NodeCounts a = batched.node_counts();
+  const NodeCounts b = exact.node_counts();
+  ASSERT_EQ(a.size(), b.size());
+  uint64_t skipped = 0;
+  for (size_t l = 0; l < a.size(); ++l) {
+    EXPECT_EQ(a[l].skipped, b[l].skipped) << "level " << l;
+    EXPECT_EQ(a[l].shipped, b[l].shipped) << "level " << l;
+    skipped += a[l].skipped;
+  }
+  EXPECT_GT(skipped, 0u);
 }
 
 TEST(RandomizedRankTest, DuplicateValuesHandled) {

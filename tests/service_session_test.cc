@@ -552,6 +552,43 @@ TEST(ServiceSession, MalformedRankSummaryClosesTheConnection) {
   }
 }
 
+TEST(ServiceSession, RankSummaryOverASkippedNodeClosesTheConnection) {
+  // A coarse report opens a round whose level 1 is skipped (every level-1
+  // node is the union of two exact leaves), and a leaf ships. A summary of
+  // a level-1 node is then one no version-3 site sends (a version-2 site
+  // did): the connection closes, the refused frame changes no estimate,
+  // and the coordinator keeps serving queries.
+  ServiceOptions options;
+  options.tracker = TrackerKind::kRank;
+  options.num_sites = 4;
+  options.total_arrivals = 1000;
+  Message coarse;
+  coarse.type = MsgType::kCoarseReport;
+  coarse.site = 0;
+  coarse.a = 320;
+  coarse.paper_words = 1;
+  const Message leaf = RankSummary(0, 1, {3, 8}, {{1, 2}});
+  const Message node = RankSummary(0, 2, {3, 5, 8}, {{1, 3}});
+  sim::RankReplica reference(options.RankOptions());
+  ASSERT_TRUE(reference.Apply(coarse));
+  const rank::RoundParams round =
+      options.RankOptions().RoundParamsFor(reference.n_bar());
+  ASSERT_NE(round.skipped_levels & 0b10, 0u) << "level 1 is not skipped";
+  ASSERT_GE(round.num_leaves, 2u);
+  ASSERT_TRUE(reference.Apply(leaf));
+  EXPECT_FALSE(sim::RankReplica(reference).Apply(node));
+  Coordinator coordinator(options);
+  EXPECT_TRUE(ClosesAfter(&coordinator, options, {coarse, leaf, node}))
+      << "coordinator kept a connection that sent a skipped node's summary";
+  EXPECT_FALSE(StatsVector(coordinator).empty());
+  for (uint64_t x : {0, 4, 9}) {
+    Message rank = Ask(coordinator, kQueryRank, x);
+    ASSERT_EQ(rank.values.size(), 1u);
+    EXPECT_EQ(rank.values[0], Bits(reference.Estimate(x))) << "x " << x;
+  }
+  EXPECT_EQ(Ask(coordinator, kQueryCount).values[2], 1u)
+      << "the coarse report did not open the round";
+}
 
 /// A site the test speaks for itself over a socketpair (no fork): joins
 /// as `site`, sends sequenced uplink frames, and reads what the
