@@ -13,23 +13,24 @@ namespace disttrack {
 namespace rank {
 namespace {
 
-// The skip rule (RoundParams::skipped_levels): level l >= 1 is skipped iff
-// for every j in 0..l a level-j node's window, min(b * 2^j, chunk_size)
-// values, is shorter than the level's capacity — the strict test under
-// which CompactSortedWindowToWire, and a node fed one element at a time,
-// keep the whole window as one weight-1 segment.
-uint64_t SkippedLevels(const RoundParams& r) {
-  uint64_t skipped = 0;
+// The forward rule (RoundParams::forward): a level-l node of w values
+// ships about min(w, capacity) of them plus a 2-word header, once per w
+// arrivals, and the tail channel ships 2 words per 1/p arrivals. When
+// that sum reaches a word per arrival, forwarding every arrival is no
+// dearer. A tree round then always has b >= the leaf capacity, since the
+// leaf level alone costs (b + 2) / b > 1 below it.
+bool Forwards(const RoundParams& r) {
+  double words = 2.0 / r.inv_p;
   for (int level = 0; level <= r.height; ++level) {
     const uint64_t window = r.block_size <= (r.chunk_size >> level)
                                 ? r.block_size << level
                                 : r.chunk_size;
-    if (window >= summaries::CompactorCapacity(LevelEps(level, r.height))) {
-      break;
-    }
-    if (level > 0) skipped |= uint64_t{1} << level;
+    const uint64_t capacity =
+        summaries::CompactorCapacity(LevelEps(level, r.height));
+    words += static_cast<double>(std::min(window, capacity) + 2) /
+             static_cast<double>(window);
   }
-  return skipped;
+  return words >= 1.0;
 }
 
 }  // namespace
@@ -58,7 +59,7 @@ RoundParams RandomizedRankOptions::RoundParamsFor(uint64_t n_bar) const {
   r.block_size = std::min(r.block_size, r.chunk_size);
   r.num_leaves = static_cast<uint32_t>(CeilDiv(r.chunk_size, r.block_size));
   r.height = CeilLog2(r.num_leaves);
-  r.skipped_levels = SkippedLevels(r);
+  r.forward = Forwards(r);
   return r;
 }
 
@@ -91,8 +92,7 @@ void RankSite::SetRound(const RoundParams& round) {
   // level ingests exactly one window per node and needs no node. Level 0
   // is always node-less: its leaf window is its only window by design.
   // The exact feed pulls at every level's own fill threshold and keeps
-  // every node. A skipped level (round_.skipped_levels) has neither node
-  // nor cursor under either feed.
+  // every node.
   nodeless_levels_ = 0;
   if (options_.use_batch_compaction) {
     const uint64_t top_capacity = levels_.back().capacity;
@@ -134,8 +134,8 @@ void RankSite::StartFreshInstance() {
   // Round and chunk boundaries discard in-flight tree state (completed
   // leaves are covered by shipped summaries, the tail by its frozen
   // samples); unpulled ladder data goes with it.
-  ladder_.Reset(Cursor(round_.height + 1));
-  if (options_.use_skip_sampling) {
+  ladder_.Reset(levels_.size());
+  if (options_.use_skip_sampling && !round_.forward) {
     // Rounds change p, which invalidates outstanding skips; chunk
     // boundaries don't, but a redraw is exact either way (independence of
     // unconsumed coins) and keeps the transition logic in one place.
@@ -158,46 +158,42 @@ void RankSite::FlushNode(int level, uint32_t node_start, uint32_t end_leaf,
                          Port& port) {
   const uint64_t bit = uint64_t{1} << level;
   live_levels_ &= ~bit;  // the level's next node draws afresh
-  if ((nodeless_levels_ & bit) != 0) {
+  Level& lv = levels_[static_cast<size_t>(level)];
+  const bool nodeless = (nodeless_levels_ & bit) != 0;
+  if (!nodeless && lv.node == nullptr) return;
+  SiteScratch& scratch = port.scratch();
+  summaries::RunView window =
+      ladder_.PullMerged(static_cast<size_t>(level), &scratch.window);
+  uint64_t words;
+  if (nodeless) {
     // Node-less flush: the node's one window cascades straight from the
     // ladder into the wire buffer with the drawn seed's coins — no node
     // ingest, no Reset, no pool churn. Identical stored content,
     // serialized words, and RNG stream as the node-based flush.
-    summaries::RunView window =
-        ladder_.PullMerged(Cursor(level), &port.scratch().window);
     if (window.size == 0) return;
-    SiteScratch& scratch = port.scratch();
     scratch.export_values.clear();
     scratch.export_segments.clear();
-    const Level& lv = levels_[static_cast<size_t>(level)];
-    uint64_t words = summaries::CompactSortedWindowToWire(
+    words = summaries::CompactSortedWindowToWire(
         lv.capacity, lv.seed, window, &scratch.export_values,
         &scratch.export_segments);
-    ++CountAt(level).shipped;
-    port.ShipSummary(site_, node_start, end_leaf, words);
-    return;
+  } else {
+    // Drain the node's remaining ladder window and export in one fused
+    // step: a final sub-threshold window merges straight from the
+    // borrowed ladder storage into the wire buffer, never materializing
+    // in the node (which is pooled here and Reset() on reuse). Same
+    // stored content and serialized words as pull-then-export, one to
+    // two full copies cheaper per flush.
+    lv.pool.push_back(std::move(lv.node));
+    summaries::CompactorSummary& node = *lv.pool.back();
+    if (node.m() == 0 && window.size == 0) return;
+    words = node.InsertWindowAndExport(window, &scratch.export_values,
+                                       &scratch.export_segments);
   }
-  Level& lv = levels_[static_cast<size_t>(level)];
-  auto& node = lv.node;
-  if (node == nullptr) return;
-  // Drain the node's remaining ladder window and export in one fused
-  // step: a final sub-threshold window merges straight from the borrowed
-  // ladder storage into the wire buffer, never materializing in the node
-  // (which is pooled and Reset() right after). Same stored content and
-  // serialized words as pull-then-export, one to two full copies cheaper
-  // per flush.
-  summaries::RunView window =
-      ladder_.PullMerged(Cursor(level), &port.scratch().window);
-  if (node->m() == 0 && window.size == 0) {
-    lv.pool.push_back(std::move(node));
-    return;
+  if (nodes_.size() <= static_cast<size_t>(level)) {
+    nodes_.resize(static_cast<size_t>(level) + 1);
   }
-  SiteScratch& scratch = port.scratch();
-  uint64_t words = node->InsertWindowAndExport(window, &scratch.export_values,
-                                               &scratch.export_segments);
-  ++CountAt(level).shipped;
+  ++nodes_[static_cast<size_t>(level)];
   port.ShipSummary(site_, node_start, end_leaf, words);
-  lv.pool.push_back(std::move(node));
 }
 
 uint64_t RankSite::SpaceWords() const {
@@ -215,14 +211,11 @@ void RankSite::EnsureNodes() {
       ((uint64_t{2} << round_.height) - 1) & ~live_levels_;
   // Levels draw in level order. A node-less level draws its seed at
   // exactly the site-RNG position node creation would draw it; its flush
-  // consumes it. A skipped level draws its seed there too and never uses
-  // it, so every other node's coins stay where they were.
+  // consumes it.
   for (uint64_t m = missing; m != 0; m &= m - 1) {
     const int level = __builtin_ctzll(m);
     Level& lv = levels_[static_cast<size_t>(level)];
-    if (((round_.skipped_levels >> level) & 1) != 0) {
-      rng_.NextU64();
-    } else if (((nodeless_levels_ >> level) & 1) != 0) {
+    if (((nodeless_levels_ >> level) & 1) != 0) {
       lv.seed = rng_.NextU64();
     } else {
       lv.node = AcquireNode(level);
@@ -263,13 +256,11 @@ void RankSite::PumpLevels(uint64_t appended, SiteScratch* scratch) {
   for (int level = 0; level <= round_.height; ++level) {
     // A node-less level has no pump cadence: FlushNode drains its node's
     // whole window at once (its quantum covers the node, so the pump
-    // would pull only on the node's last arrival; level 0 by design). A
-    // skipped level has no cursor at all. Skipping these levels also
-    // lifts pull_slack to the lowest node level's quantum.
-    if ((((nodeless_levels_ | round_.skipped_levels) >> level) & 1) != 0) {
-      continue;
-    }
-    uint64_t pending = ladder_.pending(Cursor(level));
+    // would pull only on the node's last arrival; level 0 by design).
+    // Skipping these levels also lifts pull_slack to the lowest node
+    // level's quantum.
+    if (((nodeless_levels_ >> level) & 1) != 0) continue;
+    uint64_t pending = ladder_.pending(static_cast<size_t>(level));
     auto& node = levels_[static_cast<size_t>(level)].node;
     uint64_t capacity = levels_[static_cast<size_t>(level)].capacity;
     uint64_t quantum = 1;
@@ -284,7 +275,7 @@ void RankSite::PumpLevels(uint64_t appended, SiteScratch* scratch) {
       // Levels due together pull the same window; PullMerged merges it
       // once and every such level ingests the one copy.
       node->InsertSortedWindow(
-          ladder_.PullMerged(Cursor(level), &scratch->window));
+          ladder_.PullMerged(static_cast<size_t>(level), &scratch->window));
       pending = 0;
       owned = node->level0_size();
       threshold =
@@ -298,24 +289,9 @@ void RankSite::PumpLevels(uint64_t appended, SiteScratch* scratch) {
 template <typename Port>
 void RankSite::Arrive(uint64_t value, Port& port) {
   if (uint64_t delta = coarse_.Arrive()) port.CoarseReport(site_, delta);
-
-  if (round_.chunk_size == 1) {
-    // Degenerate early-round geometry (n̄ < ~2k): one leaf, one node, one
-    // element per instance. The tree would build the identical
-    // single-item summary at far higher cost; ship it directly. The
-    // tail-channel coin is still consumed (p = 1 here, so the forward
-    // always fires and its sample is immediately covered by the shipped
-    // summary — exactly what the node path's leaf-completion prune does).
-    bool fwd = options_.use_skip_sampling ? tail_skip_.Next(&rng_)
-                                          : rng_.Bernoulli(1.0 / round_.inv_p);
-    if (fwd) port.ShipResidual(site_, 0, value, /*store=*/false);
-    // Single-item summary: value + header.
-    SiteScratch& scratch = port.scratch();
-    scratch.export_values.assign(1, value);
-    scratch.export_segments.assign(1, {1, 1});
-    ++CountAt(0).shipped;
-    port.ShipSummary(site_, 0, 1, 3);
-    StartFreshInstance();
+  // The report may have broadcast: the arrival belongs to the new round.
+  if (round_.forward) {
+    port.ShipForwards(site_, &value, 1);
     return;
   }
 
@@ -360,34 +336,26 @@ void RankSite::Arrive(uint64_t value, Port& port) {
   // boundary reading shows.
   if ((current_leaf_ & 3u) == 3u || chunk_done) port.Space(*this);
   uint32_t completed_end = current_leaf_ + 1;
-  const int top = round_.height;
-  // Every node completes at the chunk's last leaf, and one summary then
-  // closes the instance: the top node's, or, when the top level is
-  // skipped (so is every level above the leaves), the last leaf's, after
-  // which the coordinator holds the chunk's whole cover. The coordinator
-  // would drop the other nodes' summaries on its arrival
-  // (rank_aggregate.h), so they are neither built nor shipped; the
-  // estimate is unchanged and the communication strictly drops.
-  const int closing = ((round_.skipped_levels >> top) & 1) != 0 ? 0 : top;
-  for (int level = 0; level <= top; ++level) {
+  for (int level = 0; level <= round_.height; ++level) {
     uint32_t node_start = (current_leaf_ >> level) << level;
     uint32_t node_end =
         std::min<uint32_t>(node_start + (1u << level), round_.num_leaves);
     if (completed_end != node_end && !chunk_done) continue;
-    const bool skipped = ((round_.skipped_levels >> level) & 1) != 0;
-    if (chunk_done ? level != closing : skipped) {
-      // A skipped node is exact, and the coordinator rebuilds it from
-      // the children it holds. Unpulled ladder data of a superseded node
-      // dies with the instance reset below.
-      live_levels_ &= ~(uint64_t{1} << level);  // the next node draws
-      if (skipped && (!chunk_done || level == top)) ++CountAt(level).skipped;
+    if (chunk_done && level < round_.height) {
+      // Every node completes at the chunk's last leaf, and the top-level
+      // summary (shipped below) covers the whole chunk — the
+      // coordinator's cover stack would drop the lower summaries on its
+      // arrival (rank_aggregate.h), so don't build or ship them. The
+      // estimate is unchanged and the communication strictly drops.
+      // Unpulled ladder data for these levels dies with the instance
+      // reset below.
       Level& lv = levels_[static_cast<size_t>(level)];
       if (lv.node != nullptr) lv.pool.push_back(std::move(lv.node));
-      continue;
+    } else {
+      // The window-closing arrival was appended above, so the cursor
+      // drain fused into FlushNode hands the node exactly its leaf range.
+      FlushNode(level, node_start, completed_end, port);
     }
-    // The window-closing arrival was appended above, so the cursor drain
-    // fused into FlushNode hands the node exactly its leaf range.
-    FlushNode(level, node_start, completed_end, port);
   }
   // The summaries shipped above dropped the completed leaves' tail
   // samples (the paper's estimator only uses samples from the
@@ -468,6 +436,17 @@ void RankSite::ArriveRun(const uint64_t* values, size_t n, Port& port) {
   }
   size_t pos = 0;
   while (pos < n) {
+    if (round_.forward) {
+      // Nothing is buffered in a forward round: ship up to the arrival
+      // that reports, which takes Arrive (its report may broadcast).
+      const size_t m = static_cast<size_t>(
+          std::min<uint64_t>(n - pos, coarse_.arrivals_until_report() - 1));
+      coarse_.AdvanceNoReport(m);
+      port.ShipForwards(site_, values + pos, m);
+      pos += m;
+      if (pos < n) Arrive(values[pos++], port);
+      continue;
+    }
     // Arrivals until the next event, net of what is already buffered
     // (the site's counters advance only at feed time).
     uint64_t to_event = NextEventGap() - run_.size();
@@ -527,20 +506,15 @@ bool RankSite::Restore(const std::vector<uint64_t>& blob) {
   round.block_size = data[2];
   round.num_leaves = static_cast<uint32_t>(data[3]);
   round.height = static_cast<int>(data[4]);
-  round.skipped_levels = SkippedLevels(round);
+  round.forward = Forwards(round);
+  // The (empty-at-snapshot) instance state for the restored round's tree
+  // shape; the streams are then overwritten with the saved ones.
   levels_.clear();
   SetRound(round);
+  StartFreshInstance();
   coarse_.Restore(data + 5);
   tail_skip_.Restore(data + 5 + count::CoarseSite::kWords);
   rng_.RestoreState(data + 7 + count::CoarseSite::kWords);
-  // Rebuild the (empty-at-snapshot) derived state for the restored
-  // round's tree shape.
-  arrivals_in_chunk_ = 0;
-  arrivals_in_leaf_ = 0;
-  current_leaf_ = 0;
-  live_levels_ = 0;
-  pull_slack_ = 0;
-  ladder_.Reset(Cursor(round_.height + 1));
   return true;
 }
 
@@ -570,9 +544,9 @@ inline void RandomizedRankTracker::ApplySummary(int site,
                                                 uint32_t first_leaf,
                                                 uint32_t end_leaf) {
   const SiteScratch& s = scratch_;
-  if (!agg_.Summary(site, first_leaf, end_leaf, s.export_values.data(),
-                    s.export_values.size(), s.export_segments.data(),
-                    s.export_segments.size())) {
+  if (!agg_.Summary(site, coarse_.round(), first_leaf, end_leaf,
+                    s.export_values.data(), s.export_values.size(),
+                    s.export_segments.data(), s.export_segments.size())) {
     std::fprintf(stderr,
                  "RandomizedRankTracker: the coordinator aggregate refused "
                  "site %d's summary of leaves [%u, %u)\n",
@@ -581,10 +555,11 @@ inline void RandomizedRankTracker::ApplySummary(int site,
   }
 }
 
-inline void RandomizedRankTracker::DeferUpload(int site, uint64_t words) {
+inline void RandomizedRankTracker::DeferUpload(int site, uint64_t words,
+                                               uint64_t messages) {
   PendingUpload& pending = pending_uploads_[static_cast<size_t>(site)];
-  ++pending.messages;
-  pending.words += std::max<uint64_t>(1, words);
+  pending.messages += messages;
+  pending.words += messages * std::max<uint64_t>(1, words);
 }
 
 // Per-arrival (kBatch false) and batch delivery: every message is charged,
@@ -619,7 +594,16 @@ struct RandomizedRankTracker::ApplyPort {
     else t->meter_.RecordUpload(site, 2);
     t->EmitTap(sim::wire::MsgType::kRankResidual, site, leaf, value, 2,
                nullptr);
-    if (store) t->agg_.Residual(site, leaf, value);
+    if (store) t->agg_.Residual(site, t->coarse_.round(), leaf, value);
+  }
+  void ShipForwards(int site, const uint64_t* values, size_t n) {
+    if (kBatch) t->DeferUpload(site, 1, n);
+    else t->meter_.RecordUploadBulk(site, n, n);
+    for (size_t i = 0; i < n; ++i) {
+      t->EmitTap(sim::wire::MsgType::kRankForward, site, values[i], 0, 1,
+                 nullptr);
+    }
+    t->agg_.Forwards(t->coarse_.round(), values, n);
   }
   void Space(const RankSite& s) { t->space_.Set(s.id(), s.SpaceWords()); }
 };
@@ -645,8 +629,7 @@ void RandomizedRankTracker::OnBroadcast(uint64_t /*round*/, uint64_t n_bar) {
   // triggering report (see BatchPort).
   DirectPort port{this};
   for (RankSite& site : sites_) site.Ritual(n_bar, port);
-  const RoundParams& round = sites_[0].round();
-  agg_.BeginRound(round.inv_p, round.num_leaves, round.skipped_levels);
+  agg_.BeginRound(sites_[0].round());
 }
 
 void RandomizedRankTracker::FlushDeferredUploads() {

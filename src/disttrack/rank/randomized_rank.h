@@ -7,29 +7,34 @@
 //    elements and builds a balanced binary tree of height h over them in
 //    arrival order; each node v at level ℓ runs one instance of algorithm A
 //    (CompactorSummary) at error parameter 2^-ℓ/√h over D(v), shipped to
-//    the coordinator the moment v's leaf range completes, with two
-//    exceptions. A node of a skipped level (RoundParams::skipped_levels:
-//    it and every node below it hold fewer values than their compactor
-//    capacity, so its summary is the exact union of its children's) ships
-//    nothing; the coordinator rebuilds it from the children it holds. And
-//    at the chunk's end, where every node completes, one summary closes
-//    the instance: the top node's, or the last leaf's when the top level
-//    is skipped;
+//    the coordinator the moment v's leaf range completes; at the chunk's
+//    end, where every node completes, only the top node ships;
 //  * independently every arrival is forwarded with probability
 //    p = c√k/(εn̄), tagged with its leaf index (the in-progress tail
 //    channel).
 //
+// Forward rounds. While 1/p is small the tree cannot compress: a node of
+// w values ships about min(w, capacity) of them plus a header, so the
+// leaves alone cost more than a word per arrival. RoundParamsFor predicts
+// the tree's words per arrival from the round parameters alone
+// (RoundParams::forward), and a round the tree cannot bring below one
+// word forwards every arrival exactly instead: one kRankForward of 1
+// word, no tree, no tail coin, no RNG draw. This is the rank analogue of
+// §2.1's p = 1 regime. Early rounds forward, later ones build trees; a
+// forward round's estimates are exact. Every tree round has b at least
+// the leaf level's capacity, so each of its nodes ships.
+//
 // The coordinator answers rank(x) per instance by the maximal dyadic cover
-// of the completed-leaf prefix (≤ h node summaries, shipped or rebuilt
-// from exact children, unbiased with variance b²/h each) plus (sampled
-// tail count)/p for the in-progress leaf (variance ≤ b/p = b²). Per
-// instance the variance is O(b²); with ≤ 4k instances per round and
-// geometrically decaying past rounds the total is O((εn/c)²), i.e.
-// error ≤ εn with probability ≥ 1 - O(1/c²). That half
-// is rank::RankAggregate (rank_aggregate.h), which the replica
-// (sim/replica.h) hosts too: an open instance keeps only its cover, a
-// finished instance one merged run, and a probe costs one binary search
-// per finished instance plus one per segment of the open covers.
+// of the completed-leaf prefix (≤ h node summaries, unbiased with variance
+// b²/h each) plus (sampled tail count)/p for the in-progress leaf
+// (variance ≤ b/p = b²), plus the forwarded values below x. Per instance
+// the variance is O(b²); with ≤ 4k instances per round and geometrically
+// decaying past rounds the total is O((εn/c)²), i.e. error ≤ εn with
+// probability ≥ 1 - O(1/c²). That half is rank::RankAggregate
+// (rank_aggregate.h), which the replica (sim/replica.h) hosts too: an
+// open instance keeps only its cover, a finished instance one merged
+// run, the forwarded values a few merged runs, and a probe costs one
+// binary search per run plus one per segment of the open covers.
 //
 // At a round boundary sites simply clear: completed leaves are already
 // covered by shipped summaries and the in-progress tail stays covered by
@@ -49,15 +54,16 @@
 // one batch engine, CoarseTracker::DeliverChunks, runs (each chunk
 // grouped into per-site spans up to its first coarse broadcast, settled
 // at the batch end); a hosted site still takes each arrival of its grants
-// through Arrive (kHostedPerArrival). ArriveRun buffers the site's
-// values — between events (leaf/chunk boundaries, coarse reports;
-// tail-channel coins are walked through the buffered run in place, same
-// draws at the same arrivals) a site's run is sorted once
-// (common/small_sort.h: a radix sort over the key digits that vary, for
-// leaf-sized runs) and moved into the site's shared run-merge ladder
-// (summaries/run_ladder.h), which consolidates runs exactly once. Every
-// tree level that is not skipped owns a ladder cursor (so a skipped level
-// pins no run boundary) and pulls its window when its
+// through Arrive (kHostedPerArrival). In a forward round ArriveRun ships
+// each stretch up to the site's next coarse report as it comes. In a
+// tree round it buffers the site's values — between events (leaf/chunk
+// boundaries, coarse reports; tail-channel coins are walked through the
+// buffered run in place, same draws at the same arrivals) a site's run
+// is sorted once (common/small_sort.h: a radix sort over the key digits
+// that vary, for leaf-sized runs) and moved into the site's shared
+// run-merge ladder (summaries/run_ladder.h), which consolidates runs
+// exactly once. Every
+// tree level owns a ladder cursor and pulls its window when its
 // compaction comes due — at dyadic leaf quanta under the batched feed
 // (fewer, larger compactions; same martingale argument), at each level's
 // own fill threshold under the exact feed. The leaf cursor pins every
@@ -71,11 +77,7 @@
 // capacity; level 0 always) ingests exactly one window per node, on the
 // node's last arrival, so it runs node-less: the flush cascades that
 // window straight from the ladder to the wire with the seed the node
-// would have drawn (at ε = 5e-4 and k = 32 the leaf block is 1-11
-// arrivals under a tree 11-12 levels high, every level below the top is
-// node-less, and most are skipped). A skipped level draws its node's seed
-// at the same position and drops it, so every coin of every other node
-// is unchanged. Each level's capacity is computed once per round
+// would have drawn. Each level's capacity is computed once per round
 // and site. Buffered runs carry across chunk and block boundaries, so a
 // site's runs are fed at its own events and at Settle whatever the
 // chunking: a chunk length of 1 (stream order) gives the identical
@@ -113,22 +115,6 @@ struct DeliveryPeer;
 }  // namespace testing_util
 
 namespace rank {
-
-/// Round parameters of §4 for a round whose broadcast carried n̄.
-struct RoundParams {
-  double inv_p = 1.0;       // 1/p = max(1, εn̄/(c√k)), not rounded
-  uint64_t chunk_size = 1;  // n̄/k: arrivals per instance of algorithm C
-  uint64_t block_size = 1;  // leaf size b = min(⌊1/p⌋, chunk_size)
-  uint32_t num_leaves = 1;  // ⌈chunk_size / b⌉
-  int height = 0;           // ⌈log2 num_leaves⌉
-  // Bit l: every node of level l (l >= 1) is exact, and so is every node
-  // below it: each node's window, min(b * 2^j, chunk_size) values at
-  // level j, stays below the level's compactor capacity, so its summary
-  // is the union of its children's. A site ships no node of such a
-  // level, and the coordinator rebuilds it from the children it holds
-  // (rank_aggregate.h). The skipped levels are always 1..L for some L.
-  uint64_t skipped_levels = 0;
-};
 
 /// Level `level`'s compactor eps in a round of tree height `height`:
 /// 2^-level / sqrt(h).
@@ -168,16 +154,9 @@ struct RandomizedRankOptions {
   RoundParams RoundParamsFor(uint64_t n_bar) const;
 };
 
-/// Nodes of one tree level a site completed: `shipped` counts the node
-/// summaries it sent, `skipped` the nodes of a skipped level it left to
-/// the coordinator (mid-chunk, plus a skipped top at each chunk's end).
-/// Plain counters: they read no RNG and charge no meter.
-struct NodeCount {
-  uint64_t shipped = 0;
-  uint64_t skipped = 0;
-};
-/// NodeCount by tree level, up to the highest level counted so far.
-using NodeCounts = std::vector<NodeCount>;
+/// Node summaries a site shipped, by tree level, up to the highest level
+/// that shipped one. Plain counters: they read no RNG and charge no meter.
+using NodeCounts = std::vector<uint64_t>;
 
 /// Site-step scratch that is not protocol state: the merged copy of the
 /// last multi-run ladder window (memoized, so levels due on one window
@@ -208,6 +187,12 @@ class RankSite {
       sim::wire::Emit(tap, sim::wire::MsgType::kRankResidual, site, 0, leaf,
                       value, 0, 2);
     }
+    void ShipForwards(int site, const uint64_t* values, size_t n) const {
+      for (size_t i = 0; i < n; ++i) {
+        sim::wire::Emit(tap, sim::wire::MsgType::kRankForward, site, 0,
+                        values[i]);
+      }
+    }
     void Space(const RankSite& /*site*/) const {}
   };
 
@@ -215,21 +200,24 @@ class RankSite {
   RankSite(const RandomizedRankOptions& options, int site);
 
   /// One arrival of `value`: the coarse step (whose report may come back
-  /// as a broadcast and run Ritual first), the tree feed, the tail coin,
-  /// the leaf bookkeeping and the node flushes it completes. A port
-  /// offers CoarseReport(site, delta), ShipSummary(site, first_leaf,
-  /// end_leaf, words) for the node summary in its scratch's export
-  /// buffers, ShipResidual(site, leaf, value, store) for a tail-channel
-  /// forward (`store` false: a sample its own leaf's summary covers),
-  /// Space(site) and scratch().
+  /// as a broadcast and run Ritual first), then in a forward round its
+  /// forward, in a tree round the tree feed, the tail coin, the leaf
+  /// bookkeeping and the node flushes it completes. A port offers
+  /// CoarseReport(site, delta), ShipSummary(site, first_leaf, end_leaf,
+  /// words) for the node summary in its scratch's export buffers,
+  /// ShipResidual(site, leaf, value, store) for a tail-channel forward
+  /// (`store` false: a sample its own leaf's summary covers),
+  /// ShipForwards(site, values, n) for n forwarded arrivals, Space(site)
+  /// and scratch().
   template <typename Port>
   void Arrive(uint64_t value, Port& port);
 
-  /// The site step the batch engine runs: `n` arrivals of `values`. Eventless
-  /// arrivals buffer into the site's run, which is fed at the site's
-  /// next event (leaf/chunk completion or coarse report), whose arrival
-  /// then takes Arrive; the tail stays buffered across calls until the
-  /// next event or Settle. So how a stretch of arrivals is split into
+  /// The site step the batch engine runs: `n` arrivals of `values`. A
+  /// forward round ships them up to each coarse report. In a tree round
+  /// eventless arrivals buffer into the site's run, which is fed at the
+  /// site's next event (leaf/chunk completion or coarse report), whose
+  /// arrival then takes Arrive; the tail stays buffered across calls
+  /// until the next event or Settle. So how a stretch of arrivals is split into
   /// calls is invisible; only the Settle points shape the output. The
   /// reference oracles (`use_skip_sampling = false`,
   /// `use_batch_compaction = false`) are its per-arrival branch.
@@ -265,7 +253,8 @@ class RankSite {
   /// buffered, where the site holds no partially built tree (nodes and
   /// ladder empty, no seed drawn) and its whole private state is the
   /// round parameters plus the coarse counters and the RNG/skip streams.
-  /// SiteCore takes a snapshot only once this returns true.
+  /// A forward round holds no tree and buffers nothing, so it is always
+  /// ready. SiteCore takes a snapshot only once this returns true.
   bool SnapshotReady() const {
     return arrivals_in_chunk_ == 0 && run_.empty();
   }
@@ -292,8 +281,7 @@ class RankSite {
     // draws `seed` where node creation would have drawn the node's seed,
     // at the same site-RNG position, and the flush cascades the node's
     // one ladder window straight to the wire
-    // (summaries::CompactSortedWindowToWire) with those coins. Skipped
-    // levels (RoundParams::skipped_levels) keep neither node nor seed.
+    // (summaries::CompactSortedWindowToWire) with those coins.
     std::unique_ptr<summaries::CompactorSummary> node;
     uint64_t seed = 0;
     // Retired summaries awaiting reuse. Tree nodes are short-lived (one
@@ -310,23 +298,6 @@ class RankSite {
   // report): where ArriveRun cuts the site's runs.
   uint64_t NextEventGap() const;
 
-  // Level `level`'s node counts, grown on first use (a site that is only
-  // constructed allocates none).
-  NodeCount& CountAt(int level) {
-    if (nodes_.size() <= static_cast<size_t>(level)) {
-      nodes_.resize(static_cast<size_t>(level) + 1);
-    }
-    return nodes_[static_cast<size_t>(level)];
-  }
-
-  // The ladder cursor of level `level`: only levels that are not skipped
-  // own one, in level order, so a skipped level pins no run boundary.
-  // Cursor(height + 1) is the number of cursors.
-  size_t Cursor(int level) const {
-    const uint64_t below = (uint64_t{1} << level) - 1;
-    return static_cast<size_t>(
-        level - __builtin_popcountll(round_.skipped_levels & below));
-  }
 
   // Sets round_, the levels' capacities and nodeless_levels_. A new tree
   // height drops every level, its pooled nodes with it: their eps and
@@ -378,6 +349,8 @@ class RankSite {
   // arrival order: the stream itself, not protocol state, so it is not
   // charged as space.
   summaries::ValueBuffer run_;
+  // Node summaries shipped by level, grown on first use (a site that is
+  // only constructed allocates none).
   NodeCounts nodes_;
 };
 
@@ -420,10 +393,7 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
     for (const RankSite& s : sites_) {
       const NodeCounts& counts = s.node_counts();
       if (total.size() < counts.size()) total.resize(counts.size());
-      for (size_t l = 0; l < counts.size(); ++l) {
-        total[l].shipped += counts[l].shipped;
-        total[l].skipped += counts[l].skipped;
-      }
+      for (size_t l = 0; l < counts.size(); ++l) total[l] += counts[l];
     }
     return total;
   }
@@ -457,15 +427,16 @@ class RandomizedRankTracker : public sim::RankTrackerInterface {
   // restart the instances and at batch end — the two points where the
   // per-element execution would also have everything reconciled.
   void SettleSites();
-  // Emits a kRankSummary (node [a, b) from `exports`' buffers) or
-  // kRankResidual (leaf a, value b) frame charged `words`.
+  // Emits a kRankSummary (node [a, b) from `exports`' buffers),
+  // kRankResidual (leaf a, value b) or kRankForward (value a) frame
+  // charged `words`.
   void EmitTap(sim::wire::MsgType type, int site, uint64_t a, uint64_t b,
                uint64_t words, const SiteScratch* exports);
   // Applies the summary in scratch_'s export buffers to agg_.
   void ApplySummary(int site, uint32_t first_leaf, uint32_t end_leaf);
-  // Accumulates one upload into pending_uploads_; FlushDeferredUploads
-  // posts them in one RecordUploadBulk per site.
-  void DeferUpload(int site, uint64_t words);
+  // Accumulates `messages` uploads of `words` each into pending_uploads_;
+  // FlushDeferredUploads posts them in one RecordUploadBulk per site.
+  void DeferUpload(int site, uint64_t words, uint64_t messages = 1);
   void FlushDeferredUploads();
 
   RandomizedRankOptions options_;

@@ -6,45 +6,51 @@
 // instance's completed leaves plus the tail samples of its in-progress
 // leaf, scaled by the instance's round's 1/p.
 //
-// Open instances (at most one per site). The cover is a stack in a
-// per-site arena that is reused from instance to instance. Nodes ship in
-// leaf order and a node contains every node shipped before it inside its
-// range, so a shipped node [s, e) truncates the entries with
-// first_leaf >= s and is then appended. Superseded summaries are never
-// kept.
+// Rounds. Every frame carries the round its site was in when it sent it
+// (the wire header's epoch), and the aggregate files it under that round,
+// which may be older than the current one: in freerun mode a site keeps
+// streaming the rest of its grant after another site's report opened
+// the next round (service/options.h).
 //
-// Skipped levels. No site ships a node of a skipped level
-// (RoundParams::skipped_levels: that level's nodes and every node below
-// them are exact, so a node's summary is the union of its children's).
-// The coordinator rebuilds it instead: whenever the top two cover entries
-// are exact (one weight-1 segment), adjacent, aligned siblings of equal
-// span whose parent level is skipped, they merge in place in the arena
-// (MergeSorted), binary-counter style. Each merged entry is the summary
-// the site would have shipped, so after each of a site's leaf
-// completions the cover is the one a site shipping every node would
-// leave.
+// Open instances (at most one per site, of the round of its site's last
+// tree frame). The cover is a stack in a per-site arena that is reused
+// from instance to instance. Nodes ship in leaf order and a node
+// contains every node shipped before it inside its range, so a shipped
+// node [s, e) truncates the entries with first_leaf >= s and is then
+// appended. Superseded summaries are never kept.
 //
-// Frozen instances. An instance freezes when the summary ending at its
-// chunk's last leaf arrives (the top node's, or the last leaf's when the
-// top level is skipped) or a round change cuts it short. Its cover
-// entries are then merged once into one immutable run of distinct values
-// with prefix weights, so a probe is one binary search, and its live tail
-// samples are kept sorted and tagged with their round.
+// Frozen instances. An instance freezes when the top node's summary,
+// which covers its whole chunk, arrives, or when its site's next tree
+// frame is of another round (a round change cut the instance short).
+// Its cover entries are then merged once into one immutable run of
+// distinct values with prefix weights, so a probe is one binary search,
+// and its live tail samples are kept sorted and tagged with their round.
+//
+// Forwarded values. A forward round (RoundParams::forward) opens no
+// instance: its sites forward every arrival, an exact count of weight 1
+// whatever its round or site. Forwards append to one unsorted buffer,
+// which FoldForwards sorts into a run of distinct values with prefix
+// weights (the frozen runs' form, so a repeated value costs no memory)
+// and merges binary-counter style into the runs before it: a probe is
+// one binary search per run, O(log n) runs. A fold runs every
+// kFoldForwards forwards, which keeps the buffer small, and before a
+// read.
 //
 // Estimate. rank(x) = I + Σ_r below_r · inv_p_r, where I counts the
-// summary weights below x (an exact integer) and below_r counts the tail
-// samples of round r below x; the residual terms are added to double(I)
-// in round order. Every term is independent of the order in which the
-// sites' frames were applied, so any host fed the same per-site frame
-// sequences (per-site FIFO, rounds opened at the same points) answers bit
-// for bit the same.
+// summary weights and forwarded values below x (an exact integer) and
+// below_r counts the tail samples of round r below x; the residual terms
+// are added to double(I) in round order. Every term is independent of
+// the order in which the sites' frames were applied, so any host fed the
+// same per-site frame sequences (per-site FIFO, rounds opened at the same
+// points) answers bit for bit the same.
 //
-// Exactness precondition: each site's summary weight stays below 2^53. A
-// summary that would break it is refused, as is a malformed one (segment
-// ends decreasing or past the values, values out of order within a
-// segment, first_leaf >= end_leaf, end_leaf past the round's leaves, or a
-// range that is a node of a skipped level, which no site ships).
-// Summary returns false and changes nothing.
+// Exactness precondition: each site's summary weight, and the forwarded
+// count, stay below 2^53. A summary that would break it is refused, as is
+// a malformed one (segment ends decreasing or past the values, values out
+// of order within a segment, first_leaf >= end_leaf, end_leaf past the
+// round's leaves). So are a frame of a round not yet opened, a summary or
+// tail sample of a forward round and a forward of a tree round, which no
+// site sends. The refusing call returns false and changes no estimate.
 
 #ifndef DISTTRACK_RANK_RANK_AGGREGATE_H_
 #define DISTTRACK_RANK_RANK_AGGREGATE_H_
@@ -61,37 +67,53 @@
 namespace disttrack {
 namespace rank {
 
+/// Round parameters of §4 for a round whose broadcast carried n̄, which
+/// the site and coordinator halves each derive from n̄
+/// (RandomizedRankOptions::RoundParamsFor, randomized_rank.h).
+struct RoundParams {
+  double inv_p = 1.0;       // 1/p = max(1, εn̄/(c√k)), not rounded
+  uint64_t chunk_size = 1;  // n̄/k: arrivals per instance of algorithm C
+  uint64_t block_size = 1;  // leaf size b = min(⌊1/p⌋, chunk_size)
+  uint32_t num_leaves = 1;  // ⌈chunk_size / b⌉
+  int height = 0;           // ⌈log2 num_leaves⌉
+  // The round forwards every arrival (kRankForward, 1 word) and builds
+  // no tree: set when the tree's predicted words per arrival,
+  // Σ_ℓ (min(w_ℓ, cap_ℓ) + 2)/w_ℓ + 2/inv_p over levels ℓ = 0..h with
+  // node window w_ℓ = min(b·2^ℓ, chunk_size) and compactor capacity
+  // cap_ℓ, are at least 1. Round 0 (RoundParams{}, = RoundParamsFor(0))
+  // forwards.
+  bool forward = true;
+};
+
 class RankAggregate {
  public:
   using Segment = std::pair<uint64_t, uint32_t>;  // (weight, end offset)
 
   static constexpr uint64_t kExactLimit = uint64_t{1} << 53;
 
-  /// Round 0 runs at 1/p = 1 with one leaf per chunk (RoundParams{}).
+  /// Forwards folded into a run at a time: the unsorted buffer and its
+  /// sort scratch stay this small.
+  static constexpr size_t kFoldForwards = 8192;
+
   explicit RankAggregate(int num_sites)
       : sites_(static_cast<size_t>(num_sites)) {}
 
-  /// Opens the next round: freezes every open instance. Later frames open
-  /// instances at `inv_p` with `num_leaves` leaves per chunk, whose tree
-  /// levels in `skipped_levels` (bit l) ship no node.
-  void BeginRound(double inv_p, uint32_t num_leaves, uint64_t skipped_levels) {
-    for (Site& site : sites_) Freeze(&site);
-    round_inv_p_.push_back(inv_p);
-    num_leaves_ = num_leaves;
-    skipped_levels_ = skipped_levels;
-  }
+  /// Opens the next round: its frames are forwards if it `forward`s,
+  /// and otherwise instances at its 1/p with its leaves per chunk.
+  void BeginRound(const RoundParams& round) { rounds_.push_back(round); }
 
-  /// Node summary [first_leaf, end_leaf) shipped by `site`, in the wire
-  /// format: `values` ascending within each segment, segment ends relative
-  /// to `values`. Drops the open instance's tail samples of the leaves it
-  /// covers; the summary ending at the chunk's last leaf freezes the
-  /// instance. False, and no change, if the summary is malformed or would
-  /// take the site's weight to 2^53.
-  bool Summary(int site, uint64_t first_leaf, uint64_t end_leaf,
-               const uint64_t* values, size_t num_values,
+  /// Node summary [first_leaf, end_leaf) shipped by `site` in `round`, in
+  /// the wire format: `values` ascending within each segment, segment
+  /// ends relative to `values`. Drops the open instance's tail samples of
+  /// the leaves it covers; the summary ending at the chunk's last leaf
+  /// (the top node's) freezes the instance. False, and no change, if
+  /// `round` is not an open tree round, or if the summary is malformed or
+  /// would take the site's weight to 2^53.
+  bool Summary(int site, uint64_t round, uint64_t first_leaf,
+               uint64_t end_leaf, const uint64_t* values, size_t num_values,
                const Segment* segments, size_t num_segments) {
-    if (first_leaf >= end_leaf || end_leaf > num_leaves_ ||
-        IsSkippedNode(first_leaf, end_leaf)) {
+    if (!RoundIs(round, false) || first_leaf >= end_leaf ||
+        end_leaf > rounds_[round].num_leaves) {
       return false;
     }
     uint64_t weight = 0;
@@ -122,6 +144,8 @@ class RankAggregate {
     }
     if (begin != num_values) return false;
     Site& s = sites_[static_cast<size_t>(site)];
+    // A node of another round opens the site's next instance.
+    if (round != s.round) Freeze(&s, round);
     // The entries this node supersedes sit on top of the stack.
     size_t keep = s.cover.size();
     uint64_t kept_weight = s.cover_weight;
@@ -141,37 +165,123 @@ class RankAggregate {
     s.values.insert(s.values.end(), values, values + num_values);
     s.segments.insert(s.segments.end(), segments, segments + num_segments);
     s.cover_weight = kept_weight + weight;
-    MergeSkippedParents(&s);
     while (s.residual_begin < s.residuals.size() &&
            s.residuals[s.residual_begin].leaf < end_leaf) {
       ++s.residual_begin;
     }
-    if (end_leaf == num_leaves_) Freeze(&s);
+    if (end_leaf == rounds_[round].num_leaves) Freeze(&s, round);
     return true;
   }
 
-  /// One tail-channel sample of `site`'s in-progress leaf `leaf`.
-  void Residual(int site, uint64_t leaf, uint64_t value) {
-    sites_[static_cast<size_t>(site)].residuals.push_back(
-        ResidualSample{leaf, value});
+  /// One tail-channel sample of `site`'s in-progress leaf `leaf` in
+  /// `round`. False, and no change, if `round` is not an open tree round.
+  bool Residual(int site, uint64_t round, uint64_t leaf, uint64_t value) {
+    if (!RoundIs(round, false)) return false;
+    Site& s = sites_[static_cast<size_t>(site)];
+    if (round != s.round) Freeze(&s, round);
+    s.residuals.push_back(ResidualSample{leaf, value});
+    return true;
+  }
+
+  /// `n` values forwarded in `round`. False, and no change, if `round` is
+  /// not an open forward round or if the forwarded count would reach
+  /// 2^53.
+  bool Forwards(uint64_t round, const uint64_t* values, size_t n) {
+    if (!RoundIs(round, true) || n >= kExactLimit - forwarded_) return false;
+    pending_.insert(pending_.end(), values, values + n);
+    forwarded_ += n;
+    if (pending_.size() >= kFoldForwards) FoldForwards();
+    return true;
   }
 
   double Estimate(uint64_t x) const {
-    std::vector<uint64_t> below(round_inv_p_.size(), 0);
+    std::vector<uint64_t> below(rounds_.size(), 0);
     double est = static_cast<double>(Probe(x, below.data()));
     for (size_t r = 0; r < below.size(); ++r) {
-      est += static_cast<double>(below[r]) * round_inv_p_[r];
+      est += static_cast<double>(below[r]) * rounds_[r].inv_p;
     }
     return est;
   }
 
-  /// The exact integer part I of Estimate(x): the summary weight below x.
+  /// The exact integer part I of Estimate(x): the summary weight and the
+  /// forwarded values below x.
   uint64_t SummaryWeightBelow(uint64_t x) const {
-    std::vector<uint64_t> below(round_inv_p_.size(), 0);
+    std::vector<uint64_t> below(rounds_.size(), 0);
     return Probe(x, below.data());
   }
 
  private:
+  // Distinct values, ascending, with prefix weights: below[0] = 0 and
+  // below[j + 1] the weight of the values <= values[j]. Made by MakeRun
+  // and Merge only, so `below` is never empty.
+  struct Run {
+    summaries::ValueBuffer values;
+    summaries::ValueBuffer below;
+
+    uint64_t WeightBelow(uint64_t x) const {
+      return below[static_cast<size_t>(
+          std::lower_bound(values.begin(), values.end(), x) -
+          values.begin())];
+    }
+  };
+
+  // The run of ascending v[0, n), each of weight w.
+  static Run MakeRun(const uint64_t* v, size_t n, uint64_t w) {
+    size_t m = 0;
+    for (size_t j = 0; j < n; ++j) m += j + 1 == n || v[j + 1] != v[j];
+    Run run;
+    run.values.resize(m);
+    run.below.resize(m + 1);
+    run.below[0] = 0;
+    for (size_t j = 0, k = 0; j < n; ++j) {
+      if (j + 1 < n && v[j + 1] == v[j]) continue;
+      run.values[k] = v[j];
+      run.below[++k] = (j + 1) * w;
+    }
+    return run;
+  }
+
+  // The union of runs x and y, equal values folded into one, sized
+  // exactly (a first pass counts the values both hold). Branch-free: each
+  // step takes the smaller head, or both when equal.
+  static Run Merge(const Run& x, const Run& y) {
+    const size_t nx = x.values.size(), ny = y.values.size();
+    const uint64_t* xv = x.values.data();
+    const uint64_t* xb = x.below.data();
+    const uint64_t* yv = y.values.data();
+    const uint64_t* yb = y.below.data();
+    size_t common = 0;
+    for (size_t i = 0, j = 0; i < nx && j < ny;) {
+      const uint64_t a = xv[i], b = yv[j];
+      common += a == b;
+      i += a <= b;
+      j += b <= a;
+    }
+    Run out;
+    out.values.resize(nx + ny - common);
+    out.below.resize(nx + ny - common + 1);
+    uint64_t* values = out.values.data();
+    uint64_t* below = out.below.data();
+    below[0] = 0;
+    size_t i = 0, j = 0, m = 0;
+    while (i < nx && j < ny) {
+      const uint64_t a = xv[i], b = yv[j];
+      values[m] = a < b ? a : b;
+      i += a <= b;
+      j += b <= a;
+      below[++m] = xb[i] + yb[j];
+    }
+    for (; i < nx; ++i) {
+      values[m] = xv[i];
+      below[++m] = xb[i + 1] + yb[ny];
+    }
+    for (; j < ny; ++j) {
+      values[m] = yv[j];
+      below[++m] = xb[nx] + yb[j + 1];
+    }
+    return out;
+  }
+
   struct Entry {
     uint32_t first_leaf;
     uint32_t end_leaf;
@@ -186,16 +296,15 @@ class RankAggregate {
   };
 
   struct FrozenInstance {
-    // run[0, m): distinct values, ascending; run[m + j]: the weight of the
-    // values <= run[j].
-    summaries::ValueBuffer run;
+    Run run;
     std::vector<uint64_t> residuals;  // ascending
-    size_t round = 0;
+    uint64_t round = 0;
   };
 
   struct Site {
-    // The open instance: cover stack over the values/segments arena, and
-    // the tail samples from residual_begin on.
+    // The open instance of round `round`: cover stack over the
+    // values/segments arena, and the tail samples from residual_begin on.
+    uint64_t round = 0;
     std::vector<Entry> cover;
     std::vector<uint64_t> values;
     std::vector<Segment> segments;
@@ -206,50 +315,26 @@ class RankAggregate {
     uint64_t frozen_weight = 0;
   };
 
-  // True iff [first, end) is the range of a node of a skipped level. Its
-  // lowest level l = ceil(log2(end - first)) must have `first` aligned to
-  // 2^l and end at first + 2^l, or clamped at the chunk's last leaf.
-  bool IsSkippedNode(uint64_t first, uint64_t end) const {
-    const uint64_t span = end - first;
-    const int level = span <= 1 ? 0 : 64 - __builtin_clzll(span - 1);
-    if (((skipped_levels_ >> level) & 1) == 0) return false;
-    const uint64_t size = uint64_t{1} << level;
-    return first % size == 0 && (span == size || end == num_leaves_);
+  // Round `round` is open, and forwards iff `forward`.
+  bool RoundIs(uint64_t round, bool forward) const {
+    return round < rounds_.size() && rounds_[round].forward == forward;
   }
 
-  // While the top two cover entries are exact sibling nodes whose parent
-  // level is skipped, replaces them with that parent: their values merged
-  // in place as one weight-1 segment.
-  void MergeSkippedParents(Site* s) {
-    while (s->cover.size() >= 2) {
-      Entry& left = s->cover[s->cover.size() - 2];
-      const Entry& right = s->cover.back();
-      const uint64_t span = right.end_leaf - right.first_leaf;
-      if (left.end_leaf != right.first_leaf ||
-          left.end_leaf - left.first_leaf != span ||
-          (span & (span - 1)) != 0 || left.first_leaf % (2 * span) != 0 ||
-          ((skipped_levels_ >> (__builtin_ctzll(span) + 1)) & 1) == 0) {
-        return;
-      }
-      // Exact: one segment each, of weight 1.
-      if (right.segments_begin != left.segments_begin + 1 ||
-          s->segments.size() != right.segments_begin + 1 ||
-          s->segments[left.segments_begin].first != 1 ||
-          s->segments.back().first != 1) {
-        return;
-      }
-      const size_t num_left = right.values_begin - left.values_begin;
-      const size_t num_right = s->values.size() - right.values_begin;
-      uint64_t* out = s->values.data() + left.values_begin;
-      merge_scratch_.assign(s->values.begin() + right.values_begin,
-                            s->values.end());
-      MergeSorted(out, num_left, merge_scratch_.data(), num_right, out);
-      s->segments[left.segments_begin].second =
-          static_cast<uint32_t>(num_left + num_right);
-      s->segments.pop_back();
-      left.end_leaf = right.end_leaf;
-      left.weight += right.weight;
-      s->cover.pop_back();
+  // Sorts the forwards since the last fold into a run of their own and
+  // merges the runs binary-counter style.
+  void FoldForwards() const {
+    if (pending_.empty()) return;
+    SortRun(pending_.data(), pending_.size(), &sort_scratch_);
+    std::vector<Run>& runs = forwarded_runs_;
+    runs.push_back(MakeRun(pending_.data(), pending_.size(), 1));
+    pending_.clear();
+    // A run merges into the one below it while it is at least half that
+    // one's size, so sizes halve up the stack and a value is merged
+    // O(log n) times.
+    while (runs.size() >= 2 && 2 * runs.back().values.size() >=
+                                   runs[runs.size() - 2].values.size()) {
+      runs[runs.size() - 2] = Merge(runs[runs.size() - 2], runs.back());
+      runs.pop_back();
     }
   }
 
@@ -260,72 +345,37 @@ class RankAggregate {
   }
 
   // Merges the open cover into one run, keeps the live samples, and
-  // empties the arena for the site's next instance.
-  void Freeze(Site* s) {
-    if (s->cover.empty() && s->residual_begin == s->residuals.size()) {
-      s->residuals.clear();
-      s->residual_begin = 0;
-      return;
-    }
-    FrozenInstance f;
-    f.round = round_inv_p_.size() - 1;
-    // (value, weight) items, one sorted run per segment; runs merge
-    // pairwise, then equal values fold into one prefix step.
-    std::vector<std::pair<uint64_t, uint64_t>> items, merged;
-    items.reserve(s->values.size());
-    std::vector<size_t> bounds = {0};
-    for (size_t c = 0; c < s->cover.size(); ++c) {
-      const uint64_t* base = s->values.data() + s->cover[c].values_begin;
-      uint32_t begin = 0;
-      for (size_t i = s->cover[c].segments_begin; i < SegmentsEnd(*s, c);
-           ++i) {
-        const auto [w, end] = s->segments[i];
-        for (uint32_t j = begin; j < end; ++j) items.emplace_back(base[j], w);
-        if (end > begin) bounds.push_back(items.size());
-        begin = end;
+  // empties the arena for the site's next instance, of `next_round`.
+  void Freeze(Site* s, uint64_t next_round) {
+    const uint64_t round = std::exchange(s->round, next_round);
+    if (!s->cover.empty() || s->residual_begin < s->residuals.size()) {
+      FrozenInstance f;
+      f.round = round;
+      // One run per segment, merged pairwise.
+      std::vector<Run> runs;
+      for (size_t c = 0; c < s->cover.size(); ++c) {
+        const uint64_t* base = s->values.data() + s->cover[c].values_begin;
+        uint32_t begin = 0;
+        for (size_t i = s->cover[c].segments_begin; i < SegmentsEnd(*s, c);
+             ++i) {
+          const auto [w, end] = s->segments[i];
+          runs.push_back(MakeRun(base + begin, end - begin, w));
+          begin = end;
+        }
       }
-    }
-    auto by_value = [](const std::pair<uint64_t, uint64_t>& a,
-                       const std::pair<uint64_t, uint64_t>& b) {
-      return a.first < b.first;
-    };
-    while (bounds.size() > 2) {
-      merged.resize(items.size());
-      std::vector<size_t> next = {0};
-      for (size_t i = 0; i + 1 < bounds.size(); i += 2) {
-        size_t mid = bounds[i + 1];
-        size_t end = i + 2 < bounds.size() ? bounds[i + 2] : mid;
-        std::merge(items.begin() + static_cast<std::ptrdiff_t>(bounds[i]),
-                   items.begin() + static_cast<std::ptrdiff_t>(mid),
-                   items.begin() + static_cast<std::ptrdiff_t>(mid),
-                   items.begin() + static_cast<std::ptrdiff_t>(end),
-                   merged.begin() + static_cast<std::ptrdiff_t>(bounds[i]),
-                   by_value);
-        next.push_back(end);
+      for (size_t width = 1; width < runs.size(); width *= 2) {
+        for (size_t r = 0; r + width < runs.size(); r += 2 * width) {
+          runs[r] = Merge(runs[r], runs[r + width]);
+        }
       }
-      items.swap(merged);
-      bounds.swap(next);
-    }
-    size_t m = 0;
-    for (size_t i = 0; i < items.size(); ++i) {
-      m += i + 1 == items.size() || items[i + 1].first != items[i].first;
-    }
-    f.run.resize(2 * m);
-    uint64_t total = 0;
-    for (size_t i = 0, j = 0; i < items.size(); ++i) {
-      total += items[i].second;
-      if (i + 1 == items.size() || items[i + 1].first != items[i].first) {
-        f.run[j] = items[i].first;
-        f.run[m + j] = total;
-        ++j;
+      f.run = runs.empty() ? MakeRun(nullptr, 0, 0) : std::move(runs[0]);
+      for (size_t i = s->residual_begin; i < s->residuals.size(); ++i) {
+        f.residuals.push_back(s->residuals[i].value);
       }
+      std::sort(f.residuals.begin(), f.residuals.end());
+      s->frozen.push_back(std::move(f));
+      s->frozen_weight += s->cover_weight;
     }
-    for (size_t i = s->residual_begin; i < s->residuals.size(); ++i) {
-      f.residuals.push_back(s->residuals[i].value);
-    }
-    std::sort(f.residuals.begin(), f.residuals.end());
-    s->frozen.push_back(std::move(f));
-    s->frozen_weight += s->cover_weight;
     s->cover.clear();
     s->values.clear();
     s->segments.clear();
@@ -335,17 +385,14 @@ class RankAggregate {
   }
 
   // Adds each round's tail samples below x to below[round] and returns the
-  // summary weight below x.
+  // summary weight and forwarded values below x.
   uint64_t Probe(uint64_t x, uint64_t* below) const {
+    FoldForwards();
     uint64_t exact = 0;
-    const size_t current = round_inv_p_.size() - 1;
+    for (const Run& run : forwarded_runs_) exact += run.WeightBelow(x);
     for (const Site& s : sites_) {
       for (const FrozenInstance& f : s.frozen) {
-        const size_t m = f.run.size() / 2;
-        const uint64_t* values = f.run.data();
-        size_t j = static_cast<size_t>(
-            std::lower_bound(values, values + m, x) - values);
-        if (j > 0) exact += values[m + j - 1];
+        exact += f.run.WeightBelow(x);
         if (f.residuals.empty()) continue;
         below[f.round] += static_cast<uint64_t>(
             std::lower_bound(f.residuals.begin(), f.residuals.end(), x) -
@@ -364,18 +411,22 @@ class RankAggregate {
         }
       }
       for (size_t i = s.residual_begin; i < s.residuals.size(); ++i) {
-        below[current] += s.residuals[i].value < x ? 1 : 0;
+        below[s.round] += s.residuals[i].value < x ? 1 : 0;
       }
     }
     return exact;
   }
 
   std::vector<Site> sites_;
-  std::vector<double> round_inv_p_ = {1.0};  // by round, from round 0
-  uint32_t num_leaves_ = 1;  // leaves per chunk in the current round
-  uint64_t skipped_levels_ = 0;  // the current round's, as RoundParams
-  // The right-hand entry of a sibling merge (MergeSorted writes over it).
-  summaries::ValueBuffer merge_scratch_;
+  // By round, from round 0 (RoundParams{}).
+  std::vector<RoundParams> rounds_ = std::vector<RoundParams>(1);
+  // Forwarded values: the folded runs, each under half the size of the
+  // one before it, and the forwards not yet folded (reads fold them,
+  // hence mutable). forwarded_ counts them all.
+  uint64_t forwarded_ = 0;
+  mutable std::vector<Run> forwarded_runs_;
+  mutable summaries::ValueBuffer pending_;
+  mutable std::vector<uint64_t> sort_scratch_;
 };
 
 }  // namespace rank

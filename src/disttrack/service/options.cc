@@ -173,9 +173,10 @@ namespace {
 constexpr uint64_t kSnapshotMagic = 0x44545353ull;  // "DTSS"
 // Version 2: rank's blob lost its instance-index word. Version 3:
 // count's blob lost its duplicate exact counter, and count's and
-// frequency's their 1/p word. An older file reads as no snapshot, so its
-// site starts fresh.
-constexpr uint64_t kSnapshotVersion = 3;
+// frequency's their 1/p word. Version 4: the site's round (the epoch its
+// frames carry) follows the downlink watermark. An older file reads as no
+// snapshot, so its site starts fresh.
+constexpr uint64_t kSnapshotVersion = 4;
 
 uint64_t SnapshotChecksum(const std::vector<uint64_t>& words) {
   uint64_t h = 0xCBF29CE484222325ull;
@@ -198,6 +199,7 @@ bool WriteSnapshotFile(const std::string& path, const SiteSnapshot& snapshot,
   words.push_back(snapshot.site_arrivals);
   words.push_back(snapshot.up_next_seq);
   words.push_back(snapshot.down_watermark);
+  words.push_back(snapshot.round);
   words.push_back(snapshot.blob.size());
   words.insert(words.end(), snapshot.blob.begin(), snapshot.blob.end());
   words.push_back(SnapshotChecksum(
@@ -225,20 +227,21 @@ bool ReadSnapshotFile(const std::string& path, uint64_t expected_hash,
   uint64_t w = 0;
   while (fread(&w, sizeof(w), 1, f) == 1) words.push_back(w);
   fclose(f);
-  if (words.size() < 9) return false;
+  if (words.size() < 10) return false;
   uint64_t check = words.back();
   words.pop_back();
   if (SnapshotChecksum(words) != check) return false;
   if (words[0] != kSnapshotMagic || words[1] != kSnapshotVersion) return false;
   if (words[2] != expected_hash) return false;
-  uint64_t blob_len = words[7];
-  if (words.size() != 8 + blob_len) return false;
+  uint64_t blob_len = words[8];
+  if (words.size() != 9 + blob_len) return false;
   out->options_hash = words[2];
   out->site = static_cast<int>(words[3]);
   out->site_arrivals = words[4];
   out->up_next_seq = words[5];
   out->down_watermark = words[6];
-  out->blob.assign(words.begin() + 8, words.end());
+  out->round = words[7];
+  out->blob.assign(words.begin() + 9, words.end());
   return true;
 }
 

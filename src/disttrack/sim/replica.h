@@ -152,8 +152,13 @@ class FrequencyReplica {
 // round parameters the tracker computes from the same n̄. Per-site FIFO
 // delivery gives the aggregate the tracker's ordering: a chunk's frames
 // arrive in leaf order, and the coarse report that opens a round precedes
-// the round's first summary. A malformed summary, or one that would take
-// a site's summary weight to 2^53, is refused and changes nothing.
+// the round's first summary. Each frame is filed under its epoch, the
+// round its site was in when it sent it. A malformed summary, one that
+// would take a site's summary weight to 2^53, and a frame of the wrong
+// kind for its epoch (a summary or tail sample of a forward round, a
+// forward of a tree round, any frame of a round not yet opened) are
+// refused and change no estimate. Forwards fold into the aggregate's run
+// lazily, at the next read.
 
 class RankReplica {
  public:
@@ -165,18 +170,17 @@ class RankReplica {
     switch (msg.type) {
       case wire::MsgType::kCoarseReport:
         if (coarse_.ApplyReport(msg.a)) {
-          rank::RoundParams round = options_.RoundParamsFor(coarse_.n_bar);
-          agg_.BeginRound(round.inv_p, round.num_leaves,
-                          round.skipped_levels);
+          agg_.BeginRound(options_.RoundParamsFor(coarse_.n_bar));
         }
         return true;
       case wire::MsgType::kRankSummary:
-        return agg_.Summary(msg.site, msg.a, msg.b, msg.values.data(),
-                            msg.values.size(), msg.segments.data(),
-                            msg.segments.size());
+        return agg_.Summary(msg.site, msg.epoch, msg.a, msg.b,
+                            msg.values.data(), msg.values.size(),
+                            msg.segments.data(), msg.segments.size());
       case wire::MsgType::kRankResidual:
-        agg_.Residual(msg.site, msg.a, msg.b);
-        return true;
+        return agg_.Residual(msg.site, msg.epoch, msg.a, msg.b);
+      case wire::MsgType::kRankForward:
+        return agg_.Forwards(msg.epoch, &msg.a, 1);
       default:
         return true;
     }

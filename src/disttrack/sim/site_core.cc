@@ -108,6 +108,7 @@ SiteCore::Snapshot SiteCore::TakeSnapshot() const {
   snapshot.site_arrivals = position();
   snapshot.up_next_seq = up_.next_seq();
   snapshot.down_watermark = down_.watermark();
+  snapshot.round = round_;
   return snapshot;
 }
 
@@ -115,6 +116,9 @@ bool SiteCore::Restore(const Snapshot& snapshot) {
   if (!half_->Restore(snapshot.blob, snapshot.site_arrivals)) return false;
   up_.Reset(snapshot.up_next_seq);
   down_.Reset(snapshot.down_watermark);
+  // The broadcasts up to the watermark are not re-sent, so the restored
+  // site stamps its frames with their round as it did before the crash.
+  round_ = snapshot.round;
   return true;
 }
 

@@ -161,6 +161,7 @@ class SiteCore : private wire::WireTap {
     uint64_t site_arrivals = 0;   ///< arrivals absorbed into the blob
     uint64_t up_next_seq = 1;     ///< uplink sender cursor
     uint64_t down_watermark = 0;  ///< downlink frames handled
+    uint64_t round = 0;           ///< latest broadcast round applied
   };
 
   /// `link` must outlive the core.

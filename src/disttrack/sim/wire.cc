@@ -82,6 +82,7 @@ bool HasVectors(MsgType type) {
     case MsgType::kCounterReport:
     case MsgType::kSampleForward:
     case MsgType::kRankResidual:
+    case MsgType::kRankForward:
     case MsgType::kAck:
     case MsgType::kHello:
     case MsgType::kJoin:
@@ -109,6 +110,7 @@ bool KnownType(uint8_t raw_type) {
     case MsgType::kSampleForward:
     case MsgType::kRankSummary:
     case MsgType::kRankResidual:
+    case MsgType::kRankForward:
     case MsgType::kAck:
     case MsgType::kHello:
     case MsgType::kJoin:
@@ -164,6 +166,7 @@ uint64_t PaperWordCharge(const Message& msg, int num_sites) {
     case MsgType::kSampleForward:
     case MsgType::kRankSummary:
     case MsgType::kRankResidual:
+    case MsgType::kRankForward:
       return per_message;
   }
   return per_message;  // unreachable for in-range types

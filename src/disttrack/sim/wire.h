@@ -12,6 +12,8 @@
 //                         kSampleForward  sampled element forward (§3.1)
 //                         kRankSummary    StoredSummary export (§4, alg C)
 //                         kRankResidual   tail-channel residual sample (§4)
+//                         kRankForward    forwarded arrival of a forward
+//                                         round (§4)
 //                         kSplitNotice    virtual-site split notice (§3.2)
 //   coordinator -> site   kBroadcast      n̄ broadcast / p-halving notice
 //   control (either way)  kAck            cumulative ack (transport layer)
@@ -52,11 +54,12 @@ namespace wire {
 /// Frame magic ("DTW1") and the current payload-format version.
 /// History: v1 = robustness PR (types 1..11); v2 = service plane (types
 /// 12..21, kQueryResult carries vectors); v3 = rank sites ship no node of
-/// a skipped level (rank::RoundParams::skipped_levels), and the
-/// coordinator refuses a kRankSummary over such a node's range, which a
-/// v2 rank site sends.
+/// a skipped level; v4 = type 22, kRankForward: a rank round whose tree
+/// cannot compress (rank::RoundParams::forward) forwards every arrival,
+/// skipped levels are gone, and the coordinator refuses a rank frame of
+/// the wrong kind for the round its epoch names.
 constexpr uint32_t kMagic = 0x44545731u;
-constexpr uint16_t kVersion = 3;
+constexpr uint16_t kVersion = 4;
 
 /// Frozen header prefix:
 ///   magic u32 | version u16 | type u8 | flags u8 | site i32 | seq u64 |
@@ -93,6 +96,8 @@ enum class MsgType : uint8_t {
   kQuery = 19,         ///< client->coord snapshot query
   kQueryResult = 20,   ///< coord->client query answer (vector payload)
   kShutdown = 21,      ///< orderly teardown (client->coord->sites)
+
+  kRankForward = 22,  ///< site->coord: one arrival of a forward round
 };
 
 /// One protocol message, independent of its frame encoding. The scalar
@@ -107,6 +112,7 @@ enum class MsgType : uint8_t {
 ///   kSampleForward  a = item, b = instance id                 1 word
 ///   kRankSummary    a = first_leaf, b = end_leaf, + vectors   charged words
 ///   kRankResidual   a = leaf, b = value                       2 words
+///   kRankForward    a = value                                 1 word
 ///   kAck            a = cumulative sequence number            transport-only
 ///   kHello          a = downlink delivery watermark           transport-only
 ///

@@ -136,7 +136,8 @@ TEST(BatchEquivalenceTest, RankExactFeedBatchesBitIdenticalToScalar) {
                             stream::ValueOrder::kUniformRandom, 16, 41);
   rank::RandomizedRankOptions o;
   o.num_sites = k;
-  o.epsilon = 0.02;
+  // Rounds from n̄ ≈ 8192 on build trees; the ones before forward.
+  o.epsilon = 0.05;
   o.seed = 13;
   o.use_batch_compaction = false;  // per-element feed: exact path
   rank::RandomizedRankTracker scalar(o), batched(o);

@@ -481,6 +481,35 @@ TEST(SiteCoreTest, ParkedReportResolvesOnItsDecision) {
   EXPECT_TRUE(site->SnapshotReady());
 }
 
+// A snapshot keeps the round of the last broadcast the site applied: the
+// broadcasts up to its watermark are not re-sent, and a restored site
+// must stamp its frames with that round (the rank coordinator files each
+// rank frame under its epoch).
+TEST(SiteCoreTest, RestoredSiteStampsItsRound) {
+  TestLink link;
+  std::unique_ptr<SiteCore> live = CountSite(&link);
+  link.Send(Frame(wire::MsgType::kBroadcast, 3, 100));
+  ASSERT_TRUE(live->SnapshotReady());
+  const SiteCore::Snapshot snap = live->TakeSnapshot();
+  EXPECT_EQ(snap.round, 3u);
+
+  TestLink restored_link;
+  std::unique_ptr<SiteCore> restored = CountSite(&restored_link);
+  ASSERT_TRUE(restored->Restore(snap));
+  restored_link.down_seq = snap.down_watermark;
+  restored_link.decide = [&](uint64_t seq, const wire::Message&) {
+    restored_link.Send(Frame(wire::MsgType::kNoBroadcast, seq));
+  };
+  restored_link.Send(Frame(wire::MsgType::kGrant, 1));
+  restored->RunGrant([](uint64_t) { return 0; });
+  ASSERT_TRUE(restored->live()) << restored->error();
+  ASSERT_FALSE(restored_link.up.empty());
+  EXPECT_EQ(restored_link.up[0].type, wire::MsgType::kCoarseReport);
+  for (const wire::Message& msg : restored_link.up) {
+    EXPECT_EQ(msg.epoch, 3u) << "frame type " << static_cast<int>(msg.type);
+  }
+}
+
 TEST(SiteCoreTest, UnexpectedNoBroadcastFailsTheSite) {
   TestLink link;
   std::unique_ptr<SiteCore> site = CountSite(&link);
@@ -713,9 +742,15 @@ TEST(SiteCoreTest, FrequencyDifferentialCatchesMissingOrWrongBroadcast) {
 }
 
 TEST(SiteCoreTest, RankDifferentialCatchesMissingOrWrongBroadcast) {
+  // At eps = 0.5 the rounds from n̄ = 272 on build trees, so the tampered
+  // broadcast of the run's second half opens a tree round. A site in a
+  // forward round reads nothing of a broadcast but the next round's
+  // parameters, so a broadcast dropped or skewed between two forward
+  // rounds leaves its frames and state as they were (at eps = 0.05 every
+  // round of this stream but its last forwards).
   rank::RandomizedRankOptions opt;
   opt.num_sites = 2;
-  opt.epsilon = 0.05;
+  opt.epsilon = 0.5;
   ExpectDifferentialCatchesBadDownlinks<rank::RandomizedRankTracker>(opt);
 }
 

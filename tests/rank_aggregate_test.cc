@@ -1,20 +1,20 @@
 // Tests for rank::RankAggregate, the coordinator half of the §4 rank
 // tracker (cover stacks for open instances, one merged run per finished
-// instance).
+// instance, one folded run of forwarded values).
 //
 // The reference oracle below is the estimator the tracker and its replica
 // used before the aggregate: every shipped summary of every instance is
 // kept, rank(x) takes the greedy maximal dyadic cover of each instance's
 // completed leaves (the longest summary starting at the cursor) plus its
-// live tail samples at the instance's 1/p, summed in double site by site,
-// instance by instance; an instance closes on the summary ending at its
-// chunk's last leaf. It is kept here, test-only, as the single reference
-// for the §4 estimator. It needs no skipped-level mask: where the
-// aggregate merges exact siblings into their skipped parent, the oracle's
-// cover walks the siblings themselves, whose weights below any x add up
-// to the parent's. The aggregate's integer part must equal the oracle's
-// exactly and its total must agree to 1e-12 relative; hosts of the
-// aggregate must agree with each other bit for bit.
+// live tail samples at the 1/p of the instance's round, summed in double
+// site by site, instance by instance; an instance is one site's frames of
+// one round and closes on the summary ending at its chunk's last leaf;
+// forwarded values are kept as a plain list and counted one by one.
+// Frames are filed under the round they name, which may be older than
+// the current one. It is kept here, test-only, as the single reference
+// for the §4 estimator. The aggregate's integer part must equal the
+// oracle's exactly and its total must agree to 1e-12 relative; hosts of
+// the aggregate must agree with each other bit for bit.
 
 #include <algorithm>
 #include <cmath>
@@ -42,34 +42,44 @@ using sim::wire::Message;
 using sim::wire::MsgType;
 using Segment = RankAggregate::Segment;
 
+// A round of the aggregate's: the parameters it reads.
+RoundParams Round(double inv_p, uint32_t num_leaves, bool forward) {
+  RoundParams round;
+  round.inv_p = inv_p;
+  round.num_leaves = num_leaves;
+  round.forward = forward;
+  return round;
+}
+
 class ReferenceRankAggregate {
  public:
   explicit ReferenceRankAggregate(int num_sites)
       : sites_(static_cast<size_t>(num_sites)) {}
 
-  void BeginRound(double inv_p, uint32_t num_leaves,
-                  uint64_t /*skipped_levels*/) {
-    inv_p_ = inv_p;
-    num_leaves_ = num_leaves;
-    for (Site& site : sites_) site.open = false;
+  void BeginRound(const RoundParams& round) {
+    rounds_.emplace_back(round.inv_p, round.num_leaves);
   }
 
-  void Summary(int site_id, uint64_t first_leaf, uint64_t end_leaf,
-               const std::vector<uint64_t>& values,
+  void Summary(int site_id, uint64_t round, uint64_t first_leaf,
+               uint64_t end_leaf, const std::vector<uint64_t>& values,
                const std::vector<Segment>& segments) {
     Site& site = sites_[static_cast<size_t>(site_id)];
-    Instance& inst = Open(&site);
+    Instance& inst = Open(&site, round);
     inst.summaries.push_back(Stored{first_leaf, end_leaf, values, segments});
     while (inst.residual_begin < inst.residuals.size() &&
            inst.residuals[inst.residual_begin].first < end_leaf) {
       ++inst.residual_begin;
     }
-    if (end_leaf == num_leaves_) site.open = false;  // chunk done
+    if (end_leaf == rounds_[round].second) site.open = false;  // chunk done
   }
 
-  void Residual(int site_id, uint64_t leaf, uint64_t value) {
-    Open(&sites_[static_cast<size_t>(site_id)])
+  void Residual(int site_id, uint64_t round, uint64_t leaf, uint64_t value) {
+    Open(&sites_[static_cast<size_t>(site_id)], round)
         .residuals.emplace_back(leaf, value);
+  }
+
+  void Forward(uint64_t /*round*/, uint64_t value) {
+    forwarded_.push_back(value);
   }
 
   double Estimate(uint64_t x) const { return Walk(x, nullptr); }
@@ -96,13 +106,15 @@ class ReferenceRankAggregate {
   struct Site {
     std::deque<Instance> instances;
     bool open = false;
+    uint64_t round = 0;  // the open instance's
   };
 
-  Instance& Open(Site* site) {
-    if (!site->open) {
+  Instance& Open(Site* site, uint64_t round) {
+    if (!site->open || site->round != round) {
       site->instances.emplace_back();
-      site->instances.back().inv_p = inv_p_;
+      site->instances.back().inv_p = rounds_[round].first;
       site->open = true;
+      site->round = round;
     }
     return site->instances.back();
   }
@@ -122,6 +134,11 @@ class ReferenceRankAggregate {
 
   double Walk(uint64_t x, uint64_t* exact) const {
     double est = 0;
+    for (uint64_t value : forwarded_) {
+      if (value >= x) continue;
+      if (exact != nullptr) ++*exact;
+      est += 1;
+    }
     for (const Site& site : sites_) {
       for (const Instance& data : site.instances) {
         uint64_t cursor = 0;
@@ -150,8 +167,9 @@ class ReferenceRankAggregate {
   }
 
   std::vector<Site> sites_;
-  double inv_p_ = 1.0;
-  uint32_t num_leaves_ = 1;
+  std::vector<uint64_t> forwarded_;
+  // (1/p, leaves per chunk) by round, from round 0.
+  std::vector<std::pair<double, uint32_t>> rounds_ = {{1.0, 1}};
 };
 
 // Applies a tracker frame to an aggregate (or the oracle), deriving round
@@ -163,30 +181,41 @@ void ApplyFrame(const RandomizedRankOptions& options,
   switch (msg.type) {
     case MsgType::kCoarseReport:
       if (coarse->ApplyReport(msg.a)) {
-        RoundParams round = options.RoundParamsFor(coarse->n_bar);
-        agg->BeginRound(round.inv_p, round.num_leaves, round.skipped_levels);
+        agg->BeginRound(options.RoundParamsFor(coarse->n_bar));
       }
       break;
+    case MsgType::kRankForward:
+      agg->Forward(msg.epoch, msg.a);
+      break;
     case MsgType::kRankSummary:
-      agg->Summary(msg.site, msg.a, msg.b, msg.values, msg.segments);
+      agg->Summary(msg.site, msg.epoch, msg.a, msg.b, msg.values,
+                   msg.segments);
       break;
     case MsgType::kRankResidual:
-      agg->Residual(msg.site, msg.a, msg.b);
+      agg->Residual(msg.site, msg.epoch, msg.a, msg.b);
       break;
     default:
       break;
   }
 }
 
-// RankAggregate behind the oracle's Summary signature; every summary a
-// tracker ships must be accepted.
+// RankAggregate behind the oracle's signatures; every frame a tracker
+// ships must be accepted.
 class CheckedAggregate : public RankAggregate {
  public:
   using RankAggregate::RankAggregate;
-  void Summary(int site, uint64_t first_leaf, uint64_t end_leaf,
-               const std::vector<uint64_t>& values,
+  void Residual(int site, uint64_t round, uint64_t leaf, uint64_t value) {
+    ASSERT_TRUE(RankAggregate::Residual(site, round, leaf, value))
+        << "refused a tracker tail sample";
+  }
+  void Forward(uint64_t round, uint64_t value) {
+    ASSERT_TRUE(RankAggregate::Forwards(round, &value, 1))
+        << "refused a tracker forward";
+  }
+  void Summary(int site, uint64_t round, uint64_t first_leaf,
+               uint64_t end_leaf, const std::vector<uint64_t>& values,
                const std::vector<Segment>& segments) {
-    ASSERT_TRUE(RankAggregate::Summary(site, first_leaf, end_leaf,
+    ASSERT_TRUE(RankAggregate::Summary(site, round, first_leaf, end_leaf,
                                        values.data(), values.size(),
                                        segments.data(), segments.size()))
         << "refused a tracker summary of leaves [" << first_leaf << ", "
@@ -245,13 +274,12 @@ std::vector<uint64_t> Queries(Rng* rng) {
 
 // What the frame stream exercised: instances cut short by a round change
 // (with a summary, or residual-only), rounds at height 0 with leaves
-// longer than one arrival, and instances closed by their last leaf (the
-// top level skipped).
+// longer than one arrival, and forward rounds.
 struct Coverage {
   int cut_with_summary = 0;
   int cut_residual_only = 0;
   int height0_rounds = 0;
-  int closed_by_last_leaf = 0;
+  int forwards = 0;
 };
 
 Coverage Inspect(const RandomizedRankOptions& options,
@@ -273,12 +301,11 @@ Coverage Inspect(const RandomizedRankOptions& options,
       if (round.height == 0 && round.block_size > 1) ++cov.height0_rounds;
     } else if (msg.type == MsgType::kRankSummary) {
       ++summaries[site];
-      if (msg.b == round.num_leaves) {
-        summaries[site] = residuals[site] = 0;
-        if (msg.a > 0) ++cov.closed_by_last_leaf;
-      }
+      if (msg.b == round.num_leaves) summaries[site] = residuals[site] = 0;
     } else if (msg.type == MsgType::kRankResidual) {
       ++residuals[site];
+    } else if (msg.type == MsgType::kRankForward) {
+      ++cov.forwards;
     }
   }
   return cov;
@@ -341,13 +368,13 @@ TEST(RankAggregateTest, MatchesTheGreedyCoverOracleOnTrackerFrames) {
       total.cut_with_summary += cov.cut_with_summary;
       total.cut_residual_only += cov.cut_residual_only;
       total.height0_rounds += cov.height0_rounds;
-      total.closed_by_last_leaf += cov.closed_by_last_leaf;
+      total.forwards += cov.forwards;
     }
   }
   EXPECT_GT(total.cut_with_summary, 0) << "no round change cut a chunk";
   EXPECT_GT(total.cut_residual_only, 0) << "no residual-only instance";
   EXPECT_GT(total.height0_rounds, 0) << "no height-0 round";
-  EXPECT_GT(total.closed_by_last_leaf, 0) << "no chunk closed by its leaf";
+  EXPECT_GT(total.forwards, 0) << "no forward round";
 }
 
 TEST(RankAggregateTest, FrameInterleavingAcrossSitesIsInvisible) {
@@ -408,30 +435,48 @@ TEST(RankAggregateTest, FrameInterleavingAcrossSitesIsInvisible) {
   }
 }
 
-// Hand-written frames: two sites, a round of 5 leaves (tree height 3) at
-// 1/p = 3 with no level skipped unless a test opens another round.
+// Hand-written frames: two sites, a tree round (round 1) of 5 leaves
+// (tree height 3) at 1/p = 3 unless a test opens another round. Frames
+// are of the current round unless a test names an older one.
 class HandFramesTest : public ::testing::Test {
  protected:
-  HandFramesTest() : agg_(2), oracle_(2) { Begin(3.0, 5, 0); }
+  HandFramesTest() : agg_(2), oracle_(2) { Begin(3.0, 5, false); }
 
-  void Begin(double inv_p, uint32_t num_leaves, uint64_t skipped_levels) {
-    agg_.BeginRound(inv_p, num_leaves, skipped_levels);
-    oracle_.BeginRound(inv_p, num_leaves, skipped_levels);
+  void Begin(double inv_p, uint32_t num_leaves, bool forward) {
+    const RoundParams round = Round(inv_p, num_leaves, forward);
+    agg_.BeginRound(round);
+    oracle_.BeginRound(round);
+    ++round_;
     Check();
   }
 
   // Ships to both and checks the estimates after.
   void Ship(int site, uint64_t first, uint64_t end,
             std::vector<uint64_t> values, std::vector<Segment> segments) {
-    ASSERT_TRUE(agg_.Summary(site, first, end, values.data(), values.size(),
-                             segments.data(), segments.size()));
-    oracle_.Summary(site, first, end, values, segments);
+    ShipIn(round_, site, first, end, values, segments);
+  }
+  void ShipIn(uint64_t round, int site, uint64_t first, uint64_t end,
+              std::vector<uint64_t> values, std::vector<Segment> segments) {
+    ASSERT_TRUE(agg_.Summary(site, round, first, end, values.data(),
+                             values.size(), segments.data(),
+                             segments.size()));
+    oracle_.Summary(site, round, first, end, values, segments);
     Check();
   }
 
   void Sample(int site, uint64_t leaf, uint64_t value) {
-    agg_.Residual(site, leaf, value);
-    oracle_.Residual(site, leaf, value);
+    SampleIn(round_, site, leaf, value);
+  }
+  void SampleIn(uint64_t round, int site, uint64_t leaf, uint64_t value) {
+    ASSERT_TRUE(agg_.Residual(site, round, leaf, value));
+    oracle_.Residual(site, round, leaf, value);
+    Check();
+  }
+
+  void Forward(std::vector<uint64_t> values) { ForwardIn(round_, values); }
+  void ForwardIn(uint64_t round, std::vector<uint64_t> values) {
+    ASSERT_TRUE(agg_.Forwards(round, values.data(), values.size()));
+    for (uint64_t value : values) oracle_.Forward(round, value);
     Check();
   }
 
@@ -441,6 +486,7 @@ class HandFramesTest : public ::testing::Test {
 
   RankAggregate agg_;
   ReferenceRankAggregate oracle_;
+  uint64_t round_ = 0;
 };
 
 TEST_F(HandFramesTest, MixedWeightCoverClosesOnTheTopNode) {
@@ -452,14 +498,12 @@ TEST_F(HandFramesTest, MixedWeightCoverClosesOnTheTopNode) {
   Ship(0, 2, 3, {7}, {{2, 1}});
   Sample(0, 3, 2);
   Ship(0, 3, 4, {0, 6}, {{1, 2}});
-  // The top level is not skipped, so the top node over all 5 leaves
-  // closes the chunk.
+  // The top node over all 5 leaves closes the chunk.
   Ship(0, 0, 5, {1, 6, 10}, {{1, 1}, {4, 3}});
   Sample(0, 0, 3);
 }
 
 TEST_F(HandFramesTest, ParentsSupersedeTheirChildren) {
-  // Compacted leaves: no level is skipped, so every node ships.
   Ship(0, 0, 1, {5}, {{2, 1}});
   Ship(0, 1, 2, {2}, {{2, 1}});
   Ship(0, 0, 2, {2, 5}, {{2, 2}});
@@ -470,7 +514,7 @@ TEST_F(HandFramesTest, ParentsSupersedeTheirChildren) {
   Sample(0, 4, 3);
   Sample(0, 4, 9);
   // A round change freezes the cut-short instance with its live samples.
-  Begin(5.0, 3, 0);
+  Begin(5.0, 3, false);
   Sample(0, 0, 6);
   Ship(0, 0, 1, {1, 7}, {{1, 2}});
   Sample(0, 1, 1);
@@ -479,67 +523,82 @@ TEST_F(HandFramesTest, ParentsSupersedeTheirChildren) {
   Ship(0, 0, 3, {2, 3, 9}, {{3, 3}});
 }
 
-TEST_F(HandFramesTest, ExactSiblingsMergeThenGiveWayToAShippedParent) {
-  // Level 1 is skipped, levels 2 and 3 ship.
-  Begin(3.0, 5, 0b0010);
-  Ship(0, 0, 1, {5}, {{1, 1}});
-  Sample(0, 1, 4);
-  Ship(0, 1, 2, {2, 7}, {{1, 2}});  // merges with [0, 1) into [0, 2)
-  Ship(0, 2, 3, {8}, {{1, 1}});
-  Sample(0, 3, 1);
-  // Merges into [2, 4). Level 2 is not skipped, so [0, 2) and [2, 4)
-  // stay apart until the site's level-2 node arrives.
-  Ship(0, 3, 4, {0, 3}, {{1, 2}});
-  // A skipped node's range is refused, however well-formed.
-  const std::vector<uint64_t> pair = {2, 5, 7};
-  const std::vector<Segment> exact = {{1, 3}};
-  EXPECT_FALSE(agg_.Summary(0, 0, 2, pair.data(), 3, exact.data(), 1));
-  Check();
-  Ship(0, 0, 4, {2, 5, 8}, {{2, 3}});  // supersedes both merged entries
-  Sample(0, 4, 6);
-  Ship(0, 0, 5, {2, 6, 8}, {{2, 3}});  // the top node closes the chunk
-  Sample(0, 0, 11);
-  // A compacted leaf, which no site sends under a skipped parent, is not
-  // exact and does not merge with its exact sibling.
-  Ship(1, 0, 1, {5}, {{2, 1}});
-  Ship(1, 1, 2, {2, 7}, {{1, 2}});
-}
-
 TEST_F(HandFramesTest, ExactLeavesStayApartUnderAShippedParent) {
-  // Level 1 is not skipped, so two exact leaves stay two cover entries
-  // until their parent ships. The [1, 3) frame, which no site sends,
-  // makes that visible: it supersedes the second leaf only.
+  // Two exact leaves stay two cover entries until their parent ships.
+  // The [1, 3) frame, which no site sends, makes that visible: it
+  // supersedes the second leaf only.
   Ship(0, 0, 1, {2, 6}, {{1, 2}});
   Ship(0, 1, 2, {3, 9}, {{1, 2}});
   Ship(0, 1, 3, {4, 7, 8}, {{1, 3}});
 }
 
-TEST_F(HandFramesTest, AllExactInstanceClosesOnItsLastLeaf) {
-  // Every level above the leaves is skipped, the top one included.
-  Begin(3.0, 5, 0b1110);
-  Ship(0, 0, 1, {4, 9}, {{1, 2}});
-  Ship(0, 1, 2, {1}, {{1, 1}});
-  Sample(0, 2, 7);
-  Ship(1, 0, 1, {3}, {{1, 1}});
-  Ship(0, 2, 3, {6}, {{1, 1}});
-  Ship(0, 3, 4, {2, 11}, {{1, 2}});  // [0, 4) rebuilt from its leaves
-  Sample(0, 4, 5);
-  Ship(0, 4, 5, {3}, {{1, 1}});  // the last leaf closes the instance
-  Sample(0, 0, 10);              // the site's next instance
-  Ship(0, 0, 1, {0, 12}, {{1, 2}});
-  Ship(0, 1, 2, {5}, {{1, 1}});
-  // The round change freezes both open instances.
-  Begin(5.0, 3, 0b110);
-  Ship(1, 0, 1, {8}, {{1, 1}});
-  Ship(1, 1, 2, {2}, {{1, 1}});
-  Ship(1, 2, 3, {4, 7}, {{1, 2}});
+TEST_F(HandFramesTest, ForwardsCountExactlyAcrossRounds) {
+  // A tree round's open instance stays counted through forward rounds.
+  Ship(0, 0, 1, {4, 9}, {{2, 2}});
+  Sample(0, 1, 7);
+  Begin(1.0, 1, true);
+  Forward({3, 3, 12, 0, 7});
+  Forward({7, 3});  // repeats fold into the same distinct values
+  Begin(1.0, 1, true);
+  Forward({5, 12, 1});
+  // Forwards stay exact, unscaled, through a tree round.
+  Begin(4.0, 3, false);
+  Ship(1, 0, 3, {2, 6}, {{4, 2}});
+  Sample(0, 0, 8);
+}
+
+// In freerun mode a site streams on in its own round after another
+// site's report opened the next one. Its frames count under the round
+// they name: forwards exactly, tree frames in the same instance as the
+// site's earlier ones, whose tail samples keep their round's 1/p.
+TEST_F(HandFramesTest, FramesOfAnOlderRoundFileUnderTheirOwn) {
+  Ship(0, 0, 1, {2, 6}, {{1, 2}});
+  Sample(0, 1, 4);
+  Begin(1.0, 1, true);  // round 2 forwards
+  Forward({3, 9});
+  ShipIn(1, 0, 1, 2, {3, 9}, {{1, 2}});
+  ShipIn(1, 0, 0, 2, {1, 4, 5, 10}, {{1, 2}, {2, 4}});  // supersedes both
+  SampleIn(1, 0, 2, 8);
+  SampleIn(1, 1, 0, 5);
+  Begin(5.0, 3, false);  // round 3 builds trees
+  ForwardIn(2, {7, 0, 7});
+  Ship(1, 0, 1, {2, 11}, {{1, 2}});  // closes site 1's round-1 instance
+  SampleIn(1, 0, 3, 1);
+  // Site 0's round-1 top node closes its instance after round 3 opened.
+  ShipIn(1, 0, 0, 5, {1, 6, 10}, {{1, 1}, {4, 3}});
+  Sample(0, 0, 6);
+}
+
+// The kind of a rank frame is fixed by the round it names: no site sends
+// a summary or tail sample of a forward round, a forward of a tree
+// round, or any frame of a round not yet opened, so the aggregate
+// refuses them and nothing changes.
+TEST_F(HandFramesTest, FramesOfTheWrongRoundKindAreRefused) {
+  const std::vector<uint64_t> one = {2};
+  const std::vector<Segment> seg = {{1, 1}};
+  Ship(0, 0, 1, {4}, {{1, 1}});
+  EXPECT_FALSE(agg_.Forwards(1, one.data(), 1));
+  EXPECT_FALSE(agg_.Forwards(2, one.data(), 1));
+  Check();
+  Begin(1.0, 1, true);
+  for (uint64_t round : {uint64_t{0}, uint64_t{2}}) {
+    EXPECT_FALSE(agg_.Summary(0, round, 0, 1, one.data(), 1, seg.data(), 1));
+    EXPECT_FALSE(agg_.Residual(0, round, 0, 2));
+  }
+  EXPECT_FALSE(agg_.Summary(0, 3, 0, 1, one.data(), 1, seg.data(), 1));
+  EXPECT_FALSE(agg_.Residual(1, 3, 0, 2));
+  EXPECT_FALSE(agg_.Forwards(3, one.data(), 1));
+  Check();
+  Forward({2});
+  ForwardIn(0, {5});
+  ShipIn(1, 0, 1, 2, {3}, {{1, 1}});
 }
 
 TEST_F(HandFramesTest, ResidualOnlyInstancesSurviveARoundChange) {
   Sample(0, 0, 4);
   Sample(0, 0, 1);
   Sample(1, 2, 7);
-  Begin(7.5, 1, 0);
+  Begin(7.5, 1, false);
   Sample(0, 0, 3);
   Ship(0, 0, 1, {2, 5}, {{1, 2}});  // height 0: one leaf closes the chunk
   Sample(0, 0, 9);
@@ -571,20 +630,18 @@ TEST(RankAggregateRefusals, MalformedSummariesChangeNothing) {
        {5, 6, 7, 1, 2, 4, 3, 8}, {{1, 3}, {2, 8}, {4, 8}}},
       {"inversion at the second segment's last pair", 0, 1,
        {5, 6, 7, 1, 2, 3, 8, 4}, {{1, 3}, {2, 8}, {4, 8}}},
-      // Level 1 is skipped: no site ships its node [2, 4).
-      {"summary over a skipped range", 2, 4, {1}, {{1, 1}}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
     RankAggregate agg(1);
-    agg.BeginRound(2.0, 4, 0b10);
+    agg.BeginRound(Round(2.0, 4, false));
     const std::vector<uint64_t> base = {4};
     const std::vector<Segment> base_seg = {{two52, 1}};
-    ASSERT_TRUE(agg.Summary(0, 0, 1, base.data(), 1, base_seg.data(), 1));
-    agg.Residual(0, 1, 3);
+    ASSERT_TRUE(agg.Summary(0, 1, 0, 1, base.data(), 1, base_seg.data(), 1));
+    agg.Residual(0, 1, 1, 3);
     std::vector<double> before;
     for (uint64_t x = 0; x < 6; ++x) before.push_back(agg.Estimate(x));
-    EXPECT_FALSE(agg.Summary(0, c.first, c.end, c.values.data(),
+    EXPECT_FALSE(agg.Summary(0, 1, c.first, c.end, c.values.data(),
                              c.values.size(), c.segments.data(),
                              c.segments.size()));
     for (uint64_t x = 0; x < 6; ++x) {
@@ -593,14 +650,15 @@ TEST(RankAggregateRefusals, MalformedSummariesChangeNothing) {
     // The site still accepts well-formed frames where it left off.
     const std::vector<uint64_t> next = {2};
     const std::vector<Segment> next_seg = {{1, 1}};
-    EXPECT_TRUE(agg.Summary(0, 1, 2, next.data(), 1, next_seg.data(), 1));
+    EXPECT_TRUE(
+        agg.Summary(0, 1, 1, 2, next.data(), 1, next_seg.data(), 1));
   }
   // The inversion cases' well-formed twin is accepted.
   RankAggregate agg(1);
-  agg.BeginRound(2.0, 4, 0b10);
+  agg.BeginRound(Round(2.0, 4, false));
   const std::vector<uint64_t> values = {5, 6, 7, 1, 2, 3, 4, 8};
   const std::vector<Segment> segments = {{1, 3}, {2, 8}, {4, 8}};
-  EXPECT_TRUE(agg.Summary(0, 0, 1, values.data(), values.size(),
+  EXPECT_TRUE(agg.Summary(0, 1, 0, 1, values.data(), values.size(),
                           segments.data(), segments.size()));
   EXPECT_EQ(agg.SummaryWeightBelow(5), 8u);  // 1, 2, 3, 4 at weight 2
 }
@@ -637,8 +695,8 @@ TEST(RankAggregateRefusals, SegmentWeightBoundaries) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
     RankAggregate agg(1);
-    agg.BeginRound(2.0, 4, 0);
-    EXPECT_EQ(agg.Summary(0, 0, 1, values.data(), values.size(),
+    agg.BeginRound(Round(2.0, 4, false));
+    EXPECT_EQ(agg.Summary(0, 1, 0, 1, values.data(), values.size(),
                           c.segments.data(), c.segments.size()),
               c.accepted);
   }

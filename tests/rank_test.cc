@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 
 #include "disttrack/rank/deterministic_rank.h"
 #include "disttrack/rank/randomized_rank.h"
+#include "disttrack/sim/wire.h"
 #include "disttrack/stream/workload.h"
 #include "test_util.h"
 
@@ -230,13 +232,15 @@ TEST(RandomizedRankTest, SpaceStaysSublinear) {
   o.epsilon = 0.01;
   o.seed = 29;
   RandomizedRankTracker tracker(o);
-  auto w = MakeRankWorkload(16, 1 << 18, SiteSchedule::kUniformRandom,
+  // Rounds from n̄ = 2^17 on build trees (the ones before forward and hold
+  // no tree), so the stream runs to 2^20.
+  auto w = MakeRankWorkload(16, 1 << 20, SiteSchedule::kUniformRandom,
                             ValueOrder::kUniformRandom, 20, 29);
   for (const auto& a : w) tracker.Arrive(a.site, a.key);
   // Theorem 4.1's per-site space is O(c/(ε√k) · polylog); with c = 8,
   // 1/(ε√k) = 25 and polylog ~ 25 the budget is a few thousand words —
   // grant that, and demand clear sublinearity in the per-site stream.
-  uint64_t per_site_stream = (1 << 18) / 16;
+  uint64_t per_site_stream = (1 << 20) / 16;
   EXPECT_LT(tracker.space().MaxPeak(), per_site_stream / 2);
   EXPECT_LT(static_cast<double>(tracker.space().MaxPeak()),
             8.0 * 25.0 * 32.0);
@@ -342,17 +346,43 @@ TEST(RandomizedRankTest, GroupedDeliveryBitIdenticalToStreamOrder) {
   }
 }
 
+// Perfbench's rank input at k sites: perfbench's site sequence and keys
+// over 2^20, uniform (zipf_alpha = 0) or Zipf, seed 3.
+std::vector<sim::Arrival> BenchInput(int k, size_t n, double zipf_alpha) {
+  auto input = stream::MakeFrequencyWorkload(
+      k, n, SiteSchedule::kUniformRandom, uint64_t{1} << 20, zipf_alpha, 3);
+  auto sites = stream::MakeCountSites(k, n, SiteSchedule::kUniformRandom, 11);
+  for (size_t i = 0; i < n; ++i) input[i].site = sites[i];
+  return input;
+}
+
+RandomizedRankOptions BenchOptions(int k, double eps) {
+  RandomizedRankOptions o;
+  o.num_sites = k;
+  o.epsilon = eps;
+  o.seed = 3;
+  return o;
+}
+
+// The shape whose tree compresses: perfbench's zipf workload (k = 64,
+// eps = 0.01, Zipf(1.1) keys). Rounds 0-18 forward; from round 19 on
+// (n̄ >= 2^18, b >= 81, tree height 6) the tree sends about half a word
+// per arrival or less.
+constexpr int kTreeK = 64;
+constexpr double kTreeEps = 0.01;
+constexpr double kTreeZipf = 1.1;
+
 // Golden pin of the production output at both perfbench shapes (k=64,
-// eps=0.01, Zipf(1.1) keys; k=32, eps=5e-4, uniform keys; both over 2^20,
-// perfbench's site sequence, four 64Ki ArriveBatch calls, seed 3), plus a
-// 24-batch run of the k=32 shape. The four-batch estimates were recorded
-// before the merged-window ladder pulls and the radix run sort went in,
-// the 24-batch ones before the scalar-only sort and merge; all of these
-// are tier A, so every later change to the rank ingest path must
-// reproduce them bit for bit (or say why not). The message and word
-// counts were re-recorded when sites stopped shipping the nodes of
-// skipped levels (RoundParams::skipped_levels), which left every
-// estimate as it was.
+// eps=0.01, Zipf(1.1) keys; k=32, eps=5e-4, uniform keys; perfbench's
+// site sequence, four 64Ki ArriveBatch calls, seed 3), plus a 24-batch
+// run of the k=64 shape. In the four-batch runs every round forwards, so
+// their estimates are the exact ranks and their words are one per
+// arrival plus the coarse channel. The 24-batch run reaches tree rounds
+// 19 and 20, whose windows outgrow their levels' capacities, so the
+// node-less flushes draw wire-cascade coins from each level's seed: it
+// pins the order of those seed draws and every coin of the tree. All of
+// these are tier A, so every later change to the rank ingest path must
+// reproduce them bit for bit (or say why not).
 TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
   struct Shape {
     int k;
@@ -364,57 +394,46 @@ TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
     std::vector<std::pair<uint64_t, double>> estimates;
   };
   const Shape shapes[] = {
-      {64, 0.01, 1.1, 4, 97262, 669592,
+      {64, 0.01, 1.1, 4, 264096, 264096,
        {{0, 0},
-        {1, 32279.199999999997},
-        {2, 47452},
-        {3, 57149.800000000003},
-        {10, 86901.200000000012},
-        {100, 138828.39999999999},
-        {1000, 180777.80000000005},
-        {4096, 202182.19999999998},
-        {65536, 236272.60000000001},
-        {524288, 256590},
-        {1048575, 262268.59999999998}}},
-      {32, 5e-4, 0.0, 4, 476275, 1213663,
+        {1, 32402},
+        {2, 47514},
+        {3, 57128},
+        {10, 86985},
+        {100, 138830},
+        {1000, 180754},
+        {4096, 202022},
+        {65536, 236237},
+        {524288, 256439},
+        {1048575, 262144}}},
+      {32, 5e-4, 0.0, 4, 263153, 263153,
        {{0, 0},
         {131072, 32775},
-        {262144, 65406.973638087467},
-        {393216, 98472.973638087467},
-        {524288, 131157.97363808745},
-        {655360, 163980.97363808745},
-        {786432, 196606.96045713121},
-        {917504, 229503.94727617493},
-        {1048576, 262136.93409521866}}},
-      // Over 24 batches the k = 32 windows outgrow their levels'
-      // capacities, so the node-less flushes draw wire-cascade coins from
-      // each level's seed: this shape pins the order of those seed draws,
-      // which the 4-batch shape above (no coin drawn) cannot see.
-      {32, 5e-4, 0.0, 24, 1021269, 5921089,
+        {262144, 65403},
+        {393216, 98475},
+        {524288, 131162},
+        {655360, 163987},
+        {786432, 196615},
+        {917504, 229512},
+        {1048576, 262144}}},
+      {64, 0.01, 1.1, 24, 539297, 927393,
        {{0, 0},
-        {131072, 196833.90773330611},
-        {262144, 393146.85500948108},
-        {393216, 590164.77592374338},
-        {524288, 786588.61775226821},
-        {655360, 983115.53866653051},
-        {786432, 1179010.2750474054},
-        {917504, 1376362.1036949737},
-        {1048576, 1572818.0509711488}}},
+        {1, 194674.60000000001},
+        {2, 286541},
+        {3, 343997.59999999998},
+        {10, 521741},
+        {100, 831843.59999999998},
+        {1000, 1084121.8},
+        {4096, 1212002.8},
+        {65536, 1416499.6000000001},
+        {524288, 1537262.2000000002},
+        {1048575, 1572818.4000000001}}},
   };
   const size_t kBatch = size_t{1} << 16;
   for (const Shape& shape : shapes) {
     const size_t n = kBatch * shape.batches;
-    auto input = stream::MakeFrequencyWorkload(
-        shape.k, n, SiteSchedule::kUniformRandom, uint64_t{1} << 20,
-        shape.zipf_alpha, 3);
-    auto sites = stream::MakeCountSites(shape.k, n,
-                                        SiteSchedule::kUniformRandom, 11);
-    for (size_t i = 0; i < n; ++i) input[i].site = sites[i];
-    RandomizedRankOptions o;
-    o.num_sites = shape.k;
-    o.epsilon = shape.eps;
-    o.seed = 3;
-    RandomizedRankTracker tracker(o);
+    auto input = BenchInput(shape.k, n, shape.zipf_alpha);
+    RandomizedRankTracker tracker(BenchOptions(shape.k, shape.eps));
     for (size_t b = 0; b < shape.batches; ++b) {
       tracker.ArriveBatch(input.data() + b * kBatch, kBatch);
     }
@@ -426,136 +445,128 @@ TEST(RandomizedRankTest, GoldenOutputAtBenchmarkShapes) {
       EXPECT_EQ(tracker.EstimateRank(probe), want)
           << "k " << shape.k << " batches " << shape.batches << " probe "
           << probe;
+      if (shape.batches == 4) {
+        EXPECT_EQ(want, static_cast<double>(ExactRank(input, probe)))
+            << "k " << shape.k << " probe " << probe;
+      }
     }
   }
 }
 
-// The golden k = 32 shape's input: k = 32 sites, perfbench's site
-// sequence, uniform keys over 2^20, seed 3.
-std::vector<sim::Arrival> TableBoundInput(size_t n) {
-  const int k = 32;
-  auto input = stream::MakeFrequencyWorkload(
-      k, n, SiteSchedule::kUniformRandom, uint64_t{1} << 20, 0.0, 3);
-  auto sites = stream::MakeCountSites(k, n, SiteSchedule::kUniformRandom, 11);
-  for (size_t i = 0; i < n; ++i) input[i].site = sites[i];
-  return input;
-}
-
-RandomizedRankOptions TableBoundOptions() {
-  RandomizedRankOptions o;
-  o.num_sites = 32;
-  o.epsilon = 5e-4;
-  o.seed = 3;
-  return o;
-}
-
-// The run ladder's work at the golden k = 32 shape (24 x 64Ki uniform
-// keys, seed 3, tree height 11), read from counters that touch no RNG
-// and no meter. Skipped levels own no ladder cursor, so the ladder
-// merges each leaf's runs and the windows of the levels that still ship:
-// about 3.7 values per arrival in pair merges plus 0.4 in merged windows
-// when this test was written (10.75 while every level held a cursor).
-// Pair merges write into the older run's own buffer, so only appends
-// take pooled buffers. A change that raises the merge volume or brings
-// back a merge buffer per pair merge fails here, not only in the wall
-// clock.
-TEST(RandomizedRankTest, LadderWorkAtTheTableBoundShape) {
+// The run ladder's work at the tree shape (24 x 64Ki Zipf keys, seed 3;
+// rounds 19 and 20 build trees of height 6), read from counters that
+// touch no RNG and no meter: about 1.1 values per arrival in pair merges
+// plus 1.7 in merged windows when this test was written. Pair merges
+// write into the older run's own buffer, so only appends take pooled
+// buffers. A change that raises the merge volume or brings back a merge
+// buffer per pair merge fails here, not only in the wall clock.
+TEST(RandomizedRankTest, LadderWorkAtTheTreeShape) {
   const size_t kBatch = size_t{1} << 16;
   const size_t batches = 24;
   const size_t n = kBatch * batches;
-  auto input = TableBoundInput(n);
-  RandomizedRankTracker tracker(TableBoundOptions());
+  auto input = BenchInput(kTreeK, n, kTreeZipf);
+  RandomizedRankTracker tracker(BenchOptions(kTreeK, kTreeEps));
   for (size_t b = 0; b < batches; ++b) {
     tracker.ArriveBatch(input.data() + b * kBatch, kBatch);
   }
   const summaries::LadderWork work = tracker.ladder_work();
-  ASSERT_EQ(tracker.height(), 11);
+  ASSERT_EQ(tracker.height(), 6);
+  ASSERT_FALSE(tracker.site(0).round().forward);
   EXPECT_GT(work.pair_merges, 0u);
   EXPECT_GT(work.window_values, 0u);
-  EXPECT_LE(work.merged_values(), 5 * static_cast<uint64_t>(n));
+  EXPECT_LE(work.merged_values(), 3 * static_cast<uint64_t>(n));
   EXPECT_LE(work.pool_takes, work.runs_appended);
 }
 
-// Level `l`'s count, zero where no node of the level was counted.
-NodeCount CountAt(const NodeCounts& counts, size_t l) {
-  return l < counts.size() ? counts[l] : NodeCount{};
-}
-
-// No node of a skipped level ships: per round, the node counts of every
-// level in that round's skipped_levels grow only in `skipped`, and those
-// of every other level only in `shipped`. Fed one arrival at a time: a
-// broadcast opens the next round before its arrival's tree step, so what
-// that arrival ships belongs to the new round. At the k = 32 shape the
-// masks grow from level 1 alone (round 8) to every level (rounds 18 and
-// 19); round 20's top level ships again.
-TEST(RandomizedRankTest, SkippedLevelsShipNoNode) {
+// The forward rule reads only the round's geometry, so the batched feed
+// and the exact-feed oracle (use_batch_compaction = false) forward the
+// same rounds and complete and ship the same nodes of the same trees.
+TEST(RandomizedRankTest, BothFeedsShipTheSameNodes) {
   const size_t n = size_t{1} << 20;
-  auto input = TableBoundInput(n);
-  RandomizedRankTracker tracker(TableBoundOptions());
-  NodeCounts before = tracker.node_counts();
-  uint64_t skipped_levels = tracker.site(0).round().skipped_levels;
-  uint64_t skipped_nodes = 0, shipped_above = 0;
-  auto close_round = [&](const NodeCounts& now) {
-    for (size_t l = 0; l < now.size(); ++l) {
-      const uint64_t shipped = now[l].shipped - CountAt(before, l).shipped;
-      const uint64_t skipped = now[l].skipped - CountAt(before, l).skipped;
-      if (((skipped_levels >> l) & 1) != 0) {
-        EXPECT_EQ(shipped, 0u) << "round " << tracker.rounds() << " level "
-                               << l;
-        skipped_nodes += skipped;
-      } else {
-        EXPECT_EQ(skipped, 0u) << "round " << tracker.rounds() << " level "
-                               << l;
-        if (l > 0) shipped_above += shipped;
-      }
-    }
-    before = now;
-    skipped_levels = tracker.site(0).round().skipped_levels;
-  };
-  uint64_t round = tracker.rounds();
-  for (const sim::Arrival& a : input) {
-    const NodeCounts prior = tracker.site(a.site).node_counts();
-    tracker.Arrive(a.site, a.key);
-    if (tracker.rounds() != round) {
-      round = tracker.rounds();
-      // Everything the arrival shipped or skipped belongs to the new round.
-      NodeCounts closing = tracker.node_counts();
-      const NodeCounts& site = tracker.site(a.site).node_counts();
-      for (size_t l = 0; l < site.size(); ++l) {
-        closing[l].shipped -= site[l].shipped - CountAt(prior, l).shipped;
-        closing[l].skipped -= site[l].skipped - CountAt(prior, l).skipped;
-      }
-      close_round(closing);
-    }
-  }
-  close_round(tracker.node_counts());
-  EXPECT_GT(skipped_nodes, 0u);
-  EXPECT_GT(shipped_above, 0u);
-}
-
-// The skip rule reads only the round's geometry, so the batched feed and
-// the exact-feed oracle (use_batch_compaction = false) complete, skip
-// and ship the same nodes of the same trees.
-TEST(RandomizedRankTest, BothFeedsSkipTheSameNodes) {
-  const size_t n = size_t{1} << 17;
-  auto input = TableBoundInput(n);
-  RandomizedRankOptions exact_options = TableBoundOptions();
+  auto input = BenchInput(kTreeK, n, kTreeZipf);
+  RandomizedRankOptions exact_options = BenchOptions(kTreeK, kTreeEps);
   exact_options.use_batch_compaction = false;
-  RandomizedRankTracker batched(TableBoundOptions()), exact(exact_options);
+  RandomizedRankTracker batched(BenchOptions(kTreeK, kTreeEps));
+  RandomizedRankTracker exact(exact_options);
   for (size_t pos = 0; pos < n; pos += 4096) {
     batched.ArriveBatch(input.data() + pos, 4096);
     exact.ArriveBatch(input.data() + pos, 4096);
   }
+  ASSERT_FALSE(batched.site(0).round().forward);
   const NodeCounts a = batched.node_counts();
   const NodeCounts b = exact.node_counts();
   ASSERT_EQ(a.size(), b.size());
-  uint64_t skipped = 0;
+  uint64_t above_leaves = 0;
   for (size_t l = 0; l < a.size(); ++l) {
-    EXPECT_EQ(a[l].skipped, b[l].skipped) << "level " << l;
-    EXPECT_EQ(a[l].shipped, b[l].shipped) << "level " << l;
-    skipped += a[l].skipped;
+    EXPECT_EQ(a[l], b[l]) << "level " << l;
+    if (l > 0) above_leaves += a[l];
   }
-  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(above_leaves, 0u);
+}
+
+// The paper words of the rank channel's frames (forwards, node summaries,
+// tail samples): the tracker's words less the coarse channel's.
+struct RankWordTap : sim::wire::WireTap {
+  void OnMessage(sim::wire::Message&& msg) override {
+    if (msg.type == sim::wire::MsgType::kRankForward ||
+        msg.type == sim::wire::MsgType::kRankSummary ||
+        msg.type == sim::wire::MsgType::kRankResidual) {
+      words += std::max<uint64_t>(1, msg.paper_words);
+    }
+  }
+  uint64_t words = 0;
+};
+
+// A round forwards whenever its tree would send a word per arrival or
+// more, so no shape sends more than its stream. Checked after every
+// batch; the batches double from 16k arrivals up to 64Ki and are 64Ki
+// long from there, so the early stretch is checked too. The rank
+// channel stays within n throughout. The coarse channel's O(k log n)
+// words come on top, up to 1.9 n at n = 16k, so the tracker's total is
+// held to 1.1 n from n = 256k on. While every round so far has
+// forwarded, the estimate is the exact rank.
+TEST(RandomizedRankTest, NeverShipsMoreThanItsStream) {
+  const size_t kBatch = size_t{1} << 16;
+  const size_t n = size_t{1} << 20;
+  const uint64_t probes[] = {1, 1 << 10, 1 << 16, 1 << 19, 1 << 20};
+  for (int k : {4, 32, 64}) {
+    auto input = BenchInput(k, n, 0.0);
+    for (double eps : {0.01, 5e-4}) {
+      SCOPED_TRACE(::testing::Message() << "k " << k << " eps " << eps);
+      RandomizedRankTracker tracker(BenchOptions(k, eps));
+      RankWordTap tap;
+      tracker.set_wire_tap(&tap);
+      std::vector<uint64_t> below(std::size(probes), 0);
+      bool all_forward = true;
+      size_t seen = 0;
+      for (size_t end = 16 * static_cast<size_t>(k); seen < n;
+           end = std::min(2 * end, seen + kBatch)) {
+        tracker.ArriveBatch(input.data() + seen, end - seen);
+        for (; seen < end; ++seen) {
+          for (size_t q = 0; q < below.size(); ++q) {
+            below[q] += input[seen].key < probes[q];
+          }
+        }
+        EXPECT_LE(tap.words, seen) << "n " << seen;
+        if (seen >= 256 * static_cast<size_t>(k)) {
+          EXPECT_LE(static_cast<double>(tracker.meter().TotalWords()),
+                    1.1 * static_cast<double>(seen))
+              << "n " << seen;
+        }
+        // At these shapes a round forwards iff n̄ is below a threshold,
+        // so the round at each batch end stands for the rounds inside
+        // the batch (at ε = 0.5 a height change can bring a forward
+        // round back).
+        all_forward = all_forward && tracker.site(0).round().forward;
+        if (!all_forward) continue;
+        for (size_t q = 0; q < below.size(); ++q) {
+          EXPECT_EQ(tracker.EstimateRank(probes[q]),
+                    static_cast<double>(below[q]))
+              << "n " << seen << " probe " << probes[q];
+        }
+      }
+    }
+  }
 }
 
 TEST(RandomizedRankTest, DuplicateValuesHandled) {

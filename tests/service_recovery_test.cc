@@ -288,6 +288,7 @@ SiteSnapshot LiveSnapshot(const ServiceOptions& options, int site) {
     half->Arrive(WorkloadKey(options, site, snap.site_arrivals++));
   }
   half->Serialize(&snap.blob);
+  snap.round = 1;  // the broadcast of the ritual above
   snap.options_hash = options.Hash();
   snap.site = site;
   return snap;
@@ -349,6 +350,7 @@ TEST(ServiceRecovery, RefusedSnapshotBlobLeavesTheSiteFresh) {
       SiteSnapshot read;
       ASSERT_TRUE(ReadSnapshotFile(path, options.Hash(), &read));
       ASSERT_EQ(read.blob, bad.blob);
+      ASSERT_EQ(read.round, bad.round);
 
       sim::SiteCore core(1, SiteHalf::Create(options, 1), &link);
       EXPECT_FALSE(core.Restore(read))
@@ -359,11 +361,13 @@ TEST(ServiceRecovery, RefusedSnapshotBlobLeavesTheSiteFresh) {
       EXPECT_EQ(after.site_arrivals, 0u);
       EXPECT_EQ(after.up_next_seq, 1u);
       EXPECT_EQ(after.down_watermark, 0u);
+      EXPECT_EQ(after.round, 0u);
     }
     // The live blob itself restores.
     sim::SiteCore core(1, SiteHalf::Create(options, 1), &link);
     EXPECT_TRUE(core.Restore(live));
     EXPECT_EQ(core.TakeSnapshot().blob, live.blob);
+    EXPECT_EQ(core.TakeSnapshot().round, live.round);
     remove(path.c_str());
     rmdir(dir);
   }

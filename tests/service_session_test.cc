@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -347,6 +348,54 @@ TEST(ServiceSession, FreerunFleetCompletesWithinEpsilon) {
   fleet.ShutdownAndReap();
 }
 
+TEST(ServiceSession, FreerunRankFleetCrossesIntoTreeRounds) {
+  // Freerun sites stream concurrently: a site applies a broadcast only
+  // between grants, so it sends frames of its old round after another
+  // site's report opened the next one, here across the switch from
+  // forward rounds to tree rounds. The coordinator must keep every
+  // connection (a refused frame closes one, and its site never finishes)
+  // and answer within the ε guarantee.
+  if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
+  ServiceOptions options;
+  options.tracker = TrackerKind::kRank;
+  options.mode = RunMode::kFreerun;
+  options.num_sites = 4;
+  options.total_arrivals = 40000;
+  options.grant_max = 256;
+  options.universe = 1 << 16;
+  ASSERT_TRUE(options.RankOptions().RoundParamsFor(4096).forward);
+  ASSERT_FALSE(options.RankOptions().RoundParamsFor(8192).forward);
+  Fleet fleet(options);
+  for (int site = 0; site < options.num_sites; ++site) fleet.StartSite(site);
+  ASSERT_TRUE(
+      fleet.PumpUntil([&] { return fleet.coordinator().AllSitesDone(); }));
+  const Message count = Ask(fleet.coordinator(), kQueryCount);
+  ASSERT_EQ(count.values.size(), 3u);
+  EXPECT_FALSE(options.RankOptions().RoundParamsFor(count.values[1] / 2)
+                   .forward)
+      << "the fleet never reached a tree round";
+  std::vector<uint64_t> values;
+  for (int site = 0; site < options.num_sites; ++site) {
+    for (uint64_t i = 0; i < ShardSize(options, site); ++i) {
+      values.push_back(WorkloadKey(options, site, i));
+    }
+  }
+  std::sort(values.begin(), values.end());
+  const double n = static_cast<double>(values.size());
+  for (uint64_t x : {uint64_t{1} << 12, uint64_t{1} << 14, uint64_t{3} << 14}) {
+    SCOPED_TRACE(x);
+    const double want = static_cast<double>(
+        std::lower_bound(values.begin(), values.end(), x) - values.begin());
+    Message rank = Ask(fleet.coordinator(), kQueryRank, x);
+    ASSERT_EQ(rank.values.size(), 1u);
+    double est = 0;
+    memcpy(&est, &rank.values[0], sizeof(est));
+    EXPECT_NEAR(est, want, 2 * options.epsilon * n)
+        << "freerun far outside the ε guarantee";
+  }
+  fleet.ShutdownAndReap();
+}
+
 TEST(ServiceSession, MismatchedOptionsHashIsRejected) {
   if (DISTTRACK_TSAN) GTEST_SKIP() << "fork-based test, skipped under TSan";
   ServiceOptions options;
@@ -500,12 +549,18 @@ TEST(ServiceSession, FrameBeyondExactDoublesClosesTheConnection) {
   }
 }
 
+// The round of the frames below unless they name another: round 1, which
+// builds trees (TreeRoundReport).
+constexpr uint64_t kTreeRound = 1;
+
 Message RankSummary(uint64_t first_leaf, uint64_t end_leaf,
                     std::vector<uint64_t> values,
-                    std::vector<std::pair<uint64_t, uint32_t>> segments) {
+                    std::vector<std::pair<uint64_t, uint32_t>> segments,
+                    uint64_t epoch = kTreeRound) {
   Message msg;
   msg.type = MsgType::kRankSummary;
   msg.site = 0;
+  msg.epoch = epoch;
   msg.a = first_leaf;
   msg.b = end_leaf;
   msg.values = std::move(values);
@@ -514,18 +569,64 @@ Message RankSummary(uint64_t first_leaf, uint64_t end_leaf,
   return msg;
 }
 
-TEST(ServiceSession, MalformedRankSummaryClosesTheConnection) {
-  // A rank summary the replica cannot search (segments past or out of
-  // order with the values, unsorted values, an empty or out-of-range leaf
-  // range) or whose weight reaches 2^53 is refused after a valid one: the
-  // connection closes, the refused frame changes no estimate, and the
-  // coordinator keeps serving queries.
+Message RankFrame(MsgType type, uint64_t a, uint64_t b, uint64_t words,
+                  uint64_t epoch = kTreeRound) {
+  Message msg;
+  msg.type = type;
+  msg.site = 0;
+  msg.epoch = epoch;
+  msg.a = a;
+  msg.b = b;
+  msg.paper_words = words;
+  return msg;
+}
+
+// A coarse report of round 0 opening round 1 at n̄ = 8192, which builds
+// trees (the k = 4, eps = 0.05 rounds forward up to n̄ = 4096): b = 51,
+// 41 leaves per chunk.
+Message TreeRoundReport() {
+  return RankFrame(MsgType::kCoarseReport, 8192, 0, 1, 0);
+}
+
+// Sends `frames` as site 0 and expects the coordinator to close the
+// connection at the last one: the refused frame changes no estimate (the
+// `reference` replica holds the accepted ones), and the coordinator keeps
+// serving queries.
+void ExpectRankRefusal(const ServiceOptions& options,
+                       const sim::RankReplica& reference,
+                       const std::vector<Message>& frames) {
+  EXPECT_FALSE(sim::RankReplica(reference).Apply(frames.back()));
+  Coordinator coordinator(options);
+  EXPECT_TRUE(ClosesAfter(&coordinator, options, frames))
+      << "coordinator kept a connection that sent a refused rank frame";
+  EXPECT_FALSE(StatsVector(coordinator).empty());
+  for (uint64_t x : {0, 4, 9}) {
+    Message rank = Ask(coordinator, kQueryRank, x);
+    ASSERT_EQ(rank.values.size(), 1u);
+    EXPECT_EQ(rank.values[0], Bits(reference.Estimate(x))) << "x " << x;
+  }
+  EXPECT_EQ(Ask(coordinator, kQueryCount).values[2], reference.round())
+      << "the coordinator's round differs from the accepted frames'";
+}
+
+ServiceOptions RankSessionOptions() {
   ServiceOptions options;
   options.tracker = TrackerKind::kRank;
   options.num_sites = 4;
-  options.total_arrivals = 100;
+  options.total_arrivals = 100000;
+  return options;
+}
+
+TEST(ServiceSession, MalformedRankSummaryClosesTheConnection) {
+  // In a tree round, a rank summary the replica cannot search (segments
+  // past or out of order with the values, unsorted values, an empty or
+  // out-of-range leaf range) or whose weight reaches 2^53 is refused
+  // after a valid one.
+  const ServiceOptions options = RankSessionOptions();
   const uint64_t two53 = uint64_t{1} << 53;
-  // Round 0 has one leaf per chunk: [0, 1) covers a chunk.
+  const rank::RoundParams round = options.RankOptions().RoundParamsFor(8192);
+  ASSERT_FALSE(round.forward);
+  const uint64_t leaves = round.num_leaves;
   const Message valid = RankSummary(0, 1, {3, 8}, {{2, 2}});
   const std::vector<std::pair<const char*, Message>> cases = {
       {"segment end past the values", RankSummary(0, 1, {1, 2}, {{1, 3}})},
@@ -533,61 +634,75 @@ TEST(ServiceSession, MalformedRankSummaryClosesTheConnection) {
        RankSummary(0, 1, {1, 2, 3}, {{1, 2}, {1, 1}})},
       {"unsorted values", RankSummary(0, 1, {5, 4}, {{1, 2}})},
       {"first_leaf >= end_leaf", RankSummary(1, 1, {5}, {{1, 1}})},
-      {"end_leaf past the leaves", RankSummary(0, 2, {5}, {{1, 1}})},
+      {"end_leaf past the leaves",
+       RankSummary(leaves - 1, leaves + 1, {5}, {{1, 1}})},
       {"weight reaching 2^53", RankSummary(0, 1, {5}, {{two53, 1}})},
   };
   sim::RankReplica reference(options.RankOptions());
+  ASSERT_TRUE(reference.Apply(TreeRoundReport()));
   ASSERT_TRUE(reference.Apply(valid));
   for (const auto& [what, frame] : cases) {
     SCOPED_TRACE(what);
-    Coordinator coordinator(options);
-    EXPECT_TRUE(ClosesAfter(&coordinator, options, {valid, frame}))
-        << "coordinator kept a connection that sent a malformed summary";
-    EXPECT_FALSE(StatsVector(coordinator).empty());
-    for (uint64_t x : {0, 4, 9}) {
-      Message rank = Ask(coordinator, kQueryRank, x);
-      ASSERT_EQ(rank.values.size(), 1u);
-      EXPECT_EQ(rank.values[0], Bits(reference.Estimate(x))) << "x " << x;
+    ExpectRankRefusal(options, reference, {TreeRoundReport(), valid, frame});
+  }
+}
+
+TEST(ServiceSession, RankForwardInATreeRoundClosesTheConnection) {
+  // No site forwards an arrival in a round that builds trees. A forward
+  // of round 0, which a freerun site may still send after round 1
+  // opened, is accepted.
+  const ServiceOptions options = RankSessionOptions();
+  const Message leaf = RankSummary(0, 1, {3, 8}, {{1, 2}});
+  const Message late_forward = RankFrame(MsgType::kRankForward, 2, 0, 1, 0);
+  sim::RankReplica reference(options.RankOptions());
+  ASSERT_TRUE(reference.Apply(TreeRoundReport()));
+  ASSERT_TRUE(reference.Apply(leaf));
+  ASSERT_TRUE(reference.Apply(late_forward));
+  ExpectRankRefusal(options, reference,
+                    {TreeRoundReport(), leaf, late_forward,
+                     RankFrame(MsgType::kRankForward, 5, 0, 1)});
+}
+
+TEST(ServiceSession, RankTreeFrameInAForwardRoundClosesTheConnection) {
+  // Round 0 forwards: no site sends a node summary or a tail sample in
+  // it, before round 1 opened or after.
+  const ServiceOptions options = RankSessionOptions();
+  ASSERT_TRUE(options.RankOptions().RoundParamsFor(0).forward);
+  const Message forward = RankFrame(MsgType::kRankForward, 5, 0, 1, 0);
+  const std::vector<std::pair<const char*, Message>> cases = {
+      {"summary", RankSummary(0, 1, {3, 8}, {{1, 2}}, 0)},
+      {"tail sample", RankFrame(MsgType::kRankResidual, 0, 3, 2, 0)},
+  };
+  for (bool tree_round_open : {false, true}) {
+    sim::RankReplica reference(options.RankOptions());
+    std::vector<Message> frames = {forward};
+    if (tree_round_open) frames.push_back(TreeRoundReport());
+    for (const Message& frame : frames) ASSERT_TRUE(reference.Apply(frame));
+    for (const auto& [what, frame] : cases) {
+      SCOPED_TRACE(::testing::Message()
+                   << what << " tree_round_open=" << tree_round_open);
+      frames.push_back(frame);
+      ExpectRankRefusal(options, reference, frames);
+      frames.pop_back();
     }
   }
 }
 
-TEST(ServiceSession, RankSummaryOverASkippedNodeClosesTheConnection) {
-  // A coarse report opens a round whose level 1 is skipped (every level-1
-  // node is the union of two exact leaves), and a leaf ships. A summary of
-  // a level-1 node is then one no version-3 site sends (a version-2 site
-  // did): the connection closes, the refused frame changes no estimate,
-  // and the coordinator keeps serving queries.
-  ServiceOptions options;
-  options.tracker = TrackerKind::kRank;
-  options.num_sites = 4;
-  options.total_arrivals = 1000;
-  Message coarse;
-  coarse.type = MsgType::kCoarseReport;
-  coarse.site = 0;
-  coarse.a = 320;
-  coarse.paper_words = 1;
-  const Message leaf = RankSummary(0, 1, {3, 8}, {{1, 2}});
-  const Message node = RankSummary(0, 2, {3, 5, 8}, {{1, 3}});
+TEST(ServiceSession, RankFrameOfARoundNotYetOpenClosesTheConnection) {
+  // A site's round comes from the coordinator's broadcasts, so no site
+  // names a round past the coordinator's.
+  const ServiceOptions options = RankSessionOptions();
   sim::RankReplica reference(options.RankOptions());
-  ASSERT_TRUE(reference.Apply(coarse));
-  const rank::RoundParams round =
-      options.RankOptions().RoundParamsFor(reference.n_bar());
-  ASSERT_NE(round.skipped_levels & 0b10, 0u) << "level 1 is not skipped";
-  ASSERT_GE(round.num_leaves, 2u);
-  ASSERT_TRUE(reference.Apply(leaf));
-  EXPECT_FALSE(sim::RankReplica(reference).Apply(node));
-  Coordinator coordinator(options);
-  EXPECT_TRUE(ClosesAfter(&coordinator, options, {coarse, leaf, node}))
-      << "coordinator kept a connection that sent a skipped node's summary";
-  EXPECT_FALSE(StatsVector(coordinator).empty());
-  for (uint64_t x : {0, 4, 9}) {
-    Message rank = Ask(coordinator, kQueryRank, x);
-    ASSERT_EQ(rank.values.size(), 1u);
-    EXPECT_EQ(rank.values[0], Bits(reference.Estimate(x))) << "x " << x;
+  ASSERT_TRUE(reference.Apply(TreeRoundReport()));
+  const std::vector<std::pair<const char*, Message>> cases = {
+      {"summary", RankSummary(0, 1, {3, 8}, {{1, 2}}, 2)},
+      {"tail sample", RankFrame(MsgType::kRankResidual, 0, 3, 2, 2)},
+      {"forward", RankFrame(MsgType::kRankForward, 5, 0, 1, 2)},
+  };
+  for (const auto& [what, frame] : cases) {
+    SCOPED_TRACE(what);
+    ExpectRankRefusal(options, reference, {TreeRoundReport(), frame});
   }
-  EXPECT_EQ(Ask(coordinator, kQueryCount).values[2], 1u)
-      << "the coarse report did not open the round";
 }
 
 /// A site the test speaks for itself over a socketpair (no fork): joins

@@ -134,7 +134,8 @@ TEST(SkipEquivalenceTest, FrequencyAndRankBatchesMatchScalar) {
                                stream::ValueOrder::kUniformRandom, 16, 33);
     rank::RandomizedRankOptions o;
     o.num_sites = k;
-    o.epsilon = 0.02;
+    // Rounds from n̄ ≈ 8192 on build trees; the ones before forward.
+    o.epsilon = 0.05;
     o.seed = 19;
     // Batched compaction is equivalent in distribution, not bit-identical
     // (fewer, larger compactions); the exact per-element feed is what this

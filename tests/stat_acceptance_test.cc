@@ -12,7 +12,9 @@
 //
 // and the two paths' variances must agree within sampling noise (their
 // coin processes are identical in distribution; batched compaction can
-// only shrink the compactor's variance).
+// only shrink the compactor's variance). A rank run whose early rounds
+// forward and whose late rounds build trees is held to the same bounds
+// on the production path.
 
 #include <cmath>
 #include <vector>
@@ -93,38 +95,45 @@ TEST(StatAcceptanceTest, FrequencyOldAndNewPathsMatchTheory) {
   EXPECT_LT(ratio, 2.0) << stats[1].variance << " vs " << stats[0].variance;
 }
 
+// Rank errors at the median of a 2^16 universe over kTrials seeds, after
+// `kN` uniform arrivals at `k` sites, on the reference oracles (per-arrival
+// tail coins, per-element compactor feed) or the production path (skip
+// sampling, batched compaction). `last` receives a run's last round.
+std::vector<double> RankErrors(int k, uint64_t kN, double eps, bool new_path,
+                               uint64_t seed_base, rank::RoundParams* last) {
+  auto w = MakeRankWorkload(k, kN, SiteSchedule::kUniformRandom,
+                            stream::ValueOrder::kUniformRandom, 16, 73);
+  const uint64_t query = 1u << 15;
+  const uint64_t truth = stream::ExactRank(w, query);
+  return testing_util::CollectErrors(
+      kTrials,
+      [&](uint64_t seed) {
+        rank::RandomizedRankOptions o;
+        o.num_sites = k;
+        o.epsilon = eps;
+        o.seed = seed;
+        o.use_skip_sampling = new_path;
+        o.use_batch_compaction = new_path;
+        rank::RandomizedRankTracker tracker(o);
+        tracker.ArriveBatch(w.data(), w.size());
+        *last = tracker.site(0).round();
+        return tracker.EstimateRank(query) - static_cast<double>(truth);
+      },
+      seed_base + (new_path ? 100000u : 0u));
+}
+
 TEST(StatAcceptanceTest, RankOldAndNewPathsMatchTheory) {
   const int k = 8;
   const uint64_t kN = 20000;
   const double eps = 0.05;
-  auto w = MakeRankWorkload(k, kN, SiteSchedule::kUniformRandom,
-                            stream::ValueOrder::kUniformRandom, 16, 73);
-  const uint64_t query = 1u << 15;  // ~median of the 2^16 universe
-  uint64_t truth = stream::ExactRank(w, query);
-
   PathStats stats[2];
-  for (int path = 0; path < 2; ++path) {
-    const bool new_path = path == 1;
-    auto errors = testing_util::CollectErrors(
-        kTrials,
-        [&](uint64_t seed) {
-          rank::RandomizedRankOptions o;
-          o.num_sites = k;
-          o.epsilon = eps;
-          o.seed = seed;
-          // Old: the reference oracles, per-arrival tail coins + the
-          // per-element compactor feed. New: the production path, skip
-          // sampling + batched compaction.
-          o.use_skip_sampling = new_path;
-          o.use_batch_compaction = new_path;
-          rank::RandomizedRankTracker tracker(o);
-          tracker.ArriveBatch(w.data(), w.size());
-          return tracker.EstimateRank(query) - static_cast<double>(truth);
-        },
-        20000 + static_cast<uint64_t>(path) * 100000);
+  rank::RoundParams last;
+  for (bool new_path : {false, true}) {
+    auto errors = RankErrors(k, kN, eps, new_path, 20000, &last);
+    EXPECT_FALSE(last.forward) << "the run ends in a forward round";
     CheckCltBandAndVariance(errors, eps * static_cast<double>(kN),
                             new_path ? "rank/new" : "rank/old");
-    stats[path] = Summarize(errors);
+    stats[new_path] = Summarize(errors);
   }
   ASSERT_GT(stats[0].variance, 0.0);
   // Batched compaction performs fewer compactions, so its variance may dip
@@ -132,6 +141,20 @@ TEST(StatAcceptanceTest, RankOldAndNewPathsMatchTheory) {
   double ratio = stats[1].variance / stats[0].variance;
   EXPECT_GT(ratio, 0.3) << stats[1].variance << " vs " << stats[0].variance;
   EXPECT_LT(ratio, 2.0) << stats[1].variance << " vs " << stats[0].variance;
+}
+
+// A run whose early rounds forward (exact, no coins) and whose late
+// rounds build trees: perfbench's zipf shape, k = 64 and eps = 0.01,
+// forwards up to n̄ = 2^17 and builds trees from n̄ = 2^18 on. The
+// production path only: the oracles are the same in forward rounds, and
+// their per-element feed at this size would take most of a minute.
+TEST(StatAcceptanceTest, RankMixedForwardAndTreeRoundsMatchTheory) {
+  const uint64_t kN = uint64_t{1} << 20;
+  const double eps = 0.01;
+  rank::RoundParams last;
+  auto errors = RankErrors(64, kN, eps, true, 40000, &last);
+  EXPECT_FALSE(last.forward) << "the run ends in a forward round";
+  CheckCltBandAndVariance(errors, eps * static_cast<double>(kN), "rank/mixed");
 }
 
 TEST(StatAcceptanceTest, FrequencyRareItemStaysUnbiasedOnBothPaths) {

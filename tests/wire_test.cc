@@ -42,7 +42,7 @@ std::vector<wire::MsgType> AllTypes() {
           wire::MsgType::kSplitNotice,  wire::MsgType::kCounterReport,
           wire::MsgType::kSampleForward, wire::MsgType::kRankSummary,
           wire::MsgType::kRankResidual, wire::MsgType::kAck,
-          wire::MsgType::kHello};
+          wire::MsgType::kHello,        wire::MsgType::kRankForward};
 }
 
 TEST(WireFrameTest, RoundTripsEveryMessageType) {
@@ -163,6 +163,11 @@ TEST(WireFrameTest, PaperWordChargeRules) {
   wire::Message bcast = SampleMessage(wire::MsgType::kBroadcast);
   bcast.paper_words = 1;
   EXPECT_EQ(wire::PaperWordCharge(bcast, k), static_cast<uint64_t>(k));
+
+  // A forwarded rank arrival is one word: its value.
+  wire::Message forward = SampleMessage(wire::MsgType::kRankForward);
+  forward.paper_words = 1;
+  EXPECT_EQ(wire::PaperWordCharge(forward, k), 1u);
 
   wire::Message ack = SampleMessage(wire::MsgType::kAck);
   EXPECT_EQ(wire::PaperWordCharge(ack, k), 0u);
