@@ -33,8 +33,10 @@
 // weights (the frozen runs' form, so a repeated value costs no memory)
 // and merges binary-counter style into the runs before it: a probe is
 // one binary search per run, O(log n) runs. A fold runs every
-// kFoldForwards forwards, which keeps the buffer small, and before a
-// read.
+// kFoldForwards (64Ki) forwards and before a read; the larger the fold,
+// the fewer merge levels each forwarded value passes through. The buffer
+// and its sort scratch live only through forward rounds: the first tree
+// round after them folds what is pending and releases both.
 //
 // Estimate. rank(x) = I + Σ_r below_r · inv_p_r, where I counts the
 // summary weights and forwarded values below x (an exact integer) and
@@ -91,16 +93,35 @@ class RankAggregate {
 
   static constexpr uint64_t kExactLimit = uint64_t{1} << 53;
 
-  /// Forwards folded into a run at a time: the unsorted buffer and its
-  /// sort scratch stay this small.
-  static constexpr size_t kFoldForwards = 8192;
+  /// Forwards folded into a run at a time. Each doubling of the fold
+  /// spares every forwarded value about one merge level: the merges of a
+  /// 2^20-value forward stream read 3.4 values per forward at 64Ki and
+  /// 6.2 at 8Ki (work().merged_values). The unsorted buffer and its sort
+  /// scratch, about 1 MiB together when full, are released when a tree
+  /// round opens, so they hold memory only while rounds forward.
+  static constexpr size_t kFoldForwards = 65536;
+
+  /// Work of the forward folds since construction.
+  struct FoldWork {
+    uint64_t folds = 0;          // runs sorted from the pending buffer
+    uint64_t pair_merges = 0;    // merges of two adjacent runs
+    uint64_t merged_values = 0;  // values those merges read (both inputs)
+  };
 
   explicit RankAggregate(int num_sites)
       : sites_(static_cast<size_t>(num_sites)) {}
 
   /// Opens the next round: its frames are forwards if it `forward`s,
-  /// and otherwise instances at its 1/p with its leaves per chunk.
-  void BeginRound(const RoundParams& round) { rounds_.push_back(round); }
+  /// and otherwise instances at its 1/p with its leaves per chunk. A tree
+  /// round folds the pending forwards and releases the fold's buffers,
+  /// which regrow if a later round forwards.
+  void BeginRound(const RoundParams& round) {
+    rounds_.push_back(round);
+    if (round.forward) return;
+    FoldForwards();
+    pending_ = summaries::ValueBuffer();
+    sort_scratch_ = std::vector<uint64_t>();
+  }
 
   /// Node summary [first_leaf, end_leaf) shipped by `site` in `round`, in
   /// the wire format: `values` ascending within each segment, segment
@@ -195,20 +216,19 @@ class RankAggregate {
   }
 
   double Estimate(uint64_t x) const {
-    std::vector<uint64_t> below(rounds_.size(), 0);
-    double est = static_cast<double>(Probe(x, below.data()));
-    for (size_t r = 0; r < below.size(); ++r) {
-      est += static_cast<double>(below[r]) * rounds_[r].inv_p;
+    tail_below_.assign(rounds_.size(), 0);
+    double est = static_cast<double>(Probe(x, tail_below_.data()));
+    for (size_t r = 0; r < tail_below_.size(); ++r) {
+      est += static_cast<double>(tail_below_[r]) * rounds_[r].inv_p;
     }
     return est;
   }
 
   /// The exact integer part I of Estimate(x): the summary weight and the
   /// forwarded values below x.
-  uint64_t SummaryWeightBelow(uint64_t x) const {
-    std::vector<uint64_t> below(rounds_.size(), 0);
-    return Probe(x, below.data());
-  }
+  uint64_t SummaryWeightBelow(uint64_t x) const { return Probe(x, nullptr); }
+
+  const FoldWork& work() const { return work_; }
 
  private:
   // Distinct values, ascending, with prefix weights: below[0] = 0 and
@@ -328,12 +348,16 @@ class RankAggregate {
     std::vector<Run>& runs = forwarded_runs_;
     runs.push_back(MakeRun(pending_.data(), pending_.size(), 1));
     pending_.clear();
+    ++work_.folds;
     // A run merges into the one below it while it is at least half that
     // one's size, so sizes halve up the stack and a value is merged
     // O(log n) times.
     while (runs.size() >= 2 && 2 * runs.back().values.size() >=
                                    runs[runs.size() - 2].values.size()) {
-      runs[runs.size() - 2] = Merge(runs[runs.size() - 2], runs.back());
+      Run& under = runs[runs.size() - 2];
+      ++work_.pair_merges;
+      work_.merged_values += under.values.size() + runs.back().values.size();
+      under = Merge(under, runs.back());
       runs.pop_back();
     }
   }
@@ -384,8 +408,9 @@ class RankAggregate {
     s->residual_begin = 0;
   }
 
-  // Adds each round's tail samples below x to below[round] and returns the
-  // summary weight and forwarded values below x.
+  // Returns the summary weight and forwarded values below x and, unless
+  // `below` is null, adds each round's tail samples below x to
+  // below[round].
   uint64_t Probe(uint64_t x, uint64_t* below) const {
     FoldForwards();
     uint64_t exact = 0;
@@ -393,7 +418,7 @@ class RankAggregate {
     for (const Site& s : sites_) {
       for (const FrozenInstance& f : s.frozen) {
         exact += f.run.WeightBelow(x);
-        if (f.residuals.empty()) continue;
+        if (below == nullptr || f.residuals.empty()) continue;
         below[f.round] += static_cast<uint64_t>(
             std::lower_bound(f.residuals.begin(), f.residuals.end(), x) -
             f.residuals.begin());
@@ -410,6 +435,7 @@ class RankAggregate {
           begin = end;
         }
       }
+      if (below == nullptr) continue;
       for (size_t i = s.residual_begin; i < s.residuals.size(); ++i) {
         below[s.round] += s.residuals[i].value < x ? 1 : 0;
       }
@@ -427,6 +453,9 @@ class RankAggregate {
   mutable std::vector<Run> forwarded_runs_;
   mutable summaries::ValueBuffer pending_;
   mutable std::vector<uint64_t> sort_scratch_;
+  mutable FoldWork work_;
+  // Estimate's tail counts by round, reused from read to read.
+  mutable std::vector<uint64_t> tail_below_;
 };
 
 }  // namespace rank

@@ -482,11 +482,13 @@ class HandFramesTest : public ::testing::Test {
 
   void Check() {
     for (uint64_t x = 0; x <= 12; ++x) ExpectMatchesOracle(agg_, oracle_, x);
+    for (uint64_t x : wide_xs_) ExpectMatchesOracle(agg_, oracle_, x);
   }
 
   RankAggregate agg_;
   ReferenceRankAggregate oracle_;
   uint64_t round_ = 0;
+  std::vector<uint64_t> wide_xs_;  // probes past 12, for wide values
 };
 
 TEST_F(HandFramesTest, MixedWeightCoverClosesOnTheTopNode) {
@@ -545,6 +547,69 @@ TEST_F(HandFramesTest, ForwardsCountExactlyAcrossRounds) {
   Begin(4.0, 3, false);
   Ship(1, 0, 3, {2, 6}, {{4, 2}});
   Sample(0, 0, 8);
+}
+
+// A fold runs inside Forwards once kFoldForwards values are pending, and
+// before a read; a tree round folds what is pending and releases the
+// fold's buffers. Stretches that straddle the fold (1, 65535, 65537, ...)
+// with probes only between some of them, across a forward round change
+// and into a tree round with forwards pending, must all read as the
+// oracle's plain count.
+TEST_F(HandFramesTest, FoldBoundariesAndTheTreeSwitchAreInvisible) {
+  constexpr size_t kFold = RankAggregate::kFoldForwards;
+  Rng rng(41);
+  auto stretch = [&](size_t n) {
+    std::vector<uint64_t> values(n);
+    for (uint64_t& v : values) v = rng.UniformU64(uint64_t{1} << 16);
+    return values;
+  };
+  // No read between these, so only Forwards' own fold runs.
+  auto unread = [&](size_t n) {
+    const std::vector<uint64_t> values = stretch(n);
+    ASSERT_TRUE(agg_.Forwards(round_, values.data(), n));
+    for (uint64_t value : values) oracle_.Forward(round_, value);
+  };
+  wide_xs_ = {100, 4096, 32768, 40000, 65535, 65536};
+  Ship(0, 0, 1, {4, 9}, {{2, 2}});
+  Begin(1.0, 1, true);
+  Forward(stretch(1));
+  unread(kFold - 1);
+  unread(kFold + 1);  // the fold runs at 2 * kFold pending
+  Check();
+  unread(kFold - 1);
+  unread(1);  // fills the fold exactly
+  Check();
+  unread(3);
+  Begin(1.0, 1, true);  // a forward round folds nothing
+  unread(kFold - 3);    // the fold spans both rounds' forwards
+  Check();
+  unread(100);
+  Begin(4.0, 3, false);  // folds the 100 and releases the buffers
+  Ship(1, 0, 3, {2, 6}, {{4, 2}});
+  Begin(1.0, 1, true);
+  unread(kFold + 7);  // the buffers regrow
+  Check();
+  Begin(2.0, 1, false);  // releases them again, with nothing pending
+}
+
+// Forwards fold kFoldForwards at a time into runs merged binary-counter
+// style, so a forwarded value is merged about log2(n / kFoldForwards)
+// times: the merges read at most 4 values per forward on 2^20 distinct
+// values in 64Ki folds, and more than 6 in 8Ki ones.
+TEST(RankAggregateWork, ForwardFoldsReadAtMostFourValuesPerForward) {
+  constexpr size_t kN = size_t{1} << 20;
+  RankAggregate agg(1);  // round 0 forwards
+  Rng rng(31);
+  std::vector<uint64_t> chunk(4096);
+  for (size_t sent = 0; sent < kN; sent += chunk.size()) {
+    for (uint64_t& value : chunk) value = rng.NextU64();
+    ASSERT_TRUE(agg.Forwards(0, chunk.data(), chunk.size()));
+  }
+  EXPECT_EQ(agg.SummaryWeightBelow(~uint64_t{0}), kN);
+  const RankAggregate::FoldWork& work = agg.work();
+  EXPECT_EQ(work.folds, kN / RankAggregate::kFoldForwards);
+  // 3.44 at 64Ki folds, 6.19 at 8Ki.
+  EXPECT_LE(static_cast<double>(work.merged_values) / kN, 4.0);
 }
 
 // In freerun mode a site streams on in its own round after another
