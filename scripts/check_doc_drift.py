@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc-drift guard: fail CI when the normative docs fall behind the code.
 
-Six cross-checks, all exact:
+Seven cross-checks, all exact:
 
 1. docs/WIRE_PROTOCOL.md's message-type table vs the MsgType enum in
    src/disttrack/sim/wire.h — same names, same values, nothing missing
@@ -38,6 +38,11 @@ Six cross-checks, all exact:
    `x.h/.cc` cites both x.h and x.cc; `path/to/` placeholders are
    exempt. Fenced code blocks are not citations.
 
+7. docs/REPRODUCTION.md's experiment index vs bench/paper_claims.cpp's
+   section table (kSections) — every section the driver prints must be
+   indexed, every indexed section must exist, and both list them in the
+   same order.
+
 No dependencies beyond the standard library; run from anywhere:
 
     python3 scripts/check_doc_drift.py
@@ -55,6 +60,8 @@ WIRE_DOC = ROOT / "docs" / "WIRE_PROTOCOL.md"
 README = ROOT / "README.md"
 BENCH = ROOT / "bench" / "bench_throughput.cpp"
 OPERATIONS = ROOT / "docs" / "OPERATIONS.md"
+REPRODUCTION = ROOT / "docs" / "REPRODUCTION.md"
+PAPER_CLAIMS = ROOT / "bench" / "paper_claims.cpp"
 DOCS = ROOT / "docs"
 CITING_DIRS = ("src", "tests", "bench", "examples")
 CODE_DIRS = ("src", "tests", "bench", "perfbench", "examples", "scripts")
@@ -199,6 +206,48 @@ def check_delivery_paths():
                 f"{README}: bench_throughput.cpp emits row family "
                 f"'{family}', missing from the delivery-paths table"
             )
+
+
+def parse_doc_experiments(text):
+    """First-column section names of the '## Experiment index' table."""
+    m = re.search(r"## Experiment index(.*?)\n## ", text, re.S)
+    if not m:
+        fail(f"{REPRODUCTION}: could not find the '## Experiment index' "
+             f"section")
+        return []
+    names = re.findall(r"^\|\s*`([^`]+)`\s*\|", m.group(1), re.M)
+    if not names:
+        fail(f"{REPRODUCTION}: experiment index parsed to zero rows")
+    return names
+
+
+def parse_driver_sections(text):
+    """Section names of paper_claims.cpp's kSections table, in order."""
+    m = re.search(r"kSections\[\] = \{(.*?)\n\};", text, re.S)
+    if not m:
+        fail(f"{PAPER_CLAIMS}: could not find the kSections table")
+        return []
+    names = re.findall(r'^\s*\{"([a-z0-9_]+)",', m.group(1), re.M)
+    if not names:
+        fail(f"{PAPER_CLAIMS}: kSections parsed to zero sections")
+    return names
+
+
+def check_experiment_index():
+    documented = parse_doc_experiments(
+        REPRODUCTION.read_text(encoding="utf-8"))
+    printed = parse_driver_sections(PAPER_CLAIMS.read_text(encoding="utf-8"))
+    for name in documented:
+        if name not in printed:
+            fail(f"{REPRODUCTION}: experiment index lists `{name}`, but "
+                 f"paper_claims.cpp prints no such section")
+    for name in printed:
+        if name not in documented:
+            fail(f"{REPRODUCTION}: paper_claims.cpp prints section "
+                 f"'{name}', missing from the experiment index")
+    if set(documented) == set(printed) and documented != printed:
+        fail(f"{REPRODUCTION}: experiment index order {documented} differs "
+             f"from paper_claims.cpp's print order {printed}")
 
 
 def source_exit_codes(paths):
@@ -364,8 +413,8 @@ def check_source_citations():
 def run():
     """All checks; prints a report and returns a process exit code."""
     del errors[:]
-    required = (WIRE_H, WIRE_DOC, README, BENCH, OPERATIONS,
-                *COORDINATOR_SOURCES, *SITE_SOURCES)
+    required = (WIRE_H, WIRE_DOC, README, BENCH, OPERATIONS, REPRODUCTION,
+                PAPER_CLAIMS, *COORDINATOR_SOURCES, *SITE_SOURCES)
     for path in required:
         if not path.exists():
             fail(f"missing file: {path}")
@@ -373,6 +422,7 @@ def run():
         check_wire_protocol()
         check_delivery_paths()
         check_exit_codes()
+        check_experiment_index()
         check_doc_citations()
         check_code_citations()
         check_source_citations()
@@ -382,8 +432,8 @@ def run():
         print(f"doc-drift: {len(errors)} error(s)", file=sys.stderr)
         return 1
     print("doc-drift: wire-protocol table, delivery-paths table, "
-          "exit-code table, doc citations, cited code names and cited "
-          "source paths all match the source")
+          "exit-code table, experiment index, doc citations, cited code "
+          "names and cited source paths all match the source")
     return 0
 
 

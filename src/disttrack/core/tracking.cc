@@ -87,7 +87,6 @@ Status MakeOneCount(Algorithm algorithm, const TrackerOptions& options,
       o.epsilon = options.epsilon;
       o.seed = seed;
       o.confidence_factor = ConfidenceOr(options, kDefaultCountConfidence);
-      o.naive_boundary_estimator = options.naive_boundary_estimator;
       if (Status s = o.Validate(); !s.ok()) return s;
       *out = std::make_unique<count::RandomizedCountTracker>(o);
       return Status::OK();
@@ -125,8 +124,6 @@ Status MakeOneFrequency(Algorithm algorithm, const TrackerOptions& options,
       o.seed = seed;
       o.confidence_factor =
           ConfidenceOr(options, kDefaultFrequencyConfidence);
-      o.naive_boundary_estimator = options.naive_boundary_estimator;
-      o.virtual_site_split = options.virtual_site_split;
       if (Status s = o.Validate(); !s.ok()) return s;
       *out = std::make_unique<frequency::RandomizedFrequencyTracker>(o);
       return Status::OK();

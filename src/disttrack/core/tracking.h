@@ -52,10 +52,6 @@ struct TrackerOptions {
   /// copies (§1.2's all-times construction). Must be odd when > 1.
   int median_copies = 1;
 
-  /// Ablations (docs/REPRODUCTION.md); only honored by the randomized protocols.
-  bool naive_boundary_estimator = false;
-  bool virtual_site_split = true;
-
   Status Validate() const;
 };
 

@@ -69,8 +69,9 @@ struct RandomizedCountOptions {
 
   /// Constant-factor boost c applied to p (§2.1 "Rescaling ε and p by a
   /// constant"): variance shrinks by c², communication grows by ~c.
-  /// The default 2 already measures ~0.99 coverage (fig_accuracy) because
-  /// the k/p² variance bound is slack by n̄ <= n and the ⌊·⌋₂ rounding.
+  /// The default 2 already measures full coverage over 120 seeds (the
+  /// `coverage` section of bench/paper_claims.cpp) because the k/p²
+  /// variance bound is slack by n̄ <= n and the ⌊·⌋₂ rounding.
   double confidence_factor = 2.0;
 
   /// Ablation switch (docs/REPRODUCTION.md, Ablations): when true, uses the naive biased
